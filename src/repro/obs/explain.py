@@ -237,10 +237,7 @@ def build_explain(
             "Instrumentation(provenance=True) or use QueryEngine.explain()"
         )
     query = result.query
-    planner = engine._compiled
-    planner_stats: Dict[str, int] = (
-        planner.describe() if planner is not None else {}
-    )
+    planner_stats: Dict[str, int] = engine._planner.describe()
     degradation = result.degradation
     dispatch_strategy = None
     if engine.faults is not None:
@@ -301,7 +298,6 @@ def build_sharded_explain(
     """
     query = result.query
     box = query.box
-    planner = engine._planner
     return QueryExplain(
         kind=query.kind,
         bound=query.bound,
@@ -313,7 +309,7 @@ def build_sharded_explain(
         static_eval=engine.static_eval,
         store=f"{engine.shards}xCompiledTrackingForm(shm)",
         network=engine.network.name,
-        planner_stats=planner.describe() if planner is not None else {},
+        planner_stats=engine._planner.describe(),
         missed=result.missed,
         junction_count=junction_count,
         region_ids=tuple(result.regions),

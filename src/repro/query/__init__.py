@@ -7,7 +7,11 @@ from .engine import (
     STATIC_EVAL_MODES,
     QueryEngine,
 )
-from .planner import BoundaryChain, CompiledQueryPlanner
+from .planner import (
+    BoundaryChain,
+    CompiledQueryPlanner,
+    PythonQueryPlanner,
+)
 from .sharded import SHARDED_STAGES, ShardedQueryEngine, shard_of_edges
 from .result import (
     LOWER,
@@ -26,6 +30,7 @@ __all__ = [
     "DISPATCH_STRATEGIES",
     "LOWER",
     "PLANNER_MODES",
+    "PythonQueryPlanner",
     "QueryDegradation",
     "QueryEngine",
     "QueryResult",

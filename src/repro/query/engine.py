@@ -3,32 +3,41 @@
 Executes :class:`~repro.query.RangeQuery` objects against a
 :class:`~repro.sampling.SensorNetwork` and any
 :class:`~repro.forms.EdgeCountStore` (exact tracking forms or learned
-models):
+models) through the one pipeline of :mod:`repro.query.pipeline`:
 
-1. the rectangle resolves to the junction set ``R`` (union of faces of
-   the full sensing graph, §5.1.5);
-2. ``R`` is approximated by a union of the executing network's regions
-   — maximal enclosed (lower bound, R2) or minimal covering (upper
-   bound, R1; Fig. 7);
-3. the boundary chain of that union is integrated through the count
-   store (Theorems 4.2/4.3);
-4. communication accounting records edges and sensors touched.
+1. **plan** — the rectangle resolves to the junction set ``R`` (union
+   of faces of the full sensing graph, §5.1.5); ``R`` is approximated
+   by a union of the executing network's regions — maximal enclosed
+   (lower bound, R2) or minimal covering (upper bound, R1; Fig. 7) —
+   whose boundary chain is built;
+2. **answer** — the chain is integrated through the count store
+   (Theorems 4.2/4.3) or, for a tolerant query, served from the
+   error-bounded sketch; the sensors touched are accounted and, on a
+   fault-injecting engine, the dispatch is simulated and may degrade
+   the answer;
+3. **finish** — metrics, provenance, flight record and the
+   :class:`~repro.query.QueryResult`.
 
 A query *misses* when no region approximation exists (§5.5).
 
-Planners: the resolution pipeline runs either through the reference
-Python path (sets/dicts, ``planner="python"``) or through the compiled
-planner (``planner="compiled"``): int32/CSR network indexes, bincount
-region approximation, wall-id occurrence-counting boundary
-cancellation and id-native integration
-(:mod:`repro.query.planner`).  The default (``planner="auto"``)
-compiles whenever the store supports id-native integration.  Both
-planners produce exactly equal results — same values, misses, region
-ids, edge/sensor/hop accounting, metrics and provenance.
+:meth:`QueryEngine.execute` runs the pipeline cold for one query;
+:meth:`QueryEngine.execute_batch` runs the *same* per-query core with a
+per-batch :class:`~repro.query.pipeline.PlanMemo`, so repeated boxes
+and regions are planned once.  Neither is implemented through the
+other.
+
+Planners: the engine holds one planner, chosen at construction — the
+reference :class:`~repro.query.PythonQueryPlanner` (sets/dicts,
+``planner="python"``) or the
+:class:`~repro.query.CompiledQueryPlanner` (``planner="compiled"``;
+int32/CSR network indexes, id-native integration).  The default
+(``planner="auto"``) compiles whenever the store supports id-native
+integration.  Both produce exactly equal results — same values,
+misses, region ids, edge/sensor/hop accounting, metrics and provenance.
 
 Instrumentation: the engine accepts an
-:class:`~repro.obs.Instrumentation` bundle.  Every execution emits
-per-phase tracing spans (``query.resolve_junctions`` →
+:class:`~repro.obs.Instrumentation` bundle.  Every cold execution
+emits per-phase tracing spans (``query.resolve_junctions`` →
 ``query.approximate_region`` → ``query.build_boundary`` →
 ``query.integrate`` → ``query.account_sensors``) through its tracer
 and counts queries/misses/sensors in the process-global metrics
@@ -41,35 +50,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryError
 from ..forms import EdgeCountStore
 from ..mobility import MobilityDomain
 from ..network.faults import FaultInjector, RetryPolicy
-from ..network.simulator import (
-    DEGRADATION_BUCKETS,
-    DegradedReport,
-    NetworkSimulator,
-)
-from ..obs import (
-    FlightRecorder,
-    Instrumentation,
-    NULL_INSTRUMENTATION,
-    QueryProvenance,
-    SECONDS_BUCKETS,
-    get_registry,
-)
+from ..network.simulator import DegradedReport, NetworkSimulator
+from ..obs import FlightRecorder, Instrumentation, NULL_INSTRUMENTATION
 from ..planar import NodeId
 from ..sampling import SensorNetwork
-from .planner import CompiledQueryPlanner
-from .result import (
-    LOWER,
-    TRANSIENT,
-    QueryDegradation,
-    QueryResult,
-    RangeQuery,
-)
+from .pipeline import PlanMemo, PlanStage, QueryAccounting, QueryPlan
+from .planner import CompiledQueryPlanner, PythonQueryPlanner
+from .result import TRANSIENT, QueryDegradation, QueryResult, RangeQuery
 
 #: Dispatch strategies a fault-aware engine may simulate (§4.6).
 DISPATCH_STRATEGIES = ("perimeter_walk", "server_fanout")
@@ -83,11 +76,6 @@ STATIC_EVAL_MODES = ("end", "start", "min")
 #: Resolution pipelines: "auto" compiles when the store supports
 #: id-native integration, "compiled"/"python" force one path.
 PLANNER_MODES = ("auto", "compiled", "python")
-
-#: The shared-structure caches of the batched path, in fill order.
-_BATCH_CACHES = ("junctions", "regions", "boundary", "sensors")
-
-_MISSING = object()
 
 
 @dataclass
@@ -145,45 +133,20 @@ class QueryEngine:
             if self.instrumentation is not None
             else NULL_INSTRUMENTATION
         )
-        #: Metrics go to the registry current at construction time;
-        #: hot-path counters are bound once here, not per query.
-        self._registry = get_registry()
-        self._metric_sensors = self._registry.counter(
-            "repro_query_sensors_accessed_total",
-            help="Communication sensors contacted by answered queries",
-        )
-        self._metric_edges = self._registry.counter(
-            "repro_query_edges_accessed_total",
-            help="Boundary walls integrated by answered queries",
-        )
-        self._metric_seconds = self._registry.counter(
-            "repro_query_seconds_total",
-            help="Wall seconds spent executing queries",
-        )
-        self._metric_latency = self._registry.histogram(
-            "repro_query_latency_seconds",
-            buckets=SECONDS_BUCKETS,
-            help="Per-query wall time (answered and missed)",
-        )
-        self._metric_queries: Dict[Tuple[str, str], object] = {}
-        self._metric_misses: Dict[Tuple[str, str], object] = {}
-        self._metric_sketch_hits = self._registry.counter(
-            "repro_sketch_queries_total",
-            help="Sketch fast-path attempts by outcome",
-            outcome="hit",
-        )
-        self._metric_sketch_fallbacks = self._registry.counter(
-            "repro_sketch_queries_total",
-            help="Sketch fast-path attempts by outcome",
-            outcome="fallback",
-        )
         #: Whether the store answers id-native chain integration.
-        self._id_native = hasattr(self.store, "integrate_until_ids")
-        self._compiled: Optional[CompiledQueryPlanner] = None
-        if self.planner == "compiled" or (
-            self.planner == "auto" and self._id_native
-        ):
-            self._compiled = CompiledQueryPlanner(self.network)
+        id_native = hasattr(self.store, "integrate_until_ids")
+        compiled = self.planner == "compiled" or (
+            self.planner == "auto" and id_native
+        )
+        self._planner = (
+            CompiledQueryPlanner if compiled else PythonQueryPlanner
+        )(self.network)
+        self._stage = PlanStage(
+            self._planner, self.access_mode, self.obs.tracer
+        )
+        self._acct = QueryAccounting(
+            self.obs, self.flight, self._planner.name, self.store
+        )
         self._simulator: Optional[NetworkSimulator] = None
         if self.faults is not None:
             self._simulator = NetworkSimulator(
@@ -194,6 +157,16 @@ class QueryEngine:
                 if self.retry_policy is not None
                 else RetryPolicy(),
             )
+        #: The sketch tier serves only id-native chains under
+        #: ``planner="auto"`` (forcing "compiled" or "python" pins the
+        #: exact pipeline) and never under fault simulation (degraded
+        #: dispatch must sample the live sensor set).
+        self._sketch_tier = (
+            self.sketch is not None
+            and self.planner == "auto"
+            and id_native
+            and self._simulator is None
+        )
 
     @property
     def domain(self) -> MobilityDomain:
@@ -202,7 +175,7 @@ class QueryEngine:
     @property
     def planner_in_use(self) -> str:
         """The resolved pipeline: "compiled" or "python"."""
-        return "compiled" if self._compiled is not None else "python"
+        return self._planner.name
 
     @property
     def simulator(self) -> Optional[NetworkSimulator]:
@@ -219,203 +192,12 @@ class QueryEngine:
         """
         from ..obs.explain import build_explain
 
-        obs = self.obs
-        if obs.provenance:
-            result = self.execute(query)
-        else:
-            self.obs = Instrumentation(
-                tracer=obs.tracer,
-                metrics=obs.metrics,
-                provenance=True,
-                profiler=obs.profiler,
-            )
-            try:
-                result = self.execute(query)
-            finally:
-                self.obs = obs
-        return build_explain(self, result)
-
-    def _count_query(self, query: RangeQuery) -> None:
-        key = (query.kind, query.bound)
-        counter = self._metric_queries.get(key)
-        if counter is None:
-            counter = self._registry.counter(
-                "repro_queries_total",
-                help="Queries executed, by kind and bound",
-                kind=query.kind,
-                bound=query.bound,
-            )
-            self._metric_queries[key] = counter
-        counter.inc()
-
-    def _count_miss(self, query: RangeQuery) -> None:
-        key = (query.kind, query.bound)
-        counter = self._metric_misses.get(key)
-        if counter is None:
-            counter = self._registry.counter(
-                "repro_query_misses_total",
-                help="Queries with no region approximation, by kind "
-                "and bound",
-                kind=query.kind,
-                bound=query.bound,
-            )
-            self._metric_misses[key] = counter
-        counter.inc()
+        return build_explain(self, self._cold(query, True))
 
     # ------------------------------------------------------------------
     def execute(self, query: RangeQuery) -> QueryResult:
         """Execute one query; never raises on misses (reports them)."""
-        tracer = self.obs.tracer
-        self._count_query(query)
-        planner = self._compiled
-        pc = time.perf_counter
-        start = pc()
-        with tracer.span(
-            "query.execute", kind=query.kind, bound=query.bound
-        ) as qspan:
-            with tracer.span("query.resolve_junctions"):
-                if planner is not None:
-                    junctions = planner.junction_ids(query.box)
-                else:
-                    junctions = self.domain.junctions_in_bbox(query.box)
-                junction_count = len(junctions)
-            t_junctions = pc()
-            if not junction_count:
-                return self._miss(
-                    query, start, junction_count=0,
-                    phase_s={"resolve_junctions": t_junctions - start},
-                )
-
-            with tracer.span("query.approximate_region", bound=query.bound):
-                regions = self._approximate(planner, junctions, query.bound)
-            t_regions = pc()
-            if regions is None:
-                return self._miss(
-                    query, start, junction_count=junction_count,
-                    phase_s={
-                        "resolve_junctions": t_junctions - start,
-                        "approximate_region": t_regions - t_junctions,
-                    },
-                )
-
-            with tracer.span("query.build_boundary", regions=len(regions)):
-                if planner is not None:
-                    chain = planner.boundary(regions)
-                    boundary_len = chain.size
-                    edges = None
-                else:
-                    chain = None
-                    edges = self.network.region_boundary(regions)
-                    boundary_len = len(edges)
-            t_boundary = pc()
-            sketch_hit = None
-            if chain is not None:
-                sketch_hit = self._try_sketch(chain, query)
-            approximate = False
-            degradation = None
-            with tracer.span("query.integrate", edges=boundary_len):
-                if sketch_hit is not None:
-                    value, degradation = sketch_hit
-                    approximate = True
-                elif planner is not None:
-                    value = self._integrate_chain(planner, chain, query)
-                else:
-                    value = self._integrate(edges, query)
-            t_integrate = pc()
-            with tracer.span("query.account_sensors", mode=self.access_mode):
-                if sketch_hit is not None:
-                    # Served from the server-side summary: no sensors
-                    # contacted, no perimeter aggregation.
-                    nodes_accessed = 0
-                elif planner is not None:
-                    if self.access_mode == "flood":
-                        sensor_ids = planner.flood_sensors(regions)
-                    else:
-                        sensor_ids = planner.chain_sensors(chain)
-                    nodes_accessed = len(sensor_ids)
-                else:
-                    sensors = self._sensors_accessed(regions, edges)
-                    nodes_accessed = len(sensors)
-            accounted = nodes_accessed
-            edges_reached = boundary_len
-            if self._simulator is not None and nodes_accessed:
-                with tracer.span(
-                    "query.fault_dispatch", strategy=self.dispatch_strategy
-                ):
-                    if planner is not None:
-                        contact = [int(s) for s in sensor_ids]
-                    else:
-                        contact = sorted(sensors)
-                    report = self._simulator.dispatch(
-                        contact, strategy=self.dispatch_strategy
-                    )
-                    nodes_accessed = report.sensors_contacted
-                    if report.skipped_sensors:
-                        if edges is None:
-                            edges = planner.decode_edges(chain)
-                        value, degradation = self._degrade(
-                            edges, query, report
-                        )
-                        approximate = degradation.lost_walls > 0
-                        # A lost wall's partial aggregate never joined
-                        # the value: charge only the reached walls.
-                        edges_reached = boundary_len - degradation.lost_walls
-            end = pc()
-            if tracer.enabled:
-                qspan.set(value=value, sensors=accounted)
-
-        elapsed = end - start
-        if degradation is not None:
-            self._record_degradation(degradation)
-        self._metric_sensors.inc(nodes_accessed)
-        self._metric_edges.inc(edges_reached)
-        self._metric_seconds.inc(elapsed)
-        self._metric_latency.observe(elapsed)
-        provenance = None
-        if self.obs.provenance:
-            provenance = QueryProvenance(
-                planner=self.planner_in_use,
-                junction_count=junction_count,
-                region_ids=regions,
-                boundary_length=boundary_len,
-                sensors_accessed=nodes_accessed,
-                phase_s={
-                    "resolve_junctions": t_junctions - start,
-                    "approximate_region": t_regions - t_junctions,
-                    "build_boundary": t_boundary - t_regions,
-                    "integrate": t_integrate - t_boundary,
-                    "account_sensors": end - t_integrate,
-                },
-            )
-        if self.flight is not None:
-            self._record_flight(
-                query,
-                elapsed,
-                value=value,
-                missed=False,
-                stage_s={
-                    "resolve_junctions": t_junctions - start,
-                    "approximate_region": t_regions - t_junctions,
-                    "build_boundary": t_boundary - t_regions,
-                    "integrate": t_integrate - t_boundary,
-                    "account_sensors": end - t_integrate,
-                },
-                degradation=degradation,
-                provenance=provenance,
-            )
-        return QueryResult(
-            query=query,
-            value=value,
-            missed=False,
-            regions=regions,
-            edges_accessed=edges_reached,
-            nodes_accessed=nodes_accessed,
-            hops=edges_reached,
-            elapsed=elapsed,
-            provenance=provenance,
-            approximate=approximate,
-            degradation=degradation,
-        )
+        return self._cold(query, self.obs.provenance)
 
     def execute_many(
         self, queries: Sequence[RangeQuery]
@@ -431,8 +213,9 @@ class QueryEngine:
         and bounds, so rectangle → junction-set resolution, region
         approximation, boundary-chain construction and sensor
         accounting are each computed once per distinct (box, bound) and
-        shared across the batch, through whichever planner the engine
-        resolved.  Count stores exposing batched integration
+        shared across the batch through a
+        :class:`~repro.query.pipeline.PlanMemo`.  Count stores exposing
+        batched integration
         (:class:`~repro.forms.CompiledTrackingForm`) additionally
         amortise the boundary's merged timestamp series across every
         timestamp evaluated against it.  Results are identical to
@@ -459,265 +242,101 @@ class QueryEngine:
         Results whose shared structures all came from the caches are
         flagged ``cache_served``.
 
-        Fault-aware engines fall back to sequential :meth:`execute`:
+        Fault-aware engines run every query cold, one after the other:
         degraded dispatch depends on the live per-query sensor set and
         the injector's attempt stream, which the shared caches cannot
         reproduce.
         """
+        provenance = self.obs.provenance
         if self._simulator is not None:
-            return self.execute_many(queries)
+            return [self._cold(query, provenance) for query in queries]
         tracer = self.obs.tracer
-        registry = self._registry
-        planner = self._compiled
-        with_provenance = self.obs.provenance
-        fill_seconds = registry.counter(
-            "repro_query_batch_fill_seconds_total",
-            help="Shared cache-fill seconds metered out of per-query "
-            "elapsed times in execute_batch",
-        )
-
-        cache_counters = {
-            (cache, outcome): registry.counter(
-                "repro_query_batch_cache_total",
-                help="Batch shared-structure cache hits and fills",
-                cache=cache,
-                outcome=outcome,
-            )
-            for cache in _BATCH_CACHES
-            for outcome in ("hit", "fill")
-        }
-
-        # box -> junction index array (compiled) or junction set.
-        junctions_by_box: Dict[object, object] = {}
-        # (box, bound) -> region tuple or None for a guaranteed miss.
-        regions_cache: Dict[
-            Tuple[object, str], Optional[Tuple[int, ...]]
-        ] = {}
-        # region tuple -> BoundaryChain (compiled) or directed-edge list.
-        boundary_cache: Dict[Tuple[int, ...], object] = {}
-        sensors_cache: Dict[Tuple[int, ...], int] = {}
-        results: List[QueryResult] = []
-        pc = time.perf_counter
+        memo = PlanMemo(self._acct.batch_cache, tracer)
         with tracer.span("query.execute_batch", queries=len(queries)):
-            for query in queries:
-                self._count_query(query)
-                start = pc()
-                shared = 0.0
-                hits: Dict[str, bool] = {}
-                phase_s: Dict[str, float] = {}
-                box = query.box
-                junctions = junctions_by_box.get(box, _MISSING)
-                if junctions is _MISSING:
-                    t0 = pc()
-                    with tracer.span("batch.fill.junctions"):
-                        if planner is not None:
-                            junctions = planner.junction_ids(box)
-                        else:
-                            junctions = self.domain.junctions_in_bbox(box)
-                    junctions_by_box[box] = junctions
-                    fill = pc() - t0
-                    shared += fill
-                    phase_s["resolve_junctions"] = fill
-                    hits["junctions"] = False
-                    cache_counters["junctions", "fill"].inc()
-                else:
-                    phase_s["resolve_junctions"] = 0.0
-                    hits["junctions"] = True
-                    cache_counters["junctions", "hit"].inc()
-                junction_count = len(junctions)
-                if not junction_count:
-                    results.append(
-                        self._miss(
-                            query, start, shared=shared,
-                            junction_count=0, cache_hits=hits,
-                            phase_s=phase_s,
-                        )
-                    )
-                    continue
-
-                region_key = (box, query.bound)
-                if region_key in regions_cache:
-                    regions = regions_cache[region_key]
-                    phase_s["approximate_region"] = 0.0
-                    hits["regions"] = True
-                    cache_counters["regions", "hit"].inc()
-                else:
-                    t0 = pc()
-                    with tracer.span("batch.fill.regions", bound=query.bound):
-                        regions = self._approximate(
-                            planner, junctions, query.bound
-                        )
-                    regions_cache[region_key] = regions
-                    fill = pc() - t0
-                    shared += fill
-                    phase_s["approximate_region"] = fill
-                    hits["regions"] = False
-                    cache_counters["regions", "fill"].inc()
-                if regions is None:
-                    results.append(
-                        self._miss(
-                            query, start, shared=shared,
-                            junction_count=junction_count, cache_hits=hits,
-                            phase_s=phase_s,
-                        )
-                    )
-                    continue
-
-                boundary = boundary_cache.get(regions, _MISSING)
-                if boundary is _MISSING:
-                    t0 = pc()
-                    with tracer.span("batch.fill.boundary"):
-                        if planner is not None:
-                            boundary = planner.boundary(regions)
-                        else:
-                            boundary = self.network.region_boundary(regions)
-                    boundary_cache[regions] = boundary
-                    shared += pc() - t0
-                    hits["boundary"] = False
-                    cache_counters["boundary", "fill"].inc()
-                else:
-                    hits["boundary"] = True
-                    cache_counters["boundary", "hit"].inc()
-                boundary_len = (
-                    boundary.size if planner is not None else len(boundary)
-                )
-
-                sketch_hit = None
-                if planner is not None:
-                    sketch_hit = self._try_sketch(boundary, query)
-                degradation = None
-                t_pre_integrate = pc()
-                with tracer.span("query.integrate", edges=boundary_len):
-                    if sketch_hit is not None:
-                        value, degradation = sketch_hit
-                    elif planner is not None:
-                        value = self._integrate_chain(
-                            planner, boundary, query
-                        )
-                    else:
-                        value = self._integrate(boundary, query)
-                t_integrate = pc() - t_pre_integrate
-
-                if sketch_hit is not None:
-                    elapsed = (pc() - start) - shared
-                    fill_seconds.inc(shared)
-                    self._record_degradation(degradation)
-                    self._metric_edges.inc(boundary_len)
-                    self._metric_seconds.inc(elapsed)
-                    self._metric_latency.observe(elapsed)
-                    provenance = None
-                    if with_provenance:
-                        provenance = QueryProvenance(
-                            planner=self.planner_in_use,
-                            junction_count=junction_count,
-                            region_ids=regions,
-                            boundary_length=boundary_len,
-                            sensors_accessed=0,
-                            cache_served=all(hits.values()),
-                            cache_hits=hits,
-                            shared_fill_s=shared,
-                            phase_s={"integrate": t_integrate},
-                        )
-                    if self.flight is not None:
-                        self._record_flight(
-                            query,
-                            elapsed,
-                            value=value,
-                            missed=False,
-                            stage_s={**phase_s, "integrate": t_integrate},
-                            degradation=degradation,
-                            provenance=provenance,
-                        )
-                    results.append(
-                        QueryResult(
-                            query=query,
-                            value=value,
-                            missed=False,
-                            regions=regions,
-                            edges_accessed=boundary_len,
-                            nodes_accessed=0,
-                            hops=boundary_len,
-                            elapsed=elapsed,
-                            cache_served=all(hits.values()),
-                            provenance=provenance,
-                            approximate=True,
-                            degradation=degradation,
-                        )
-                    )
-                    continue
-
-                n_sensors = sensors_cache.get(regions)
-                if n_sensors is None:
-                    t0 = pc()
-                    with tracer.span("batch.fill.sensors"):
-                        if planner is not None:
-                            if self.access_mode == "flood":
-                                n_sensors = len(
-                                    planner.flood_sensors(regions)
-                                )
-                            else:
-                                n_sensors = len(
-                                    planner.chain_sensors(boundary)
-                                )
-                        else:
-                            n_sensors = len(
-                                self._sensors_accessed(regions, boundary)
-                            )
-                    sensors_cache[regions] = n_sensors
-                    shared += pc() - t0
-                    hits["sensors"] = False
-                    cache_counters["sensors", "fill"].inc()
-                else:
-                    hits["sensors"] = True
-                    cache_counters["sensors", "hit"].inc()
-
-                elapsed = (pc() - start) - shared
-                fill_seconds.inc(shared)
-                self._metric_sensors.inc(n_sensors)
-                self._metric_edges.inc(boundary_len)
-                self._metric_seconds.inc(elapsed)
-                self._metric_latency.observe(elapsed)
-                provenance = None
-                if with_provenance:
-                    provenance = QueryProvenance(
-                        planner=self.planner_in_use,
-                        junction_count=junction_count,
-                        region_ids=regions,
-                        boundary_length=boundary_len,
-                        sensors_accessed=n_sensors,
-                        cache_served=all(hits.values()),
-                        cache_hits=hits,
-                        shared_fill_s=shared,
-                        phase_s={"integrate": t_integrate},
-                    )
-                if self.flight is not None:
-                    self._record_flight(
-                        query,
-                        elapsed,
-                        value=value,
-                        missed=False,
-                        stage_s={**phase_s, "integrate": t_integrate},
-                        provenance=provenance,
-                    )
-                results.append(
-                    QueryResult(
-                        query=query,
-                        value=value,
-                        missed=False,
-                        regions=regions,
-                        edges_accessed=boundary_len,
-                        nodes_accessed=n_sensors,
-                        hops=boundary_len,
-                        elapsed=elapsed,
-                        cache_served=all(hits.values()),
-                        provenance=provenance,
-                    )
-                )
+            results = [self._run(query, memo, provenance) for query in queries]
         assert len(results) == len(queries) and all(
             result.query is query
             for result, query in zip(results, queries)
         ), "execute_batch broke the input-order result contract"
         return results
+
+    def _cold(self, query: RangeQuery, provenance: bool) -> QueryResult:
+        """One query outside any batch, under its ``query.execute``
+        span (opened, like every span here, only on a live tracer:
+        the null span costs three calls for nothing)."""
+        tracer = self.obs.tracer
+        if not tracer.enabled:
+            return self._run(query, None, provenance)
+        with tracer.span(
+            "query.execute", kind=query.kind, bound=query.bound
+        ) as span:
+            return self._run(query, None, provenance, span)
+
+    def _run(
+        self,
+        query: RangeQuery,
+        memo: Optional[PlanMemo],
+        provenance: bool,
+        span=None,
+    ) -> QueryResult:
+        """The per-query core: plan → answer → finish.
+
+        ``memo`` is ``None`` for a cold query (every step runs, under
+        its own span inside ``span``) and the batch's shared tables
+        otherwise.
+        """
+        acct, stage, tracer = self._acct, self._stage, self.obs.tracer
+        acct.count_query(query)
+        pc = time.perf_counter
+        start = pc()
+        plan = stage.plan(query, memo)
+        stage_s, chain = plan.stage_s, plan.chain
+        if chain is None:
+            return acct.finish(
+                query, plan, 0.0, pc() - start - plan.shared, stage_s,
+                provenance,
+            )
+        edges = len(chain)
+        t_planned = pc()
+        if tracer.enabled:
+            with tracer.span("query.integrate", edges=edges):
+                value, degradation = self._answer(chain, query)
+        else:
+            value, degradation = self._answer(chain, query)
+        t_answered = pc()
+        stage_s["integrate"] = t_answered - t_planned
+        approximate = degradation is not None
+        stage.sensors(plan, memo, approximate)
+        nodes = accounted = len(plan.sensors)
+        if self._simulator is not None and nodes:
+            value, degradation, nodes = self._dispatch(plan, query, value)
+            stage_s["account_sensors"] = pc() - t_answered
+            if degradation is not None:
+                approximate = degradation.lost_walls > 0
+                # A lost wall's partial aggregate never joined the
+                # value: charge only the reached walls.
+                edges -= degradation.lost_walls
+        if span is not None:
+            span.set(value=value, sensors=accounted)
+        return acct.finish(
+            query, plan, value, pc() - start - plan.shared, stage_s,
+            provenance, edges, nodes, degradation, approximate,
+        )
+
+    def _answer(
+        self, chain, query: RangeQuery
+    ) -> Tuple[float, Optional[QueryDegradation]]:
+        """The count over the chain: from the sketch tier when its
+        bound fits the query's tolerance (the answer then carries that
+        bound), else integrated through the store (Theorems 4.2/4.3)."""
+        if self._sketch_tier and query.max_error is not None:
+            sketched = self._try_sketch(chain, query)
+            if sketched is not None:
+                return sketched
+        value = self._planner.integrate(
+            self.store, chain, query, self.static_eval
+        )
+        return value, None
 
     # ------------------------------------------------------------------
     def resolve_junctions(self, query: RangeQuery) -> Set[NodeId]:
@@ -732,28 +351,28 @@ class QueryEngine:
         return covered
 
     # ------------------------------------------------------------------
-    # Region approximation (planner dispatch)
-    # ------------------------------------------------------------------
-    def _approximate(
-        self,
-        planner: Optional[CompiledQueryPlanner],
-        junctions,
-        bound: str,
-    ) -> Optional[Tuple[int, ...]]:
-        """Sorted region tuple of the approximation; ``None`` on a miss."""
-        if planner is not None:
-            return planner.region_ids(junctions, bound)
-        if bound == LOWER:
-            resolved = self.network.lower_regions(junctions)
-        else:
-            resolved, covered = self.network.upper_regions(junctions)
-            if not covered:
-                resolved = []
-        return tuple(resolved) if resolved else None
-
-    # ------------------------------------------------------------------
     # Fault-aware dispatch (graceful degradation)
     # ------------------------------------------------------------------
+    def _dispatch(
+        self, plan: QueryPlan, query: RangeQuery, value: float
+    ) -> Tuple[float, Optional[QueryDegradation], int]:
+        """Simulate the dispatch over the plan's sensors; returns the
+        (possibly partial) value, its degradation and the sensors
+        actually contacted."""
+        with self.obs.tracer.span(
+            "query.fault_dispatch", strategy=self.dispatch_strategy
+        ):
+            report = self._simulator.dispatch(
+                sorted(int(s) for s in plan.sensors),
+                strategy=self.dispatch_strategy,
+            )
+            degradation = None
+            if report.skipped_sensors:
+                value, degradation = self._degrade(
+                    self._planner.decode_edges(plan.chain), query, report
+                )
+        return value, degradation, report.sensors_contacted
+
     def _degrade(
         self,
         boundary,
@@ -824,28 +443,6 @@ class QueryEngine:
         )
         return value, degradation
 
-    def _record_degradation(self, degradation: QueryDegradation) -> None:
-        registry = self._registry
-        if degradation.lost_walls:
-            registry.counter(
-                "repro_query_degraded_total",
-                help="Answered queries that lost part of their boundary "
-                "aggregate to faults",
-                strategy=degradation.strategy,
-            ).inc()
-        registry.histogram(
-            "repro_query_degradation",
-            buckets=DEGRADATION_BUCKETS,
-            help="Lost share of the boundary chain per degraded query",
-            strategy=degradation.strategy,
-        ).observe(degradation.lost_fraction)
-        if math.isfinite(degradation.error_bound):
-            registry.histogram(
-                "repro_query_degradation_bound",
-                help="Absolute count-error bound of degraded queries",
-                strategy=degradation.strategy,
-            ).observe(degradation.error_bound)
-
     # ------------------------------------------------------------------
     # Sketch fast path (error-bounded approximate tier)
     # ------------------------------------------------------------------
@@ -853,24 +450,13 @@ class QueryEngine:
         self, chain, query: RangeQuery
     ) -> Optional[Tuple[float, QueryDegradation]]:
         """Sketch answer for an id-native chain, or ``None`` to fall
-        back to the exact path.
+        back to the exact path (the bound exceeds the tolerance).
 
-        Only attempted under ``planner="auto"`` (forcing "compiled" or
-        "python" pins the exact pipeline), without fault simulation
-        (degraded dispatch must sample the live sensor set), and when
-        the query states a ``max_error`` tolerance.  A hit is flagged
-        ``approximate`` and carries its worst-case bound through
-        :class:`~repro.query.QueryDegradation` with
+        A hit is flagged ``approximate`` and carries its worst-case
+        bound through :class:`~repro.query.QueryDegradation` with
         ``strategy="sketch"``; the bound always contains the exact
         answer (see :class:`~repro.forms.EdgeCountSketch`).
         """
-        if (
-            self.sketch is None
-            or query.max_error is None
-            or self.planner != "auto"
-            or self._simulator is not None
-        ):
-            return None
         wall_ids, signs = chain.wall_ids, chain.signs
         sketch = self.sketch
         if query.kind == TRANSIENT:
@@ -889,155 +475,17 @@ class QueryEngine:
             e1, b1 = sketch.estimate_until_ids(wall_ids, signs, query.t1)
             e2, b2 = sketch.estimate_until_ids(wall_ids, signs, query.t2)
             estimate, bound = min(e1, e2), max(b1, b2)
-        if bound > query.max_error:
-            self._metric_sketch_fallbacks.inc()
+        hit = bound <= query.max_error
+        self._acct.sketch[hit].inc()
+        if not hit:
             return None
-        self._metric_sketch_hits.inc()
         degradation = QueryDegradation(
             skipped_sensors=(),
             lost_walls=0,
-            boundary_walls=chain.size,
+            boundary_walls=len(chain),
             error_bound=float(bound),
             coverage=1.0,
             strategy="sketch",
         )
         return float(estimate), degradation
 
-    # ------------------------------------------------------------------
-    def _integrate(self, boundary, query: RangeQuery) -> float:
-        store = self.store
-        if query.kind == TRANSIENT:
-            batched = getattr(store, "integrate_between", None)
-            if batched is not None:
-                return batched(boundary, query.t1, query.t2)
-            return sum(
-                store.net_between(edge, query.t1, query.t2)
-                for edge in boundary
-            )
-        until = getattr(store, "integrate_until", None)
-        if until is None:
-            def until(edges, t):
-                return sum(store.net_until(edge, t) for edge in edges)
-        if self.static_eval == "end":
-            return until(boundary, query.t2)
-        if self.static_eval == "start":
-            return until(boundary, query.t1)
-        return min(until(boundary, query.t1), until(boundary, query.t2))
-
-    def _integrate_chain(
-        self, planner: CompiledQueryPlanner, chain, query: RangeQuery
-    ) -> float:
-        """Integrate an id-native chain; decode for legacy stores."""
-        if self._id_native:
-            return planner.integrate(
-                self.store, chain, query, self.static_eval
-            )
-        return self._integrate(planner.decode_edges(chain), query)
-
-    def _sensors_accessed(self, regions, boundary) -> Set[int]:
-        if self.access_mode == "flood":
-            flooded: Set[int] = set()
-            for region in regions:
-                for junction in self.network.region_junctions(region):
-                    flooded |= self._blocks_at(junction)
-            return flooded
-        return self.network.sensors_for_boundary(boundary)
-
-    def _blocks_at(self, junction: NodeId) -> Set[int]:
-        domain = self.domain
-        blocks: Set[int] = set()
-        for neighbour in domain.graph.neighbors(junction):
-            left, right = domain.dual.faces_of_primal_edge(junction, neighbour)
-            blocks.update(
-                b for b in (left, right) if b != domain.dual.outer_node
-            )
-        return blocks
-
-    def _miss(
-        self,
-        query: RangeQuery,
-        start: float,
-        shared: float = 0.0,
-        junction_count: int = 0,
-        cache_hits: Optional[Dict[str, bool]] = None,
-        phase_s: Optional[Dict[str, float]] = None,
-    ) -> QueryResult:
-        self._count_miss(query)
-        elapsed = (time.perf_counter() - start) - shared
-        # Missed queries consume wall time too: charge them into the
-        # same counter as answered ones so the per-query mean the
-        # figures report covers the whole battery.
-        self._metric_seconds.inc(elapsed)
-        self._metric_latency.observe(elapsed)
-        provenance = None
-        if self.obs.provenance:
-            provenance = QueryProvenance(
-                planner=self.planner_in_use,
-                junction_count=junction_count,
-                cache_served=bool(cache_hits) and all(cache_hits.values()),
-                cache_hits=cache_hits or {},
-                shared_fill_s=shared,
-                phase_s=phase_s or {},
-            )
-        if self.flight is not None:
-            self._record_flight(
-                query,
-                elapsed,
-                value=0.0,
-                missed=True,
-                stage_s=phase_s,
-                provenance=provenance,
-            )
-        return QueryResult(
-            query=query,
-            value=0.0,
-            missed=True,
-            elapsed=elapsed,
-            cache_served=bool(cache_hits) and all(cache_hits.values()),
-            provenance=provenance,
-        )
-
-    def _record_flight(
-        self,
-        query: RangeQuery,
-        elapsed: float,
-        *,
-        value: float,
-        missed: bool,
-        stage_s: Optional[Dict[str, float]] = None,
-        degradation: Optional[QueryDegradation] = None,
-        provenance: Optional[QueryProvenance] = None,
-    ) -> None:
-        """Append one flight record; promote slow queries with the
-        detail already in hand (never recomputed)."""
-        degraded = None
-        if degradation is not None and degradation.lost_walls:
-            degraded = (
-                f"lost_walls={degradation.lost_walls}"
-                f" bound={degradation.error_bound:g}"
-            )
-        record = self.flight.record(
-            query,
-            planner=self.planner_in_use,
-            elapsed_s=elapsed,
-            value=value,
-            missed=missed,
-            stage_s=stage_s,
-            degraded=degraded,
-            generation=getattr(self.store, "generation", None),
-        )
-        if record.slow:
-            detail: Dict[str, object] = {"stage_s": dict(stage_s or {})}
-            if provenance is not None:
-                detail["provenance"] = provenance.as_dict()
-            # Memory evidence, only on the already-strict slow path:
-            # two O(1) reads, never taken for fast traffic.
-            from ..obs import memory_snapshot
-
-            snapshot = memory_snapshot()
-            record.peak_rss_bytes = snapshot["peak_rss_bytes"]
-            record.alloc_peak_bytes = snapshot["alloc_peak_bytes"]
-            profiler = self.obs.profiler
-            if profiler is not None:
-                detail["profile_top"] = profiler.table.top_rows(5)
-            record.detail = detail

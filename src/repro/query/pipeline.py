@@ -1,0 +1,430 @@
+"""The one query pipeline: plan → answer → finish (§4.6-4.7).
+
+Every executor — :meth:`QueryEngine.execute`,
+:meth:`QueryEngine.execute_batch` and the sharded scatter-gather —
+runs the same three stages; this module holds the two that do not
+depend on where the events live:
+
+**plan** (:class:`PlanStage`)
+    rectangle → junction set ``R`` → region approximation (R1/R2) →
+    boundary chain → sensors, written once over whichever planner the
+    engine holds.  A cold query runs each step under its
+    ``query.<phase>`` span; with a :class:`PlanMemo` each step is
+    looked up first and computed (under ``batch.fill.<cache>``) only
+    once per distinct box / (box, bound) / region tuple, the fill time
+    metered out of the query's own ``elapsed``.  The sharded router
+    uses the same steps with a silent memo and stops after the regions
+    unless no shard can reach them.
+
+**finish** (:meth:`QueryAccounting.finish`)
+    turns a planned, answered query into its metrics, provenance,
+    flight record and :class:`~repro.query.QueryResult` — for
+    answered, missed, sketch-served, degraded and gathered queries
+    alike.  :class:`QueryAccounting` binds the canonical series once
+    at construction; both engines hold one.
+
+The **answer** stage (sketch tier or store integration, plus the
+fault dispatch) lives with the store, in :mod:`repro.query.engine`.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from typing import Dict, Optional, Tuple
+
+from ..network.simulator import DEGRADATION_BUCKETS
+from ..obs import (
+    FlightRecorder,
+    Instrumentation,
+    NULL_TRACER,
+    QueryProvenance,
+    SECONDS_BUCKETS,
+    get_registry,
+    memory_snapshot,
+)
+from .result import QueryDegradation, QueryResult, RangeQuery
+
+#: Plan steps in order: memo table → cold span / phase name.
+PLAN_PHASES = {
+    "junctions": "resolve_junctions",
+    "regions": "approximate_region",
+    "boundary": "build_boundary",
+    "sensors": "account_sensors",
+}
+
+_ROUTING = ("junctions", "regions")
+_MISSING = object()
+_NO_ATTRS: Dict[str, object] = {}
+
+
+class QueryPlan:
+    """What one query resolved to, and what resolving it cost."""
+
+    __slots__ = (
+        "junction_count", "regions", "chain", "sensors",
+        "hits", "shared", "stage_s",
+    )
+
+    def __init__(self) -> None:
+        self.junction_count = 0
+        #: Sorted region tuple; ``None`` when no approximation exists
+        #: (§5.5: the query is a miss).
+        self.regions: Optional[Tuple[int, ...]] = None
+        self.chain = None
+        #: Planner-native sensor collection (empty until resolved).
+        self.sensors = ()
+        #: Per-memo-table hit flags (empty outside an accounted batch).
+        self.hits: Dict[str, bool] = {}
+        #: Shared fill seconds this query triggered in its batch.
+        self.shared = 0.0
+        self.stage_s: Dict[str, float] = {}
+
+
+class PlanMemo:
+    """Per-batch shared structures, one table per plan step.
+
+    ``counters`` (``(table, hit) → Counter``) switches on hit/fill
+    accounting and the per-query hit flags; without it the memo only
+    caches (the sharded router).
+    """
+
+    def __init__(self, counters=None, tracer=NULL_TRACER) -> None:
+        self.tables: Dict[str, dict] = {name: {} for name in PLAN_PHASES}
+        self.counters = counters
+        self.tracer = tracer
+
+
+class PlanStage:
+    """junctions → regions → chain → sensors, over one planner."""
+
+    def __init__(self, planner, access_mode: str, tracer) -> None:
+        self.planner = planner
+        self.tracer = tracer
+        self._flood = access_mode == "flood"
+        self._mode = {"mode": access_mode}
+
+    def plan(
+        self, query: RangeQuery, memo: Optional[PlanMemo], chain: bool = True
+    ) -> QueryPlan:
+        """Steps 1-3: the junction set, its region approximation and
+        (unless the caller only routes) their boundary chain.  Stops at
+        the first step that proves the query a miss."""
+        planner, box, bound = self.planner, query.box, query.bound
+        plan = QueryPlan()
+        junctions = self._resolve(
+            plan, memo, "junctions", box, _NO_ATTRS,
+            planner.junction_ids, box,
+        )
+        plan.junction_count = len(junctions)
+        if plan.junction_count:
+            regions = plan.regions = self._resolve(
+                plan, memo, "regions", (box, bound), {"bound": bound},
+                planner.region_ids, junctions, bound,
+            )
+            if chain and regions is not None:
+                plan.chain = self._resolve(
+                    plan, memo, "boundary", regions,
+                    {"regions": len(regions)}, planner.boundary, regions,
+                )
+        return plan
+
+    def sensors(
+        self, plan: QueryPlan, memo: Optional[PlanMemo], served: bool = False
+    ) -> None:
+        """Step 4: the sensors a dispatch over the chain contacts.
+
+        A query ``served`` from the server-side sketch contacts none:
+        in a batch it skips the step (and its table); cold it still
+        reports its — empty — accounting phase.
+        """
+        planner = self.planner
+        if served:
+            if memo is not None:
+                return
+            compute, args = tuple, ()
+        elif self._flood:
+            compute, args = planner.flood_sensors, (plan.regions,)
+        else:
+            compute, args = planner.chain_sensors, (plan.chain,)
+        plan.sensors = self._resolve(
+            plan, memo, "sensors", plan.regions, self._mode, compute, *args
+        )
+
+    def _resolve(self, plan, memo, table, key, attrs, compute, *args):
+        """One plan step: ``compute(*args)``, cold under its
+        ``query.<phase>`` span or through the memo's ``table``.
+
+        Spans are opened only on a live tracer: entering and leaving
+        the null span would cost three calls per step for nothing.
+        """
+        pc = time.perf_counter
+        if memo is None:
+            phase = PLAN_PHASES[table]
+            tracer = self.tracer
+            t0 = pc()
+            if tracer.enabled:
+                with tracer.span("query." + phase, **attrs):
+                    value = compute(*args)
+            else:
+                value = compute(*args)
+            plan.stage_s[phase] = pc() - t0
+            return value
+        cache = memo.tables[table]
+        value = cache.get(key, _MISSING)
+        hit = value is not _MISSING
+        fill = 0.0
+        if not hit:
+            tracer = memo.tracer
+            t0 = pc()
+            if tracer.enabled:
+                with tracer.span("batch.fill." + table, **attrs):
+                    value = compute(*args)
+            else:
+                value = compute(*args)
+            cache[key] = value
+            fill = pc() - t0
+        counters = memo.counters
+        if counters is not None:
+            plan.hits[table] = hit
+            counters[table, hit].inc()
+            plan.shared += fill
+            if table in _ROUTING:
+                # A batched query reports only its two routing phases;
+                # chain and sensor fills count towards ``shared`` alone.
+                plan.stage_s[PLAN_PHASES[table]] = fill
+        return value
+
+
+class QueryAccounting:
+    """The canonical per-query series and the flight record, bound once
+    per engine; :meth:`finish` is the only place a
+    :class:`~repro.query.QueryResult` is built."""
+
+    def __init__(
+        self,
+        obs: Instrumentation,
+        flight: Optional[FlightRecorder],
+        planner: str,
+        source: object,
+    ) -> None:
+        self.obs = obs
+        self.flight = flight
+        #: Executor label of provenance and flight records.
+        self.planner = planner
+        #: Whatever holds the events: its ``generation`` (the data
+        #: version; absent on static stores) is read per flight record.
+        self.source = source
+        #: Metrics go to the registry current at construction time.
+        registry = self.registry = get_registry()
+        self.sensors = registry.counter(
+            "repro_query_sensors_accessed_total",
+            help="Communication sensors contacted by answered queries",
+        )
+        self.edges = registry.counter(
+            "repro_query_edges_accessed_total",
+            help="Boundary walls integrated by answered queries",
+        )
+        self.seconds = registry.counter(
+            "repro_query_seconds_total",
+            help="Wall seconds spent executing queries",
+        )
+        self.latency = registry.histogram(
+            "repro_query_latency_seconds",
+            buckets=SECONDS_BUCKETS,
+            help="Per-query wall time (answered and missed)",
+        )
+        self.fill_seconds = registry.counter(
+            "repro_query_batch_fill_seconds_total",
+            help="Shared cache-fill seconds metered out of per-query "
+            "elapsed times in execute_batch",
+        )
+        self.batch_cache = {
+            (table, hit): registry.counter(
+                "repro_query_batch_cache_total",
+                help="Batch shared-structure cache hits and fills",
+                cache=table,
+                outcome="hit" if hit else "fill",
+            )
+            for table in PLAN_PHASES
+            for hit in (True, False)
+        }
+        self.sketch = {
+            hit: registry.counter(
+                "repro_sketch_queries_total",
+                help="Sketch fast-path attempts by outcome",
+                outcome="hit" if hit else "fallback",
+            )
+            for hit in (True, False)
+        }
+        #: (kind, bound) → (queries, misses) counters, and strategy →
+        #: (degraded, lost share, error bound) series: label values
+        #: arrive with the traffic, so each set is bound on first use.
+        self._by_class: Dict[Tuple[str, str], tuple] = {}
+        self._by_strategy: Dict[str, tuple] = {}
+
+    def _class_counters(self, query: RangeQuery) -> tuple:
+        pair = self._by_class.get((query.kind, query.bound))
+        if pair is None:
+            counter = self.registry.counter
+            pair = self._by_class[query.kind, query.bound] = (
+                counter(
+                    "repro_queries_total",
+                    help="Queries executed, by kind and bound",
+                    kind=query.kind,
+                    bound=query.bound,
+                ),
+                counter(
+                    "repro_query_misses_total",
+                    help="Queries with no region approximation, by kind "
+                    "and bound",
+                    kind=query.kind,
+                    bound=query.bound,
+                ),
+            )
+        return pair
+
+    def count_query(self, query: RangeQuery) -> None:
+        self._class_counters(query)[0].inc()
+
+    def _record_degradation(self, degradation: QueryDegradation) -> None:
+        strategy = degradation.strategy
+        series = self._by_strategy.get(strategy)
+        if series is None:
+            registry = self.registry
+            series = self._by_strategy[strategy] = (
+                registry.counter(
+                    "repro_query_degraded_total",
+                    help="Answered queries that lost part of their "
+                    "boundary aggregate to faults",
+                    strategy=strategy,
+                ),
+                registry.histogram(
+                    "repro_query_degradation",
+                    buckets=DEGRADATION_BUCKETS,
+                    help="Lost share of the boundary chain per degraded "
+                    "query",
+                    strategy=strategy,
+                ),
+                registry.histogram(
+                    "repro_query_degradation_bound",
+                    help="Absolute count-error bound of degraded queries",
+                    strategy=strategy,
+                ),
+            )
+        degraded, lost_share, error_bound = series
+        if degradation.lost_walls:
+            degraded.inc()
+        lost_share.observe(degradation.lost_fraction)
+        if math.isfinite(degradation.error_bound):
+            error_bound.observe(degradation.error_bound)
+
+    def finish(
+        self,
+        query: RangeQuery,
+        plan: QueryPlan,
+        value: float,
+        elapsed: float,
+        stage_s: Dict[str, float],
+        provenance: bool = False,
+        edges: int = 0,
+        nodes: int = 0,
+        degradation: Optional[QueryDegradation] = None,
+        approximate: bool = False,
+        fanout: int = 0,
+        detail: Optional[Dict[str, object]] = None,
+    ) -> QueryResult:
+        """Account one executed query and build its result.
+
+        ``plan.regions is None`` marks a miss.  Missed queries consume
+        wall time too and are charged into the same seconds/latency
+        series as answered ones, so the per-query mean the figures
+        report covers the whole battery.  ``detail`` is the executor's
+        extra payload for a slow-query promotion.
+        """
+        regions = plan.regions
+        missed = regions is None
+        if missed:
+            regions = ()
+            self._class_counters(query)[1].inc()
+        else:
+            self.sensors.inc(nodes)
+            self.edges.inc(edges)
+            if degradation is not None:
+                self._record_degradation(degradation)
+        if plan.shared:
+            self.fill_seconds.inc(plan.shared)
+        self.seconds.inc(elapsed)
+        self.latency.observe(elapsed)
+        hits = plan.hits
+        cache_served = bool(hits) and all(hits.values())
+        record = None
+        if provenance:
+            phase_s = stage_s
+            if hits and not missed:
+                # Fills are metered out of a batched query's elapsed,
+                # so its own phases are the integration alone.
+                phase_s = {"integrate": stage_s["integrate"]}
+            record = QueryProvenance(
+                planner=self.planner,
+                junction_count=plan.junction_count,
+                region_ids=regions,
+                boundary_length=0 if missed else len(plan.chain),
+                sensors_accessed=nodes,
+                cache_served=cache_served,
+                cache_hits=hits,
+                shared_fill_s=plan.shared,
+                phase_s=phase_s,
+            )
+        if self.flight is not None:
+            degraded = None
+            if degradation is not None and degradation.lost_walls:
+                degraded = (
+                    f"lost_walls={degradation.lost_walls}"
+                    f" bound={degradation.error_bound:g}"
+                )
+            flown = self.flight.record(
+                query,
+                planner=self.planner,
+                elapsed_s=elapsed,
+                value=value,
+                missed=missed,
+                fanout=fanout,
+                stage_s=stage_s,
+                degraded=degraded,
+                generation=getattr(self.source, "generation", None),
+            )
+            if flown.slow:
+                self._promote(flown, stage_s, record, detail)
+        return QueryResult(
+            query=query,
+            value=value,
+            missed=missed,
+            regions=regions,
+            edges_accessed=edges,
+            nodes_accessed=nodes,
+            hops=edges,
+            elapsed=elapsed,
+            cache_served=cache_served,
+            provenance=record,
+            approximate=approximate,
+            degradation=degradation,
+        )
+
+    def _promote(self, flown, stage_s, provenance, detail) -> None:
+        """Attach to a slow flight record the detail already in hand
+        (never recomputed).  ``stage_s`` goes in by reference: a
+        scattered batch shares one table and writes its ``merge`` entry
+        after the last finish."""
+        promoted: Dict[str, object] = {"stage_s": stage_s, **(detail or {})}
+        if provenance is not None:
+            promoted["provenance"] = provenance.as_dict()
+        # Memory evidence, only on the already-strict slow path: two
+        # O(1) reads, never taken for fast traffic.
+        snapshot = memory_snapshot()
+        flown.peak_rss_bytes = snapshot["peak_rss_bytes"]
+        flown.alloc_peak_bytes = snapshot["alloc_peak_bytes"]
+        profiler = self.obs.profiler
+        if profiler is not None:
+            promoted["profile_top"] = profiler.table.top_rows(5)
+        flown.detail = promoted

@@ -1,11 +1,26 @@
-"""The compiled query planner: vectorised region→boundary resolution.
+"""The query planners: rectangle → regions → boundary chain → sensors.
 
-The Python read path resolves every query through per-query sets and
-dicts: a fresh junction set per rectangle, a Python subset test per
-candidate region, wall-by-wall boundary loops and ``tuple(edges)``
-cache keys.  :class:`CompiledQueryPlanner` re-expresses the whole
-pipeline over the int32/CSR indexes a
-:class:`~repro.sampling.SensorNetwork` compiles on first use
+One planner surface, two implementations.  The engine holds exactly
+one planner and never asks which kind it is; both expose
+
+- ``junction_ids(box)`` — the junction set ``R`` of the rectangle;
+- ``region_ids(junctions, bound)`` — the sorted region tuple of the
+  R2 (lower) / R1 (upper) approximation, ``None`` on a miss;
+- ``boundary(regions)`` — the inward boundary chain (``len()`` = |∂R|);
+- ``chain_sensors(chain)`` / ``flood_sensors(regions)`` — the sensors a
+  perimeter / flood dispatch contacts;
+- ``integrate(store, chain, query, static_eval)`` — Theorems 4.2/4.3;
+- ``decode_edges(chain)`` — the chain as directed ``(u, v)`` edges;
+- ``describe()`` and ``name`` for EXPLAIN.
+
+:class:`PythonQueryPlanner` is the reference: per-query sets and dicts
+straight off the :class:`~repro.sampling.SensorNetwork` (a fresh
+junction set per rectangle, a subset test per candidate region,
+wall-by-wall boundary loops).  Tests and the end-to-end benchmark run
+it (``QueryEngine(..., planner="python")``) as the independent oracle.
+
+:class:`CompiledQueryPlanner` re-expresses the same pipeline over the
+int32/CSR indexes a network compiles on first use
 (:meth:`~repro.sampling.SensorNetwork.compiled_index`):
 
 1. rectangle → junction *index array* via the domain's
@@ -18,23 +33,24 @@ pipeline over the int32/CSR indexes a
    selected regions' concatenated CSR wall slices — interior walls
    appear exactly twice (once per adjacent selected region) and drop
    out, mirroring the chain cancellation of the boundary operator;
-4. sensor accounting by one CSR gather + ``np.unique`` over the
-   wall→owner table (or the junction→block table in flood mode);
+4. sensor accounting by one gather + ``np.bincount`` over the dense
+   wall→owner table (or the junction→block table in flood mode) —
+   both lazily cached on the network's index, so constructing a
+   planner is O(1);
 5. integration through the count store's id-native fast path
    (:meth:`~repro.forms.CompiledTrackingForm.integrate_until_ids`)
    keyed on a wall-id digest, falling back to decoded directed edges
    for stores without one.
 
-Every step is exactly result-equivalent to the Python path — same
-values, misses, region ids, edge/sensor/hop accounting — which the
-randomized cross-check suite in ``tests/test_query_planner.py``
-asserts.
+Every step is exactly result-equivalent between the two — same values,
+misses, region ids, edge/sensor/hop accounting — which the randomized
+cross-check suite in ``tests/test_query_planner.py`` asserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -83,33 +99,93 @@ class BoundaryChain:
     def size(self) -> int:
         return len(self.wall_ids)
 
+    def __len__(self) -> int:
+        return len(self.wall_ids)
+
+
+def integrate_edges(store, edges, query: RangeQuery, static_eval: str):
+    """Integrate a directed-edge chain through any count store.
+
+    Uses the store's batched ``integrate_between`` / ``integrate_until``
+    when it has them and sums per-edge nets otherwise (learned models).
+    """
+    if query.kind == TRANSIENT:
+        batched = getattr(store, "integrate_between", None)
+        if batched is not None:
+            return batched(edges, query.t1, query.t2)
+        return sum(store.net_between(e, query.t1, query.t2) for e in edges)
+    until = getattr(store, "integrate_until", None)
+    if until is None:
+        def until(chain, t):
+            return sum(store.net_until(edge, t) for edge in chain)
+    if static_eval == "end":
+        return until(edges, query.t2)
+    if static_eval == "start":
+        return until(edges, query.t1)
+    return min(until(edges, query.t1), until(edges, query.t2))
+
+
+class PythonQueryPlanner:
+    """The reference resolution pipeline: sets and dicts, no indexes."""
+
+    name = "python"
+
+    def __init__(self, network: SensorNetwork) -> None:
+        self.network = network
+        self.domain = network.domain
+
+    def describe(self) -> Dict[str, int]:
+        return {}
+
+    def junction_ids(self, box) -> Set:
+        return self.domain.junctions_in_bbox(box)
+
+    def region_ids(self, junctions, bound: str) -> Optional[Tuple[int, ...]]:
+        if bound == LOWER:
+            resolved = self.network.lower_regions(junctions)
+        else:
+            resolved, covered = self.network.upper_regions(junctions)
+            if not covered:
+                return None
+        return tuple(resolved) if resolved else None
+
+    def boundary(self, regions: Tuple[int, ...]) -> List[DirectedEdge]:
+        return self.network.region_boundary(regions)
+
+    def chain_sensors(self, chain: List[DirectedEdge]) -> Set[int]:
+        return self.network.sensors_for_boundary(chain)
+
+    def flood_sensors(self, regions: Tuple[int, ...]) -> Set[int]:
+        """Every block incident to any junction of the regions."""
+        domain, dual = self.domain, self.domain.dual
+        blocks: Set[int] = set()
+        for region in regions:
+            for junction in self.network.region_junctions(region):
+                for neighbour in domain.graph.neighbors(junction):
+                    blocks.update(
+                        dual.faces_of_primal_edge(junction, neighbour)
+                    )
+        blocks.discard(dual.outer_node)
+        return blocks
+
+    def integrate(self, store, chain, query: RangeQuery, static_eval: str):
+        return integrate_edges(store, chain, query, static_eval)
+
+    def decode_edges(self, chain: List[DirectedEdge]) -> List[DirectedEdge]:
+        return chain
+
 
 class CompiledQueryPlanner:
     """Array-native resolution pipeline over a network's CSR indexes."""
+
+    name = "compiled"
 
     def __init__(self, network: SensorNetwork) -> None:
         self.network = network
         self.domain = network.domain
         self.index = network.compiled_index()
-        #: Dense-id universe sizes for the bincount scatter tables.
+        #: Dense-id universe size for the bincount scatter tables.
         self._n_walls = len(self.index.wo_offsets) - 1
-        self._n_sensor_ids = int(
-            self.index.wo_sensors.max() + 1
-            if len(self.index.wo_sensors)
-            else 0
-        )
-        #: Dense wall → owners matrix (columns padded with -1): owner
-        #: lists are tiny (one or two sensors per wall), so a matrix
-        #: row gather beats a CSR gather on the hot perimeter path.
-        wo_counts = np.diff(self.index.wo_offsets)
-        width = int(wo_counts.max()) if len(wo_counts) else 0
-        dense = np.full((self._n_walls, max(width, 1)), -1, dtype=np.int32)
-        for column in range(width):
-            rows = np.flatnonzero(wo_counts > column)
-            dense[rows, column] = self.index.wo_sensors[
-                self.index.wo_offsets[rows] + column
-            ]
-        self._wall_owners_dense = dense
         #: Decoded directed-edge lists per chain digest (for stores
         #: without an id-native integration path, and for the rare
         #: degraded-dispatch bookkeeping).
@@ -202,10 +278,9 @@ class CompiledQueryPlanner:
         """Unique owning sensors of a chain (ascending), one gather."""
         if chain.size == 0:
             return _EMPTY_I32
-        owners = self._wall_owners_dense[chain.wall_ids].ravel()
+        owners = self.index.wall_owners_dense()[chain.wall_ids].ravel()
         # Shift by one so the -1 padding lands in slot 0, then drop it.
-        seen = np.bincount(owners + 1, minlength=self._n_sensor_ids + 1)
-        return np.flatnonzero(seen[1:])
+        return np.flatnonzero(np.bincount(owners + 1)[1:])
 
     def flood_sensors(self, regions: Tuple[int, ...]) -> np.ndarray:
         """Unique blocks incident to any junction of the regions."""
@@ -229,13 +304,15 @@ class CompiledQueryPlanner:
         query: RangeQuery,
         static_eval: str,
     ) -> float:
-        """Integrate the chain through an id-native store.
-
-        Only valid for stores exposing ``integrate_until_ids`` /
-        ``integrate_between_ids`` (:class:`~repro.forms.CompiledTrackingForm`);
-        the engine decodes the chain and uses its generic path for
-        anything else.
+        """Integrate the chain through the store's id-native path
+        (``integrate_until_ids`` / ``integrate_between_ids``, e.g.
+        :class:`~repro.forms.CompiledTrackingForm`); a store without
+        one gets the decoded directed edges instead.
         """
+        if not hasattr(store, "integrate_until_ids"):
+            return integrate_edges(
+                store, self.decode_edges(chain), query, static_eval
+            )
         wall_ids, signs = chain.wall_ids, chain.signs
         if query.kind == TRANSIENT:
             return store.integrate_between_ids(

@@ -18,26 +18,32 @@ Pipeline:
    :class:`~repro.forms.CompiledTrackingForm` and packed into a
    :mod:`multiprocessing.shared_memory` segment (:mod:`repro.shm`), so
    workers attach zero-copy views instead of unpickling megabytes.
-2. **Route** (per query): the parent resolves bbox → junctions →
-   region approximation with its own
+2. **Route** (per query): the parent runs the first two steps of the
+   shared plan stage (:class:`~repro.query.pipeline.PlanStage`: bbox →
+   junctions → region approximation, memoised per batch) over its own
    :class:`~repro.query.CompiledQueryPlanner`, then consults a
    precomputed region×shard reachability table (shard *s* can reach
    region *r* iff *s* holds at least one event on a wall adjacent to
    *r*).  Misses are answered locally; queries no shard can affect are
-   answered locally with value 0 and exact structural accounting.
+   answered locally with value 0, the parent resuming the same plan
+   (chain → sensors) for the exact structural accounting.
 3. **Scatter/gather**: per-shard sub-batches run a stock
    :class:`~repro.query.QueryEngine` ``execute_batch`` over the
    shard's attached form; the parent sums per-shard values (elementwise
    then ``min`` for ``static_eval="min"``, which is *not* linear and
-   must be folded over the summed endpoint totals) and re-emits results
-   **in input order**, field-identical to the single-process compiled
-   planner: same values, misses, region ids and edge/sensor/hop
-   accounting.  Only timing fields (``elapsed``, ``cache_served``,
+   must be folded over the summed endpoint totals) and passes every
+   query — gathered, unreachable or missed — through the shared
+   :meth:`~repro.query.pipeline.QueryAccounting.finish`, **in input
+   order**: results are field-identical to the single-process compiled
+   planner (same values, misses, region ids and edge/sensor/hop
+   accounting).  Only timing fields (``elapsed``, ``cache_served``,
    provenance) differ, as they describe a different execution shape.
 
 Metrics: the parent accounts the canonical per-query series
 (``repro_queries_total``, misses, sensors/edges, latency) exactly once
-per query; worker registries ship per-call deltas
+per query, through the same
+:class:`~repro.query.pipeline.QueryAccounting` the single-process
+engine binds; worker registries ship per-call deltas
 (:func:`repro.obs.metrics.diff_dumps`) that the parent absorbs with
 those canonical names skipped, so internal counters (searchsorted
 calls, boundary-cache outcomes, batch-cache hits) stay visible without
@@ -98,7 +104,6 @@ from ..obs import (
     get_logger,
     get_registry,
     kv,
-    memory_snapshot,
     set_registry,
 )
 from ..obs.explain import QueryExplain, build_sharded_explain
@@ -107,6 +112,7 @@ from ..sampling import SensorNetwork
 from ..shm import destroy_segment
 from ..trajectories import EventColumns
 from .engine import QueryEngine, STATIC_EVAL_MODES
+from .pipeline import PlanMemo, PlanStage, QueryAccounting, QueryPlan
 from .planner import CompiledQueryPlanner
 from .result import STATIC, QueryResult, RangeQuery
 
@@ -281,36 +287,21 @@ def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
                 )
             else:
                 engines = (_worker_engine(shard, static_eval),)
-        if static_eval == "min":
-            starts = engines[0].execute_batch(queries)
-            ends = engines[1].execute_batch(queries)
-            for (index, query), r_start, r_end in zip(indexed, starts, ends):
-                if r_end.missed:
-                    raise QueryError(
-                        f"shard {shard} missed a query the router answered"
-                    )
-                if query.kind == STATIC:
-                    values = (r_start.value, r_end.value)
-                else:
-                    values = (r_end.value,)
-                payload.append(
-                    (index, values, r_end.edges_accessed, r_end.nodes_accessed)
+        # One run per engine: (start, end) under "min", else the one.
+        runs = [engine.execute_batch(queries) for engine in engines]
+        for (index, query), *answers in zip(indexed, *runs):
+            last = answers[-1]
+            if last.missed:
+                raise QueryError(
+                    f"shard {shard} missed a query the router answered"
                 )
-        else:
-            results = engines[0].execute_batch(queries)
-            for (index, _), result in zip(indexed, results):
-                if result.missed:
-                    raise QueryError(
-                        f"shard {shard} missed a query the router answered"
-                    )
-                payload.append(
-                    (
-                        index,
-                        (result.value,),
-                        result.edges_accessed,
-                        result.nodes_accessed,
-                    )
-                )
+            if query.kind == STATIC:
+                values = tuple(answer.value for answer in answers)
+            else:
+                values = (last.value,)
+            payload.append(
+                (index, values, last.edges_accessed, last.nodes_accessed)
+            )
         profiler = _WORKER.get("profiler")
         if profiler is not None:
             profiler.sample_once()
@@ -406,13 +397,9 @@ class ShardedQueryEngine:
         #: Data version of the source store at partition time (the
         #: shards are a snapshot of exactly that version); ``None``
         #: for static build-once stores.
-        self._store_generation = getattr(store, "generation", None)
+        self.generation = getattr(store, "generation", None)
         self._registry = get_registry()
         self._bind_metrics()
-        #: Stage wall times and per-query fan-outs of the last batch
-        #: (read by :meth:`explain` and the flight recorder).
-        self._last_stage_s: Dict[str, float] = {}
-        self._last_fanout: List[int] = []
 
         if workers is None:
             workers = min(self.shards, max(_usable_cores(), 1))
@@ -485,8 +472,13 @@ class ShardedQueryEngine:
                 self._segments.append(handle)
                 descriptors.append(descriptor)
 
+        #: The canonical per-query series, shared with QueryEngine.
+        self._acct = QueryAccounting(self.obs, flight, "sharded", self)
         with tracer.span("sharded.route_table"):
             self._planner = CompiledQueryPlanner(network)
+            #: The router runs the plan stage silently (one
+            #: ``sharded.route`` span per batch, not one per step).
+            self._stage = PlanStage(self._planner, access_mode, NULL_TRACER)
             index = network.compiled_index()
             entry_region = np.repeat(
                 np.arange(index.n_regions, dtype=np.int64),
@@ -530,23 +522,6 @@ class ShardedQueryEngine:
 
     def _bind_metrics(self) -> None:
         registry = self._registry
-        self._metric_sensors = registry.counter(
-            "repro_query_sensors_accessed_total",
-            help="Communication sensors contacted by answered queries",
-        )
-        self._metric_edges = registry.counter(
-            "repro_query_edges_accessed_total",
-            help="Boundary walls integrated by answered queries",
-        )
-        self._metric_seconds = registry.counter(
-            "repro_query_seconds_total",
-            help="Wall seconds spent executing queries",
-        )
-        self._metric_latency = registry.histogram(
-            "repro_query_latency_seconds",
-            buckets=SECONDS_BUCKETS,
-            help="Per-query wall time (answered and missed)",
-        )
         self._metric_batches = registry.counter(
             "repro_sharded_batches_total",
             help="Scatter-gather batches executed by sharded engines",
@@ -572,18 +547,6 @@ class ShardedQueryEngine:
             "repro_shard_worker_crash_total",
             help="Scatter-gather batches aborted by a dead worker pool",
         )
-        self._metric_queries: Dict[Tuple[str, str], object] = {}
-        self._metric_misses: Dict[Tuple[str, str], object] = {}
-
-    def _count(self, table, name, help_text, query: RangeQuery) -> None:
-        key = (query.kind, query.bound)
-        counter = table.get(key)
-        if counter is None:
-            counter = self._registry.counter(
-                name, help=help_text, kind=query.kind, bound=query.bound
-            )
-            table[key] = counter
-        counter.inc()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -659,17 +622,13 @@ class ShardedQueryEngine:
         """
         if self._delegate is not None:
             return self._delegate.explain(query)
-        result = self.execute(query)
-        # The router's own resolution — the same call the route stage
-        # made (the parent planner holds no per-box cache, so this
-        # re-reads what routing read).
-        junctions = self._planner.junction_ids(query.box)
+        results, plans, fanouts, stage_s = self._scatter_gather([query])
         return build_sharded_explain(
             self,
-            result,
-            junction_count=len(junctions),
-            fanout=self._last_fanout[0] if self._last_fanout else 0,
-            stage_s=dict(self._last_stage_s),
+            results[0],
+            junction_count=plans[0].junction_count,
+            fanout=fanouts[0],
+            stage_s=dict(stage_s),
         )
 
     # ------------------------------------------------------------------
@@ -704,79 +663,55 @@ class ShardedQueryEngine:
         """
         if self._delegate is not None:
             return self._delegate.execute_batch(queries)
+        return self._scatter_gather(queries)[0]
+
+    def _scatter_gather(self, queries: Sequence[RangeQuery]) -> Tuple[
+        List[QueryResult], List[QueryPlan], List[int], Dict[str, float]
+    ]:
+        """Route, scatter, gather and finish one batch; returns the
+        results with the routing plans, per-query fan-outs and stage
+        wall times that :meth:`explain` reports."""
         if self.closed:
             raise QueryError("sharded engine is closed")
         n = len(queries)
         tracer = self.obs.tracer
-        planner = self._planner
+        acct, stage = self._acct, self._stage
         self._metric_batches.inc()
         pc = time.perf_counter
         start = pc()
 
-        # Parent-side shared-structure caches, as in the single-process
+        # Parent-side shared structures, as in the single-process
         # batched path: one resolution per distinct box / (box, bound).
-        junctions_by_box: Dict[object, np.ndarray] = {}
-        regions_cache: Dict[Tuple[object, str], Optional[Tuple[int, ...]]] = {}
-        chain_cache: Dict[Tuple[int, ...], object] = {}
-        sensors_cache: Dict[Tuple[int, ...], int] = {}
-
-        # Per-slot plan: ("miss",) | ("zero", regions) | ("merge",).
-        plans: List[Tuple] = [()] * n
-        merged: Dict[int, Dict[str, object]] = {}
-        per_shard: Dict[int, List[int]] = {}
+        memo = PlanMemo()
+        plans: List[QueryPlan] = []
         fanouts: List[int] = [0] * n
+        #: Per scattered slot: [summed partial values, edges, nodes].
+        merged: Dict[int, list] = {}
+        per_shard: Dict[int, List[int]] = {}
 
         with tracer.span(
             "query.execute_sharded", queries=n, shards=self.shards
         ):
             with tracer.span("sharded.route", queries=n):
                 for i, query in enumerate(queries):
-                    self._count(
-                        self._metric_queries,
-                        "repro_queries_total",
-                        "Queries executed, by kind and bound",
-                        query,
-                    )
-                    box = query.box
-                    junctions = junctions_by_box.get(box)
-                    if junctions is None:
-                        junctions = planner.junction_ids(box)
-                        junctions_by_box[box] = junctions
-                    if not len(junctions):
-                        plans[i] = ("miss",)
-                        continue
-                    region_key = (box, query.bound)
-                    if region_key in regions_cache:
-                        regions = regions_cache[region_key]
-                    else:
-                        regions = planner.region_ids(junctions, query.bound)
-                        regions_cache[region_key] = regions
-                    if regions is None:
-                        plans[i] = ("miss",)
+                    acct.count_query(query)
+                    plan = stage.plan(query, memo, chain=False)
+                    plans.append(plan)
+                    if plan.regions is None:
                         continue
                     touched = np.flatnonzero(
-                        self._region_shards[np.asarray(regions)].any(axis=0)
+                        self._region_shards[np.asarray(plan.regions)].any(
+                            axis=0
+                        )
                     )
                     self._metric_fanout.observe(len(touched))
                     fanouts[i] = len(touched)
                     if not len(touched):
-                        plans[i] = ("zero", regions)
                         continue
-                    plans[i] = ("merge",)
-                    width = (
-                        2
-                        if (
-                            self.static_eval == "min"
-                            and query.kind == STATIC
-                        )
-                        else 1
+                    two_ended = (
+                        self.static_eval == "min" and query.kind == STATIC
                     )
-                    merged[i] = {
-                        "regions": regions,
-                        "values": [0.0] * width,
-                        "edges": 0,
-                        "nodes": 0,
-                    }
+                    merged[i] = [[0.0] * (2 if two_ended else 1), 0, 0]
                     for shard in touched.tolist():
                         per_shard.setdefault(shard, []).append(i)
 
@@ -800,7 +735,7 @@ class ShardedQueryEngine:
                         )
                     except BrokenProcessPool as exc:
                         # An already-broken pool fails at submit time.
-                        self._worker_crashed(shard, exc)
+                        raise self._worker_crashed(shard, exc) from exc
                     futures[future] = shard
                 t_submitted = pc()
                 with tracer.span("sharded.gather", subbatches=len(futures)):
@@ -814,7 +749,9 @@ class ShardedQueryEngine:
                                 profile,
                             ) = future.result()
                         except BrokenProcessPool as exc:
-                            self._worker_crashed(futures[future], exc)
+                            raise self._worker_crashed(
+                                futures[future], exc
+                            ) from exc
                         if spans:
                             batch_spans.extend(spans)
                             tracer.graft(spans, under=scatter_span)
@@ -836,86 +773,53 @@ class ShardedQueryEngine:
                             )
                         for index, values, edges, nodes in payload:
                             entry = merged[index]
-                            acc: List[float] = entry["values"]
+                            acc: List[float] = entry[0]
                             for j, value in enumerate(values):
                                 acc[j] += value
                             # Structural accounting is region-determined,
                             # hence identical across shards.
-                            entry["edges"] = edges
-                            entry["nodes"] = nodes
+                            entry[1:] = edges, nodes
             t_gathered = pc()
 
-            elapsed = t_gathered - start
-            share = elapsed / n if n else 0.0
-            self._metric_seconds.inc(elapsed)
-            results: List[QueryResult] = []
-            for i, query in enumerate(queries):
-                self._metric_latency.observe(share)
-                plan = plans[i]
-                if plan[0] == "miss":
-                    self._count(
-                        self._metric_misses,
-                        "repro_query_misses_total",
-                        "Queries with no region approximation, by kind "
-                        "and bound",
-                        query,
-                    )
-                    results.append(
-                        QueryResult(
-                            query=query, value=0.0, missed=True,
-                            elapsed=share,
-                        )
-                    )
-                    continue
-                if plan[0] == "zero":
-                    regions = plan[1]
-                    edges, nodes = self._zero_accounting(
-                        regions, chain_cache, sensors_cache
-                    )
-                    value = 0.0
-                else:
-                    entry = merged[i]
-                    regions = entry["regions"]
-                    acc = entry["values"]
-                    value = (
-                        float(min(acc)) if len(acc) == 2 else float(acc[0])
-                    )
-                    edges = entry["edges"]
-                    nodes = entry["nodes"]
-                self._metric_edges.inc(edges)
-                self._metric_sensors.inc(nodes)
-                results.append(
-                    QueryResult(
-                        query=query,
-                        value=value,
-                        missed=False,
-                        regions=regions,
-                        edges_accessed=edges,
-                        nodes_accessed=nodes,
-                        hops=edges,
-                        elapsed=share,
-                    )
-                )
+            share = (t_gathered - start) / n if n else 0.0
+            # One table for the whole batch: a scattered query has no
+            # private stage breakdown, and ``merge`` — which covers the
+            # finishes below — is written once they are done.
             stage_s = {
                 "route": t_routed - start,
                 "scatter": t_submitted - t_routed,
                 "worker_wait": t_gathered - t_submitted,
-                "merge": pc() - t_gathered,
             }
-            for stage, seconds in stage_s.items():
-                self._metric_stage[stage].observe(seconds)
-            self._last_stage_s = stage_s
-            self._last_fanout = fanouts
-            if self.flight is not None:
-                self._record_flight(results, fanouts, stage_s, batch_spans)
+            detail: Dict[str, object] = {"shards": self.shards}
+            if batch_spans:
+                detail["spans"] = batch_spans
+            results: List[QueryResult] = []
+            for i, query in enumerate(queries):
+                plan = plans[i]
+                value, edges, nodes = 0.0, 0, 0
+                if i in merged:
+                    acc, edges, nodes = merged[i]
+                    value = float(min(acc))
+                elif plan.regions is not None:
+                    edges, nodes = self._zero_accounting(query, memo)
+                results.append(
+                    acct.finish(
+                        query, plan, value, share, stage_s, False,
+                        edges, nodes, fanout=fanouts[i], detail=detail,
+                    )
+                )
+            stage_s["merge"] = pc() - t_gathered
+            for name, seconds in stage_s.items():
+                self._metric_stage[name].observe(seconds)
         assert len(results) == n and all(
             result.query is query
             for result, query in zip(results, queries)
         ), "sharded gather broke the input-order result contract"
-        return results
+        return results, plans, fanouts, stage_s
 
-    def _worker_crashed(self, shard: int, exc: BaseException) -> None:
-        """Account and surface a dead worker pool (never silent).
+    def _worker_crashed(self, shard: int, exc: BaseException) -> QueryError:
+        """Account a dead worker pool and build the error to raise
+        (never silent).
 
         The pool is unrecoverable once broken; the finalizer still owns
         segment cleanup, so callers can (and should) ``close()``.
@@ -925,74 +829,21 @@ class ShardedQueryEngine:
             "shard worker pool died %s",
             kv(shard=shard, error=type(exc).__name__),
         )
-        raise QueryError(
+        return QueryError(
             f"sharded worker pool died while executing shard {shard}"
-        ) from exc
-
-    def _record_flight(
-        self,
-        results: List[QueryResult],
-        fanouts: List[int],
-        stage_s: Dict[str, float],
-        batch_spans: List[dict],
-    ) -> None:
-        """One flight record per query of the batch.
-
-        Stage timings and grafted worker spans describe the *batch* the
-        query rode in (a scattered query has no private stage
-        breakdown), so slow promotions share the batch detail.
-        """
-        flight = self.flight
-        generation = self._store_generation
-        for result, fanout in zip(results, fanouts):
-            record = flight.record(
-                result.query,
-                planner="sharded",
-                elapsed_s=result.elapsed,
-                value=result.value,
-                missed=result.missed,
-                fanout=fanout,
-                stage_s=stage_s,
-                generation=generation,
-            )
-            if record.slow:
-                detail: Dict[str, object] = {
-                    "shards": self.shards,
-                    "stage_s": dict(stage_s),
-                }
-                if batch_spans:
-                    detail["spans"] = batch_spans
-                snapshot = memory_snapshot()
-                record.peak_rss_bytes = snapshot["peak_rss_bytes"]
-                record.alloc_peak_bytes = snapshot["alloc_peak_bytes"]
-                profiler = self.obs.profiler
-                if profiler is not None:
-                    detail["profile_top"] = profiler.table.top_rows(5)
-                record.detail = detail
+        )
 
     def _zero_accounting(
-        self,
-        regions: Tuple[int, ...],
-        chain_cache: Dict,
-        sensors_cache: Dict,
+        self, query: RangeQuery, memo: PlanMemo
     ) -> Tuple[int, int]:
         """Edge/sensor accounting for a query no shard can affect.
 
         The approximation exists but no shard holds events on any wall
         adjacent to its regions, so the integral is exactly 0; the
         structural accounting still has to match the single-process
-        engine, so the parent computes the chain itself.
+        engine, so the parent plans the query through to its chain and
+        sensors itself (the routed steps come back from the memo).
         """
-        planner = self._planner
-        chain = chain_cache.get(regions)
-        if chain is None:
-            chain = planner.boundary(regions)
-            chain_cache[regions] = chain
-        nodes = sensors_cache.get(regions)
-        if nodes is None:
-            if self.access_mode == "flood":
-                nodes = len(planner.flood_sensors(regions))
-            else:
-                nodes = len(planner.chain_sensors(chain))
-            sensors_cache[regions] = nodes
-        return chain.size, nodes
+        plan = self._stage.plan(query, memo)
+        self._stage.sensors(plan, memo)
+        return len(plan.chain), len(plan.sensors)

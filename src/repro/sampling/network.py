@@ -403,6 +403,8 @@ class CompiledNetworkIndex:
     #: Lazily built CSR junction index → incident blocks (flood mode).
     jb_offsets: Optional[np.ndarray] = None
     jb_blocks: Optional[np.ndarray] = None
+    #: Lazily built dense wall id → owners matrix (perimeter mode).
+    wo_dense: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, network: "SensorNetwork") -> "CompiledNetworkIndex":
@@ -485,6 +487,24 @@ class CompiledNetworkIndex:
             wo_offsets=wo_offsets,
             wo_sensors=wo_sensors,
         )
+
+    def wall_owners_dense(self) -> np.ndarray:
+        """Dense wall id → owners matrix, padded with -1 (lazy).
+
+        Owner lists are tiny (one or two sensors per wall), so a matrix
+        row gather beats a CSR gather on the hot perimeter path.
+        """
+        if self.wo_dense is None:
+            counts = np.diff(self.wo_offsets)
+            width = int(counts.max()) if len(counts) else 0
+            dense = np.full((len(counts), max(width, 1)), -1, dtype=np.int32)
+            for column in range(width):
+                rows = np.flatnonzero(counts > column)
+                dense[rows, column] = self.wo_sensors[
+                    self.wo_offsets[rows] + column
+                ]
+            self.wo_dense = dense
+        return self.wo_dense
 
     def junction_blocks(
         self, domain: MobilityDomain

@@ -321,6 +321,29 @@ class TestShmLifecycle:
         engine.close()
         assert _segments() == before
 
+    def test_submit_time_crash_is_structured(self, deployment, monkeypatch):
+        """An already-broken pool fails at ``submit``, before any
+        future exists: the error must still be the structured one —
+        never an ``UnboundLocalError`` from the futures bookkeeping."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        network, _, columns, battery = deployment
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = ShardedQueryEngine(
+                network, columns, shards=2, workers=1
+            )
+        with engine:
+
+            def broken_submit(*args, **kwargs):
+                raise BrokenProcessPool("pool is broken")
+
+            monkeypatch.setattr(engine._executor, "submit", broken_submit)
+            with pytest.raises(QueryError, match="worker pool died") as info:
+                engine.execute_batch(battery[:8])
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
+            assert registry.value("repro_shard_worker_crash_total") == 1
+
     def test_context_manager_unlinks(self, deployment):
         network, _, columns, battery = deployment
         before = _segments()
