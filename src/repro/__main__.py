@@ -213,7 +213,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         report = framework.storage_report()
         for store_report in report["stores"]:
             log.info(f"  {store_report['store']}: "
-                     f"{store_report['total_bytes']} bytes over "
+                     f"{store_report['total_bytes']} bytes "
+                     f"(+{store_report['derived_bytes']} derived) over "
                      f"{store_report['events']} events")
             for name, nbytes in sorted(
                 store_report["components"].items()

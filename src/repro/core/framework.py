@@ -674,10 +674,13 @@ class InNetworkFramework:
     def storage_report(self) -> dict:
         """Unified bytes-per-component accounting of every live tier.
 
-        Returns ``{"stores": [report, ...], "total_bytes": int}``
-        where each report follows the common store schema
-        (``{"store", "events", "total_bytes", "components"}``) — the
-        deployed count store plus, when present, the sketch tier.
+        Returns ``{"stores": [report, ...], "total_bytes": int,
+        "derived_bytes": int}`` where each report follows the common
+        store schema (``{"store", "events", "total_bytes",
+        "derived_bytes", "components"}``) — the deployed count store
+        plus, when present, the sketch tier.  ``total_bytes`` is the
+        stored format; ``derived_bytes`` what in-memory-only indexes
+        rebuilt from it add to the resident cost.
         Surfaced by ``repro demo --storage`` and the dashboard storage
         panel.
         """
@@ -691,6 +694,9 @@ class InNetworkFramework:
             "stores": reports,
             "total_bytes": int(
                 sum(r["total_bytes"] for r in reports)
+            ),
+            "derived_bytes": int(
+                sum(r["derived_bytes"] for r in reports)
             ),
         }
 

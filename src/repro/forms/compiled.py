@@ -6,11 +6,13 @@ crossing timestamps per directed edge — but in two CSR-style contiguous
 array pairs (sorted ``values`` + per-edge ``offsets``, one pair per
 direction) addressed by interned edge ids.  Counting is a single
 ``np.searchsorted`` over one contiguous segment instead of a dict hit +
-``bisect`` per call, and boundary integration compiles each chain once
-into a merged, sign-weighted, prefix-summed timestamp series so that
-``integrate_until``/``integrate_between`` over an entire boundary are
-answered by **one** binary search (Theorems 4.2/4.3 in O(log n) after
-the first touch).
+``bisect`` per call.  Boundary integration is **rank-first**: a chain's
+first touch ranks every boundary segment at once with
+:func:`~repro.forms.rank.segmented_rank` — cost proportional to the
+boundary length, as Theorems 4.2/4.3 promise — and only its second
+touch promotes it to a merged, sign-weighted, prefix-summed timestamp
+series (LRU-cached), after which the whole boundary is **one** binary
+search per query.
 
 Counts are bit-identical to ``TrackingForm``: both stores resolve the
 direction through the same canonicalisation and count with
@@ -20,23 +22,63 @@ right-continuous ``<= t`` semantics on the same ``float64`` timestamps.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import QueryError
 from ..obs import get_registry
+from .rank import segmented_rank, time_lanes
 from .snapshot import DirectedEdge, _canonical
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planar import EdgeInterner
 
 
-#: Default cap of the compiled-boundary LRU cache.  Generous: the
-#: standard figure batteries compile a few hundred distinct chains, but
-#: ad-hoc workloads with unbounded distinct rectangles must not grow
-#: the cache without limit.
-DEFAULT_BOUNDARY_CACHE_SIZE = 4096
+#: Default cap of the compiled-boundary LRU cache.  A chain is admitted
+#: on its second touch, so the cache holds re-used chains only: 2.5x the
+#: few hundred a dashboard replays, about 130 MB in the worst case of
+#: 8k merged events a chain.  The seen-once set is bounded by the same
+#: number.
+DEFAULT_BOUNDARY_CACHE_SIZE = 1024
+
+
+def _csr_take(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index array selecting ``offsets[r]:offsets[r+1]`` per row."""
+    starts = offsets[rows]
+    lens = offsets[rows + 1] - starts
+    shift = np.cumsum(lens) - lens
+    return np.repeat(starts - shift, lens) + np.arange(int(lens.sum()))
+
+
+def edge_ids(
+    interner: "EdgeInterner", edges: Iterable[DirectedEdge]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A directed-edge chain as id-native ``(wall_ids, signs)``; edges
+    the interner never saw have no events and drop out."""
+    ids: List[int] = []
+    signs: List[int] = []
+    for edge in edges:
+        key, forward = _canonical(edge)
+        eid = interner.id_of_canonical(key)
+        if eid >= 0:
+            ids.append(eid)
+            signs.append(1 if forward else -1)
+    return np.asarray(ids, dtype=np.int32), np.asarray(signs, dtype=np.int8)
+
+
+def _joint_rows(offsets) -> np.ndarray:
+    """Offsets of the two directions' segments in one joint column."""
+    plus, minus = offsets
+    return np.concatenate((plus[:-1], minus + plus[-1])).astype(np.int64)
+
+
+def _csr(ids, t, order, n_ids) -> Tuple[np.ndarray, np.ndarray]:
+    """One direction's ``(values, offsets)`` from rows grouped by
+    ``order`` (edge-major, time-ascending inside an edge)."""
+    counts = np.bincount(ids, minlength=n_ids)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return np.ascontiguousarray(t[order]), offsets
 
 
 class CompiledTrackingForm:
@@ -68,26 +110,28 @@ class CompiledTrackingForm:
         direction = np.asarray(direction)
         t = np.asarray(t, dtype=np.float64)
 
-        self._values: Tuple[np.ndarray, np.ndarray]
-        self._offsets: Tuple[np.ndarray, np.ndarray]
-        values: List[np.ndarray] = []
-        offsets: List[np.ndarray] = []
+        csr = []
         for d in (0, 1):
             mask = direction == d
             ids_d = edge_id[mask]
-            t_d = t[mask]
             # Stable sort by edge id keeps each edge's segment in the
             # original (global time) order, i.e. sorted ascending.
             order = np.argsort(ids_d, kind="stable")
-            counts = np.bincount(ids_d, minlength=n_ids)
-            values.append(np.ascontiguousarray(t_d[order]))
-            offsets.append(
-                np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            )
-        self._values = (values[0], values[1])
-        self._offsets = (offsets[0], offsets[1])
-
+            csr.append(_csr(ids_d, t[mask], order, n_ids))
+        self._set_csr(*zip(*csr))
         self._init_runtime_state(boundary_cache_size)
+
+    def _set_csr(self, values, offsets) -> None:
+        """Install freshly built per-direction CSR columns.
+
+        Both directions share one contiguous column (direction 1 after
+        direction 0) under one joint offsets array, ``_rows``: row
+        ``d * n_ids + eid`` is the segment of ``(eid, d)``, so a
+        chain's lanes of both directions rank in a single kernel pass.
+        """
+        self._column = np.concatenate(values)
+        self._offsets = (offsets[0], offsets[1])
+        self._rows = _joint_rows(offsets)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (the streaming ingest path)
@@ -120,10 +164,10 @@ class CompiledTrackingForm:
 
         Appending **invalidates every compiled boundary chain**: the
         merged signed prefix-sum series cached in the LRU bake the
-        timestamps in, so the cache is cleared and the form's
-        :attr:`generation` bumped — cache keys derived from the chain
-        bytes alone would otherwise serve stale integrals.  Returns the
-        number of events merged.
+        timestamps in, so the cache (and the seen-once set that feeds
+        it) is cleared and the form's :attr:`generation` bumped — cache
+        keys derived from the chain bytes alone would otherwise serve
+        stale integrals.  Returns the number of events merged.
         """
         edge_id = np.asarray(edge_id, dtype=np.int64)
         direction = np.asarray(direction)
@@ -135,31 +179,24 @@ class CompiledTrackingForm:
         # the frozen id universe to cover the incoming ids.
         n_ids = max(self._n_ids, int(edge_id.max()) + 1)
 
-        values: List[np.ndarray] = []
-        offsets: List[np.ndarray] = []
+        csr = []
         for d in (0, 1):
             mask = direction == d
-            ids_new = edge_id[mask]
-            t_new = t[mask]
             old_counts = np.diff(self._offsets[d])
             ids_old = np.repeat(
                 np.arange(len(old_counts), dtype=np.int64), old_counts
             )
-            ids_all = np.concatenate((ids_old, ids_new))
-            t_all = np.concatenate((self._values[d], t_new))
+            ids_all = np.concatenate((ids_old, edge_id[mask]))
+            t_all = np.concatenate((self._direction_values(d), t[mask]))
             # Group by edge id, sorted by time inside each segment —
             # exactly the compile-time CSR invariant.
             order = np.lexsort((t_all, ids_all))
-            counts = np.bincount(ids_all, minlength=n_ids)
-            values.append(np.ascontiguousarray(t_all[order]))
-            offsets.append(
-                np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            )
-        self._values = (values[0], values[1])
-        self._offsets = (offsets[0], offsets[1])
+            csr.append(_csr(ids_all, t_all, order, n_ids))
         self._n_ids = n_ids
+        self._set_csr(*zip(*csr))
         # Every cached chain embeds the old timestamp series: drop all.
         self._boundaries.clear()
+        self._seen.clear()
         self._generation += 1
         return n_new
 
@@ -199,13 +236,17 @@ class CompiledTrackingForm:
         :meth:`shm_attach` path (which bypasses ``__init__``).
         """
         #: Compiled boundary chains, LRU-ordered (least recently used
-        #: first).  Keys are either ``tuple(chain)`` of directed edges
-        #: (legacy path) or the ``(wall_ids, signs)`` byte digest of an
-        #: id-native chain; values are ``(times, prefix)``.
+        #: first), keyed on the ``(wall_ids, signs)`` byte digest of
+        #: the chain; values are ``(times, prefix)``.
         self._boundaries: "OrderedDict[object, Tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
         self._boundary_cache_size = int(boundary_cache_size)
+        #: Digest hashes of chains ranked once and not yet promoted,
+        #: oldest first, at most ``boundary_cache_size`` of them.  A
+        #: hash collision promotes a chain one touch early; it cannot
+        #: change an answer.
+        self._seen: Dict[int, None] = {}
         #: In-place mutation counter (see :attr:`generation`).
         self._generation = 0
 
@@ -277,8 +318,7 @@ class CompiledTrackingForm:
 
         handle, descriptor = shm_mod.pack_arrays(
             {
-                "values0": self._values[0],
-                "values1": self._values[1],
+                "values": self._column,
                 "offsets0": self._offsets[0],
                 "offsets1": self._offsets[1],
             },
@@ -310,8 +350,9 @@ class CompiledTrackingForm:
         form = cls.__new__(cls)
         form._interner = interner
         form._n_ids = int(descriptor["n_ids"])
-        form._values = (views["values0"], views["values1"])
+        form._column = views["values"]
         form._offsets = (views["offsets0"], views["offsets1"])
+        form._rows = _joint_rows(form._offsets)
         form._init_runtime_state(boundary_cache_size)
         # Pin the mapping for the lifetime of the form.
         form._shm_handle = handle
@@ -323,18 +364,19 @@ class CompiledTrackingForm:
     def _segment_ids(self, eid: int, d: int) -> np.ndarray:
         """Sorted timestamp segment of one (edge id, direction).
 
-        The single raw-storage access point of the per-edge read path:
+        The raw-storage access point of the per-edge read path:
         subclasses with a different physical layout (the succinct tier,
         :class:`~repro.forms.succinct.CompressedTrackingForm`) override
-        this and :meth:`_direction_slices` instead of every caller.
+        this, :meth:`_direction_values`, :meth:`_direction_slices` and
+        :meth:`_rank_chain` instead of every caller.
         """
-        lo = self._offsets[d][eid]
-        hi = self._offsets[d][eid + 1]
-        return self._values[d][lo:hi]
+        row = d * self._n_ids + eid
+        return self._column[self._rows[row]:self._rows[row + 1]]
 
     def _direction_values(self, d: int) -> np.ndarray:
         """The full contiguous timestamp column of one direction."""
-        return self._values[d]
+        split = self._offsets[0][-1]
+        return self._column[split:] if d else self._column[:split]
 
     def _direction_slices(
         self, wall_ids: np.ndarray, d: int
@@ -347,15 +389,29 @@ class CompiledTrackingForm:
         point of boundary compilation; the succinct tier overrides it
         to decode straight out of compressed blocks.
         """
-        offsets = self._offsets[d]
-        starts = offsets[wall_ids]
-        lens = (offsets[wall_ids + 1] - starts).astype(np.int64)
-        total = int(lens.sum())
-        if total == 0:
-            return _EMPTY, lens
-        shift = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        take = np.repeat(starts - shift, lens) + np.arange(total)
-        return self._values[d][take], lens
+        rows = self._rows
+        wall_ids = wall_ids + d * self._n_ids
+        lens = rows[wall_ids + 1] - rows[wall_ids]
+        return self._column[_csr_take(rows, wall_ids)], lens
+
+    def _rank_chain(
+        self, wall_ids: np.ndarray, signs: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """Cumulative net of a chain at each of ``times`` by ranking:
+        one lane per (edge, direction, time), one kernel pass, no
+        merged copy.  ``wall_ids`` are int64 ids inside the frozen id
+        universe; the result has the shape of ``times``."""
+        rows = self._chain_rows(wall_ids)
+        lanes = time_lanes(self._rows[rows], self._rows[rows + 1], times)
+        ranks = segmented_rank(self._column, *lanes)
+        weights = np.concatenate((signs, -signs))
+        ranks = ranks.reshape(rows.size, times.size)
+        return (weights @ ranks).reshape(times.shape)
+
+    def _chain_rows(self, wall_ids: np.ndarray) -> np.ndarray:
+        """Joint-column rows of a chain: every edge's entering
+        segment, then every edge's leaving one."""
+        return np.concatenate((wall_ids, wall_ids + self._n_ids))
 
     def _segment(self, edge: DirectedEdge, entering: bool) -> np.ndarray:
         key, forward = _canonical(edge)
@@ -407,6 +463,20 @@ class CompiledTrackingForm:
             self._boundaries.popitem(last=False)
             self._metric_boundary_evictions.inc()
 
+    def _second_touch(self, key) -> bool:
+        """Whether this cache miss is the chain's second touch; a
+        first touch is remembered (oldest forgotten past the cap)."""
+        seen, mark = self._seen, hash(key)
+        if mark in seen:
+            del seen[mark]
+            return True
+        cap = self._boundary_cache_size
+        if cap > 0:
+            if len(seen) >= cap:
+                del seen[next(iter(seen))]
+            seen[mark] = None
+        return False
+
     @property
     def boundary_cache_size(self) -> int:
         """Configured LRU cap of the compiled-boundary cache."""
@@ -418,128 +488,132 @@ class CompiledTrackingForm:
         return len(self._boundaries)
 
     @staticmethod
-    def _merge_series(
-        parts: List[np.ndarray], signs: List[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if parts:
-            times = np.concatenate(parts)
-            weights = np.concatenate(signs)
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            prefix = np.concatenate(([0], np.cumsum(weights[order])))
-        else:
-            times = _EMPTY
-            prefix = np.zeros(1, dtype=np.int64)
-        return (times, prefix)
+    def _chain_key(wall_ids, signs):
+        """Canonical chain arrays and their byte digest.
+
+        Fixed widths (int32 ids, int8 signs) before hashing, so the
+        digest — and every downstream consumer of it (boundary LRU,
+        seen-once set, flight digests, streaming chain decode) — is
+        identical regardless of the width the caller's platform
+        promoted to.  No per-edge tuple hashing: a repeated chain costs
+        two ``tobytes`` calls and one dict hit.
+        """
+        wall_ids = np.ascontiguousarray(wall_ids, dtype=np.int32)
+        signs = np.ascontiguousarray(signs, dtype=np.int8)
+        return wall_ids, signs, (wall_ids.tobytes(), signs.tobytes())
+
+    def _known(self, wall_ids, signs) -> Tuple[np.ndarray, np.ndarray]:
+        """The chain as int64 arrays, without edges interned after
+        compile time (they have no recorded events)."""
+        wall_ids = wall_ids.astype(np.int64)
+        signs = signs.astype(np.int64)
+        known = wall_ids < self._n_ids
+        if known.all():
+            return wall_ids, signs
+        return wall_ids[known], signs[known]
 
     def compile_boundary(
         self, edges: Sequence[DirectedEdge]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merged signed-event series of a boundary chain (cached).
-
-        Concatenates every boundary edge's entering timestamps with
-        weight +1 and leaving timestamps with weight -1, sorts by time
-        and prefix-sums the weights.  ``prefix[searchsorted(times, t,
-        'right')]`` is then exactly ``sum(net_until(e, t) for e in
-        edges)`` — the whole chain integrates with one binary search.
-        """
-        key = tuple(edges)
-        compiled = self._cache_get(key)
-        if compiled is not None:
-            return compiled
-        parts: List[np.ndarray] = []
-        signs: List[np.ndarray] = []
-        for edge in key:
-            entering = self._segment(edge, entering=True)
-            leaving = self._segment(edge, entering=False)
-            if len(entering):
-                parts.append(entering)
-                signs.append(np.ones(len(entering), dtype=np.int64))
-            if len(leaving):
-                parts.append(leaving)
-                signs.append(-np.ones(len(leaving), dtype=np.int64))
-        compiled = self._merge_series(parts, signs)
-        self._cache_put(key, compiled)
-        return compiled
+        """:meth:`compile_boundary_ids` of a directed-edge chain."""
+        return self.compile_boundary_ids(*edge_ids(self._interner, edges))
 
     def compile_boundary_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Id-native :meth:`compile_boundary` (cached on a byte digest).
+        """Merged signed-event series of a boundary chain (cached).
 
         ``wall_ids`` are interned canonical-edge ids, ``signs`` is +1
         where the chain traverses the canonical orientation and -1
-        against it.  Both are canonicalised to a fixed width (int32
-        ids, int8 signs) before hashing, so the byte digest — and
-        every downstream consumer of it (boundary LRU, flight digests,
-        streaming chain decode) — is identical regardless of the width
-        the caller's platform promoted to.  The cache key is then the
-        raw bytes of both arrays — no per-edge tuple hashing — so
-        repeated integrations of the same chain cost two ``tobytes``
-        calls and one dict hit.
+        against it.  Concatenates every boundary edge's entering
+        timestamps with weight +1 and leaving timestamps with weight
+        -1, sorts by time and prefix-sums the weights:
+        ``prefix[searchsorted(times, t, 'right')]`` is then exactly
+        ``sum(net_until(e, t) for e in chain)`` — the whole chain
+        integrates with one binary search.  Compiles and caches
+        unconditionally; the integration entry points call it only on
+        a chain's second touch.
         """
-        wall_ids = np.ascontiguousarray(wall_ids, dtype=np.int32)
-        chain_signs = np.ascontiguousarray(signs, dtype=np.int8)
-        key = (wall_ids.tobytes(), chain_signs.tobytes())
+        wall_ids, signs, key = self._chain_key(wall_ids, signs)
         compiled = self._cache_get(key)
         if compiled is not None:
             return compiled
-        wall_ids = wall_ids.astype(np.int64)
-        chain_signs = chain_signs.astype(np.int64)
-        # Edges interned after compile time have no recorded events.
-        known = wall_ids < self._n_ids
-        if not known.all():
-            wall_ids = wall_ids[known]
-            chain_signs = chain_signs[known]
+        wall_ids, signs = self._known(wall_ids, signs)
         parts: List[np.ndarray] = []
         weights: List[np.ndarray] = []
         for d, polarity in ((0, 1), (1, -1)):
             vals, lens = self._direction_slices(wall_ids, d)
-            if not len(vals):
-                continue
             parts.append(vals)
-            weights.append(np.repeat(polarity * chain_signs, lens))
-        compiled = self._merge_series(parts, weights)
+            weights.append(np.repeat(polarity * signs, lens))
+        times = np.concatenate(parts)
+        order = np.argsort(times, kind="stable")
+        prefix = np.concatenate(([0], np.cumsum(np.concatenate(weights)[order])))
+        compiled = (times[order], prefix)
         self._cache_put(key, compiled)
         return compiled
+
+    def integrate_at_ids(self, wall_ids: np.ndarray, signs: np.ndarray, times):
+        """Cumulative net of an id-native chain at each of ``times``
+        (a scalar or a sequence; the result has its shape) — the one
+        touch every Theorem 4.2/4.3 evaluation reduces to.
+
+        A cached chain is one ``searchsorted``.  Otherwise the chain's
+        first touch is answered by ranking its segments directly
+        (:meth:`_rank_chain`) and remembered; its second touch promotes
+        it through :meth:`compile_boundary_ids` into the LRU, which
+        therefore holds re-used chains only.
+        """
+        wall_ids, signs, key = self._chain_key(wall_ids, signs)
+        self._metric_searchsorted.inc()
+        compiled = self._cache_get(key)
+        if compiled is None:
+            if not self._second_touch(key):
+                return self._rank_chain(
+                    *self._known(wall_ids, signs),
+                    np.asarray(times, dtype=np.float64),
+                )
+            compiled = self.compile_boundary_ids(wall_ids, signs)
+        series, prefix = compiled
+        return prefix[np.searchsorted(series, times, side="right")]
 
     def integrate_until_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t: float
     ) -> int:
-        """Theorem 4.2 over an id-native chain in one searchsorted."""
-        times, prefix = self.compile_boundary_ids(wall_ids, signs)
-        self._metric_searchsorted.inc()
-        return int(prefix[np.searchsorted(times, t, side="right")])
+        """Theorem 4.2 over an id-native chain."""
+        return int(self.integrate_at_ids(wall_ids, signs, t))
 
     def integrate_between_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t1: float, t2: float
     ) -> int:
-        """Theorem 4.3 over an id-native chain in one searchsorted."""
+        """Theorem 4.3 over an id-native chain."""
         if t2 < t1:
             raise QueryError(f"inverted time interval [{t1}, {t2}]")
-        times, prefix = self.compile_boundary_ids(wall_ids, signs)
-        self._metric_searchsorted.inc()
-        lo, hi = np.searchsorted(times, (t1, t2), side="right")
-        return int(prefix[hi] - prefix[lo])
+        lo, hi = self.integrate_at_ids(wall_ids, signs, (t1, t2))
+        return int(hi - lo)
+
+    def net_total_ids(self, wall_ids: np.ndarray, signs: np.ndarray) -> int:
+        """The chain's net over *every* stored event (``t`` past the
+        last one), straight from the offsets: no search."""
+        wall_ids, signs = self._known(np.asarray(wall_ids), np.asarray(signs))
+        plus, minus = self._offsets
+        lens = (plus[wall_ids + 1] - plus[wall_ids]) - (
+            minus[wall_ids + 1] - minus[wall_ids]
+        )
+        return int(signs @ lens)
 
     def integrate_until(
         self, edges: Iterable[DirectedEdge], t: float
     ) -> int:
-        """Theorem 4.2 over a whole boundary chain in one searchsorted."""
-        times, prefix = self.compile_boundary(tuple(edges))
-        self._metric_searchsorted.inc()
-        return int(prefix[np.searchsorted(times, t, side="right")])
+        """Theorem 4.2 over a directed-edge boundary chain."""
+        return self.integrate_until_ids(*edge_ids(self._interner, edges), t)
 
     def integrate_between(
         self, edges: Iterable[DirectedEdge], t1: float, t2: float
     ) -> int:
-        """Theorem 4.3 over a whole boundary chain in one searchsorted."""
-        if t2 < t1:
-            raise QueryError(f"inverted time interval [{t1}, {t2}]")
-        times, prefix = self.compile_boundary(tuple(edges))
-        self._metric_searchsorted.inc()
-        lo, hi = np.searchsorted(times, (t1, t2), side="right")
-        return int(prefix[hi] - prefix[lo])
+        """Theorem 4.3 over a directed-edge boundary chain."""
+        return self.integrate_between_ids(
+            *edge_ids(self._interner, edges), t1, t2
+        )
 
     # ------------------------------------------------------------------
     # Introspection / storage accounting (TrackingForm drop-in surface)
@@ -585,9 +659,7 @@ class CompiledTrackingForm:
 
     def _storage_components(self) -> dict:
         return {
-            "values": int(
-                self._values[0].nbytes + self._values[1].nbytes
-            ),
+            "values": int(self._column.nbytes),
             "offsets": int(
                 self._offsets[0].nbytes + self._offsets[1].nbytes
             ),
@@ -597,17 +669,24 @@ class CompiledTrackingForm:
         """Bytes-per-component accounting in the unified store schema.
 
         Every store exposes the same shape — ``{"store", "events",
-        "total_bytes", "components": {name: bytes}}`` — so the CLI
-        ``--storage`` flag and the dashboard storage panel render any
-        deployment without per-class cases.
+        "total_bytes", "derived_bytes", "components": {name: bytes}}``
+        — so the CLI ``--storage`` flag and the dashboard storage panel
+        render any deployment without per-class cases.  ``total_bytes``
+        is the stored (wire) format; ``derived_bytes``, beside it, is
+        what in-memory-only indexes rebuilt from that format cost (the
+        succinct tier's decode directory; 0 for stores without one).
         """
         components = self._storage_components()
         return {
             "store": type(self).__name__,
             "events": int(self.total_events),
             "total_bytes": int(sum(components.values())),
+            "derived_bytes": self._derived_bytes(),
             "components": components,
         }
+
+    def _derived_bytes(self) -> int:
+        return int(self._rows.nbytes)
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from .rank import segmented_rank, time_lanes
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..trajectories import EventColumns
 
@@ -136,22 +138,36 @@ class EdgeCountSketch:
     # ------------------------------------------------------------------
     # Chain estimation
     # ------------------------------------------------------------------
-    def _edge_until(self, eid: int, t: float) -> Tuple[int, int]:
-        """(estimate, bound) of one edge's net count up to ``t``."""
-        if eid < 0 or eid >= self._n_ids:
-            return 0, 0
-        lo = int(self._edge_offsets[eid])
-        hi = int(self._edge_offsets[eid + 1])
-        if lo == hi:
-            return 0, 0
-        q = int(np.floor(t / self._bin_width))
-        seg = self._bins[lo:hi]
-        idx = int(np.searchsorted(seg, q, side="left"))
-        estimate = int(self._cum_net[lo + idx - 1]) if idx > 0 else 0
-        bound = 0
-        if idx < hi - lo and int(seg[idx]) == q:
-            bound = int(self._activity[lo + idx])
-        return estimate, bound
+    def _estimate(
+        self, wall_ids: np.ndarray, signs: np.ndarray, times
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(estimates, bounds)`` of the chain's net count up to each
+        of ``times``: one rank over the touched-bin column (the bins
+        wholly before each time's bin), then two gathers — the net
+        through the last such bin, the activity of the partial one."""
+        wall_ids = np.asarray(wall_ids, dtype=np.int64)
+        known = (wall_ids >= 0) & (wall_ids < self._n_ids)
+        wall_ids = wall_ids[known]
+        bins = np.floor(np.asarray(times, dtype=np.float64) / self._bin_width)
+        lo, hi, q = time_lanes(
+            self._edge_offsets[wall_ids],
+            self._edge_offsets[wall_ids + 1],
+            bins.astype(np.int64),
+        )
+        if not lo.size or not self._bins.size:  # nothing to gather from
+            zeros = np.zeros(bins.size, dtype=np.int64)
+            return zeros, zeros
+        # Bins are integers: "before bin q" is "<= q - 1".
+        at = lo + segmented_rank(self._bins, lo, hi, q - 1)
+        net = np.where(at > lo, self._cum_net[at - 1], 0)
+        partial = np.minimum(at, len(self._bins) - 1)
+        inside = (at < hi) & (self._bins[partial] == q)
+        bound = np.where(inside, self._activity[partial], 0)
+        shape = (len(wall_ids), bins.size)
+        return (
+            np.asarray(signs, dtype=np.int64)[known] @ net.reshape(shape),
+            bound.reshape(shape).sum(axis=0),
+        )
 
     def estimate_until_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t: float
@@ -161,21 +177,15 @@ class EdgeCountSketch:
         Returns ``(estimate, bound)`` with the worst-case guarantee
         ``|exact - estimate| <= bound``.
         """
-        estimate = 0
-        bound = 0
-        for eid, sign in zip(wall_ids, signs):
-            e, b = self._edge_until(int(eid), t)
-            estimate += int(sign) * e
-            bound += b
-        return estimate, bound
+        estimate, bound = self._estimate(wall_ids, signs, (t,))
+        return int(estimate[0]), int(bound[0])
 
     def estimate_between_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t1: float, t2: float
     ) -> Tuple[int, int]:
         """Chain transient count estimate over ``(t1, t2]``."""
-        e1, b1 = self.estimate_until_ids(wall_ids, signs, t1)
-        e2, b2 = self.estimate_until_ids(wall_ids, signs, t2)
-        return e2 - e1, b1 + b2
+        estimate, bound = self._estimate(wall_ids, signs, (t1, t2))
+        return int(estimate[1] - estimate[0]), int(bound.sum())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -208,6 +218,7 @@ class EdgeCountSketch:
             "store": type(self).__name__,
             "events": int(self._activity.sum()) if len(self._activity) else 0,
             "total_bytes": int(sum(components.values())),
+            "derived_bytes": 0,
             "components": components,
         }
 

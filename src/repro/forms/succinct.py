@@ -11,14 +11,23 @@ width of its largest delta.  A block of identical timestamps packs to
 **zero** payload bits (width 0), so heavy-duplicate edges are nearly
 free.
 
-Reads decode lazily per CSR slice: :meth:`CompressedTrackingForm.
-_segment_ids` inflates exactly one edge's segment (kept in a small
-LRU), and boundary compilation concatenates per-wall decodes — there
-is never a full-column materialisation on the query path.  Everything
-above the two storage hooks (searchsorted counting, merged prefix-sum
-chains, the boundary LRU, metrics) is inherited from the compiled
-form unchanged, which is what makes compressed answers byte-identical
-to uncompressed ones built from the same quantized columns.
+Reads never inflate a column.  A chain's first touch *ranks*: the rank
+kernel (:func:`~repro.forms.rank.segmented_rank`) finds, per (edge,
+time) lane, the last block whose first tick is ``<= t`` in a per-block
+**first-tick directory**, and exactly that one block is bit-unpacked —
+all lanes together, one 8-byte window + shift + mask per delta.  Chain
+compilation (second touch), per-edge reads and the full decode behind
+``append_events`` / ``to_columns`` run the same vectorised block decode
+over more blocks.  Everything above the storage hooks (the boundary
+LRU, promotion, metrics) is inherited from the compiled form
+unchanged, which is what makes compressed answers byte-identical to
+uncompressed ones built from the same quantized columns.
+
+Wire format vs derived index: offsets, heads, widths and payload are
+the stored (and shm-shipped) format, ``storage_report()["total_bytes"]``.
+The directory and the other decode indexes are rebuilt from them (or,
+at construction, taken from the ticks the encoder already holds) and
+are reported beside it as ``derived_bytes``.
 
 Exactness contract: timestamps must be quantized **once at the ingest
 boundary** (``EventColumns.quantized`` / ``quantize_times``).  A
@@ -29,15 +38,17 @@ and the compressed form is a lossless store of the quantized multiset.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from .compiled import (
     DEFAULT_BOUNDARY_CACHE_SIZE,
     CompiledTrackingForm,
+    _csr_take,
+    _joint_rows,
 )
+from .rank import segmented_rank, time_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planar import EdgeInterner
@@ -52,9 +63,10 @@ DEFAULT_TICK_BITS = 0
 #: large enough that the per-block width byte stays amortised.
 DEFAULT_BLOCK = 32
 
-#: Decoded-segment LRU cap (segments, not bytes).  Sized for the
-#: working set of a figure battery's distinct boundary walls.
-DEFAULT_DECODE_CACHE_SIZE = 2048
+#: Widest delta the decoder extracts: a field starts up to 7 bits into
+#: its first byte and has to end inside one 8-byte window.  2**57 ticks
+#: is millennia at the finest resolution the framework accepts.
+MAX_WIDTH = 57
 
 _EMPTY = np.empty(0, dtype=np.float64)
 _EMPTY_U8 = np.empty(0, dtype=np.uint8)
@@ -80,21 +92,57 @@ def _pack_deltas(deltas: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits.ravel())
 
 
+def _windows(payload: np.ndarray) -> np.ndarray:
+    """Every 8-byte big-endian window of a payload — entry ``i`` reads
+    bytes ``i .. i+7`` — as a strided view (a payload shorter than one
+    window is zero-padded to it)."""
+    if len(payload) < 8:
+        payload = np.concatenate(
+            (payload, np.zeros(8 - len(payload), dtype=np.uint8))
+        )
+    return np.ndarray(
+        (len(payload) - 7,), dtype=">u8", buffer=payload, strides=(1,)
+    )
+
+
+def _unpack_bits(windows: np.ndarray, bit, width) -> np.ndarray:
+    """The ``width``-bit fields (MSB first, ``width <= MAX_WIDTH``)
+    starting at absolute bit offsets ``bit``: one window gather, one
+    shift, one mask, whatever the shapes ``bit`` and ``width``
+    broadcast to."""
+    byte = bit >> 3
+    # The last window ends with the payload: a field starting in its
+    # final bytes is read from there, further from the window's top.
+    np.minimum(byte, len(windows) - 1, out=byte)
+    shift = byte << 3
+    shift -= bit
+    shift += 64 - width
+    field = windows[byte].astype(np.uint64)
+    field >>= shift.view(np.uint64)
+    field &= ((1 << width) - 1).view(np.uint64)
+    return field.view(np.int64)
+
+
 def _unpack_deltas(buf: np.ndarray, n: int, width: int) -> np.ndarray:
     """Inverse of :func:`_pack_deltas` for ``n`` deltas."""
-    if width == 0:
-        return np.zeros(n, dtype=np.int64)
-    bits = np.unpackbits(buf, count=n * width).reshape(n, width)
-    weights = np.left_shift(
-        np.int64(1), np.arange(width - 1, -1, -1, dtype=np.int64)
+    bit = np.arange(n, dtype=np.int64) * width
+    return _unpack_bits(_windows(buf), bit, np.int64(width))
+
+
+class _Blocks:
+    """The compressed joint column (direction 1's segments after
+    direction 0's, rows as in ``CompiledTrackingForm._rows``).
+
+    ``heads`` / ``widths`` / ``payload`` are the stored format.  The
+    rest is the decode index :meth:`derive` rebuilds from them and the
+    row offsets — at construction, shm attach and after an append —
+    and that is never stored or shipped.
+    """
+
+    __slots__ = (
+        "heads", "widths", "payload", "block", "seg_rank", "block_starts",
+        "byte_starts", "block_len", "directory", "windows",
     )
-    return bits @ weights
-
-
-class _DirectionBlocks:
-    """One direction's compressed column (heads/widths/payload)."""
-
-    __slots__ = ("heads", "widths", "payload")
 
     def __init__(self, heads, widths, payload) -> None:
         self.heads = heads    # int64, one per nonempty segment
@@ -102,28 +150,89 @@ class _DirectionBlocks:
         self.payload = payload  # uint8 packed delta bits
 
     @property
-    def nbytes(self) -> int:
+    def derived_bytes(self) -> int:
         return int(
-            self.heads.nbytes + self.widths.nbytes + self.payload.nbytes
+            self.seg_rank.nbytes + self.block_starts.nbytes
+            + self.byte_starts.nbytes + self.block_len.nbytes
+            + self.directory.nbytes
         )
 
+    def derive(
+        self, rows: np.ndarray, block: int,
+        ticks: Optional[np.ndarray] = None,
+    ) -> "_Blocks":
+        """Build the decode index.
 
-def _encode_direction(
-    values: np.ndarray, offsets: np.ndarray, tick_bits: int, block: int
-) -> _DirectionBlocks:
-    """Compress one direction's CSR column into delta blocks."""
+        Per row the rank of its nonempty segment (-1 if empty); per
+        segment its first block; per block its delta count, its byte
+        offset into the payload and — the **directory** — the tick its
+        deltas accumulate from (the segment's value at index ``32 b``).
+        ``ticks`` is the joint tick column when the caller (the
+        encoder) still holds it; otherwise the directory is summed out
+        of the decoded deltas.
+        """
+        counts = np.diff(rows)
+        nonempty = counts > 0
+        self.block = block
+        self.seg_rank = np.cumsum(nonempty, dtype=np.int64) - 1
+        self.seg_rank[~nonempty] = -1
+        # Delta stream of a segment of length L has L-1 entries.
+        n_deltas = counts[nonempty] - 1
+        n_blocks = -(-n_deltas // block)
+        self.block_starts = np.concatenate(([0], np.cumsum(n_blocks)))
+        segment = np.repeat(np.arange(len(n_blocks)), n_blocks)
+        first = self.block_starts[segment]
+        within = np.arange(len(segment)) - first
+        block_len = np.minimum(n_deltas[segment] - within * block, block)
+        self.block_len = block_len.astype(np.min_scalar_type(block))
+        nbytes = (block_len * self.widths + 7) // 8
+        self.byte_starts = np.concatenate(([0], np.cumsum(nbytes)))
+        self.windows = _windows(self.payload)
+        if ticks is not None:
+            starts = rows[:-1][nonempty]
+            self.directory = ticks[starts[segment] + within * block]
+        else:
+            every = np.arange(len(segment))
+            sums = (self.deltas(every) * self.valid(every)).sum(axis=1)
+            before = np.cumsum(sums) - sums
+            self.directory = self.heads[segment] + before - before[first]
+        return self
+
+    def deltas(self, take: np.ndarray) -> np.ndarray:
+        """Bit-unpack blocks ``take``: one row of ``block`` slots per
+        block.  Slots past a block's length (:meth:`valid`) hold its
+        neighbours' bits — some non-negative number."""
+        width = self.widths[take].astype(np.int64)[:, None]
+        bit = np.arange(self.block) * width
+        bit += (self.byte_starts[take] << 3)[:, None]
+        return _unpack_bits(self.windows, bit, width)
+
+    def valid(self, take: np.ndarray) -> np.ndarray:
+        return np.arange(self.block) < self.block_len[take][:, None]
+
+    def decode(self, take: np.ndarray) -> np.ndarray:
+        """Ticks of blocks ``take`` (rows as in :meth:`deltas`; past a
+        block's length they keep ascending, on junk)."""
+        ticks = np.cumsum(self.deltas(take), axis=1)
+        ticks += self.directory[take][:, None]
+        return ticks
+
+
+def _encode(
+    values: np.ndarray, rows: np.ndarray, tick_bits: int, block: int
+) -> _Blocks:
+    """Compress a joint CSR column into delta blocks."""
     scale = float(2.0 ** tick_bits)
     ticks = np.rint(np.asarray(values, dtype=np.float64) * scale).astype(
         np.int64
     )
-    counts = np.diff(offsets)
-    nonempty = np.flatnonzero(counts)
+    nonempty = np.flatnonzero(np.diff(rows))
     heads = np.empty(len(nonempty), dtype=np.int64)
     widths: List[int] = []
     chunks: List[np.ndarray] = []
-    for rank, eid in enumerate(nonempty):
-        lo = int(offsets[eid])
-        hi = int(offsets[eid + 1])
+    for rank, row in enumerate(nonempty):
+        lo = int(rows[row])
+        hi = int(rows[row + 1])
         heads[rank] = ticks[lo]
         deltas = np.diff(ticks[lo:hi])
         for start in range(0, len(deltas), block):
@@ -132,44 +241,15 @@ def _encode_direction(
             widths.append(width)
             if width:
                 chunks.append(_pack_deltas(chunk, width))
+    if widths and max(widths) > MAX_WIDTH:
+        raise ValueError(
+            f"timestamp gap of {max(widths)} bits exceeds the "
+            f"{MAX_WIDTH}-bit block width; lower tick_bits"
+        )
     payload = np.concatenate(chunks) if chunks else _EMPTY_U8
-    return _DirectionBlocks(
-        heads=heads,
-        widths=np.asarray(widths, dtype=np.uint8),
-        payload=payload,
-    )
-
-
-def _derive_index(
-    offsets: np.ndarray, widths: np.ndarray, block: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Derived decode index: all cheap functions of offsets + widths.
-
-    Returns ``(rank, block_starts, byte_starts)`` — per-edge rank of
-    its nonempty segment (-1 if empty), per-segment index of its first
-    block in ``widths``, and per-block byte offset into the payload.
-    Recomputed at construction *and* shm attach time, so none of it is
-    stored or shipped: the compressed wire format is just offsets,
-    heads, widths and payload.
-    """
-    counts = np.diff(offsets)
-    nonempty = counts > 0
-    rank = np.cumsum(nonempty, dtype=np.int64) - 1
-    rank[~nonempty] = -1
-    # Delta stream of a segment of length L has L-1 entries.
-    n_deltas = (counts[nonempty] - 1).astype(np.int64)
-    n_blocks = -(-n_deltas // block)
-    block_starts = np.concatenate(
-        ([0], np.cumsum(n_blocks))
-    ).astype(np.int64)
-    total_blocks = int(block_starts[-1])
-    blk_len = np.full(total_blocks, block, dtype=np.int64)
-    has = n_blocks > 0
-    last = block_starts[1:][has] - 1
-    blk_len[last] = n_deltas[has] - (n_blocks[has] - 1) * block
-    nbytes = (blk_len * widths.astype(np.int64) + 7) // 8
-    byte_starts = np.concatenate(([0], np.cumsum(nbytes))).astype(np.int64)
-    return rank, block_starts, byte_starts
+    encoded = _Blocks(heads, np.asarray(widths, dtype=np.uint8), payload)
+    # The directory comes from the ticks in hand, not from a decode.
+    return encoded.derive(rows, block, ticks)
 
 
 class CompressedTrackingForm(CompiledTrackingForm):
@@ -177,8 +257,9 @@ class CompressedTrackingForm(CompiledTrackingForm):
 
     The public query surface (``count_*``, ``net_*``,
     ``integrate_*``, ``compile_boundary_ids``, shm interop) is the
-    parent's; only the two raw-storage hooks (:meth:`_segment_ids`,
-    :meth:`_direction_slices`), construction, append and shm layout
+    parent's; only the raw-storage hooks (:meth:`_set_csr`,
+    :meth:`_segment_ids`, :meth:`_direction_values`,
+    :meth:`_direction_slices`, :meth:`_rank_chain`) and the shm layout
     differ.
     """
 
@@ -199,52 +280,22 @@ class CompressedTrackingForm(CompiledTrackingForm):
         a belt-and-braces measure so a stray un-quantized call cannot
         silently desynchronise the tick decode.
         """
-        t = quantize_times(t, tick_bits)
-        super().__init__(
-            interner, edge_id, direction, t,
-            boundary_cache_size=boundary_cache_size,
-        )
         self._tick_bits = int(tick_bits)
         self._block = int(block)
-        self._compress_in_place()
+        super().__init__(
+            interner, edge_id, direction, quantize_times(t, tick_bits),
+            boundary_cache_size=boundary_cache_size,
+        )
 
     # ------------------------------------------------------------------
     # Construction / mutation
     # ------------------------------------------------------------------
-    def _compress_in_place(self) -> None:
-        """Replace the parent's raw columns with compressed blocks."""
-        blocks: List[_DirectionBlocks] = []
-        offsets32: List[np.ndarray] = []
-        for d in (0, 1):
-            blocks.append(
-                _encode_direction(
-                    self._values[d], self._offsets[d],
-                    self._tick_bits, self._block,
-                )
-            )
-            offsets32.append(self._offsets[d].astype(np.int32))
-        self._blocks = (blocks[0], blocks[1])
-        self._offsets = (offsets32[0], offsets32[1])
-        del self._values  # the point of the exercise
-        self._init_decode_state()
-
-    def _init_decode_state(self) -> None:
-        ranks = []
-        block_starts = []
-        byte_starts = []
-        for d in (0, 1):
-            rank, starts, bstarts = _derive_index(
-                self._offsets[d], self._blocks[d].widths, self._block
-            )
-            ranks.append(rank)
-            block_starts.append(starts)
-            byte_starts.append(bstarts)
-        self._seg_rank = (ranks[0], ranks[1])
-        self._block_starts = (block_starts[0], block_starts[1])
-        self._byte_starts = (byte_starts[0], byte_starts[1])
-        #: Decoded segments, LRU keyed ``(d, eid)``.
-        self._decoded: "OrderedDict[Tuple[int, int], np.ndarray]" = (
-            OrderedDict()
+    def _set_csr(self, values, offsets) -> None:
+        """Keep the freshly built CSR columns as compressed blocks."""
+        self._offsets = tuple(o.astype(np.int32) for o in offsets)
+        self._rows = _joint_rows(offsets)
+        self._blocks = _encode(
+            np.concatenate(values), self._rows, self._tick_bits, self._block
         )
 
     def append_events(
@@ -259,92 +310,75 @@ class CompressedTrackingForm(CompiledTrackingForm):
         generation bumped); streaming compaction batches appends so
         the full decode/re-encode cycle amortises.
         """
-        t = quantize_times(np.asarray(t, dtype=np.float64), self._tick_bits)
-        n_new = len(t)
-        if n_new == 0:
-            return 0
-        # Rebuild the transient raw columns the parent merge expects,
-        # run it, then re-compress.
-        self._values = (
-            self._direction_values(0), self._direction_values(1)
+        return super().append_events(
+            edge_id, direction, quantize_times(t, self._tick_bits)
         )
-        self._offsets = (
-            self._offsets[0].astype(np.int64),
-            self._offsets[1].astype(np.int64),
-        )
-        merged = super().append_events(edge_id, direction, t)
-        self._compress_in_place()
-        return merged
 
     # ------------------------------------------------------------------
     # Storage hooks (the only read-path overrides)
     # ------------------------------------------------------------------
-    def _decode_segment(self, eid: int, d: int) -> np.ndarray:
-        offsets = self._offsets[d]
-        length = int(offsets[eid + 1]) - int(offsets[eid])
-        if length == 0:
-            return _EMPTY
-        blocks = self._blocks[d]
-        rank = int(self._seg_rank[d][eid])
-        ticks = np.empty(length, dtype=np.int64)
-        ticks[0] = blocks.heads[rank]
-        n_deltas = length - 1
-        if n_deltas:
-            block_i = int(self._block_starts[d][rank])
-            byte_starts = self._byte_starts[d]
-            out = 1
-            for start in range(0, n_deltas, self._block):
-                n = min(self._block, n_deltas - start)
-                width = int(blocks.widths[block_i])
-                if width:
-                    pos = int(byte_starts[block_i])
-                    nbytes = (n * width + 7) // 8
-                    ticks[out:out + n] = _unpack_deltas(
-                        blocks.payload[pos:pos + nbytes], n, width
-                    )
-                else:
-                    ticks[out:out + n] = 0
-                block_i += 1
-                out += n
-            np.cumsum(ticks, out=ticks)
-        return ticks * float(2.0 ** -self._tick_bits)
+    def _decode_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(timestamps, lens)`` of joint-column rows, concatenated:
+        each nonempty segment's head, then its blocks' ticks."""
+        blocks = self._blocks
+        lens = self._rows[rows + 1] - self._rows[rows]
+        segments = blocks.seg_rank[rows[lens > 0]]
+        take = _csr_take(blocks.block_starts, segments)
+        out = np.empty(int(lens.sum()), dtype=np.int64)
+        is_head = np.zeros(len(out), dtype=bool)
+        is_head[(np.cumsum(lens) - lens)[lens > 0]] = True
+        out[is_head] = blocks.heads[segments]
+        out[~is_head] = blocks.decode(take)[blocks.valid(take)]
+        return out * float(2.0 ** -self._tick_bits), lens
 
     def _segment_ids(self, eid: int, d: int) -> np.ndarray:
-        key = (d, eid)
-        cached = self._decoded.get(key)
-        if cached is not None:
-            self._decoded.move_to_end(key)
-            return cached
-        segment = self._decode_segment(eid, d)
-        if len(segment):
-            self._decoded[key] = segment
-            while len(self._decoded) > DEFAULT_DECODE_CACHE_SIZE:
-                self._decoded.popitem(last=False)
-        return segment
+        return self._decode_rows(np.array([d * self._n_ids + eid]))[0]
 
     def _direction_slices(
         self, wall_ids: np.ndarray, d: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        offsets = self._offsets[d]
-        lens = (
-            offsets[wall_ids + 1] - offsets[wall_ids]
-        ).astype(np.int64)
-        if not int(lens.sum()):
-            return _EMPTY, lens
-        parts = [
-            self._segment_ids(int(eid), d)
-            for eid in wall_ids[lens > 0]
-        ]
-        return np.concatenate(parts), lens
+        return self._decode_rows(wall_ids + d * self._n_ids)
 
     def _direction_values(self, d: int) -> np.ndarray:
-        counts = np.diff(self._offsets[d])
-        nonempty = np.flatnonzero(counts)
-        if not len(nonempty):
-            return _EMPTY
-        return np.concatenate(
-            [self._decode_segment(int(eid), d) for eid in nonempty]
+        n = self._n_ids
+        return self._decode_rows(np.arange(d * n, (d + 1) * n))[0]
+
+    def _rank_chain(
+        self, wall_ids: np.ndarray, signs: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """Rank over the directory, then inside one block per lane.
+
+        Per (edge, direction, time) lane the kernel counts the blocks
+        whose first tick is ``<= t``; the last of them is the only
+        block that can straddle ``t``, so it alone is decoded.  A
+        timestamp is ``tick * 2**-tick_bits`` exactly, hence
+        ``value <= t`` iff ``tick <= floor(t * 2**tick_bits)``.
+        """
+        blocks = self._blocks
+        limit = float(2 ** 62)
+        quantum = np.floor(times.ravel() * float(2.0 ** self._tick_bits))
+        quantum = np.clip(quantum, -limit, limit).astype(np.int64)
+        segments = blocks.seg_rank[self._chain_rows(wall_ids)]
+        present = segments >= 0
+        segments = segments[present]
+        lo, hi, q = time_lanes(
+            blocks.block_starts[segments],
+            blocks.block_starts[segments + 1],
+            quantum,
         )
+        before = segmented_rank(blocks.directory, lo, hi, q)
+        # The head, then 32 values per block wholly before the
+        # straddling one, then that block's share: its ticks keep
+        # ascending past its length, so the count caps there.
+        rank = (np.repeat(blocks.heads[segments], quantum.size) <= q) + (
+            np.maximum(before - 1, 0) * self._block
+        )
+        inside = np.flatnonzero(before)
+        straddling = lo[inside] + before[inside] - 1
+        within = (blocks.decode(straddling) <= q[inside, None]).sum(axis=1)
+        rank[inside] += np.minimum(within, blocks.block_len[straddling])
+        weights = np.concatenate((signs, -signs))[present]
+        return (weights @ rank.reshape(-1, quantum.size)).reshape(times.shape)
 
     # ------------------------------------------------------------------
     # Shared-memory interop
@@ -354,13 +388,17 @@ class CompressedTrackingForm(CompiledTrackingForm):
         workers can attach a ~4× smaller segment zero-copy."""
         from .. import shm as shm_mod
 
-        arrays = {}
-        for d in (0, 1):
-            arrays[f"offsets{d}"] = self._offsets[d]
-            arrays[f"heads{d}"] = self._blocks[d].heads
-            arrays[f"widths{d}"] = self._blocks[d].widths
-            arrays[f"payload{d}"] = self._blocks[d].payload
-        handle, descriptor = shm_mod.pack_arrays(arrays, hint=hint)
+        blocks = self._blocks
+        handle, descriptor = shm_mod.pack_arrays(
+            {
+                "offsets0": self._offsets[0],
+                "offsets1": self._offsets[1],
+                "heads": blocks.heads,
+                "widths": blocks.widths,
+                "payload": blocks.payload,
+            },
+            hint=hint,
+        )
         descriptor["n_ids"] = int(self._n_ids)
         descriptor["form"] = "compressed"
         descriptor["tick_bits"] = self._tick_bits
@@ -384,16 +422,11 @@ class CompressedTrackingForm(CompiledTrackingForm):
         form._tick_bits = int(descriptor["tick_bits"])
         form._block = int(descriptor["block"])
         form._offsets = (views["offsets0"], views["offsets1"])
-        form._blocks = (
-            _DirectionBlocks(
-                views["heads0"], views["widths0"], views["payload0"]
-            ),
-            _DirectionBlocks(
-                views["heads1"], views["widths1"], views["payload1"]
-            ),
-        )
+        form._rows = _joint_rows(form._offsets)
+        form._blocks = _Blocks(
+            views["heads"], views["widths"], views["payload"]
+        ).derive(form._rows, form._block)
         form._init_runtime_state(boundary_cache_size)
-        form._init_decode_state()
         form._shm_handle = handle
         return form
 
@@ -406,22 +439,18 @@ class CompressedTrackingForm(CompiledTrackingForm):
         return self._tick_bits
 
     def _storage_components(self) -> dict:
+        blocks = self._blocks
         return {
             "offsets": int(
                 self._offsets[0].nbytes + self._offsets[1].nbytes
             ),
-            "heads": int(
-                self._blocks[0].heads.nbytes + self._blocks[1].heads.nbytes
-            ),
-            "block_widths": int(
-                self._blocks[0].widths.nbytes
-                + self._blocks[1].widths.nbytes
-            ),
-            "payload": int(
-                self._blocks[0].payload.nbytes
-                + self._blocks[1].payload.nbytes
-            ),
+            "heads": int(blocks.heads.nbytes),
+            "block_widths": int(blocks.widths.nbytes),
+            "payload": int(blocks.payload.nbytes),
         }
+
+    def _derived_bytes(self) -> int:
+        return super()._derived_bytes() + self._blocks.derived_bytes
 
     def __repr__(self) -> str:
         report = self.storage_report()

@@ -204,5 +204,6 @@ class TrackingForm:
             "store": type(self).__name__,
             "events": int(events),
             "total_bytes": int(events) * 8,
+            "derived_bytes": 0,
             "components": {"timestamps": int(events) * 8},
         }

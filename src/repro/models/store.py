@@ -106,6 +106,7 @@ class ModeledCountStore:
             "store": type(self).__name__,
             "events": events,
             "total_bytes": int(sum(components.values())),
+            "derived_bytes": 0,
             "components": components,
         }
 

@@ -305,9 +305,11 @@ class CompiledQueryPlanner:
         static_eval: str,
     ) -> float:
         """Integrate the chain through the store's id-native path
-        (``integrate_until_ids`` / ``integrate_between_ids``, e.g.
-        :class:`~repro.forms.CompiledTrackingForm`); a store without
-        one gets the decoded directed edges instead.
+        (``integrate_until_ids`` / ``integrate_between_ids`` /
+        ``integrate_at_ids``, e.g.
+        :class:`~repro.forms.CompiledTrackingForm`) — one touch of the
+        chain per query; a store without one gets the decoded directed
+        edges instead.
         """
         if not hasattr(store, "integrate_until_ids"):
             return integrate_edges(
@@ -322,9 +324,9 @@ class CompiledQueryPlanner:
             return store.integrate_until_ids(wall_ids, signs, query.t2)
         if static_eval == "start":
             return store.integrate_until_ids(wall_ids, signs, query.t1)
-        return min(
-            store.integrate_until_ids(wall_ids, signs, query.t1),
-            store.integrate_until_ids(wall_ids, signs, query.t2),
+        # "min": both endpoints from one touch of the chain.
+        return int(
+            min(store.integrate_at_ids(wall_ids, signs, (query.t1, query.t2)))
         )
 
     def decode_edges(self, chain: BoundaryChain) -> List[DirectedEdge]:

@@ -213,10 +213,25 @@ def _worker_init(
     )
 
 
-def _worker_engine(shard: int, static_eval: str) -> QueryEngine:
-    engines: Dict[Tuple[int, str], QueryEngine] = _WORKER["engines"]
-    key = (shard, static_eval)
-    engine = engines.get(key)
+class _EndpointEngine(QueryEngine):
+    """A shard's engine under ``static_eval="min"``: ``min`` does not
+    distribute over the shard sum, so a static query's value stays the
+    ``(start, end)`` pair of cumulative nets — both from one touch of
+    the chain — and the parent folds ``min`` over the summed pairs."""
+
+    def _answer(self, chain, query: RangeQuery):
+        if query.kind != STATIC:
+            return super()._answer(chain, query)
+        start, end = self.store.integrate_at_ids(
+            chain.wall_ids, chain.signs, (query.t1, query.t2)
+        )
+        return (int(start), int(end)), None
+
+
+def _worker_engine(shard: int) -> QueryEngine:
+    engines: Dict[int, QueryEngine] = _WORKER["engines"]
+    static_eval = str(_WORKER["static_eval"])
+    engine = engines.get(shard)
     if engine is None:
         forms: Dict[int, CompiledTrackingForm] = _WORKER["forms"]
         form = forms.get(shard)
@@ -233,7 +248,8 @@ def _worker_engine(shard: int, static_eval: str) -> QueryEngine:
                 attach = CompiledTrackingForm.shm_attach
             form = attach(descriptor, network.domain.edge_interner)
             forms[shard] = form
-        engine = QueryEngine(
+        kind = _EndpointEngine if static_eval == "min" else QueryEngine
+        engine = kind(
             _WORKER["network"],
             form,
             access_mode=str(_WORKER["access_mode"]),
@@ -245,7 +261,7 @@ def _worker_engine(shard: int, static_eval: str) -> QueryEngine:
                 provenance=False,
             ),
         )
-        engines[key] = engine
+        engines[shard] = engine
     return engine
 
 
@@ -272,7 +288,6 @@ def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
     grafted span path.
     """
     queries = [query for _, query in indexed]
-    static_eval = str(_WORKER["static_eval"])
     tracer = _WORKER["tracer"]
     roots_before = len(tracer.roots)
     payload: List[Tuple[int, Tuple[float, ...], int, int]] = []
@@ -280,28 +295,20 @@ def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
         "worker.run", shard=shard, queries=len(queries), pid=os.getpid()
     ):
         with tracer.span("worker.attach", shard=shard):
-            if static_eval == "min":
-                engines = (
-                    _worker_engine(shard, "start"),
-                    _worker_engine(shard, "end"),
-                )
-            else:
-                engines = (_worker_engine(shard, static_eval),)
-        # One run per engine: (start, end) under "min", else the one.
-        runs = [engine.execute_batch(queries) for engine in engines]
-        for (index, query), *answers in zip(indexed, *runs):
-            last = answers[-1]
-            if last.missed:
+            engine = _worker_engine(shard)
+        answers = engine.execute_batch(queries)
+        for (index, _), answer in zip(indexed, answers):
+            if answer.missed:
                 raise QueryError(
                     f"shard {shard} missed a query the router answered"
                 )
-            if query.kind == STATIC:
-                values = tuple(answer.value for answer in answers)
-            else:
-                values = (last.value,)
-            payload.append(
-                (index, values, last.edges_accessed, last.nodes_accessed)
-            )
+            value = answer.value
+            payload.append((
+                index,
+                value if isinstance(value, tuple) else (value,),
+                answer.edges_accessed,
+                answer.nodes_accessed,
+            ))
         profiler = _WORKER.get("profiler")
         if profiler is not None:
             profiler.sample_once()

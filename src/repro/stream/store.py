@@ -54,8 +54,8 @@ from typing import (
 import numpy as np
 
 from ..errors import QueryError
-from ..forms import CompiledTrackingForm, TrackingForm
-from ..forms.compiled import DEFAULT_BOUNDARY_CACHE_SIZE
+from ..forms import CompiledTrackingForm, CompressedTrackingForm, TrackingForm
+from ..forms.compiled import DEFAULT_BOUNDARY_CACHE_SIZE, edge_ids
 from ..forms.snapshot import DirectedEdge
 from ..obs import get_registry
 from ..trajectories import CrossingEvent, EventColumns
@@ -114,6 +114,13 @@ class StreamingEventStore:
         self._tail_dirs: List[int] = []
         self._tail_ts: List[float] = []
         self._blocks: List[CompiledTrackingForm] = []
+        #: Zone map: ``[t_min, t_max]`` of each block (same order) and
+        #: the tail's earliest timestamp, recorded as events arrive and
+        #: blocks are built or merged.  A read skips any level wholly
+        #: after its time and sums, without a search, any block wholly
+        #: at or before it.
+        self._zones: List[Tuple[float, float]] = []
+        self._tail_min = float("inf")
 
         self._generation = 0
         self._closed = False
@@ -207,6 +214,8 @@ class StreamingEventStore:
             self._tail_ids.append(eid)
             self._tail_dirs.append(0 if forward else 1)
             self._tail_ts.append(t)
+            if t < self._tail_min:
+                self._tail_min = t
             observed.append(event)
         if observed:
             self._generation += 1
@@ -240,40 +249,32 @@ class StreamingEventStore:
         dirs = np.asarray(self._tail_dirs, dtype=np.int8)
         ts = np.asarray(self._tail_ts, dtype=np.float64)
         order = np.argsort(ts, kind="stable")
+        form, options = CompiledTrackingForm, {}
         if self.compress:
-            from ..forms import CompressedTrackingForm
-
-            block = CompressedTrackingForm(
-                self._interner,
-                ids[order],
-                dirs[order],
-                ts[order],
-                boundary_cache_size=self._boundary_cache_size,
-                tick_bits=self.tick_bits,
-            )
-        else:
-            block = CompiledTrackingForm(
-                self._interner,
-                ids[order],
-                dirs[order],
-                ts[order],
-                boundary_cache_size=self._boundary_cache_size,
-            )
+            form, options = CompressedTrackingForm, {"tick_bits": self.tick_bits}
+        block = form(
+            self._interner, ids[order], dirs[order], ts[order],
+            boundary_cache_size=self._boundary_cache_size, **options,
+        )
         self._fire_compact("built")
         # Atomic swap: the block joins, then the tail resets.  No
         # intermediate state loses or double-counts an event because
         # reads sum tail + blocks and the tail still holds the events
         # until the very last statements below.
         self._blocks.append(block)
+        self._zones.append((float(ts.min()), float(ts.max())))
         self._tail = TrackingForm()
         self._tail_ids = []
         self._tail_dirs = []
         self._tail_ts = []
+        self._tail_min = float("inf")
         self.compactions += 1
         self._generation += 1
         self._metric_compactions.inc()
         while len(self._blocks) > self.max_blocks:
             newest = self._blocks.pop()
+            zone, older = self._zones.pop(), self._zones[-1]
+            self._zones[-1] = (min(zone[0], older[0]), max(zone[1], older[1]))
             merged = newest.to_columns()
             self._blocks[-1].append_events(
                 merged.edge_id, merged.direction, merged.t
@@ -346,21 +347,13 @@ class StreamingEventStore:
     def integrate_until(
         self, edges: Iterable[DirectedEdge], t: float
     ) -> float:
-        self._guard()
-        chain = tuple(edges)
-        return self._tail.integrate_until(chain, t) + sum(
-            b.integrate_until(chain, t) for b in self._blocks
-        )
+        return self.integrate_until_ids(*edge_ids(self._interner, edges), t)
 
     def integrate_between(
         self, edges: Iterable[DirectedEdge], t1: float, t2: float
     ) -> float:
-        if t2 < t1:
-            raise QueryError(f"inverted time interval [{t1}, {t2}]")
-        self._guard()
-        chain = tuple(edges)
-        return self._tail.integrate_between(chain, t1, t2) + sum(
-            b.integrate_between(chain, t1, t2) for b in self._blocks
+        return self.integrate_between_ids(
+            *edge_ids(self._interner, edges), t1, t2
         )
 
     # ------------------------------------------------------------------
@@ -391,34 +384,53 @@ class StreamingEventStore:
             self._chain_edges.popitem(last=False)
         return decoded
 
+    def integrate_at_ids(
+        self, wall_ids: np.ndarray, signs: np.ndarray, times: Sequence[float]
+    ) -> List[int]:
+        """Cumulative net of an id-native chain at each of ``times``,
+        summed over the levels by the zone map: a block wholly at or
+        before a time adds its per-edge totals (no search), a block
+        wholly after it adds nothing, and only a block straddling it
+        is ranked — one per time when arrivals are time-ordered.  The
+        tail folds in only from its earliest timestamp on."""
+        self._guard()
+        totals = [0] * len(times)
+        for block, (t_min, t_max) in zip(self._blocks, self._zones):
+            whole = [i for i, t in enumerate(times) if t >= t_max]
+            inside = [i for i, t in enumerate(times) if t_min <= t < t_max]
+            if whole:
+                total = block.net_total_ids(wall_ids, signs)
+                for i in whole:
+                    totals[i] += total
+            if inside:
+                nets = block.integrate_at_ids(
+                    wall_ids, signs, [times[i] for i in inside]
+                )
+                for i, net in zip(inside, nets):
+                    totals[i] += int(net)
+        late = [i for i, t in enumerate(times) if t >= self._tail_min]
+        if late:
+            tail = self._tail
+            chain = self._decode_chain(wall_ids, signs)
+            for i in late:
+                t = times[i]
+                totals[i] += sum(
+                    sign * tail.net_until(edge, t) for edge, sign in chain
+                )
+        return totals
+
     def integrate_until_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t: float
     ) -> int:
-        self._guard()
-        total = sum(
-            b.integrate_until_ids(wall_ids, signs, t) for b in self._blocks
-        )
-        tail = self._tail
-        if tail.total_events:
-            for edge, sign in self._decode_chain(wall_ids, signs):
-                total += sign * tail.net_until(edge, t)
-        return int(total)
+        return self.integrate_at_ids(wall_ids, signs, (t,))[0]
 
     def integrate_between_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t1: float, t2: float
     ) -> int:
         if t2 < t1:
             raise QueryError(f"inverted time interval [{t1}, {t2}]")
-        self._guard()
-        total = sum(
-            b.integrate_between_ids(wall_ids, signs, t1, t2)
-            for b in self._blocks
-        )
-        tail = self._tail
-        if tail.total_events:
-            for edge, sign in self._decode_chain(wall_ids, signs):
-                total += sign * tail.net_between(edge, t1, t2)
-        return int(total)
+        start, end = self.integrate_at_ids(wall_ids, signs, (t1, t2))
+        return end - start
 
     # ------------------------------------------------------------------
     # Introspection / interop
@@ -487,14 +499,18 @@ class StreamingEventStore:
         direction per staged event).
         """
         components = {"tail": int(len(self._tail_ts) * 13)}
+        derived = 0
         for block in self._blocks:
-            for name, nbytes in block.storage_report()["components"].items():
+            report = block.storage_report()
+            derived += report["derived_bytes"]
+            for name, nbytes in report["components"].items():
                 key = f"blocks.{name}"
                 components[key] = components.get(key, 0) + int(nbytes)
         return {
             "store": type(self).__name__,
             "events": int(self.total_events),
             "total_bytes": int(sum(components.values())),
+            "derived_bytes": derived,
             "components": components,
         }
 

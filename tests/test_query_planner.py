@@ -363,23 +363,26 @@ class TestBoundaryCacheLRU:
             chains = self._chains(planner, network, 3)
             if len(chains) < 3:
                 pytest.skip("network too small for eviction test")
+            # A chain is admitted on its second touch.
             for chain in chains:
-                form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
+                for _ in range(2):
+                    form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
             assert form.boundary_cache_len == 2
             assert registry.value(
                 "repro_csr_boundary_cache_total", outcome="evict"
             ) == 1
-            # Least-recent (chains[0]) was evicted: re-touching it
-            # compiles again.
+            # Least-recent (chains[0]) was evicted and is a stranger
+            # again: ranked on its next touch, compiled on the one after.
             compiles = registry.value(
                 "repro_csr_boundary_cache_total", outcome="compile"
             )
-            form.integrate_until_ids(
-                chains[0].wall_ids, chains[0].signs, 1.0
-            )
-            assert registry.value(
-                "repro_csr_boundary_cache_total", outcome="compile"
-            ) == compiles + 1
+            for again in (0, 1):
+                form.integrate_until_ids(
+                    chains[0].wall_ids, chains[0].signs, 1.0
+                )
+                assert registry.value(
+                    "repro_csr_boundary_cache_total", outcome="compile"
+                ) == compiles + again
 
     def test_hit_refreshes_recency(self, deployment):
         network, _, workload = deployment
@@ -397,17 +400,137 @@ class TestBoundaryCacheLRU:
             if len(chains) < 3:
                 pytest.skip("network too small for eviction test")
             a, b, c = chains
-            form.integrate_until_ids(a.wall_ids, a.signs, 1.0)
-            form.integrate_until_ids(b.wall_ids, b.signs, 1.0)
+            for chain in (a, a, b, b):  # second touches admit a, then b
+                form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
             form.integrate_until_ids(a.wall_ids, a.signs, 1.0)  # refresh a
-            form.integrate_until_ids(c.wall_ids, c.signs, 1.0)  # evicts b
+            for _ in range(2):  # admitting c evicts b
+                form.integrate_until_ids(c.wall_ids, c.signs, 1.0)
+            assert registry.value(
+                "repro_csr_boundary_cache_total", outcome="evict"
+            ) == 1
             compiles = registry.value(
                 "repro_csr_boundary_cache_total", outcome="compile"
+            )
+            hits = registry.value(
+                "repro_csr_boundary_cache_total", outcome="hit"
             )
             form.integrate_until_ids(a.wall_ids, a.signs, 1.0)
             assert registry.value(
                 "repro_csr_boundary_cache_total", outcome="compile"
             ) == compiles  # a still cached
+            assert registry.value(
+                "repro_csr_boundary_cache_total", outcome="hit"
+            ) == hits + 1
+
+    def _fresh_form(self, network, workload, **kwargs):
+        columns = EventColumns.from_events(
+            network.domain, workload.events(network.domain)
+        )
+        observed = columns.filter_edges(network._wall_lookup())
+        return CompiledTrackingForm(
+            columns.interner, observed.edge_id, observed.direction,
+            observed.t, **kwargs,
+        )
+
+    @staticmethod
+    def _compiles(registry):
+        return registry.value(
+            "repro_csr_boundary_cache_total", outcome="compile"
+        )
+
+    def test_second_touch_promotes(self, deployment):
+        network, _, workload = deployment
+        with use_registry() as registry:
+            form = self._fresh_form(network, workload)
+            chain = self._chains(CompiledQueryPlanner(network), network, 1)[0]
+            ids, signs = chain.wall_ids, chain.signs
+            t = workload.horizon / 2
+            first = form.integrate_until_ids(ids, signs, t)  # ranked
+            assert form.boundary_cache_len == 0
+            assert self._compiles(registry) == 0
+            second = form.integrate_until_ids(ids, signs, t)  # promoted
+            assert form.boundary_cache_len == 1
+            assert self._compiles(registry) == 1
+            third = form.integrate_between_ids(ids, signs, 0.0, t)  # hit
+            assert self._compiles(registry) == 1
+            assert registry.value(
+                "repro_csr_boundary_cache_total", outcome="hit"
+            ) == 1
+            assert first == second == third
+
+    def test_direct_compile_is_unconditional(self, deployment):
+        network, _, workload = deployment
+        with use_registry() as registry:
+            form = self._fresh_form(network, workload)
+            chain = self._chains(CompiledQueryPlanner(network), network, 1)[0]
+            times, prefix = form.compile_boundary_ids(
+                chain.wall_ids, chain.signs
+            )
+            assert len(prefix) == len(times) + 1
+            assert form.boundary_cache_len == 1
+            assert self._compiles(registry) == 1
+            # The very first integration is then already a hit.
+            form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
+            assert self._compiles(registry) == 1
+            assert registry.value(
+                "repro_csr_boundary_cache_total", outcome="hit"
+            ) == 1
+
+    def test_append_forgets_first_touches(self, deployment):
+        """query -> append -> re-query: a chain seen once (ranked, never
+        compiled) answers the new contents, and is a stranger again."""
+        network, _, workload = deployment
+        columns = EventColumns.from_events(
+            network.domain, workload.events(network.domain)
+        )
+        observed = columns.filter_edges(network._wall_lookup())
+        half = len(observed.t) // 2
+
+        def part(rows):
+            return (
+                observed.edge_id[rows], observed.direction[rows],
+                observed.t[rows],
+            )
+
+        with use_registry() as registry:
+            form = CompiledTrackingForm(
+                columns.interner, *part(slice(half, None))
+            )
+            fresh = self._fresh_form(network, workload)
+            chain = self._chains(CompiledQueryPlanner(network), network, 2)[1]
+            ids, signs = chain.wall_ids, chain.signs
+            t = workload.horizon * 0.75
+            form.integrate_until_ids(ids, signs, t)  # first touch only
+            form.append_events(*part(slice(0, half)))  # earlier events
+            assert form.integrate_until_ids(
+                ids, signs, t
+            ) == fresh.integrate_until_ids(ids, signs, t)
+            assert form.boundary_cache_len == 0
+            assert self._compiles(registry) == 0
+
+    def test_cold_min_query_is_one_touch(self, deployment):
+        """``static_eval="min"`` evaluates both endpoints from one
+        touch of the chain: a cold query ranks and compiles nothing."""
+        network, reference_form, workload = deployment
+        battery = [
+            query for query in _battery(
+                network.domain, workload.horizon, seed=97, n_boxes=12
+            ) if query.kind == STATIC
+        ]
+        expected = QueryEngine(
+            network, reference_form, planner="python", static_eval="min"
+        ).execute_many(battery)
+        assert not all(result.missed for result in expected)
+        with use_registry() as registry:
+            form = self._fresh_form(network, workload)
+            engine = QueryEngine(
+                network, form, planner="compiled", static_eval="min"
+            )
+            for query, want in zip(battery, expected):
+                form._seen.clear()  # every query meets a cold chain
+                assert _key(engine.execute(query)) == _key(want)
+            assert self._compiles(registry) == 0
+            assert form.boundary_cache_len == 0
 
     def test_zero_cap_disables_caching(self, deployment):
         network, _, workload = deployment

@@ -29,6 +29,7 @@ from repro.network import FaultConfig, FaultInjector
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.metrics import diff_dumps
 from repro.query import (
+    STATIC,
     QueryEngine,
     RangeQuery,
     ShardedQueryEngine,
@@ -432,6 +433,35 @@ class TestMetricsMerge:
         assert (
             sharded_registry.sum_values("repro_sharded_subqueries_total") > 0
         )
+
+    def test_min_mode_touches_each_chain_once_per_query(self, deployment):
+        """Under ``static_eval="min"`` a worker takes a static query's
+        (start, end) partial sums from one integration call: distinct
+        cold chains are ranked, none compiled."""
+        network, form, columns, battery = deployment
+        single = QueryEngine(
+            network, form, planner="compiled", static_eval="min"
+        )
+        # One static query per distinct region set, i.e. per chain.
+        by_chain = {}
+        for query in battery:
+            if query.kind == STATIC:
+                result = single.execute(query)
+                if not result.missed:
+                    by_chain.setdefault(result.regions, query)
+        static = list(by_chain.values())
+        assert len(static) > 3
+        reference = single.execute_batch(static)
+        with use_registry() as registry:
+            with ShardedQueryEngine(
+                network, columns, shards=3, static_eval="min"
+            ) as engine:
+                results = engine.execute_batch(static)
+        assert [_key(r) for r in results] == [_key(r) for r in reference]
+        assert registry.sum_values("repro_csr_searchsorted_total") > 0
+        assert registry.value(
+            "repro_csr_boundary_cache_total", outcome="compile"
+        ) == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,426 @@
+"""The segmented-rank kernel and the four stores that answer through it.
+
+Generated (``hypothesis``) and enumerated corner cases for
+
+- :func:`repro.forms.rank.segmented_rank` against per-segment
+  ``np.searchsorted(side="right")``: empty segments, ties with the
+  threshold, duplicates, thresholds before the first / after the last
+  value;
+- the plain form's rank path against its merged prefix-sum path and a
+  brute-force count, including chain ids interned after compile time;
+- the compressed form's directory rank + one-block decode against the
+  plain form on the same quantized columns: segment lengths around the
+  block size, every delta width 0..33, all-duplicate (zero-payload)
+  blocks, shm attach (directory rebuilt by decode);
+- the vectorised sketch estimate against a brute-force count from the
+  raw events, its bound always containing the exact answer;
+- the streaming store's zone maps under out-of-order arrivals
+  (overlapping block ranges) and at times exactly on a block's
+  ``t_min`` / ``t_max``, against the batch-built form.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_query_planner import _battery, _deployment, _key
+
+from repro.forms import CompiledTrackingForm, CompressedTrackingForm
+from repro.forms.rank import segmented_rank
+from repro.forms.sketch import EdgeCountSketch
+from repro.planar import EdgeInterner
+from repro.query import CompiledQueryPlanner, QueryEngine
+from repro.shm import destroy_segment
+from repro.stream import StreamingEventStore
+from repro.trajectories import EventColumns
+
+# A small value range forces duplicates and ties with the threshold.
+_values = st.integers(0, 12)
+_segments = st.lists(
+    st.lists(_values, max_size=40).map(sorted), min_size=1, max_size=12
+)
+
+
+def _interner(n_ids):
+    return EdgeInterner((2 * i, 2 * i + 1) for i in range(n_ids))
+
+
+def _brute(edge_id, direction, t, wall_ids, signs, when):
+    """Σ sign · (#entering <= when − #leaving <= when), event by event."""
+    total = 0
+    for eid, sign in zip(wall_ids, signs):
+        on_edge = (edge_id == eid) & (t <= when)
+        total += int(sign) * int(
+            np.sum(on_edge & (direction == 0))
+            - np.sum(on_edge & (direction == 1))
+        )
+    return total
+
+
+# ----------------------------------------------------------------------
+# The kernel
+# ----------------------------------------------------------------------
+class TestKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        segments=_segments,
+        thresholds=st.lists(st.integers(-1, 13), min_size=12, max_size=12),
+        as_float=st.booleans(),
+    )
+    def test_equals_per_segment_searchsorted(
+        self, segments, thresholds, as_float
+    ):
+        dtype = np.float64 if as_float else np.int64
+        values = np.array([v for s in segments for v in s], dtype=dtype)
+        lens = np.array([len(s) for s in segments])
+        hi = np.cumsum(lens)
+        lo = hi - lens
+        t = np.array(thresholds[: len(segments)], dtype=dtype)
+        expected = [
+            np.searchsorted(values[a:b], x, side="right")
+            for a, b, x in zip(lo, hi, t)
+        ]
+        assert segmented_rank(values, lo, hi, t).tolist() == expected
+        # One shared scalar threshold, lanes in any order, lanes repeated.
+        order = np.random.default_rng(len(values)).permutation(len(lo))
+        order = np.concatenate((order, order[:3]))
+        assert segmented_rank(
+            values, lo[order], hi[order], t[0]
+        ).tolist() == [
+            np.searchsorted(values[a:b], t[0], side="right")
+            for a, b in zip(lo[order], hi[order])
+        ]
+
+    def test_no_lanes_and_all_empty(self):
+        values = np.arange(5.0)
+        none = np.empty(0, dtype=np.int64)
+        assert segmented_rank(values, none, none, 1.0).size == 0
+        at = np.array([0, 5, 5])  # the last lanes sit past the column
+        assert segmented_rank(values, at, at, 9.0).tolist() == [0, 0, 0]
+        assert segmented_rank(np.empty(0), at[:1], at[:1], 0.0).tolist() == [0]
+
+    def test_inputs_are_not_modified(self):
+        values = np.array([1.0, 2.0, 2.0, 5.0])
+        lo, hi = np.array([0, 2]), np.array([2, 4])
+        segmented_rank(values, lo, hi, np.array([2.0, 2.0]))
+        assert lo.tolist() == [0, 2] and hi.tolist() == [2, 4]
+
+
+# ----------------------------------------------------------------------
+# Plain form: rank path == merged path == brute force
+# ----------------------------------------------------------------------
+_events = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 1), _values),
+    max_size=120,
+)
+
+
+class TestPlainFormRank:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        events=_events,
+        chain=st.lists(
+            st.tuples(st.integers(0, 8), st.sampled_from([-1, 1])),
+            min_size=1, max_size=10,
+        ),
+        times=st.lists(st.integers(-1, 13), min_size=1, max_size=3),
+    )
+    def test_rank_merged_and_brute_force_agree(self, events, chain, times):
+        events = sorted(events, key=lambda e: e[2])
+        edge_id = np.array([e[0] for e in events], dtype=np.int64)
+        direction = np.array([e[1] for e in events], dtype=np.int8)
+        t = np.array([e[2] for e in events], dtype=np.float64)
+        interner = _interner(6)
+        form = CompiledTrackingForm(interner, edge_id, direction, t)
+        # Ids 6..8 are interned only after compile time: no events.
+        for i in range(6, 9):
+            interner.intern(2 * i, 2 * i + 1)
+        wall_ids = np.array([c[0] for c in chain], dtype=np.int64)
+        signs = np.array([c[1] for c in chain], dtype=np.int64)
+        when = np.array(times, dtype=np.float64)
+        expected = [
+            _brute(edge_id, direction, t, wall_ids, signs, x) for x in when
+        ]
+        first = form.integrate_at_ids(wall_ids, signs, when)  # ranks
+        assert form.boundary_cache_len == 0
+        second = form.integrate_at_ids(wall_ids, signs, when)  # promotes
+        assert form.boundary_cache_len == 1
+        third = form.integrate_at_ids(wall_ids, signs, when)  # hits
+        assert first.tolist() == second.tolist() == third.tolist() == expected
+        assert form.integrate_until_ids(wall_ids, signs, when[0]) == expected[0]
+        assert form.net_total_ids(wall_ids, signs) == _brute(
+            edge_id, direction, t, wall_ids, signs, np.inf
+        )
+
+
+# ----------------------------------------------------------------------
+# Compressed form: directory rank + one-block decode == plain rank
+# ----------------------------------------------------------------------
+def _forms(edge_id, direction, t, n_ids, tick_bits=0):
+    """(plain, compressed) that never promote: every touch ranks."""
+    interner = _interner(n_ids)
+    order = np.argsort(t, kind="stable")
+    args = (interner, edge_id[order], direction[order], t[order])
+    return (
+        CompiledTrackingForm(*args, boundary_cache_size=0),
+        CompressedTrackingForm(
+            *args, boundary_cache_size=0, tick_bits=tick_bits
+        ),
+    )
+
+
+def _probe_times(t):
+    """Every event time, the gaps between them and both outsides."""
+    distinct = np.unique(t)
+    return np.concatenate(
+        (distinct, distinct - 0.5, [distinct[-1] + 1.0, -1.0, np.inf, -np.inf])
+    )
+
+
+class TestCompressedRank:
+    @pytest.mark.parametrize("length", [1, 2, 32, 33, 64, 65])
+    @pytest.mark.parametrize("width", range(0, 34))
+    def test_segment_lengths_and_delta_widths(self, length, width):
+        rng = np.random.default_rng(1000 * length + width)
+        # Edge 1 carries the segment under test in direction 0, edge 2
+        # one event in each direction; edge 0 stays empty.
+        if width:
+            deltas = rng.integers(0, 2 ** width, size=length - 1)
+            if length > 1:
+                deltas[rng.integers(length - 1)] = 2 ** width - 1
+        else:
+            deltas = np.zeros(length - 1, dtype=np.int64)
+        t1 = 5.0 + np.concatenate(([0], np.cumsum(deltas))).astype(np.float64)
+        t2 = np.array([4.0, 7.0])
+        edge_id = np.concatenate((np.full(length, 1), np.full(2, 2)))
+        direction = np.concatenate((np.zeros(length), [0, 1])).astype(np.int8)
+        t = np.concatenate((t1, t2))
+        plain, compressed = _forms(edge_id, direction, t, n_ids=3)
+        if width == 0 and length > 1:
+            assert compressed.storage_report()["components"]["payload"] == 0
+        wall_ids = np.array([0, 1, 2, 1, 5])
+        signs = np.array([1, 1, -1, -1, 1])
+        when = _probe_times(t)
+        assert compressed.integrate_at_ids(
+            wall_ids, signs, when
+        ).tolist() == plain.integrate_at_ids(wall_ids, signs, when).tolist()
+        for d in (0, 1):
+            assert np.array_equal(
+                compressed._direction_values(d), plain._direction_values(d)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 1), st.integers(0, 4000)
+            ),
+            min_size=1, max_size=300,
+        ),
+        tick_bits=st.integers(0, 3),
+    )
+    def test_random_columns_incl_shm_attach(self, events, tick_bits):
+        scale = 2.0 ** tick_bits
+        edge_id = np.array([e[0] for e in events], dtype=np.int64)
+        direction = np.array([e[1] for e in events], dtype=np.int8)
+        t = np.array([e[2] for e in events], dtype=np.float64) / scale
+        plain, compressed = _forms(edge_id, direction, t, 4, tick_bits)
+        wall_ids = np.array([0, 1, 2, 3, 2])
+        signs = np.array([1, -1, 1, 1, -1])
+        when = _probe_times(t)
+        expected = plain.integrate_at_ids(wall_ids, signs, when).tolist()
+        assert compressed.integrate_at_ids(
+            wall_ids, signs, when
+        ).tolist() == expected
+        # A worker's attach has no ticks in hand: its directory is
+        # summed out of the decoded deltas.
+        handle, descriptor = compressed.shm_pack(hint="rank-test")
+        try:
+            attached = CompressedTrackingForm.shm_attach(
+                descriptor, compressed._interner, boundary_cache_size=0
+            )
+            assert np.array_equal(
+                attached._blocks.directory, compressed._blocks.directory
+            )
+            assert attached.integrate_at_ids(
+                wall_ids, signs, when
+            ).tolist() == expected
+            del attached
+        finally:
+            destroy_segment(handle)
+
+    def test_gap_wider_than_one_window_is_refused(self):
+        t = np.array([0.0, 2.0 ** 58])
+        with pytest.raises(ValueError, match="block width"):
+            CompressedTrackingForm(
+                _interner(1), np.zeros(2, np.int64), np.zeros(2, np.int8), t
+            )
+
+
+# ----------------------------------------------------------------------
+# Sketch: vectorised estimate == brute force from the raw events
+# ----------------------------------------------------------------------
+class TestSketchEstimate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 4), st.integers(0, 1), st.integers(0, 999)
+            ),
+            min_size=1, max_size=200,
+        ),
+        bins=st.integers(1, 16),
+        chain=st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from([-1, 1])),
+            min_size=1, max_size=8,
+        ),
+        t1=st.integers(0, 1100),
+        span=st.integers(0, 600),
+    )
+    def test_estimate_and_bound(self, events, bins, chain, t1, span):
+        events = sorted(events, key=lambda e: e[2])
+        edge_id = np.array([e[0] for e in events], dtype=np.int32)
+        direction = np.array([e[1] for e in events], dtype=np.int8)
+        t = np.array([e[2] for e in events], dtype=np.float64)
+        columns = EventColumns(
+            interner=_interner(5), edge_id=edge_id, direction=direction, t=t
+        )
+        sketch = EdgeCountSketch.from_columns(columns, bins=bins)
+        wall_ids = np.array([c[0] for c in chain])  # 5, 6: unknown ids
+        signs = np.array([c[1] for c in chain])
+        bin_of = np.floor(t / sketch.bin_width)
+        weight = np.where(direction == 0, 1, -1)
+
+        def brute(when):
+            q = np.floor(when / sketch.bin_width)
+            estimate = bound = 0
+            for eid, sign in zip(wall_ids, signs):
+                on_edge = edge_id == eid
+                estimate += sign * int(weight[on_edge & (bin_of < q)].sum())
+                bound += int(np.sum(on_edge & (bin_of == q)))
+            return estimate, bound
+
+        t2 = float(t1 + span)
+        for when in (float(t1), t2):
+            estimate, bound = sketch.estimate_until_ids(wall_ids, signs, when)
+            assert (estimate, bound) == brute(when)
+            exact = _brute(edge_id, direction, t, wall_ids, signs, when)
+            assert abs(exact - estimate) <= bound
+        estimate, bound = sketch.estimate_between_ids(
+            wall_ids, signs, float(t1), t2
+        )
+        (e1, b1), (e2, b2) = brute(float(t1)), brute(t2)
+        assert (estimate, bound) == (e2 - e1, b1 + b2)
+
+    def test_stores_without_events_answer_zero(self):
+        interner = _interner(3)
+        none = (np.empty(0, np.int32), np.empty(0, np.int8), np.empty(0))
+        wall_ids, signs = np.array([0, 2, 7]), np.array([1, -1, 1])
+        sketch = EdgeCountSketch.from_columns(
+            EventColumns(interner, *none), bins=4
+        )
+        assert sketch.estimate_until_ids(wall_ids, signs, 1.0) == (0, 0)
+        assert sketch.estimate_between_ids(wall_ids, signs, 1.0, 2.0) == (0, 0)
+        for form in (CompiledTrackingForm, CompressedTrackingForm):
+            empty = form(interner, *none)
+            assert empty.integrate_between_ids(wall_ids, signs, 1.0, 2.0) == 0
+            assert empty.integrate_until_ids(wall_ids, signs, 1.0) == 0  # compiles
+
+
+# ----------------------------------------------------------------------
+# Streaming store: zone maps
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def stream_deployment():
+    network, _, workload = _deployment("organic", 12, seed=37)
+    events = sorted(workload.events(network.domain), key=lambda e: e.t)
+    batch = network.build_form(
+        EventColumns.from_events(network.domain, events)
+    )
+    return network, events, batch, workload.horizon
+
+
+class TestZoneMaps:
+    @pytest.mark.parametrize("order", ["arrival", "shuffled", "reversed"])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_block_boundaries_and_overlapping_ranges(
+        self, stream_deployment, order, compress
+    ):
+        network, events, batch, horizon = stream_deployment
+        if order == "shuffled":
+            events = list(events)
+            random.Random(3).shuffle(events)
+        elif order == "reversed":
+            events = events[::-1]
+        store = StreamingEventStore(
+            network, compact_every=200, max_blocks=3, compress=compress
+        )
+
+        def reference(n):
+            """Batch-built form over the first ``n`` arrivals."""
+            if n >= len(events) and not compress:
+                return batch
+            columns = EventColumns.from_events(network.domain, events[:n])
+            if compress:  # the store quantizes at tick_bits=0
+                columns = columns.quantized(0)
+            return network.build_form(columns)
+
+        planner = CompiledQueryPlanner(network)
+        regions = [r for r in range(network.region_count)
+                   if r != network.ext_region]
+        chains = [planner.boundary(tuple(regions[:k])) for k in (1, 3, 6)]
+        for start in range(0, len(events), 150):
+            store.append_events(events[start:start + 150])
+            zones = list(store._zones)
+            assert len(zones) == store.block_count
+            if order == "shuffled" and len(zones) > 1:
+                # Out-of-order arrivals: block ranges overlap
+                # ("reversed" keeps them disjoint but descending).
+                assert any(
+                    a[0] <= b[1] and b[0] <= a[1]
+                    for i, a in enumerate(zones) for b in zones[i + 1:]
+                )
+            edges = [t for zone in zones for t in zone]
+            edges.append(store._tail_min)
+            times = sorted(
+                {t + dt for t in edges if np.isfinite(t)
+                 for dt in (-1.0, 0.0, 1.0)}
+            ) + [0.0, horizon]
+            for chain in chains:
+                wall_ids, signs = chain.wall_ids, chain.signs
+                expected = reference(start + 150)
+                for t in times:
+                    assert store.integrate_until_ids(
+                        wall_ids, signs, t
+                    ) == expected.integrate_until_ids(wall_ids, signs, t), t
+                pairs = list(zip(times, times[1:] + times[:1]))
+                for t1, t2 in pairs[:: max(len(pairs) // 6, 1)]:
+                    t1, t2 = min(t1, t2), max(t1, t2)
+                    assert store.integrate_between_ids(
+                        wall_ids, signs, t1, t2
+                    ) == expected.integrate_between_ids(
+                        wall_ids, signs, t1, t2
+                    )
+        assert store.block_merges >= 1
+
+    def test_engine_answers_match_batch_form(self, stream_deployment):
+        network, events, batch, horizon = stream_deployment
+        shuffled = list(events)
+        random.Random(7).shuffle(shuffled)
+        store = StreamingEventStore(network, compact_every=300)
+        store.append_events(shuffled)
+        battery = _battery(network.domain, horizon, seed=53, n_boxes=8)
+        for static_eval in ("end", "min"):
+            got = QueryEngine(
+                network, store, static_eval=static_eval
+            ).execute_batch(battery)
+            want = QueryEngine(
+                network, batch, static_eval=static_eval
+            ).execute_batch(battery)
+            assert [_key(r) for r in got] == [_key(r) for r in want]
+

@@ -505,15 +505,32 @@ class TestSketch:
 # ----------------------------------------------------------------------
 # Unified storage reports
 # ----------------------------------------------------------------------
+def workload_events(network, columns, n=300):
+    """The first ``n`` columnar rows back as crossing events."""
+    edge = network.domain.edge_interner.edge
+    return [
+        CrossingEvent(*edge(int(eid))[:: 1 if d == 0 else -1], t)
+        for eid, d, t in zip(
+            columns.edge_id[:n], columns.direction[:n], columns.t[:n]
+        )
+    ]
+
+
 class TestStorageReports:
-    REQUIRED = ("store", "events", "total_bytes", "components")
+    REQUIRED = (
+        "store", "events", "total_bytes", "derived_bytes", "components"
+    )
 
     def _check(self, report):
         for key in self.REQUIRED:
             assert key in report
+        # Derived (in-memory-only) indexes sit beside the stored
+        # format, never inside it.
         assert report["total_bytes"] == sum(
             report["components"].values()
         )
+        assert isinstance(report["derived_bytes"], int)
+        assert report["derived_bytes"] >= 0
         assert all(
             isinstance(v, int) and v >= 0
             for v in report["components"].values()
@@ -535,6 +552,43 @@ class TestStorageReports:
         self._check(modeled.storage_report())
         sketch = EdgeCountSketch.from_columns(columns, bins=16)
         self._check(sketch.storage_report())
+        # Only the forms keep derived indexes: the joint row offsets,
+        # and on the succinct tier the decode directory on top.
+        for store in (full_form, modeled, sketch):
+            assert store.storage_report()["derived_bytes"] == 0
+        plain_derived = plain.storage_report()["derived_bytes"]
+        assert plain_derived == plain._rows.nbytes
+        blocks = compressed._blocks
+        assert compressed.storage_report()["derived_bytes"] == (
+            plain_derived + blocks.directory.nbytes + blocks.seg_rank.nbytes
+            + blocks.block_starts.nbytes + blocks.byte_starts.nbytes
+            + blocks.block_len.nbytes
+        )
+        streaming.append_events(workload_events(network, columns, 1000))
+        assert streaming.block_count >= 1
+        report = streaming.storage_report()
+        self._check(report)
+        assert report["derived_bytes"] == sum(
+            block.storage_report()["derived_bytes"]
+            for block in streaming._blocks
+        ) > 0
+
+    def test_framework_report_sums_derived_bytes(self, organic_domain,
+                                                 workload):
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(
+            FrameworkConfig(
+                budget=20, seed=3, compress=True, tick_bits=TICK_BITS,
+                sketch_bins=16,
+            )
+        )
+        fw.ingest_trips(workload.trips)
+        report = fw.storage_report()
+        fw.close()
+        assert len(report["stores"]) == 2
+        for key in ("total_bytes", "derived_bytes"):
+            assert report[key] == sum(r[key] for r in report["stores"])
+        assert report["derived_bytes"] > 0
 
     def test_dashboard_storage_panel(self, forms_pair):
         _, _, _, compressed = forms_pair
