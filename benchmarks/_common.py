@@ -40,8 +40,7 @@ from repro.query import RangeQuery
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: Schema version of the per-figure machine-readable records (shared
-#: with ``benchmarks/BENCH_ingest.json``).
+#: Schema version of the per-figure machine-readable records.
 RESULT_SCHEMA = 1
 
 #: Selectors compared in the multi-method figures.

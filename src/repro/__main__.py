@@ -17,11 +17,6 @@ Commands
     scatter-gather engine with per-stage latency breakdown;
     ``--flight out.json`` dumps the flight recorder's recent and
     slow-query records (promotion threshold ``--slow-ms``).
-``bench-report``
-    Aggregate the committed ``benchmarks/BENCH_*.json`` files into a
-    ``BENCH_trend.json`` history plus a markdown/HTML trend report
-    with a per-cell regression verdict (``--check`` is the CI gate;
-    ``--write`` appends a snapshot).
 ``info``
     Print the library version and the available selectors, stores and
     city generators.
@@ -509,56 +504,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.evaluation.benchtrend import (
-        build_trend,
-        render_html,
-        render_markdown,
-    )
-
-    trend_path = (
-        args.trend
-        if args.trend is not None
-        else args.bench_dir / "BENCH_trend.json"
-    )
-    report = build_trend(
-        args.bench_dir,
-        trend_path,
-        tolerance=args.tolerance,
-        write=args.write,
-    )
-    if args.check and not report["cells"]:
-        # A wrong --bench-dir must not read as "no regressions".
-        log.error(f"bench-report: no BENCH_*.json cells found under "
-                  f"{args.bench_dir} — nothing to gate")
-        return 1
-    print(render_markdown(report))
-    if args.markdown is not None:
-        args.markdown.parent.mkdir(parents=True, exist_ok=True)
-        args.markdown.write_text(render_markdown(report) + "\n")
-        log.info(f"bench-report: wrote {args.markdown}")
-    if args.html is not None:
-        args.html.parent.mkdir(parents=True, exist_ok=True)
-        args.html.write_text(render_html(report))
-        log.info(f"bench-report: wrote {args.html}")
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-        log.info(f"bench-report: wrote {args.json}")
-    if args.write:
-        log.info(f"bench-report: snapshot #{report['snapshot_count']} "
-                 f"-> {trend_path}")
-    if args.check and report["regressed"]:
-        log.error(f"bench-report: {len(report['regressed'])} cell(s) "
-                  f"regressed beyond {args.tolerance:.0%}: "
-                  + ", ".join(report["regressed"]))
-        return 1
-    return 0
-
-
 def _cmd_city(args: argparse.Namespace) -> int:
     from repro.mobility import (
         grid_city,
@@ -745,42 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "faults, EXPLAIN consistency) and exit "
                               "non-zero on failure")
     monitor.set_defaults(handler=_cmd_monitor)
-
-    from pathlib import Path
-
-    from repro.evaluation.benchtrend import DEFAULT_TOLERANCE
-
-    bench_report = commands.add_parser(
-        "bench-report",
-        help="aggregate the committed benchmarks/BENCH_*.json files "
-             "into a BENCH_trend.json history + trend report with "
-             "per-cell regression verdicts",
-    )
-    bench_report.add_argument("--bench-dir", type=Path,
-                              default=Path("benchmarks"),
-                              help="directory holding BENCH_*.json "
-                                   "(default: ./benchmarks)")
-    bench_report.add_argument("--trend", type=Path, default=None,
-                              help="trend history file (default: "
-                                   "<bench-dir>/BENCH_trend.json)")
-    bench_report.add_argument("--tolerance", type=float,
-                              default=DEFAULT_TOLERANCE,
-                              help="relative worsening tolerated before "
-                                   "a cell counts as regressed "
-                                   "(default %(default)s)")
-    bench_report.add_argument("--write", action="store_true",
-                              help="append the current cells as a new "
-                                   "trend snapshot")
-    bench_report.add_argument("--check", action="store_true",
-                              help="exit 1 if any tracked cell regressed "
-                                   "vs the last snapshot")
-    bench_report.add_argument("--markdown", type=Path, default=None,
-                              help="write the markdown report here")
-    bench_report.add_argument("--html", type=Path, default=None,
-                              help="write the HTML report here")
-    bench_report.add_argument("--json", type=Path, default=None,
-                              help="write the full verdicts object here")
-    bench_report.set_defaults(handler=_cmd_bench_report)
 
     city = commands.add_parser("city", help="generate a synthetic city map")
     city.add_argument("output", help="output JSON path")

@@ -400,22 +400,8 @@ class EvalReport:
     miss_rate: float
     nodes_accessed: Summary
     edges_accessed: Summary
-    elapsed: Summary
-    exact_elapsed: Summary
     exact_nodes: Summary
     n_queries: int
-
-    @property
-    def speedup(self) -> float:
-        if self.elapsed.mean and self.elapsed.count:
-            return self.exact_elapsed.mean / self.elapsed.mean
-        return float("nan")
-
-    @property
-    def node_access_reduction(self) -> float:
-        if self.exact_nodes.mean and self.nodes_accessed.count:
-            return 1.0 - self.nodes_accessed.mean / self.exact_nodes.mean
-        return float("nan")
 
 
 def evaluate(
@@ -470,20 +456,16 @@ def evaluate(
     ratios: List[float] = []
     nodes: List[float] = []
     edges: List[float] = []
-    elapsed: List[float] = []
-    exact_elapsed: List[float] = []
     exact_nodes: List[float] = []
     misses = 0
     for query, result in zip(queries, results):
         reference = pipeline.exact(query)
-        exact_elapsed.append(reference.elapsed)
         exact_nodes.append(reference.nodes_accessed)
         if result.missed:
             misses += 1
             continue
         nodes.append(result.nodes_accessed)
         edges.append(result.edges_accessed)
-        elapsed.append(result.elapsed)
         err = relative_error(reference.value, result.value)
         if err is not None:
             errors.append(err)
@@ -497,8 +479,6 @@ def evaluate(
         miss_rate=misses / max(len(queries), 1),
         nodes_accessed=Summary.of(nodes),
         edges_accessed=Summary.of(edges),
-        elapsed=Summary.of(elapsed),
-        exact_elapsed=Summary.of(exact_elapsed),
         exact_nodes=Summary.of(exact_nodes),
         n_queries=len(queries),
     )

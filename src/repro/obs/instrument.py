@@ -5,8 +5,10 @@
 :class:`repro.network.NetworkSimulator` accept: a tracer, a metrics
 registry, and a provenance switch.  The default (:data:`NULL_INSTRUMENTATION`)
 is a no-op recorder — a shared null tracer, the null registry, and
-provenance off — whose overhead budget is ≤5% on the ingest smoke
-bench (enforced by ``benchmarks/bench_ingest_throughput.py --smoke``).
+provenance off.  It is the bundle every untraced run of the end-to-end
+benchmark (``BENCHMARK.json``) deploys with, so its cost is inside each
+end-to-end metric there; what a live bundle adds on the hot path is that
+benchmark's ``obs.overhead_pct`` on ``dashboard_hot`` (budget ≤5%).
 
 ``Instrumentation.on()`` builds a live bundle: a fresh
 :class:`~repro.obs.trace.Tracer` plus (by default) the process-global

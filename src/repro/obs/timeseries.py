@@ -22,9 +22,8 @@ whole window as a JSON-safe dict for results files and the HTML
 dashboard.
 
 Sampling cost is one pass over the registry's instruments per tick —
-independent of how many events/queries ran between ticks — which is
-how the monitor keeps its overhead inside the ≤5% CI budget
-(``benchmarks/bench_monitor_overhead.py``).
+independent of how many events/queries ran between ticks
+(``tests/test_telemetry.py`` counts the entries a tick visits).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ CEILINGS = {
     "query": 1700,
     "obs": 2600,
     "forms": 1200,
-    "evaluation": 1100,
+    "evaluation": 800,
     "planar": 800,
     "network": 750,
     "sampling": 700,

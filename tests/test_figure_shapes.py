@@ -112,11 +112,23 @@ class TestFig11cdShape:
             )
 
     def test_sampled_queries_faster(self, p, queries):
+        """Like for like: both sides through ``execute`` on warmed
+        stores.  Two untimed passes take every chain past its first
+        touch and its compile whatever earlier tests did to the shared
+        pipeline's forms; the best of three more is compared."""
         m = p.budget_for_fraction(0.25)
-        engine = p.engine(p.network("quadtree", m, seed=2))
-        report = evaluate(p, engine.execute, queries)
-        if report.elapsed.count:
-            assert report.speedup > 1.0
+        sampled = p.engine(p.network("quadtree", m, seed=2))
+        answered = [q for q in queries if not sampled.execute(q).missed]
+
+        def warmed_s(engine):
+            passes = [
+                [engine.execute(q).elapsed for q in answered]
+                for _ in range(5)
+            ]
+            return sum(min(per_query) for per_query in zip(*passes[2:]))
+
+        if answered:
+            assert warmed_s(p.exact_engine) > warmed_s(sampled)
 
 
 class TestStorageShape:

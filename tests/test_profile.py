@@ -1,4 +1,4 @@
-"""Continuous profiling layer and benchmark-trend tracker.
+"""Continuous profiling layer.
 
 Covers:
 
@@ -15,10 +15,7 @@ Covers:
 - engine integration: ``explain()`` per-stage self time, slow flight
   records carrying ``peak_rss_bytes``/``alloc_peak_bytes`` and the
   profile slice, sharded workers shipping their stack tables home
-  under the grafted ``worker.run`` span paths;
-- the benchmark-trend tracker (:mod:`repro.evaluation.benchtrend`):
-  direction classification, per-cell verdicts, snapshot history and
-  the deterministic ``--check`` gate.
+  under the grafted ``worker.run`` span paths.
 """
 
 from __future__ import annotations
@@ -34,15 +31,6 @@ import pytest
 
 from repro.core import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError
-from repro.evaluation.benchtrend import (
-    build_trend,
-    classify,
-    collect_cells,
-    compare,
-    flatten_bench,
-    render_html,
-    render_markdown,
-)
 from repro.geometry import BBox
 from repro.mobility import grid_city
 from repro.obs import (
@@ -501,143 +489,6 @@ class TestFrameworkIntegration:
             assert worker_paths  # anchor sample guarantees >= 1
         finally:
             framework.close()
-
-
-# ----------------------------------------------------------------------
-# Benchmark-trend tracker
-# ----------------------------------------------------------------------
-class TestBenchTrend:
-    def test_classify_directions(self):
-        assert classify("query:entries.x.queries_per_s") == "higher"
-        assert classify("ingest:entries.x.speedup") == "higher"
-        assert classify("storage:entries.x.ratio") == "higher"
-        assert classify("storage:entries.x.containment") == "higher"
-        assert classify("query:entries.x.batch_s") == "lower"
-        assert classify("storage:entries.x.total_bytes") == "lower"
-        assert classify("monitor:entry.overhead") == "lower"
-        # the trap: latency_ratio must NOT hit the "ratio" rule
-        assert classify("storage:entries.x.latency_ratio") == "lower"
-        assert classify("ingest:schema") == "info"
-        assert classify("stream:entries.x.n_events") == "info"
-        assert classify("monitor:entry.profile_hz") == "info"
-
-    def test_flatten_skips_booleans_and_strings(self):
-        cells = flatten_bench(
-            "BENCH_x.json",
-            {"a": {"b": 1.5, "flag": True, "name": "s"}, "c": 2},
-        )
-        assert cells == {"x:a.b": 1.5, "x:c": 2.0}
-
-    def test_compare_verdicts(self):
-        previous = {
-            "b:x.queries_per_s": 100.0,
-            "b:x.batch_s": 1.0,
-            "b:x.gone_s": 5.0,
-        }
-        current = {
-            "b:x.queries_per_s": 60.0,   # -40% throughput: regressed
-            "b:x.batch_s": 1.1,          # +10% wall: within tolerance
-            "b:x.fresh_s": 2.0,          # new cell
-            "b:x.n_events": 10.0,        # info
-        }
-        verdicts = compare(current, previous, tolerance=0.25)
-        assert verdicts["b:x.queries_per_s"]["verdict"] == "regressed"
-        assert verdicts["b:x.batch_s"]["verdict"] == "ok"
-        assert verdicts["b:x.fresh_s"]["verdict"] == "new"
-        assert verdicts["b:x.n_events"]["verdict"] == "info"
-        assert verdicts["b:x.gone_s"]["verdict"] == "removed"
-        assert verdicts["b:x.queries_per_s"]["change"] == pytest.approx(
-            -0.4
-        )
-
-    def test_compare_better_direction_aware(self):
-        previous = {"b:x.queries_per_s": 100.0, "b:x.batch_s": 1.0}
-        current = {"b:x.queries_per_s": 150.0, "b:x.batch_s": 0.5}
-        verdicts = compare(current, previous, tolerance=0.25)
-        assert verdicts["b:x.queries_per_s"]["verdict"] == "better"
-        assert verdicts["b:x.batch_s"]["verdict"] == "better"
-
-    def test_lower_metric_regression(self):
-        previous = {"b:x.batch_s": 1.0}
-        current = {"b:x.batch_s": 1.5}
-        verdicts = compare(current, previous, tolerance=0.25)
-        assert verdicts["b:x.batch_s"]["verdict"] == "regressed"
-
-    def _bench_dir(self, tmp_path, qps: float):
-        bench_dir = tmp_path / "benchmarks"
-        bench_dir.mkdir(exist_ok=True)
-        (bench_dir / "BENCH_query.json").write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "entries": {
-                        "smoke": {"cells": {
-                            "compiled/batch": {"queries_per_s": qps}
-                        }}
-                    },
-                }
-            )
-        )
-        return bench_dir
-
-    def test_trend_write_then_check_round_trip(self, tmp_path):
-        bench_dir = self._bench_dir(tmp_path, qps=30_000.0)
-        trend_path = bench_dir / "BENCH_trend.json"
-
-        # first run: every tracked cell is new, nothing regressed
-        report = build_trend(bench_dir, trend_path, write=True)
-        assert report["regressed"] == []
-        assert report["snapshot_count"] == 1
-        assert trend_path.exists()
-        cell = "query:entries.smoke.cells.compiled/batch.queries_per_s"
-        assert report["verdicts"][cell]["verdict"] == "new"
-
-        # same numbers re-checked: ok, deterministic
-        report = build_trend(bench_dir, trend_path, write=False)
-        assert report["verdicts"][cell]["verdict"] == "ok"
-        assert report["regressed"] == []
-
-        # committed collapse: the gate fires
-        self._bench_dir(tmp_path, qps=10_000.0)
-        report = build_trend(bench_dir, trend_path, write=False)
-        assert report["regressed"] == [cell]
-        assert report["verdicts"][cell]["verdict"] == "regressed"
-
-        # accepting it = --write: a matching snapshot clears the gate
-        report = build_trend(bench_dir, trend_path, write=True)
-        assert report["snapshot_count"] == 2
-        report = build_trend(bench_dir, trend_path, write=False)
-        assert report["regressed"] == []
-
-    def test_reports_render(self, tmp_path):
-        bench_dir = self._bench_dir(tmp_path, qps=30_000.0)
-        trend_path = bench_dir / "BENCH_trend.json"
-        build_trend(bench_dir, trend_path, write=True)
-        self._bench_dir(tmp_path, qps=10_000.0)
-        report = build_trend(bench_dir, trend_path, write=False)
-        markdown = render_markdown(report)
-        assert "## Regressions" in markdown
-        assert "queries_per_s" in markdown
-        html_page = render_html(report)
-        assert "regressed" in html_page
-        assert "<table>" in html_page
-
-    def test_committed_trend_covers_all_bench_files(self):
-        """The repo's own BENCH_trend.json must track every committed
-        BENCH file, and the committed numbers must pass the gate."""
-        bench_dir = (
-            __import__("pathlib").Path(__file__).resolve().parents[1]
-            / "benchmarks"
-        )
-        trend_path = bench_dir / "BENCH_trend.json"
-        assert trend_path.exists(), "BENCH_trend.json not committed"
-        cells = collect_cells(bench_dir)
-        prefixes = {cell.split(":", 1)[0] for cell in cells}
-        assert prefixes == {
-            "ingest", "query", "stream", "storage", "monitor"
-        }
-        report = build_trend(bench_dir, trend_path, write=False)
-        assert report["regressed"] == []
 
 
 # ----------------------------------------------------------------------

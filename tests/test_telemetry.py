@@ -189,6 +189,52 @@ class TestTimeSeriesRecorder:
         sample = recorder.sample()
         assert sample.totals == {'stub_total{kind="x"}': 3}
 
+    def test_tick_cost_is_the_instrument_count_not_the_traffic(
+        self, clock, sampled_net, sampled_form, workload
+    ):
+        """Queries that register no new instrument leave the cached
+        views in place, and a tick reads one entry per instrument."""
+        query = RangeQuery(BBox(2, 2, 8, 8), 0.0, 0.5 * workload.horizon)
+
+        def views(recorder):
+            return (
+                recorder._counter_view,
+                recorder._gauge_view,
+                recorder._hist_view,
+            )
+
+        with use_registry() as registry:
+
+            def instruments():
+                return [
+                    len(list(family()))
+                    for family in (
+                        registry.iter_counters,
+                        registry.iter_gauges,
+                        registry.iter_histograms,
+                    )
+                ]
+
+            engine = QueryEngine(sampled_net, sampled_form)
+            recorder = TimeSeriesRecorder(registry, clock=clock)
+            for _ in range(3):  # first touch, compile, hit: all series bound
+                engine.execute(query)
+            recorder.sample()
+            cached = views(recorder)
+            before = instruments()
+            clock.t = 1.0
+            for _ in range(50):
+                engine.execute(query)
+            taken = recorder.sample()
+            assert instruments() == before
+        assert recorder.delta("repro_queries_total") == 50
+        assert all(a is b for a, b in zip(views(recorder), cached))
+        assert [len(view) for view in cached] == before
+        assert [
+            len(taken.totals), len(taken.gauges), len(taken.hist_counts)
+        ] == before
+        assert len(taken.quantiles) == before[2] * len(recorder.quantiles)
+
 
 # ----------------------------------------------------------------------
 # SLOs, error budgets and alerts
