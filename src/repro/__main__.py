@@ -136,6 +136,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                  f"{store.block_count} blocks x {store.block_events} "
                  f"events, {store.compactions} compactions, "
                  f"{store.block_merges} merges, "
+                 f"rewritten {store.rewritten_events} / observed "
+                 f"{store.observed_total} = "
+                 f"{store.rewritten_events / max(store.observed_total, 1):.2f}, "
                  f"generation {store.generation}")
         if monitor is not None:
             live = monitor.count("center")

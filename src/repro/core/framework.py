@@ -265,7 +265,7 @@ class InNetworkFramework:
         the cumulative event list.  With ``streaming=True`` the events
         are appended to the live
         :class:`~repro.stream.StreamingEventStore` — the query indexes
-        update incrementally (tail fold, periodic compaction), the
+        update incrementally (tail append, periodic compaction), the
         cached sharded engine is invalidated, and the full reference
         form is merely marked dirty (rebuilt lazily by
         :meth:`query_exact`).

@@ -134,7 +134,7 @@ class CompiledTrackingForm:
         self._rows = _joint_rows(offsets)
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (the streaming ingest path)
+    # Incremental maintenance
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
@@ -159,8 +159,9 @@ class CompiledTrackingForm:
         Per direction the incoming ``(edge_id, t)`` rows are merged
         with the existing grouped-by-edge sorted segments by one
         ``np.lexsort`` over the concatenated arrays — O((n+m) log(n+m))
-        per call, which is why the streaming store batches appends into
-        compaction-sized chunks rather than calling this per event.
+        per call, so batch the rows rather than calling this per event.
+        (The streaming store does not come through here: it never
+        mutates a block, it builds a merged one beside its inputs.)
 
         Appending **invalidates every compiled boundary chain**: the
         merged signed prefix-sum series cached in the LRU bake the
@@ -493,7 +494,7 @@ class CompiledTrackingForm:
 
         Fixed widths (int32 ids, int8 signs) before hashing, so the
         digest — and every downstream consumer of it (boundary LRU,
-        seen-once set, flight digests, streaming chain decode) — is
+        seen-once set, flight digests) — is
         identical regardless of the width the caller's platform
         promoted to.  No per-edge tuple hashing: a repeated chain costs
         two ``tobytes`` calls and one dict hit.

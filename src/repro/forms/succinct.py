@@ -307,8 +307,7 @@ class CompressedTrackingForm(CompiledTrackingForm):
         """Merge new events: decode, lexsort-merge, re-encode.
 
         Same contract as the parent (boundary cache cleared,
-        generation bumped); streaming compaction batches appends so
-        the full decode/re-encode cycle amortises.
+        generation bumped); one full decode/re-encode cycle per call.
         """
         return super().append_events(
             edge_id, direction, quantize_times(t, self._tick_bits)

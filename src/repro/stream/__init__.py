@@ -4,10 +4,11 @@ form maintenance (system S12).
 The paper's motivating workload (Fig. 1 cell-tower load balancing) is a
 *live stream* of edge-crossing events; this package provides the
 append-only path the batch ``columnarize → build_form`` pipeline lacks:
-an LSM-style :class:`StreamingEventStore` keeping a mutable in-memory
-tail of recent crossings plus periodically compacted, immutable
-CSR-columnar blocks, so queries stay exact at every instant without a
-full rebuild per append.
+an LSM-style :class:`StreamingEventStore` keeping one columnar
+in-memory tail of recent crossings beside immutable CSR-columnar
+blocks, compacted from it and merged by size tier, so queries stay
+exact at every instant without a full rebuild per append and an event
+is rewritten only logarithmically often.
 """
 
 from .store import (

@@ -6,14 +6,27 @@ event extraction, full-network ingestion) are built once.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.forms import TrackingForm
 from repro.mobility import MobilityDomain, grid_city, organic_city
 from repro.sampling import full_network, sampled_network
 from repro.selection import QuadTreeSelector, SensorCandidates
 from repro.trajectories import WorkloadConfig, generate_workload, ingest
+
+# Hypothesis profiles, selected by HYPOTHESIS_PROFILE: "dev" explores
+# with fresh randomness; "ci" replays the same examples on every run
+# and has no deadline, so a slow shared runner cannot flake a generated
+# test, and prints the reproduction blob of any failure.
+settings.register_profile("dev")
+settings.register_profile(
+    "ci", derandomize=True, deadline=None, print_blob=True
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -64,6 +66,21 @@ class TestExecution:
         assert "deployed:" in out
         assert "ingested:" in out
         assert "query @18:00" in out or "missed" in out
+
+    def test_stream_demo_prints_write_amplification(self, capsys):
+        """The layout line CI's *Streaming demo* step parses."""
+        assert main(["demo", "--blocks", "60", "--trips", "200",
+                     "--fraction", "0.4", "--seed", "1", "--stream",
+                     "--compact-every", "256"]) == 0
+        layout = re.search(
+            r"stream layout: .* (\d+) compactions, .*"
+            r"rewritten (\d+) / observed (\d+) = ([\d.]+),",
+            capsys.readouterr().out,
+        )
+        compactions, rewritten, observed = map(int, layout.groups()[:3])
+        assert compactions >= 2
+        assert float(layout.group(4)) == round(rewritten / observed, 2)
+        assert rewritten / observed <= 2 + math.log2(compactions)
 
     def test_demo_with_learned_store(self, capsys):
         assert main(["demo", "--blocks", "60", "--trips", "200",

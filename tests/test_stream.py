@@ -4,8 +4,11 @@ appends, and the stale-cache/consistency sweep.
 Covers:
 
 - :class:`repro.stream.StreamingEventStore` unit behaviour (wall
-  filtering, generation bumps, auto-compaction, bounded block merges,
+  filtering, generation bumps, auto-compaction, tiered block merges
+  under the ``max_blocks`` cap, write amplification as a count,
   snapshot round-trip, closed-store guards);
+- build-then-swap under injected failures: a merge that raises and a
+  ``built`` listener that raises lose nothing;
 - the :meth:`repro.forms.CompiledTrackingForm.append_events` stale
   boundary-LRU regression (pre-PR the class had no append path and the
   compiled-boundary cache could never be invalidated on mutation);
@@ -21,6 +24,7 @@ Covers:
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -148,12 +152,43 @@ class TestStreamingEventStore:
         store = StreamingEventStore(
             sampled_net, compact_every=64, max_blocks=2
         )
-        replay(store, events, batch=64)
-        assert store.block_count <= 2
+        for window in _chunks(events, 64):
+            store.append_events(window)
+            # The cap is hard: it holds after every append, whatever
+            # the tiers of the blocks it forces together.
+            assert store.block_count <= 2
         assert store.block_merges > 0
         edge = next(iter(store.edges()))
         assert store.net_until(edge, HORIZON) == (
             sampled_form.net_until(edge, HORIZON)
+        )
+
+    @pytest.mark.parametrize("compactions", [8, 47, 200])
+    def test_write_amplification_is_logarithmic(
+        self, sampled_net, events, compactions
+    ):
+        """Equal-tier merging is a binary counter: after ``k``
+        compactions an event has been written at most ``2 + log2 k``
+        times (merging into the predecessor wrote it ~``k / 2`` times)
+        and one block per set bit of ``k`` is live.  Counted by the
+        store itself, at fixed windows — not timed."""
+        window = 8
+        observed = sampled_net.observed_events(events)
+        assert len(observed) >= compactions * window
+        store = StreamingEventStore(sampled_net, compact_every=window)
+        replay(store, observed[:compactions * window])
+        layout = store.describe()
+        assert layout["compactions"] == compactions
+        assert layout["tail_events"] == 0
+        assert layout["rewritten_events"] == window * sum(
+            (compactions >> tier) << tier
+            for tier in range(compactions.bit_length())
+        )
+        assert layout["rewritten_events"] / layout["observed_total"] <= (
+            2 + math.log2(compactions)
+        )
+        assert store.block_count == bin(compactions).count("1") <= min(
+            store.max_blocks, math.floor(math.log2(compactions)) + 1
         )
 
     def test_compact_empty_tail_is_noop(self, sampled_net):
@@ -206,7 +241,103 @@ class TestStreamingEventStore:
         layout = store.describe()
         assert layout["observed_total"] == store.observed_total
         assert layout["blocks"] == store.block_count
+        assert layout["rewritten_events"] >= layout["block_events"]
         assert "generation" in repr(store) or "tail" in repr(store)
+
+
+# ----------------------------------------------------------------------
+# Build-then-swap under injected failures
+# ----------------------------------------------------------------------
+class TestCompactionFailures:
+    """A block build or a listener that raises leaves the old layout
+    whole: nothing lost, nothing counted twice, the next compaction
+    succeeds."""
+
+    @staticmethod
+    def _agrees(store, network, accepted):
+        oracle = network.build_form(accepted)
+        assert store.observed_total == len(accepted)
+        assert store.tail_events + store.block_events == len(accepted)
+        regions = [
+            r for r in range(network.region_count)
+            if r != network.ext_region
+        ]
+        boundary = network.region_boundary(regions[:4])
+        for t in (HORIZON * 0.3, HORIZON * 0.6, HORIZON):
+            assert store.integrate_until(boundary, t) == (
+                oracle.integrate_until(boundary, t)
+            )
+            for edge in list(oracle.edges())[:8]:
+                assert store.net_until(edge, t) == oracle.net_until(edge, t)
+
+    @pytest.mark.parametrize("max_blocks", [1, 8])
+    def test_merge_that_raises_loses_nothing(
+        self, sampled_net, events, monkeypatch, max_blocks
+    ):
+        """The merge of the second compaction is due by the cap
+        (``max_blocks=1``) or by the tier rule (two tier-0 blocks)."""
+        observed = sampled_net.observed_events(events)[:300]
+        store = StreamingEventStore(
+            sampled_net, compact_every=10**9, max_blocks=max_blocks
+        )
+        phases = []
+        store.on_compact(lambda s, phase: phases.append(phase))
+        store.append_events(observed[:100])
+        assert store.compact() is True
+        store.append_events(observed[100:200])
+
+        real = CompiledTrackingForm.to_columns
+        failures = []
+
+        def flaky(form, *args):
+            if not failures:
+                failures.append(form)
+                raise RuntimeError("injected merge failure")
+            return real(form, *args)
+
+        monkeypatch.setattr(CompiledTrackingForm, "to_columns", flaky)
+        generation = store.generation
+        with pytest.raises(RuntimeError, match="injected"):
+            store.compact()
+        # The tail block went in; its merge did not happen — both
+        # inputs still serve, and the compaction was announced.
+        assert len(failures) == 1
+        assert (store.tail_events, store.block_count) == (0, 2)
+        assert (store.compactions, store.block_merges) == (2, 0)
+        assert store.generation == generation + 1
+        assert phases == ["built", "swapped"] * 2
+        self._agrees(store, sampled_net, observed[:200])
+
+        store.append_events(observed[200:])
+        assert store.compact() is True  # merges what was left over, too
+        assert (store.block_count, store.block_merges) == (1, 2)
+        self._agrees(store, sampled_net, observed)
+
+    def test_built_listener_that_raises_loses_nothing(
+        self, sampled_net, events
+    ):
+        observed = sampled_net.observed_events(events)[:200]
+        store = StreamingEventStore(sampled_net, compact_every=10**9)
+        store.append_events(observed)
+        fired = []
+
+        def listener(s, phase):
+            fired.append(phase)
+            if fired == ["built"]:
+                raise RuntimeError("injected listener failure")
+
+        store.on_compact(listener)
+        generation = store.generation
+        with pytest.raises(RuntimeError, match="injected"):
+            store.compact()
+        assert (store.tail_events, store.block_count) == (200, 0)
+        assert (store.compactions, store.generation) == (0, generation)
+        self._agrees(store, sampled_net, observed)
+
+        assert store.compact() is True
+        assert fired == ["built", "built", "swapped"]
+        assert (store.tail_events, store.block_count) == (0, 1)
+        self._agrees(store, sampled_net, observed)
 
 
 # ----------------------------------------------------------------------
