@@ -21,7 +21,7 @@ from __future__ import annotations
 from _common import N_QUERIES, emit, pipeline
 from repro.evaluation import format_table
 from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
-from repro.obs import Instrumentation, NULL_REGISTRY, NULL_TRACER
+from repro.obs import Instrumentation, NULL_TRACER
 from repro.query import QueryEngine
 
 SAMPLED_SIZE = 0.064
@@ -34,11 +34,12 @@ HEADERS = (
     "speedup vs G",
 )
 
-#: Provenance-only bundle: no spans, no metrics — just the measured
-#: per-query internals attached to each result.
-PROVENANCE_ONLY = Instrumentation(
-    tracer=NULL_TRACER, metrics=NULL_REGISTRY, provenance=True
-)
+#: Provenance-only bundle: no spans — just the measured per-query
+#: internals attached to each result.  It isolates nothing else: the
+#: engines count into the process-global metrics registry like every
+#: other component, and ``emit`` snapshots that registry into the
+#: figure's JSON record.
+PROVENANCE_ONLY = Instrumentation(tracer=NULL_TRACER, provenance=True)
 
 
 def _measured(engine, queries, repeats: int = 5):

@@ -64,7 +64,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import FrameworkConfig, InNetworkFramework
     from repro.geometry import BBox
     from repro.mobility import organic_city
-    from repro.obs import Instrumentation, MetricsRegistry, kv, set_registry
+    from repro.obs import (
+        Instrumentation,
+        MetricsRegistry,
+        get_registry,
+        kv,
+        set_registry,
+    )
     from repro.trajectories import WorkloadConfig, generate_workload
 
     instrumented = bool(args.trace or args.metrics or args.profile)
@@ -251,7 +257,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             log.debug("span tree:\n%s", obs.tracer.format_tree())
         if args.metrics:
             with open(args.metrics, "w") as handle:
-                handle.write(obs.metrics.to_prometheus())
+                handle.write(get_registry().to_prometheus())
             log.info(f"metrics: wrote {args.metrics}")
     if args.flight:
         flight = framework.flight_log()
@@ -294,9 +300,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.obs import Tracer as _Tracer
 
     tracer = _Tracer() if args.profile else NULL_TRACER
-    obs = Instrumentation(
-        tracer=tracer, metrics=registry, provenance=True
-    )
+    obs = Instrumentation(tracer=tracer, provenance=True)
 
     rng = np.random.default_rng(args.seed)
     road = organic_city(blocks=args.blocks, rng=rng)

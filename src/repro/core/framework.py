@@ -16,7 +16,7 @@ full reference network, so callers can ask for the exact answer too
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -62,7 +62,13 @@ from ..selection import (
     SystematicSelector,
     UniformSelector,
 )
-from ..trajectories import CrossingEvent, EventColumns, Trip, all_events
+from ..trajectories import (
+    CrossingEvent,
+    EventColumns,
+    Trip,
+    all_events,
+    columnarize,
+)
 from .config import FrameworkConfig
 
 _MODEL_FACTORIES = {
@@ -99,20 +105,20 @@ class InNetworkFramework:
         self.domain = domain
         self.config: Optional[FrameworkConfig] = None
         self.network: Optional[SensorNetwork] = None
-        self._events: List[CrossingEvent] = []
+        #: Everything ingested so far, as time-sorted windows with
+        #: their raw timestamps (one empty window to begin with).
+        #: :meth:`_log_columns` merges them into one when a reader
+        #: wants the whole log.
+        self._log: List[EventColumns] = [columnarize(domain, ())]
         self._form: Optional[TrackingForm] = None
+        #: The exact reference form; ``None`` also after a streaming
+        #: append left it stale (``query_exact`` rebuilds it).
         self._full_form: Optional[TrackingForm] = None
         self._store: Optional[EdgeCountStore] = None
-        self._columns: Optional[EventColumns] = None
         self._sharded: Optional[ShardedQueryEngine] = None
         self._streaming: Optional[StreamingEventStore] = None
         self._sketch = None
         self._closed = False
-        #: Dirty flags of the streaming path: appends leave the full
-        #: reference form and the columnar snapshot stale; both are
-        #: rebuilt lazily on first use instead of per arrival window.
-        self._full_dirty = False
-        self._columns_dirty = False
         with self.obs.tracer.span("deploy.full_reference_network"):
             self._full = full_network(domain)
         self._query_history: List[Set[NodeId]] = []
@@ -245,7 +251,7 @@ class InNetworkFramework:
             self._streaming = None
             self._sketch = None
             self._drop_sharded()
-            if self._events or config.streaming:
+            if config.streaming or self._logged_events():
                 self._rebuild_stores()
         return network
 
@@ -258,37 +264,45 @@ class InNetworkFramework:
             events = all_events(self.domain, trips)
         return self.ingest_events(events)
 
-    def ingest_events(self, events: Iterable[CrossingEvent]) -> int:
+    def ingest_events(
+        self, events: Union[EventColumns, Iterable[CrossingEvent]]
+    ) -> int:
         """Ingest an anonymous crossing-event stream.
 
-        With a batch deployment every ingest rebuilds the stores from
-        the cumulative event list.  With ``streaming=True`` the events
-        are appended to the live
+        One path for every deployment::
+
+            events --EventColumns.from_events--> window --+--> log
+              (the only interning site)                   +--> store
+
+        The window (events in any order, or ready-made
+        :class:`~repro.trajectories.EventColumns`) is converted once
+        and joins the log.  A batch deployment then rebuilds its
+        stores from the whole log; with ``streaming=True`` the same
+        columns are appended to the live
         :class:`~repro.stream.StreamingEventStore` — the query indexes
         update incrementally (tail append, periodic compaction), the
         cached sharded engine is invalidated, and the full reference
-        form is merely marked dirty (rebuilt lazily by
-        :meth:`query_exact`).
+        form is left stale (rebuilt lazily by :meth:`query_exact`).
         """
         self._guard_open()
-        events = list(events)
-        with self.obs.tracer.span("ingest", events=len(events)):
-            self._events.extend(events)
+        tracer = self.obs.tracer
+        with tracer.span("ingest") as span:
+            with tracer.span("ingest.columnarize"):
+                window = columnarize(self.domain, events)
+            span.set(events=len(window))
+            self._log.append(window)
             if self._streaming is not None:
-                with self.obs.tracer.span(
-                    "ingest.stream_append", events=len(events)
-                ):
-                    self._streaming.append_events(events)
+                with tracer.span("ingest.stream_append", events=len(window)):
+                    self._streaming.append_events(window)
                 self._drop_sharded()
-                self._full_dirty = True
-                self._columns_dirty = True
+                self._full_form = None
             else:
                 self._rebuild_stores()
         get_registry().counter(
             "repro_events_ingested_total",
             help="Crossing events ingested by the framework",
-        ).inc(len(events))
-        return len(events)
+        ).inc(len(window))
+        return len(window)
 
     def _ensure_profiler(self, config: FrameworkConfig) -> None:
         """Start (or stop) the continuous profiler to match the config.
@@ -315,9 +329,7 @@ class InNetworkFramework:
         if profiler is not None:
             profiler.stop()
         if self.obs is NULL_INSTRUMENTATION:
-            self.obs = Instrumentation(
-                tracer=Tracer(), metrics=get_registry(), provenance=False
-            )
+            self.obs = Instrumentation(tracer=Tracer(), provenance=False)
         self.obs.profiler = Profiler(
             tracer=self.obs.tracer,
             hz=config.profile_hz,
@@ -344,20 +356,24 @@ class InNetworkFramework:
                 "framework is closed; create a new InNetworkFramework"
             )
 
-    def _columnarize(self) -> EventColumns:
-        """Columnarise the cumulative event list, applying the
-        succinct tier's ingest-boundary quantization when deployed
-        with ``compress=True``.
+    def _logged_events(self) -> int:
+        return sum(map(len, self._log))
 
-        Quantizing *here* — once, before any store is built — is what
-        makes compressed and uncompressed paths byte-identical: the
-        sampled form, the full reference form, the sharded partitions
-        and ``query_exact`` all see the same (quantized) multiset.
+    def _log_columns(self) -> EventColumns:
+        """The whole log as one time-sorted stream (the windows since
+        the last call are merged in, once), with the succinct tier's
+        ingest-boundary quantization when deployed with
+        ``compress=True``.
+
+        Quantizing *here* — on read, before any store is built, never
+        in the log — is what makes compressed and uncompressed paths
+        byte-identical: the sampled form, the full reference form, the
+        sharded partitions and ``query_exact`` all see the same
+        (quantized) multiset, and a re-deploy may flip ``compress``.
         """
-        with self.obs.tracer.span(
-            "ingest.columnarize", events=len(self._events)
-        ):
-            columns = EventColumns.from_events(self.domain, self._events)
+        if len(self._log) > 1:
+            self._log = [EventColumns.concat(self._log)]
+        columns = self._log[0]
         if self.config is not None and self.config.compress:
             columns = columns.quantized(self.config.tick_bits)
         return columns
@@ -365,12 +381,9 @@ class InNetworkFramework:
     def _rebuild_stores(self) -> None:
         tracer = self.obs.tracer
         self._drop_sharded()
-        columns = self._columnarize()
-        self._columns = columns
-        self._columns_dirty = False
+        columns = self._log_columns()
         with tracer.span("ingest.build_form", network="full"):
             self._full_form = self._full.build_form(columns)
-        self._full_dirty = False
         if self.network is None:
             return
         config = self.config
@@ -381,24 +394,19 @@ class InNetworkFramework:
             ):
                 from ..forms import EdgeCountSketch
 
-                observed = columns.filter_edges(
-                    self.network._wall_lookup()
-                )
                 self._sketch = EdgeCountSketch.from_columns(
-                    observed, bins=config.sketch_bins
+                    self.network.observed_columns(columns),
+                    bins=config.sketch_bins,
                 )
         if config is not None and config.streaming:
-            with tracer.span(
-                "ingest.build_stream", events=len(self._events)
-            ):
+            with tracer.span("ingest.build_stream", events=len(columns)):
                 store = StreamingEventStore(
                     self.network,
                     compact_every=config.compact_every,
                     compress=config.compress,
                     tick_bits=config.tick_bits,
                 )
-                if self._events:
-                    store.append_events(self._events)
+                store.append_events(columns)
             self._streaming = store
             self._form = None
             self._store = store
@@ -416,16 +424,6 @@ class InNetworkFramework:
                 self._store = ModeledCountStore.fit(self._form, factory)
         else:
             self._store = self._form
-
-    def _refresh_columns(self) -> None:
-        """Re-columnarise the cumulative event list after streaming
-        appends left the snapshot stale (sharded rebuilds and
-        ``query_exact`` need it; streamed queries do not).  Applies
-        the same quantization as :meth:`_rebuild_stores`, or the
-        compressed sharded/exact paths would diverge from streamed
-        answers."""
-        self._columns = self._columnarize()
-        self._columns_dirty = False
 
     # ------------------------------------------------------------------
     # Querying
@@ -469,11 +467,9 @@ class InNetworkFramework:
             sharded = config is not None and config.sharded
         if sharded and faults is None:
             if self._sharded is None or self._sharded.closed:
-                if self._columns_dirty:
-                    self._refresh_columns()
                 self._sharded = ShardedQueryEngine(
                     self.network,
-                    self._columns,
+                    self._log_columns(),
                     shards=config.effective_shards,
                     instrumentation=self.obs,
                     store=self._store,
@@ -592,14 +588,12 @@ class InNetworkFramework:
     ) -> QueryResult:
         """Exact answer from the full (unsampled) sensing graph."""
         self._guard_open()
-        if self._full_dirty:
-            if self._columns_dirty:
-                self._refresh_columns()
-            with self.obs.tracer.span("ingest.build_form", network="full"):
-                self._full_form = self._full.build_form(self._columns)
-            self._full_dirty = False
         if self._full_form is None:
-            raise QueryError("ingest trips or events first")
+            # Never built, unless streaming appends left it stale.
+            if self._streaming is None:
+                raise QueryError("ingest trips or events first")
+            with self.obs.tracer.span("ingest.build_form", network="full"):
+                self._full_form = self._full.build_form(self._log_columns())
         engine = QueryEngine(
             self._full,
             self._full_form,
@@ -710,5 +704,5 @@ class InNetworkFramework:
         deployed = self.network.name if self.network else "undeployed"
         return (
             f"InNetworkFramework({self.domain!r}, deployed={deployed!r}, "
-            f"events={len(self._events)})"
+            f"events={self._logged_events()})"
         )

@@ -73,14 +73,6 @@ def _joint_rows(offsets) -> np.ndarray:
     return np.concatenate((plus[:-1], minus + plus[-1])).astype(np.int64)
 
 
-def _csr(ids, t, order, n_ids) -> Tuple[np.ndarray, np.ndarray]:
-    """One direction's ``(values, offsets)`` from rows grouped by
-    ``order`` (edge-major, time-ascending inside an edge)."""
-    counts = np.bincount(ids, minlength=n_ids)
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return np.ascontiguousarray(t[order]), offsets
-
-
 class CompiledTrackingForm:
     """CSR-compiled γ⁺/γ⁻ timestamp store with batched integration."""
 
@@ -117,7 +109,9 @@ class CompiledTrackingForm:
             # Stable sort by edge id keeps each edge's segment in the
             # original (global time) order, i.e. sorted ascending.
             order = np.argsort(ids_d, kind="stable")
-            csr.append(_csr(ids_d, t[mask], order, n_ids))
+            counts = np.bincount(ids_d, minlength=n_ids)
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            csr.append((t[mask][order], offsets.astype(np.int64)))
         self._set_csr(*zip(*csr))
         self._init_runtime_state(boundary_cache_size)
 
@@ -132,74 +126,6 @@ class CompiledTrackingForm:
         self._column = np.concatenate(values)
         self._offsets = (offsets[0], offsets[1])
         self._rows = _joint_rows(offsets)
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance
-    # ------------------------------------------------------------------
-    @property
-    def generation(self) -> int:
-        """Mutation counter: bumped by every :meth:`append_events`.
-
-        Anything keyed on this form's *contents* — planner boundary
-        caches, flight-recorder digests, memoised standing counts —
-        must incorporate the generation so an in-place append
-        invalidates it.  Zero for forms never appended to, so static
-        pipelines keep their existing cache keys.
-        """
-        return self._generation
-
-    def append_events(
-        self,
-        edge_id: np.ndarray,
-        direction: np.ndarray,
-        t: np.ndarray,
-    ) -> int:
-        """Merge new columnar events into the CSR index in place.
-
-        Per direction the incoming ``(edge_id, t)`` rows are merged
-        with the existing grouped-by-edge sorted segments by one
-        ``np.lexsort`` over the concatenated arrays — O((n+m) log(n+m))
-        per call, so batch the rows rather than calling this per event.
-        (The streaming store does not come through here: it never
-        mutates a block, it builds a merged one beside its inputs.)
-
-        Appending **invalidates every compiled boundary chain**: the
-        merged signed prefix-sum series cached in the LRU bake the
-        timestamps in, so the cache (and the seen-once set that feeds
-        it) is cleared and the form's :attr:`generation` bumped — cache
-        keys derived from the chain bytes alone would otherwise serve
-        stale integrals.  Returns the number of events merged.
-        """
-        edge_id = np.asarray(edge_id, dtype=np.int64)
-        direction = np.asarray(direction)
-        t = np.asarray(t, dtype=np.float64)
-        n_new = len(t)
-        if n_new == 0:
-            return 0
-        # The shared interner may have grown since compile time; widen
-        # the frozen id universe to cover the incoming ids.
-        n_ids = max(self._n_ids, int(edge_id.max()) + 1)
-
-        csr = []
-        for d in (0, 1):
-            mask = direction == d
-            old_counts = np.diff(self._offsets[d])
-            ids_old = np.repeat(
-                np.arange(len(old_counts), dtype=np.int64), old_counts
-            )
-            ids_all = np.concatenate((ids_old, edge_id[mask]))
-            t_all = np.concatenate((self._direction_values(d), t[mask]))
-            # Group by edge id, sorted by time inside each segment —
-            # exactly the compile-time CSR invariant.
-            order = np.lexsort((t_all, ids_all))
-            csr.append(_csr(ids_all, t_all, order, n_ids))
-        self._n_ids = n_ids
-        self._set_csr(*zip(*csr))
-        # Every cached chain embeds the old timestamp series: drop all.
-        self._boundaries.clear()
-        self._seen.clear()
-        self._generation += 1
-        return n_new
 
     def to_columns(self, interner: "EdgeInterner" = None):
         """Reconstruct the stored events as time-sorted
@@ -248,8 +174,6 @@ class CompiledTrackingForm:
         #: hash collision promotes a chain one touch early; it cannot
         #: change an answer.
         self._seen: Dict[int, None] = {}
-        #: In-place mutation counter (see :attr:`generation`).
-        self._generation = 0
 
         # Instrument references are bound to the registry current at
         # compile time (swap the global registry before building the

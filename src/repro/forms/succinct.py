@@ -17,11 +17,11 @@ time) lane, the last block whose first tick is ``<= t`` in a per-block
 **first-tick directory**, and exactly that one block is bit-unpacked —
 all lanes together, one 8-byte window + shift + mask per delta.  Chain
 compilation (second touch), per-edge reads and the full decode behind
-``append_events`` / ``to_columns`` run the same vectorised block decode
-over more blocks.  Everything above the storage hooks (the boundary
-LRU, promotion, metrics) is inherited from the compiled form
-unchanged, which is what makes compressed answers byte-identical to
-uncompressed ones built from the same quantized columns.
+``to_columns`` run the same vectorised block decode over more blocks.
+Everything above the storage hooks (the boundary LRU, promotion,
+metrics) is inherited from the compiled form unchanged, which is what
+makes compressed answers byte-identical to uncompressed ones built from
+the same quantized columns.
 
 Wire format vs derived index: offsets, heads, widths and payload are
 the stored (and shm-shipped) format, ``storage_report()["total_bytes"]``.
@@ -288,7 +288,7 @@ class CompressedTrackingForm(CompiledTrackingForm):
         )
 
     # ------------------------------------------------------------------
-    # Construction / mutation
+    # Construction
     # ------------------------------------------------------------------
     def _set_csr(self, values, offsets) -> None:
         """Keep the freshly built CSR columns as compressed blocks."""
@@ -296,21 +296,6 @@ class CompressedTrackingForm(CompiledTrackingForm):
         self._rows = _joint_rows(offsets)
         self._blocks = _encode(
             np.concatenate(values), self._rows, self._tick_bits, self._block
-        )
-
-    def append_events(
-        self,
-        edge_id: np.ndarray,
-        direction: np.ndarray,
-        t: np.ndarray,
-    ) -> int:
-        """Merge new events: decode, lexsort-merge, re-encode.
-
-        Same contract as the parent (boundary cache cleared,
-        generation bumped); one full decode/re-encode cycle per call.
-        """
-        return super().append_events(
-            edge_id, direction, quantize_times(t, self._tick_bits)
         )
 
     # ------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 Pure-Python/numpy computational geometry used throughout the library:
 points and segments, robust-enough predicates, simple-polygon operations,
-convex hulls, axis-aligned boxes and Delaunay triangulation.
+axis-aligned boxes and Delaunay triangulation.
 """
 
 from .bbox import BBox
-from .hull import convex_hull
 from .polygon import (
     area,
     centroid,
@@ -56,7 +55,6 @@ __all__ = [
     "area",
     "centroid",
     "collinear",
-    "convex_hull",
     "cross",
     "crossing_parameter",
     "delaunay_edges",

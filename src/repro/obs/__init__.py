@@ -43,8 +43,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullMetricsRegistry,
     SECONDS_BUCKETS,
     diff_dumps,
     get_registry,
@@ -90,9 +88,7 @@ __all__ = [
     "LatencySLO",
     "MetricsRegistry",
     "NULL_INSTRUMENTATION",
-    "NULL_REGISTRY",
     "NULL_TRACER",
-    "NullMetricsRegistry",
     "NullTracer",
     "Profiler",
     "QueryExplain",

@@ -363,72 +363,6 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _NullInstrument:
-    """Accepts every instrument method and does nothing."""
-
-    __slots__ = ()
-    value = 0
-    sum = 0.0
-    count = 0
-
-    def inc(self, amount: float = 1) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        return [(math.inf, 0)]
-
-    def quantile(self, q: float) -> float:
-        return math.nan
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """No-op registry: every instrument is a shared null object."""
-
-    def counter(self, name: str, help: str = "", **labels: Any):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", **labels: Any):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, buckets=DEFAULT_BUCKETS, help="", **labels):
-        return _NULL_INSTRUMENT
-
-    def value(self, name: str, **labels: Any) -> float:
-        return 0
-
-    def sum_values(self, name: str) -> float:
-        return 0
-
-    def iter_counters(self):
-        return iter(())
-
-    def iter_gauges(self):
-        return iter(())
-
-    def iter_histograms(self):
-        return iter(())
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_json(self) -> Dict[str, Any]:
-        return self.snapshot()
-
-    def to_prometheus(self) -> str:
-        return ""
-
-
-NULL_REGISTRY = NullMetricsRegistry()
-
 #: The process-global registry.  Real by default (increments are cheap
 #: and the figure benchmarks snapshot it into their results files).
 _GLOBAL_REGISTRY: MetricsRegistry = MetricsRegistry()

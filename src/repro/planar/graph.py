@@ -33,6 +33,21 @@ def canonical_edge(u: NodeId, v: NodeId) -> Edge:
     return (u, v) if ku <= kv else (v, u)
 
 
+class _DirectedCodes(dict):
+    """``(u, v) -> 2 * id + direction`` of the directed edges seen so
+    far (direction 0 along the canonical orientation, 1 against it).
+    Looking up an unseen edge interns it."""
+
+    __slots__ = ("_assign",)
+
+    def __init__(self, assign) -> None:
+        self._assign = assign
+
+    def __missing__(self, directed: Edge) -> int:
+        code = self[directed] = self._assign(directed)
+        return code
+
+
 class EdgeInterner:
     """Bidirectional canonical-edge ↔ dense-integer-id table.
 
@@ -42,50 +57,49 @@ class EdgeInterner:
     table pre-seeded from :meth:`MobilityDomain.sensing_edges` is stable
     across runs of the same domain.
 
-    ``intern`` also memoises the *directed* lookup ``(u, v) -> (id,
-    forward)`` so the per-event canonicalisation cost (type-name/repr
-    comparison) is paid once per distinct directed edge, not per event.
+    :attr:`codes` memoises the *directed* lookup, so the per-event
+    canonicalisation cost (type-name/repr comparison) is paid once per
+    distinct directed edge, not per event.
     """
 
-    __slots__ = ("_ids", "_edges", "_directed")
+    __slots__ = ("_ids", "_edges", "codes")
 
     def __init__(self, edges: Optional[Iterable[Edge]] = None) -> None:
         self._ids: Dict[Edge, int] = {}
         self._edges: List[Edge] = []
-        self._directed: Dict[Edge, Tuple[int, bool]] = {}
+        #: ``codes[u, v]`` is ``2 * id + direction`` of the directed
+        #: edge, interning it on a miss: a plain dict hit per event,
+        #: which is what lets the columnar ingest
+        #: (:meth:`repro.trajectories.EventColumns.from_events`) map it
+        #: over a whole event window without a Python-level loop.
+        self.codes = _DirectedCodes(self._assign)
         if edges is not None:
             for u, v in edges:
                 self.intern(u, v)
 
-    def intern(self, u: NodeId, v: NodeId) -> Tuple[int, bool]:
-        """Id of edge ``{u, v}`` (assigning one if new) and whether the
-        directed edge ``(u, v)`` matches the canonical orientation."""
-        cached = self._directed.get((u, v))
-        if cached is not None:
-            return cached
-        key = canonical_edge(u, v)
+    def _assign(self, directed: Edge) -> int:
+        key = canonical_edge(*directed)
         edge_id = self._ids.get(key)
         if edge_id is None:
             edge_id = len(self._edges)
             self._ids[key] = edge_id
             self._edges.append(key)
-        result = (edge_id, key == (u, v))
-        self._directed[(u, v)] = result
-        return result
+        return 2 * edge_id + (key != directed)
+
+    def intern(self, u: NodeId, v: NodeId) -> Tuple[int, bool]:
+        """Id of edge ``{u, v}`` (assigning one if new) and whether the
+        directed edge ``(u, v)`` matches the canonical orientation."""
+        code = self.codes[u, v]
+        return code >> 1, not code & 1
 
     def id_of(self, u: NodeId, v: NodeId) -> Tuple[int, bool]:
         """Like :meth:`intern` but returns ``(-1, forward)`` for unknown
         edges instead of assigning a new id."""
-        cached = self._directed.get((u, v))
-        if cached is not None:
-            return cached
-        key = canonical_edge(u, v)
-        edge_id = self._ids.get(key)
-        if edge_id is None:
-            return (-1, key == (u, v))
-        result = (edge_id, key == (u, v))
-        self._directed[(u, v)] = result
-        return result
+        if (u, v) not in self.codes:
+            key = canonical_edge(u, v)
+            if key not in self._ids:
+                return (-1, key == (u, v))
+        return self.intern(u, v)
 
     def id_of_canonical(self, key: Edge) -> int:
         """Id of an already-canonical edge, ``-1`` if unknown."""

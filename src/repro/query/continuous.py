@@ -150,7 +150,17 @@ class ContinuousCountMonitor:
                 state.history.append((event.t, state.count))
 
     def observe_stream(self, events: Iterable[CrossingEvent]) -> int:
-        """Fold a whole event stream; returns events processed."""
+        """Fold a whole event stream, in the order given; returns
+        events processed.
+
+        A monitor attached to a streaming store
+        (:meth:`~repro.stream.StreamingEventStore.attach_monitor`) is
+        fed each arrival window already time-sorted, so with
+        ``keep_history=True`` the ordering contract of :meth:`observe`
+        binds *across* windows only: disorder inside a window never
+        raises, a window reaching back before the last checkpoint
+        does.
+        """
         processed = 0
         for event in events:
             self.observe(event)

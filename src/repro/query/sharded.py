@@ -256,9 +256,7 @@ def _worker_engine(shard: int) -> QueryEngine:
             static_eval=static_eval,
             planner="compiled",
             instrumentation=Instrumentation(
-                tracer=_WORKER["tracer"],
-                metrics=get_registry(),
-                provenance=False,
+                tracer=_WORKER["tracer"], provenance=False
             ),
         )
         engines[shard] = engine

@@ -14,7 +14,6 @@ from .network import (
     sampled_network,
     wall_network,
 )
-from .serialize import load_network, save_network
 
 __all__ = [
     "CompiledNetworkIndex",
@@ -24,9 +23,7 @@ __all__ = [
     "grid_decomposition_network",
     "kd_decomposition_network",
     "knn_edges",
-    "load_network",
     "sampled_network",
-    "save_network",
     "triangulation_edges",
     "wall_network",
 ]

@@ -9,8 +9,10 @@ two-level layout:
 - the **tail**: recent crossings in three preallocated numpy columns
   (``int32`` edge id, ``int8`` direction, ``float64`` time; the dtypes
   :meth:`~StreamingEventStore.storage_report` charges).  An arrival
-  window is interned and wall-filtered once, quantized as a whole
-  under ``compress``, and copied in; every tail read is a mask over
+  window arrives as (or becomes) time-sorted
+  :class:`~repro.trajectories.EventColumns`, is wall-filtered once,
+  quantized as a whole under ``compress``, and copied in; the store
+  itself interns nothing.  Every tail read is a mask over
   the live rows, and a chain folds in with one scatter of its signs
   over the id universe and one masked sum per query time;
 - **blocks**: immutable :class:`~repro.forms.CompiledTrackingForm`
@@ -61,6 +63,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -70,7 +73,7 @@ from ..forms import CompiledTrackingForm, CompressedTrackingForm, quantize_times
 from ..forms.compiled import DEFAULT_BOUNDARY_CACHE_SIZE, edge_ids
 from ..forms.snapshot import DirectedEdge
 from ..obs import get_registry
-from ..trajectories import CrossingEvent, EventColumns
+from ..trajectories import CrossingEvent, EventColumns, columnarize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..query.continuous import ContinuousCountMonitor
@@ -219,34 +222,35 @@ class StreamingEventStore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def append_events(self, events: Iterable[CrossingEvent]) -> int:
+    def append_events(
+        self, events: Union[EventColumns, Iterable[CrossingEvent]]
+    ) -> int:
         """Land an arrival window of crossing events in the tail.
 
-        Events on unmonitored edges are dropped (exactly as the batch
-        ``build_form`` filter drops them).  Accepting at least one
-        event bumps :attr:`generation`; reaching ``compact_every``
-        tail events triggers :meth:`compact`.  Returns the number of
-        events observed (accepted).
+        Takes what :func:`~repro.trajectories.columnarize` takes:
+        :class:`~repro.trajectories.EventColumns` over this network's
+        domain as they are (the framework hands over the window it
+        just logged), anything else through
+        :meth:`EventColumns.from_events
+        <repro.trajectories.EventColumns.from_events>` — either way a
+        time-sorted window.  Events on unmonitored edges are dropped
+        (exactly as the batch ``build_form`` filter drops them).
+        Accepting at least one event bumps :attr:`generation`;
+        reaching ``compact_every`` tail events triggers
+        :meth:`compact`.  Returns the number of events observed
+        (accepted).
         """
         self._guard()
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        if not events:
-            return 0
-        intern = self._interner.intern
-        eid, forward = (
-            np.array(column)
-            for column in zip(*[intern(e.tail, e.head) for e in events])
+        observed = self.network.observed_columns(
+            columnarize(self.network.domain, events)
         )
-        # Looked up after interning: the mask covers every id above.
-        keep = np.flatnonzero(self.network._wall_lookup()[eid])
-        if keep.size:
-            observed = [events[i] for i in keep.tolist()]
-            t = np.array([e.t for e in observed], dtype=np.float64)
+        n = len(observed)
+        if n:
+            t = observed.t
             if self.compress:
                 # Ingest-boundary quantization (see CompressedTrackingForm)
                 t = quantize_times(t, self.tick_bits)
-            start, end = self._tail_len, self._tail_len + keep.size
+            start, end = self._tail_len, self._tail_len + n
             spare = end - len(self._tail[0])
             if spare > 0:
                 grow = max(spare, len(self._tail[0]))
@@ -255,21 +259,21 @@ class StreamingEventStore:
                     for column in self._tail
                 ]
             ids, dirs, ts = self._tail
-            ids[start:end] = eid[keep]
-            dirs[start:end] = ~forward[keep]
+            ids[start:end] = observed.edge_id
+            dirs[start:end] = observed.direction
             ts[start:end] = t
             self._tail_len = end
             self._tail_min = min(self._tail_min, float(t.min()))
             self._generation += 1
-            self.observed_total += keep.size
-            self._metric_events.inc(keep.size)
+            self.observed_total += n
+            self._metric_events.inc(n)
             for monitor in self._monitors:
                 monitor.observe_stream(observed)
         if self._tail_len >= self.compact_every:
             self.compact()
         else:
             self._update_gauges()
-        return int(keep.size)
+        return n
 
     def _build(
         self, columns: Sequence[Sequence[np.ndarray]]
@@ -365,7 +369,13 @@ class StreamingEventStore:
     def attach_monitor(self, monitor: "ContinuousCountMonitor") -> None:
         """Subscribe a standing-query monitor: every accepted arrival
         window is folded into it, and :meth:`resync` can recover its
-        exact counts from this store at any time."""
+        exact counts from this store at any time.
+
+        A window reaches the monitor time-sorted, whatever order its
+        events arrived in, so a ``keep_history=True`` monitor accepts
+        disorder *inside* a window; a window that starts before the
+        previous one ended still raises its out-of-order
+        :class:`~repro.errors.QueryError`."""
         self._monitors.append(monitor)
 
     def resync(
@@ -551,13 +561,10 @@ class StreamingEventStore:
         :class:`~repro.trajectories.EventColumns` (shard-rebuild and
         batch-interop snapshot)."""
         self._guard()
-        ids, dirs, ts = (
-            np.concatenate(parts)
-            for parts in zip(*map(self._columns, self._blocks), self._live())
+        tail = EventColumns(self._interner, *self._live())
+        return EventColumns.concat(
+            [block.to_columns() for block in self._blocks] + [tail]
         )
-        return EventColumns(
-            interner=self._interner, edge_id=ids, direction=dirs, t=ts
-        ).time_sorted()
 
     def describe(self) -> Dict[str, object]:
         """Layout summary (CLI, dashboards, tests)."""

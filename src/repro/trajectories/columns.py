@@ -12,12 +12,18 @@ stream event-by-event through Python, which is what makes repeated
 ``build_form`` calls across a benchmark sweep cheap.  Learned-index
 substrates (PGM-style piecewise models) get the contiguous sorted-array
 layout they assume for free.
+
+:meth:`EventColumns.from_events` is the one place where crossing events
+become ids: the framework's log, the batch forms and the streaming
+store all start from its result (:func:`columnarize` passes columns
+through untouched).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +33,9 @@ from .events import CrossingEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mobility import MobilityDomain
     from ..planar import EdgeInterner
+
+_DIRECTED = attrgetter("tail", "head")
+_TIME = attrgetter("t")
 
 
 @dataclass(frozen=True)
@@ -53,36 +62,53 @@ class EventColumns:
     def from_events(
         cls,
         domain: "MobilityDomain",
-        events: Sequence[CrossingEvent],
+        events: Iterable[CrossingEvent],
     ) -> "EventColumns":
         """Columnarise an event stream against a domain's edge table.
 
-        The per-event Python cost (attribute access + one dict hit per
-        event) is paid exactly once here; every later wall filter and
-        form build over the result is pure numpy.
+        The only per-event interning site: each event costs one hit in
+        the interner's directed-edge memo (``EdgeInterner.codes``; a
+        first sight interns) and one attribute read for its time, both
+        mapped straight into ``np.fromiter`` — no Python-level loop and
+        no intermediate per-event tuples or lists.  Every later wall
+        filter and form build over the result is pure numpy.  Events
+        may arrive in any order; the result is stably time-sorted.
         """
         interner = domain.edge_interner
         if not isinstance(events, (list, tuple)):
             events = list(events)
         n = len(events)
-        edge_id = np.empty(n, dtype=np.int32)
-        direction = np.empty(n, dtype=np.int8)
-        t = np.empty(n, dtype=np.float64)
-        intern = interner.intern
-        for i, event in enumerate(events):
-            eid, forward = intern(event.tail, event.head)
-            edge_id[i] = eid
-            direction[i] = 0 if forward else 1
-            t[i] = event.t
+        code = np.fromiter(
+            map(interner.codes.__getitem__, map(_DIRECTED, events)),
+            dtype=np.int32, count=n,
+        )
+        t = np.fromiter(map(_TIME, events), dtype=np.float64, count=n)
         columns = cls(
-            interner=interner, edge_id=edge_id, direction=direction, t=t
+            interner=interner,
+            edge_id=code >> 1,
+            direction=(code & 1).astype(np.int8),
+            t=t,
         )
         return columns.time_sorted()
+
+    @classmethod
+    def concat(cls, parts: Sequence["EventColumns"]) -> "EventColumns":
+        """The events of every part (at least one; all over one
+        interner) copied into one time-sorted stream.  Simultaneous
+        events keep their order inside a part, earlier parts first —
+        the order a single :meth:`from_events` over the concatenated
+        lists gives."""
+        return cls(
+            interner=parts[0].interner,
+            edge_id=np.concatenate([p.edge_id for p in parts]),
+            direction=np.concatenate([p.direction for p in parts]),
+            t=np.concatenate([p.t for p in parts]),
+        ).time_sorted()
 
     def time_sorted(self) -> "EventColumns":
         """Self if already time-sorted, else a stably sorted copy."""
         t = self.t
-        if len(t) < 2 or not np.any(np.diff(t) < 0.0):
+        if not (t[1:] < t[:-1]).any():
             return self
         order = np.argsort(t, kind="stable")
         return EventColumns(
@@ -211,9 +237,13 @@ class EventColumns:
 
 
 def columnarize(
-    domain: "MobilityDomain", events: Iterable[CrossingEvent]
+    domain: "MobilityDomain",
+    events: Union[EventColumns, Iterable[CrossingEvent]],
 ) -> EventColumns:
-    """Convenience wrapper: ``EventColumns.from_events`` for iterables."""
+    """Columns as they are, anything else through
+    :meth:`EventColumns.from_events` — what every ingest entry point
+    (``InNetworkFramework.ingest_events``,
+    ``StreamingEventStore.append_events``) accepts."""
     if isinstance(events, EventColumns):
         return events
-    return EventColumns.from_events(domain, list(events))
+    return EventColumns.from_events(domain, events)

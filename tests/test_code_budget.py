@@ -20,23 +20,28 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
+#: The row of the top-level files ``src/repro/*.py`` (the CLI in
+#: ``__main__.py`` is most of it).
+TOP_LEVEL = "*.py"
+
 #: package → code-line ceiling (current size rounded up; ``query`` is
 #: the ≤ 1700 the one-pipeline refactor was held to, down from 1944).
 CEILINGS = {
     "query": 1700,
-    "obs": 2600,
-    "forms": 1200,
+    "obs": 2520,
+    "forms": 1140,
     "evaluation": 800,
     "planar": 800,
     "network": 750,
-    "sampling": 700,
-    "core": 650,
-    "geometry": 650,
+    TOP_LEVEL: 740,
+    "sampling": 600,
+    "core": 620,
+    "geometry": 620,
     "mobility": 600,
     "selection": 600,
     "trajectories": 550,
     "models": 500,
-    "stream": 400,
+    "stream": 390,
     "baseline": 300,
 }
 
@@ -65,10 +70,11 @@ def code_lines(source: str) -> int:
 
 
 def package_code_lines(package: str) -> int:
-    return sum(
-        code_lines(path.read_text())
-        for path in sorted((SRC / package).rglob("*.py"))
+    paths = (
+        SRC.glob(TOP_LEVEL) if package == TOP_LEVEL
+        else (SRC / package).rglob("*.py")
     )
+    return sum(code_lines(path.read_text()) for path in sorted(paths))
 
 
 def test_counts_code_not_comments_or_docstrings():
@@ -92,7 +98,7 @@ def test_every_package_has_a_ceiling():
         path.name for path in SRC.iterdir()
         if path.is_dir() and (path / "__init__.py").exists()
     }
-    assert packages == set(CEILINGS)
+    assert packages | {TOP_LEVEL} == set(CEILINGS)
 
 
 @pytest.mark.parametrize("package", list(CEILINGS))
@@ -102,3 +108,11 @@ def test_package_within_budget(package):
         f"src/repro/{package}: {count} code lines > ceiling "
         f"{CEILINGS[package]} — simplify, or raise the ceiling on purpose"
     )
+
+
+if __name__ == "__main__":
+    # ROADMAP's tracked number, for the CI log.
+    counts = {package: package_code_lines(package) for package in CEILINGS}
+    for package, count in counts.items():
+        print(f"src/repro/{package:<14}{count:>6} /{CEILINGS[package]:>5}")
+    print(f"src/repro/{'':<14}{sum(counts.values()):>6}")

@@ -16,6 +16,7 @@ Covers the vectorised ingestion substrate end to end:
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,37 @@ class TestEventColumns:
     def test_interner_shared_with_domain(self, organic_domain, events):
         columns = EventColumns.from_events(organic_domain, events)
         assert columns.interner is organic_domain.edge_interner
+
+    def test_concat_is_from_events_of_the_whole(self, organic_domain, events):
+        shuffled = random.Random(3).sample(events, len(events))
+        cuts = [0, 1, 700, 701, len(events) // 2, len(events)]
+        parts = [
+            EventColumns.from_events(organic_domain, shuffled[a:b])
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        merged = EventColumns.concat(parts)
+        whole = EventColumns.from_events(organic_domain, shuffled)
+        assert merged.to_events() == whole.to_events()
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted"])
+    def test_from_events_peak_memory(self, organic_domain, events, order):
+        """At most 40 bytes an event at the peak (13 are the columns
+        kept): two column passes, no per-event tuples or lists.  A
+        pass over a materialised list of ``(id, forward)`` pairs is 64
+        and more."""
+        n = 200_000
+        stream = [events[i % len(events)] for i in range(n)]
+        if order == "sorted":
+            stream.sort(key=lambda e: e.t)
+        EventColumns.from_events(organic_domain, events)  # memo warm
+        tracemalloc.start()
+        try:
+            columns = EventColumns.from_events(organic_domain, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == n
+        assert peak <= 40 * n
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Unit tests for the public InNetworkFramework facade."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from test_query_planner import _battery, _key
 
 from repro import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import BBox
 from repro.mobility import organic_city
-from repro.query import TRANSIENT, UPPER
+from repro.query import TRANSIENT, UPPER, RangeQuery
+from repro.trajectories import CrossingEvent, EventColumns
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +146,132 @@ class TestLearnedStores:
         )
         learned_fw.ingest_trips(workload.trips)
         assert learned_fw.storage_bytes < exact_fw.storage_bytes
+
+
+class TestOneIngestPath:
+    """However the event list is cut into ``ingest_events`` windows,
+    every deployment kind answers the same."""
+
+    BASE = FrameworkConfig(selector="quadtree", budget=20, seed=3)
+    CONFIGS = {
+        "plain": BASE,
+        "compress": replace(BASE, compress=True, tick_bits=4),
+        "streaming": replace(BASE, streaming=True, compact_every=512),
+        "streaming+compress": replace(
+            BASE, streaming=True, compact_every=512,
+            compress=True, tick_bits=4,
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def arrivals(self, events):
+        """Shuffled arrival; every third timestamp snapped to a whole
+        half minute, so ties abound (the rest stay off the tick grid)."""
+        tied = [
+            CrossingEvent(e.tail, e.head, 30.0 * round(e.t / 30.0))
+            if i % 3 == 0 else e
+            for i, e in enumerate(events)
+        ]
+        random.Random(5).shuffle(tied)
+        return tied
+
+    @pytest.fixture(scope="class")
+    def battery(self, organic_domain, workload, arrivals):
+        """Random boxes, plus one probe that tells raw from quantized
+        times: a box around one junction, asked for the instant
+        between an arrival there and that arrival's tick."""
+        battery = _battery(organic_domain, workload.horizon, seed=41, n_boxes=6)
+        event = max(
+            (e for e in arrivals if e.head in organic_domain.junction_index),
+            key=lambda e: abs(e.t - round(e.t * 16) / 16),
+        )
+        snapped = round(event.t * 16) / 16
+        assert snapped != event.t
+        box = BBox.from_center(organic_domain.position(event.head), 1e-6, 1e-6)
+        battery.append(RangeQuery(box, 0.0, (event.t + snapped) / 2))
+        return battery
+
+    @staticmethod
+    def _answers(fw, battery):
+        out = [_key(fw.query(q.box, q.t1, q.t2, q.kind, q.bound))
+               for q in battery]
+        out += [_key(fw.query_exact(q.box, q.t1, q.t2, q.kind))
+                for q in battery]
+        fw.close()
+        return out
+
+    def _ingested(self, domain, config, arrivals, windows):
+        fw = InNetworkFramework(domain)
+        fw.deploy(config)
+        size = -(-len(arrivals) // windows)
+        for start in range(0, len(arrivals), size):
+            fw.ingest_events(arrivals[start:start + size])
+        return fw
+
+    @pytest.fixture(scope="class")
+    def whole(self, organic_domain, arrivals, battery):
+        """Per deployment kind, the answers after one bulk ingest."""
+        return {
+            name: self._answers(
+                self._ingested(organic_domain, config, arrivals, 1), battery
+            )
+            for name, config in self.CONFIGS.items()
+        }
+
+    @pytest.mark.parametrize("windows", [3, 40])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_windows_do_not_change_answers(
+        self, organic_domain, arrivals, battery, whole, name, windows
+    ):
+        fw = self._ingested(
+            organic_domain, self.CONFIGS[name], arrivals, windows
+        )
+        assert self._answers(fw, battery) == whole[name]
+
+    def test_streaming_answers_as_batch(self, whole):
+        assert whole["streaming"] == whole["plain"]
+        assert whole["streaming+compress"] == whole["compress"]
+        # Quantization is visible: the grid test is not vacuous.
+        assert whole["compress"] != whole["plain"]
+
+    @pytest.mark.parametrize(
+        "first, then", [("plain", "compress"), ("compress", "plain"),
+                        ("streaming+compress", "streaming")],
+    )
+    def test_redeploy_may_flip_compress_between_ingests(
+        self, organic_domain, arrivals, battery, whole, first, then
+    ):
+        """The log keeps raw times; quantization is the deployed
+        config's, applied when the log is read."""
+        half = len(arrivals) // 2
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(self.CONFIGS[first])
+        fw.ingest_events(arrivals[:half])
+        fw.deploy(self.CONFIGS[then])
+        fw.ingest_events(arrivals[half:])
+        assert self._answers(fw, battery) == whole[then]
+
+    def test_batch_ingests_convert_each_event_once(
+        self, organic_domain, arrivals, monkeypatch
+    ):
+        """A count, not a timing: k batch ingests of n events convert
+        k * n events (re-columnarising the cumulative list each time
+        would convert n * k * (k + 1) / 2)."""
+        converted = []
+        from_events = EventColumns.from_events.__func__
+
+        def counting(cls, domain, events):
+            columns = from_events(cls, domain, events)
+            converted.append(len(columns))
+            return columns
+
+        monkeypatch.setattr(
+            EventColumns, "from_events", classmethod(counting)
+        )
+        k, n = 5, len(arrivals) // 5
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(self.BASE)
+        for i in range(k):
+            fw.ingest_events(arrivals[i * n:(i + 1) * n])
+        assert sum(converted) == k * n
+        fw.close()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.forms import static_count, transient_count
-from repro.geometry import BBox
 from repro.models import LinearModel, ModeledCountStore
 from repro.network import NetworkSimulator, RadioParameters
 
@@ -122,22 +121,6 @@ class TestQueryWindows:
             QueryWorkloadConfig(n_queries=5, area_fraction=0.05, seed=2),
         )
         assert a != b
-
-
-class TestVizInternals:
-    def test_scale_positive(self, grid_domain):
-        from repro.viz import _scale
-
-        assert _scale(grid_domain) > 0
-
-    def test_query_boxes_rendered_in_order(self, grid_domain, tmp_path):
-        from repro.viz import render_domain_svg
-
-        boxes = [BBox(1, 1, 3, 3), BBox(5, 5, 8, 8)]
-        body = render_domain_svg(
-            grid_domain, tmp_path / "multi.svg", query_boxes=boxes
-        ).read_text()
-        assert body.count('stroke-dasharray') == 2
 
 
 class TestChartFormatting:

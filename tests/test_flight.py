@@ -22,7 +22,6 @@ from repro.geometry import BBox
 from repro.obs import (
     FlightRecorder,
     Instrumentation,
-    MetricsRegistry,
     Tracer,
     query_digest,
 )
@@ -194,9 +193,7 @@ class TestTraceLanes:
     def test_worker_spans_graft_into_pid_lanes(self, deployment, tmp_path):
         network, _, columns, battery = deployment
         tracer = Tracer()
-        obs = Instrumentation(
-            tracer=tracer, metrics=MetricsRegistry(), provenance=False
-        )
+        obs = Instrumentation(tracer=tracer, provenance=False)
         with ShardedQueryEngine(
             network, columns, shards=4, workers=2, instrumentation=obs
         ) as engine:
@@ -253,9 +250,7 @@ class TestTraceLanes:
     def test_worker_tid_is_shard_lane(self, deployment):
         network, _, columns, battery = deployment
         tracer = Tracer()
-        obs = Instrumentation(
-            tracer=tracer, metrics=MetricsRegistry(), provenance=False
-        )
+        obs = Instrumentation(tracer=tracer, provenance=False)
         with ShardedQueryEngine(
             network, columns, shards=3, workers=1, instrumentation=obs
         ) as engine:

@@ -1,4 +1,4 @@
-"""Unit tests for convex hull, Delaunay triangulation and SpatialGrid."""
+"""Unit tests for Delaunay triangulation and SpatialGrid."""
 
 import numpy as np
 import pytest
@@ -7,47 +7,9 @@ from repro.errors import GeometryError
 from repro.geometry import (
     BBox,
     SpatialGrid,
-    convex_hull,
     delaunay_edges,
     delaunay_triangles,
-    is_counter_clockwise,
-    point_in_polygon,
 )
-
-
-class TestConvexHull:
-    def test_square_with_interior_point(self):
-        pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
-        hull = convex_hull(pts)
-        assert len(hull) == 4
-        assert (1, 1) not in hull
-
-    def test_hull_is_ccw(self):
-        rng = np.random.default_rng(0)
-        pts = [tuple(p) for p in rng.uniform(0, 10, size=(40, 2))]
-        hull = convex_hull(pts)
-        assert is_counter_clockwise(hull)
-
-    def test_all_points_inside_hull(self):
-        rng = np.random.default_rng(1)
-        pts = [tuple(p) for p in rng.uniform(0, 10, size=(60, 2))]
-        hull = convex_hull(pts)
-        assert all(point_in_polygon(p, hull) for p in pts)
-
-    def test_collinear_points(self):
-        hull = convex_hull([(0, 0), (1, 1), (2, 2)])
-        assert len(hull) == 2
-
-    def test_single_point(self):
-        assert convex_hull([(3, 3)]) == [(3.0, 3.0)]
-
-    def test_empty_raises(self):
-        with pytest.raises(GeometryError):
-            convex_hull([])
-
-    def test_duplicates_collapsed(self):
-        hull = convex_hull([(0, 0), (0, 0), (1, 0), (0, 1)])
-        assert len(hull) == 3
 
 
 class TestDelaunay:

@@ -1,16 +1,12 @@
-"""Unit tests for GPS import, SVG rendering and deployment serialization."""
+"""Unit tests for GPS import."""
 
 import csv
-import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import WorkloadError
 from repro.forms import TrackingForm
-from repro.geometry import BBox
-from repro.mobility import MobilityDomain, organic_city
-from repro.sampling import load_network, save_network
 from repro.trajectories import (
     export_trips_as_gps,
     load_gps_trips,
@@ -18,7 +14,6 @@ from repro.trajectories import (
     read_gps_csv,
     trips_from_fixes,
 )
-from repro.viz import render_domain_svg, render_network_svg
 
 
 # ----------------------------------------------------------------------
@@ -128,95 +123,3 @@ class TestTripsFromFixes:
         assert form.integrate_until(chain, probe) == occupancy_count(
             loaded, region, probe
         )
-
-
-# ----------------------------------------------------------------------
-# SVG rendering
-# ----------------------------------------------------------------------
-class TestViz:
-    def test_domain_svg_valid_xml(self, grid_domain, tmp_path):
-        path = render_domain_svg(
-            grid_domain, tmp_path / "domain.svg",
-            query_boxes=[BBox(2, 2, 6, 6)], title="test",
-        )
-        root = ElementTree.parse(path).getroot()
-        assert root.tag.endswith("svg")
-        body = path.read_text()
-        assert body.count("<line") == grid_domain.graph.edge_count
-        assert "<rect" in body  # query box + background
-
-    def test_network_svg_draws_walls_and_sensors(
-        self, sampled_net, tmp_path
-    ):
-        path = render_network_svg(sampled_net, tmp_path / "net.svg")
-        body = path.read_text()
-        ElementTree.fromstring(body)  # well-formed
-        assert body.count('stroke="#d4593b"') == sum(
-            1 for u, v in sampled_net.walls
-            if "__ext__" not in (u, v)
-        )
-        assert body.count('fill="#2458a8"') == len(sampled_net.sensors)
-
-    def test_junctions_toggle(self, grid_domain, tmp_path):
-        with_junctions = render_domain_svg(
-            grid_domain, tmp_path / "a.svg", show_junctions=True
-        ).read_text()
-        without = render_domain_svg(
-            grid_domain, tmp_path / "b.svg", show_junctions=False
-        ).read_text()
-        assert with_junctions.count("<circle") > without.count("<circle")
-
-
-# ----------------------------------------------------------------------
-# Deployment serialization
-# ----------------------------------------------------------------------
-class TestSerialization:
-    def test_round_trip(self, organic_domain, sampled_net, tmp_path):
-        path = tmp_path / "deployment.json"
-        save_network(sampled_net, path)
-        loaded = load_network(organic_domain, path)
-        assert loaded.sensors == sampled_net.sensors
-        assert loaded.walls == sampled_net.walls
-        assert loaded.wall_owners == sampled_net.wall_owners
-        assert loaded.region_count == sampled_net.region_count
-        # Region partition identical.
-        for junction in organic_domain.junctions:
-            original = sampled_net.region_junctions(
-                sampled_net.region_of(junction)
-            )
-            restored = loaded.region_junctions(loaded.region_of(junction))
-            assert original == restored
-
-    def test_counts_identical_after_reload(
-        self, organic_domain, sampled_net, events, workload, tmp_path
-    ):
-        path = tmp_path / "deployment.json"
-        save_network(sampled_net, path)
-        loaded = load_network(organic_domain, path)
-        region_ids = loaded.lower_regions(
-            organic_domain.junctions_in_bbox(BBox(1.5, 1.5, 8.5, 8.5))
-        )
-        if not region_ids:
-            pytest.skip("too coarse at this seed")
-        form = loaded.build_form(events)
-        boundary = loaded.region_boundary(region_ids)
-        original_form = sampled_net.build_form(events)
-        t = 0.5 * workload.horizon
-        assert form.integrate_until(boundary, t) == pytest.approx(
-            original_form.integrate_until(boundary, t)
-        )
-
-    def test_wrong_domain_rejected(self, sampled_net, tmp_path):
-        other = MobilityDomain(
-            organic_city(blocks=40, rng=np.random.default_rng(99))
-        )
-        path = tmp_path / "deployment.json"
-        save_network(sampled_net, path)
-        with pytest.raises(ConfigurationError):
-            load_network(other, path)
-
-    def test_not_a_network_file_rejected(self, organic_domain, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ConfigurationError):
-            load_network(organic_domain, path)

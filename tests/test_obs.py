@@ -20,7 +20,6 @@ from repro.obs import (
     Instrumentation,
     MetricsRegistry,
     NULL_INSTRUMENTATION,
-    NULL_REGISTRY,
     NULL_TRACER,
     Tracer,
     configure_logging,
@@ -292,18 +291,6 @@ class TestMetricsRegistry:
         finally:
             set_registry(previous)
 
-    def test_null_registry_is_inert(self):
-        NULL_REGISTRY.counter("c").inc(5)
-        NULL_REGISTRY.gauge("g").set(3)
-        NULL_REGISTRY.histogram("h").observe(1)
-        assert NULL_REGISTRY.value("c") == 0
-        assert NULL_REGISTRY.to_prometheus() == ""
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-
 
 # ----------------------------------------------------------------------
 # Logging
@@ -356,7 +343,6 @@ class TestInstrumentation:
         obs = Instrumentation.on(provenance=True)
         assert obs.active
         assert obs.tracer.enabled
-        assert obs.metrics is get_registry()
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.geometry import BBox
 from repro.mobility import grid_city
 from repro.obs import (
     Instrumentation,
-    MetricsRegistry,
     NULL_INSTRUMENTATION,
     Profiler,
     StackTable,
@@ -528,8 +527,6 @@ class TestTracerThreadStacks:
         assert len(tracer.roots) == 2
 
     def test_profiler_field_on_instrumentation(self):
-        obs = Instrumentation(
-            tracer=Tracer(), metrics=MetricsRegistry(), provenance=False
-        )
+        obs = Instrumentation(tracer=Tracer(), provenance=False)
         assert obs.profiler is None
         assert NULL_INSTRUMENTATION.profiler is None

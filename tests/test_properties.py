@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.forms import SnapshotForm, TrackingForm
-from repro.geometry import BBox, convex_hull, point_in_polygon, signed_area
+from repro.geometry import BBox, signed_area
 from repro.models import (
     LinearModel,
     PiecewiseLinearModel,
@@ -166,24 +166,6 @@ class TestChainProperties:
 
 
 class TestGeometryProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(-100, 100, allow_nan=False),
-                st.floats(-100, 100, allow_nan=False),
-            ),
-            min_size=3,
-            max_size=40,
-        )
-    )
-    def test_hull_contains_all_points(self, points):
-        hull = convex_hull(points)
-        if len(hull) < 3 or abs(signed_area(hull)) < 1e-9:
-            return  # collinear or sub-tolerance geometry
-        for point in points:
-            assert point_in_polygon(point, hull, eps=1e-6)
-
     @settings(max_examples=100, deadline=None)
     @given(
         points=st.lists(

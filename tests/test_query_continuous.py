@@ -6,7 +6,8 @@ import pytest
 from repro.errors import QueryError
 from repro.geometry import BBox
 from repro.query import ContinuousCountMonitor
-from repro.trajectories import occupancy_count
+from repro.stream import StreamingEventStore
+from repro.trajectories import CrossingEvent, occupancy_count
 
 
 @pytest.fixture()
@@ -102,3 +103,32 @@ class TestStreaming:
         processed = state.entries + state.exits
         # Most of the first 500 events do not touch this boundary.
         assert processed < 500
+
+
+class TestAttachedHistory:
+    """A store hands each arrival window to its monitors time-sorted:
+    with history on, disorder inside a window is absorbed, disorder
+    across windows still breaks the checkpoint contract."""
+
+    @pytest.fixture()
+    def watched(self, sampled_net):
+        store = StreamingEventStore(sampled_net)
+        monitor = ContinuousCountMonitor(sampled_net, keep_history=True)
+        state = monitor.add_region("centre", BBox(1.5, 1.5, 8.5, 8.5))
+        store.attach_monitor(monitor)
+        tail, head = state.boundary[0]
+        return store, state, [
+            CrossingEvent(tail, head, t) for t in (300.0, 100.0, 200.0)
+        ]
+
+    def test_disorder_inside_a_window_is_sorted_away(self, watched):
+        store, state, window = watched
+        assert store.append_events(window) == 3
+        assert [t for t, _ in state.history] == [100.0, 200.0, 300.0]
+
+    def test_disorder_across_windows_still_raises(self, watched):
+        store, state, (late, early, _) = watched
+        store.append_events([late])
+        with pytest.raises(QueryError, match="out-of-order"):
+            store.append_events([early])
+        assert [t for t, _ in state.history] == [300.0]

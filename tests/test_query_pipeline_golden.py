@@ -133,7 +133,7 @@ def _run(build, run, explain_queries):
     flight recorder that promotes every query (threshold below zero),
     so the slow-detail path is pinned too."""
     with use_registry() as registry:
-        obs = Instrumentation.on(metrics=registry)
+        obs = Instrumentation.on()
         flight = FlightRecorder(capacity=1024, slow_threshold_s=-1.0)
         engine = build(obs, flight)
         try:

@@ -476,38 +476,6 @@ class TestBoundaryCacheLRU:
                 "repro_csr_boundary_cache_total", outcome="hit"
             ) == 1
 
-    def test_append_forgets_first_touches(self, deployment):
-        """query -> append -> re-query: a chain seen once (ranked, never
-        compiled) answers the new contents, and is a stranger again."""
-        network, _, workload = deployment
-        columns = EventColumns.from_events(
-            network.domain, workload.events(network.domain)
-        )
-        observed = columns.filter_edges(network._wall_lookup())
-        half = len(observed.t) // 2
-
-        def part(rows):
-            return (
-                observed.edge_id[rows], observed.direction[rows],
-                observed.t[rows],
-            )
-
-        with use_registry() as registry:
-            form = CompiledTrackingForm(
-                columns.interner, *part(slice(half, None))
-            )
-            fresh = self._fresh_form(network, workload)
-            chain = self._chains(CompiledQueryPlanner(network), network, 2)[1]
-            ids, signs = chain.wall_ids, chain.signs
-            t = workload.horizon * 0.75
-            form.integrate_until_ids(ids, signs, t)  # first touch only
-            form.append_events(*part(slice(0, half)))  # earlier events
-            assert form.integrate_until_ids(
-                ids, signs, t
-            ) == fresh.integrate_until_ids(ids, signs, t)
-            assert form.boundary_cache_len == 0
-            assert self._compiles(registry) == 0
-
     def test_cold_min_query_is_one_touch(self, deployment):
         """``static_eval="min"`` evaluates both endpoints from one
         touch of the chain: a cold query ranks and compiles nothing."""

@@ -1,5 +1,5 @@
-"""Streaming ingestion: the LSM-style event store, incremental compiled
-appends, and the stale-cache/consistency sweep.
+"""Streaming ingestion: the LSM-style event store and the
+stale-cache/consistency sweep.
 
 Covers:
 
@@ -9,9 +9,8 @@ Covers:
   snapshot round-trip, closed-store guards);
 - build-then-swap under injected failures: a merge that raises and a
   ``built`` listener that raises lose nothing;
-- the :meth:`repro.forms.CompiledTrackingForm.append_events` stale
-  boundary-LRU regression (pre-PR the class had no append path and the
-  compiled-boundary cache could never be invalidated on mutation);
+- :meth:`repro.forms.CompiledTrackingForm.to_columns` round-trip (the
+  forms are immutable: a block merge rebuilds from its inputs' columns);
 - randomized streaming ↔ batch equivalence: arrival order ×
   compaction cadence × planner (python / compiled / sharded) must be
   field-identical, including a query issued *mid-compaction*;
@@ -34,7 +33,7 @@ from test_query_planner import _battery, _key
 
 from repro.core import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError, QueryError
-from repro.forms import CompiledTrackingForm, TrackingForm
+from repro.forms import CompiledTrackingForm
 from repro.geometry import BBox
 from repro.mobility import MobilityDomain, grid_city
 from repro.planar import EdgeInterner
@@ -341,81 +340,17 @@ class TestCompactionFailures:
 
 
 # ----------------------------------------------------------------------
-# CompiledTrackingForm.append_events — the stale boundary-LRU regression
+# CompiledTrackingForm.to_columns — what block merges and snapshots read
 # ----------------------------------------------------------------------
-def _compile(events, interner=None):
-    interner = interner or EdgeInterner()
-    ids = np.empty(len(events), dtype=np.int64)
-    dirs = np.empty(len(events), dtype=np.int8)
-    ts = np.empty(len(events), dtype=np.float64)
-    for i, (u, v, t) in enumerate(events):
-        eid, forward = interner.intern(u, v)
-        ids[i] = eid
-        dirs[i] = 0 if forward else 1
-        ts[i] = t
-    order = np.argsort(ts, kind="stable")
-    return (
-        CompiledTrackingForm(interner, ids[order], dirs[order], ts[order]),
-        interner,
-        (ids, dirs, ts),
-    )
-
-
 class TestCompiledAppendRegression:
-    EVENTS_A = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "a", 3.0),
-                ("b", "a", 4.0), ("a", "b", 5.0)]
-    EVENTS_B = [("a", "b", 2.5), ("b", "c", 0.5), ("a", "c", 6.0)]
-
-    def test_query_append_requery(self):
-        """Pre-PR regression: a compiled boundary chain cached by a
-        query survived mutation, so a re-query after an append served
-        the stale prefix sums (and pre-PR there was no append path at
-        all — this test fails with AttributeError there)."""
-        form, interner, _ = _compile(self.EVENTS_A)
-        chain = (("a", "b"), ("b", "c"))
-        before = form.integrate_until(chain, 10.0)
-        assert form.generation == 0
-
-        _, _, (ids, dirs, ts) = _compile(self.EVENTS_B, interner)
-        appended = form.append_events(ids, dirs, ts)
-        assert appended == len(self.EVENTS_B)
-        assert form.generation == 1
-
-        fresh, _, _ = _compile(self.EVENTS_A + self.EVENTS_B)
-        for t in (0.4, 2.6, 10.0):
-            assert form.integrate_until(chain, t) == (
-                fresh.integrate_until(chain, t)
-            ), "stale boundary cache served after append"
-        assert form.integrate_until(chain, 10.0) != before
-
-    def test_id_native_chain_also_invalidated(self):
-        form, interner, _ = _compile(self.EVENTS_A)
-        eid, _ = interner.intern("a", "b")
-        wall_ids = np.array([eid], dtype=np.int64)
-        signs = np.array([1], dtype=np.int8)
-        form.integrate_until_ids(wall_ids, signs, 10.0)  # primes the LRU
-
-        _, _, arrays = _compile(self.EVENTS_B, interner)
-        form.append_events(*arrays)
-        fresh, _, _ = _compile(self.EVENTS_A + self.EVENTS_B)
-        assert form.integrate_until_ids(wall_ids, signs, 10.0) == (
-            fresh.integrate_until_ids(wall_ids, signs, 10.0)
-        )
-
-    def test_append_matches_tracking_form(self):
-        form, interner, _ = _compile(self.EVENTS_A)
-        _, _, arrays = _compile(self.EVENTS_B, interner)
-        form.append_events(*arrays)
-        tracking = TrackingForm()
-        for u, v, t in self.EVENTS_A + self.EVENTS_B:
-            tracking.record(u, v, t)
-        for edge in tracking.edges():
-            for t in (0.0, 1.5, 4.5, 10.0):
-                assert form.net_until(edge, t) == tracking.net_until(edge, t)
-        assert form.total_events == tracking.total_events
+    EVENTS = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "a", 3.0),
+              ("b", "a", 4.0), ("a", "b", 5.0)]
 
     def test_to_columns_round_trip(self):
-        form, interner, _ = _compile(self.EVENTS_A)
+        interner = EdgeInterner()
+        codes = np.array([interner.codes[u, v] for u, v, _ in self.EVENTS])
+        ts = np.array([t for _, _, t in self.EVENTS])
+        form = CompiledTrackingForm(interner, codes >> 1, codes & 1, ts)
         columns = form.to_columns()
         rebuilt = CompiledTrackingForm(
             interner, columns.edge_id.astype(np.int64),

@@ -194,40 +194,10 @@ class TestCompressedEquivalence:
         assert form.storage_report()["components"]["payload"] == 0
         assert np.array_equal(form._segment_ids(1, 0), columns.t)
 
-    def test_append_merge_non_monotone(self, forms_pair):
-        """Appends earlier than stored events force a true re-sort
-        merge; compressed re-encoding must match the plain merge."""
-        network, columns, *_ = forms_pair
-        interner = network.domain.edge_interner
-        base = _random_columns(interner, 500, seed=8)
-        plain = CompiledTrackingForm(
-            interner, base.edge_id, base.direction, base.t
-        )
-        compressed = CompressedTrackingForm(
-            interner, base.edge_id, base.direction, base.t,
-            tick_bits=TICK_BITS,
-        )
-        rng = np.random.default_rng(9)
-        extra = _random_columns(interner, 200, seed=10)
-        # Shift half the appended events *before* the existing ones.
-        t = extra.t.copy()
-        t[: len(t) // 2] = quantize_times(
-            rng.uniform(0.0, HORIZON * 0.2, len(t) // 2), TICK_BITS
-        )
-        assert plain.generation == compressed.generation == 0
-        plain.append_events(extra.edge_id, extra.direction, t)
-        compressed.append_events(extra.edge_id, extra.direction, t)
-        assert plain.generation == compressed.generation == 1
-        for d in (0, 1):
-            assert np.array_equal(
-                plain._direction_values(d),
-                compressed._direction_values(d),
-            )
-
     def test_digest_stable_across_widths_and_generations(self, forms_pair):
         """compile_boundary_ids canonicalises chain dtypes, so the
         same chain compiles to one cache entry regardless of caller
-        widths — and an append invalidates it via the generation."""
+        widths."""
         _, _, _, compressed = forms_pair
         wall64 = np.array([3, 7, 11], dtype=np.int64)
         wall32 = wall64.astype(np.int32)
