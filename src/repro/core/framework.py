@@ -116,6 +116,9 @@ class InNetworkFramework:
         self._full_form: Optional[TrackingForm] = None
         self._store: Optional[EdgeCountStore] = None
         self._sharded: Optional[ShardedQueryEngine] = None
+        #: :meth:`query`'s default-dispatch engine with the key it was
+        #: built under; dropped wherever ``_store`` is rebound.
+        self._engine = None
         self._streaming: Optional[StreamingEventStore] = None
         self._sketch = None
         self._closed = False
@@ -247,7 +250,7 @@ class InNetworkFramework:
                 )
             self.network = network
             self._form = None
-            self._store = None
+            self._store = self._engine = None
             self._streaming = None
             self._sketch = None
             self._drop_sharded()
@@ -381,6 +384,7 @@ class InNetworkFramework:
     def _rebuild_stores(self) -> None:
         tracer = self.obs.tracer
         self._drop_sharded()
+        self._engine = None
         columns = self._log_columns()
         with tracer.span("ingest.build_form", network="full"):
             self._full_form = self._full.build_form(columns)
@@ -445,9 +449,10 @@ class InNetworkFramework:
     ):
         """A query engine over the deployed network and current store.
 
-        ``query()`` builds one per call; monitoring loops and EXPLAIN
-        want a persistent engine so the dispatcher (and its fault
-        telemetry) survives across queries.
+        ``query()`` keeps one for its default dispatch and builds one
+        per call that injects faults; monitoring loops and EXPLAIN want
+        a persistent engine so the dispatcher (and its fault telemetry)
+        survives across queries.
 
         With a sharded config (``shards=N`` or ``planner="sharded"``)
         and no fault injector this returns the framework's cached
@@ -500,6 +505,7 @@ class InNetworkFramework:
         structured :class:`~repro.errors.QueryError` instead of
         failing deep inside a released resource.  Idempotent."""
         self._drop_sharded()
+        self._engine = None
         if self._streaming is not None:
             self._streaming.close()
         if self.obs.profiler is not None:
@@ -540,16 +546,25 @@ class InNetworkFramework:
         the summary without contacting any sensor and carries the
         bound in ``result.degradation`` (``strategy="sketch"``).
         """
-        engine = self.engine(
-            faults=faults,
-            dispatch_strategy=dispatch_strategy,
-            retry_policy=retry_policy,
+        query = RangeQuery(
+            box, t1, t2, kind=kind, bound=bound, max_error=max_error
         )
-        return engine.execute(
-            RangeQuery(
-                box, t1, t2, kind=kind, bound=bound, max_error=max_error
+        dispatch = (faults, dispatch_strategy, retry_policy)
+        config, plain = self.config, faults is None and retry_policy is None
+        if plain and config is not None and not config.sharded:
+            # Default dispatch: one engine serves every call until what
+            # it was built from changes (the store, the sketch, the
+            # planner mode, the strategy, the metrics registry current
+            # at the call).  The engine keeps store and sketch alive and
+            # the key keeps the registry, so no identity can be reused.
+            key = (
+                id(self._store), id(self._sketch), config.planner,
+                dispatch_strategy, get_registry(),
             )
-        )
+            if self._engine is None or self._engine[0] != key:
+                self._engine = (key, self.engine(*dispatch))
+            return self._engine[1].execute(query)
+        return self.engine(*dispatch).execute(query)
 
     def explain(
         self,

@@ -22,13 +22,13 @@ right-continuous ``<= t`` semantics on the same ``float64`` timestamps.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from ..errors import QueryError
 from ..obs import get_registry
-from .rank import segmented_rank, time_lanes
+from .rank import chain_lanes, csr_take, segmented_rank, time_lanes
 from .snapshot import DirectedEdge, _canonical
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,14 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: 8k merged events a chain.  The seen-once set is bounded by the same
 #: number.
 DEFAULT_BOUNDARY_CACHE_SIZE = 1024
-
-
-def _csr_take(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index array selecting ``offsets[r]:offsets[r+1]`` per row."""
-    starts = offsets[rows]
-    lens = offsets[rows + 1] - starts
-    shift = np.cumsum(lens) - lens
-    return np.repeat(starts - shift, lens) + np.arange(int(lens.sum()))
 
 
 def edge_ids(
@@ -293,7 +285,7 @@ class CompiledTrackingForm:
         subclasses with a different physical layout (the succinct tier,
         :class:`~repro.forms.succinct.CompressedTrackingForm`) override
         this, :meth:`_direction_values`, :meth:`_direction_slices` and
-        :meth:`_rank_chain` instead of every caller.
+        :meth:`_rank_lanes` instead of every caller.
         """
         row = d * self._n_ids + eid
         return self._column[self._rows[row]:self._rows[row + 1]]
@@ -317,26 +309,28 @@ class CompiledTrackingForm:
         rows = self._rows
         wall_ids = wall_ids + d * self._n_ids
         lens = rows[wall_ids + 1] - rows[wall_ids]
-        return self._column[_csr_take(rows, wall_ids)], lens
+        return self._column[csr_take(rows[wall_ids], lens)], lens
+
+    def _rank_lanes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Per lane, the rank of time ``t`` in joint-column row
+        ``rows`` — the storage hook under every first-touch read, a
+        single chain's and a whole batch's alike."""
+        return segmented_rank(
+            self._column, self._rows[rows], self._rows[rows + 1], t
+        )
 
     def _rank_chain(
         self, wall_ids: np.ndarray, signs: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
         """Cumulative net of a chain at each of ``times`` by ranking:
-        one lane per (edge, direction, time), one kernel pass, no
+        one lane per (edge, direction, time) — every edge's entering
+        segment, then every edge's leaving one — one kernel pass, no
         merged copy.  ``wall_ids`` are int64 ids inside the frozen id
         universe; the result has the shape of ``times``."""
-        rows = self._chain_rows(wall_ids)
-        lanes = time_lanes(self._rows[rows], self._rows[rows + 1], times)
-        ranks = segmented_rank(self._column, *lanes)
-        weights = np.concatenate((signs, -signs))
+        rows = np.concatenate((wall_ids, wall_ids + self._n_ids))
+        ranks = self._rank_lanes(*time_lanes(rows, times))
         ranks = ranks.reshape(rows.size, times.size)
-        return (weights @ ranks).reshape(times.shape)
-
-    def _chain_rows(self, wall_ids: np.ndarray) -> np.ndarray:
-        """Joint-column rows of a chain: every edge's entering
-        segment, then every edge's leaving one."""
-        return np.concatenate((wall_ids, wall_ids + self._n_ids))
+        return (np.concatenate((signs, -signs)) @ ranks).reshape(times.shape)
 
     def _segment(self, edge: DirectedEdge, entering: bool) -> np.ndarray:
         key, forward = _canonical(edge)
@@ -437,12 +431,6 @@ class CompiledTrackingForm:
             return wall_ids, signs
         return wall_ids[known], signs[known]
 
-    def compile_boundary(
-        self, edges: Sequence[DirectedEdge]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`compile_boundary_ids` of a directed-edge chain."""
-        return self.compile_boundary_ids(*edge_ids(self._interner, edges))
-
     def compile_boundary_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -500,6 +488,66 @@ class CompiledTrackingForm:
             compiled = self.compile_boundary_ids(wall_ids, signs)
         series, prefix = compiled
         return prefix[np.searchsorted(series, times, side="right")]
+
+    def integrate_batch(
+        self, chains, touches: np.ndarray, cuts: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """Cumulative net at every evaluation point of a batch.
+        ``chains`` is a CSR of chains (see
+        :func:`~repro.forms.rank.chain_lanes`); the points come grouped
+        by chain, chain ``c`` evaluated at
+        ``times[cuts[c]:cuts[c + 1]]``.
+
+        Answers what ``touches[c]`` successive :meth:`integrate_at_ids`
+        calls per chain would, with the same cache traffic: a cached
+        chain counts that many hits, a chain on (or reaching, inside
+        this batch) its second touch is compiled once, and either
+        answers all its points with **one** ``searchsorted``; every
+        first-touch chain × time of the batch becomes a lane of **one**
+        kernel call.
+
+        The limit of that equivalence: chains are touched here grouped
+        by chain, not in query order, so the cache and the seen-once
+        set end up as the loop would leave them only while the
+        distinct chains of the batch fit both (``boundary_cache_size``
+        each).  Past that the two orders evict — and from then on
+        promote — differently; the answers are the same either way.
+        """
+        out = np.empty(times.size, dtype=np.int64)
+        ranked = np.zeros(touches.size, dtype=bool)
+        for c in np.flatnonzero(touches).tolist():
+            link = chains[c]
+            ids, signs, key = self._chain_key(link.wall_ids, link.signs)
+            hits = int(touches[c]) - 1
+            compiled = self._cache_get(key)
+            if compiled is None:
+                if not self._second_touch(key):
+                    if not hits or self._boundary_cache_size <= 0:
+                        ranked[c] = True
+                        continue
+                    # The batch's own second query promotes the chain.
+                    self._second_touch(key)
+                    hits -= 1
+                compiled = self.compile_boundary_ids(ids, signs)
+            self._metric_boundary_hits.inc(hits)
+            self._metric_searchsorted.inc()
+            series, prefix = compiled
+            at = slice(cuts[c], cuts[c + 1])
+            out[at] = prefix[np.searchsorted(series, times[at], side="right")]
+        chain = np.repeat(np.arange(touches.size), np.diff(cuts))
+        at = np.flatnonzero(ranked[chain])
+        if at.size:
+            self._metric_searchsorted.inc()
+            point, walls, signs, t = chain_lanes(
+                chains, chain[at], times[at], self._n_ids
+            )
+            ranks = self._rank_lanes(
+                np.concatenate((walls, walls + self._n_ids)),
+                np.concatenate((t, t)),
+            )
+            net = (ranks[:walls.size] - ranks[walls.size:]) * signs
+            out[at] = np.bincount(point, weights=net, minlength=at.size)
+        return out
 
     def integrate_until_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t: float

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .rank import segmented_rank, time_lanes
+from .rank import chain_lanes, segmented_rank, time_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..trajectories import EventColumns
@@ -138,36 +138,54 @@ class EdgeCountSketch:
     # ------------------------------------------------------------------
     # Chain estimation
     # ------------------------------------------------------------------
-    def _estimate(
-        self, wall_ids: np.ndarray, signs: np.ndarray, times
+    def _lane_estimates(
+        self, walls: np.ndarray, times: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(estimates, bounds)`` of the chain's net count up to each
-        of ``times``: one rank over the touched-bin column (the bins
-        wholly before each time's bin), then two gathers — the net
-        through the last such bin, the activity of the partial one."""
-        wall_ids = np.asarray(wall_ids, dtype=np.int64)
-        known = (wall_ids >= 0) & (wall_ids < self._n_ids)
-        wall_ids = wall_ids[known]
-        bins = np.floor(np.asarray(times, dtype=np.float64) / self._bin_width)
-        lo, hi, q = time_lanes(
-            self._edge_offsets[wall_ids],
-            self._edge_offsets[wall_ids + 1],
-            bins.astype(np.int64),
-        )
-        if not lo.size or not self._bins.size:  # nothing to gather from
-            zeros = np.zeros(bins.size, dtype=np.int64)
+        """Per (edge, time) lane, the edge's net through the last bin
+        wholly before the time's bin and the activity of that partial
+        bin: one rank over the touched-bin column, then two gathers."""
+        q = np.floor(times / self._bin_width).astype(np.int64)
+        if not walls.size or not self._bins.size:  # nothing to gather from
+            zeros = np.zeros(walls.size, dtype=np.int64)
             return zeros, zeros
+        lo, hi = self._edge_offsets[walls], self._edge_offsets[walls + 1]
         # Bins are integers: "before bin q" is "<= q - 1".
         at = lo + segmented_rank(self._bins, lo, hi, q - 1)
         net = np.where(at > lo, self._cum_net[at - 1], 0)
         partial = np.minimum(at, len(self._bins) - 1)
         inside = (at < hi) & (self._bins[partial] == q)
-        bound = np.where(inside, self._activity[partial], 0)
-        shape = (len(wall_ids), bins.size)
+        return net, np.where(inside, self._activity[partial], 0)
+
+    def _estimate(
+        self, wall_ids: np.ndarray, signs: np.ndarray, times
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(estimates, bounds)`` of the chain's net count up to each
+        of ``times``."""
+        wall_ids = np.asarray(wall_ids, dtype=np.int64)
+        known = (wall_ids >= 0) & (wall_ids < self._n_ids)
+        wall_ids = wall_ids[known]
+        times = np.asarray(times, dtype=np.float64)
+        net, bound = self._lane_estimates(*time_lanes(wall_ids, times))
+        shape = (len(wall_ids), times.size)
         return (
             np.asarray(signs, dtype=np.int64)[known] @ net.reshape(shape),
             bound.reshape(shape).sum(axis=0),
         )
+
+    def estimate_batch(
+        self, chains, chain: np.ndarray, times: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_estimate` at every evaluation point of a batch
+        (chain ``chain[p]`` of ``chains`` at ``times[p]``, see
+        :func:`~repro.forms.rank.chain_lanes`), all points' lanes in
+        one rank."""
+        point, walls, signs, t = chain_lanes(chains, chain, times, self._n_ids)
+        net, bound = self._lane_estimates(walls, t)
+
+        def per_point(lanes):
+            return np.bincount(point, weights=lanes, minlength=chain.size)
+
+        return per_point(net * signs).astype(int), per_point(bound).astype(int)
 
     def estimate_until_ids(
         self, wall_ids: np.ndarray, signs: np.ndarray, t: float

@@ -45,10 +45,9 @@ import numpy as np
 from .compiled import (
     DEFAULT_BOUNDARY_CACHE_SIZE,
     CompiledTrackingForm,
-    _csr_take,
     _joint_rows,
 )
-from .rank import segmented_rank, time_lanes
+from .rank import csr_take, segmented_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planar import EdgeInterner
@@ -67,6 +66,9 @@ DEFAULT_BLOCK = 32
 #: its first byte and has to end inside one 8-byte window.  2**57 ticks
 #: is millennia at the finest resolution the framework accepts.
 MAX_WIDTH = 57
+
+#: Lanes whose straddling block is decoded together (32 slots each).
+_DECODE_LANES = 1024
 
 _EMPTY = np.empty(0, dtype=np.float64)
 _EMPTY_U8 = np.empty(0, dtype=np.uint8)
@@ -259,7 +261,7 @@ class CompressedTrackingForm(CompiledTrackingForm):
     ``integrate_*``, ``compile_boundary_ids``, shm interop) is the
     parent's; only the raw-storage hooks (:meth:`_set_csr`,
     :meth:`_segment_ids`, :meth:`_direction_values`,
-    :meth:`_direction_slices`, :meth:`_rank_chain`) and the shm layout
+    :meth:`_direction_slices`, :meth:`_rank_lanes`) and the shm layout
     differ.
     """
 
@@ -307,7 +309,8 @@ class CompressedTrackingForm(CompiledTrackingForm):
         blocks = self._blocks
         lens = self._rows[rows + 1] - self._rows[rows]
         segments = blocks.seg_rank[rows[lens > 0]]
-        take = _csr_take(blocks.block_starts, segments)
+        starts = blocks.block_starts[segments]
+        take = csr_take(starts, blocks.block_starts[segments + 1] - starts)
         out = np.empty(int(lens.sum()), dtype=np.int64)
         is_head = np.zeros(len(out), dtype=bool)
         is_head[(np.cumsum(lens) - lens)[lens > 0]] = True
@@ -327,42 +330,44 @@ class CompressedTrackingForm(CompiledTrackingForm):
         n = self._n_ids
         return self._decode_rows(np.arange(d * n, (d + 1) * n))[0]
 
-    def _rank_chain(
-        self, wall_ids: np.ndarray, signs: np.ndarray, times: np.ndarray
-    ) -> np.ndarray:
+    def _rank_lanes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Rank over the directory, then inside one block per lane.
 
-        Per (edge, direction, time) lane the kernel counts the blocks
-        whose first tick is ``<= t``; the last of them is the only
-        block that can straddle ``t``, so it alone is decoded.  A
-        timestamp is ``tick * 2**-tick_bits`` exactly, hence
-        ``value <= t`` iff ``tick <= floor(t * 2**tick_bits)``.
+        Per (row, time) lane the kernel counts the blocks whose first
+        tick is ``<= t``; the last of them is the only block that can
+        straddle ``t``, so it alone is decoded.  A timestamp is
+        ``tick * 2**-tick_bits`` exactly, hence ``value <= t`` iff
+        ``tick <= floor(t * 2**tick_bits)``.
         """
         blocks = self._blocks
         limit = float(2 ** 62)
-        quantum = np.floor(times.ravel() * float(2.0 ** self._tick_bits))
+        quantum = np.floor(t * float(2.0 ** self._tick_bits))
         quantum = np.clip(quantum, -limit, limit).astype(np.int64)
-        segments = blocks.seg_rank[self._chain_rows(wall_ids)]
-        present = segments >= 0
-        segments = segments[present]
-        lo, hi, q = time_lanes(
-            blocks.block_starts[segments],
-            blocks.block_starts[segments + 1],
-            quantum,
+        segments = blocks.seg_rank[rows]
+        present = np.flatnonzero(segments >= 0)
+        segments, q = segments[present], quantum[present]
+        lo = blocks.block_starts[segments]
+        before = segmented_rank(
+            blocks.directory, lo, blocks.block_starts[segments + 1], q
         )
-        before = segmented_rank(blocks.directory, lo, hi, q)
         # The head, then 32 values per block wholly before the
         # straddling one, then that block's share: its ticks keep
         # ascending past its length, so the count caps there.
-        rank = (np.repeat(blocks.heads[segments], quantum.size) <= q) + (
+        rank = (blocks.heads[segments] <= q) + (
             np.maximum(before - 1, 0) * self._block
         )
         inside = np.flatnonzero(before)
         straddling = lo[inside] + before[inside] - 1
-        within = (blocks.decode(straddling) <= q[inside, None]).sum(axis=1)
-        rank[inside] += np.minimum(within, blocks.block_len[straddling])
-        weights = np.concatenate((signs, -signs))[present]
-        return (weights @ rank.reshape(-1, quantum.size)).reshape(times.shape)
+        # A batch brings tens of thousands of lanes: decoded a slice
+        # at a time, the 32-wide scratch stays cache-sized.
+        for start in range(0, inside.size, _DECODE_LANES):
+            at = inside[start:start + _DECODE_LANES]
+            take = straddling[start:start + _DECODE_LANES]
+            within = (blocks.decode(take) <= q[at, None]).sum(axis=1)
+            rank[at] += np.minimum(within, blocks.block_len[take])
+        ranks = np.zeros(rows.size, dtype=np.int64)
+        ranks[present] = rank
+        return ranks
 
     # ------------------------------------------------------------------
     # Shared-memory interop

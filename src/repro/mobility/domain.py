@@ -141,6 +141,12 @@ class MobilityDomain:
         hits.sort()
         return hits
 
+    def bbox_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted-coordinate index itself — ``x`` ascending, the
+        matching ``y``, the junction index of each entry — for callers
+        that probe many rectangles at once (the batch query plan)."""
+        return self._bbox_x, self._bbox_y, self._bbox_order
+
     # ------------------------------------------------------------------
     # Sensing-edge topology (including the EXT geofence)
     # ------------------------------------------------------------------

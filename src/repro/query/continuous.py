@@ -206,10 +206,7 @@ class ContinuousCountMonitor:
     # ------------------------------------------------------------------
     def count(self, name: str) -> float:
         """Current count of a standing region."""
-        try:
-            return self._states[name].count
-        except KeyError:
-            raise QueryError(f"unknown region {name!r}") from None
+        return self.state(name).count
 
     def state(self, name: str) -> RegionState:
         try:

@@ -20,11 +20,14 @@ models) through the one pipeline of :mod:`repro.query.pipeline`:
 
 A query *misses* when no region approximation exists (§5.5).
 
-:meth:`QueryEngine.execute` runs the pipeline cold for one query;
-:meth:`QueryEngine.execute_batch` runs the *same* per-query core with a
-per-batch :class:`~repro.query.pipeline.PlanMemo`, so repeated boxes
-and regions are planned once.  Neither is implemented through the
-other.
+:meth:`QueryEngine.execute` runs the pipeline cold for one query.
+:meth:`QueryEngine.execute_batch` runs each stage *once for the whole
+batch*: one columnar plan over the distinct ``(box, bound)`` pairs
+(:meth:`~repro.query.pipeline.PlanStage.plan_batch`), one integration
+in which every first-touch chain × time is a lane of a single
+rank-kernel call, and a per-query ``finish``.  Neither is implemented
+through the other; their results are field-identical apart from the
+timing fields.
 
 Planners: the engine holds one planner, chosen at construction — the
 reference :class:`~repro.query.PythonQueryPlanner` (sets/dicts,
@@ -52,6 +55,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..errors import QueryError
 from ..forms import EdgeCountStore
 from ..mobility import MobilityDomain
@@ -60,7 +65,7 @@ from ..network.simulator import DegradedReport, NetworkSimulator
 from ..obs import FlightRecorder, Instrumentation, NULL_INSTRUMENTATION
 from ..planar import NodeId
 from ..sampling import SensorNetwork
-from .pipeline import PlanMemo, PlanStage, QueryAccounting, QueryPlan
+from .pipeline import BatchPlan, PlanStage, QueryAccounting, QueryPlan
 from .planner import CompiledQueryPlanner, PythonQueryPlanner
 from .result import TRANSIENT, QueryDegradation, QueryResult, RangeQuery
 
@@ -141,6 +146,9 @@ class QueryEngine:
         self._planner = (
             CompiledQueryPlanner if compiled else PythonQueryPlanner
         )(self.network)
+        #: Whether chains reach the store as wall ids (batches then
+        #: integrate as evaluation points, not query by query).
+        self._id_native = id_native and compiled
         self._stage = PlanStage(
             self._planner, self.access_mode, self.obs.tracer
         )
@@ -207,19 +215,26 @@ class QueryEngine:
     def execute_batch(
         self, queries: Sequence[RangeQuery]
     ) -> List[QueryResult]:
-        """Execute a query battery, amortising the shared work.
+        """Execute a query battery as one batch.
 
-        The standard batteries reuse the same rectangles across kinds
-        and bounds, so rectangle → junction-set resolution, region
-        approximation, boundary-chain construction and sensor
-        accounting are each computed once per distinct (box, bound) and
-        shared across the batch through a
-        :class:`~repro.query.pipeline.PlanMemo`.  Count stores exposing
-        batched integration
-        (:class:`~repro.forms.CompiledTrackingForm`) additionally
-        amortise the boundary's merged timestamp series across every
-        timestamp evaluated against it.  Results are identical to
-        :meth:`execute_many`.
+        **Plan**: the distinct ``(box, bound)`` pairs of the battery
+        are planned together — rectangle → junctions, region
+        approximation, boundary chains and sensor accounting each run
+        once, columnar, for all of them
+        (:meth:`~repro.query.pipeline.PlanStage.plan_batch`); boxes
+        that resolve to the same regions share one chain.  **Answer**:
+        on an id-native store every query becomes one or two
+        evaluation points ``(chain, time)``; chains already in (or due
+        for promotion to) the store's boundary cache answer all their
+        points with one ``searchsorted`` each, and every first-touch
+        chain × time of the batch is a lane of **one** rank-kernel
+        call (tolerant queries try the sketch the same way first).
+        **Finish** stays per query.  Results are identical to
+        :meth:`execute_many` in every field but the timing ones, and
+        a compiled store's boundary cache ends up as the loop would
+        leave it (a streaming store is handed each chain once per
+        batch, so its blocks count one touch where the loop counts
+        one per query).
 
         **Ordering contract**: ``results[i]`` answers ``queries[i]``
         for every ``i``, whatever the internal evaluation order.  The
@@ -230,35 +245,155 @@ class QueryEngine:
         The contract is asserted on exit here and in the sharded
         gather.
 
-        Timing attribution: shared cache-fill work is metered
-        *separately* from per-query work.  Each result's ``elapsed``
-        covers only the work done for that query (integration plus
-        cache lookups), so the first query for a ``(box, bound)`` is
-        directly comparable to later ones and to the Fig. 11d series;
-        the fill cost is accumulated in the
-        ``repro_query_batch_fill_seconds_total`` counter, in
-        ``batch.fill.*`` tracing spans and — with provenance enabled —
-        in the triggering result's ``provenance.shared_fill_s``.
-        Results whose shared structures all came from the caches are
-        flagged ``cache_served``.
+        Timing attribution: plan work is metered *separately* from
+        per-query work.  The first query of the batch to use a box, a
+        ``(box, bound)`` pair or a chain *fills* that row and is
+        charged the step's seconds per row — in
+        ``repro_query_batch_fill_seconds_total``, under the
+        ``batch.fill.*`` spans and, with provenance enabled, in its
+        ``provenance.shared_fill_s``; every later user *hits*
+        (``repro_query_batch_cache_total{cache,outcome}``), and a
+        result all of whose rows were hits is flagged
+        ``cache_served``.  ``elapsed`` never contains plan seconds: it
+        is the query's even share of the batch's dedupe pass plus, if
+        answered, its even share of the one integration — so the first
+        query for a ``(box, bound)`` is directly comparable to later
+        ones and to the Fig. 11d series.
 
         Fault-aware engines run every query cold, one after the other:
         degraded dispatch depends on the live per-query sensor set and
-        the injector's attempt stream, which the shared caches cannot
+        the injector's attempt stream, which a shared plan cannot
         reproduce.
         """
         provenance = self.obs.provenance
         if self._simulator is not None:
             return [self._cold(query, provenance) for query in queries]
-        tracer = self.obs.tracer
-        memo = PlanMemo(self._acct.batch_cache, tracer)
-        with tracer.span("query.execute_batch", queries=len(queries)):
-            results = [self._run(query, memo, provenance) for query in queries]
+        with self.obs.tracer.span("query.execute_batch", queries=len(queries)):
+            results = self._run_batch(queries, provenance)
         assert len(results) == len(queries) and all(
             result.query is query
             for result, query in zip(results, queries)
         ), "execute_batch broke the input-order result contract"
         return results
+
+    def _run_batch(
+        self, queries: Sequence[RangeQuery], provenance: bool
+    ) -> List[QueryResult]:
+        """The batch core: plan → answer → finish, the first two once
+        for the whole batch; only ``finish`` is per query."""
+        acct = self._acct
+        pc = time.perf_counter
+        start = pc()
+        batch = self._stage.plan_batch(queries, acct.batch_cache)
+        #: Per query, its row among the batch's chains (-1: a miss).
+        chain = np.array(
+            [batch.chain_of[pair] for pair in batch.pair_of], dtype=np.int64
+        )
+        # Shared work is split evenly: every query its share of the
+        # dedupe, every answered one its share of the one integration.
+        lookup = (pc() - start - batch.fill_s) / max(len(queries), 1)
+        (values, bounds), integrate = self._stage.timed(
+            "query.integrate", {"queries": len(queries)},
+            self._answer_batch, batch, queries, chain,
+        )
+        integrate /= max(int((chain >= 0).sum()), 1)
+        results = []
+        for i, (query, value, bound) in enumerate(zip(queries, values, bounds)):
+            acct.count_query(query)
+            served = bound is not None
+            plan, row = batch.query_plan(i, served)
+            stage_s = plan.stage_s
+            if row < 0:
+                results.append(
+                    acct.finish(query, plan, 0.0, lookup, stage_s, provenance)
+                )
+                continue
+            stage_s["integrate"] = integrate
+            results.append(acct.finish(
+                query, plan, value, lookup + integrate, stage_s, provenance,
+                plan.edges, 0 if served else batch.nodes[row],
+                self._sketched(plan.edges, bound) if served else None, served,
+            ))
+        return results
+
+    def _answer_batch(
+        self, batch: BatchPlan, queries: Sequence[RangeQuery], chain: np.ndarray
+    ) -> Tuple[list, list]:
+        """Per query of a planned batch (query ``k`` on chain row
+        ``chain[k]``), its value and — served from the sketch — its
+        error bound.
+
+        On an id-native store a query is one or two **evaluation
+        points** ``(chain, time)`` whose cumulative nets fold into its
+        value (:meth:`_fold`): tolerant queries try the sketch first,
+        all their points in one ``estimate_batch``, and every point
+        not served there goes to the store in one ``integrate_batch``.
+        Any other store integrates query by query, as :meth:`_answer`
+        does.
+        """
+        n, chains, mode = len(queries), batch.chains, self.static_eval
+        values, bounds = [0.0] * n, [None] * n
+        live = chain >= 0
+        if not self._id_native:
+            integrate, store = self._planner.integrate, self.store
+            for k in np.flatnonzero(live).tolist():
+                values[k] = integrate(store, chains[chain[k]], queries[k], mode)
+            return values, bounds
+        t1 = np.array([query.t1 for query in queries])
+        t2 = np.array([query.t2 for query in queries])
+        flow = np.array([query.kind == TRANSIENT for query in queries], bool)
+        # Every query is evaluated at its last time; a two-ended one
+        # (a transient count, a static one under "min") also at t1.
+        two = flow | (mode == "min")
+        owner = np.concatenate((np.arange(n), np.flatnonzero(two)))
+        times = np.concatenate(
+            (np.where(flow, t2, t1) if mode == "start" else t2, t1[two])
+        )
+
+        def ends(at, at_points):
+            """Per query, the point values at its last and first time."""
+            of_point = np.zeros(owner.size, dtype=np.int64)
+            of_point[at] = at_points
+            first = np.zeros(n, dtype=np.int64)
+            first[two] = of_point[n:]
+            return of_point[:n], first
+
+        if self._sketch_tier:
+            tolerance = np.array(
+                [np.nan if q.max_error is None else q.max_error for q in queries]
+            )
+            tolerant = live & ~np.isnan(tolerance)
+            at = np.flatnonzero(tolerant[owner])
+            estimates, slack = self.sketch.estimate_batch(
+                chains, chain[owner[at]], times[at]
+            )
+            estimate = self._fold(flow, two, *ends(at, estimates))
+            last, first = ends(at, slack)
+            bound = np.where(flow, last + first, np.maximum(last, first))
+            served = tolerant & (bound <= tolerance)
+            self._acct.sketch[True].inc(int(served.sum()))
+            self._acct.sketch[False].inc(int((tolerant & ~served).sum()))
+            live &= ~served
+            for k in np.flatnonzero(served).tolist():
+                values[k], bounds[k] = float(estimate[k]), float(bound[k])
+        at = np.flatnonzero(live[owner])
+        nets = self._planner.integrate_batch(
+            self.store, chains,
+            np.bincount(chain[live], minlength=len(chains)),
+            chain[owner[at]], times[at],
+        )
+        folded = self._fold(flow, two, *ends(at, nets))
+        for k in np.flatnonzero(live).tolist():
+            values[k] = folded[k]
+        return values, bounds
+
+    @staticmethod
+    def _fold(transient, two, last, first) -> list:
+        """Per query, its value from the cumulative nets at its last
+        and first evaluation point: their difference (Theorem 4.3),
+        the smaller (static "min") or the last alone (Theorem 4.2)."""
+        static = np.where(two, np.minimum(last, first), last)
+        return np.where(transient, last - first, static).tolist()
 
     def _cold(self, query: RangeQuery, provenance: bool) -> QueryResult:
         """One query outside any batch, under its ``query.execute``
@@ -266,47 +401,34 @@ class QueryEngine:
         the null span costs three calls for nothing)."""
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return self._run(query, None, provenance)
+            return self._run(query, provenance)
         with tracer.span(
             "query.execute", kind=query.kind, bound=query.bound
         ) as span:
-            return self._run(query, None, provenance, span)
+            return self._run(query, provenance, span)
 
     def _run(
-        self,
-        query: RangeQuery,
-        memo: Optional[PlanMemo],
-        provenance: bool,
-        span=None,
+        self, query: RangeQuery, provenance: bool, span=None
     ) -> QueryResult:
-        """The per-query core: plan → answer → finish.
-
-        ``memo`` is ``None`` for a cold query (every step runs, under
-        its own span inside ``span``) and the batch's shared tables
-        otherwise.
-        """
-        acct, stage, tracer = self._acct, self._stage, self.obs.tracer
+        """The per-query core: plan → answer → finish, every step
+        under its own span inside ``span``."""
+        acct, stage = self._acct, self._stage
         acct.count_query(query)
         pc = time.perf_counter
         start = pc()
-        plan = stage.plan(query, memo)
+        plan = stage.plan(query)
         stage_s, chain = plan.stage_s, plan.chain
         if chain is None:
             return acct.finish(
-                query, plan, 0.0, pc() - start - plan.shared, stage_s,
-                provenance,
+                query, plan, 0.0, pc() - start, stage_s, provenance
             )
-        edges = len(chain)
-        t_planned = pc()
-        if tracer.enabled:
-            with tracer.span("query.integrate", edges=edges):
-                value, degradation = self._answer(chain, query)
-        else:
-            value, degradation = self._answer(chain, query)
+        edges = plan.edges
+        (value, degradation), stage_s["integrate"] = stage.timed(
+            "query.integrate", {"edges": edges}, self._answer, chain, query
+        )
         t_answered = pc()
-        stage_s["integrate"] = t_answered - t_planned
         approximate = degradation is not None
-        stage.sensors(plan, memo, approximate)
+        stage.sensors(plan, approximate)
         nodes = accounted = len(plan.sensors)
         if self._simulator is not None and nodes:
             value, degradation, nodes = self._dispatch(plan, query, value)
@@ -319,7 +441,7 @@ class QueryEngine:
         if span is not None:
             span.set(value=value, sensors=accounted)
         return acct.finish(
-            query, plan, value, pc() - start - plan.shared, stage_s,
+            query, plan, value, pc() - start, stage_s,
             provenance, edges, nodes, degradation, approximate,
         )
 
@@ -402,24 +524,19 @@ class QueryEngine:
 
         store = self.store
         if query.kind == TRANSIENT:
-            contributions = [
-                store.net_between(edge, query.t1, query.t2)
-                for edge in reached
-            ]
-            value = float(sum(contributions))
-            magnitudes = [abs(c) for c in contributions]
+            nets = [[
+                store.net_between(edge, query.t1, query.t2) for edge in reached
+            ]]
         else:
-            at_start = [store.net_until(edge, query.t1) for edge in reached]
-            at_end = [store.net_until(edge, query.t2) for edge in reached]
-            if self.static_eval == "start":
-                value = float(sum(at_start))
-                magnitudes = [abs(c) for c in at_start]
-            elif self.static_eval == "end":
-                value = float(sum(at_end))
-                magnitudes = [abs(c) for c in at_end]
-            else:
-                value = float(min(sum(at_start), sum(at_end)))
-                magnitudes = [abs(c) for c in at_start + at_end]
+            start, end = (
+                [store.net_until(edge, t) for edge in reached]
+                for t in (query.t1, query.t2)
+            )
+            nets = {"start": [start], "end": [end]}.get(
+                self.static_eval, [start, end]
+            )
+        value = float(min(sum(series) for series in nets))
+        magnitudes = [abs(net) for series in nets for net in series]
 
         if lost == 0:
             bound = 0.0
@@ -457,35 +574,36 @@ class QueryEngine:
         ``strategy="sketch"``; the bound always contains the exact
         answer (see :class:`~repro.forms.EdgeCountSketch`).
         """
-        wall_ids, signs = chain.wall_ids, chain.signs
-        sketch = self.sketch
+        wall_ids, signs, sketch = chain.wall_ids, chain.signs, self.sketch
         if query.kind == TRANSIENT:
             estimate, bound = sketch.estimate_between_ids(
                 wall_ids, signs, query.t1, query.t2
             )
-        elif self.static_eval == "end":
+        else:
+            times = query.static_times(self.static_eval)
             estimate, bound = sketch.estimate_until_ids(
-                wall_ids, signs, query.t2
+                wall_ids, signs, times[-1]
             )
-        elif self.static_eval == "start":
-            estimate, bound = sketch.estimate_until_ids(
-                wall_ids, signs, query.t1
-            )
-        else:  # "min": min estimate; max bound covers min() exactly
-            e1, b1 = sketch.estimate_until_ids(wall_ids, signs, query.t1)
-            e2, b2 = sketch.estimate_until_ids(wall_ids, signs, query.t2)
-            estimate, bound = min(e1, e2), max(b1, b2)
+            if len(times) == 2:  # min estimate; max bound covers min()
+                first, slack = sketch.estimate_until_ids(
+                    wall_ids, signs, times[0]
+                )
+                estimate, bound = min(estimate, first), max(bound, slack)
         hit = bound <= query.max_error
         self._acct.sketch[hit].inc()
         if not hit:
             return None
-        degradation = QueryDegradation(
+        return float(estimate), self._sketched(len(chain), bound)
+
+    @staticmethod
+    def _sketched(edges: int, bound: float) -> QueryDegradation:
+        """The bound a sketch-served answer carries."""
+        return QueryDegradation(
             skipped_sensors=(),
             lost_walls=0,
-            boundary_walls=len(chain),
+            boundary_walls=edges,
             error_bound=float(bound),
             coverage=1.0,
             strategy="sketch",
         )
-        return float(estimate), degradation
 

@@ -9,12 +9,16 @@ depend on where the events live:
     rectangle → junction set ``R`` → region approximation (R1/R2) →
     boundary chain → sensors, written once over whichever planner the
     engine holds.  A cold query runs each step under its
-    ``query.<phase>`` span; with a :class:`PlanMemo` each step is
-    looked up first and computed (under ``batch.fill.<cache>``) only
-    once per distinct box / (box, bound) / region tuple, the fill time
-    metered out of the query's own ``elapsed``.  The sharded router
-    uses the same steps with a silent memo and stops after the regions
-    unless no shard can reach them.
+    ``query.<phase>`` span (:meth:`PlanStage.plan`).  A batch is
+    planned as a whole (:meth:`PlanStage.plan_batch`): its distinct
+    boxes, ``(box, bound)`` pairs and region tuples are each resolved
+    once through the planner's batch surface — four steps for the
+    whole batch, each under one ``batch.fill.<table>`` span — into a
+    :class:`BatchPlan`, which hands every query its
+    :class:`QueryPlan` and applies the attribution rule (first use of
+    a row in the batch = fill, later ones = hit; plan seconds metered
+    out of every ``elapsed``).  The sharded router plans the same way,
+    silently, and stops after the regions.
 
 **finish** (:meth:`QueryAccounting.finish`)
     turns a planned, answered query into its metrics, provenance,
@@ -31,13 +35,12 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.simulator import DEGRADATION_BUCKETS
 from ..obs import (
     FlightRecorder,
     Instrumentation,
-    NULL_TRACER,
     QueryProvenance,
     SECONDS_BUCKETS,
     get_registry,
@@ -54,7 +57,6 @@ PLAN_PHASES = {
 }
 
 _ROUTING = ("junctions", "regions")
-_MISSING = object()
 _NO_ATTRS: Dict[str, object] = {}
 
 
@@ -62,7 +64,7 @@ class QueryPlan:
     """What one query resolved to, and what resolving it cost."""
 
     __slots__ = (
-        "junction_count", "regions", "chain", "sensors",
+        "junction_count", "regions", "chain", "edges", "sensors",
         "hits", "shared", "stage_s",
     )
 
@@ -71,32 +73,93 @@ class QueryPlan:
         #: Sorted region tuple; ``None`` when no approximation exists
         #: (§5.5: the query is a miss).
         self.regions: Optional[Tuple[int, ...]] = None
+        #: The boundary chain (cold plans only; a batch keeps its
+        #: chains in one :class:`BatchPlan` table) and its length.
         self.chain = None
+        self.edges = 0
         #: Planner-native sensor collection (empty until resolved).
         self.sensors = ()
-        #: Per-memo-table hit flags (empty outside an accounted batch).
+        #: Per-table hit flags (empty outside an accounted batch).
         self.hits: Dict[str, bool] = {}
         #: Shared fill seconds this query triggered in its batch.
         self.shared = 0.0
         self.stage_s: Dict[str, float] = {}
 
 
-class PlanMemo:
-    """Per-batch shared structures, one table per plan step.
+class BatchPlan:
+    """The plan of a whole batch, one row per distinct key: boxes,
+    ``(box, bound)`` pairs and boundary chains are each resolved once,
+    whichever queries share them.
 
-    ``counters`` (``(table, hit) → Counter``) switches on hit/fill
-    accounting and the per-query hit flags; without it the memo only
-    caches (the sharded router).
+    :meth:`query_plan` hands a query its :class:`QueryPlan` and applies
+    the attribution rule: the first query of the batch to use a row
+    *fills* it and is charged that table's seconds per row
+    (``shared``); every later one *hits*.  ``counters`` (``(table, hit)
+    → Counter``) switches the accounting on; without it the plan only
+    resolves (the sharded router).
     """
 
-    def __init__(self, counters=None, tracer=NULL_TRACER) -> None:
-        self.tables: Dict[str, dict] = {name: {} for name in PLAN_PHASES}
+    def __init__(self, counters=None) -> None:
         self.counters = counters
-        self.tracer = tracer
+        #: Per query: its pair row.  Per pair: its box row, region
+        #: tuple (``None``: a miss) and chain row (-1 without one).
+        self.pair_of: List[int] = []
+        self.pair_box: List[int] = []
+        self.regions: List[Optional[Tuple[int, ...]]] = []
+        self.chain_of: List[int] = []
+        #: Per box: junctions inside.  Per chain: walls, and sensors a
+        #: dispatch over it contacts.
+        self.junction_counts: List[int] = []
+        self.chains = ()
+        self.edges: List[int] = []
+        self.nodes: List[int] = []
+        #: Per table: seconds a fill of one row is charged, and the
+        #: rows some query of the batch has used already.
+        self.share: Dict[str, float] = {}
+        self.seen: Dict[str, set] = {name: set() for name in PLAN_PHASES}
+        #: Plan seconds in all (metered out of every ``elapsed``).
+        self.fill_s = 0.0
+
+    def query_plan(self, i: int, served: bool = False) -> Tuple[QueryPlan, int]:
+        """Query ``i``'s plan and chain row; ``served`` (from the
+        sketch) skips the sensor table."""
+        pair = self.pair_of[i]
+        box, row = self.pair_box[pair], self.chain_of[pair]
+        plan = QueryPlan()
+        count = plan.junction_count = self.junction_counts[box]
+        plan.regions = self.regions[pair]
+        if row >= 0 and self.edges:
+            plan.edges = self.edges[row]
+        if self.counters is not None:
+            self._use(plan, "junctions", box)
+            if count:
+                self._use(plan, "regions", pair)
+            if row >= 0:
+                self._use(plan, "boundary", row)
+                if not served:
+                    self._use(plan, "sensors", row)
+        return plan, row
+
+    def _use(self, plan: QueryPlan, table: str, row: int) -> None:
+        seen = self.seen[table]
+        hit = row in seen
+        fill = 0.0
+        if not hit:
+            seen.add(row)
+            fill = self.share[table]
+        plan.hits[table] = hit
+        self.counters[table, hit].inc()
+        plan.shared += fill
+        if table in _ROUTING:
+            # A batched query reports only its two routing phases;
+            # chain and sensor fills count towards ``shared`` alone.
+            plan.stage_s[PLAN_PHASES[table]] = fill
 
 
 class PlanStage:
-    """junctions → regions → chain → sensors, over one planner."""
+    """junctions → regions → chain → sensors, over one planner: one
+    query at a time (:meth:`plan`, :meth:`sensors`) or every distinct
+    key of a batch at once (:meth:`plan_batch`)."""
 
     def __init__(self, planner, access_mode: str, tracer) -> None:
         self.planner = planner
@@ -104,96 +167,123 @@ class PlanStage:
         self._flood = access_mode == "flood"
         self._mode = {"mode": access_mode}
 
-    def plan(
-        self, query: RangeQuery, memo: Optional[PlanMemo], chain: bool = True
-    ) -> QueryPlan:
-        """Steps 1-3: the junction set, its region approximation and
-        (unless the caller only routes) their boundary chain.  Stops at
-        the first step that proves the query a miss."""
-        planner, box, bound = self.planner, query.box, query.bound
+    def plan(self, query: RangeQuery) -> QueryPlan:
+        """Steps 1-3 of a cold query: the junction set, its region
+        approximation and their boundary chain.  Stops at the first
+        step that proves the query a miss."""
+        planner, bound = self.planner, query.bound
         plan = QueryPlan()
         junctions = self._resolve(
-            plan, memo, "junctions", box, _NO_ATTRS,
-            planner.junction_ids, box,
+            plan, "junctions", _NO_ATTRS, planner.junction_ids, query.box
         )
         plan.junction_count = len(junctions)
         if plan.junction_count:
             regions = plan.regions = self._resolve(
-                plan, memo, "regions", (box, bound), {"bound": bound},
+                plan, "regions", {"bound": bound},
                 planner.region_ids, junctions, bound,
             )
-            if chain and regions is not None:
+            if regions is not None:
                 plan.chain = self._resolve(
-                    plan, memo, "boundary", regions,
-                    {"regions": len(regions)}, planner.boundary, regions,
+                    plan, "boundary", {"regions": len(regions)},
+                    planner.boundary, regions,
                 )
+                plan.edges = len(plan.chain)
         return plan
 
-    def sensors(
-        self, plan: QueryPlan, memo: Optional[PlanMemo], served: bool = False
-    ) -> None:
-        """Step 4: the sensors a dispatch over the chain contacts.
-
-        A query ``served`` from the server-side sketch contacts none:
-        in a batch it skips the step (and its table); cold it still
-        reports its — empty — accounting phase.
-        """
+    def sensors(self, plan: QueryPlan, served: bool = False) -> None:
+        """Step 4: the sensors a dispatch over the chain contacts.  A
+        query ``served`` from the server-side sketch contacts none and
+        reports its — empty — accounting phase."""
         planner = self.planner
         if served:
-            if memo is not None:
-                return
             compute, args = tuple, ()
         elif self._flood:
             compute, args = planner.flood_sensors, (plan.regions,)
         else:
             compute, args = planner.chain_sensors, (plan.chain,)
         plan.sensors = self._resolve(
-            plan, memo, "sensors", plan.regions, self._mode, compute, *args
+            plan, "sensors", self._mode, compute, *args
         )
 
-    def _resolve(self, plan, memo, table, key, attrs, compute, *args):
-        """One plan step: ``compute(*args)``, cold under its
-        ``query.<phase>`` span or through the memo's ``table``.
-
-        Spans are opened only on a live tracer: entering and leaving
-        the null span would cost three calls per step for nothing.
-        """
-        pc = time.perf_counter
-        if memo is None:
-            phase = PLAN_PHASES[table]
-            tracer = self.tracer
-            t0 = pc()
-            if tracer.enabled:
-                with tracer.span("query." + phase, **attrs):
-                    value = compute(*args)
-            else:
-                value = compute(*args)
-            plan.stage_s[phase] = pc() - t0
-            return value
-        cache = memo.tables[table]
-        value = cache.get(key, _MISSING)
-        hit = value is not _MISSING
-        fill = 0.0
-        if not hit:
-            tracer = memo.tracer
-            t0 = pc()
-            if tracer.enabled:
-                with tracer.span("batch.fill." + table, **attrs):
-                    value = compute(*args)
-            else:
-                value = compute(*args)
-            cache[key] = value
-            fill = pc() - t0
-        counters = memo.counters
-        if counters is not None:
-            plan.hits[table] = hit
-            counters[table, hit].inc()
-            plan.shared += fill
-            if table in _ROUTING:
-                # A batched query reports only its two routing phases;
-                # chain and sensor fills count towards ``shared`` alone.
-                plan.stage_s[PLAN_PHASES[table]] = fill
+    def _resolve(self, plan, table, attrs, compute, *args):
+        """One cold plan step under its ``query.<phase>`` span."""
+        phase = PLAN_PHASES[table]
+        value, plan.stage_s[phase] = self.timed(
+            "query." + phase, attrs, compute, *args
+        )
         return value
+
+    def timed(self, span, attrs, compute, *args):
+        """``(compute(*args), seconds)``.  Spans are opened only on a
+        live tracer: entering and leaving the null span would cost
+        three calls per step for nothing."""
+        pc = time.perf_counter
+        tracer = self.tracer
+        t0 = pc()
+        if tracer.enabled:
+            with tracer.span(span, **attrs):
+                value = compute(*args)
+        else:
+            value = compute(*args)
+        return value, pc() - t0
+
+    def plan_batch(
+        self, queries: Sequence[RangeQuery], counters=None, chain: bool = True
+    ) -> BatchPlan:
+        """Plan a batch: dedupe to distinct boxes and ``(box, bound)``
+        pairs, resolve each once through the planner's batch surface
+        (each step under one ``batch.fill.<table>`` span), dedupe the
+        region tuples to distinct chains and — unless the caller only
+        routes (``chain=False``) — build those and account their
+        sensors."""
+        planner, batch = self.planner, BatchPlan(counters)
+        # Rows are numbered by first use: a dict keeps insertion order.
+        pairs: Dict[object, int] = {}
+        boxes: Dict[object, int] = {}
+        batch.pair_of = [
+            pairs.setdefault((query.box, query.bound), len(pairs))
+            for query in queries
+        ]
+        pair_box = batch.pair_box = [
+            boxes.setdefault(box, len(boxes)) for box, _ in pairs
+        ]
+
+        def fill(table, rows, compute, *args):
+            value, seconds = self.timed(
+                "batch.fill." + table, {"rows": rows}, compute, *args
+            )
+            batch.share[table] = seconds / max(rows, 1)
+            batch.fill_s += seconds
+            return value
+
+        found, batch.junction_counts = fill(
+            "junctions", len(boxes), planner.batch_junctions, list(boxes)
+        )
+        regions = batch.regions = fill(
+            "regions", len(pairs), planner.batch_regions, found,
+            pair_box, [bound for _, bound in pairs],
+        )
+        rows: Dict[Tuple[int, ...], int] = {}
+        batch.chain_of = [
+            -1 if selected is None else rows.setdefault(selected, len(rows))
+            for selected in regions
+        ]
+        if chain:
+            distinct = list(rows)
+            batch.chains, batch.edges = fill(
+                "boundary", len(rows), planner.batch_chains, distinct
+            )
+            batch.nodes = fill(
+                "sensors", len(rows), self._batch_sensors,
+                batch.chains, distinct,
+            )
+        return batch
+
+    def _batch_sensors(self, chains, regions) -> List[int]:
+        if self._flood:
+            flood = self.planner.flood_sensors
+            return [len(flood(selected)) for selected in regions]
+        return self.planner.batch_sensors(chains)
 
 
 class QueryAccounting:
@@ -369,7 +459,7 @@ class QueryAccounting:
                 planner=self.planner,
                 junction_count=plan.junction_count,
                 region_ids=regions,
-                boundary_length=0 if missed else len(plan.chain),
+                boundary_length=plan.edges,
                 sensors_accessed=nodes,
                 cache_served=cache_served,
                 cache_hits=hits,

@@ -50,11 +50,13 @@ cross-check suite in ``tests/test_query_planner.py`` asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain as flatten
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import QueryError
+from ..forms.rank import csr_take
 from ..sampling import SensorNetwork
 from .result import LOWER, RangeQuery, TRANSIENT
 
@@ -62,25 +64,33 @@ DirectedEdge = Tuple[object, object]
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I8 = np.empty(0, dtype=np.int8)
-_EMPTY_TAKE = np.empty(0, dtype=np.int64)
+
+#: Cells of the largest scratch table a batch plan step may allocate
+#: (pair keys ``row * universe + id``, counted by one ``bincount``):
+#: the rows of a step are cut into slices that stay under it, so a
+#: thousand boxes on a city of 15k walls plan in 2 MB tables, not one
+#: of 120 MB.  Measured, not tuned: 2**17 to 2**21 plan a 500-box
+#: batch within 10 % of each other, the small end ahead (its tables
+#: stay in cache) and 10 MB lighter in resident memory.
+_SCRATCH_CELLS = 1 << 18
 
 
-def _csr_take(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index array selecting ``offsets[r]:offsets[r+1]`` per row."""
+def _row_slices(rows: int, universe: int) -> List[Tuple[int, int]]:
+    """``rows`` cut into consecutive ranges ``[start, stop)`` of as
+    many rows as fit :data:`_SCRATCH_CELLS` at ``universe`` cells a
+    row (one row at least)."""
+    step = max(_SCRATCH_CELLS // max(universe, 1), 1)
+    return [(at, min(at + step, rows)) for at in range(0, rows, step)]
+
+
+def _csr_rows(
+    offsets: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(take, lens)``: the index array selecting CSR rows ``rows``
+    and the length of each."""
     starts = offsets[rows]
     lens = offsets[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return _EMPTY_TAKE
-    shift = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    return np.repeat(starts - shift, lens) + np.arange(total)
-
-
-def _csr_gather(
-    offsets: np.ndarray, data: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Concatenated CSR slices ``data[offsets[r]:offsets[r+1]]`` per row."""
-    return data[_csr_take(offsets, rows)]
+    return csr_take(starts, lens), lens
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,24 @@ class BoundaryChain:
         return len(self.wall_ids)
 
 
+@dataclass(frozen=True)
+class ChainBatch:
+    """The distinct boundary chains of a batch as one CSR: chain ``c``
+    is ``wall_ids[offsets[c]:offsets[c + 1]]`` with the matching
+    ``signs``, ascending as in :class:`BoundaryChain`."""
+
+    offsets: np.ndarray
+    wall_ids: np.ndarray
+    signs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, c: int) -> BoundaryChain:
+        link = slice(self.offsets[c], self.offsets[c + 1])
+        return BoundaryChain(self.wall_ids[link], self.signs[link])
+
+
 def integrate_edges(store, edges, query: RangeQuery, static_eval: str):
     """Integrate a directed-edge chain through any count store.
 
@@ -118,11 +146,7 @@ def integrate_edges(store, edges, query: RangeQuery, static_eval: str):
     if until is None:
         def until(chain, t):
             return sum(store.net_until(edge, t) for edge in chain)
-    if static_eval == "end":
-        return until(edges, query.t2)
-    if static_eval == "start":
-        return until(edges, query.t1)
-    return min(until(edges, query.t1), until(edges, query.t2))
+    return min(until(edges, t) for t in query.static_times(static_eval))
 
 
 class PythonQueryPlanner:
@@ -174,6 +198,21 @@ class PythonQueryPlanner:
     def decode_edges(self, chain: List[DirectedEdge]) -> List[DirectedEdge]:
         return chain
 
+    # The batch surface, as the reference: a loop over distinct keys.
+    def batch_junctions(self, boxes: Sequence) -> Tuple[List[Set], List[int]]:
+        found = [self.junction_ids(box) for box in boxes]
+        return found, [len(junctions) for junctions in found]
+
+    def batch_regions(self, found, boxes, bounds) -> List[Optional[Tuple]]:
+        return [self.region_ids(found[b], bd) for b, bd in zip(boxes, bounds)]
+
+    def batch_chains(self, regions: Sequence[Tuple[int, ...]]):
+        chains = [self.boundary(selected) for selected in regions]
+        return chains, [len(chain) for chain in chains]
+
+    def batch_sensors(self, chains) -> List[int]:
+        return [len(self.chain_sensors(chain)) for chain in chains]
+
 
 class CompiledQueryPlanner:
     """Array-native resolution pipeline over a network's CSR indexes."""
@@ -190,6 +229,7 @@ class CompiledQueryPlanner:
         #: without an id-native integration path, and for the rare
         #: degraded-dispatch bookkeeping).
         self._decoded: Dict[bytes, List[DirectedEdge]] = {}
+        self._other: Optional[np.ndarray] = None
 
     def describe(self) -> Dict[str, int]:
         """Static index sizes (the EXPLAIN header's ``index:`` line)."""
@@ -223,19 +263,12 @@ class CompiledQueryPlanner:
         touched = index.region_of_junction[junction_ids]
         counts = np.bincount(touched, minlength=index.n_regions)
         if bound == LOWER:
-            enclosed = np.flatnonzero(
-                (counts > 0) & (counts == index.region_size)
-            )
-            enclosed = enclosed[enclosed != index.ext_region]
-            if len(enclosed) == 0:
-                return None
-            return tuple(enclosed.tolist())
-        if counts[index.ext_region]:
+            counts = (counts > 0) & (counts == index.region_size)
+            counts[index.ext_region] = False
+        elif counts[index.ext_region]:
             return None
         regions = np.flatnonzero(counts)
-        if len(regions) == 0:
-            return None
-        return tuple(regions.tolist())
+        return tuple(regions.tolist()) if len(regions) else None
 
     def boundary(self, regions: Tuple[int, ...]) -> BoundaryChain:
         """Boundary chain of a union of regions, by occurrence counting.
@@ -257,7 +290,7 @@ class CompiledQueryPlanner:
                 index.rw_wall_ids[lo:hi], index.rw_signs[lo:hi]
             )
         rows = np.asarray(regions, dtype=np.int64)
-        take = _csr_take(index.rw_offsets, rows)
+        take, _ = _csr_rows(index.rw_offsets, rows)
         if len(take) == 0:
             return BoundaryChain(_EMPTY_I32, _EMPTY_I8)
         ids = index.rw_wall_ids[take]
@@ -286,17 +319,195 @@ class CompiledQueryPlanner:
         """Unique blocks incident to any junction of the regions."""
         index = self.index
         rows = np.asarray(regions, dtype=np.int64)
-        junctions = _csr_gather(index.rj_offsets, index.rj_junctions, rows)
+        junctions = index.rj_junctions[_csr_rows(index.rj_offsets, rows)[0]]
         jb_offsets, jb_blocks = index.junction_blocks(self.domain)
-        blocks = _csr_gather(jb_offsets, jb_blocks, junctions)
+        blocks = jb_blocks[_csr_rows(jb_offsets, junctions)[0]]
         if len(blocks) == 0:
             return blocks
         seen = np.bincount(blocks)  # block-id universe is small
         return np.flatnonzero(seen)
 
     # ------------------------------------------------------------------
+    # The batch surface: the same four steps, every distinct key of a
+    # batch at once.  Once a box is a set of region ids, membership and
+    # sensor accounting are counts over integer pair keys
+    # ``row * universe + id`` that one ``np.bincount`` answers for all
+    # rows together, and chain cancellation is one gather from the
+    # rows' membership table.  Rows are cut into slices
+    # (:func:`_row_slices`) wherever a step allocates per row.
+    # ------------------------------------------------------------------
+    def batch_junctions(
+        self, boxes: Sequence
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], List[int]]:
+        """The junctions inside each box, as one CSR over the boxes of
+        their **region ids** (all the region step reads of them), and
+        the junction count per box.  Both x-bounds of every box are two
+        ``searchsorted`` calls on the sorted-coordinate index; the
+        y-filter runs over the x-slabs (a slab is at most every
+        junction: that is a row's scratch)."""
+        xs, ys, order = self.domain.bbox_index()
+        x0, y0, x1, y1 = np.array(
+            [(b.min_x, b.min_y, b.max_x, b.max_y) for b in boxes]
+        ).reshape(-1, 4).T
+        lo = np.searchsorted(xs, x0, side="left")
+        slab = np.maximum(np.searchsorted(xs, x1, side="right") - lo, 0)
+        counts = np.zeros(len(boxes), dtype=np.int64)
+        inside = [_EMPTY_I32]
+        for start, stop in _row_slices(len(boxes), len(xs)):
+            rows, width = slice(start, stop), slab[start:stop]
+            take = csr_take(lo[rows], width)
+            y = ys[take]
+            keep = np.flatnonzero(
+                (y >= np.repeat(y0[rows], width))
+                & (y <= np.repeat(y1[rows], width))
+            )
+            row = np.repeat(np.arange(start, stop), width)
+            counts += np.bincount(row[keep], minlength=len(boxes))
+            inside.append(order[take[keep]])
+        touched = self.index.region_of_junction[np.concatenate(inside)]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return (offsets, touched), counts.tolist()
+
+    def batch_regions(
+        self, found, boxes: Sequence[int], bounds: Sequence[str]
+    ) -> List[Optional[Tuple[int, ...]]]:
+        """:meth:`region_ids` of every (box row of ``found``, bound)
+        pair: one membership count over ``pair * n_regions + region``
+        keys per slice of pairs."""
+        index = self.index
+        offsets, touched = found
+        boxes = np.asarray(boxes, dtype=np.int64)
+        lower = np.array([bound == LOWER for bound in bounds], dtype=bool)
+        n, ext = index.n_regions, index.ext_region
+        out: List[Optional[Tuple[int, ...]]] = []
+        for start, stop in _row_slices(len(boxes), n):
+            rows = stop - start
+            take, lens = _csr_rows(offsets, boxes[start:stop])
+            keys = np.repeat(np.arange(rows) * n, lens) + touched[take]
+            counts = np.bincount(keys, minlength=rows * n).reshape(rows, n)
+            member = counts > 0
+            enclosed = lower[start:stop]
+            member[enclosed] &= counts[enclosed] == index.region_size
+            # A lower bound drops the EXT region; an upper bound that
+            # touches it has no bounded superset and misses.
+            open_ended = member[:, ext] & ~enclosed
+            member[:, ext] = False
+            member[open_ended] = False
+            pair, region = np.nonzero(member)
+            ends = np.cumsum(np.bincount(pair, minlength=rows)).tolist()
+            region = region.tolist()
+            for begin, end in zip([0] + ends, ends):
+                out.append(tuple(region[begin:end]) if end > begin else None)
+        return out
+
+    def _across(self) -> np.ndarray:
+        """Per entry of the region → wall CSR, the region listing the
+        same wall from its other side (``n_regions`` where none does):
+        a wall is on the boundary of a union of regions exactly when
+        one side of it is selected and the other is not."""
+        if self._other is None:
+            index = self.index
+            walls = index.rw_wall_ids
+            own = np.repeat(
+                np.arange(index.n_regions), np.diff(index.rw_offsets)
+            )
+            both = np.bincount(walls, weights=own, minlength=self._n_walls)
+            paired = np.bincount(walls, minlength=self._n_walls) == 2
+            self._other = np.where(
+                paired[walls], both[walls] - own, index.n_regions
+            ).astype(np.int64)
+        return self._other
+
+    def batch_chains(
+        self, regions: Sequence[Tuple[int, ...]]
+    ) -> Tuple[ChainBatch, List[int]]:
+        """:meth:`boundary` of every region tuple, without a wall
+        universe per row: of the selected regions' wall slices, the
+        entries whose far side (:meth:`_across`) is not selected in
+        the same row — one gather from the rows' membership table —
+        sorted by ``row * n_walls + wall`` into ascending chains."""
+        index, n = self.index, self._n_walls
+        across, width = self._across(), index.n_regions + 1
+        sizes = np.fromiter(map(len, regions), np.int64, len(regions))
+        flat = np.fromiter(flatten.from_iterable(regions), np.int64)
+        ends = np.cumsum(sizes)
+        keys, signs = [np.empty(0, dtype=np.int64)], [_EMPTY_I8]
+        for start, stop in _row_slices(len(regions), width):
+            selected = flat[ends[start] - sizes[start]:ends[stop - 1]]
+            row = np.repeat(np.arange(stop - start), sizes[start:stop])
+            member = np.zeros((stop - start) * width, dtype=bool)
+            member[row * width + selected] = True
+            take, per_region = _csr_rows(index.rw_offsets, selected)
+            row = np.repeat(row, per_region)
+            on = np.flatnonzero(~member[row * width + across[take]])
+            take = take[on]
+            keys.append((row[on] + start) * n + index.rw_wall_ids[take])
+            signs.append(index.rw_signs[take])
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        lens = np.bincount(keys // n, minlength=len(regions))
+        chains = ChainBatch(
+            np.concatenate(([0], np.cumsum(lens))),
+            (keys % n).astype(np.int32),
+            np.concatenate(signs)[order],
+        )
+        return chains, lens.tolist()
+
+    def batch_sensors(self, chains: ChainBatch) -> List[int]:
+        """``len(chain_sensors(chain))`` of every chain: one gather
+        over the dense owner table, owners counted once per chain over
+        ``chain * sensors + owner`` keys."""
+        owners = self.index.wall_owners_dense()
+        n = int(owners.max()) + 2 if owners.size else 1
+        sizes = np.diff(chains.offsets)
+        out = []
+        for start, stop in _row_slices(len(sizes), n):
+            rows = stop - start
+            link = slice(chains.offsets[start], chains.offsets[stop])
+            row = np.repeat(np.arange(rows), sizes[start:stop])
+            # Shift by one so the -1 padding lands in column 0.
+            keys = owners[chains.wall_ids[link]] + (row * n + 1)[:, None]
+            seen = np.bincount(keys.ravel(), minlength=rows * n)
+            out += np.count_nonzero(
+                seen.reshape(rows, n)[:, 1:], axis=1
+            ).tolist()
+        return out
+
+    # ------------------------------------------------------------------
     # Integration
     # ------------------------------------------------------------------
+    def integrate_batch(
+        self,
+        store,
+        chains: ChainBatch,
+        touches: np.ndarray,
+        chain: np.ndarray,
+        times: np.ndarray,
+    ) -> np.ndarray:
+        """Cumulative net at every evaluation point ``(chain[p],
+        times[p])`` of a batch, ``touches[c]`` queries behind chain
+        ``c``.  The points are grouped by chain; a store with a batch
+        hook (:meth:`~repro.forms.CompiledTrackingForm.integrate_batch`)
+        then takes them in one call, any other id-native store is
+        handed each chain once, with all of its times."""
+        order = np.argsort(chain, kind="stable")
+        cuts = np.searchsorted(chain[order], np.arange(len(chains) + 1))
+        grouped = times[order]
+        hook = getattr(store, "integrate_batch", None)
+        if hook is not None:
+            nets = hook(chains, touches, cuts, grouped)
+        else:
+            nets = np.empty(chain.size, dtype=np.int64)
+            for c in np.flatnonzero(touches).tolist():
+                at, link = slice(cuts[c], cuts[c + 1]), chains[c]
+                nets[at] = store.integrate_at_ids(
+                    link.wall_ids, link.signs, grouped[at].tolist()
+                )
+        out = np.empty_like(nets)
+        out[order] = nets
+        return out
+
     def integrate(
         self,
         store,
@@ -320,14 +531,11 @@ class CompiledQueryPlanner:
             return store.integrate_between_ids(
                 wall_ids, signs, query.t1, query.t2
             )
-        if static_eval == "end":
-            return store.integrate_until_ids(wall_ids, signs, query.t2)
-        if static_eval == "start":
-            return store.integrate_until_ids(wall_ids, signs, query.t1)
+        times = query.static_times(static_eval)
+        if len(times) == 1:
+            return store.integrate_until_ids(wall_ids, signs, times[0])
         # "min": both endpoints from one touch of the chain.
-        return int(
-            min(store.integrate_at_ids(wall_ids, signs, (query.t1, query.t2)))
-        )
+        return int(min(store.integrate_at_ids(wall_ids, signs, times)))
 
     def decode_edges(self, chain: BoundaryChain) -> List[DirectedEdge]:
         """The chain as inward-directed ``(u, v)`` edges (cached)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from ..errors import QueryError
@@ -54,14 +54,20 @@ class RangeQuery:
             raise QueryError("max_error must be >= 0")
 
     def with_bound(self, bound: str) -> "RangeQuery":
-        return RangeQuery(
-            self.box, self.t1, self.t2, self.kind, bound, self.max_error
-        )
+        return replace(self, bound=bound)
 
     def with_kind(self, kind: str) -> "RangeQuery":
-        return RangeQuery(
-            self.box, self.t1, self.t2, kind, self.bound, self.max_error
-        )
+        return replace(self, kind=kind)
+
+    def static_times(self, static_eval: str) -> Tuple[float, ...]:
+        """The snapshot times a static count over the interval reads
+        (Theorem 4.2 gives N(t) for any t): its end, its start, or
+        both — the count is then the smaller of the two."""
+        if static_eval == "end":
+            return (self.t2,)
+        if static_eval == "start":
+            return (self.t1,)
+        return (self.t1, self.t2)
 
 
 @dataclass(frozen=True)

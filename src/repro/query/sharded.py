@@ -89,7 +89,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import QueryError
-from ..forms import CompiledTrackingForm
+from ..forms import CompiledTrackingForm, CompressedTrackingForm
 from ..mobility import EXT, Strata, voronoi_strata
 from ..network.faults import FaultInjector, RetryPolicy
 from ..obs import (
@@ -112,7 +112,7 @@ from ..sampling import SensorNetwork
 from ..shm import destroy_segment
 from ..trajectories import EventColumns
 from .engine import QueryEngine, STATIC_EVAL_MODES
-from .pipeline import PlanMemo, PlanStage, QueryAccounting, QueryPlan
+from .pipeline import PlanStage, QueryAccounting, QueryPlan
 from .planner import CompiledQueryPlanner
 from .result import STATIC, QueryResult, RangeQuery
 
@@ -173,7 +173,6 @@ def _worker_init(
     descriptors: Sequence[dict],
     static_eval: str,
     access_mode: str,
-    collect_metrics: bool,
     collect_spans: bool = False,
     profile_hz: float = 0.0,
 ) -> None:
@@ -204,10 +203,8 @@ def _worker_init(
         descriptors=list(descriptors),
         static_eval=static_eval,
         access_mode=access_mode,
-        collect_metrics=collect_metrics,
         tracer=tracer,
         profiler=profiler,
-        forms={},
         engines={},
         last_dump=None,
     )
@@ -219,38 +216,33 @@ class _EndpointEngine(QueryEngine):
     ``(start, end)`` pair of cumulative nets — both from one touch of
     the chain — and the parent folds ``min`` over the summed pairs."""
 
-    def _answer(self, chain, query: RangeQuery):
-        if query.kind != STATIC:
-            return super()._answer(chain, query)
-        start, end = self.store.integrate_at_ids(
-            chain.wall_ids, chain.signs, (query.t1, query.t2)
-        )
-        return (int(start), int(end)), None
+    @staticmethod
+    def _fold(transient, two, last, first) -> list:
+        return [
+            end - start if flow else (start, end)
+            for flow, end, start in zip(
+                transient.tolist(), last.tolist(), first.tolist()
+            )
+        ]
 
 
 def _worker_engine(shard: int) -> QueryEngine:
     engines: Dict[int, QueryEngine] = _WORKER["engines"]
-    static_eval = str(_WORKER["static_eval"])
     engine = engines.get(shard)
     if engine is None:
-        forms: Dict[int, CompiledTrackingForm] = _WORKER["forms"]
-        form = forms.get(shard)
-        if form is None:
-            network: SensorNetwork = _WORKER["network"]
-            descriptor = _WORKER["descriptors"][shard]
-            # Descriptor-driven dispatch: compressed shards pack the
-            # succinct wire format and self-identify via "form".
-            if descriptor.get("form") == "compressed":
-                from ..forms import CompressedTrackingForm
-
-                attach = CompressedTrackingForm.shm_attach
-            else:
-                attach = CompiledTrackingForm.shm_attach
-            form = attach(descriptor, network.domain.edge_interner)
-            forms[shard] = form
+        network: SensorNetwork = _WORKER["network"]
+        descriptor = _WORKER["descriptors"][shard]
+        static_eval = str(_WORKER["static_eval"])
+        # Compressed shards pack the succinct wire format and
+        # self-identify via "form".
+        form = (
+            CompressedTrackingForm
+            if descriptor.get("form") == "compressed"
+            else CompiledTrackingForm
+        ).shm_attach(descriptor, network.domain.edge_interner)
         kind = _EndpointEngine if static_eval == "min" else QueryEngine
-        engine = kind(
-            _WORKER["network"],
+        engine = engines[shard] = kind(
+            network,
             form,
             access_mode=str(_WORKER["access_mode"]),
             static_eval=static_eval,
@@ -259,7 +251,6 @@ def _worker_engine(shard: int) -> QueryEngine:
                 tracer=_WORKER["tracer"], provenance=False
             ),
         )
-        engines[shard] = engine
     return engine
 
 
@@ -310,11 +301,9 @@ def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
         profiler = _WORKER.get("profiler")
         if profiler is not None:
             profiler.sample_once()
-    dump = None
-    if _WORKER["collect_metrics"]:
-        current = get_registry().dump()
-        dump = diff_dumps(current, _WORKER["last_dump"])
-        _WORKER["last_dump"] = current
+    current = get_registry().dump()
+    dump = diff_dumps(current, _WORKER["last_dump"])
+    _WORKER["last_dump"] = current
     spans = None
     if tracer.enabled:
         pid = os.getpid()
@@ -372,7 +361,6 @@ class ShardedQueryEngine:
         retry_policy: Optional[RetryPolicy] = None,
         store=None,
         seed: int = 0,
-        collect_worker_metrics: bool = True,
         flight: Optional[FlightRecorder] = None,
         compress: bool = False,
         tick_bits: int = 0,
@@ -413,7 +401,6 @@ class ShardedQueryEngine:
         self._segments: list = []
         self._executor: Optional[ProcessPoolExecutor] = None
         self._delegate: Optional[QueryEngine] = None
-        self._planner: Optional[CompiledQueryPlanner] = None
 
         # Paths that cannot (faults) or should not (a single shard, no
         # workers) fan out run the stock single-process engine over the
@@ -449,9 +436,8 @@ class ShardedQueryEngine:
 
         tracer = self.obs.tracer
         with tracer.span("sharded.partition", shards=self.shards):
-            self._shard_of_edge = shard_of_edges(network.domain, strata)
             observed = network.observed_columns(columns)
-            labels = self._shard_of_edge[observed.edge_id]
+            labels = shard_of_edges(network.domain, strata)[observed.edge_id]
             self.shard_events: List[int] = []
             shard_edge_ids: List[np.ndarray] = []
             descriptors: List[dict] = []
@@ -459,20 +445,13 @@ class ShardedQueryEngine:
                 part = observed.select(np.flatnonzero(labels == shard))
                 self.shard_events.append(len(part))
                 shard_edge_ids.append(np.unique(part.edge_id))
+                arrays = (columns.interner, part.edge_id, part.direction, part.t)
                 if self.compress:
-                    from ..forms import CompressedTrackingForm
-
                     form = CompressedTrackingForm(
-                        columns.interner,
-                        part.edge_id,
-                        part.direction,
-                        part.t,
-                        tick_bits=self.tick_bits,
+                        *arrays, tick_bits=self.tick_bits
                     )
                 else:
-                    form = CompiledTrackingForm(
-                        columns.interner, part.edge_id, part.direction, part.t
-                    )
+                    form = CompiledTrackingForm(*arrays)
                 handle, descriptor = form.shm_pack(hint=f"shard{shard}")
                 self._segments.append(handle)
                 descriptors.append(descriptor)
@@ -489,16 +468,12 @@ class ShardedQueryEngine:
                 np.arange(index.n_regions, dtype=np.int64),
                 np.diff(index.rw_offsets),
             )
-            n_ids = len(network.domain.edge_interner)
             region_shards = np.zeros(
                 (index.n_regions, self.shards), dtype=bool
             )
             for shard, edge_ids in enumerate(shard_edge_ids):
-                present = np.zeros(n_ids, dtype=bool)
-                present[edge_ids] = True
-                hit = present[index.rw_wall_ids]
-                if hit.any():
-                    region_shards[np.unique(entry_region[hit]), shard] = True
+                hit = np.isin(index.rw_wall_ids, edge_ids)
+                region_shards[entry_region[hit], shard] = True
             self._region_shards = region_shards
 
         context = None
@@ -516,7 +491,6 @@ class ShardedQueryEngine:
                 descriptors,
                 static_eval,
                 access_mode,
-                collect_worker_metrics,
                 self.obs.tracer.enabled,
                 profiler.hz if profiler is not None else 0.0,
             ),
@@ -685,9 +659,6 @@ class ShardedQueryEngine:
         pc = time.perf_counter
         start = pc()
 
-        # Parent-side shared structures, as in the single-process
-        # batched path: one resolution per distinct box / (box, bound).
-        memo = PlanMemo()
         plans: List[QueryPlan] = []
         fanouts: List[int] = [0] * n
         #: Per scattered slot: [summed partial values, edges, nodes].
@@ -698,9 +669,12 @@ class ShardedQueryEngine:
             "query.execute_sharded", queries=n, shards=self.shards
         ):
             with tracer.span("sharded.route", queries=n):
+                # The single-process batch plan, stopped after the
+                # regions: one resolution per distinct (box, bound).
+                routed = stage.plan_batch(queries, chain=False)
                 for i, query in enumerate(queries):
                     acct.count_query(query)
-                    plan = stage.plan(query, memo, chain=False)
+                    plan = routed.query_plan(i)[0]
                     plans.append(plan)
                     if plan.regions is None:
                         continue
@@ -746,44 +720,12 @@ class ShardedQueryEngine:
                 with tracer.span("sharded.gather", subbatches=len(futures)):
                     for future in as_completed(futures):
                         try:
-                            (
-                                shard,
-                                payload,
-                                dump,
-                                spans,
-                                profile,
-                            ) = future.result()
+                            outcome = future.result()
                         except BrokenProcessPool as exc:
                             raise self._worker_crashed(
                                 futures[future], exc
                             ) from exc
-                        if spans:
-                            batch_spans.extend(spans)
-                            tracer.graft(spans, under=scatter_span)
-                        if dump is not None:
-                            self._registry.absorb(
-                                dump, skip=PARENT_ACCOUNTED_METRICS
-                            )
-                        if profile and self.obs.profiler is not None:
-                            # Worker samples nest exactly where the
-                            # grafted worker.run spans sit in the
-                            # parent trace, so one flamegraph covers
-                            # parent + all shard workers.
-                            self.obs.profiler.table.merge(
-                                profile,
-                                prefix=(
-                                    "query.execute_sharded",
-                                    "sharded.scatter",
-                                ),
-                            )
-                        for index, values, edges, nodes in payload:
-                            entry = merged[index]
-                            acc: List[float] = entry[0]
-                            for j, value in enumerate(values):
-                                acc[j] += value
-                            # Structural accounting is region-determined,
-                            # hence identical across shards.
-                            entry[1:] = edges, nodes
+                        self._absorb(outcome, merged, scatter_span, batch_spans)
             t_gathered = pc()
 
             share = (t_gathered - start) / n if n else 0.0
@@ -806,7 +748,7 @@ class ShardedQueryEngine:
                     acc, edges, nodes = merged[i]
                     value = float(min(acc))
                 elif plan.regions is not None:
-                    edges, nodes = self._zero_accounting(query, memo)
+                    edges, nodes = self._zero_accounting(query)
                 results.append(
                     acct.finish(
                         query, plan, value, share, stage_s, False,
@@ -821,6 +763,28 @@ class ShardedQueryEngine:
             for result, query in zip(results, queries)
         ), "sharded gather broke the input-order result contract"
         return results, plans, fanouts, stage_s
+
+    def _absorb(self, outcome, merged, scatter_span, batch_spans) -> None:
+        """Fold what one worker call returned into the batch: partial
+        values, metric deltas, span trees and profile samples."""
+        _, payload, dump, spans, profile = outcome
+        if spans:
+            batch_spans.extend(spans)
+            self.obs.tracer.graft(spans, under=scatter_span)
+        self._registry.absorb(dump, skip=PARENT_ACCOUNTED_METRICS)
+        profiler = self.obs.profiler
+        if profile and profiler is not None:
+            # Worker samples nest exactly where the grafted worker.run
+            # spans sit in the parent trace, so one flamegraph covers
+            # parent + all shard workers.
+            profiler.table.merge(
+                profile, prefix=("query.execute_sharded", "sharded.scatter")
+            )
+        for index, values, edges, nodes in payload:
+            entry = merged[index]
+            # Structural accounting is region-determined, hence
+            # identical across shards.
+            entry[:] = [a + b for a, b in zip(entry[0], values)], edges, nodes
 
     def _worker_crashed(self, shard: int, exc: BaseException) -> QueryError:
         """Account a dead worker pool and build the error to raise
@@ -838,17 +802,15 @@ class ShardedQueryEngine:
             f"sharded worker pool died while executing shard {shard}"
         )
 
-    def _zero_accounting(
-        self, query: RangeQuery, memo: PlanMemo
-    ) -> Tuple[int, int]:
+    def _zero_accounting(self, query: RangeQuery) -> Tuple[int, int]:
         """Edge/sensor accounting for a query no shard can affect.
 
         The approximation exists but no shard holds events on any wall
         adjacent to its regions, so the integral is exactly 0; the
         structural accounting still has to match the single-process
         engine, so the parent plans the query through to its chain and
-        sensors itself (the routed steps come back from the memo).
+        sensors itself.
         """
-        plan = self._stage.plan(query, memo)
-        self._stage.sensors(plan, memo)
-        return len(plan.chain), len(plan.sensors)
+        plan = self._stage.plan(query)
+        self._stage.sensors(plan)
+        return plan.edges, len(plan.sensors)

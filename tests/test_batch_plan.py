@@ -1,0 +1,410 @@
+"""The batch plan: ``execute_batch`` against the one-at-a-time loop.
+
+``QueryEngine.execute_batch`` plans a whole batch columnar and answers
+it with one rank-kernel call; ``execute_many`` is the loop it replaced
+and stays the reference.  Generated batteries run both on twin
+deployments — over the plain, compressed + sketch, streaming and
+late-interned stores, under both planners and every ``static_eval`` —
+and must agree in every non-timing result field, in the counters a
+query moves and in the chains the store promoted.  The counted guard
+at the end keeps a later change from quietly turning the batch back
+into a loop.
+
+One difference is by design and therefore not compared: a streaming
+store is handed each chain of a batch *once*, with all of its times,
+so its blocks count one touch where the loop counts one per query
+(answers are unaffected; block-level promotion comes later).
+"""
+
+from __future__ import annotations
+
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_query_planner import _deployment
+
+import repro.forms.compiled as compiled_module
+import repro.query.planner as planner_module
+from repro.forms import CompiledTrackingForm, EdgeCountSketch
+from repro.forms.rank import segmented_rank
+from repro.geometry import BBox
+from repro.obs import FlightRecorder, use_registry
+from repro.query import (
+    LOWER,
+    STATIC,
+    TRANSIENT,
+    UPPER,
+    CompiledQueryPlanner,
+    QueryEngine,
+    RangeQuery,
+)
+from repro.query.planner import _row_slices
+from repro.stream import StreamingEventStore
+from repro.trajectories import EventColumns
+
+TICK_BITS = 2
+STORES = ("plain", "tiered", "stream", "late")
+#: Counters a query moves, whichever way it was executed.
+COUNTED = (
+    "repro_queries_total",
+    "repro_query_misses_total",
+    "repro_query_sensors_accessed_total",
+    "repro_query_edges_accessed_total",
+    "repro_sketch_queries_total",
+    "repro_csr_boundary_cache_total",
+)
+
+
+class _EarlierInterner:
+    """The domain's interner as a store built ``n`` ids ago saw it:
+    wall ids from ``n`` on were interned after compile time."""
+
+    def __init__(self, interner, n: int) -> None:
+        self._interner, self._n = interner, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getattr__(self, name):
+        return getattr(self._interner, name)
+
+
+class World:
+    """One deployment's inputs and a pool of boxes that covers every
+    plan outcome; stores are built fresh per example (their caches are
+    part of what is compared)."""
+
+    def __init__(self) -> None:
+        self.network, _, workload = _deployment("organic", 12, seed=37)
+        domain = self.network.domain
+        self.horizon = workload.horizon
+        self.columns = self.network.observed_columns(
+            EventColumns.from_events(domain, workload.events(domain))
+        )
+        self.stored = np.unique(self.columns.t)
+        bounds = domain.bounds
+        rng = np.random.default_rng(5)
+        pool = []
+        for _ in range(14):
+            pool.append(BBox.from_center(
+                (rng.uniform(bounds.min_x, bounds.max_x),
+                 rng.uniform(bounds.min_y, bounds.max_y)),
+                rng.uniform(0.1, 0.9) * bounds.width,
+                rng.uniform(0.1, 0.9) * bounds.height,
+            ))
+        # The whole map (its upper bound touches EXT and misses), a box
+        # off the map (no junction at all) and, per region, the extent
+        # of its junctions (single-region chains, shared by boxes).
+        pool.append(BBox.from_center(
+            bounds.center, 1.2 * bounds.width, 1.2 * bounds.height
+        ))
+        pool.append(BBox.from_center(
+            (bounds.max_x + bounds.width, bounds.max_y), 1.0, 1.0
+        ))
+        for region in list(self.network.region_ids)[:4]:
+            points = [
+                domain.position(j)
+                for j in self.network.region_junctions(region)
+            ]
+            if points:
+                xs, ys = zip(*points)
+                pool.append(BBox(min(xs), min(ys), max(xs), max(ys)))
+        self.pool = pool
+
+    def time(self, spec) -> float:
+        kind, x = spec
+        if kind == "stored":  # tied with a stored timestamp
+            return float(self.stored[x % len(self.stored)])
+        if kind == "tick":  # on the compressed tier's quantization grid
+            return float(x % int(self.horizon * 2 ** TICK_BITS)) / 2 ** TICK_BITS
+        return x * self.horizon
+
+    def query(self, pick) -> RangeQuery:
+        box, kind, bound, tolerance, a, b = pick
+        t1, t2 = sorted((self.time(a), self.time(b)))
+        return RangeQuery(
+            self.pool[box % len(self.pool)], t1, t2,
+            kind=kind, bound=bound, max_error=tolerance,
+        )
+
+    def engine(self, store: str, planner: str, static_eval: str, **extra):
+        """A fresh store of the named kind under a fresh engine."""
+        network, columns, sketch = self.network, self.columns, None
+        if store == "plain":
+            form = network.build_form(columns)
+        elif store == "tiered":
+            columns = columns.quantized(TICK_BITS)
+            form = network.build_form(
+                columns, compress=True, tick_bits=TICK_BITS
+            )
+            sketch = EdgeCountSketch.from_columns(columns, bins=16)
+        elif store == "stream":
+            form = StreamingEventStore(network, compact_every=211)
+            for start in range(0, len(columns), 300):
+                form.append_events(
+                    columns.select(np.arange(start, min(start + 300, len(columns))))
+                )
+        else:  # "late": half the wall ids interned after compile time
+            n = len(columns.interner) // 2
+            early = columns.select(np.flatnonzero(columns.edge_id < n))
+            form = CompiledTrackingForm(
+                _EarlierInterner(columns.interner, n),
+                early.edge_id, early.direction, early.t,
+            )
+        return QueryEngine(
+            network, form, planner=planner, static_eval=static_eval,
+            sketch=sketch, **extra,
+        )
+
+
+@pytest.fixture(scope="module")
+def world() -> World:
+    return World()
+
+
+_time = st.one_of(
+    st.tuples(st.just("share"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("stored"), st.integers(0, 10_000)),
+    st.tuples(st.just("tick"), st.integers(0, 1_000_000)),
+)
+_pick = st.tuples(
+    st.integers(0, 40),
+    st.sampled_from((STATIC, TRANSIENT)),
+    st.sampled_from((LOWER, UPPER)),
+    st.sampled_from((None, None, 0.0, 2.0, 1e9)),
+    _time,
+    _time,
+)
+
+
+def _fields(result):
+    degradation = result.degradation
+    return (
+        result.query, result.value, result.missed, result.regions,
+        result.edges_accessed, result.nodes_accessed, result.hops,
+        result.approximate,
+        None if degradation is None else astuple(degradation),
+    )
+
+
+def _counted(registry):
+    return sorted(
+        (name, sorted(labels.items()), counter.value)
+        for name, labels, counter in registry.iter_counters()
+        if name in COUNTED and counter.value
+    )
+
+
+def _promoted(store):
+    if not isinstance(store, CompiledTrackingForm):
+        return None  # per block, and by design not the loop's (see above)
+    return set(store._boundaries), set(store._seen)
+
+
+class TestBatchEqualsLoop:
+    @pytest.mark.parametrize("planner", ["auto", "python"])
+    @pytest.mark.parametrize("store", STORES)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        static_eval=st.sampled_from(("end", "start", "min")),
+        batches=st.lists(st.lists(_pick, max_size=30), min_size=1, max_size=3),
+    )
+    def test_fields_counters_and_promotions(
+        self, world, store, planner, static_eval, batches
+    ):
+        """Consecutive batches (chains promote within and across them)
+        on one deployment, the same queries one at a time on its twin."""
+        batteries = [[world.query(p) for p in picks] for picks in batches]
+        with use_registry() as batched:
+            engine = world.engine(store, planner, static_eval)
+            got = [engine.execute_batch(qs) for qs in batteries]
+        with use_registry() as looped:
+            twin = world.engine(store, planner, static_eval)
+            want = [twin.execute_many(qs) for qs in batteries]
+        for results, expected in zip(got, want):
+            assert [_fields(r) for r in results] == [
+                _fields(r) for r in expected
+            ]
+        assert _promoted(engine.store) == _promoted(twin.store)
+        if _promoted(engine.store) is not None:
+            assert _counted(batched) == _counted(looped)
+
+    def test_past_the_cache_cap_only_the_answers_are_pinned(self, world):
+        """More distinct first-touch chains in one batch than the
+        boundary LRU and its seen-once set hold: the batch touches
+        chains grouped by chain, the loop in query order, so the two
+        evict — and from then on promote — differently.  The answers
+        may not differ, and the cap holds either way."""
+        columns, cap = world.columns, 3
+        queries = [
+            RangeQuery(
+                box, 0.1 * world.horizon, share * world.horizon,
+                kind=(STATIC, TRANSIENT)[i % 2],
+            )
+            for share in (0.4, 0.7, 0.9)  # every box three times, apart
+            for i, box in enumerate(world.pool)
+        ]
+        runs, compiles = [], []
+        for execute in ("execute_batch", "execute_many"):
+            with use_registry() as registry:
+                form = CompiledTrackingForm(
+                    columns.interner, columns.edge_id, columns.direction,
+                    columns.t, boundary_cache_size=cap,
+                )
+                engine = QueryEngine(world.network, form)
+                results = [getattr(engine, execute)(queries) for _ in range(2)]
+            runs.append([[_fields(r) for r in batch] for batch in results])
+            assert len({r.regions for r in results[0] if not r.missed}) > 2 * cap
+            assert form.boundary_cache_len <= cap and len(form._seen) <= cap
+            compiles.append(registry.value(
+                "repro_csr_boundary_cache_total", outcome="compile"
+            ))
+        assert runs[0] == runs[1]
+        assert compiles[0] != compiles[1]  # the limit the docstring states
+
+    def test_empty_and_all_miss_batches(self, world):
+        engine = world.engine("plain", "auto", "end")
+        assert engine.execute_batch([]) == []
+        off_map = world.pool[15]
+        misses = engine.execute_batch(
+            [RangeQuery(off_map, 0.0, t) for t in (1.0, 2.0, 2.0)]
+        )
+        assert [r.missed for r in misses] == [True] * 3
+        assert [r.value for r in misses] == [0.0] * 3
+
+    def test_appends_between_batches_are_seen(self, world):
+        """batch, append, batch on a streaming store: every batch
+        reads the store as of the generation it started on — answers
+        and flight-record generations equal the loop's on a twin."""
+        columns, cut = world.columns, len(world.columns) // 2
+        windows = [np.arange(0, cut), np.arange(cut, len(columns))]
+        queries = [
+            RangeQuery(
+                box, 0.2 * world.horizon, 0.8 * world.horizon,
+                kind=kind, bound=bound,
+            )
+            for box in world.pool[:8]
+            for kind in (STATIC, TRANSIENT)
+            for bound in (LOWER, UPPER)
+        ]
+        runs = []
+        for execute in ("execute_batch", "execute_many"):
+            store = StreamingEventStore(world.network, compact_every=211)
+            flight = FlightRecorder(capacity=4 * len(queries))
+            engine = QueryEngine(world.network, store, flight=flight)
+            results = []
+            for window in windows:
+                store.append_events(columns.select(window))
+                results.append(getattr(engine, execute)(queries))
+            runs.append((
+                [[_fields(r) for r in batch] for batch in results],
+                [record.generation for record in flight.records],
+            ))
+        assert runs[0] == runs[1]
+        before, after = runs[0][0]
+        assert before != after  # the second window moved some count
+        assert len(set(runs[0][1])) == 2  # one generation per batch
+
+
+class TestBoundedScratch:
+    def test_row_slices_cover_every_row_under_the_constant(self):
+        cells = planner_module._SCRATCH_CELLS
+        for rows, universe in ((0, 7), (1, 7), (5000, 459), (40, 3 * cells)):
+            slices = _row_slices(rows, universe)
+            assert [s for s, _ in slices] == [0, *(e for _, e in slices)][:-1]
+            assert (slices[-1][1] if slices else 0) == rows
+            for start, stop in slices:
+                assert stop - start == 1 or (stop - start) * universe <= cells
+
+    def test_sliced_plan_equals_unsliced(self, world, monkeypatch):
+        """A scratch bound of a few rows cuts every step of the plan
+        into many slices; nothing an answer carries may move."""
+        rng = np.random.default_rng(9)
+        queries = [
+            RangeQuery(
+                world.pool[rng.integers(len(world.pool))],
+                0.0, rng.uniform(0.0, world.horizon),
+                kind=(STATIC, TRANSIENT)[i % 2], bound=(LOWER, UPPER)[i % 3 == 0],
+            )
+            for i in range(120)
+        ]
+        want = world.engine("plain", "auto", "end").execute_batch(queries)
+        monkeypatch.setattr(planner_module, "_SCRATCH_CELLS", 700)
+        got = world.engine("plain", "auto", "end").execute_batch(queries)
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
+
+
+class TestKernelAtBatchSize:
+    @pytest.mark.parametrize("per_lane", [True, False])
+    def test_ordered_lanes_equal_searchsorted(self, per_lane):
+        """Past a thousand lanes the kernel orders them by segment
+        length and stops carrying the finished ones: same ranks."""
+        rng = np.random.default_rng(3)
+        lens = rng.integers(0, 700, size=3000) * (rng.random(3000) < 0.8)
+        hi = np.cumsum(lens)
+        lo = hi - lens
+        values = np.concatenate(
+            [np.sort(rng.integers(0, 50, size=n)) for n in lens]
+        ).astype(np.float64)
+        t = rng.integers(-1, 51, size=3000).astype(np.float64)
+        if not per_lane:
+            t = t[0]
+        expected = [
+            np.searchsorted(values[a:b], x, side="right")
+            for a, b, x in zip(lo, hi, np.broadcast_to(t, lo.shape))
+        ]
+        assert segmented_rank(values, lo, hi, t).tolist() == expected
+
+
+class TestCountedGuard:
+    def test_cold_batch_is_one_plan_and_one_kernel_call(
+        self, world, monkeypatch
+    ):
+        """500 distinct boxes, nothing cached: the batch may call the
+        rank kernel at most 4 times and none of the one-query planner
+        steps — counted, not timed."""
+        rng = np.random.default_rng(17)
+        bounds = world.network.domain.bounds
+        queries = [
+            RangeQuery(
+                BBox.from_center(
+                    (rng.uniform(bounds.min_x, bounds.max_x),
+                     rng.uniform(bounds.min_y, bounds.max_y)),
+                    rng.uniform(0.05, 0.6) * bounds.width,
+                    rng.uniform(0.05, 0.6) * bounds.height,
+                ),
+                0.0, rng.uniform(0.0, world.horizon),
+                kind=(STATIC, TRANSIENT)[i % 2], bound=(LOWER, UPPER)[i % 4 < 2],
+            )
+            for i in range(500)
+        ]
+        assert len({q.box for q in queries}) == 500
+        engine = world.engine("plain", "auto", "end")
+        calls = {"segmented_rank": 0}
+
+        def counting_rank(*args):
+            calls["segmented_rank"] += 1
+            return segmented_rank(*args)
+
+        monkeypatch.setattr(compiled_module, "segmented_rank", counting_rank)
+        for step in ("junction_ids", "region_ids", "boundary", "chain_sensors"):
+            calls[step] = 0
+
+            def counting_step(self, *args, _step=step, _inner=getattr(
+                CompiledQueryPlanner, step
+            )):
+                calls[_step] += 1
+                return _inner(self, *args)
+
+            monkeypatch.setattr(CompiledQueryPlanner, step, counting_step)
+        results = engine.execute_batch(queries)
+        assert sum(not r.missed for r in results) > 100
+        assert 1 <= calls.pop("segmented_rank") <= 4
+        assert calls == dict.fromkeys(calls, 0)
+        # The same engine one query at a time takes every step.
+        engine.execute(queries[0])
+        assert calls["junction_ids"] == 1

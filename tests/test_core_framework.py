@@ -12,7 +12,8 @@ from repro import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import BBox
 from repro.mobility import organic_city
-from repro.query import TRANSIENT, UPPER, RangeQuery
+from repro.obs import use_registry
+from repro.query import TRANSIENT, UPPER, QueryEngine, RangeQuery
 from repro.trajectories import CrossingEvent, EventColumns
 
 
@@ -112,6 +113,99 @@ class TestQuerying:
 
     def test_repr(self, framework):
         assert "InNetworkFramework" in repr(framework)
+
+
+class TestFacadeEngine:
+    """``fw.query`` keeps its default-dispatch engine for as long as
+    what it was built from stands."""
+
+    BOX = BBox(2, 2, 8, 8)
+
+    @pytest.fixture()
+    def fw(self, organic_domain, workload):
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(FrameworkConfig(selector="quadtree", budget=20, seed=3))
+        fw.ingest_trips(workload.trips[:100])
+        return fw
+
+    def _engines_built(self, monkeypatch):
+        built = []
+        init = QueryEngine.__post_init__
+
+        def counting(engine):
+            built.append(engine)
+            init(engine)
+
+        monkeypatch.setattr(QueryEngine, "__post_init__", counting)
+        return built
+
+    def test_one_engine_serves_repeated_queries(
+        self, fw, workload, monkeypatch
+    ):
+        built = self._engines_built(monkeypatch)
+        first = fw.query(self.BOX, 0.0, 0.5 * workload.horizon)
+        again = fw.query(self.BOX, 0.0, 0.5 * workload.horizon, bound="upper")
+        assert len(built) == 1
+        assert _key(first) == _key(fw.engine().execute(first.query))
+        assert not again.missed or again.value == 0
+
+    def test_dispatch_strategy_still_reaches_the_engine(
+        self, fw, workload, monkeypatch
+    ):
+        built = self._engines_built(monkeypatch)
+        t2 = 0.5 * workload.horizon
+        fw.query(self.BOX, 0.0, t2)
+        with pytest.raises(QueryError, match="dispatch_strategy"):
+            fw.query(self.BOX, 0.0, t2, dispatch_strategy="carrier_pigeon")
+        fw.query(self.BOX, 0.0, t2, dispatch_strategy="server_fanout")
+        fw.query(self.BOX, 0.0, t2, dispatch_strategy="server_fanout")
+        assert [e.dispatch_strategy for e in built] == [
+            "perimeter_walk", "carrier_pigeon", "server_fanout"
+        ]
+
+    def test_rebuilt_when_the_store_or_the_registry_changes(
+        self, fw, workload, monkeypatch
+    ):
+        built = self._engines_built(monkeypatch)
+        t2 = 0.5 * workload.horizon
+        before = fw.query(self.BOX, 0.0, t2)
+        fw.ingest_trips(workload.trips[100:])  # rebinds the store
+        after = fw.query(self.BOX, 0.0, t2)
+        assert len(built) == 2 and built[1].store is not built[0].store
+        assert _key(after) == _key(fw.engine().execute(after.query))
+        assert before.query == after.query
+        with use_registry() as registry:
+            fw.query(self.BOX, 0.0, t2)
+            assert registry.sum_values("repro_queries_total") == 1
+        assert len(built) == 4  # one for the registry, one for the check
+        fw.deploy(FrameworkConfig(selector="quadtree", budget=12, seed=3))
+        redeployed = fw.query(self.BOX, 0.0, t2)
+        assert built[-1].network is fw.network
+        assert _key(redeployed) == _key(fw.engine().execute(after.query))
+
+    def test_streaming_appends_keep_the_engine_and_faults_bypass_it(
+        self, organic_domain, workload, monkeypatch
+    ):
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(
+            FrameworkConfig(
+                selector="quadtree", budget=20, seed=3, streaming=True
+            )
+        )
+        built = self._engines_built(monkeypatch)
+        t2 = 0.5 * workload.horizon
+        fw.ingest_trips(workload.trips[:100])
+        few = fw.query(self.BOX, 0.0, t2)
+        fw.ingest_trips(workload.trips[100:])  # same store, appended to
+        more = fw.query(self.BOX, 0.0, t2)
+        assert len(built) == 1
+        assert _key(more) == _key(fw.engine().execute(more.query))
+        assert few.regions == more.regions
+        fw.query(self.BOX, 0.0, t2, faults=fw.fault_injector())
+        assert len(built) == 3 and built[-1].faults is not None
+        fw.close()
+        with pytest.raises(QueryError):
+            fw.query(self.BOX, 0.0, t2)
 
 
 class TestLearnedStores:
