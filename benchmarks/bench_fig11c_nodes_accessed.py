@@ -6,9 +6,9 @@ of the query area, while the unsampled graph and the baseline flood
 every sensor in the region — node accesses linear in the query area.
 
 The per-configuration internals (resolved junctions |R|, boundary-chain
-length |dR|) are read from measured :class:`repro.obs.QueryProvenance`
-records attached by a provenance-enabled engine, not re-derived from
-the region geometry.
+length |dR|) are read off the engine's results — every
+:class:`repro.query.QueryResult` carries what its execution measured —
+not re-derived from the region geometry.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from _common import N_QUERIES, emit, pipeline
 from repro.evaluation import evaluate, format_table
 from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
-from repro.obs import Instrumentation, NULL_TRACER
 from repro.query import QueryEngine
 
 SAMPLED_SIZES = (0.064, 0.512)
@@ -30,34 +29,27 @@ HEADERS = (
     "miss",
 )
 
-#: Provenance-only bundle: no spans — just the measured per-query
-#: internals attached to each result.  It isolates nothing else: the
-#: engines count into the process-global metrics registry like every
-#: other component, and ``emit`` snapshots that registry into the
-#: figure's JSON record.
-PROVENANCE_ONLY = Instrumentation(tracer=NULL_TRACER, provenance=True)
 
-
-def _provenance_engine(
-    p, network, store=None, access_mode="perimeter"
-) -> QueryEngine:
-    """An engine over the pipeline's cached form, with provenance on."""
+def _engine(p, network, store=None, access_mode="perimeter") -> QueryEngine:
+    """An engine over the pipeline's cached form (default bundle: no
+    spans; like every component it counts into the process-global
+    metrics registry, which ``emit`` snapshots into the figure's JSON
+    record)."""
     return QueryEngine(
         network,
         store if store is not None else p.form(network),
         access_mode=access_mode,
-        instrumentation=PROVENANCE_ONLY,
     )
 
 
 def _measured_row(label, fraction, engine, queries):
-    """One table row from the engine's measured provenance records."""
+    """One table row from the engine's measured per-query records."""
     results = engine.execute_batch(queries)
     answered = [r for r in results if not r.missed]
     misses = len(results) - len(answered)
     nodes = _mean([r.nodes_accessed for r in answered])
-    junctions = _mean([r.provenance.junction_count for r in answered])
-    boundary = _mean([r.provenance.boundary_length for r in answered])
+    junctions = _mean([r.junction_count for r in answered])
+    boundary = _mean([r.boundary_length for r in answered])
     return [
         f"{fraction:.2%}",
         label,
@@ -79,16 +71,14 @@ def bench_fig11c_nodes_accessed(benchmark):
         queries = p.standard_queries(fraction, n=N_QUERIES)
         for size in SAMPLED_SIZES:
             m = p.budget_for_fraction(size)
-            engine = _provenance_engine(p, p.network("quadtree", m, seed=1))
+            engine = _engine(p, p.network("quadtree", m, seed=1))
             rows.append(
                 _measured_row(f"sampled {size:.1%}", fraction, engine, queries)
             )
         # Unsampled graph: flood accounting from the exact engine.
-        exact = _provenance_engine(
-            p, p.full, store=p.full_form, access_mode="flood"
-        )
+        exact = _engine(p, p.full, store=p.full_form, access_mode="flood")
         rows.append(_measured_row("unsampled G", fraction, exact, queries))
-        # The Euler-histogram baseline attaches no provenance.
+        # The Euler-histogram baseline measures no internals.
         baseline = p.baseline_for_fraction(0.512, seed=1)
         report = evaluate(p, baseline.execute, queries)
         rows.append(

@@ -5,8 +5,8 @@ Paper shape: time grows with the query area for both configurations
 consistently faster with a shallower slope than the unsampled graph.
 
 Times are the engine's own measured per-query ``elapsed`` plus the
-``integrate`` phase read from :class:`repro.obs.QueryProvenance` — not
-an outer wall-clock loop that would fold Python dispatch overhead into
+``integrate`` stage of its record (``QueryResult.stage_s``) — not an
+outer wall-clock loop that would fold Python dispatch overhead into
 the series.  ``execute()`` (the unbatched path) is used so every query
 pays its full resolution cost, comparable across configurations.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 from _common import N_QUERIES, emit, pipeline
 from repro.evaluation import format_table
 from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
-from repro.obs import Instrumentation, NULL_TRACER
 from repro.query import QueryEngine
 
 SAMPLED_SIZE = 0.064
@@ -34,14 +33,6 @@ HEADERS = (
     "speedup vs G",
 )
 
-#: Provenance-only bundle: no spans — just the measured per-query
-#: internals attached to each result.  It isolates nothing else: the
-#: engines count into the process-global metrics registry like every
-#: other component, and ``emit`` snapshots that registry into the
-#: figure's JSON record.
-PROVENANCE_ONLY = Instrumentation(tracer=NULL_TRACER, provenance=True)
-
-
 def _measured(engine, queries, repeats: int = 5):
     """Mean measured (elapsed, integrate-phase) seconds per query."""
     elapsed = []
@@ -52,7 +43,7 @@ def _measured(engine, queries, repeats: int = 5):
             if result.missed:
                 continue
             elapsed.append(result.elapsed)
-            integrate.append(result.provenance.phase_s["integrate"])
+            integrate.append(result.stage_s["integrate"])
     n = max(len(elapsed), 1)
     return sum(elapsed) / n, sum(integrate) / n
 
@@ -66,13 +57,11 @@ def bench_fig11d_query_time(benchmark):
         sampled_network,
         sampled_form,
         planner="python",
-        instrumentation=PROVENANCE_ONLY,
     )
     compiled_engine = QueryEngine(
         sampled_network,
         sampled_form,
         planner="compiled",
-        instrumentation=PROVENANCE_ONLY,
     )
     # The unsampled reference keeps the python planner so the python
     # rows reproduce the paper-faithful comparison; the compiled row's
@@ -82,7 +71,6 @@ def bench_fig11d_query_time(benchmark):
         p.full_form,
         access_mode="flood",
         planner="python",
-        instrumentation=PROVENANCE_ONLY,
     )
     rows = []
     for fraction in STANDARD_AREA_FRACTIONS:

@@ -60,60 +60,113 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _instrumentation(args: argparse.Namespace, tracer, memory=False):
+    """The bundle of one CLI run: ``tracer`` and, under ``--profile``,
+    a running sampler attributed to it."""
+    from repro.obs import Instrumentation, Profiler
+
+    obs = Instrumentation(tracer=tracer)
+    if args.profile:
+        obs.profiler = Profiler(
+            tracer=tracer, hz=args.profile_hz, memory=memory
+        ).start()
+    return obs
+
+
+def _world(args: argparse.Namespace, obs, flight, **config):
+    """The world ``demo`` and ``monitor`` share: a seeded organic city,
+    a framework over it (bundle and flight recorder go to its
+    constructor) deployed from the common flags plus ``config``, and
+    the trip workload, not yet ingested.  Returns ``(framework,
+    network, workload)``."""
     from repro import FrameworkConfig, InNetworkFramework
-    from repro.geometry import BBox
     from repro.mobility import organic_city
-    from repro.obs import (
-        Instrumentation,
-        MetricsRegistry,
-        get_registry,
-        kv,
-        set_registry,
-    )
     from repro.trajectories import WorkloadConfig, generate_workload
 
-    instrumented = bool(args.trace or args.metrics or args.profile)
-    if instrumented:
-        # A fresh registry so the dump reflects this run only.
-        set_registry(MetricsRegistry())
-        obs = Instrumentation.on(provenance=True)
-    else:
-        obs = None
-    profile_hz = args.profile_hz if args.profile else 0.0
-
-    rng = np.random.default_rng(args.seed)
-    road = organic_city(blocks=args.blocks, rng=rng)
-    framework = InNetworkFramework.from_road_graph(road, instrumentation=obs)
-    domain = framework.domain
-    log.info(f"city: {domain.junction_count} junctions, "
-             f"{domain.block_count} blocks")
-
-    budget = max(int(domain.block_count * args.fraction), 2)
-    network = framework.deploy(
-        FrameworkConfig(selector=args.selector, budget=budget,
-                        store=args.store, planner=args.planner,
-                        shards=args.shards, seed=args.seed,
-                        slow_query_s=args.slow_ms / 1e3,
-                        streaming=args.stream,
-                        compact_every=args.compact_every,
-                        compress=args.compress,
-                        tick_bits=args.tick_bits,
-                        sketch_bins=args.sketch_bins,
-                        profile_hz=profile_hz,
-                        profile_memory=args.profile_memory)
+    road = organic_city(
+        blocks=args.blocks, rng=np.random.default_rng(args.seed)
     )
-    log.info(f"deployed: {len(network.sensors)} sensors "
-             f"({network.size_fraction:.1%}), {len(network.walls)} walls, "
-             f"{network.region_count} regions")
-    log.debug("deploy %s", kv(selector=args.selector, budget=budget,
-                              regions=network.region_count))
-
+    framework = InNetworkFramework.from_road_graph(
+        road, instrumentation=obs, flight=flight
+    )
+    domain = framework.domain
+    network = framework.deploy(FrameworkConfig(
+        selector=args.selector,
+        budget=max(int(domain.block_count * args.fraction), 2),
+        store=args.store, planner=args.planner, shards=args.shards,
+        seed=args.seed, compress=args.compress, tick_bits=args.tick_bits,
+        **config,
+    ))
     workload = generate_workload(
         domain,
         WorkloadConfig(n_trips=args.trips, horizon_days=1.0,
                        mean_dwell=3600.0, seed=args.seed),
     )
+    return framework, network, workload
+
+
+def _faults(args: argparse.Namespace, framework):
+    """The seeded fault injector of ``--faults P``."""
+    from repro.network import FaultConfig
+
+    return framework.fault_injector(
+        FaultConfig(seed=args.seed, sensor_failure_rate=args.faults,
+                    drop_rate=args.faults / 2)
+    )
+
+
+def _dump_flight(args: argparse.Namespace, flight) -> None:
+    if args.flight:
+        flight.dump(args.flight)
+        log.info(f"flight: wrote {args.flight} ({flight.total} records, "
+                 f"{flight.slow_total} slow)")
+
+
+def _write_profile(args: argparse.Namespace, profiler):
+    """Stop the sampler (flush before export; ``close()`` is a no-op
+    then) and write its artifacts into ``--profile DIR``."""
+    profiler.stop()
+    paths = profiler.write(args.profile)
+    table = profiler.table
+    log.info(f"profile: {table.total} samples over {len(table)} "
+             f"stacks @{profiler.hz:g}Hz -> {paths['speedscope']}")
+    return table
+
+
+def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.geometry import BBox
+    from repro.obs import (
+        FlightRecorder,
+        MetricsRegistry,
+        NULL_TRACER,
+        Tracer,
+        get_registry,
+        kv,
+        set_registry,
+    )
+
+    instrumented = bool(args.trace or args.metrics or args.profile)
+    if instrumented:
+        # A fresh registry so the dump reflects this run only.
+        set_registry(MetricsRegistry())
+    obs = _instrumentation(
+        args, Tracer() if instrumented else NULL_TRACER, args.profile_memory
+    )
+    framework, network, workload = _world(
+        args, obs, FlightRecorder(slow_threshold_s=args.slow_ms / 1e3),
+        streaming=args.stream, compact_every=args.compact_every,
+        sketch_bins=args.sketch_bins,
+    )
+    domain = framework.domain
+    log.info(f"city: {domain.junction_count} junctions, "
+             f"{domain.block_count} blocks")
+    log.info(f"deployed: {len(network.sensors)} sensors "
+             f"({network.size_fraction:.1%}), {len(network.walls)} walls, "
+             f"{network.region_count} regions")
+    log.debug("deploy %s", kv(selector=args.selector,
+                              budget=framework.config.budget,
+                              regions=network.region_count))
+
     if args.stream:
         from repro.errors import QueryError
         from repro.geometry import BBox as _BBox
@@ -157,13 +210,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     injector = None
     if args.faults > 0:
-        from repro.network import FaultConfig
-
-        injector = framework.fault_injector(
-            FaultConfig(seed=args.seed,
-                        sensor_failure_rate=args.faults,
-                        drop_rate=args.faults / 2)
-        )
+        injector = _faults(args, framework)
         log.info(f"faults: {args.faults:.0%} sensor failure, "
                  f"{args.faults / 2:.0%} message drop "
                  f"({len(injector.crashed)} sensors down)")
@@ -205,12 +252,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                          f"(error bound ±{d.error_bound:.0f}, "
                          f"{d.detours} detours, "
                          f"{d.server_stitches} stitches)")
-        if approx.provenance is not None:
-            log.debug("query provenance %s", kv(
-                junctions=approx.provenance.junction_count,
-                regions=len(approx.provenance.region_ids),
-                boundary=approx.provenance.boundary_length,
-            ))
+        log.debug("query provenance %s", kv(
+            junctions=approx.junction_count,
+            regions=len(approx.regions),
+            boundary=approx.boundary_length,
+        ))
     log.info(f"storage: {framework.storage_bytes} bytes ({args.store}"
              f"{', compressed' if args.compress else ''})")
     if args.storage:
@@ -228,42 +274,31 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     profiler = framework.profiler
     if profiler is not None:
-        profiler.stop()  # flush before export; close() is a no-op then
-        paths = profiler.write(args.profile)
-        table = profiler.table
-        log.info(f"profile: {table.total} samples over {len(table)} "
-                 f"stacks @{profiler.hz:g}Hz -> "
-                 f"{paths['speedscope']}")
-        for row in table.top_rows(5):
+        for row in _write_profile(args, profiler).top_rows(5):
             log.debug("profile top %s", kv(
                 span=row["span_path"], frame=row["frame"],
                 self_ms=round(row["self_s"] * 1e3, 2),
                 share=f"{row['share']:.0%}",
             ))
-    if obs is not None:
-        if args.trace:
-            import json as _json
+    if args.trace:
+        import json as _json
 
-            from repro.obs import overlay_counters
+        from repro.obs import overlay_counters
 
-            trace = obs.tracer.to_chrome_trace()
-            if profiler is not None:
-                # Counter tracks share the tracer's perf_counter origin
-                # so they overlay the span swimlanes on one time axis.
-                overlay_counters(trace, profiler, origin=obs.tracer.origin)
-            with open(args.trace, "w") as handle:
-                _json.dump(trace, handle, indent=1)
-            log.info(f"trace: wrote {args.trace}")
-            log.debug("span tree:\n%s", obs.tracer.format_tree())
-        if args.metrics:
-            with open(args.metrics, "w") as handle:
-                handle.write(get_registry().to_prometheus())
-            log.info(f"metrics: wrote {args.metrics}")
-    if args.flight:
-        flight = framework.flight_log()
-        flight.dump(args.flight)
-        log.info(f"flight: wrote {args.flight} ({flight.total} records, "
-                 f"{flight.slow_total} slow)")
+        trace = obs.tracer.to_chrome_trace()
+        if profiler is not None:
+            # Counter tracks share the tracer's perf_counter origin
+            # so they overlay the span swimlanes on one time axis.
+            overlay_counters(trace, profiler, origin=obs.tracer.origin)
+        with open(args.trace, "w") as handle:
+            _json.dump(trace, handle, indent=1)
+        log.info(f"trace: wrote {args.trace}")
+        log.debug("span tree:\n%s", obs.tracer.format_tree())
+    if args.metrics:
+        with open(args.metrics, "w") as handle:
+            handle.write(get_registry().to_prometheus())
+        log.info(f"metrics: wrote {args.metrics}")
+    _dump_flight(args, framework.flight_log())
     framework.close()
     return 0
 
@@ -271,25 +306,23 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     import json
 
-    from repro import FrameworkConfig, InNetworkFramework
     from repro.evaluation.workloads import (
         QueryWorkloadConfig,
         generate_queries,
     )
-    from repro.mobility import organic_city
     from repro.obs import (
         AlertLog,
-        Instrumentation,
+        FlightRecorder,
         MetricsRegistry,
         NULL_TRACER,
         TimeSeriesRecorder,
+        Tracer,
         default_slos,
         evaluate_slos,
         fleet_health,
         set_registry,
     )
     from repro.obs.dashboard import render_dashboard
-    from repro.trajectories import WorkloadConfig, generate_workload
 
     # A fresh registry so the telemetry reflects this run only; the
     # null tracer keeps the hot path span-free (the recorder samples
@@ -297,43 +330,18 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     # which needs live spans to attribute samples to.
     registry = MetricsRegistry()
     set_registry(registry)
-    from repro.obs import Tracer as _Tracer
-
-    tracer = _Tracer() if args.profile else NULL_TRACER
-    obs = Instrumentation(tracer=tracer, provenance=True)
-
-    rng = np.random.default_rng(args.seed)
-    road = organic_city(blocks=args.blocks, rng=rng)
-    framework = InNetworkFramework.from_road_graph(road, instrumentation=obs)
+    obs = _instrumentation(args, Tracer() if args.profile else NULL_TRACER)
+    framework, network, workload = _world(
+        args, obs, FlightRecorder(slow_threshold_s=args.slow_ms / 1e3)
+    )
     domain = framework.domain
-    budget = max(int(domain.block_count * args.fraction), 2)
-    network = framework.deploy(
-        FrameworkConfig(selector=args.selector, budget=budget,
-                        store=args.store, planner=args.planner,
-                        shards=args.shards, seed=args.seed,
-                        slow_query_s=args.slow_ms / 1e3,
-                        compress=args.compress,
-                        tick_bits=args.tick_bits,
-                        profile_hz=args.profile_hz if args.profile else 0.0)
-    )
-    workload = generate_workload(
-        domain,
-        WorkloadConfig(n_trips=args.trips, horizon_days=1.0,
-                       mean_dwell=3600.0, seed=args.seed),
-    )
     n_events = framework.ingest_trips(workload.trips)
     log.info(f"fleet: {len(network.sensors)} sensors "
              f"({network.size_fraction:.1%}), {n_events} events ingested")
 
     injector = None
     if args.faults > 0 and args.shards == 1:
-        from repro.network import FaultConfig
-
-        injector = framework.fault_injector(
-            FaultConfig(seed=args.seed,
-                        sensor_failure_rate=args.faults,
-                        drop_rate=args.faults / 2)
-        )
+        injector = _faults(args, framework)
         log.info(f"faults: {args.faults:.0%} sensor crash, "
                  f"{args.faults / 2:.0%} message drop "
                  f"({len(injector.crashed)} sensors down)")
@@ -397,11 +405,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     flight = framework.flight_log()
     profiler = framework.profiler
     if profiler is not None:
-        profiler.stop()  # flush before export; close() is a no-op then
-        paths = profiler.write(args.profile)
-        table = profiler.table
-        log.info(f"profile: {table.total} samples over {len(table)} "
-                 f"stacks @{profiler.hz:g}Hz -> {paths['speedscope']}")
+        _write_profile(args, profiler)
 
     log.info(health.format_report())
     for status in statuses:
@@ -456,10 +460,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=1)
         log.info(f"telemetry: wrote {args.json}")
-    if args.flight:
-        flight.dump(args.flight)
-        log.info(f"flight: wrote {args.flight} ({flight.total} records, "
-                 f"{flight.slow_total} slow)")
+    _dump_flight(args, flight)
 
     if not args.smoke:
         return 0
@@ -486,18 +487,17 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         )
     reference_engine = framework.engine(sharded=False)
     reference = reference_engine.execute(queries[0])
-    plan = reference_engine.explain(queries[0])
+    plan = reference_engine.explain(queries[0]).record
     mismatches = [
         name
-        for name, got, want in (
-            ("regions", plan.region_ids, reference.regions),
-            ("boundary", plan.boundary_length,
-             reference.provenance.boundary_length),
-            ("sensors", plan.sensors_accessed, reference.nodes_accessed),
-            ("edges", plan.edges_accessed, reference.edges_accessed),
-            ("value", plan.value, reference.value),
+        for name, field in (
+            ("regions", "regions"),
+            ("boundary", "boundary_length"),
+            ("sensors", "nodes_accessed"),
+            ("edges", "edges_accessed"),
+            ("value", "value"),
         )
-        if got != want
+        if getattr(plan, field) != getattr(reference, field)
     ]
     if mismatches:
         failures.append(
@@ -535,6 +535,64 @@ def _cmd_city(args: argparse.Namespace) -> int:
     return 0
 
 
+def _world_flags(faults: float) -> argparse.ArgumentParser:
+    """The parent parser of ``demo`` and ``monitor``: one world, one
+    argument set — what :func:`_world` and its callers read.  Only the
+    ``--faults`` default differs between the two (argparse shares a
+    parent's actions, hence one instance each)."""
+    world = argparse.ArgumentParser(add_help=False)
+    world.add_argument("--blocks", type=int, default=200)
+    world.add_argument("--trips", type=int, default=3000)
+    world.add_argument("--fraction", type=float, default=0.25,
+                       help="sensor budget as a fraction of blocks")
+    world.add_argument("--selector", default="quadtree",
+                       choices=["uniform", "systematic", "kdtree",
+                                "quadtree", "stratified"])
+    world.add_argument("--store", default="exact",
+                       choices=["exact", "linear", "polynomial",
+                                "piecewise", "histogram"])
+    world.add_argument("--planner", default="auto",
+                       choices=["auto", "compiled", "python"],
+                       help="query resolution pipeline: compiled CSR "
+                            "indexes or the reference python path "
+                            "(auto compiles when the store supports it)")
+    world.add_argument("--shards", type=int, default=1,
+                       help="district shards for scatter-gather querying "
+                            "(>1 enables the sharded engine; `monitor` "
+                            "then runs without fault injection)")
+    world.add_argument("--seed", type=int, default=7)
+    world.add_argument("--faults", type=float, default=faults, metavar="P",
+                       help="inject faults: P is the sensor crash rate "
+                            "(P/2 becomes the per-message drop rate); "
+                            "queries then run fault-tolerantly and "
+                            "report their degradation bound; 0 disables "
+                            "fault injection")
+    world.add_argument("--flight", metavar="PATH", default=None,
+                       help="dump the always-on query flight recorder "
+                            "(recent and slow-query records) as JSON")
+    world.add_argument("--slow-ms", type=float, default=100.0,
+                       help="flight-recorder slow-query promotion "
+                            "threshold in milliseconds")
+    world.add_argument("--profile", metavar="DIR", default=None,
+                       help="continuous sampling profiler: write "
+                            "profile.collapsed + profile.speedscope.json "
+                            "(span-attributed flamegraph; with --shards "
+                            "the worker samples nest under their "
+                            "worker.run spans) into DIR; the monitor "
+                            "dashboard gains a top-frames panel")
+    world.add_argument("--profile-hz", type=float, default=97.0,
+                       help="sampler rate for --profile (samples/s)")
+    world.add_argument("--compress", action="store_true",
+                       help="succinct storage tier: delta-encoded, "
+                            "bit-packed timestamp columns (~4x smaller, "
+                            "byte-identical answers); the monitor "
+                            "dashboard gains a storage panel")
+    world.add_argument("--tick-bits", type=int, default=10,
+                       help="timestamp quantization for --compress: "
+                            "2**tick_bits ticks per second (0-20)")
+    return world
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -556,50 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_info
     )
 
-    demo = commands.add_parser("demo", help="end-to-end demo pipeline")
-    demo.add_argument("--blocks", type=int, default=200)
-    demo.add_argument("--trips", type=int, default=3000)
-    demo.add_argument("--fraction", type=float, default=0.25,
-                      help="sensor budget as a fraction of blocks")
-    demo.add_argument("--selector", default="quadtree",
-                      choices=["uniform", "systematic", "kdtree",
-                               "quadtree", "stratified"])
-    demo.add_argument("--store", default="exact",
-                      choices=["exact", "linear", "polynomial",
-                               "piecewise", "histogram"])
-    demo.add_argument("--planner", default="auto",
-                      choices=["auto", "compiled", "python"],
-                      help="query resolution pipeline: compiled CSR "
-                           "indexes or the reference python path "
-                           "(auto compiles when the store supports it)")
-    demo.add_argument("--shards", type=int, default=1,
-                      help="district shards for scatter-gather querying "
-                           "(>1 enables the sharded engine)")
-    demo.add_argument("--seed", type=int, default=7)
-    demo.add_argument("--faults", type=float, default=0.0, metavar="P",
-                      help="inject faults: P is the sensor crash rate "
-                           "(P/2 becomes the per-message drop rate); "
-                           "the query then runs fault-tolerantly and "
-                           "reports its degradation bound")
+    demo = commands.add_parser("demo", parents=[_world_flags(faults=0.0)],
+                               help="end-to-end demo pipeline")
     demo.add_argument("--trace", metavar="PATH", default=None,
                       help="write Chrome trace-viewer JSON of the run")
     demo.add_argument("--metrics", metavar="PATH", default=None,
                       help="write the metrics registry in Prometheus "
                            "text format")
-    demo.add_argument("--flight", metavar="PATH", default=None,
-                      help="dump the always-on query flight recorder "
-                           "as JSON")
-    demo.add_argument("--slow-ms", type=float, default=100.0,
-                      help="flight-recorder slow-query promotion "
-                           "threshold in milliseconds")
-    demo.add_argument("--profile", metavar="DIR", default=None,
-                      help="continuous sampling profiler: write "
-                           "profile.collapsed + profile.speedscope.json "
-                           "(span-attributed flamegraph; with --shards "
-                           "the worker samples nest under their "
-                           "worker.run spans) into DIR")
-    demo.add_argument("--profile-hz", type=float, default=97.0,
-                      help="sampler rate for --profile (samples/s)")
     demo.add_argument("--profile-memory", action="store_true",
                       help="also keep tracemalloc per-span peak "
                            "watermarks (heavier; needs --profile)")
@@ -611,13 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--compact-every", type=int, default=1024,
                       help="streaming tail size that triggers a "
                            "compaction (with --stream)")
-    demo.add_argument("--compress", action="store_true",
-                      help="succinct storage tier: delta-encoded, "
-                           "bit-packed timestamp columns (~4x smaller, "
-                           "byte-identical answers)")
-    demo.add_argument("--tick-bits", type=int, default=10,
-                      help="timestamp quantization for --compress: "
-                           "2**tick_bits ticks per second (0-20)")
     demo.add_argument("--sketch-bins", type=int, default=0,
                       help="build an error-bounded per-edge count "
                            "sketch with this many time bins (0 "
@@ -632,31 +646,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(handler=_cmd_demo)
 
     monitor = commands.add_parser(
-        "monitor",
+        "monitor", parents=[_world_flags(faults=0.1)],
         help="run a query workload while sampling fleet telemetry: "
              "time series, SLO burn, per-sensor health, query EXPLAIN",
     )
-    monitor.add_argument("--blocks", type=int, default=200)
-    monitor.add_argument("--trips", type=int, default=3000)
-    monitor.add_argument("--fraction", type=float, default=0.25,
-                         help="sensor budget as a fraction of blocks")
-    monitor.add_argument("--selector", default="quadtree",
-                         choices=["uniform", "systematic", "kdtree",
-                                  "quadtree", "stratified"])
-    monitor.add_argument("--store", default="exact",
-                         choices=["exact", "linear", "polynomial",
-                                  "piecewise", "histogram"])
-    monitor.add_argument("--planner", default="auto",
-                         choices=["auto", "compiled", "python"])
-    monitor.add_argument("--shards", type=int, default=1,
-                         help="district shards for scatter-gather "
-                              "querying (>1 enables the sharded engine; "
-                              "implies --faults 0)")
-    monitor.add_argument("--seed", type=int, default=7)
-    monitor.add_argument("--faults", type=float, default=0.1, metavar="P",
-                         help="sensor crash rate (P/2 becomes the "
-                              "per-message drop rate); 0 disables "
-                              "fault injection")
     monitor.add_argument("--strategy", default="perimeter_walk",
                          choices=["perimeter_walk", "server_fanout"])
     monitor.add_argument("--queries", type=int, default=120,
@@ -672,25 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--json", metavar="PATH", default=None,
                          help="write the telemetry (series, SLOs, "
                               "health, EXPLAIN, flight log) as JSON")
-    monitor.add_argument("--flight", metavar="PATH", default=None,
-                         help="dump the query flight recorder as JSON")
-    monitor.add_argument("--slow-ms", type=float, default=100.0,
-                         help="flight-recorder slow-query promotion "
-                              "threshold in milliseconds")
-    monitor.add_argument("--profile", metavar="DIR", default=None,
-                         help="continuous sampling profiler: write "
-                              "profile.collapsed + profile.speedscope"
-                              ".json into DIR; the dashboard gains a "
-                              "top-frames panel")
-    monitor.add_argument("--profile-hz", type=float, default=97.0,
-                         help="sampler rate for --profile (samples/s)")
-    monitor.add_argument("--compress", action="store_true",
-                         help="succinct storage tier (compressed "
-                              "timestamp columns); the dashboard gains "
-                              "a storage panel")
-    monitor.add_argument("--tick-bits", type=int, default=10,
-                         help="timestamp quantization for --compress: "
-                              "2**tick_bits ticks per second (0-20)")
     monitor.add_argument("--smoke", action="store_true",
                          help="assert the telemetry invariants (crashed "
                               "sensors identified, SLO burn under "

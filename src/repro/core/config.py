@@ -32,12 +32,6 @@ class FrameworkConfig:
     districts).  Sharding requires the exact store — learned models
     are not sharded.
 
-    ``flight_capacity`` sizes the framework's always-on query flight
-    recorder (:class:`~repro.obs.FlightRecorder` ring buffer) and
-    ``slow_query_s`` is its slow-query promotion threshold: queries
-    slower than this carry full detail (provenance, grafted worker
-    spans) in the flight log.
-
     ``streaming`` switches ingestion to the append-only
     :class:`~repro.stream.StreamingEventStore` (LSM-style mutable tail
     + compacted CSR blocks): ``ingest_events`` then updates indexes
@@ -56,13 +50,11 @@ class FrameworkConfig:
     that many time bins; queries carrying ``max_error`` are then
     served from the sketch whenever its worst-case bound fits.
 
-    ``profile_hz`` > 0 turns on the continuous sampling profiler
-    (:class:`~repro.obs.Profiler`): a background thread samples every
-    application thread at that rate, attributing stacks to the open
-    tracer spans.  Sharded workers run a worker-local sampler at the
-    same rate and ship their stack tables home with each batch.
-    ``profile_memory`` additionally enables :mod:`tracemalloc` peak
-    watermarks per span path (heavier; off by default).
+    The flight recorder and the profiler are not deployment settings:
+    both are handed to the framework's constructor
+    (``InNetworkFramework(..., flight=FlightRecorder(...))``,
+    ``Instrumentation(profiler=Profiler(...).start())``) and outlive
+    any re-deploy.
     """
 
     selector: str = "quadtree"
@@ -73,15 +65,11 @@ class FrameworkConfig:
     planner: str = "auto"
     shards: int = 1
     seed: int = 0
-    flight_capacity: int = 256
-    slow_query_s: float = 0.1
     streaming: bool = False
     compact_every: int = 4096
     compress: bool = False
     tick_bits: int = 0
     sketch_bins: int = 0
-    profile_hz: float = 0.0
-    profile_memory: bool = False
 
     _SELECTORS = (
         "uniform",
@@ -125,10 +113,6 @@ class FrameworkConfig:
             raise ConfigurationError("knn_k must be >= 1")
         if self.shards < 1:
             raise ConfigurationError("shards must be >= 1")
-        if self.flight_capacity < 1:
-            raise ConfigurationError("flight_capacity must be >= 1")
-        if self.slow_query_s <= 0:
-            raise ConfigurationError("slow_query_s must be > 0")
         if self.sharded and self.store != "exact":
             raise ConfigurationError(
                 "sharded querying requires store='exact' (learned "
@@ -163,16 +147,6 @@ class FrameworkConfig:
                 "sketch_bins is incompatible with streaming=True (the "
                 "sketch is built at ingest and would go stale under "
                 "incremental appends)"
-            )
-        if not 0 <= self.profile_hz <= 1000:
-            raise ConfigurationError(
-                "profile_hz must be in [0, 1000] samples per second "
-                "(0 disables the profiler)"
-            )
-        if self.profile_memory and not self.profile_hz:
-            raise ConfigurationError(
-                "profile_memory requires profile_hz > 0 (memory "
-                "watermarks ride on the sampler thread)"
             )
 
     @property

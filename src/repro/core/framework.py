@@ -38,7 +38,6 @@ from ..obs import (
     Instrumentation,
     NULL_INSTRUMENTATION,
     Profiler,
-    Tracer,
     get_registry,
 )
 from ..planar import NodeId, PlanarGraph
@@ -95,10 +94,10 @@ class InNetworkFramework:
             else NULL_INSTRUMENTATION
         )
         #: Always-on query flight recorder, shared by every engine the
-        #: framework hands out.  A caller-provided recorder is kept
-        #: verbatim; the default one is re-sized from the deployed
-        #: config's ``flight_capacity``/``slow_query_s``.
-        self._flight_injected = flight is not None
+        #: framework hands out, for the framework's whole life (a
+        #: re-deploy keeps it).  Pass a sized one — ``flight=
+        #: FlightRecorder(capacity=…, slow_threshold_s=…)`` — to change
+        #: the defaults.
         self.flight: FlightRecorder = (
             flight if flight is not None else FlightRecorder()
         )
@@ -163,7 +162,6 @@ class InNetworkFramework:
         configuration automatically.
         """
         self._guard_open()
-        self._ensure_profiler(config)
         tracer = self.obs.tracer
         with tracer.span(
             "deploy", selector=config.selector, budget=config.budget
@@ -240,14 +238,6 @@ class InNetworkFramework:
                 )
 
             self.config = config
-            if not self._flight_injected and (
-                self.flight.capacity != config.flight_capacity
-                or self.flight.slow_threshold_s != config.slow_query_s
-            ):
-                self.flight = FlightRecorder(
-                    capacity=config.flight_capacity,
-                    slow_threshold_s=config.slow_query_s,
-                )
             self.network = network
             self._form = None
             self._store = self._engine = None
@@ -307,43 +297,11 @@ class InNetworkFramework:
         ).inc(len(window))
         return len(window)
 
-    def _ensure_profiler(self, config: FrameworkConfig) -> None:
-        """Start (or stop) the continuous profiler to match the config.
-
-        ``profile_hz`` > 0 wants a sampler: reuse a running one at the
-        same rate, otherwise start a fresh :class:`~repro.obs.Profiler`
-        attributed to this framework's tracer.  The shared
-        :data:`~repro.obs.NULL_INSTRUMENTATION` bundle is never mutated
-        — profiling an uninstrumented framework upgrades it to a fresh
-        bundle with a live tracer, so samples have spans to join.
-        """
-        profiler = self.obs.profiler
-        if config.profile_hz <= 0:
-            if profiler is not None:
-                profiler.stop()
-            return
-        if (
-            profiler is not None
-            and profiler.running
-            and profiler.hz == config.profile_hz
-            and profiler.memory == config.profile_memory
-        ):
-            return
-        if profiler is not None:
-            profiler.stop()
-        if self.obs is NULL_INSTRUMENTATION:
-            self.obs = Instrumentation(tracer=Tracer(), provenance=False)
-        self.obs.profiler = Profiler(
-            tracer=self.obs.tracer,
-            hz=config.profile_hz,
-            memory=config.profile_memory,
-        ).start()
-
     @property
     def profiler(self) -> Optional[Profiler]:
-        """The continuous sampling profiler (``None`` unless deployed
-        with ``profile_hz`` > 0 or handed an instrumented bundle that
-        carries one)."""
+        """The continuous sampling profiler of the instrumentation
+        bundle this framework was built with (``None`` without one).
+        Whoever built the bundle started it; :meth:`close` stops it."""
         return self.obs.profiler
 
     def _drop_sharded(self) -> None:
@@ -516,9 +474,10 @@ class InNetworkFramework:
 
     def flight_log(self) -> FlightRecorder:
         """The always-on query flight recorder shared by every engine
-        this framework hands out: recent per-query records (digest,
-        planner, fan-out, stage timings) plus the promoted slow-query
-        ring.  Dump it with ``flight_log().dump(path)``."""
+        this framework hands out: the most recent results themselves
+        (``flight_log().records[-1] is fw.query(...)``) plus the
+        promoted slow-query ring.  Dump it with
+        ``flight_log().dump(path)``."""
         return self.flight
 
     def query(
@@ -581,8 +540,8 @@ class InNetworkFramework:
         :class:`~repro.obs.QueryExplain` plan.
 
         Runs on whichever engine the deployed config selects: the
-        single-process engine reports per-phase provenance; the sharded
-        engine reports the scatter-gather plan (shard fan-out and
+        single-process engine's record carries per-phase times; the
+        sharded engine's the scatter-gather plan (shard fan-out and
         route/scatter/worker_wait/merge stage times).
         """
         engine = self.engine(

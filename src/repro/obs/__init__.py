@@ -1,4 +1,4 @@
-"""Observability substrate: tracing spans, metrics, provenance, logging.
+"""Observability substrate: tracing spans, metrics, flight log, logging.
 
 Zero-dependency instrumentation threaded through the deploy → ingest →
 query pipeline:
@@ -8,8 +8,6 @@ query pipeline:
 - :mod:`repro.obs.metrics` — a process-global but swappable
   :class:`MetricsRegistry` (counters, gauges, fixed-bucket histograms)
   exportable as JSON and Prometheus text format;
-- :mod:`repro.obs.provenance` — the opt-in per-query
-  :class:`QueryProvenance` record attached to query results;
 - :mod:`repro.obs.instrument` — the :class:`Instrumentation` bundle
   the framework, pipeline, engine and simulator accept (default: the
   no-op :data:`NULL_INSTRUMENTATION`);
@@ -22,17 +20,21 @@ query pipeline:
 - :mod:`repro.obs.health` — per-sensor health scoring and fleet
   rollups over the simulator's per-sensor telemetry;
 - :mod:`repro.obs.flight` — the always-on bounded query flight
-  recorder with slow-query promotion to full detail;
+  recorder: a ring of the per-query records themselves
+  (:class:`~repro.query.QueryResult`, the one record of a query:
+  answer, measured internals, stage times), with slow-query promotion
+  to full detail;
 - :mod:`repro.obs.profile` — the continuous span-attributed sampling
   profiler (:class:`Profiler`, :class:`StackTable`) with
   collapsed-stack, speedscope and Chrome-counter exports;
-- :mod:`repro.obs.explain` — the measured query EXPLAIN plan;
+- :mod:`repro.obs.explain` — the measured query EXPLAIN plan, a view
+  over a record and the engine that produced it;
 - :mod:`repro.obs.dashboard` — the self-contained HTML dashboard the
   ``repro monitor`` CLI exports.
 """
 
-from .explain import QueryExplain, build_explain, build_sharded_explain
-from .flight import FlightRecord, FlightRecorder, query_digest
+from .explain import QueryExplain, build_explain
+from .flight import FlightRecorder, query_digest, record_dict
 from .health import FleetHealth, SensorHealth, fleet_health
 from .instrument import Instrumentation, NULL_INSTRUMENTATION
 from .logging import configure as configure_logging
@@ -56,7 +58,6 @@ from .profile import (
     memory_snapshot,
     overlay_counters,
 )
-from .provenance import QueryProvenance
 from .slo import (
     Alert,
     AlertLog,
@@ -80,7 +81,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_PROFILE_HZ",
     "FleetHealth",
-    "FlightRecord",
     "FlightRecorder",
     "Gauge",
     "Histogram",
@@ -92,7 +92,6 @@ __all__ = [
     "NullTracer",
     "Profiler",
     "QueryExplain",
-    "QueryProvenance",
     "SECONDS_BUCKETS",
     "SLO",
     "SLOStatus",
@@ -104,7 +103,6 @@ __all__ = [
     "TimeSeriesRecorder",
     "Tracer",
     "build_explain",
-    "build_sharded_explain",
     "configure_logging",
     "default_slos",
     "evaluate_slos",
@@ -115,6 +113,7 @@ __all__ = [
     "memory_snapshot",
     "overlay_counters",
     "query_digest",
+    "record_dict",
     "set_registry",
     "use_registry",
 ]

@@ -201,36 +201,23 @@ def _heatmap(health: FleetHealth, columns: int = 20) -> str:
 
 
 def _slow_query_rows(flight: FlightRecorder, limit: int = 10) -> str:
-    rows = []
-    for entry in list(flight.slow_records)[-limit:][::-1]:
-        stages = " ".join(
-            f"{name}={seconds * 1e3:.2f}ms"
-            for name, seconds in (entry.stage_s or {}).items()
-        )
-        rss = (
-            f"{entry.peak_rss_bytes / 1e6:.1f}"
-            if entry.peak_rss_bytes is not None
-            else "-"
-        )
-        alloc = (
-            f"{entry.alloc_peak_bytes / 1e6:.2f}"
-            if entry.alloc_peak_bytes is not None
-            else "-"
-        )
-        rows.append(
-            "<tr>"
-            f"<td>{entry.seq}</td>"
-            f"<td>{html.escape(entry.digest)}</td>"
-            f"<td>{html.escape(entry.planner)}</td>"
-            f"<td>{entry.elapsed_s * 1e3:.3f}</td>"
-            f"<td>{entry.fanout}</td>"
-            f"<td>{html.escape(stages or '-')}</td>"
-            f"<td>{rss}</td>"
-            f"<td>{alloc}</td>"
-            f"<td>{html.escape(entry.degraded or '-')}</td>"
-            "</tr>"
-        )
-    return "".join(rows)
+    def mb(nbytes: Optional[int], digits: int) -> str:
+        return "-" if nbytes is None else f"{nbytes / 1e6:.{digits}f}"
+
+    return "".join(
+        "<tr>"
+        f"<td>{record.seq}</td>"
+        f"<td>{html.escape(digest)}</td>"
+        f"<td>{html.escape(record.planner)}</td>"
+        f"<td>{record.elapsed * 1e3:.3f}</td>"
+        f"<td>{record.fanout}</td>"
+        f"<td>{html.escape(stages or '-')}</td>"
+        f"<td>{mb(record.peak_rss_bytes, 1)}</td>"
+        f"<td>{mb(record.alloc_peak_bytes, 2)}</td>"
+        f"<td>{html.escape(degraded or '-')}</td>"
+        "</tr>"
+        for record, digest, stages, degraded in flight.slow_rows(limit)
+    )
 
 
 def _profile_rows(profile: StackTable, limit: int = 15) -> str:

@@ -1,23 +1,28 @@
-"""Always-on query flight recorder: a bounded ring of cheap per-query
-records, with slow-query promotion to full detail.
+"""Always-on query flight recorder: a bounded ring of the per-query
+records themselves, with slow-query promotion.
 
-Every query execution appends one :class:`FlightRecord` to a
-:class:`FlightRecorder` — a ``deque(maxlen=capacity)`` ring buffer, so
-memory is bounded no matter how long the process runs and the oldest
-record is evicted first.  The hot-path cost is one ``__slots__`` object
-and two deque operations (well under a microsecond); anything expensive
-— the query digest, JSON shaping — is deferred to dump time.
+A :class:`FlightRecorder` *keeps* the record an engine built for a
+query — the :class:`~repro.query.QueryResult` its caller is handed, not
+a copy of it — in a ``deque(maxlen=capacity)`` ring, so memory is
+bounded no matter how long the process runs and the oldest record is
+evicted first.  The hot-path cost is two stamps (``seq``,
+``wall_time``), one comparison and one deque append; anything
+expensive — the query digest, JSON shaping, the ``degraded`` summary —
+is a view computed at dump time (:func:`record_dict`).
 
-Records whose latency exceeds ``slow_threshold_s`` (strictly greater)
-are *promoted*: flagged ``slow``, copied into a second ring that slow
-traffic cannot be flushed out of by fast traffic, and offered back to
-the caller so it can attach a ``detail`` payload (measured provenance,
-grafted worker spans) while the evidence is still at hand.
+A record whose ``elapsed`` exceeds ``slow_threshold_s`` (strictly
+greater) is *promoted*: flagged ``slow`` and kept in a second ring that
+slow traffic cannot be flushed out of by fast traffic; :meth:`keep`
+says so, and the caller attaches a ``detail`` payload (executor extras,
+grafted worker spans, memory watermarks) while the evidence is still at
+hand.
 
-The recorder is deliberately engine-agnostic: :class:`~repro.query.QueryEngine`
-records ``stage_s`` phase timings, :class:`~repro.query.ShardedQueryEngine`
-records scatter-gather stage timings plus the shard fan-out, and the
-framework exposes the shared ring via ``flight_log()``.
+The recorder reads attributes and imports nothing from
+:mod:`repro.query`: a single-process record carries the plan phases in
+``stage_s``, a scattered one the batch's route / scatter / worker_wait
+/ merge times and its shard ``fanout``.  The framework exposes its ring
+via ``flight_log()``; hand it a sized recorder through the constructor
+(``InNetworkFramework(..., flight=FlightRecorder(...))``).
 """
 
 from __future__ import annotations
@@ -39,105 +44,44 @@ DEFAULT_SLOW_CAPACITY = 32
 DEFAULT_SLOW_THRESHOLD_S = 0.1
 
 
-class FlightRecord:
-    """One query's flight-recorder entry.
+def record_dict(record: Any) -> Dict[str, Any]:
+    """JSON-safe flight-log view of one kept record; this is where the
+    lazy work (digest, ``degraded`` summary) happens."""
+    query = record.query
+    out: Dict[str, Any] = {
+        "seq": record.seq,
+        "wall_time": record.wall_time,
+        "digest": query_digest(query, record.generation),
+        "kind": getattr(query, "kind", None),
+        "bound": getattr(query, "bound", None),
+        "planner": record.planner,
+        "elapsed_s": record.elapsed,
+        "value": record.value,
+        "missed": record.missed,
+        "fanout": record.fanout,
+        "stage_s": dict(record.stage_s),
+        "degraded": _degraded(record),
+        "generation": record.generation,
+        "slow": record.slow,
+    }
+    if record.peak_rss_bytes is not None:
+        out["peak_rss_bytes"] = record.peak_rss_bytes
+    if record.alloc_peak_bytes is not None:
+        out["alloc_peak_bytes"] = record.alloc_peak_bytes
+    if record.detail is not None:
+        out["detail"] = record.detail
+    return out
 
-    Holds a *reference* to the query (digesting it is deferred to
-    :meth:`as_dict`) plus the scalars the recording engine already had
-    in hand — nothing here is computed for the recorder's sake.
-    """
 
-    __slots__ = (
-        "seq",
-        "wall_time",
-        "query",
-        "planner",
-        "elapsed_s",
-        "value",
-        "missed",
-        "fanout",
-        "stage_s",
-        "degraded",
-        "generation",
-        "slow",
-        "detail",
-        "peak_rss_bytes",
-        "alloc_peak_bytes",
+def _degraded(record: Any) -> Optional[str]:
+    """One-line summary of a fault outcome that lost walls."""
+    degradation = record.degradation
+    if degradation is None or not degradation.lost_walls:
+        return None
+    return (
+        f"lost_walls={degradation.lost_walls}"
+        f" bound={degradation.error_bound:g}"
     )
-
-    def __init__(
-        self,
-        seq: int,
-        wall_time: float,
-        query: Any,
-        planner: str,
-        elapsed_s: float,
-        value: Optional[float],
-        missed: bool,
-        fanout: int,
-        stage_s: Optional[Dict[str, float]],
-        degraded: Optional[str],
-        generation: Optional[int] = None,
-    ) -> None:
-        self.seq = seq
-        self.wall_time = wall_time
-        self.query = query
-        self.planner = planner
-        self.elapsed_s = elapsed_s
-        self.value = value
-        self.missed = missed
-        self.fanout = fanout
-        self.stage_s = stage_s
-        self.degraded = degraded
-        self.generation = generation
-        self.slow = False
-        #: Promotion payload (provenance dict, serialized spans, …);
-        #: attached by the caller when ``slow`` is True.
-        self.detail: Optional[Dict[str, Any]] = None
-        #: Memory snapshot taken only on the strict slow path
-        #: (:func:`repro.obs.memory_snapshot`): process peak RSS and,
-        #: when tracemalloc is tracing, its traced-allocation peak.
-        self.peak_rss_bytes: Optional[int] = None
-        self.alloc_peak_bytes: Optional[int] = None
-
-    @property
-    def digest(self) -> str:
-        """Short stable digest of the query parameters (lazy)."""
-        return query_digest(self.query, generation=self.generation)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation; this is where lazy work happens."""
-        query = self.query
-        out: Dict[str, Any] = {
-            "seq": self.seq,
-            "wall_time": self.wall_time,
-            "digest": self.digest,
-            "kind": getattr(query, "kind", None),
-            "bound": getattr(query, "bound", None),
-            "planner": self.planner,
-            "elapsed_s": self.elapsed_s,
-            "value": self.value,
-            "missed": self.missed,
-            "fanout": self.fanout,
-            "stage_s": dict(self.stage_s) if self.stage_s else {},
-            "degraded": self.degraded,
-            "generation": self.generation,
-            "slow": self.slow,
-        }
-        if self.peak_rss_bytes is not None:
-            out["peak_rss_bytes"] = self.peak_rss_bytes
-        if self.alloc_peak_bytes is not None:
-            out["alloc_peak_bytes"] = self.alloc_peak_bytes
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
-
-    def __repr__(self) -> str:
-        flag = " SLOW" if self.slow else ""
-        return (
-            f"FlightRecord(#{self.seq} {self.planner} "
-            f"{self.elapsed_s * 1e3:.3f}ms fanout={self.fanout}{flag})"
-        )
 
 
 def query_digest(query: Any, generation: Optional[int] = None) -> str:
@@ -167,7 +111,7 @@ def query_digest(query: Any, generation: Optional[int] = None) -> str:
 
 
 class FlightRecorder:
-    """Bounded always-on ring of per-query :class:`FlightRecord` entries."""
+    """Bounded always-on ring of per-query records."""
 
     __slots__ = (
         "capacity",
@@ -182,56 +126,33 @@ class FlightRecorder:
         self,
         capacity: int = DEFAULT_CAPACITY,
         slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
-        slow_capacity: int = DEFAULT_SLOW_CAPACITY,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"flight-recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.slow_threshold_s = slow_threshold_s
-        self._ring: Deque[FlightRecord] = deque(maxlen=capacity)
-        self._slow: Deque[FlightRecord] = deque(maxlen=slow_capacity)
+        self._ring: Deque[Any] = deque(maxlen=capacity)
+        self._slow: Deque[Any] = deque(maxlen=DEFAULT_SLOW_CAPACITY)
         self._seq = 0
         #: Slow queries ever promoted (survives ring eviction).
         self.slow_total = 0
 
     # ------------------------------------------------------------------
-    def record(
-        self,
-        query: Any,
-        *,
-        planner: str,
-        elapsed_s: float,
-        value: Optional[float] = None,
-        missed: bool = False,
-        fanout: int = 0,
-        stage_s: Optional[Dict[str, float]] = None,
-        degraded: Optional[str] = None,
-        generation: Optional[int] = None,
-    ) -> FlightRecord:
-        """Append one record; returns it so a slow caller can attach
-        ``detail``.  Promotion fires iff ``elapsed_s`` strictly exceeds
-        the threshold.  ``generation`` is the store's data version at
-        execution time (``None`` for static stores)."""
+    def keep(self, record: Any) -> bool:
+        """Stamp ``record`` with its sequence number and wall time and
+        keep it (the object itself) in the ring.  Returns whether it
+        was promoted — ``elapsed`` strictly above the threshold — so a
+        slow caller can attach ``detail``."""
         self._seq += 1
-        entry = FlightRecord(
-            self._seq,
-            time.time(),
-            query,
-            planner,
-            elapsed_s,
-            value,
-            missed,
-            fanout,
-            stage_s,
-            degraded,
-            generation,
-        )
-        self._ring.append(entry)
-        if elapsed_s > self.slow_threshold_s:
-            entry.slow = True
-            self._slow.append(entry)
+        record.seq = self._seq
+        record.wall_time = time.time()
+        self._ring.append(record)
+        if record.elapsed > self.slow_threshold_s:
+            record.slow = True
+            self._slow.append(record)
             self.slow_total += 1
-        return entry
+            return True
+        return False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -243,12 +164,12 @@ class FlightRecorder:
         return self._seq
 
     @property
-    def records(self) -> Tuple[FlightRecord, ...]:
+    def records(self) -> Tuple[Any, ...]:
         """Current ring contents, oldest first."""
         return tuple(self._ring)
 
     @property
-    def slow_records(self) -> Tuple[FlightRecord, ...]:
+    def slow_records(self) -> Tuple[Any, ...]:
         """Promoted slow-query records, oldest first."""
         return tuple(self._slow)
 
@@ -260,37 +181,46 @@ class FlightRecorder:
             "slow_threshold_s": self.slow_threshold_s,
             "total": self.total,
             "slow_total": self.slow_total,
-            "records": [entry.as_dict() for entry in self._ring],
-            "slow": [entry.as_dict() for entry in self._slow],
+            "records": [record_dict(record) for record in self._ring],
+            "slow": [record_dict(record) for record in self._slow],
         }
-
-    def to_json(self, indent: Optional[int] = 1) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
 
     def dump(self, path: Any) -> None:
         """Write the JSON dump to ``path``."""
         with open(path, "w") as handle:
-            handle.write(self.to_json())
+            json.dump(self.as_dict(), handle, indent=1)
+
+    def slow_rows(self, limit: int = 10) -> List[Tuple[Any, str, str, str]]:
+        """The newest slow records, newest first, each with the text
+        views the CLI summary and the dashboard table share: ``(record,
+        digest, stages, degraded)``."""
+        return [
+            (
+                record,
+                query_digest(record.query, record.generation),
+                " ".join(
+                    f"{name}={seconds * 1e3:.2f}ms"
+                    for name, seconds in record.stage_s.items()
+                ),
+                _degraded(record) or "",
+            )
+            for record in list(self._slow)[-limit:][::-1]
+        ]
 
     def format_slow(self, limit: int = 10) -> List[str]:
-        """Human-readable lines for the newest slow queries (dashboard
-        table, CLI summaries)."""
+        """Human-readable lines for the newest slow queries."""
         lines: List[str] = []
-        for entry in list(self._slow)[-limit:][::-1]:
-            stages = " ".join(
-                f"{name}={seconds * 1e3:.2f}ms"
-                for name, seconds in (entry.stage_s or {}).items()
-            )
+        for record, digest, stages, degraded in self.slow_rows(limit):
             memory = ""
-            if entry.peak_rss_bytes is not None:
-                memory = f" rss={entry.peak_rss_bytes / 1e6:.1f}MB"
-            if entry.alloc_peak_bytes is not None:
-                memory += f" alloc={entry.alloc_peak_bytes / 1e6:.2f}MB"
+            if record.peak_rss_bytes is not None:
+                memory = f" rss={record.peak_rss_bytes / 1e6:.1f}MB"
+            if record.alloc_peak_bytes is not None:
+                memory += f" alloc={record.alloc_peak_bytes / 1e6:.2f}MB"
             lines.append(
-                f"#{entry.seq} {entry.digest} {entry.planner} "
-                f"{entry.elapsed_s * 1e3:.3f}ms fanout={entry.fanout}"
+                f"#{record.seq} {digest} {record.planner} "
+                f"{record.elapsed * 1e3:.3f}ms fanout={record.fanout}"
                 + (f" [{stages}]" if stages else "")
-                + (f" degraded={entry.degraded}" if entry.degraded else "")
+                + (f" degraded={degraded}" if degraded else "")
                 + memory
             )
         return lines

@@ -13,6 +13,15 @@ Two exports:
 - :meth:`Tracer.format_tree` — a human-readable indented tree with
   durations and attributes.
 
+A live tracer is bounded: of the siblings with one name — under one
+parent, or among the roots — it keeps the newest
+:data:`SIBLING_RING`, evicts the oldest closed one (with its subtree)
+and counts what it dropped (``Tracer.dropped``, reported by both
+exports).  Per-query spans (``query.execute`` roots, the ``ingest``
+root of every streamed window) therefore cost constant memory however
+long the process runs, while one-off spans (``planarize``, ``deploy``,
+…) are never evicted.
+
 :class:`NullTracer` is the no-op implementation used by the default
 (uninstrumented) pipeline; its ``span()`` returns a shared singleton
 context manager so disabled tracing costs one call and one ``with``
@@ -27,6 +36,13 @@ import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from .flight import DEFAULT_CAPACITY
+
+#: Same-named sibling spans kept under one parent (or among the roots):
+#: the flight ring's capacity, so the trace and the flight log reach
+#: equally far back.
+SIBLING_RING = DEFAULT_CAPACITY
+
 
 class Span:
     """One named interval on the monotonic clock, with attributes.
@@ -36,7 +52,9 @@ class Span:
     worker's ids so exports can lay them out in their own lanes.
     """
 
-    __slots__ = ("name", "start", "end", "attributes", "children", "pid", "tid")
+    __slots__ = (
+        "name", "start", "end", "attributes", "children", "pid", "tid", "seen",
+    )
 
     def __init__(self, name: str, start: float, **attributes: Any) -> None:
         self.name = name
@@ -46,6 +64,9 @@ class Span:
         self.children: List["Span"] = []
         self.pid: Optional[int] = None
         self.tid: Optional[int] = None
+        #: Child name → children of that name, while the span is open
+        #: (the tracer's sibling ring counts in it).
+        self.seen: Optional[Dict[str, int]] = None
 
     @property
     def duration(self) -> float:
@@ -133,6 +154,9 @@ class Tracer:
 
     def __init__(self) -> None:
         self.roots: List[Span] = []
+        self._seen_roots: Dict[str, int] = {}
+        #: Spans evicted by the sibling ring, subtrees included.
+        self.dropped = 0
         #: Open-span stack per thread id: spans nest within the thread
         #: that opened them, and the profiler's sampler joins sampled
         #: thread ids against these stacks (:meth:`open_path`).
@@ -152,11 +176,31 @@ class Tracer:
         opened = Span(name, time.perf_counter(), **attributes)
         stack = self._stacks.setdefault(threading.get_ident(), [])
         if stack:
-            stack[-1].children.append(opened)
+            parent = stack[-1]
+            siblings, seen = parent.children, parent.seen
+            if seen is None:
+                seen = parent.seen = {}
         else:
-            self.roots.append(opened)
+            siblings, seen = self.roots, self._seen_roots
+        siblings.append(opened)
+        count = seen[name] = seen.get(name, 0) + 1
+        if count > SIBLING_RING:
+            self._evict(siblings, seen, name)
         stack.append(opened)
         return _SpanContext(self, opened)
+
+    def _evict(self, siblings: List[Span], seen: Dict[str, int], name: str) -> None:
+        """Drop the oldest closed sibling called ``name`` (open spans
+        stay: their thread's stack still nests under them)."""
+        for at, old in enumerate(siblings):
+            if old.name == name and old.end is not None:
+                del siblings[at]
+                seen[name] -= 1
+                self.dropped += sum(1 for _ in old.walk())
+                return
+        # Nothing to evict: the list was edited from outside (a shard
+        # worker ships its roots home and prunes them) — recount.
+        seen[name] = sum(1 for old in siblings if old.name == name)
 
     def _close(self, span: Span) -> None:
         stack = self._stacks.get(threading.get_ident(), [])
@@ -168,9 +212,11 @@ class Tracer:
         # Close any forgotten descendants too (exception unwinds).
         while stack[-1] is not span:
             dangling = stack.pop()
+            dangling.seen = None
             if dangling.end is None:
                 dangling.end = span.end
         stack.pop()
+        span.seen = None
 
     def open_path(self, thread_id: Optional[int] = None) -> Tuple[str, ...]:
         """Names of the spans currently open on ``thread_id`` (default:
@@ -264,7 +310,11 @@ class Tracer:
                         "args": {"name": name},
                     }
                 )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return {
+            "traceEvents": events,
+            "displayTimeUnit": "ms",
+            "otherData": {"dropped_spans": self.dropped},
+        }
 
     def export_chrome(self, path) -> None:
         """Write the Chrome trace JSON to ``path``."""
@@ -276,6 +326,11 @@ class Tracer:
         lines: List[str] = []
         for root in self.roots:
             self._format_span(root, 0, lines)
+        if self.dropped:
+            lines.append(
+                f"({self.dropped} older spans dropped: the newest "
+                f"{SIBLING_RING} same-named siblings are kept)"
+            )
         return "\n".join(lines)
 
     def _format_span(self, span: Span, depth: int, lines: List[str]) -> None:

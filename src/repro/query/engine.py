@@ -15,8 +15,9 @@ models) through the one pipeline of :mod:`repro.query.pipeline`:
    error-bounded sketch; the sensors touched are accounted and, on a
    fault-injecting engine, the dispatch is simulated and may degrade
    the answer;
-3. **finish** — metrics, provenance, flight record and the
-   :class:`~repro.query.QueryResult`.
+3. **finish** — metrics and the query's one record, the
+   :class:`~repro.query.QueryResult` (answer, measured internals,
+   stage times; the flight recorder keeps that same object).
 
 A query *misses* when no region approximation exists (§5.5).
 
@@ -36,7 +37,7 @@ reference :class:`~repro.query.PythonQueryPlanner` (sets/dicts,
 int32/CSR network indexes, id-native integration).  The default
 (``planner="auto"``) compiles whenever the store supports id-native
 integration.  Both produce exactly equal results — same values,
-misses, region ids, edge/sensor/hop accounting, metrics and provenance.
+misses, region ids, edge/sensor/hop accounting, metrics and internals.
 
 Instrumentation: the engine accepts an
 :class:`~repro.obs.Instrumentation` bundle.  Every cold execution
@@ -44,8 +45,9 @@ emits per-phase tracing spans (``query.resolve_junctions`` →
 ``query.approximate_region`` → ``query.build_boundary`` →
 ``query.integrate`` → ``query.account_sensors``) through its tracer
 and counts queries/misses/sensors in the process-global metrics
-registry; with ``provenance=True`` each result carries a
-:class:`~repro.obs.QueryProvenance` with the measured internals.
+registry.  Every result carries its measured internals
+(``junction_count``, ``stage_s``, ``cache_hits``, ``shared_fill_s``)
+whatever the bundle: ``finish`` holds them anyway.
 """
 
 from __future__ import annotations
@@ -62,7 +64,12 @@ from ..forms import EdgeCountStore
 from ..mobility import MobilityDomain
 from ..network.faults import FaultInjector, RetryPolicy
 from ..network.simulator import DegradedReport, NetworkSimulator
-from ..obs import FlightRecorder, Instrumentation, NULL_INSTRUMENTATION
+from ..obs import (
+    FlightRecorder,
+    Instrumentation,
+    NULL_INSTRUMENTATION,
+    build_explain,
+)
 from ..planar import NodeId
 from ..sampling import SensorNetwork
 from .pipeline import BatchPlan, PlanStage, QueryAccounting, QueryPlan
@@ -98,8 +105,8 @@ class QueryEngine:
     #: Resolution pipeline: "auto" (compiled when the store supports
     #: it), "compiled" or "python".  See :data:`PLANNER_MODES`.
     planner: str = "auto"
-    #: Tracing/metrics/provenance bundle; ``None`` means the shared
-    #: no-op recorder.
+    #: Tracer (+ profiler) bundle; ``None`` means the shared no-op
+    #: recorder.
     instrumentation: Optional[Instrumentation] = None
     #: Fault injector; when set, answered queries are dispatched
     #: through a fault-tolerant :class:`~repro.network.NetworkSimulator`
@@ -111,8 +118,8 @@ class QueryEngine:
     #: Retry/timeout/backoff of the fault-aware dispatch; ``None``
     #: means the :class:`~repro.network.RetryPolicy` defaults.
     retry_policy: Optional[RetryPolicy] = None
-    #: Always-on flight recorder: one cheap ring-buffer record per
-    #: query, slow queries promoted to full detail.  ``None`` disables.
+    #: Always-on flight recorder: keeps every result in its ring, slow
+    #: ones promoted to full detail.  ``None`` disables.
     flight: Optional[FlightRecorder] = None
     #: Error-bounded count sketch
     #: (:class:`~repro.forms.EdgeCountSketch`).  With ``planner="auto"``
@@ -191,21 +198,19 @@ class QueryEngine:
         return self._simulator
 
     def explain(self, query: RangeQuery):
-        """Execute ``query`` with provenance forced on and fold the
-        measured internals into a :class:`~repro.obs.QueryExplain`.
+        """Execute ``query`` and return its record as a
+        :class:`~repro.obs.QueryExplain`.
 
         The query *runs* — EXPLAIN here is an account of an actual
         execution (counters and fault outcomes included), not an
         estimate.
         """
-        from ..obs.explain import build_explain
-
-        return build_explain(self, self._cold(query, True))
+        return build_explain(self, self._cold(query))
 
     # ------------------------------------------------------------------
     def execute(self, query: RangeQuery) -> QueryResult:
         """Execute one query; never raises on misses (reports them)."""
-        return self._cold(query, self.obs.provenance)
+        return self._cold(query)
 
     def execute_many(
         self, queries: Sequence[RangeQuery]
@@ -250,8 +255,8 @@ class QueryEngine:
         ``(box, bound)`` pair or a chain *fills* that row and is
         charged the step's seconds per row — in
         ``repro_query_batch_fill_seconds_total``, under the
-        ``batch.fill.*`` spans and, with provenance enabled, in its
-        ``provenance.shared_fill_s``; every later user *hits*
+        ``batch.fill.*`` spans and in its ``shared_fill_s``; every
+        later user *hits*
         (``repro_query_batch_cache_total{cache,outcome}``), and a
         result all of whose rows were hits is flagged
         ``cache_served``.  ``elapsed`` never contains plan seconds: it
@@ -265,20 +270,17 @@ class QueryEngine:
         the injector's attempt stream, which a shared plan cannot
         reproduce.
         """
-        provenance = self.obs.provenance
         if self._simulator is not None:
-            return [self._cold(query, provenance) for query in queries]
+            return [self._cold(query) for query in queries]
         with self.obs.tracer.span("query.execute_batch", queries=len(queries)):
-            results = self._run_batch(queries, provenance)
+            results = self._run_batch(queries)
         assert len(results) == len(queries) and all(
             result.query is query
             for result, query in zip(results, queries)
         ), "execute_batch broke the input-order result contract"
         return results
 
-    def _run_batch(
-        self, queries: Sequence[RangeQuery], provenance: bool
-    ) -> List[QueryResult]:
+    def _run_batch(self, queries: Sequence[RangeQuery]) -> List[QueryResult]:
         """The batch core: plan → answer → finish, the first two once
         for the whole batch; only ``finish`` is per query."""
         acct = self._acct
@@ -304,13 +306,11 @@ class QueryEngine:
             plan, row = batch.query_plan(i, served)
             stage_s = plan.stage_s
             if row < 0:
-                results.append(
-                    acct.finish(query, plan, 0.0, lookup, stage_s, provenance)
-                )
+                results.append(acct.finish(query, plan, 0.0, lookup, stage_s))
                 continue
             stage_s["integrate"] = integrate
             results.append(acct.finish(
-                query, plan, value, lookup + integrate, stage_s, provenance,
+                query, plan, value, lookup + integrate, stage_s,
                 plan.edges, 0 if served else batch.nodes[row],
                 self._sketched(plan.edges, bound) if served else None, served,
             ))
@@ -395,21 +395,19 @@ class QueryEngine:
         static = np.where(two, np.minimum(last, first), last)
         return np.where(transient, last - first, static).tolist()
 
-    def _cold(self, query: RangeQuery, provenance: bool) -> QueryResult:
+    def _cold(self, query: RangeQuery) -> QueryResult:
         """One query outside any batch, under its ``query.execute``
         span (opened, like every span here, only on a live tracer:
         the null span costs three calls for nothing)."""
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return self._run(query, provenance)
+            return self._run(query)
         with tracer.span(
             "query.execute", kind=query.kind, bound=query.bound
         ) as span:
-            return self._run(query, provenance, span)
+            return self._run(query, span)
 
-    def _run(
-        self, query: RangeQuery, provenance: bool, span=None
-    ) -> QueryResult:
+    def _run(self, query: RangeQuery, span=None) -> QueryResult:
         """The per-query core: plan → answer → finish, every step
         under its own span inside ``span``."""
         acct, stage = self._acct, self._stage
@@ -419,9 +417,7 @@ class QueryEngine:
         plan = stage.plan(query)
         stage_s, chain = plan.stage_s, plan.chain
         if chain is None:
-            return acct.finish(
-                query, plan, 0.0, pc() - start, stage_s, provenance
-            )
+            return acct.finish(query, plan, 0.0, pc() - start, stage_s)
         edges = plan.edges
         (value, degradation), stage_s["integrate"] = stage.timed(
             "query.integrate", {"edges": edges}, self._answer, chain, query
@@ -442,7 +438,7 @@ class QueryEngine:
             span.set(value=value, sensors=accounted)
         return acct.finish(
             query, plan, value, pc() - start, stage_s,
-            provenance, edges, nodes, degradation, approximate,
+            edges, nodes, degradation, approximate,
         )
 
     def _answer(

@@ -21,11 +21,13 @@ depend on where the events live:
     silently, and stops after the regions.
 
 **finish** (:meth:`QueryAccounting.finish`)
-    turns a planned, answered query into its metrics, provenance,
-    flight record and :class:`~repro.query.QueryResult` — for
-    answered, missed, sketch-served, degraded and gathered queries
-    alike.  :class:`QueryAccounting` binds the canonical series once
-    at construction; both engines hold one.
+    turns a planned, answered query into its metrics and its one
+    record — the :class:`~repro.query.QueryResult`, which carries the
+    answer, the measured internals and the stage times, and which the
+    flight recorder keeps as it is — for answered, missed,
+    sketch-served, degraded and gathered queries alike.
+    :class:`QueryAccounting` binds the canonical series once at
+    construction; both engines hold one.
 
 The **answer** stage (sketch tier or store integration, plus the
 fault dispatch) lives with the store, in :mod:`repro.query.engine`.
@@ -41,7 +43,6 @@ from ..network.simulator import DEGRADATION_BUCKETS
 from ..obs import (
     FlightRecorder,
     Instrumentation,
-    QueryProvenance,
     SECONDS_BUCKETS,
     get_registry,
     memory_snapshot,
@@ -287,9 +288,10 @@ class PlanStage:
 
 
 class QueryAccounting:
-    """The canonical per-query series and the flight record, bound once
-    per engine; :meth:`finish` is the only place a
-    :class:`~repro.query.QueryResult` is built."""
+    """The canonical per-query series and the flight recorder, bound
+    once per engine; :meth:`finish` is the only place a
+    :class:`~repro.query.QueryResult` — the one record of a query — is
+    built."""
 
     def __init__(
         self,
@@ -300,10 +302,10 @@ class QueryAccounting:
     ) -> None:
         self.obs = obs
         self.flight = flight
-        #: Executor label of provenance and flight records.
+        #: Executor label of the records.
         self.planner = planner
         #: Whatever holds the events: its ``generation`` (the data
-        #: version; absent on static stores) is read per flight record.
+        #: version; absent on static stores) is read per record.
         self.source = source
         #: Metrics go to the registry current at construction time.
         registry = self.registry = get_registry()
@@ -416,7 +418,6 @@ class QueryAccounting:
         value: float,
         elapsed: float,
         stage_s: Dict[str, float],
-        provenance: bool = False,
         edges: int = 0,
         nodes: int = 0,
         degradation: Optional[QueryDegradation] = None,
@@ -424,13 +425,15 @@ class QueryAccounting:
         fanout: int = 0,
         detail: Optional[Dict[str, object]] = None,
     ) -> QueryResult:
-        """Account one executed query and build its result.
+        """Account one executed query and build its record.
 
         ``plan.regions is None`` marks a miss.  Missed queries consume
         wall time too and are charged into the same seconds/latency
         series as answered ones, so the per-query mean the figures
-        report covers the whole battery.  ``detail`` is the executor's
-        extra payload for a slow-query promotion.
+        report covers the whole battery.  ``stage_s`` goes onto the
+        record by reference: a scattered batch shares one table and
+        writes its ``merge`` entry after the last finish.  ``detail``
+        is the executor's extra payload for a slow-query promotion.
         """
         regions = plan.regions
         missed = regions is None
@@ -446,47 +449,7 @@ class QueryAccounting:
             self.fill_seconds.inc(plan.shared)
         self.seconds.inc(elapsed)
         self.latency.observe(elapsed)
-        hits = plan.hits
-        cache_served = bool(hits) and all(hits.values())
-        record = None
-        if provenance:
-            phase_s = stage_s
-            if hits and not missed:
-                # Fills are metered out of a batched query's elapsed,
-                # so its own phases are the integration alone.
-                phase_s = {"integrate": stage_s["integrate"]}
-            record = QueryProvenance(
-                planner=self.planner,
-                junction_count=plan.junction_count,
-                region_ids=regions,
-                boundary_length=plan.edges,
-                sensors_accessed=nodes,
-                cache_served=cache_served,
-                cache_hits=hits,
-                shared_fill_s=plan.shared,
-                phase_s=phase_s,
-            )
-        if self.flight is not None:
-            degraded = None
-            if degradation is not None and degradation.lost_walls:
-                degraded = (
-                    f"lost_walls={degradation.lost_walls}"
-                    f" bound={degradation.error_bound:g}"
-                )
-            flown = self.flight.record(
-                query,
-                planner=self.planner,
-                elapsed_s=elapsed,
-                value=value,
-                missed=missed,
-                fanout=fanout,
-                stage_s=stage_s,
-                degraded=degraded,
-                generation=getattr(self.source, "generation", None),
-            )
-            if flown.slow:
-                self._promote(flown, stage_s, record, detail)
-        return QueryResult(
+        result = QueryResult(
             query=query,
             value=value,
             missed=missed,
@@ -495,26 +458,44 @@ class QueryAccounting:
             nodes_accessed=nodes,
             hops=edges,
             elapsed=elapsed,
-            cache_served=cache_served,
-            provenance=record,
             approximate=approximate,
             degradation=degradation,
+            planner=self.planner,
+            junction_count=plan.junction_count,
+            stage_s=stage_s,
+            cache_hits=plan.hits,
+            shared_fill_s=plan.shared,
+            fanout=fanout,
+            generation=getattr(self.source, "generation", None),
         )
+        if self.flight is not None and self.flight.keep(result):
+            self._promote(result, detail)
+        return result
 
-    def _promote(self, flown, stage_s, provenance, detail) -> None:
-        """Attach to a slow flight record the detail already in hand
-        (never recomputed).  ``stage_s`` goes in by reference: a
-        scattered batch shares one table and writes its ``merge`` entry
-        after the last finish."""
-        promoted: Dict[str, object] = {"stage_s": stage_s, **(detail or {})}
-        if provenance is not None:
-            promoted["provenance"] = provenance.as_dict()
-        # Memory evidence, only on the already-strict slow path: two
-        # O(1) reads, never taken for fast traffic.
+    def _promote(self, result: QueryResult, detail) -> None:
+        """Attach to a slow record the evidence at hand (never
+        recomputed): the executor's ``detail``, the internals under
+        the keys flight-log readers know, the memory watermarks — two
+        O(1) reads, never taken for fast traffic — and the profiler's
+        top rows."""
+        promoted: Dict[str, object] = {
+            "stage_s": result.stage_s,
+            **(detail or {}),
+            "provenance": {
+                "planner": result.planner,
+                "junction_count": result.junction_count,
+                "region_ids": list(result.regions),
+                "boundary_length": result.boundary_length,
+                "sensors_accessed": result.nodes_accessed,
+                "cache_served": result.cache_served,
+                "cache_hits": result.cache_hits,
+                "shared_fill_s": result.shared_fill_s,
+            },
+        }
         snapshot = memory_snapshot()
-        flown.peak_rss_bytes = snapshot["peak_rss_bytes"]
-        flown.alloc_peak_bytes = snapshot["alloc_peak_bytes"]
+        result.peak_rss_bytes = snapshot["peak_rss_bytes"]
+        result.alloc_peak_bytes = snapshot["alloc_peak_bytes"]
         profiler = self.obs.profiler
         if profiler is not None:
             promoted["profile_top"] = profiler.table.top_rows(5)
-        flown.detail = promoted
+        result.detail = promoted

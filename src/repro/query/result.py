@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import QueryError
 from ..geometry import BBox
-from ..obs import QueryProvenance
 
 #: Approximation modes of §4.6 (Fig. 7): R2 (maximal enclosed region)
 #: and R1 (minimal containing region).
@@ -112,9 +111,20 @@ class QueryDegradation:
         return self.lost_walls / self.boundary_walls
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
-    """Outcome of executing a query on one sensing configuration."""
+    """The one record of one executed query: the answer, what producing
+    it touched and cost, and — once a
+    :class:`~repro.obs.FlightRecorder` has kept it — its place in the
+    flight log.  :meth:`~repro.query.pipeline.QueryAccounting.finish`
+    is the only place one is built for an engine; the flight ring, the
+    slow-query promotion, EXPLAIN and the figure scripts all read this
+    object, none keeps a copy.
+
+    The fields up to ``degradation`` are the answer and take part in
+    equality; the measured internals and the recorder's stamps after
+    them do not (``compare=False``).
+    """
 
     query: RangeQuery
     value: float
@@ -129,20 +139,50 @@ class QueryResult:
     hops: int = 0
     #: Wall-clock evaluation time in seconds.  Under batched execution
     #: (:meth:`~repro.query.QueryEngine.execute_batch`) this excludes
-    #: shared cache-fill work, which is metered separately — see
-    #: ``cache_served`` and the attached provenance.
+    #: shared plan work, which is metered separately — see
+    #: ``shared_fill_s`` and ``cache_hits``.
     elapsed: float = 0.0
-    #: True when the batched path served every shared structure this
-    #: query needed (regions/boundary/sensors) from its caches.
-    cache_served: bool = False
-    #: Opt-in measured internals (``Instrumentation(provenance=True)``).
-    provenance: Optional[QueryProvenance] = None
     #: True when the value is a partial aggregate: fault injection
     #: skipped perimeter sensors, so part of the boundary integral is
     #: missing (bounded by ``degradation.error_bound``).
     approximate: bool = False
     #: Fault outcome; None when the dispatch lost nothing.
     degradation: Optional[QueryDegradation] = None
+
+    # -- measured internals, set by ``finish`` -------------------------
+    #: Executor that ran: "compiled", "python" or "sharded".
+    planner: str = field(default="", compare=False)
+    #: Junctions the query rectangle resolved to (|R|, §5.1.5).
+    junction_count: int = field(default=0, compare=False)
+    #: Wall seconds per stage: the plan phases and ``integrate`` of a
+    #: single-process query (a batched one reports its two routing
+    #: phases — the fill it triggered, 0.0 on a hit — and its share of
+    #: the one integration); route / scatter / worker_wait / merge of
+    #: the whole batch for a scattered one.
+    stage_s: Dict[str, float] = field(default_factory=dict, compare=False)
+    #: Per-table hit flags under batched execution (``junctions`` /
+    #: ``regions`` / ``boundary`` / ``sensors``); empty otherwise.
+    cache_hits: Dict[str, bool] = field(default_factory=dict, compare=False)
+    #: Shared plan seconds this query *triggered* in its batch
+    #: (excluded from ``elapsed`` so per-query times are comparable).
+    shared_fill_s: float = field(default=0.0, compare=False)
+    #: Shards the query was scattered to (sharded engine only).
+    fanout: int = field(default=0, compare=False)
+    #: Data version of the store the query ran against (``None`` on a
+    #: static, build-once store).
+    generation: Optional[int] = field(default=None, compare=False)
+
+    # -- stamped by the flight recorder that kept the record -----------
+    seq: int = field(default=0, compare=False)
+    wall_time: float = field(default=0.0, compare=False)
+    #: ``elapsed`` strictly exceeded the recorder's slow threshold.
+    slow: bool = field(default=False, compare=False)
+    #: Slow-query promotion payload (executor extras, grafted worker
+    #: spans, profiler top rows) and the memory watermarks read on that
+    #: strict slow path only (:func:`repro.obs.memory_snapshot`).
+    detail: Optional[Dict[str, Any]] = field(default=None, compare=False)
+    peak_rss_bytes: Optional[int] = field(default=None, compare=False)
+    alloc_peak_bytes: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.missed and self.value:
@@ -151,3 +191,20 @@ class QueryResult:
             raise QueryError(
                 "an approximate result must carry its degradation"
             )
+
+    @property
+    def cache_served(self) -> bool:
+        """True when the batched path served every shared structure
+        this query needed (regions/boundary/sensors) from rows an
+        earlier query of the batch had filled."""
+        hits = self.cache_hits
+        return bool(hits) and all(hits.values())
+
+    @property
+    def boundary_length(self) -> int:
+        """Length of the boundary chain of the approximation (|∂R|):
+        the walls accessed plus, on a degraded answer, the lost ones."""
+        degradation = self.degradation
+        if degradation is None:
+            return self.edges_accessed
+        return degradation.boundary_walls

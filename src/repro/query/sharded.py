@@ -36,8 +36,8 @@ Pipeline:
    :meth:`~repro.query.pipeline.QueryAccounting.finish`, **in input
    order**: results are field-identical to the single-process compiled
    planner (same values, misses, region ids and edge/sensor/hop
-   accounting).  Only timing fields (``elapsed``, ``cache_served``,
-   provenance) differ, as they describe a different execution shape.
+   accounting).  Only the timing fields (``elapsed``, ``stage_s``,
+   ``cache_hits``) differ, as they describe a different execution shape.
 
 Metrics: the parent accounts the canonical per-query series
 (``repro_queries_total``, misses, sensors/edges, latency) exactly once
@@ -61,7 +61,7 @@ use the shard id as tid), so the Chrome-trace export draws one
 swimlane per worker process; timestamps are directly comparable
 because ``perf_counter`` reads the shared ``CLOCK_MONOTONIC`` under
 fork.  A :class:`~repro.obs.FlightRecorder` (``flight=``) additionally
-captures one cheap record per query — digest, fan-out, stage timings —
+keeps every result — fan-out and the batch's stage timings are on it —
 with slow queries promoted to carry the batch's grafted worker spans.
 
 Delegation: ``shards=1``, ``workers=0`` and fault-injecting engines
@@ -100,19 +100,20 @@ from ..obs import (
     NULL_TRACER,
     Profiler,
     SECONDS_BUCKETS,
+    QueryExplain,
     Tracer,
+    build_explain,
     get_logger,
     get_registry,
     kv,
     set_registry,
 )
-from ..obs.explain import QueryExplain, build_sharded_explain
 from ..obs.metrics import diff_dumps
 from ..sampling import SensorNetwork
 from ..shm import destroy_segment
 from ..trajectories import EventColumns
 from .engine import QueryEngine, STATIC_EVAL_MODES
-from .pipeline import PlanStage, QueryAccounting, QueryPlan
+from .pipeline import PlanStage, QueryAccounting
 from .planner import CompiledQueryPlanner
 from .result import STATIC, QueryResult, RangeQuery
 
@@ -247,9 +248,7 @@ def _worker_engine(shard: int) -> QueryEngine:
             access_mode=str(_WORKER["access_mode"]),
             static_eval=static_eval,
             planner="compiled",
-            instrumentation=Instrumentation(
-                tracer=_WORKER["tracer"], provenance=False
-            ),
+            instrumentation=Instrumentation(tracer=_WORKER["tracer"]),
         )
     return engine
 
@@ -594,21 +593,14 @@ class ShardedQueryEngine:
         """EXPLAIN one query through the scatter path.
 
         Parity with :meth:`~repro.query.QueryEngine.explain`: the query
-        *runs*, and the plan reports what that run measured — the
-        parent's routing resolution, the merged shard accounting, the
-        per-stage wall times and the shard fan-out.  Engines that
-        collapsed to a single process delegate to the stock EXPLAIN.
+        *runs*, and the plan is its record — the parent's routing
+        resolution, the merged shard accounting, the per-stage wall
+        times and the shard fan-out.  Engines that collapsed to a
+        single process delegate to the stock EXPLAIN.
         """
         if self._delegate is not None:
             return self._delegate.explain(query)
-        results, plans, fanouts, stage_s = self._scatter_gather([query])
-        return build_sharded_explain(
-            self,
-            results[0],
-            junction_count=plans[0].junction_count,
-            fanout=fanouts[0],
-            stage_s=dict(stage_s),
-        )
+        return build_explain(self, self.execute(query))
 
     # ------------------------------------------------------------------
     # Execution
@@ -637,19 +629,11 @@ class ShardedQueryEngine:
         single-process compiled planner except for the timing fields:
         ``elapsed`` is the batch wall time divided evenly over the
         batch (per-query attribution has no meaning when k shards work
-        concurrently) and ``cache_served``/``provenance`` are not
-        reported.
+        concurrently), ``stage_s`` is the batch's one route / scatter /
+        worker_wait / merge table and ``cache_hits`` is empty.
         """
         if self._delegate is not None:
             return self._delegate.execute_batch(queries)
-        return self._scatter_gather(queries)[0]
-
-    def _scatter_gather(self, queries: Sequence[RangeQuery]) -> Tuple[
-        List[QueryResult], List[QueryPlan], List[int], Dict[str, float]
-    ]:
-        """Route, scatter, gather and finish one batch; returns the
-        results with the routing plans, per-query fan-outs and stage
-        wall times that :meth:`explain` reports."""
         if self.closed:
             raise QueryError("sharded engine is closed")
         n = len(queries)
@@ -659,7 +643,7 @@ class ShardedQueryEngine:
         pc = time.perf_counter
         start = pc()
 
-        plans: List[QueryPlan] = []
+        plans: list = []
         fanouts: List[int] = [0] * n
         #: Per scattered slot: [summed partial values, edges, nodes].
         merged: Dict[int, list] = {}
@@ -751,7 +735,7 @@ class ShardedQueryEngine:
                     edges, nodes = self._zero_accounting(query)
                 results.append(
                     acct.finish(
-                        query, plan, value, share, stage_s, False,
+                        query, plan, value, share, stage_s,
                         edges, nodes, fanout=fanouts[i], detail=detail,
                     )
                 )
@@ -762,7 +746,7 @@ class ShardedQueryEngine:
             result.query is query
             for result, query in zip(results, queries)
         ), "sharded gather broke the input-order result contract"
-        return results, plans, fanouts, stage_s
+        return results
 
     def _absorb(self, outcome, merged, scatter_span, batch_spans) -> None:
         """Fold what one worker call returned into the batch: partial

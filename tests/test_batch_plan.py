@@ -5,10 +5,11 @@ it with one rank-kernel call; ``execute_many`` is the loop it replaced
 and stays the reference.  Generated batteries run both on twin
 deployments — over the plain, compressed + sketch, streaming and
 late-interned stores, under both planners and every ``static_eval`` —
-and must agree in every non-timing result field, in the counters a
-query moves and in the chains the store promoted.  The counted guard
-at the end keeps a later change from quietly turning the batch back
-into a loop.
+and must agree in every non-timing field of the per-query record
+(answer and measured internals), in the counters a query moves and in
+the chains the store promoted.  The counted guards at the end keep a
+later change from quietly turning the batch back into a loop, or the
+one record a query builds back into several.
 
 One difference is by design and therefore not compared: a streaming
 store is handed each chain of a batch *once*, with all of its times,
@@ -18,7 +19,9 @@ so its blocks count one touch where the loop counts one per query
 
 from __future__ import annotations
 
-from dataclasses import astuple
+import gc
+from collections import Counter
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -40,8 +43,10 @@ from repro.query import (
     UPPER,
     CompiledQueryPlanner,
     QueryEngine,
+    QueryResult,
     RangeQuery,
 )
+from repro.query.pipeline import PLAN_PHASES
 from repro.query.planner import _row_slices
 from repro.stream import StreamingEventStore
 from repro.trajectories import EventColumns
@@ -182,12 +187,17 @@ _pick = st.tuples(
 
 
 def _fields(result):
+    """Every field of the record that no clock wrote (``cache_hits``
+    and ``stage_s`` describe the execution's shape: their *keys* are
+    compared in :meth:`TestBatchEqualsLoop.test_records`)."""
     degradation = result.degradation
     return (
         result.query, result.value, result.missed, result.regions,
         result.edges_accessed, result.nodes_accessed, result.hops,
         result.approximate,
         None if degradation is None else astuple(degradation),
+        result.planner, result.junction_count, result.boundary_length,
+        result.fanout, result.generation,
     )
 
 
@@ -232,6 +242,52 @@ class TestBatchEqualsLoop:
         assert _promoted(engine.store) == _promoted(twin.store)
         if _promoted(engine.store) is not None:
             assert _counted(batched) == _counted(looped)
+
+    @pytest.mark.parametrize("store", STORES)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        static_eval=st.sampled_from(("end", "min")),
+        picks=st.lists(_pick, min_size=1, max_size=30),
+    )
+    def test_records(self, world, store, static_eval, picks):
+        """One record a query, whichever executor built it: the loop's
+        and the batch's agree in every non-timing field, their shape
+        fields (``cache_hits``, ``stage_s``) hold exactly the tables
+        and stages the query's outcome implies, and
+        ``dataclasses.replace`` carries all of it over."""
+        queries = [world.query(p) for p in picks]
+        flight = FlightRecorder(capacity=len(queries))
+        batched = world.engine(
+            store, "auto", static_eval, flight=flight
+        ).execute_batch(queries)
+        looped = world.engine(store, "auto", static_eval).execute_many(queries)
+        assert all(kept is b for kept, b in zip(flight.records, batched))
+        cold = list(PLAN_PHASES.values())
+        for b, m in zip(batched, looped):
+            assert _fields(b) == _fields(m)
+            assert b.junction_count == m.junction_count  # spelled out
+            served = b.degradation is not None  # from the sketch
+            tables = ["junctions"] + ["regions"] * bool(b.junction_count)
+            ran = cold[: len(tables)]
+            if not b.missed:
+                tables += ["boundary"] + ["sensors"] * (not served)
+                ran = cold[:3] + ["integrate", cold[3]]
+            assert m.cache_hits == {} and not m.cache_served
+            assert sorted(b.cache_hits) == sorted(tables)
+            assert b.cache_served == all(b.cache_hits.values())
+            assert (b.shared_fill_s > 0) == (not b.cache_served)
+            assert sorted(m.stage_s) == sorted(ran)
+            assert sorted(b.stage_s) == sorted(
+                cold[: min(len(tables), 2)] + ["integrate"] * (not b.missed)
+            )
+            moved = replace(b, value=0.0 if b.missed else b.value + 1.0)
+            back = replace(moved, value=b.value)
+            assert moved.value == (0.0 if b.missed else b.value + 1.0)
+            assert back == b and (moved == b) == b.missed
+            for field in fields(QueryResult):
+                if field.name != "value":
+                    assert getattr(moved, field.name) is getattr(b, field.name)
+                assert getattr(back, field.name) == getattr(b, field.name)
 
     def test_past_the_cache_cap_only_the_answers_are_pinned(self, world):
         """More distinct first-touch chains in one batch than the
@@ -408,3 +464,35 @@ class TestCountedGuard:
         # The same engine one query at a time takes every step.
         engine.execute(queries[0])
         assert calls["junction_ids"] == 1
+
+    def test_one_record_object_per_query(self, world):
+        """A default-bundle query — null tracer, flight recorder on —
+        allocates one record in ``finish`` and nothing beside it: after
+        1 000 queries whose results the caller keeps, exactly 1 000 new
+        gc-tracked objects are of a class defined under ``repro``, all
+        of them :class:`~repro.query.QueryResult`, and the flight ring
+        holds those same objects (no ``FlightRecord``, no provenance
+        object, no second copy).  Plans and chains are gone by then;
+        the boundary cache is warm before counting starts."""
+        flight = FlightRecorder(capacity=2000)  # nothing evicted below
+        engine = world.engine("plain", "auto", "end", flight=flight)
+        queries = [
+            RangeQuery(box, 0.0, 0.5 * world.horizon) for box in world.pool
+        ]
+        engine.execute_many(queries)
+        engine.execute_many(queries)  # second touch: chains promoted
+
+        def ours():
+            gc.collect()
+            return Counter(
+                type(o) for o in gc.get_objects()
+                if str(type(o).__module__).startswith("repro")
+            )
+
+        before = ours()
+        kept = engine.execute_many(
+            [queries[i % len(queries)] for i in range(1000)]
+        )
+        grown = ours() - before
+        assert grown == {QueryResult: 1000}, grown
+        assert all(a is b for a, b in zip(flight.records[-1000:], kept))

@@ -4,7 +4,8 @@ number", executable.
 A *code line* is a physical line carrying at least one token that is
 neither a comment nor part of a docstring — so the budget cannot be met
 by deleting documentation, and is not inflated by writing it.  Each
-package has a ceiling; a PR that simplifies a package lowers its row,
+package has a ceiling; a PR that simplifies a package lowers its row
+(it has to: no package may sit more than 50 lines under its ceiling),
 a PR that has to grow one raises it on purpose, in the diff, where a
 reviewer sees it.
 """
@@ -24,29 +25,28 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: ``__main__.py`` is most of it).
 TOP_LEVEL = "*.py"
 
-#: package → code-line ceiling (current size rounded up).  Raised on
-#: purpose by the batch plan (ISSUE 22), each for what it added:
-#: ``query`` 1700 → 1860 — the planner's columnar batch surface (four
-#: steps over every distinct key at once), ``PlanStage.plan_batch`` /
-#: ``BatchPlan`` and the engine's batch answer stage, less ``PlanMemo``
-#: and the memo branches they replace.  The issue's "stays ≤ 1700" is
-#: NOT met: the one-query steps stay beside the batch ones because
-#: ``execute_batch([q])`` measures 324 µs against ``execute(q)``'s 141
-#: (CHANGES.md, PR 22), and what the review pass could take out of the
-#: rest of the package (1922 → 1853) does not cover the difference.
-#: ``forms`` 1140 → 1200 — the lane-general rank hook,
-#: ``integrate_batch`` / ``estimate_batch`` and the kernel's lane
-#: ordering.  ``core`` 620 → 630 — the facade's engine reuse.
+#: package → code-line ceiling: the current size rounded up to 10 for
+#: every row a PR touched (``test_ceilings_are_tight`` keeps the rest
+#: within 50).  Last moved by ISSUE 24 (one record per query):
+#: ``obs`` 2520 → 2320 (``QueryProvenance``, ``FlightRecord`` and the
+#: second explain builder gone, the tracer's sibling ring added),
+#: ``core`` 630 → 580 (four ``FrameworkConfig`` knobs and the code
+#: that honoured them), top-level 740 → 690 (the CLI's one ``_world``
+#: and one parent parser), ``query`` 1860 → 1840 (no provenance
+#: threading, one scatter-gather return).  ``query`` stays over the
+#: 1700 ISSUE 22 asked for: the one-query planner steps sit beside the
+#: batch ones because ``execute_batch([q])`` measures 324 µs against
+#: ``execute(q)``'s 141 (CHANGES.md, PR 22).
 CEILINGS = {
-    "query": 1860,
-    "obs": 2520,
+    "query": 1840,
+    "obs": 2320,
     "forms": 1200,
     "evaluation": 800,
     "planar": 800,
     "network": 750,
-    TOP_LEVEL: 740,
+    TOP_LEVEL: 690,
     "sampling": 600,
-    "core": 630,
+    "core": 580,
     "geometry": 620,
     "mobility": 600,
     "selection": 600,
@@ -55,6 +55,10 @@ CEILINGS = {
     "stream": 390,
     "baseline": 300,
 }
+
+#: How far under its ceiling a package may sit before the ceiling has
+#: to come down with it.
+SLACK = 50
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -118,6 +122,19 @@ def test_package_within_budget(package):
     assert count <= CEILINGS[package], (
         f"src/repro/{package}: {count} code lines > ceiling "
         f"{CEILINGS[package]} — simplify, or raise the ceiling on purpose"
+    )
+
+
+@pytest.mark.parametrize("package", list(CEILINGS))
+def test_ceilings_are_tight(package):
+    """The ratchet cannot go slack: a PR that removes code lowers the
+    ceiling in the same diff, or the next one grows into the gap
+    unseen."""
+    count = package_code_lines(package)
+    assert CEILINGS[package] - count <= SLACK, (
+        f"src/repro/{package}: {count} code lines sit more than {SLACK} "
+        f"under the ceiling {CEILINGS[package]} — lower it to "
+        f"{-(-count // 10) * 10}"
     )
 
 

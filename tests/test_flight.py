@@ -1,8 +1,10 @@
 """Flight recorder and cross-process trace lanes.
 
-Covers the always-on query flight recorder (bounded ring, oldest-first
-eviction, strict slow-query promotion, slow-ring survival, engine and
-framework threading) and the distributed-tracing acceptance path: a
+Covers the always-on query flight recorder — a ring of the per-query
+records (:class:`~repro.query.QueryResult`) themselves: bounded,
+oldest-first eviction, strict slow-query promotion, slow-ring survival,
+engine and framework threading, survival of a re-deploy — and the
+distributed-tracing acceptance path: a
 multi-shard batch whose worker spans are grafted into the parent trace
 and exported as Chrome trace-viewer lanes keyed by worker pid.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +27,11 @@ from repro.obs import (
     Instrumentation,
     Tracer,
     query_digest,
+    record_dict,
 )
 from repro.query import (
     QueryEngine,
+    QueryResult,
     RangeQuery,
     SHARDED_STAGES,
     ShardedQueryEngine,
@@ -50,6 +55,14 @@ def _query(i: int = 0) -> RangeQuery:
     return RangeQuery(BBox(0, 0, 5 + i, 5), 0.0, 3600.0)
 
 
+def _record(i: int = 0, planner="compiled", elapsed=1e-4, **fields):
+    """A per-query record as an engine's ``finish`` would build it."""
+    return QueryResult(
+        _query(i), fields.pop("value", 0.0), False,
+        planner=planner, elapsed=elapsed, **fields,
+    )
+
+
 # ----------------------------------------------------------------------
 # Ring-buffer bounds
 # ----------------------------------------------------------------------
@@ -57,7 +70,7 @@ class TestRing:
     def test_capacity_never_exceeded(self):
         flight = FlightRecorder(capacity=8)
         for i in range(100):
-            flight.record(_query(i), planner="compiled", elapsed_s=1e-4)
+            flight.keep(_record(i))
             assert len(flight) <= 8
         assert len(flight) == 8
         assert flight.total == 100
@@ -65,7 +78,7 @@ class TestRing:
     def test_oldest_first_eviction(self):
         flight = FlightRecorder(capacity=4)
         for i in range(10):
-            flight.record(_query(i), planner="compiled", elapsed_s=1e-4)
+            flight.keep(_record(i))
         seqs = [entry.seq for entry in flight.records]
         assert seqs == [7, 8, 9, 10]  # newest 4 survive, oldest first
 
@@ -75,8 +88,8 @@ class TestRing:
 
     def test_dump_round_trip(self, tmp_path):
         flight = FlightRecorder(capacity=4, slow_threshold_s=1e-6)
-        flight.record(_query(), planner="python", elapsed_s=0.5,
-                      value=3.0, fanout=2, stage_s={"route": 0.1})
+        flight.keep(_record(planner="python", elapsed=0.5, value=3.0,
+                            fanout=2, stage_s={"route": 0.1}))
         path = tmp_path / "flight.json"
         flight.dump(path)
         doc = json.loads(path.read_text())
@@ -96,9 +109,12 @@ class TestRing:
 class TestPromotion:
     def test_promotion_strictly_above_threshold(self):
         flight = FlightRecorder(slow_threshold_s=0.01)
-        at = flight.record(_query(), planner="compiled", elapsed_s=0.01)
-        below = flight.record(_query(), planner="compiled", elapsed_s=0.0099)
-        above = flight.record(_query(), planner="compiled", elapsed_s=0.0101)
+        at, below, above = (
+            _record(elapsed=seconds) for seconds in (0.01, 0.0099, 0.0101)
+        )
+        assert [flight.keep(r) for r in (at, below, above)] == [
+            False, False, True,
+        ]
         assert not at.slow and not below.slow
         assert above.slow
         assert flight.slow_total == 1
@@ -106,23 +122,24 @@ class TestPromotion:
 
     def test_slow_records_survive_fast_traffic(self):
         flight = FlightRecorder(capacity=8, slow_threshold_s=0.01)
-        slow = flight.record(_query(), planner="compiled", elapsed_s=0.5)
+        slow = _record(elapsed=0.5)
+        flight.keep(slow)
         for i in range(50):  # cycle the main ring many times over
-            flight.record(_query(i), planner="compiled", elapsed_s=1e-4)
-        assert slow not in flight.records
-        assert slow in flight.slow_records
+            flight.keep(_record(i))
+        assert not any(kept is slow for kept in flight.records)
+        assert any(kept is slow for kept in flight.slow_records)
 
     def test_detail_attached_by_caller(self):
         flight = FlightRecorder(slow_threshold_s=1e-6)
-        entry = flight.record(_query(), planner="sharded", elapsed_s=0.2)
-        assert entry.slow
+        entry = _record(planner="sharded", elapsed=0.2)
+        assert flight.keep(entry) and entry.slow
         entry.detail = {"shards": 4}
-        assert flight.slow_records[0].as_dict()["detail"] == {"shards": 4}
+        assert record_dict(flight.slow_records[0])["detail"] == {"shards": 4}
 
     def test_format_slow_newest_first(self):
         flight = FlightRecorder(slow_threshold_s=1e-6)
-        flight.record(_query(0), planner="compiled", elapsed_s=0.2)
-        flight.record(_query(1), planner="compiled", elapsed_s=0.3)
+        flight.keep(_record(0, elapsed=0.2))
+        flight.keep(_record(1, elapsed=0.3))
         lines = flight.format_slow()
         assert lines[0].startswith("#2 ")
         assert lines[1].startswith("#1 ")
@@ -140,15 +157,19 @@ class TestEngineRecording:
         network, form, _, battery = deployment
         flight = FlightRecorder(slow_threshold_s=1e9)
         engine = QueryEngine(network, form, flight=flight)
-        for query in battery[:10]:
-            engine.execute(query)
+        results = [engine.execute(query) for query in battery[:10]]
         assert flight.total == 10
+        # The ring holds the results themselves, not copies of them.
+        assert all(
+            kept is result for kept, result in zip(flight.records, results)
+        )
+        assert [kept.seq for kept in flight.records] == list(range(1, 11))
         answered = [e for e in flight.records if not e.missed]
         missed = [e for e in flight.records if e.missed]
         assert answered
         for entry in answered:
             assert entry.planner == engine.planner_in_use
-            assert entry.elapsed_s > 0
+            assert entry.elapsed > 0
             assert set(entry.stage_s) >= {"resolve_junctions", "integrate"}
         for entry in missed:  # misses record the phases that did run
             assert "resolve_junctions" in entry.stage_s
@@ -157,16 +178,23 @@ class TestEngineRecording:
     def test_promotion_captures_provenance(self, deployment):
         network, form, _, battery = deployment
         flight = FlightRecorder(slow_threshold_s=1e-9)
-        engine = QueryEngine(
-            network, form, flight=flight,
-            instrumentation=Instrumentation.on(provenance=True),
-        )
+        # The default bundle: the internals are on every record.
+        engine = QueryEngine(network, form, flight=flight)
         result = engine.execute(battery[0])
-        entry = flight.records[-1]
-        assert entry.slow
-        assert entry.detail is not None
-        if result.provenance is not None:
-            assert entry.detail["provenance"] == result.provenance.as_dict()
+        assert flight.records[-1] is result
+        assert result.slow
+        assert result.detail["stage_s"] is result.stage_s
+        assert result.detail["provenance"] == {
+            "planner": engine.planner_in_use,
+            "junction_count": result.junction_count,
+            "region_ids": list(result.regions),
+            "boundary_length": result.edges_accessed,
+            "sensors_accessed": result.nodes_accessed,
+            "cache_served": False,
+            "cache_hits": {},
+            "shared_fill_s": 0.0,
+        }
+        assert result.junction_count > 0
 
     def test_sharded_engine_records_stage_breakdown(self, deployment):
         network, _, columns, battery = deployment
@@ -176,6 +204,9 @@ class TestEngineRecording:
         ) as engine:
             results = engine.execute_batch(battery[:6])
         assert flight.total == len(results)
+        assert all(
+            kept is result for kept, result in zip(flight.records, results)
+        )
         answered = [e for e in flight.records if not e.missed]
         assert answered, "battery produced no answered queries"
         for entry in answered:
@@ -184,6 +215,7 @@ class TestEngineRecording:
         slow = flight.slow_records[-1]
         assert slow.detail is not None
         assert slow.detail["shards"] == 4
+        assert slow.detail["provenance"]["planner"] == "sharded"
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +225,7 @@ class TestTraceLanes:
     def test_worker_spans_graft_into_pid_lanes(self, deployment, tmp_path):
         network, _, columns, battery = deployment
         tracer = Tracer()
-        obs = Instrumentation(tracer=tracer, provenance=False)
+        obs = Instrumentation(tracer=tracer)
         with ShardedQueryEngine(
             network, columns, shards=4, workers=2, instrumentation=obs
         ) as engine:
@@ -250,7 +282,7 @@ class TestTraceLanes:
     def test_worker_tid_is_shard_lane(self, deployment):
         network, _, columns, battery = deployment
         tracer = Tracer()
-        obs = Instrumentation(tracer=tracer, provenance=False)
+        obs = Instrumentation(tracer=tracer)
         with ShardedQueryEngine(
             network, columns, shards=3, workers=1, instrumentation=obs
         ) as engine:
@@ -280,22 +312,18 @@ class TestShardedExplain:
     def test_parity_with_single_process(self, deployment):
         network, form, columns, battery = deployment
         query = battery[0]
-        reference_engine = QueryEngine(
-            network, form,
-            instrumentation=Instrumentation.on(provenance=True),
-        )
-        reference = reference_engine.execute(query)
+        reference = QueryEngine(network, form).execute(query)
         with ShardedQueryEngine(network, columns, shards=4) as engine:
             plan = engine.explain(query)
-        assert plan.planner == "sharded"
-        assert plan.region_ids == tuple(reference.regions)
-        assert plan.boundary_length == reference.provenance.boundary_length
-        assert plan.sensors_accessed == reference.nodes_accessed
-        assert plan.edges_accessed == reference.edges_accessed
-        assert plan.value == reference.value
-        assert plan.shards == 4
-        assert plan.fanout >= 1
-        assert set(plan.stage_s) == set(SHARDED_STAGES)
+        record = plan.record
+        assert record.planner == "sharded"
+        # Everything region-determined equals the single-process record.
+        assert record == replace(reference, elapsed=record.elapsed)
+        assert record.junction_count == reference.junction_count
+        assert record.boundary_length == reference.boundary_length
+        assert plan.engine["shards"] == 4
+        assert record.fanout >= 1
+        assert set(record.stage_s) == set(SHARDED_STAGES)
         text = plan.format()
         assert "scatter_gather" in text
         assert "shards=4" in text
@@ -305,7 +333,7 @@ class TestShardedExplain:
         with ShardedQueryEngine(network, columns, shards=1) as engine:
             assert engine.planner_in_use != "sharded"
             plan = engine.explain(battery[0])
-        assert plan.shards == 0  # single-process plan, no scatter section
+        assert plan.engine["shards"] == 0  # single-process plan
         assert "scatter_gather" not in plan.format()
 
 
@@ -317,24 +345,29 @@ class TestFrameworkFlight:
     def framework(self, request):
         organic_domain = request.getfixturevalue("organic_domain")
         workload = request.getfixturevalue("workload")
-        fw = InNetworkFramework(organic_domain)
-        fw.deploy(
-            FrameworkConfig(selector="quadtree", budget=20, seed=3,
-                            flight_capacity=64, slow_query_s=1e-9)
+        fw = InNetworkFramework(
+            organic_domain,
+            flight=FlightRecorder(capacity=64, slow_threshold_s=1e-9),
         )
+        fw.deploy(FrameworkConfig(selector="quadtree", budget=20, seed=3))
         fw.ingest_trips(workload.trips)
         return fw
 
-    def test_config_sizes_recorder(self, framework):
+    def test_config_sizes_recorder(self, framework, organic_domain):
+        """The recorder's two settings arrive with it, through the
+        constructor; without one the framework builds the default."""
         flight = framework.flight_log()
         assert flight.capacity == 64
         assert flight.slow_threshold_s == 1e-9
+        default = InNetworkFramework(organic_domain).flight_log()
+        assert (default.capacity, default.slow_threshold_s) == (256, 0.1)
 
     def test_queries_recorded_and_promoted(self, framework, workload):
         flight = framework.flight_log()
         before = flight.total
-        framework.query(BBox(1, 1, 9, 9), 0.0, workload.horizon / 2)
+        result = framework.query(BBox(1, 1, 9, 9), 0.0, workload.horizon / 2)
         assert flight.total == before + 1
+        assert flight.records[-1] is result
         assert flight.slow_total >= 1  # threshold is one nanosecond
 
     def test_injected_recorder_survives_deploy(self, organic_domain):
@@ -343,6 +376,27 @@ class TestFrameworkFlight:
         fw.deploy(FrameworkConfig(selector="uniform", budget=10, seed=0))
         assert fw.flight_log() is mine
         assert mine.capacity == 7
+
+    def test_flight_log_survives_redeploy(self, organic_domain, workload):
+        """A re-deploy keeps the recorder — default or injected — and
+        what it holds; an engine handed out before it writes to the
+        same ring as one handed out after."""
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(FrameworkConfig(selector="quadtree", budget=20, seed=3))
+        fw.ingest_trips(workload.trips)
+        flight, before = fw.flight_log(), fw.engine()
+        box, t2 = BBox(1, 1, 9, 9), workload.horizon / 2
+        first = fw.query(box, 0.0, t2)
+        fw.deploy(FrameworkConfig(selector="uniform", budget=10, seed=0))
+        assert fw.flight_log() is flight
+        second = fw.query(box, 0.0, t2)
+        third = before.execute(RangeQuery(box, 0.0, t2))
+        assert [kept.seq for kept in flight.records] == [1, 2, 3]
+        assert all(
+            kept is result
+            for kept, result in zip(flight.records, (first, second, third))
+        )
+        fw.close()
 
     def test_sharded_framework_explain(self):
         # A fresh domain: the shared session fixture's edge interner
@@ -365,16 +419,8 @@ class TestFrameworkFlight:
         fw.ingest_trips(workload.trips)
         try:
             plan = fw.explain(BBox(1, 1, 9, 9), 0.0, workload.horizon / 2)
-            assert plan.planner == "sharded"
-            assert plan.shards == 2
+            assert plan.record.planner == "sharded"
+            assert plan.engine["shards"] == 2
             assert "scatter_gather" in plan.format()
         finally:
             fw.close()
-
-    def test_config_validation(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            FrameworkConfig(flight_capacity=0)
-        with pytest.raises(ConfigurationError):
-            FrameworkConfig(slow_query_s=0)

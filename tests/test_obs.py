@@ -111,6 +111,65 @@ class TestTracer:
         assert lines[1].startswith("  inner:")
         assert "[n=1]" in lines[1]
 
+    def test_sibling_ring_evicts_oldest_and_says_so(self):
+        from repro.obs.trace import SIBLING_RING
+
+        tracer = Tracer()
+        with tracer.span("deploy"):
+            pass
+        for i in range(SIBLING_RING + 10):
+            with tracer.span("query.execute", i=i):
+                with tracer.span("query.integrate"):
+                    pass
+        kept = tracer.find("query.execute")
+        assert len(kept) == SIBLING_RING
+        assert kept[0].attributes["i"] == 10  # the oldest went first
+        assert tracer.dropped == 20  # ten roots, each with its child
+        assert len(tracer.find("deploy")) == 1
+        trace = tracer.to_chrome_trace()
+        assert trace["otherData"] == {"dropped_spans": 20}
+        assert len(trace["traceEvents"]) == 1 + 2 * SIBLING_RING
+        assert "20 older spans dropped" in tracer.format_tree().splitlines()[-1]
+
+    def test_sibling_ring_is_per_parent_and_per_name(self):
+        from repro.obs.trace import SIBLING_RING
+
+        tracer = Tracer()
+        with tracer.span("battery"):
+            for i in range(2 * SIBLING_RING):
+                with tracer.span("query.execute" if i % 2 else "ingest"):
+                    pass
+            # Still open: nothing of this parent's own name is touched.
+            assert tracer.open_path() == ("battery",)
+        (battery,) = tracer.roots
+        assert len(battery.children) == 2 * SIBLING_RING
+        assert tracer.dropped == 0
+        assert battery.seen is None  # the count dies with the open span
+
+    def test_sibling_ring_never_evicts_an_open_span(self):
+        import threading
+
+        from repro.obs.trace import SIBLING_RING
+
+        tracer = Tracer()
+        opened, release = threading.Event(), threading.Event()
+
+        def hold():
+            with tracer.span("query.execute", held=True):
+                opened.set()
+                release.wait(10.0)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        opened.wait(10.0)
+        for _ in range(SIBLING_RING + 5):
+            with tracer.span("query.execute"):
+                pass
+        assert tracer.roots[0].attributes == {"held": True}
+        release.set()
+        thread.join()
+        assert len(tracer.find("query.execute")) == SIBLING_RING
+
     def test_null_tracer_roots_is_immutable(self):
         from repro.obs.trace import NullTracer
 
@@ -335,18 +394,22 @@ class TestLogging:
 # ----------------------------------------------------------------------
 class TestInstrumentation:
     def test_null_bundle_inactive(self):
-        assert Instrumentation.off() is NULL_INSTRUMENTATION
-        assert not NULL_INSTRUMENTATION.active
         assert not NULL_INSTRUMENTATION.tracer.enabled
+        assert NULL_INSTRUMENTATION.profiler is None
 
     def test_on_builds_live_bundle(self):
-        obs = Instrumentation.on(provenance=True)
-        assert obs.active
+        obs = Instrumentation.on()
         assert obs.tracer.enabled
+        assert obs.tracer is not Instrumentation.on().tracer
+        # The one accepted-but-unread parameter (benchmarks/e2e passes
+        # it; see the note beside the field).
+        assert Instrumentation(tracer=obs.tracer, provenance=True).tracer is (
+            obs.tracer
+        )
 
 
 # ----------------------------------------------------------------------
-# Provenance + batched attribution (the execute_batch fix)
+# Measured internals + batched attribution (the execute_batch fix)
 # ----------------------------------------------------------------------
 class _SlowNetwork:
     """Delegating wrapper that makes region resolution measurably slow."""
@@ -378,7 +441,7 @@ class TestBatchAttribution:
             engine = QueryEngine(
                 _SlowNetwork(sampled_net, self.DELAY),
                 sampled_form,
-                instrumentation=Instrumentation.on(provenance=True),
+                instrumentation=Instrumentation.on(),
             )
             results = engine.execute_batch(queries)
         first, *rest = results
@@ -388,7 +451,14 @@ class TestBatchAttribution:
         # including the query that triggered it.
         for result in results:
             assert result.elapsed < self.DELAY
-        assert first.provenance.shared_fill_s >= self.DELAY
+        assert first.shared_fill_s >= self.DELAY
+        # One stage table a record: the routing fills it triggered and
+        # its share of the one integration.
+        assert set(first.stage_s) == {
+            "resolve_junctions", "approximate_region", "integrate",
+        }
+        assert first.stage_s["approximate_region"] >= self.DELAY
+        assert all(r.stage_s["approximate_region"] == 0.0 for r in rest)
         assert (
             registry.value("repro_query_batch_fill_seconds_total")
             >= self.DELAY
@@ -400,7 +470,7 @@ class TestBatchAttribution:
             "repro_query_batch_cache_total", cache="regions", outcome="hit"
         ) == len(rest)
         for result in rest:
-            assert result.provenance.cache_hits == {
+            assert result.cache_hits == {
                 "junctions": True,
                 "regions": True,
                 "boundary": True,
@@ -422,7 +492,7 @@ class TestBatchAttribution:
             engine = QueryEngine(
                 sampled_net,
                 sampled_form,
-                instrumentation=Instrumentation.on(provenance=True),
+                instrumentation=Instrumentation.on(),
             )
             batch = engine.execute_batch(queries)
             many = engine.execute_many(queries)
@@ -440,33 +510,103 @@ class TestBatchAttribution:
         engine = QueryEngine(
             sampled_net,
             sampled_form,
-            instrumentation=Instrumentation.on(provenance=True),
+            instrumentation=Instrumentation.on(),
         )
         t2 = 0.5 * workload.horizon
         result = engine.execute(RangeQuery(BBox(2, 2, 8, 8), 0.0, t2))
+        self._check_cold_record(engine, result)
+
+    def _check_cold_record(self, engine, result):
         assert not result.missed
-        prov = result.provenance
-        assert prov is not None
-        assert not prov.cache_served
-        assert prov.junction_count > 0
-        assert prov.boundary_length == result.edges_accessed
-        assert set(prov.phase_s) == {
+        assert result.planner == engine.planner_in_use
+        assert not result.cache_served and result.cache_hits == {}
+        assert result.shared_fill_s == 0.0
+        assert result.junction_count > 0
+        assert result.boundary_length == result.edges_accessed
+        assert set(result.stage_s) == {
             "resolve_junctions",
             "approximate_region",
             "build_boundary",
             "integrate",
             "account_sensors",
         }
-        assert sum(prov.phase_s.values()) <= result.elapsed + 1e-6
+        assert sum(result.stage_s.values()) <= result.elapsed + 1e-6
 
-    def test_default_engine_attaches_no_provenance(
+    def test_default_engine_carries_internals(
         self, sampled_net, sampled_form, workload
     ):
+        """No switch selects the internals: the default (null) bundle's
+        record holds what a live one's does."""
         engine = QueryEngine(sampled_net, sampled_form)
         t2 = 0.5 * workload.horizon
         result = engine.execute(RangeQuery(BBox(2, 2, 8, 8), 0.0, t2))
-        assert result.provenance is None
-        assert not result.cache_served
+        self._check_cold_record(engine, result)
+        assert not hasattr(result, "provenance")
+
+
+# ----------------------------------------------------------------------
+# A live tracer under a long-running deployment
+# ----------------------------------------------------------------------
+class TestTracerMemory:
+    def test_constant_in_queries_and_streamed_windows(self):
+        """10 000 cold queries and 2 000 streamed windows on a live
+        tracer: once every per-query / per-window name has filled its
+        ring the span count no longer moves, and the one-off spans of
+        the deployment are all still there."""
+        import numpy as np
+
+        from repro.core import FrameworkConfig, InNetworkFramework
+        from repro.mobility import organic_city
+        from repro.obs.trace import SIBLING_RING
+        from repro.trajectories import (
+            WorkloadConfig,
+            all_events,
+            generate_workload,
+        )
+
+        obs = Instrumentation.on()
+        fw = InNetworkFramework.from_road_graph(
+            organic_city(blocks=40, rng=np.random.default_rng(0)),
+            instrumentation=obs,
+        )
+        fw.deploy(
+            FrameworkConfig(
+                budget=20, seed=3, streaming=True, compact_every=256
+            )
+        )
+        workload = generate_workload(
+            fw.domain,
+            WorkloadConfig(
+                n_trips=300, horizon_days=1.0, mean_dwell=3600.0, seed=5
+            ),
+        )
+        events = sorted(
+            all_events(fw.domain, workload.trips), key=lambda e: e.t
+        )
+        bounds = fw.domain.bounds
+        box = BBox.from_center(
+            bounds.center, bounds.width * 0.45, bounds.height * 0.45
+        )
+        tracer, counts = obs.tracer, []
+        for done, window in enumerate(np.array_split(events, 2000), 1):
+            fw.ingest_events(list(window))
+            for _ in range(5):
+                assert not fw.query(box, 0.0, workload.horizon).missed
+            if done % SIBLING_RING == 0:
+                counts.append(sum(1 for _ in tracer.walk()))
+        fw.close()
+        # Flat from the first full ring on (256 windows, 1280 queries).
+        assert len(set(counts)) == 1, counts
+        per_name = {}
+        for span in tracer.walk():
+            per_name[span.name] = per_name.get(span.name, 0) + 1
+        assert per_name["query.execute"] == per_name["ingest"] == SIBLING_RING
+        assert per_name["query.integrate"] == SIBLING_RING
+        for one_off in ("planarize", "deploy", "deploy.select_sensors"):
+            assert per_name[one_off] == 1
+        assert tracer.dropped == (
+            (10_000 - SIBLING_RING) * 6 + (2_000 - SIBLING_RING) * 3
+        )
 
 
 # ----------------------------------------------------------------------

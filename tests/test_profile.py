@@ -30,10 +30,10 @@ import tracemalloc
 import pytest
 
 from repro.core import FrameworkConfig, InNetworkFramework
-from repro.errors import ConfigurationError
 from repro.geometry import BBox
 from repro.mobility import grid_city
 from repro.obs import (
+    FlightRecorder,
     Instrumentation,
     NULL_INSTRUMENTATION,
     Profiler,
@@ -41,6 +41,7 @@ from repro.obs import (
     Tracer,
     memory_snapshot,
     overlay_counters,
+    record_dict,
 )
 from repro.obs.profile import COUNTER_SAMPLES, SPAN_PREFIX
 from repro.query import RangeQuery
@@ -389,8 +390,16 @@ class TestFrameworkIntegration:
     def road(self):
         return grid_city(rows=6, cols=6, jitter=0.0, drop_fraction=0.0)
 
-    def _deploy(self, road, **kwargs):
-        framework = InNetworkFramework.from_road_graph(road)
+    def _deploy(self, road, hz, flight=None, **kwargs):
+        """A framework whose bundle carries a running sampler: built,
+        like the flight recorder, by the caller and handed over."""
+        tracer = Tracer()
+        obs = Instrumentation(
+            tracer=tracer, profiler=Profiler(tracer=tracer, hz=hz).start()
+        )
+        framework = InNetworkFramework.from_road_graph(
+            road, instrumentation=obs, flight=flight
+        )
         framework.deploy(FrameworkConfig(budget=10, seed=3, **kwargs))
         workload = generate_workload(
             framework.domain,
@@ -399,37 +408,37 @@ class TestFrameworkIntegration:
         framework.ingest_trips(workload.trips)
         return framework
 
-    def test_profile_hz_validated(self):
-        with pytest.raises(ConfigurationError, match="profile_hz"):
-            FrameworkConfig(profile_hz=-1.0)
-        with pytest.raises(ConfigurationError, match="profile_hz"):
-            FrameworkConfig(profile_hz=1001.0)
-        with pytest.raises(ConfigurationError, match="profile_memory"):
-            FrameworkConfig(profile_memory=True)
-
     def test_deploy_starts_profiler_null_obs_not_mutated(self, road):
-        framework = self._deploy(road, profile_hz=200.0)
+        """The constructor's profiler is the framework's; deploying
+        starts nothing of its own, and a framework built without a
+        bundle keeps the shared null one, which never grows a
+        profiler."""
+        framework = self._deploy(road, 200.0)
         try:
-            assert framework.profiler is not None
+            assert framework.profiler is framework.obs.profiler
             assert framework.profiler.running
             assert framework.profiler.hz == 200.0
-            # the shared null bundle must never grow a profiler
+            plain = InNetworkFramework.from_road_graph(road)
+            plain.deploy(FrameworkConfig(budget=10, seed=3))
+            assert plain.obs is NULL_INSTRUMENTATION
+            assert plain.profiler is None
             assert NULL_INSTRUMENTATION.profiler is None
-            assert framework.obs is not NULL_INSTRUMENTATION
-            assert framework.obs.tracer.enabled
         finally:
             framework.close()
         assert not framework.profiler.running
 
-    def test_redeploy_without_profile_stops_sampler(self, road):
-        framework = self._deploy(road, profile_hz=200.0)
+    def test_redeploy_leaves_profiler_running(self, road):
+        """A re-deploy is no business of the sampler's: it keeps
+        running, into the same table, until ``close()``."""
+        framework = self._deploy(road, 200.0)
         profiler = framework.profiler
         framework.deploy(FrameworkConfig(budget=10, seed=3))
-        assert not profiler.running
+        assert framework.profiler is profiler and profiler.running
         framework.close()
+        assert not profiler.running
 
     def test_explain_reports_profile_self_time(self, road):
-        framework = self._deploy(road, profile_hz=500.0)
+        framework = self._deploy(road, 500.0)
         try:
             box = BBox(0.5, 0.5, 8.5, 8.5)
             # anchor at least one sample inside an execution
@@ -437,27 +446,29 @@ class TestFrameworkIntegration:
                 framework.query(box, 0.0, HORIZON / 2)
                 framework.profiler.sample_once()
             explain = framework.explain(box, 0.0, HORIZON / 2)
-            assert explain.profile_self_s  # sampled evidence present
-            assert all(
-                seconds > 0 for seconds in explain.profile_self_s.values()
-            )
+            sampled = explain.engine["profile_self_s"]
+            assert sampled  # sampled evidence present
+            assert all(seconds > 0 for seconds in sampled.values())
             assert "profile self-time" in explain.format()
             assert "profile_self_s" in explain.as_dict()
         finally:
             framework.close()
 
     def test_slow_flight_record_carries_memory_and_profile(self, road):
-        framework = self._deploy(road, profile_hz=200.0, slow_query_s=1e-9)
+        framework = self._deploy(
+            road, 200.0, flight=FlightRecorder(slow_threshold_s=1e-9)
+        )
         try:
             box = BBox(0.5, 0.5, 8.5, 8.5)
-            framework.query(box, 0.0, HORIZON / 2)
+            result = framework.query(box, 0.0, HORIZON / 2)
             flight = framework.flight_log()
             assert flight.slow_total >= 1
             (record,) = flight.slow_records[-1:]
+            assert record is result
             assert record.peak_rss_bytes is not None
             assert record.peak_rss_bytes > 0
             assert "profile_top" in record.detail
-            as_dict = record.as_dict()
+            as_dict = record_dict(record)
             assert as_dict["peak_rss_bytes"] == record.peak_rss_bytes
             assert any(
                 "rss=" in line for line in flight.format_slow()
@@ -468,7 +479,7 @@ class TestFrameworkIntegration:
     def test_sharded_workers_ship_profiles_under_worker_run(self, road):
         """The acceptance path: worker samples must land nested under
         the grafted ``worker.run`` span paths in the parent's table."""
-        framework = self._deploy(road, profile_hz=200.0, shards=2)
+        framework = self._deploy(road, 200.0, shards=2)
         try:
             engine = framework.engine()
             box = BBox(0.5, 0.5, 8.5, 8.5)
@@ -527,6 +538,6 @@ class TestTracerThreadStacks:
         assert len(tracer.roots) == 2
 
     def test_profiler_field_on_instrumentation(self):
-        obs = Instrumentation(tracer=Tracer(), provenance=False)
+        obs = Instrumentation(tracer=Tracer())
         assert obs.profiler is None
         assert NULL_INSTRUMENTATION.profiler is None

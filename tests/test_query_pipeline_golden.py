@@ -7,17 +7,19 @@ sketch-enabled engine — with everything a caller or an operator can
 observe pinned against ``tests/data/query_pipeline_golden.json``:
 
 - result fields (``_key`` + ``approximate`` / ``degradation`` /
-  ``cache_served``) and the non-timing provenance fields;
+  ``cache_served``) and the record's non-timing internals;
 - the multiset of tracing span names per executor;
 - the delta of every ``repro_query*`` / ``repro_queries_total`` /
   ``repro_sketch_queries_total`` series (seconds-valued series keep
   their observation count, not their sum);
-- flight-record fields, including the slow-promotion detail keys;
+- the flight log's view of each record (``record_dict``), including
+  the slow-promotion detail keys — and that the ring entry *is* the
+  returned result, dumped under exactly the flight-log keys;
 - ``explain().format()`` with the millisecond timings masked.
 
 The other suites pin *answers*; this one pins the accounting around
 them, so a refactor of the pipeline cannot silently drop a span, a
-counter or a provenance field.  Regenerate (only when an observable
+counter or a field of the record.  Regenerate (only when an observable
 change is intended) with ``PYTHONPATH=src python
 tests/test_query_pipeline_golden.py``.
 """
@@ -36,7 +38,12 @@ import pytest
 from repro.forms.sketch import EdgeCountSketch
 from repro.geometry import BBox
 from repro.network import FaultConfig, FaultInjector
-from repro.obs import FlightRecorder, Instrumentation, use_registry
+from repro.obs import (
+    FlightRecorder,
+    Instrumentation,
+    record_dict,
+    use_registry,
+)
 from repro.query import (
     LOWER,
     UPPER,
@@ -50,6 +57,15 @@ from test_query_planner import _battery, _deployment, _key
 
 GOLDEN = Path(__file__).parent / "data" / "query_pipeline_golden.json"
 
+#: Keys of one dumped flight record, in order — the JSON consumers'
+#: contract.  The last three appear only on a promoted record (the
+#: allocation peak only while tracemalloc is tracing).
+FLIGHT_KEYS = (
+    "seq", "wall_time", "digest", "kind", "bound", "planner", "elapsed_s",
+    "value", "missed", "fanout", "stage_s", "degraded", "generation",
+    "slow", "peak_rss_bytes", "alloc_peak_bytes", "detail",
+)
+
 _SERIES = ("repro_query", "repro_queries_total", "repro_sketch_queries_total")
 _MS = re.compile(r"\d+\.\d+ms")
 
@@ -59,22 +75,21 @@ def _result(result):
     out.append(
         None if result.degradation is None else astuple(result.degradation)
     )
-    p = result.provenance
-    if p is not None:
-        out.append(
-            [
-                p.planner,
-                p.junction_count,
-                p.region_ids,
-                p.boundary_length,
-                p.sensors_accessed,
-                p.cache_served,
-                ",".join(k for k, hit in sorted(p.cache_hits.items()) if hit),
-                ",".join(k for k, h in sorted(p.cache_hits.items()) if not h),
-                p.shared_fill_s > 0,
-                ",".join(sorted(p.phase_s)),
-            ]
-        )
+    hits = sorted(result.cache_hits.items())
+    out.append(
+        [
+            result.planner,
+            result.junction_count,
+            result.regions,
+            result.boundary_length,
+            result.nodes_accessed,
+            result.cache_served,
+            ",".join(table for table, hit in hits if hit),
+            ",".join(table for table, hit in hits if not hit),
+            result.shared_fill_s > 0,
+            ",".join(sorted(result.stage_s)),
+        ]
+    )
     return out
 
 
@@ -104,7 +119,7 @@ def _metrics(registry):
 def _flight(recorder):
     out = []
     for record in recorder.records:
-        entry = record.as_dict()
+        entry = record_dict(record)
         detail = entry.get("detail")
         if detail is not None:
             # The promotion payload repeats the record's own stages.
@@ -129,15 +144,27 @@ def _flight(recorder):
 
 
 def _run(build, run, explain_queries):
-    """One executor: fresh registry, live tracer, provenance on, and a
-    flight recorder that promotes every query (threshold below zero),
-    so the slow-detail path is pinned too."""
+    """One executor: fresh registry, live tracer, and a flight
+    recorder that promotes every query (threshold below zero), so the
+    slow-detail path is pinned too."""
     with use_registry() as registry:
         obs = Instrumentation.on()
         flight = FlightRecorder(capacity=1024, slow_threshold_s=-1.0)
         engine = build(obs, flight)
         try:
             results = run(engine)
+            # One record per query: the ring holds the very objects the
+            # caller was handed, and dumps each under exactly the
+            # flight-log keys (promoted here, hence the three extras).
+            assert len(flight.records) == len(results)
+            assert all(
+                kept is result
+                for kept, result in zip(flight.records, results)
+            )
+            for entry in flight.as_dict()["records"]:
+                keys = tuple(entry)
+                assert keys[:14] == FLIGHT_KEYS[:14]
+                assert "detail" in keys and set(keys) <= set(FLIGHT_KEYS)
             snapshot = {
                 "results": [_result(r) for r in results],
                 "spans": _spans(obs.tracer),

@@ -36,6 +36,7 @@ from repro.errors import ConfigurationError, QueryError
 from repro.forms import CompiledTrackingForm
 from repro.geometry import BBox
 from repro.mobility import MobilityDomain, grid_city
+from repro.obs import Instrumentation, Profiler, Tracer, record_dict
 from repro.planar import EdgeInterner
 from repro.query import (
     ContinuousCountMonitor,
@@ -461,7 +462,7 @@ class TestStreamingBatchEquivalence:
         second = framework.flight_log().records[-1]
         assert first.generation is not None
         assert second.generation > first.generation
-        assert first.digest != second.digest
+        assert record_dict(first)["digest"] != record_dict(second)["digest"]
         framework.close()
 
     def test_static_store_digest_stable(self, grid_road, grid_events):
@@ -474,7 +475,10 @@ class TestStreamingBatchEquivalence:
         framework.query(box, 0.0, HORIZON)
         records = framework.flight_log().records
         assert records[-1].generation == records[-2].generation
-        assert records[-1].digest == records[-2].digest
+        assert (
+            record_dict(records[-1])["digest"]
+            == record_dict(records[-2])["digest"]
+        )
         framework.close()
 
 
@@ -507,12 +511,15 @@ class TestClosedFramework:
         dangling ``repro-profiler`` thread behind."""
         import threading
 
-        framework = InNetworkFramework.from_road_graph(grid_road)
-        framework.deploy(
-            FrameworkConfig(
-                budget=10, seed=3, streaming=True, profile_hz=200.0
-            )
+        tracer = Tracer()
+        framework = InNetworkFramework.from_road_graph(
+            grid_road,
+            instrumentation=Instrumentation(
+                tracer=tracer,
+                profiler=Profiler(tracer=tracer, hz=200.0).start(),
+            ),
         )
+        framework.deploy(FrameworkConfig(budget=10, seed=3, streaming=True))
         framework.ingest_events(grid_events[:100])
         profiler = framework.profiler
         assert profiler is not None and profiler.running

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.network import FaultConfig, FaultInjector
 from repro.obs import (
     AlertLog,
     AvailabilitySLO,
-    Instrumentation,
     LatencySLO,
     MetricsRegistry,
     SLOStatus,
@@ -479,20 +479,19 @@ class TestExplain:
         query = self._query(workload)
         engine = QueryEngine(sampled_net, sampled_form)
         plan = engine.explain(query)
-        reference = QueryEngine(
-            sampled_net,
-            sampled_form,
-            instrumentation=Instrumentation(provenance=True),
-        ).execute(query)
-        assert plan.value == reference.value
-        assert tuple(sorted(plan.region_ids)) == tuple(
-            sorted(reference.regions)
-        )
-        assert plan.sensors_accessed == reference.nodes_accessed
-        assert plan.edges_accessed == reference.edges_accessed
-        assert plan.boundary_length == reference.provenance.boundary_length
-        assert plan.junction_count == reference.provenance.junction_count
-        assert set(plan.phase_s) == set(reference.provenance.phase_s)
+        reference = QueryEngine(sampled_net, sampled_form).execute(query)
+        record = plan.record
+        # The plan *is* an execution's record: equal to a plain
+        # execute() in every answer field but the clock's.
+        assert replace(record, elapsed=reference.elapsed) == reference
+        assert record.boundary_length == reference.boundary_length
+        assert record.junction_count == reference.junction_count
+        assert set(record.stage_s) == set(reference.stage_s)
+        doc = plan.as_dict()
+        assert doc["region_ids"] == list(reference.regions)
+        assert doc["sensors_accessed"] == reference.nodes_accessed
+        assert doc["boundary_length"] == reference.boundary_length
+        assert set(doc["stage_s"]) == set(reference.stage_s)
 
     def test_explain_leaves_instrumentation_unchanged(
         self, sampled_net, sampled_form, workload
@@ -501,16 +500,15 @@ class TestExplain:
         obs_before = engine.obs
         engine.explain(self._query(workload))
         assert engine.obs is obs_before
-        # A later plain execute still attaches no provenance.
-        assert engine.execute(self._query(workload)).provenance is None
+        assert not engine.obs.tracer.enabled
 
     def test_explain_includes_compiled_planner_stats(
         self, sampled_net, sampled_form, workload
     ):
         engine = QueryEngine(sampled_net, sampled_form, planner="compiled")
         plan = engine.explain(self._query(workload))
-        assert plan.planner == "compiled"
-        stats = plan.planner_stats
+        assert plan.record.planner == "compiled"
+        stats = plan.engine["planner_stats"]
         assert stats["sensors"] == len(sampled_net.sensors)
         assert stats["regions"] > 0 and stats["walls"] > 0
         assert "index:" in plan.format()
@@ -520,7 +518,7 @@ class TestExplain:
         plan = engine.explain(
             RangeQuery(BBox(0.001, 0.001, 0.002, 0.002), 0.0, 1.0)
         )
-        assert plan.missed
+        assert plan.record.missed
         assert "MISS" in plan.format()
 
     def test_explain_reports_fault_dispatch(
@@ -533,19 +531,26 @@ class TestExplain:
         with use_registry():
             engine = QueryEngine(sampled_net, sampled_form, faults=injector)
             plan = engine.explain(self._query(workload))
-        assert plan.dispatch_strategy == "perimeter_walk"
+        assert plan.engine["dispatch_strategy"] == "perimeter_walk"
         assert "dispatch" in plan.format()
         doc = plan.as_dict()
         assert doc["dispatch_strategy"] == "perimeter_walk"
         json.dumps(doc)  # JSON-safe
 
-    def test_build_explain_requires_provenance(
+    def test_build_explain_takes_any_result(
         self, sampled_net, sampled_form, workload
     ):
+        """Any result an engine returned explains itself — batched and
+        default-bundle ones included: the plan holds that very record."""
         engine = QueryEngine(sampled_net, sampled_form)
-        result = engine.execute(self._query(workload))
-        with pytest.raises(ValueError):
-            build_explain(engine, result)
+        query = self._query(workload)
+        cold = engine.execute(query)
+        plan = build_explain(engine, cold)
+        assert plan.record is cold
+        assert "batch caches" not in plan.format()
+        _, hit = engine.execute_batch([query, query])
+        text = build_explain(engine, hit).format()
+        assert "batch caches: hit[boundary,junctions,regions,sensors]" in text
 
 
 # ----------------------------------------------------------------------
