@@ -118,6 +118,8 @@ class InNetworkFramework:
         #: :meth:`query`'s default-dispatch engine with the key it was
         #: built under; dropped wherever ``_store`` is rebound.
         self._engine = None
+        #: :meth:`query_exact`'s engine with its key, the same way.
+        self._exact_engine = None
         self._streaming: Optional[StreamingEventStore] = None
         self._sketch = None
         self._closed = False
@@ -288,7 +290,8 @@ class InNetworkFramework:
                 with tracer.span("ingest.stream_append", events=len(window)):
                     self._streaming.append_events(window)
                 self._drop_sharded()
-                self._full_form = None
+                # The stale reference form goes with the engine on it.
+                self._full_form = self._exact_engine = None
             else:
                 self._rebuild_stores()
         get_registry().counter(
@@ -463,7 +466,7 @@ class InNetworkFramework:
         structured :class:`~repro.errors.QueryError` instead of
         failing deep inside a released resource.  Idempotent."""
         self._drop_sharded()
-        self._engine = None
+        self._engine = self._exact_engine = None
         if self._streaming is not None:
             self._streaming.close()
         if self.obs.profiler is not None:
@@ -568,13 +571,16 @@ class InNetworkFramework:
                 raise QueryError("ingest trips or events first")
             with self.obs.tracer.span("ingest.build_form", network="full"):
                 self._full_form = self._full.build_form(self._log_columns())
-        engine = QueryEngine(
-            self._full,
-            self._full_form,
-            access_mode="flood",
-            instrumentation=self.obs,
-        )
-        return engine.execute(RangeQuery(box, t1, t2, kind=kind))
+        # One engine until the reference form or the registry changes;
+        # like ``query``'s, it keeps the form alive, so no id is reused.
+        key = (id(self._full_form), get_registry())
+        if self._exact_engine is None or self._exact_engine[0] != key:
+            self._exact_engine = (key, QueryEngine(
+                self._full, self._full_form, access_mode="flood",
+                instrumentation=self.obs,
+            ))
+        query = RangeQuery(box, t1, t2, kind=kind)
+        return self._exact_engine[1].execute(query)
 
     # ------------------------------------------------------------------
     # Streaming

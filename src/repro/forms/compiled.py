@@ -192,32 +192,6 @@ class CompiledTrackingForm:
         )
 
     # ------------------------------------------------------------------
-    # Alternative constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_tracking_form(
-        cls, form, interner: "EdgeInterner"
-    ) -> "CompiledTrackingForm":
-        """Compile an existing :class:`TrackingForm` (tests, migration)."""
-        ids: List[int] = []
-        dirs: List[int] = []
-        ts: List[float] = []
-        for key in form.edges():
-            eid, _ = interner.intern(*key)
-            plus, minus = form.timestamps(key)
-            ids.extend([eid] * (len(plus) + len(minus)))
-            dirs.extend([0] * len(plus))
-            dirs.extend([1] * len(minus))
-            ts.extend(plus)
-            ts.extend(minus)
-        edge_id = np.asarray(ids, dtype=np.int64)
-        direction = np.asarray(dirs, dtype=np.int8)
-        t = np.asarray(ts, dtype=np.float64)
-        # Per-(edge, direction) segments are already sorted; global time
-        # order is not required by the CSR build.
-        return cls(interner, edge_id, direction, t)
-
-    # ------------------------------------------------------------------
     # Shared-memory interop (the sharded engine's zero-copy transport)
     # ------------------------------------------------------------------
     def shm_pack(self, hint: str = "form"):

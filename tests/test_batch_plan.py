@@ -31,9 +31,15 @@ from hypothesis import strategies as st
 from test_query_planner import _deployment
 
 import repro.forms.compiled as compiled_module
+import repro.forms.succinct as succinct_module
 import repro.query.planner as planner_module
-from repro.forms import CompiledTrackingForm, EdgeCountSketch
+from repro.forms import (
+    CompiledTrackingForm,
+    CompressedTrackingForm,
+    EdgeCountSketch,
+)
 from repro.forms.rank import segmented_rank
+from repro.forms.succinct import _DECODE_LANES, DEFAULT_BLOCK
 from repro.geometry import BBox
 from repro.obs import FlightRecorder, use_registry
 from repro.query import (
@@ -416,6 +422,28 @@ class TestKernelAtBatchSize:
         assert segmented_rank(values, lo, hi, t).tolist() == expected
 
 
+def _distinct_boxes(world, n: int = 500):
+    """``n`` cold queries on distinct random boxes, every kind and
+    bound."""
+    rng = np.random.default_rng(17)
+    bounds = world.network.domain.bounds
+    queries = [
+        RangeQuery(
+            BBox.from_center(
+                (rng.uniform(bounds.min_x, bounds.max_x),
+                 rng.uniform(bounds.min_y, bounds.max_y)),
+                rng.uniform(0.05, 0.6) * bounds.width,
+                rng.uniform(0.05, 0.6) * bounds.height,
+            ),
+            0.0, rng.uniform(0.0, world.horizon),
+            kind=(STATIC, TRANSIENT)[i % 2], bound=(LOWER, UPPER)[i % 4 < 2],
+        )
+        for i in range(n)
+    ]
+    assert len({q.box for q in queries}) == n
+    return queries
+
+
 class TestCountedGuard:
     def test_cold_batch_is_one_plan_and_one_kernel_call(
         self, world, monkeypatch
@@ -423,22 +451,7 @@ class TestCountedGuard:
         """500 distinct boxes, nothing cached: the batch may call the
         rank kernel at most 4 times and none of the one-query planner
         steps — counted, not timed."""
-        rng = np.random.default_rng(17)
-        bounds = world.network.domain.bounds
-        queries = [
-            RangeQuery(
-                BBox.from_center(
-                    (rng.uniform(bounds.min_x, bounds.max_x),
-                     rng.uniform(bounds.min_y, bounds.max_y)),
-                    rng.uniform(0.05, 0.6) * bounds.width,
-                    rng.uniform(0.05, 0.6) * bounds.height,
-                ),
-                0.0, rng.uniform(0.0, world.horizon),
-                kind=(STATIC, TRANSIENT)[i % 2], bound=(LOWER, UPPER)[i % 4 < 2],
-            )
-            for i in range(500)
-        ]
-        assert len({q.box for q in queries}) == 500
+        queries = _distinct_boxes(world)
         engine = world.engine("plain", "auto", "end")
         calls = {"segmented_rank": 0}
 
@@ -464,6 +477,63 @@ class TestCountedGuard:
         # The same engine one query at a time takes every step.
         engine.execute(queries[0])
         assert calls["junction_ids"] == 1
+
+    def test_compressed_batch_decodes_each_straddled_block_once(
+        self, world, monkeypatch
+    ):
+        """500 distinct boxes on a compressed store that ranks every
+        touch: the blocks handed to ``_Blocks.decode`` number no more
+        than the distinct blocks the batch's lanes straddle (counted
+        from the plain form's ranks, not from the decoder), and the
+        rank kernel runs a bounded number of times."""
+        queries = _distinct_boxes(world)
+        columns = world.columns.quantized(TICK_BITS)
+        args = (
+            columns.interner, columns.edge_id, columns.direction, columns.t
+        )
+        plain = CompiledTrackingForm(*args, boundary_cache_size=0)
+        form = CompressedTrackingForm(
+            *args, boundary_cache_size=0, tick_bits=TICK_BITS
+        )
+        lanes, decoded = [], []
+        calls = {"segmented_rank": 0}
+        rank_lanes, decode = form._rank_lanes, succinct_module._Blocks.decode
+
+        def counting_rank(*args):
+            calls["segmented_rank"] += 1
+            return segmented_rank(*args)
+
+        def recording_lanes(rows, t):
+            lanes.append((rows, t))
+            return rank_lanes(rows, t)
+
+        def counting_decode(blocks, take):
+            decoded.append(take.size)
+            return decode(blocks, take)
+
+        monkeypatch.setattr(succinct_module, "segmented_rank", counting_rank)
+        monkeypatch.setattr(form, "_rank_lanes", recording_lanes)
+        monkeypatch.setattr(
+            succinct_module._Blocks, "decode", counting_decode
+        )
+        got =QueryEngine(world.network, form).execute_batch(queries)
+        want = QueryEngine(world.network, plain).execute_batch(queries)
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
+        assert 1 <= calls["segmented_rank"] <= 4
+        straddled, inside = set(), 0
+        for rows, t in lanes:
+            # Lane (row, t) ranks r values: with r >= 1 and a block to
+            # decode, it straddles block (r - 1) // 32 of its segment,
+            # the last one at most.
+            rank = plain._rank_lanes(rows, t)
+            size = np.diff(plain._rows)[rows]
+            at = (rank > 0) & (size > 1)
+            last = -(-(size[at] - 1) // DEFAULT_BLOCK) - 1
+            block = np.minimum((rank[at] - 1) // DEFAULT_BLOCK, last)
+            straddled |= set(zip(rows[at].tolist(), block.tolist()))
+            inside += int(at.sum())
+        assert inside >= _DECODE_LANES  # the batch takes the batch path
+        assert 0 < sum(decoded) <= len(straddled) < inside
 
     def test_one_record_object_per_query(self, world):
         """A default-bundle query — null tracer, flight recorder on —

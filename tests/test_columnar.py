@@ -214,14 +214,6 @@ class TestCompiledEquivalence:
             assert sorted(minus) == cminus
             assert compiled.event_count(edge) == form.event_count(edge)
 
-    def test_from_tracking_form(self):
-        events = [("a", "b", 3.0), ("b", "a", 1.0), ("c", "d", 2.0)]
-        form, _ = compile_events(events)
-        compiled = CompiledTrackingForm.from_tracking_form(form, EdgeInterner())
-        for edge in [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]:
-            for t in (0.0, 1.0, 2.5, 4.0):
-                assert compiled.net_until(edge, t) == form.net_until(edge, t)
-
 
 # ----------------------------------------------------------------------
 # Vectorised network ingestion

@@ -13,7 +13,7 @@ from repro.errors import ConfigurationError, QueryError
 from repro.geometry import BBox
 from repro.mobility import organic_city
 from repro.obs import use_registry
-from repro.query import TRANSIENT, UPPER, QueryEngine, RangeQuery
+from repro.query import STATIC, TRANSIENT, UPPER, QueryEngine, RangeQuery
 from repro.trajectories import CrossingEvent, EventColumns
 
 
@@ -206,6 +206,40 @@ class TestFacadeEngine:
         fw.close()
         with pytest.raises(QueryError):
             fw.query(self.BOX, 0.0, t2)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_query_exact_keeps_its_engine(
+        self, organic_domain, workload, monkeypatch, streaming
+    ):
+        """``k`` exact queries build one engine; an ingest between two
+        calls (a rebuilt or a dropped reference form) and a registry
+        swap each get a fresh one, and the answer after the ingest is
+        a fresh deployment's."""
+        t2 = 0.5 * workload.horizon
+        whole = InNetworkFramework(organic_domain)
+        whole.ingest_trips(workload.trips)
+        want = [whole.query_exact(self.BOX, 0.0, t2, kind=kind)
+                for kind in (STATIC, TRANSIENT)]
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(FrameworkConfig(
+            selector="quadtree", budget=20, seed=3, streaming=streaming
+        ))
+        fw.ingest_trips(workload.trips[:100])
+        built = self._engines_built(monkeypatch)
+        few = [fw.query_exact(self.BOX, 0.0, t2, kind=kind)
+               for kind in (STATIC, TRANSIENT) * 3]
+        assert len(built) == 1 and built[0].access_mode == "flood"
+        fw.ingest_trips(workload.trips[100:])
+        more = [fw.query_exact(self.BOX, 0.0, t2, kind=kind)
+                for kind in (STATIC, TRANSIENT)]
+        assert len(built) == 2 and built[1].store is not built[0].store
+        assert [r.value for r in more] == [r.value for r in want]
+        assert [r.value for r in more] != [r.value for r in few[:2]]
+        with use_registry():
+            fw.query_exact(self.BOX, 0.0, t2)
+        assert len(built) == 3
+        fw.close()
+        assert fw._exact_engine is None
 
 
 class TestLearnedStores:

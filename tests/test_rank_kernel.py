@@ -11,7 +11,8 @@ Generated (``hypothesis``) and enumerated corner cases for
 - the compressed form's directory rank + one-block decode against the
   plain form on the same quantized columns: segment lengths around the
   block size, every delta width 0..33, all-duplicate (zero-payload)
-  blocks, shm attach (directory rebuilt by decode);
+  blocks, shm attach (directory rebuilt by decode), and lanes that
+  share blocks on both sides of the per-lane / per-block decode switch;
 - the vectorised sketch estimate against a brute-force count from the
   raw events, its bound always containing the exact answer;
 - the streaming store's zone maps under out-of-order arrivals
@@ -22,6 +23,7 @@ Generated (``hypothesis``) and enumerated corner cases for
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from test_query_planner import _battery, _deployment, _key
 
 from repro.forms import CompiledTrackingForm, CompressedTrackingForm
 from repro.forms.rank import segmented_rank
+from repro.forms import succinct
 from repro.forms.sketch import EdgeCountSketch
+from repro.forms.succinct import _DECODE_LANES
 from repro.planar import EdgeInterner
 from repro.query import CompiledQueryPlanner, QueryEngine
 from repro.shm import destroy_segment
@@ -250,6 +254,93 @@ class TestCompressedRank:
             assert attached.integrate_at_ids(
                 wall_ids, signs, when
             ).tolist() == expected
+            del attached
+        finally:
+            destroy_segment(handle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segments=st.lists(
+            # Per row: none (empty), or a head tick and runs of equal
+            # deltas — zero runs give width-0 blocks, odd totals
+            # partial tail blocks.
+            st.none() | st.tuples(
+                st.integers(0, 50),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([0, 0, 1, 3, 40, 1000]),
+                        st.integers(1, 70),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            min_size=1, max_size=8,
+        ),
+        tick_bits=st.integers(0, 2),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_lanes_sharing_blocks_on_both_sides_of_the_switch(
+        self, segments, tick_bits, seed
+    ):
+        """``_rank_lanes`` decodes per lane below ``_DECODE_LANES``
+        lanes and once per distinct straddled block from there on;
+        either way every lane's rank is the plain form's, on the
+        encoding form and on an ``shm_attach``ed one."""
+        n_ids = 4
+        rows, ticks = [], []
+        for row, segment in enumerate(segments):
+            if segment is not None:
+                head, runs = segment
+                deltas = [d for d, n in runs for _ in range(n)]
+                ticks.append(head + np.cumsum([0] + deltas))
+                rows.append(np.full(len(deltas) + 1, row))
+        rows = np.concatenate(rows or [np.empty(0, np.int64)])
+        ticks = np.concatenate(ticks or [np.empty(0, np.int64)])
+        edge_id, direction = rows % n_ids, (rows // n_ids).astype(np.int8)
+        scale = 2.0 ** -tick_bits
+        plain, compressed = _forms(
+            edge_id, direction, ticks * scale, n_ids, tick_bits
+        )
+        # Each block's first tick, the ticks between blocks, ±inf.
+        firsts = np.concatenate((compressed._blocks.directory, ticks))
+        when = np.concatenate((
+            firsts, firsts - 0.5, firsts + 0.5, [-1.0, 1e9]
+        )) * scale
+        when = np.concatenate((when, [np.inf, -np.inf]))
+        lane_row = np.repeat(np.arange(2 * n_ids), when.size)
+        lane_t = np.tile(when, 2 * n_ids)
+        lens = np.diff(plain._rows)[lane_row]
+        # Lanes the directory places inside a block (head <= t, a
+        # block to decode); repeated, they share their blocks.
+        inside = np.flatnonzero(
+            (lens > 1) & (plain._rank_lanes(lane_row, lane_t) > 0)
+        )
+        rng = np.random.default_rng(seed)
+        few = rng.permutation(lane_row.size)[: _DECODE_LANES - 1]
+        many = np.arange(lane_row.size)
+        if inside.size:
+            repeat = -(-_DECODE_LANES // inside.size)
+            many = rng.permutation(
+                np.concatenate((many, np.tile(inside, repeat)))
+            )
+        handle, descriptor = compressed.shm_pack(hint="rank-switch")
+        try:
+            attached = CompressedTrackingForm.shm_attach(
+                descriptor, compressed._interner, boundary_cache_size=0
+            )
+            for pick in (few, many):
+                expected = plain._rank_lanes(lane_row[pick], lane_t[pick])
+                for form in (compressed, attached):
+                    assert np.array_equal(
+                        form._rank_lanes(lane_row[pick], lane_t[pick]),
+                        expected,
+                    )
+                # A switch of 3 lanes: many decode slices of 3 blocks.
+                with mock.patch.object(succinct, "_DECODE_LANES", 3):
+                    assert np.array_equal(
+                        compressed._rank_lanes(lane_row[pick], lane_t[pick]),
+                        expected,
+                    )
             del attached
         finally:
             destroy_segment(handle)
