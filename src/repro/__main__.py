@@ -20,11 +20,6 @@ Commands
 ``info``
     Print the library version and the available selectors, stores and
     city generators.
-
-``demo`` and ``monitor`` accept ``--profile DIR``: a continuous
-sampling profiler attributes stacks to the open tracer spans and
-writes a collapsed-stack file plus speedscope JSON (with ``--shards``
-one flamegraph covers the parent and every shard worker).
 ``city``
     Generate a synthetic road network and save it in the JSON map
     interchange format (loadable with ``repro.mobility.load_road_network``).
@@ -58,19 +53,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     log.info("  cities    : grid, radial, organic")
     log.info("  docs      : README.md, DESIGN.md, EXPERIMENTS.md")
     return 0
-
-
-def _instrumentation(args: argparse.Namespace, tracer, memory=False):
-    """The bundle of one CLI run: ``tracer`` and, under ``--profile``,
-    a running sampler attributed to it."""
-    from repro.obs import Instrumentation, Profiler
-
-    obs = Instrumentation(tracer=tracer)
-    if args.profile:
-        obs.profiler = Profiler(
-            tracer=tracer, hz=args.profile_hz, memory=memory
-        ).start()
-    return obs
 
 
 def _world(args: argparse.Namespace, obs, flight, **config):
@@ -122,21 +104,11 @@ def _dump_flight(args: argparse.Namespace, flight) -> None:
                  f"{flight.slow_total} slow)")
 
 
-def _write_profile(args: argparse.Namespace, profiler):
-    """Stop the sampler (flush before export; ``close()`` is a no-op
-    then) and write its artifacts into ``--profile DIR``."""
-    profiler.stop()
-    paths = profiler.write(args.profile)
-    table = profiler.table
-    log.info(f"profile: {table.total} samples over {len(table)} "
-             f"stacks @{profiler.hz:g}Hz -> {paths['speedscope']}")
-    return table
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.geometry import BBox
     from repro.obs import (
         FlightRecorder,
+        Instrumentation,
         MetricsRegistry,
         NULL_TRACER,
         Tracer,
@@ -145,13 +117,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         set_registry,
     )
 
-    instrumented = bool(args.trace or args.metrics or args.profile)
+    instrumented = bool(args.trace or args.metrics)
     if instrumented:
         # A fresh registry so the dump reflects this run only.
         set_registry(MetricsRegistry())
-    obs = _instrumentation(
-        args, Tracer() if instrumented else NULL_TRACER, args.profile_memory
-    )
+    obs = Instrumentation(tracer=Tracer() if instrumented else NULL_TRACER)
     framework, network, workload = _world(
         args, obs, FlightRecorder(slow_threshold_s=args.slow_ms / 1e3),
         streaming=args.stream, compact_every=args.compact_every,
@@ -272,26 +242,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                 log.info(f"    {name:<16} {nbytes:>10} bytes")
         log.info(f"  total: {report['total_bytes']} bytes")
 
-    profiler = framework.profiler
-    if profiler is not None:
-        for row in _write_profile(args, profiler).top_rows(5):
-            log.debug("profile top %s", kv(
-                span=row["span_path"], frame=row["frame"],
-                self_ms=round(row["self_s"] * 1e3, 2),
-                share=f"{row['share']:.0%}",
-            ))
     if args.trace:
-        import json as _json
-
-        from repro.obs import overlay_counters
-
-        trace = obs.tracer.to_chrome_trace()
-        if profiler is not None:
-            # Counter tracks share the tracer's perf_counter origin
-            # so they overlay the span swimlanes on one time axis.
-            overlay_counters(trace, profiler, origin=obs.tracer.origin)
-        with open(args.trace, "w") as handle:
-            _json.dump(trace, handle, indent=1)
+        obs.tracer.export_chrome(args.trace)
         log.info(f"trace: wrote {args.trace}")
         log.debug("span tree:\n%s", obs.tracer.format_tree())
     if args.metrics:
@@ -314,9 +266,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         AlertLog,
         FlightRecorder,
         MetricsRegistry,
-        NULL_TRACER,
+        NULL_INSTRUMENTATION,
         TimeSeriesRecorder,
-        Tracer,
         default_slos,
         evaluate_slos,
         fleet_health,
@@ -325,14 +276,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import render_dashboard
 
     # A fresh registry so the telemetry reflects this run only; the
-    # null tracer keeps the hot path span-free (the recorder samples
-    # counters, it does not need spans) — unless the profiler is on,
-    # which needs live spans to attribute samples to.
+    # null bundle keeps the hot path span-free (the recorder samples
+    # counters, it does not need spans).
     registry = MetricsRegistry()
     set_registry(registry)
-    obs = _instrumentation(args, Tracer() if args.profile else NULL_TRACER)
     framework, network, workload = _world(
-        args, obs, FlightRecorder(slow_threshold_s=args.slow_ms / 1e3)
+        args, NULL_INSTRUMENTATION,
+        FlightRecorder(slow_threshold_s=args.slow_ms / 1e3),
     )
     domain = framework.domain
     n_events = framework.ingest_trips(workload.trips)
@@ -363,7 +313,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     alert_log = AlertLog()
     live = sys.stderr.isatty()
 
-    recorder.sample()
+    first = recorder.sample()
     if engine.simulator is not None:
         engine.simulator.probe_fleet()
     sample_round = 0
@@ -379,7 +329,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             engine.simulator.probe_fleet()
         sample = recorder.sample()
         statuses = evaluate_slos(slos, recorder)
-        for alert in alert_log.observe(sample.t, statuses):
+        # Alert times are seconds into the run, not the raw clock.
+        for alert in alert_log.observe(sample.t - first.t, statuses):
             if live:
                 print(file=sys.stderr)
             log.warning(alert.format())
@@ -403,9 +354,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     health = fleet_health(registry, known_sensors=network.sensors)
     explain = engine.explain(queries[0])
     flight = framework.flight_log()
-    profiler = framework.profiler
-    if profiler is not None:
-        _write_profile(args, profiler)
 
     log.info(health.format_report())
     for status in statuses:
@@ -441,7 +389,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             explain_text=explain.format(),
             flight=flight,
             storage=framework.storage_report(),
-            profile=profiler.table if profiler is not None else None,
         )
         with open(args.html, "w") as handle:
             handle.write(page)
@@ -455,8 +402,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             "explain": explain.as_dict(),
             "flight": flight.as_dict(),
         }
-        if profiler is not None:
-            payload["profile"] = profiler.table.as_dict()
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=1)
         log.info(f"telemetry: wrote {args.json}")
@@ -573,15 +518,6 @@ def _world_flags(faults: float) -> argparse.ArgumentParser:
     world.add_argument("--slow-ms", type=float, default=100.0,
                        help="flight-recorder slow-query promotion "
                             "threshold in milliseconds")
-    world.add_argument("--profile", metavar="DIR", default=None,
-                       help="continuous sampling profiler: write "
-                            "profile.collapsed + profile.speedscope.json "
-                            "(span-attributed flamegraph; with --shards "
-                            "the worker samples nest under their "
-                            "worker.run spans) into DIR; the monitor "
-                            "dashboard gains a top-frames panel")
-    world.add_argument("--profile-hz", type=float, default=97.0,
-                       help="sampler rate for --profile (samples/s)")
     world.add_argument("--compress", action="store_true",
                        help="succinct storage tier: delta-encoded, "
                             "bit-packed timestamp columns (~4x smaller, "
@@ -621,9 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--metrics", metavar="PATH", default=None,
                       help="write the metrics registry in Prometheus "
                            "text format")
-    demo.add_argument("--profile-memory", action="store_true",
-                      help="also keep tracemalloc per-span peak "
-                           "watermarks (heavier; needs --profile)")
     demo.add_argument("--stream", action="store_true",
                       help="streaming ingestion: feed events in arrival "
                            "windows through the LSM-style store "

@@ -50,10 +50,10 @@ class FrameworkConfig:
     that many time bins; queries carrying ``max_error`` are then
     served from the sketch whenever its worst-case bound fits.
 
-    The flight recorder and the profiler are not deployment settings:
+    The flight recorder and the tracer are not deployment settings:
     both are handed to the framework's constructor
-    (``InNetworkFramework(..., flight=FlightRecorder(...))``,
-    ``Instrumentation(profiler=Profiler(...).start())``) and outlive
+    (``InNetworkFramework(..., flight=FlightRecorder(...),
+    instrumentation=Instrumentation(tracer=Tracer()))``) and outlive
     any re-deploy.
     """
 

@@ -37,7 +37,6 @@ from ..obs import (
     FlightRecorder,
     Instrumentation,
     NULL_INSTRUMENTATION,
-    Profiler,
     get_registry,
 )
 from ..planar import NodeId, PlanarGraph
@@ -300,13 +299,6 @@ class InNetworkFramework:
         ).inc(len(window))
         return len(window)
 
-    @property
-    def profiler(self) -> Optional[Profiler]:
-        """The continuous sampling profiler of the instrumentation
-        bundle this framework was built with (``None`` without one).
-        Whoever built the bundle started it; :meth:`close` stops it."""
-        return self.obs.profiler
-
     def _drop_sharded(self) -> None:
         """Invalidate the cached sharded engine (its shards no longer
         reflect the deployed network or ingested events)."""
@@ -469,10 +461,6 @@ class InNetworkFramework:
         self._engine = self._exact_engine = None
         if self._streaming is not None:
             self._streaming.close()
-        if self.obs.profiler is not None:
-            # Finalizer-owned, like the shm segments: stop() joins the
-            # sampler thread so close() never leaves it dangling.
-            self.obs.profiler.stop()
         self._closed = True
 
     def flight_log(self) -> FlightRecorder:

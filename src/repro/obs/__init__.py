@@ -23,10 +23,7 @@ query pipeline:
   recorder: a ring of the per-query records themselves
   (:class:`~repro.query.QueryResult`, the one record of a query:
   answer, measured internals, stage times), with slow-query promotion
-  to full detail;
-- :mod:`repro.obs.profile` — the continuous span-attributed sampling
-  profiler (:class:`Profiler`, :class:`StackTable`) with
-  collapsed-stack, speedscope and Chrome-counter exports;
+  to full detail and a memory snapshot;
 - :mod:`repro.obs.explain` — the measured query EXPLAIN plan, a view
   over a record and the engine that produced it;
 - :mod:`repro.obs.dashboard` — the self-contained HTML dashboard the
@@ -34,7 +31,7 @@ query pipeline:
 """
 
 from .explain import QueryExplain, build_explain
-from .flight import FlightRecorder, query_digest, record_dict
+from .flight import FlightRecorder, memory_snapshot, query_digest, record_dict
 from .health import FleetHealth, SensorHealth, fleet_health
 from .instrument import Instrumentation, NULL_INSTRUMENTATION
 from .logging import configure as configure_logging
@@ -50,13 +47,6 @@ from .metrics import (
     get_registry,
     set_registry,
     use_registry,
-)
-from .profile import (
-    DEFAULT_PROFILE_HZ,
-    Profiler,
-    StackTable,
-    memory_snapshot,
-    overlay_counters,
 )
 from .slo import (
     Alert,
@@ -79,7 +69,6 @@ __all__ = [
     "ContainmentSLO",
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_PROFILE_HZ",
     "FleetHealth",
     "FlightRecorder",
     "Gauge",
@@ -90,7 +79,6 @@ __all__ = [
     "NULL_INSTRUMENTATION",
     "NULL_TRACER",
     "NullTracer",
-    "Profiler",
     "QueryExplain",
     "SECONDS_BUCKETS",
     "SLO",
@@ -99,7 +87,6 @@ __all__ = [
     "SensorHealth",
     "SeriesWindow",
     "Span",
-    "StackTable",
     "TimeSeriesRecorder",
     "Tracer",
     "build_explain",
@@ -111,7 +98,6 @@ __all__ = [
     "get_registry",
     "kv",
     "memory_snapshot",
-    "overlay_counters",
     "query_digest",
     "record_dict",
     "set_registry",

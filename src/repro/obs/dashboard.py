@@ -12,16 +12,12 @@ fonts, so the file works as a CI build artifact opened from disk:
 - the alert timeline (SLO threshold crossings);
 - the recent slow queries of the flight recorder (when given one),
   with their peak-RSS / traced-allocation evidence when recorded;
-- the continuous profiler's top-frames panel (when given its
-  :class:`~repro.obs.StackTable`): heaviest (span path, frame) rows
-  with sampled self time and share bars;
 - the query EXPLAIN plan of a sample query.
 
 Everything it shows comes from the telemetry layers
 (:mod:`~repro.obs.timeseries`, :mod:`~repro.obs.slo`,
 :mod:`~repro.obs.health`, :mod:`~repro.obs.flight`,
-:mod:`~repro.obs.profile`, :mod:`~repro.obs.explain`); this module
-only formats.
+:mod:`~repro.obs.explain`); this module only formats.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Mapping, Optional, Sequence
 
 from .flight import FlightRecorder
 from .health import FleetHealth
-from .profile import StackTable
 from .slo import Alert, SLOStatus
 from .timeseries import SeriesWindow, TimeSeriesRecorder
 
@@ -220,28 +215,6 @@ def _slow_query_rows(flight: FlightRecorder, limit: int = 10) -> str:
     )
 
 
-def _profile_rows(profile: StackTable, limit: int = 15) -> str:
-    """Rows of the top-frames panel: share bars scaled to the heaviest
-    row so relative weight reads at a glance."""
-    rows = []
-    top = profile.top_rows(limit)
-    widest = max((row["share"] for row in top), default=1.0) or 1.0
-    for row in top:
-        width = min(row["share"] / widest, 1.0)
-        rows.append(
-            "<tr>"
-            f"<td>{html.escape(row['span_path'])}</td>"
-            f"<td>{html.escape(row['frame'])}</td>"
-            f"<td>{row['samples']}</td>"
-            f"<td>{row['self_s'] * 1e3:.1f}</td>"
-            f"<td>{row['share']:.1%} "
-            f'<span class="bar"><span style="width:{width:.0%};'
-            'background:#c4742e"></span></span></td>'
-            "</tr>"
-        )
-    return "".join(rows)
-
-
 def _storage_rows(storage: Mapping[str, object]) -> str:
     """Rows of the storage panel: one per store, then its components
     as bars scaled to the largest component on the page."""
@@ -284,7 +257,6 @@ def render_dashboard(
     explain_text: Optional[str] = None,
     flight: Optional[FlightRecorder] = None,
     storage: Optional[Mapping[str, object]] = None,
-    profile: Optional[StackTable] = None,
     panels: Sequence[tuple] = DEFAULT_PANELS,
 ) -> str:
     """The full dashboard page as one HTML string.
@@ -292,8 +264,6 @@ def render_dashboard(
     ``storage`` is an optional framework
     :meth:`~repro.core.InNetworkFramework.storage_report` payload; when
     given, the page gains a per-component storage breakdown panel.
-    ``profile`` is an optional profiler :class:`~repro.obs.StackTable`;
-    when given (and non-empty), the page gains the top-frames panel.
     """
     meta_rows = "".join(
         f"<tr><td>{html.escape(str(key))}</td>"
@@ -361,19 +331,6 @@ def render_dashboard(
             f"{_slow_query_rows(flight)}</table>"
         )
 
-    profile_html = ""
-    if profile is not None and len(profile):
-        profile_html = (
-            "<h2>Profile — top frames</h2>"
-            f"<p>{profile.total} samples over {len(profile)} distinct "
-            f"stacks @{profile.hz:g}Hz (sampled self time, "
-            "span-attributed)</p>"
-            '<table class="slo">'
-            "<tr><th>span path</th><th>frame</th><th>samples</th>"
-            "<th>self (ms)</th><th>share</th></tr>"
-            f"{_profile_rows(profile)}</table>"
-        )
-
     storage_html = ""
     if storage is not None and storage.get("stores"):
         storage_html = (
@@ -430,7 +387,6 @@ def render_dashboard(
 {alerts_html}
 {storage_html}
 {flight_html}
-{profile_html}
 {explain_html}
 </body></html>
 """

@@ -40,11 +40,8 @@ class QueryExplain:
     record: "QueryResult"
     #: What ran it: ``access_mode``, ``static_eval``, ``store``,
     #: ``network``, ``planner_stats`` (the planner's index sizes),
-    #: ``dispatch_strategy`` (``None`` without fault injection),
-    #: ``shards`` (0 on a single-process engine) and
-    #: ``profile_self_s`` — sampled self time per leaf span from the
-    #: continuous profiler, *cumulative* evidence across the process
-    #: lifetime, not this execution's wall time (empty without one).
+    #: ``dispatch_strategy`` (``None`` without fault injection) and
+    #: ``shards`` (0 on a single-process engine).
     engine: Mapping[str, Any]
 
     def format(self) -> str:
@@ -113,13 +110,6 @@ class QueryExplain:
                 f"lost_walls={lost.lost_walls if lost else 0} "
                 f"bound=+-{'inf' if math.isinf(bound) else format(bound, 'g')}",
             )
-        if engine["profile_self_s"]:
-            ranked = sorted(
-                engine["profile_self_s"].items(), key=lambda kv: -kv[1]
-            )[:6]
-            row("profile self-time", " ".join(
-                f"{name}={seconds * 1e3:.1f}ms" for name, seconds in ranked
-            ))
         lines.append(total)
         return "\n".join(lines)
 
@@ -153,20 +143,6 @@ class QueryExplain:
         }
 
 
-def _profile_self_s(profiler) -> Dict[str, float]:
-    """Sampled self time per leaf span, ``query.`` prefix stripped so
-    the plan's profile line aligns with the stage names."""
-    if profiler is None:
-        return {}
-    out: Dict[str, float] = {}
-    for leaf, seconds in profiler.table.leaf_self_seconds().items():
-        if leaf == "(no span)":
-            continue
-        name = leaf[6:] if leaf.startswith("query.") else leaf
-        out[name] = out.get(name, 0.0) + seconds
-    return out
-
-
 def build_explain(engine, result: "QueryResult") -> QueryExplain:
     """The plan of ``result``, a query ``engine`` — a
     :class:`~repro.query.QueryEngine` or a scattering
@@ -187,6 +163,5 @@ def build_explain(engine, result: "QueryResult") -> QueryExplain:
             "planner_stats": engine._planner.describe(),
             "dispatch_strategy": engine.dispatch_strategy if faulty else None,
             "shards": shards,
-            "profile_self_s": _profile_self_s(engine.obs.profiler),
         },
     )

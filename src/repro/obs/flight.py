@@ -14,8 +14,8 @@ A record whose ``elapsed`` exceeds ``slow_threshold_s`` (strictly
 greater) is *promoted*: flagged ``slow`` and kept in a second ring that
 slow traffic cannot be flushed out of by fast traffic; :meth:`keep`
 says so, and the caller attaches a ``detail`` payload (executor extras,
-grafted worker spans, memory watermarks) while the evidence is still at
-hand.
+grafted worker spans) and the :func:`memory_snapshot` watermarks while
+the evidence is still at hand.
 
 The recorder reads attributes and imports nothing from
 :mod:`repro.query`: a single-process record carries the plan phases in
@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
+import tracemalloc
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -42,6 +44,32 @@ DEFAULT_SLOW_CAPACITY = 32
 
 #: Default promotion threshold in seconds.
 DEFAULT_SLOW_THRESHOLD_S = 0.1
+
+
+def memory_snapshot() -> Dict[str, Optional[int]]:
+    """Cheap process-memory snapshot for slow-query flight records.
+
+    ``peak_rss_bytes`` is the high-water resident set of the process
+    (``ru_maxrss``); ``alloc_peak_bytes`` is tracemalloc's traced
+    allocation peak — ``None`` unless the caller has run
+    ``tracemalloc.start()``.  Both reads are O(1): this is safe on the
+    strict slow-query promotion path.
+    """
+    peak_rss: Optional[int] = None
+    try:
+        import resource
+
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # Linux reports kilobytes, macOS bytes.
+        peak_rss = int(rss) * (1 if sys.platform == "darwin" else 1024)
+    except (ImportError, OSError):  # pragma: no cover - no getrusage
+        pass
+    alloc_peak = (
+        int(tracemalloc.get_traced_memory()[1])
+        if tracemalloc.is_tracing()
+        else None
+    )
+    return {"peak_rss_bytes": peak_rss, "alloc_peak_bytes": alloc_peak}
 
 
 def record_dict(record: Any) -> Dict[str, Any]:

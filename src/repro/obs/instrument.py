@@ -2,13 +2,13 @@
 
 :class:`Instrumentation` is what :class:`repro.core.InNetworkFramework`,
 :class:`repro.evaluation.Pipeline`, :class:`repro.query.QueryEngine` and
-:class:`repro.network.NetworkSimulator` accept: a tracer and an
-optional profiler.  The default (:data:`NULL_INSTRUMENTATION`) is a
-no-op recorder — the shared null tracer, no profiler.  It is the bundle
-every untraced run of the end-to-end benchmark (``BENCHMARK.json``)
-deploys with, so its cost is inside each end-to-end metric there; what
-a live bundle adds on the hot path is that benchmark's
-``obs.overhead_pct`` on ``dashboard_hot`` (budget ≤5%).
+:class:`repro.network.NetworkSimulator` accept: a tracer.  The default
+(:data:`NULL_INSTRUMENTATION`) is a no-op recorder — the shared null
+tracer.  It is the bundle every untraced run of the end-to-end
+benchmark (``BENCHMARK.json``) deploys with, so its cost is inside each
+end-to-end metric there; what a live bundle adds on the hot path is
+that benchmark's ``obs.overhead_pct`` on ``dashboard_hot`` (budget
+≤5%).
 
 What a query measured about itself is not the bundle's business: every
 :class:`~repro.query.QueryResult` carries its internals and stage
@@ -19,34 +19,28 @@ pipeline is counted in isolation by building it inside
 :func:`repro.obs.use_registry`.
 
 ``Instrumentation.on()`` builds a live bundle: a fresh
-:class:`~repro.obs.trace.Tracer`.  A profiler arrives the same way, by
-construction: ``Instrumentation(tracer=tracer,
-profiler=Profiler(tracer=tracer, hz=97.0).start())``.
+:class:`~repro.obs.trace.Tracer`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
-from .profile import Profiler
 from .trace import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass
 class Instrumentation:
-    """Tracer (+ profiler) for one pipeline."""
+    """The tracer of one pipeline."""
 
     tracer: Union[Tracer, NullTracer] = field(default_factory=Tracer)
     #: Accepted and never read: the internals it once switched on are
     #: always on the record.  It stays for exactly one caller —
     #: ``benchmarks/e2e/layers.py`` passes ``provenance=True`` and only
-    #: a ``benchmark`` PR may edit that directory (ROADMAP item 7 drops
+    #: a ``benchmark`` PR may edit that directory (ROADMAP item 5 drops
     #: the argument; this field goes with it).
     provenance: bool = False
-    #: Optional continuous sampling profiler (default off); whoever
-    #: builds the bundle starts it, the framework's ``close()`` stops it.
-    profiler: Optional[Profiler] = None
 
     @classmethod
     def on(cls) -> "Instrumentation":

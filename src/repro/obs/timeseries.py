@@ -60,13 +60,6 @@ def base_name(flat: str) -> str:
     return flat if brace < 0 else flat[:brace]
 
 
-def _flat(name: str, labels: Mapping[str, str]) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return name + "{" + inner + "}"
-
-
 @dataclass(frozen=True)
 class Sample:
     """One aligned tick: every instrument's value at the same instant."""
@@ -135,35 +128,22 @@ class TimeSeriesRecorder:
         self._gauge_view: List[Tuple[str, Any]] = []
         self._hist_view: List[Tuple[str, Any]] = []
 
-    def _refresh_views(self) -> bool:
-        """Sync the flat-name views with the registry's instruments.
-
-        Registries that do not expose their instrument tables (the null
-        registry, test doubles) fall back to the ``iter_*`` protocol on
-        every tick.  Returns whether cached views are in use.
-        """
+    def _refresh_views(self) -> None:
+        """Sync the flat-name views with the registry's instruments."""
         registry = self.registry
-        counters = getattr(registry, "_counters", None)
-        gauges = getattr(registry, "_gauges", None)
-        histograms = getattr(registry, "_histograms", None)
-        if counters is None or gauges is None or histograms is None:
-            return False
-        sizes = (len(counters), len(gauges), len(histograms))
+        families = (
+            registry._counters, registry._gauges, registry._histograms
+        )
+        sizes = tuple(len(family) for family in families)
         if sizes != self._view_sizes:
-            self._counter_view = [
-                (_flat_name(name, key), instrument)
-                for (name, key), instrument in sorted(counters.items())
-            ]
-            self._gauge_view = [
-                (_flat_name(name, key), instrument)
-                for (name, key), instrument in sorted(gauges.items())
-            ]
-            self._hist_view = [
-                (_flat_name(name, key), instrument)
-                for (name, key), instrument in sorted(histograms.items())
-            ]
+            self._counter_view, self._gauge_view, self._hist_view = (
+                [
+                    (_flat_name(name, key), instrument)
+                    for (name, key), instrument in sorted(family.items())
+                ]
+                for family in families
+            )
             self._view_sizes = sizes
-        return True
 
     # ------------------------------------------------------------------
     # Sampling
@@ -174,26 +154,9 @@ class TimeSeriesRecorder:
         previous = self._samples[-1] if self._samples else None
         dt = (t - previous.t) if previous is not None else 0.0
 
-        if self._refresh_views():
-            counter_view = self._counter_view
-            gauge_view = self._gauge_view
-            hist_view = self._hist_view
-        else:
-            counter_view = [
-                (_flat(name, labels), counter)
-                for name, labels, counter in self.registry.iter_counters()
-            ]
-            gauge_view = [
-                (_flat(name, labels), gauge)
-                for name, labels, gauge in self.registry.iter_gauges()
-            ]
-            hist_view = [
-                (_flat(name, labels), hist)
-                for name, labels, hist in self.registry.iter_histograms()
-            ]
-
+        self._refresh_views()
         totals: Dict[str, float] = {
-            flat: counter.value for flat, counter in counter_view
+            flat: counter.value for flat, counter in self._counter_view
         }
         if previous is not None and dt > 0:
             before = previous.totals
@@ -204,13 +167,13 @@ class TimeSeriesRecorder:
         else:
             rates = dict.fromkeys(totals, 0.0)
 
-        gauges = {flat: gauge.value for flat, gauge in gauge_view}
+        gauges = {flat: gauge.value for flat, gauge in self._gauge_view}
 
         quantile_values: Dict[str, float] = {}
         hist_buckets: Dict[str, Tuple[int, ...]] = {}
         hist_counts: Dict[str, Tuple[int, float]] = {}
         q_labels = [f":p{_q_label(q)}" for q in self.quantiles]
-        for flat, hist in hist_view:
+        for flat, hist in self._hist_view:
             self._hist_uppers.setdefault(flat, tuple(hist.uppers))
             for q, suffix in zip(self.quantiles, q_labels):
                 quantile_values[flat + suffix] = hist.quantile(q)
@@ -310,17 +273,6 @@ class TimeSeriesRecorder:
             ]
             values.append(sum(matched) if matched else None)
         return SeriesWindow(name=metric, times=times, values=tuple(values))
-
-    def series_names(self) -> Dict[str, Tuple[str, ...]]:
-        """Every series key seen in the newest sample, by category."""
-        last = self.latest
-        if last is None:
-            return {"rates": (), "gauges": (), "quantiles": ()}
-        return {
-            "rates": tuple(sorted(last.rates)),
-            "gauges": tuple(sorted(last.gauges)),
-            "quantiles": tuple(sorted(last.quantiles)),
-        }
 
     # ------------------------------------------------------------------
     # Windowed aggregates (the SLO layer's inputs)

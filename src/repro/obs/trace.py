@@ -158,17 +158,11 @@ class Tracer:
         #: Spans evicted by the sibling ring, subtrees included.
         self.dropped = 0
         #: Open-span stack per thread id: spans nest within the thread
-        #: that opened them, and the profiler's sampler joins sampled
-        #: thread ids against these stacks (:meth:`open_path`).
+        #: that opened them, so a tracer shared across threads never
+        #: parents one thread's span under another's.
         self._stacks: Dict[int, List[Span]] = {}
         #: perf_counter origin so exported timestamps start near zero.
         self._origin = time.perf_counter()
-
-    @property
-    def origin(self) -> float:
-        """The perf_counter origin of exported timestamps (shared with
-        the profiler's counter-track overlay)."""
-        return self._origin
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attributes: Any) -> _SpanContext:
@@ -217,23 +211,6 @@ class Tracer:
                 dangling.end = span.end
         stack.pop()
         span.seen = None
-
-    def open_path(self, thread_id: Optional[int] = None) -> Tuple[str, ...]:
-        """Names of the spans currently open on ``thread_id`` (default:
-        the calling thread), outermost first.
-
-        This is the profiler's attribution join: the sampler calls it
-        with each sampled thread id to label the sample with the span
-        path it ran under.  Reads are lock-free — the GIL makes the
-        list-copy atomic enough for sampling, and a span racing closed
-        merely attributes one sample a level too deep.
-        """
-        if thread_id is None:
-            thread_id = threading.get_ident()
-        stack = self._stacks.get(thread_id)
-        if not stack:
-            return ()
-        return tuple(span.name for span in list(stack))
 
     # ------------------------------------------------------------------
     def graft(
@@ -375,15 +352,8 @@ class NullTracer:
         every tracer."""
         return ()
 
-    @property
-    def origin(self) -> float:
-        return 0.0
-
     def span(self, name: str, **attributes: Any) -> _NullSpanContext:
         return _NULL_SPAN
-
-    def open_path(self, thread_id: Optional[int] = None) -> Tuple[str, ...]:
-        return ()
 
     def graft(
         self,

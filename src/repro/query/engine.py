@@ -105,8 +105,7 @@ class QueryEngine:
     #: Resolution pipeline: "auto" (compiled when the store supports
     #: it), "compiled" or "python".  See :data:`PLANNER_MODES`.
     planner: str = "auto"
-    #: Tracer (+ profiler) bundle; ``None`` means the shared no-op
-    #: recorder.
+    #: Tracer bundle; ``None`` means the shared no-op recorder.
     instrumentation: Optional[Instrumentation] = None
     #: Fault injector; when set, answered queries are dispatched
     #: through a fault-tolerant :class:`~repro.network.NetworkSimulator`
@@ -160,7 +159,7 @@ class QueryEngine:
             self._planner, self.access_mode, self.obs.tracer
         )
         self._acct = QueryAccounting(
-            self.obs, self.flight, self._planner.name, self.store
+            self.flight, self._planner.name, self.store
         )
         self._simulator: Optional[NetworkSimulator] = None
         if self.faults is not None:

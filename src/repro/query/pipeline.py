@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..network.simulator import DEGRADATION_BUCKETS
 from ..obs import (
     FlightRecorder,
-    Instrumentation,
     SECONDS_BUCKETS,
     get_registry,
     memory_snapshot,
@@ -294,13 +293,8 @@ class QueryAccounting:
     built."""
 
     def __init__(
-        self,
-        obs: Instrumentation,
-        flight: Optional[FlightRecorder],
-        planner: str,
-        source: object,
+        self, flight: Optional[FlightRecorder], planner: str, source: object
     ) -> None:
-        self.obs = obs
         self.flight = flight
         #: Executor label of the records.
         self.planner = planner
@@ -475,9 +469,8 @@ class QueryAccounting:
     def _promote(self, result: QueryResult, detail) -> None:
         """Attach to a slow record the evidence at hand (never
         recomputed): the executor's ``detail``, the internals under
-        the keys flight-log readers know, the memory watermarks — two
-        O(1) reads, never taken for fast traffic — and the profiler's
-        top rows."""
+        the keys flight-log readers know, and the memory watermarks —
+        two O(1) reads, never taken for fast traffic."""
         promoted: Dict[str, object] = {
             "stage_s": result.stage_s,
             **(detail or {}),
@@ -495,7 +488,4 @@ class QueryAccounting:
         snapshot = memory_snapshot()
         result.peak_rss_bytes = snapshot["peak_rss_bytes"]
         result.alloc_peak_bytes = snapshot["alloc_peak_bytes"]
-        profiler = self.obs.profiler
-        if profiler is not None:
-            promoted["profile_top"] = profiler.table.top_rows(5)
         result.detail = promoted

@@ -98,7 +98,6 @@ from ..obs import (
     MetricsRegistry,
     NULL_INSTRUMENTATION,
     NULL_TRACER,
-    Profiler,
     SECONDS_BUCKETS,
     QueryExplain,
     Tracer,
@@ -175,7 +174,6 @@ def _worker_init(
     static_eval: str,
     access_mode: str,
     collect_spans: bool = False,
-    profile_hz: float = 0.0,
 ) -> None:
     """Pool initializer: fresh registry + lazy per-shard engine slots.
 
@@ -184,28 +182,15 @@ def _worker_init(
     makes the per-call dumps pure deltas of this worker's own work.
     With ``collect_spans`` the worker also keeps a local tracer whose
     per-call span trees ship back for grafting into the parent's trace.
-
-    ``profile_hz`` > 0 additionally starts a worker-local continuous
-    :class:`~repro.obs.Profiler` attributed to the worker tracer (a
-    live tracer is forced on, so samples have spans to join); each
-    ``_worker_run`` call drains its stack table home with the metric
-    deltas.
     """
     set_registry(MetricsRegistry())
     _WORKER.clear()
-    tracer = (
-        Tracer() if (collect_spans or profile_hz > 0) else NULL_TRACER
-    )
-    profiler = None
-    if profile_hz > 0:
-        profiler = Profiler(tracer=tracer, hz=profile_hz).start()
     _WORKER.update(
         network=network,
         descriptors=list(descriptors),
         static_eval=static_eval,
         access_mode=access_mode,
-        tracer=tracer,
-        profiler=profiler,
+        tracer=Tracer() if collect_spans else NULL_TRACER,
         engines={},
         last_dump=None,
     )
@@ -255,7 +240,7 @@ def _worker_engine(shard: int) -> QueryEngine:
 
 def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
     """Execute a sub-batch on one shard; return
-    ``(shard, payload, dump, spans, profile)``.
+    ``(shard, payload, dump, spans)``.
 
     Payload rows are ``(index, partial_values, edges, nodes)`` where
     ``partial_values`` has two entries — the start/end snapshot sums —
@@ -268,12 +253,6 @@ def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
     ``query.integrate``) on the worker-local tracer, then ships the new
     roots back as dicts stamped with this pid (tid = shard id + 1) and
     prunes them — the worker tracer never grows across calls.
-
-    With a worker-local profiler, one anchor sample is forced inside
-    the ``worker.run`` span (a fast sub-batch could otherwise fall
-    entirely between sampler ticks) and the drained stack-table delta
-    ships home as ``profile`` for the parent to merge under the
-    grafted span path.
     """
     queries = [query for _, query in indexed]
     tracer = _WORKER["tracer"]
@@ -297,9 +276,6 @@ def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
                 answer.edges_accessed,
                 answer.nodes_accessed,
             ))
-        profiler = _WORKER.get("profiler")
-        if profiler is not None:
-            profiler.sample_once()
     current = get_registry().dump()
     dump = diff_dumps(current, _WORKER["last_dump"])
     _WORKER["last_dump"] = current
@@ -311,8 +287,7 @@ def _worker_run(shard: int, indexed: List[Tuple[int, RangeQuery]]):
             for root in tracer.roots[roots_before:]
         ]
         del tracer.roots[roots_before:]
-    profile = profiler.table.drain() if profiler is not None else None
-    return shard, payload, dump, spans, profile
+    return shard, payload, dump, spans
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +431,7 @@ class ShardedQueryEngine:
                 descriptors.append(descriptor)
 
         #: The canonical per-query series, shared with QueryEngine.
-        self._acct = QueryAccounting(self.obs, flight, "sharded", self)
+        self._acct = QueryAccounting(flight, "sharded", self)
         with tracer.span("sharded.route_table"):
             self._planner = CompiledQueryPlanner(network)
             #: The router runs the plan stage silently (one
@@ -478,9 +453,6 @@ class ShardedQueryEngine:
         context = None
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-        # Workers sample at the parent profiler's rate so the merged
-        # flamegraph weighs parent and shard time on the same scale.
-        profiler = self.obs.profiler
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=context,
@@ -491,7 +463,6 @@ class ShardedQueryEngine:
                 static_eval,
                 access_mode,
                 self.obs.tracer.enabled,
-                profiler.hz if profiler is not None else 0.0,
             ),
         )
         self._finalizer = weakref.finalize(
@@ -750,20 +721,12 @@ class ShardedQueryEngine:
 
     def _absorb(self, outcome, merged, scatter_span, batch_spans) -> None:
         """Fold what one worker call returned into the batch: partial
-        values, metric deltas, span trees and profile samples."""
-        _, payload, dump, spans, profile = outcome
+        values, metric deltas and span trees."""
+        _, payload, dump, spans = outcome
         if spans:
             batch_spans.extend(spans)
             self.obs.tracer.graft(spans, under=scatter_span)
         self._registry.absorb(dump, skip=PARENT_ACCOUNTED_METRICS)
-        profiler = self.obs.profiler
-        if profile and profiler is not None:
-            # Worker samples nest exactly where the grafted worker.run
-            # spans sit in the parent trace, so one flamegraph covers
-            # parent + all shard workers.
-            profiler.table.merge(
-                profile, prefix=("query.execute_sharded", "sharded.scatter")
-            )
         for index, values, edges, nodes in payload:
             entry = merged[index]
             # Structural accounting is region-determined, hence

@@ -27,24 +27,26 @@ TOP_LEVEL = "*.py"
 
 #: package → code-line ceiling: the current size rounded up to 10 for
 #: every row a PR touched (``test_ceilings_are_tight`` keeps the rest
-#: within 50).  Last moved by ISSUE 24 (one record per query):
-#: ``obs`` 2520 → 2320 (``QueryProvenance``, ``FlightRecord`` and the
-#: second explain builder gone, the tracer's sibling ring added),
-#: ``core`` 630 → 580 (four ``FrameworkConfig`` knobs and the code
-#: that honoured them), top-level 740 → 690 (the CLI's one ``_world``
-#: and one parent parser), ``query`` 1860 → 1840 (no provenance
-#: threading, one scatter-gather return).  ``query`` stays over the
-#: 1700 ISSUE 22 asked for: the one-query planner steps sit beside the
-#: batch ones because ``execute_batch([q])`` measures 324 µs against
-#: ``execute(q)``'s 141 (CHANGES.md, PR 22).
+#: within 50).  Last moved when the sampling profiler was cut:
+#: ``obs`` 2320 → 1860 (``repro.obs.profile``, the tracer's
+#: ``open_path``/``origin``, EXPLAIN's profile line, the dashboard's
+#: top-frames panel and the recorder's duck-typed fallback gone),
+#: ``query`` 1840 → 1810 (no worker profiler, a four-slot worker
+#: return, ``QueryAccounting`` without the bundle), top-level 690 →
+#: 640 (``--profile``, ``--profile-hz``, ``--profile-memory`` and
+#: their helpers), ``core`` stays 580 (571: ``fw.profiler`` and its
+#: stop in ``close()``).  ``query`` stays over the 1700 asked for
+#: earlier: the one-query planner steps sit beside the batch ones
+#: because ``execute_batch([q])`` measures 324 µs against
+#: ``execute(q)``'s 141 (CHANGES.md).
 CEILINGS = {
-    "query": 1840,
-    "obs": 2320,
+    "query": 1810,
+    "obs": 1860,
     "forms": 1200,
     "evaluation": 800,
     "planar": 800,
     "network": 750,
-    TOP_LEVEL: 690,
+    TOP_LEVEL: 640,
     "sampling": 600,
     "core": 580,
     "geometry": 620,

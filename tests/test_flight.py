@@ -3,7 +3,8 @@
 Covers the always-on query flight recorder — a ring of the per-query
 records (:class:`~repro.query.QueryResult`) themselves: bounded,
 oldest-first eviction, strict slow-query promotion, slow-ring survival,
-engine and framework threading, survival of a re-deploy — and the
+the memory watermarks a promoted record carries, engine and framework
+threading, survival of a re-deploy — and the
 distributed-tracing acceptance path: a
 multi-shard batch whose worker spans are grafted into the parent trace
 and exported as Chrome trace-viewer lanes keyed by worker pid.
@@ -25,7 +26,9 @@ from repro.geometry import BBox
 from repro.obs import (
     FlightRecorder,
     Instrumentation,
+    NULL_INSTRUMENTATION,
     Tracer,
+    memory_snapshot,
     query_digest,
     record_dict,
 )
@@ -147,6 +150,14 @@ class TestPromotion:
     def test_digest_stable_and_distinct(self):
         assert query_digest(_query(0)) == query_digest(_query(0))
         assert query_digest(_query(0)) != query_digest(_query(1))
+
+    def test_memory_snapshot_fields(self):
+        snapshot = memory_snapshot()
+        assert set(snapshot) == {"peak_rss_bytes", "alloc_peak_bytes"}
+        assert snapshot["peak_rss_bytes"] is None or (
+            snapshot["peak_rss_bytes"] > 0
+        )
+        assert snapshot["alloc_peak_bytes"] is None  # not tracing here
 
 
 # ----------------------------------------------------------------------
@@ -355,12 +366,15 @@ class TestFrameworkFlight:
 
     def test_config_sizes_recorder(self, framework, organic_domain):
         """The recorder's two settings arrive with it, through the
-        constructor; without one the framework builds the default."""
+        constructor; without one the framework builds the default, and
+        without a bundle it keeps the shared null one."""
         flight = framework.flight_log()
         assert flight.capacity == 64
         assert flight.slow_threshold_s == 1e-9
-        default = InNetworkFramework(organic_domain).flight_log()
+        plain = InNetworkFramework(organic_domain)
+        default = plain.flight_log()
         assert (default.capacity, default.slow_threshold_s) == (256, 0.1)
+        assert plain.obs is NULL_INSTRUMENTATION
 
     def test_queries_recorded_and_promoted(self, framework, workload):
         flight = framework.flight_log()
@@ -369,6 +383,16 @@ class TestFrameworkFlight:
         assert flight.total == before + 1
         assert flight.records[-1] is result
         assert flight.slow_total >= 1  # threshold is one nanosecond
+
+    def test_slow_record_carries_memory(self, framework, workload):
+        """A promoted record carries the process's peak RSS, and both
+        the flight-log view and the slow-query lines show it."""
+        result = framework.query(BBox(1, 1, 9, 9), 0.0, workload.horizon / 2)
+        flight = framework.flight_log()
+        assert result.slow and flight.slow_records[-1] is result
+        assert result.peak_rss_bytes is not None and result.peak_rss_bytes > 0
+        assert record_dict(result)["peak_rss_bytes"] == result.peak_rss_bytes
+        assert "rss=" in flight.format_slow(1)[0]
 
     def test_injected_recorder_survives_deploy(self, organic_domain):
         mine = FlightRecorder(capacity=7)

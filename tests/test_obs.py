@@ -140,7 +140,7 @@ class TestTracer:
                 with tracer.span("query.execute" if i % 2 else "ingest"):
                     pass
             # Still open: nothing of this parent's own name is touched.
-            assert tracer.open_path() == ("battery",)
+            assert [root.end for root in tracer.roots] == [None]
         (battery,) = tracer.roots
         assert len(battery.children) == 2 * SIBLING_RING
         assert tracer.dropped == 0
@@ -169,6 +169,33 @@ class TestTracer:
         release.set()
         thread.join()
         assert len(tracer.find("query.execute")) == SIBLING_RING
+
+    def test_spans_nest_per_thread(self):
+        """A tracer shared across threads keeps one open-span stack per
+        thread: spans opened concurrently on two threads become two
+        roots, each with only its own thread's child."""
+        import threading
+
+        tracer = Tracer()
+        barrier = threading.Barrier(2, timeout=10.0)
+
+        def work(name):
+            with tracer.span(name):
+                barrier.wait()  # both roots open concurrently
+                with tracer.span(f"{name}.child"):
+                    barrier.wait()
+
+        threads = [
+            threading.Thread(target=work, args=(name,)) for name in ("t1", "t2")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(
+            (root.name, [child.name for child in root.children])
+            for root in tracer.roots
+        ) == [("t1", ["t1.child"]), ("t2", ["t2.child"])]
 
     def test_null_tracer_roots_is_immutable(self):
         from repro.obs.trace import NullTracer
@@ -394,8 +421,13 @@ class TestLogging:
 # ----------------------------------------------------------------------
 class TestInstrumentation:
     def test_null_bundle_inactive(self):
+        from dataclasses import fields
+
         assert not NULL_INSTRUMENTATION.tracer.enabled
-        assert NULL_INSTRUMENTATION.profiler is None
+        # A tracer and the one accepted-but-unread flag: nothing else.
+        assert [f.name for f in fields(Instrumentation)] == [
+            "tracer", "provenance",
+        ]
 
     def test_on_builds_live_bundle(self):
         obs = Instrumentation.on()

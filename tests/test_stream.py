@@ -36,7 +36,7 @@ from repro.errors import ConfigurationError, QueryError
 from repro.forms import CompiledTrackingForm
 from repro.geometry import BBox
 from repro.mobility import MobilityDomain, grid_city
-from repro.obs import Instrumentation, Profiler, Tracer, record_dict
+from repro.obs import Instrumentation, Tracer, record_dict
 from repro.planar import EdgeInterner
 from repro.query import (
     ContinuousCountMonitor,
@@ -505,33 +505,21 @@ class TestClosedFramework:
             framework.monitor()
         framework.close()  # idempotent
 
-    def test_close_reaps_profiler_thread(self, grid_road, grid_events):
-        """The sampler thread is finalizer-owned like the shm segments:
-        ``framework.close()`` must stop and join it, leaving no
-        dangling ``repro-profiler`` thread behind."""
+    def test_close_leaves_no_thread_behind(self, grid_road, grid_events):
+        """Observability runs on the caller's thread: a traced
+        streaming framework starts no background thread, so
+        ``close()`` has none to leave dangling."""
         import threading
 
-        tracer = Tracer()
+        before = set(threading.enumerate())
         framework = InNetworkFramework.from_road_graph(
-            grid_road,
-            instrumentation=Instrumentation(
-                tracer=tracer,
-                profiler=Profiler(tracer=tracer, hz=200.0).start(),
-            ),
+            grid_road, instrumentation=Instrumentation(tracer=Tracer())
         )
         framework.deploy(FrameworkConfig(budget=10, seed=3, streaming=True))
         framework.ingest_events(grid_events[:100])
-        profiler = framework.profiler
-        assert profiler is not None and profiler.running
-        sampler = profiler._thread
-        assert sampler in threading.enumerate()
+        framework.query(framework.domain.bounds, 0.0, HORIZON)
         framework.close()
-        assert not profiler.running
-        assert sampler not in threading.enumerate()
-        assert not any(
-            thread.name == "repro-profiler" and thread.is_alive()
-            for thread in threading.enumerate()
-        )
+        assert set(threading.enumerate()) <= before
         framework.close()  # idempotent
 
     def test_streaming_requires_exact_store(self):

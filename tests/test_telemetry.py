@@ -172,23 +172,6 @@ class TestTimeSeriesRecorder:
         assert doc["series"]["h:p50"]["values"] == [None]
         assert doc["series"]["c_total"]["kind"] == "counter_rate"
 
-    def test_duck_typed_registry_falls_back_to_iter_protocol(self, clock):
-        class StubRegistry:
-            def iter_counters(self):
-                yield "stub_total", {"kind": "x"}, type(
-                    "C", (), {"value": 3}
-                )()
-
-            def iter_gauges(self):
-                return iter(())
-
-            def iter_histograms(self):
-                return iter(())
-
-        recorder = TimeSeriesRecorder(StubRegistry(), clock=clock)
-        sample = recorder.sample()
-        assert sample.totals == {'stub_total{kind="x"}': 3}
-
     def test_tick_cost_is_the_instrument_count_not_the_traffic(
         self, clock, sampled_net, sampled_form, workload
     ):
@@ -660,3 +643,32 @@ class TestMonitorCLI:
         assert names == {"availability", "latency", "containment"}
         assert doc["health"]["counts"]["failed"] >= 0
         assert math.isfinite(doc["explain"]["elapsed_s"])
+
+    def test_alert_times_are_seconds_into_the_run(self, tmp_path):
+        """An alert's ``t`` counts from the monitor's first tick, not
+        from the raw ``perf_counter`` origin (host uptime on Linux)."""
+        import io
+        import time
+        from contextlib import redirect_stdout
+
+        from repro.__main__ import main
+
+        json_path = tmp_path / "monitor.json"
+        started = time.perf_counter()
+        with redirect_stdout(io.StringIO()):
+            status = main(
+                [
+                    "monitor",
+                    "--faults", "0.6",
+                    "--blocks", "60",
+                    "--trips", "200",
+                    "--queries", "20",
+                    "--seed", "1",
+                    "--json", str(json_path),
+                ]
+            )
+        wall = time.perf_counter() - started
+        assert status == 0
+        alerts = json.loads(json_path.read_text())["alerts"]
+        assert alerts  # 60 % of the sensors down breaches on the first tick
+        assert all(0.0 <= alert["t"] <= wall for alert in alerts)
