@@ -269,7 +269,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         NULL_INSTRUMENTATION,
         TimeSeriesRecorder,
         default_slos,
-        evaluate_slos,
         fleet_health,
         set_registry,
     )
@@ -328,14 +327,16 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         ):
             engine.simulator.probe_fleet()
         sample = recorder.sample()
-        statuses = evaluate_slos(slos, recorder)
+        statuses = [slo.evaluate(recorder) for slo in slos]
         # Alert times are seconds into the run, not the raw clock.
         for alert in alert_log.observe(sample.t - first.t, statuses):
             if live:
                 print(file=sys.stderr)
             log.warning(alert.format())
         availability = statuses[0]
-        p95 = sample.quantiles.get("repro_query_latency_seconds:p95")
+        p95 = recorder.series(
+            "repro_query_latency_seconds", "quantile", 0.95
+        ).values[-1]
         p95_txt = f"{p95 * 1e3:.2f}ms" if p95 and p95 == p95 else "-"
         line = (
             f"[{i}/{len(queries)}] availability "
@@ -350,8 +351,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if live:
         print(file=sys.stderr)
 
-    statuses = evaluate_slos(slos, recorder)
-    health = fleet_health(registry, known_sensors=network.sensors)
+    # Health, SLO status and sparklines all read the last loop tick.
+    health = fleet_health(recorder, known_sensors=network.sensors)
     explain = engine.explain(queries[0])
     flight = framework.flight_log()
 

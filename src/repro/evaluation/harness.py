@@ -412,8 +412,6 @@ def evaluate(
     execute_batch: Optional[
         Callable[[Sequence[RangeQuery]], Sequence[QueryResult]]
     ] = None,
-    recorder=None,
-    sample_every: int = 10,
 ) -> EvalReport:
     """Run a query batch and compare against the unsampled reference.
 
@@ -425,32 +423,18 @@ def evaluate(
     and boundary construction across the battery.  Relative errors are
     computed over non-missed queries with a non-zero reference count,
     as in §5.1.4.
-
-    With a :class:`~repro.obs.TimeSeriesRecorder` passed as
-    ``recorder`` the battery is sampled every ``sample_every`` queries
-    (plus once at the end), which forces the sequential path — sampling
-    mid-batch would otherwise see nothing until the batch returns.
     """
-    if recorder is not None:
-        results = []
-        for i, query in enumerate(queries):
-            results.append(execute(query))
-            if (i + 1) % max(sample_every, 1) == 0:
-                recorder.sample()
-        recorder.sample()
+    if execute_batch is None:
+        owner = getattr(execute, "__self__", None)
+        if (
+            isinstance(owner, QueryEngine)
+            and getattr(execute, "__func__", None) is QueryEngine.execute
+        ):
+            execute_batch = owner.execute_batch
+    if execute_batch is not None:
+        results = list(execute_batch(queries))
     else:
-        if execute_batch is None:
-            owner = getattr(execute, "__self__", None)
-            if (
-                isinstance(owner, QueryEngine)
-                and getattr(execute, "__func__", None)
-                is QueryEngine.execute
-            ):
-                execute_batch = owner.execute_batch
-        if execute_batch is not None:
-            results = list(execute_batch(queries))
-        else:
-            results = [execute(query) for query in queries]
+        results = [execute(query) for query in queries]
 
     errors: List[float] = []
     ratios: List[float] = []

@@ -13,8 +13,9 @@ query pipeline:
   no-op :data:`NULL_INSTRUMENTATION`);
 - :mod:`repro.obs.logging` — shared stdlib-logging setup with
   ``key=value`` structured extras;
-- :mod:`repro.obs.timeseries` — :class:`TimeSeriesRecorder`, sampling
-  a registry into aligned fixed-capacity ring-buffer windows;
+- :mod:`repro.obs.timeseries` — :class:`TimeSeriesRecorder`, a ring
+  of cumulative registry snapshots that rates, quantiles, SLO windows
+  and sensor health are all views over;
 - :mod:`repro.obs.slo` — declarative :class:`SLO` objects with
   error-budget/burn-rate evaluation and the :class:`AlertLog`;
 - :mod:`repro.obs.health` — per-sensor health scoring and fleet
@@ -52,12 +53,10 @@ from .slo import (
     Alert,
     AlertLog,
     AvailabilitySLO,
-    ContainmentSLO,
-    LatencySLO,
     SLO,
     SLOStatus,
+    ThresholdSLO,
     default_slos,
-    evaluate_slos,
 )
 from .timeseries import Sample, SeriesWindow, TimeSeriesRecorder
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
@@ -66,7 +65,6 @@ __all__ = [
     "Alert",
     "AlertLog",
     "AvailabilitySLO",
-    "ContainmentSLO",
     "Counter",
     "DEFAULT_BUCKETS",
     "FleetHealth",
@@ -74,7 +72,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Instrumentation",
-    "LatencySLO",
     "MetricsRegistry",
     "NULL_INSTRUMENTATION",
     "NULL_TRACER",
@@ -87,12 +84,12 @@ __all__ = [
     "SensorHealth",
     "SeriesWindow",
     "Span",
+    "ThresholdSLO",
     "TimeSeriesRecorder",
     "Tracer",
     "build_explain",
     "configure_logging",
     "default_slos",
-    "evaluate_slos",
     "fleet_health",
     "get_logger",
     "get_registry",

@@ -30,13 +30,12 @@ from .health import FleetHealth
 from .slo import Alert, SLOStatus
 from .timeseries import SeriesWindow, TimeSeriesRecorder
 
-#: Scatter-gather stage-breakdown sparklines (flat histogram names as
-#: the recorder samples them); silently skipped when the sharded
-#: engine never ran.
+#: Scatter-gather stage-breakdown sparklines (one registry key per
+#: stage); silently skipped when the sharded engine never ran.
 STAGE_PANELS = tuple(
     (
         f"{stage} p95 (s)",
-        f'repro_sharded_stage_seconds{{stage="{stage}"}}',
+        ("repro_sharded_stage_seconds", (("stage", stage),)),
         "quantile",
         0.95,
     )
@@ -55,7 +54,8 @@ STREAM_PANELS = (
 )
 
 #: Sparklines rendered when their metric exists, in display order:
-#: (title, metric, kind, quantile-or-None).
+#: ``(title, metric, kind, quantile-or-None)``, the arguments of one
+#: :meth:`TimeSeriesRecorder.series` call.
 DEFAULT_PANELS = (
     ("queries/s", "repro_queries_total", "rate", None),
     ("misses/s", "repro_query_misses_total", "rate", None),
@@ -273,16 +273,11 @@ def render_dashboard(
 
     sparkline_cards = []
     for label, metric, kind, q in panels:
-        if kind == "rate":
-            series = recorder.rate_series(metric)
-        elif kind == "gauge":
-            series = recorder.gauge_series(metric)
-        else:
-            series = recorder.quantile_series(metric, q)
-        if all(v is None for v in series.values):
-            continue
+        series = recorder.series(metric, kind, q)
         last = series.last
-        last_txt = "-" if last is None else f"{last:.4g}"
+        if last is None:
+            continue
+        last_txt = f"{last:.4g}"
         sparkline_cards.append(
             '<div class="panel">'
             f'<div class="title">{html.escape(label)}</div>'

@@ -15,17 +15,19 @@ labeled ``sensor="<id>"``.  This module folds those counters into one
   or ``"idle"`` (never contacted — a sensor the workload and probes
   did not reach says nothing about its health).
 
-:func:`fleet_health` rolls the fleet up (counts per status, mean
-score, worst offenders) and formats the report the ``repro monitor``
-CLI prints and the dashboard renders as the sensor heatmap.
+:func:`fleet_health` reads those counters off a
+:class:`~repro.obs.TimeSeriesRecorder`'s latest tick — the tick the
+SLOs and sparklines read too — and rolls the fleet up (counts per
+status, mean score, worst offenders) into the report the ``repro
+monitor`` CLI prints and the dashboard renders as the sensor heatmap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from .metrics import MetricsRegistry, get_registry
+from .timeseries import TimeSeriesRecorder
 
 #: Score below which a responding sensor is reported ``degraded``.
 DEGRADED_THRESHOLD = 0.8
@@ -75,17 +77,7 @@ class SensorHealth:
         return "healthy"
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "sensor": self.sensor,
-            "attempts": self.attempts,
-            "acks": self.acks,
-            "drops": self.drops,
-            "retries": self.retries,
-            "detours": self.detours,
-            "latency": self.latency,
-            "score": self.score,
-            "status": self.status,
-        }
+        return {**asdict(self), "score": self.score, "status": self.status}
 
 
 @dataclass(frozen=True)
@@ -154,51 +146,33 @@ class FleetHealth:
         }
 
 
-def collect_sensor_stats(
-    registry: Optional[MetricsRegistry] = None,
-) -> Dict[int, Dict[str, float]]:
-    """Raw per-sensor telemetry from a registry's labeled counters."""
-    registry = registry if registry is not None else get_registry()
-    wanted = {name: key for key, name in SENSOR_METRICS.items()}
-    stats: Dict[int, Dict[str, float]] = {}
-    for name, labels, counter in registry.iter_counters():
-        key = wanted.get(name)
-        if key is None or "sensor" not in labels:
-            continue
-        try:
-            sensor = int(labels["sensor"])
-        except ValueError:
-            continue
-        stats.setdefault(sensor, {})[key] = counter.value
-    return stats
-
-
 def fleet_health(
-    registry: Optional[MetricsRegistry] = None,
+    recorder: TimeSeriesRecorder,
     known_sensors: Optional[Iterable[int]] = None,
 ) -> FleetHealth:
-    """Fold per-sensor counters into a :class:`FleetHealth`.
+    """Fold the per-sensor counters of the recorder's latest tick into a
+    :class:`FleetHealth` (an empty fleet before the first tick).
 
     ``known_sensors`` (e.g. a deployed network's sensor set) adds
     never-contacted sensors as ``idle`` rows so the rollup covers the
     whole fleet, not just the sensors queries happened to touch.
     """
-    stats = collect_sensor_stats(registry)
-    universe = set(stats)
-    if known_sensors is not None:
-        universe.update(int(s) for s in known_sensors)
-    rows: List[SensorHealth] = []
-    for sensor in sorted(universe):
-        values = stats.get(sensor, {})
-        rows.append(
+    fields = {name: field for field, name in SENSOR_METRICS.items()}
+    stats: Dict[int, Dict[str, float]] = {}
+    latest = recorder.latest
+    for (name, labels), value in latest.counters.items() if latest else ():
+        sensor = dict(labels).get("sensor", "")
+        if name in fields and sensor.isdecimal():
+            stats.setdefault(int(sensor), {})[fields[name]] = value
+    for sensor in known_sensors or ():
+        stats.setdefault(int(sensor), {})
+    return FleetHealth(
+        sensors=tuple(
             SensorHealth(
                 sensor=sensor,
-                attempts=int(values.get("attempts", 0)),
-                acks=int(values.get("acks", 0)),
-                drops=int(values.get("drops", 0)),
-                retries=int(values.get("retries", 0)),
-                detours=int(values.get("detours", 0)),
-                latency=float(values.get("latency", 0.0)),
+                latency=float(values.pop("latency", 0.0)),
+                **{field: int(value) for field, value in values.items()},
             )
+            for sensor, values in sorted(stats.items())
         )
-    return FleetHealth(sensors=tuple(rows))
+    )

@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
+from itertools import accumulate
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -110,36 +111,41 @@ class Histogram:
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at +Inf."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for upper, count in zip(self.uppers, self.counts):
-            running += count
-            out.append((upper, running))
-        out.append((math.inf, running + self.counts[-1]))
-        return out
+        return list(zip(self.uppers + (math.inf,), accumulate(self.counts)))
 
     def quantile(self, q: float) -> float:
-        """The ``q``-quantile estimated by linear interpolation within
-        buckets (the ``histogram_quantile`` convention).
+        """The ``q``-quantile of the observations (:func:`bucket_quantile`)."""
+        return bucket_quantile(q, self.uppers, tuple(accumulate(self.counts)))
 
-        Observations landing in the overflow bucket clamp to the top
-        finite bound — the histogram does not know how far past it they
-        went.  Returns NaN for an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        if self.count == 0 or not self.uppers:
-            return math.nan
-        target = q * self.count
-        running = 0
-        for i, upper in enumerate(self.uppers):
-            in_bucket = self.counts[i]
-            if in_bucket and running + in_bucket >= target:
-                lower = self.uppers[i - 1] if i > 0 else min(0.0, upper)
-                fraction = (target - running) / in_bucket
-                return lower + (upper - lower) * fraction
-            running += in_bucket
-        return self.uppers[-1]
+
+def bucket_quantile(
+    q: float, uppers: Sequence[float], cumulative: Sequence[int]
+) -> float:
+    """The ``q``-quantile of a histogram given as cumulative bucket
+    counts (one per upper bound, then the +Inf overflow slot), by linear
+    interpolation within the bucket it falls in (the
+    ``histogram_quantile`` convention).
+
+    Observations landing in the overflow bucket clamp to the top finite
+    bound — the histogram does not know how far past it they went.
+    Returns NaN for an empty histogram.  The one interpolation rule:
+    :meth:`Histogram.quantile` and the recorder's quantile view both
+    call it.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
+    if not uppers or not cumulative[-1]:
+        return math.nan
+    target = q * cumulative[-1]
+    running = 0
+    for i, upper in enumerate(uppers):
+        reached = cumulative[i]
+        if reached > running and reached >= target:
+            lower = uppers[i - 1] if i else min(0.0, upper)
+            fraction = (target - running) / (reached - running)
+            return lower + (upper - lower) * fraction
+        running = reached
+    return uppers[-1]
 
 
 class MetricsRegistry:
@@ -206,18 +212,6 @@ class MetricsRegistry:
         """``(name, labels, instrument)`` for every counter, sorted."""
         for (name, labels), counter in sorted(self._counters.items()):
             yield name, dict(labels), counter
-
-    def iter_gauges(self) -> Iterator[Tuple[str, Dict[str, str], Gauge]]:
-        """``(name, labels, instrument)`` for every gauge, sorted."""
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            yield name, dict(labels), gauge
-
-    def iter_histograms(
-        self,
-    ) -> Iterator[Tuple[str, Dict[str, str], Histogram]]:
-        """``(name, labels, instrument)`` for every histogram, sorted."""
-        for (name, labels), hist in sorted(self._histograms.items()):
-            yield name, dict(labels), hist
 
     # ------------------------------------------------------------------
     # Structured dumps and cross-process merging

@@ -13,15 +13,15 @@ an :class:`SLOStatus` carrying the standard error-budget arithmetic:
   is burning budget faster than the objective allows (the Google
   SRE-workbook multi-window burn-rate number).
 
-Three concrete shapes cover the monitor's needs:
+Two shapes cover the monitor's needs:
 
 - :class:`AvailabilitySLO` — counter-ratio goodness (bad counters over
   a total counter; misses + degraded queries by default);
-- :class:`LatencySLO` — histogram-threshold goodness (observations at
-  or under a latency threshold, by cumulative bucket delta);
-- :class:`ContainmentSLO` — histogram-threshold goodness over the
-  degradation-share histogram (a degraded dispatch is good when the
-  skipped share of its boundary chain stays under the cap).
+- :class:`ThresholdSLO` — histogram-threshold goodness: observations at
+  or under a threshold, by cumulative bucket delta.  The monitor runs
+  it twice: over query latency, and over the degradation-share
+  histogram (a degraded dispatch is good when the skipped share of its
+  boundary chain stays under the cap).
 
 :class:`AlertLog` watches a stream of statuses and records threshold
 *crossings* (breach and recovery), not levels — the monitor prints it
@@ -30,7 +30,7 @@ and the dashboard renders it as the incident timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .timeseries import TimeSeriesRecorder
@@ -82,19 +82,9 @@ class SLOStatus:
         return self.budget_used / self.error_budget
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "objective": self.objective,
-            "window_s": self.window_s,
-            "good": self.good,
-            "total": self.total,
-            "compliance": self.compliance,
-            "ok": self.ok,
-            "error_budget": self.error_budget,
-            "budget_used": self.budget_used,
-            "burn_rate": self.burn_rate,
-            "description": self.description,
-        }
+        derived = ("compliance", "ok", "error_budget", "budget_used",
+                   "burn_rate")
+        return {**asdict(self), **{k: getattr(self, k) for k in derived}}
 
 
 @dataclass(frozen=True)
@@ -153,27 +143,11 @@ class AvailabilitySLO(SLO):
 
 
 @dataclass(frozen=True)
-class LatencySLO(SLO):
+class ThresholdSLO(SLO):
     """Histogram-threshold goodness: observations ``<= threshold``."""
 
     histogram: str = "repro_query_latency_seconds"
     threshold: float = 2e-3
-
-    def good_total(
-        self, recorder: TimeSeriesRecorder, window_s: Optional[float]
-    ) -> Tuple[float, float]:
-        return recorder.threshold_fraction(
-            self.histogram, self.threshold, window_s
-        )
-
-
-@dataclass(frozen=True)
-class ContainmentSLO(SLO):
-    """Degradation-bound containment: degraded dispatches whose lost
-    boundary share stayed at or under the cap."""
-
-    histogram: str = "repro_query_degradation"
-    threshold: float = 0.1
 
     def good_total(
         self, recorder: TimeSeriesRecorder, window_s: Optional[float]
@@ -198,28 +172,21 @@ def default_slos(
             description="queries answered exactly (no miss, no "
             "fault degradation)",
         ),
-        LatencySLO(
+        ThresholdSLO(
             name="latency",
             objective=latency_objective,
             threshold=latency_threshold,
             description=f"query latency <= {latency_threshold * 1e3:g}ms",
         ),
-        ContainmentSLO(
+        ThresholdSLO(
             name="containment",
             objective=containment_objective,
+            histogram="repro_query_degradation",
             threshold=containment_cap,
             description="degraded dispatches losing <= "
             f"{containment_cap:.0%} of their boundary chain",
         ),
     )
-
-
-def evaluate_slos(
-    slos: Sequence[SLO],
-    recorder: TimeSeriesRecorder,
-    window_s: Optional[float] = None,
-) -> List[SLOStatus]:
-    return [slo.evaluate(recorder, window_s) for slo in slos]
 
 
 @dataclass(frozen=True)

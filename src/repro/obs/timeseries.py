@@ -1,29 +1,29 @@
-"""Time-series sampling of a metrics registry into ring-buffer windows.
+"""Time-series sampling of a metrics registry into a ring of snapshots.
 
 The :class:`~repro.obs.MetricsRegistry` is a point-in-time snapshot:
 it can say "14 queries have missed" but not "misses started climbing
 when sensors began crashing".  :class:`TimeSeriesRecorder` closes that
-gap by periodically *sampling* a registry into fixed-capacity ring
-buffers — one aligned :class:`Sample` per tick, holding
+gap by periodically *sampling* a registry into a fixed-capacity ring of
+:class:`Sample` ticks.  A tick stores cumulative state only — counter
+totals, gauge values, and each histogram's cumulative buckets, count
+and sum — keyed by the registry's own ``(name, labels)`` keys.
 
-- **counter rates** — the per-second delta of every counter since the
-  previous tick (and the raw cumulative totals, which the SLO layer
-  differences over arbitrary windows);
-- **gauge last-values**;
-- **histogram quantiles** — :meth:`Histogram.quantile` at the
-  configured points (p50/p95/p99 by default), plus the cumulative
-  bucket counts so windowed threshold fractions stay computable.
+Every derived number is a view over that ring, computed when read:
 
-All series share the recorder's tick timestamps ("aligned multi-series
-snapshots"): a metric that first appears mid-run reads as ``None`` for
-the ticks before its birth.  The ring buffer (``deque(maxlen=...)``)
-bounds memory regardless of run length; :meth:`to_json` exports the
-whole window as a JSON-safe dict for results files and the HTML
-dashboard.
+- :meth:`TimeSeriesRecorder.series` — one metric over the ticks, as a
+  rate (Δtotal/Δt between neighbouring ticks), a total, a gauge value
+  or a histogram quantile (:func:`~repro.obs.metrics.bucket_quantile`,
+  the rule :meth:`Histogram.quantile` uses too);
+- :meth:`~TimeSeriesRecorder.delta` and
+  :meth:`~TimeSeriesRecorder.threshold_fraction` — counter increase and
+  histogram good/total over the trailing :meth:`~TimeSeriesRecorder.window`
+  (the SLO layer's inputs).
 
-Sampling cost is one pass over the registry's instruments per tick —
-independent of how many events/queries ran between ticks
-(``tests/test_telemetry.py`` counts the entries a tick visits).
+A metric that first appears mid-run reads as ``None`` for the ticks
+before its birth.  The ring (``deque(maxlen=...)``) bounds memory
+regardless of run length; :meth:`~TimeSeriesRecorder.to_json` exports
+the whole window as JSON-safe aligned arrays.  A tick reads one entry
+per instrument, however many events or queries ran between ticks.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import bisect
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (
     Any,
     Callable,
@@ -39,48 +40,56 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
-from .metrics import MetricsRegistry, _flat_name, get_registry
+from .metrics import (
+    LabelKey,
+    MetricsRegistry,
+    _flat_name,
+    bucket_quantile,
+    get_registry,
+)
 
-#: Quantile points sampled from every histogram by default.
+#: Quantile points :meth:`TimeSeriesRecorder.to_json` exports per
+#: histogram.
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
 #: Default ring capacity: at one sample per second this holds the last
 #: four minutes; at the monitor's per-round cadence, the whole run.
 DEFAULT_CAPACITY = 240
 
+#: A registry key: ``(name, labels)``.
+Key = Tuple[str, LabelKey]
 
-def base_name(flat: str) -> str:
-    """The metric name of a flat ``name{labels}`` series key."""
-    brace = flat.find("{")
-    return flat if brace < 0 else flat[:brace]
+#: A metric name (every label set of it, summed) or one registry key.
+Metric = Union[str, Key]
+
+
+class HistState(NamedTuple):
+    """One histogram's cumulative state at a tick."""
+
+    #: Bucket upper bounds (the instrument's own tuple, not a copy).
+    uppers: Tuple[float, ...]
+    #: Cumulative count at each bound, then the +Inf overflow slot.
+    buckets: Tuple[int, ...]
+    count: int
+    sum: float
 
 
 @dataclass(frozen=True)
 class Sample:
-    """One aligned tick: every instrument's value at the same instant."""
+    """One aligned tick: every instrument's cumulative state."""
 
     #: Tick time on the recorder's clock (monotonic seconds).
     t: float
-    #: Seconds since the previous tick (0.0 on the first).
-    dt: float
-    #: Counter flat-name → per-second rate over the last tick interval.
-    rates: Mapping[str, float] = field(default_factory=dict)
-    #: Counter flat-name → cumulative value at this tick.
-    totals: Mapping[str, float] = field(default_factory=dict)
-    #: Gauge flat-name → last value.
-    gauges: Mapping[str, float] = field(default_factory=dict)
-    #: ``"flat:p95"`` → histogram quantile at this tick.
-    quantiles: Mapping[str, float] = field(default_factory=dict)
-    #: Histogram flat-name → cumulative per-bucket counts (incl. the
-    #: +Inf overflow slot), for windowed threshold fractions.
-    hist_buckets: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-    #: Histogram flat-name → (cumulative count, cumulative sum).
-    hist_counts: Mapping[str, Tuple[int, float]] = field(default_factory=dict)
+    counters: Mapping[Key, float] = field(default_factory=dict)
+    gauges: Mapping[Key, float] = field(default_factory=dict)
+    histograms: Mapping[Key, HistState] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,42 @@ class SeriesWindow:
         return None
 
 
+def _select(mapping: Mapping[Key, Any], metric: Metric) -> Dict[Key, Any]:
+    """The entries of one tick that ``metric`` names."""
+    if isinstance(metric, tuple):
+        return {metric: mapping[metric]} if metric in mapping else {}
+    return {key: value for key, value in mapping.items() if key[0] == metric}
+
+
+def _view(
+    sample: Sample,
+    previous: Optional[Sample],
+    metric: Metric,
+    kind: str,
+    q: Optional[float],
+) -> Optional[float]:
+    """One tick's value of :meth:`TimeSeriesRecorder.series`."""
+    if kind == "quantile":
+        hists = list(_select(sample.histograms, metric).values())
+        if not hists:
+            return None
+        merged = [sum(column) for column in zip(*(h.buckets for h in hists))]
+        return bucket_quantile(q, hists[0].uppers, merged)
+    family = sample.gauges if kind == "gauge" else sample.counters
+    found = _select(family, metric)
+    if not found:
+        return None
+    value = sum(found.values())
+    if kind != "rate":
+        return value
+    if previous is None or sample.t <= previous.t:
+        return 0.0
+    before = sum(_select(previous.counters, metric).values())
+    return (value - before) / (sample.t - previous.t)
+
+
 class TimeSeriesRecorder:
-    """Samples a :class:`MetricsRegistry` into aligned ring buffers."""
+    """Samples a :class:`MetricsRegistry` into a ring of snapshots."""
 
     def __init__(
         self,
@@ -117,90 +160,27 @@ class TimeSeriesRecorder:
         self.quantiles = tuple(quantiles)
         self.clock = clock
         self._samples: Deque[Sample] = deque(maxlen=capacity)
-        #: Histogram flat-name → bucket upper bounds (for thresholds).
-        self._hist_uppers: Dict[str, Tuple[float, ...]] = {}
-        #: Cached ``(flat_name, instrument)`` views of the registry,
-        #: rebuilt only when an instrument family grows — flat-name
-        #: formatting and sort order are paid per new instrument, not
-        #: per tick (the ≤5% sampling-overhead budget).
-        self._view_sizes: Tuple[int, int, int] = (-1, -1, -1)
-        self._counter_view: List[Tuple[str, Any]] = []
-        self._gauge_view: List[Tuple[str, Any]] = []
-        self._hist_view: List[Tuple[str, Any]] = []
 
-    def _refresh_views(self) -> None:
-        """Sync the flat-name views with the registry's instruments."""
-        registry = self.registry
-        families = (
-            registry._counters, registry._gauges, registry._histograms
-        )
-        sizes = tuple(len(family) for family in families)
-        if sizes != self._view_sizes:
-            self._counter_view, self._gauge_view, self._hist_view = (
-                [
-                    (_flat_name(name, key), instrument)
-                    for (name, key), instrument in sorted(family.items())
-                ]
-                for family in families
-            )
-            self._view_sizes = sizes
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
     def sample(self, now: Optional[float] = None) -> Sample:
         """Take one aligned snapshot of every instrument."""
-        t = self.clock() if now is None else now
-        previous = self._samples[-1] if self._samples else None
-        dt = (t - previous.t) if previous is not None else 0.0
-
-        self._refresh_views()
-        totals: Dict[str, float] = {
-            flat: counter.value for flat, counter in self._counter_view
-        }
-        if previous is not None and dt > 0:
-            before = previous.totals
-            rates = {
-                flat: (value - before.get(flat, 0.0)) / dt
-                for flat, value in totals.items()
-            }
-        else:
-            rates = dict.fromkeys(totals, 0.0)
-
-        gauges = {flat: gauge.value for flat, gauge in self._gauge_view}
-
-        quantile_values: Dict[str, float] = {}
-        hist_buckets: Dict[str, Tuple[int, ...]] = {}
-        hist_counts: Dict[str, Tuple[int, float]] = {}
-        q_labels = [f":p{_q_label(q)}" for q in self.quantiles]
-        for flat, hist in self._hist_view:
-            self._hist_uppers.setdefault(flat, tuple(hist.uppers))
-            for q, suffix in zip(self.quantiles, q_labels):
-                quantile_values[flat + suffix] = hist.quantile(q)
-            running = 0
-            cumulative: List[int] = []
-            for count in hist.counts:
-                running += count
-                cumulative.append(running)
-            hist_buckets[flat] = tuple(cumulative)
-            hist_counts[flat] = (hist.count, hist.sum)
-
+        registry = self.registry
         taken = Sample(
-            t=t,
-            dt=dt,
-            rates=rates,
-            totals=totals,
-            gauges=gauges,
-            quantiles=quantile_values,
-            hist_buckets=hist_buckets,
-            hist_counts=hist_counts,
+            t=self.clock() if now is None else now,
+            counters={k: c.value for k, c in registry._counters.items()},
+            gauges={k: g.value for k, g in registry._gauges.items()},
+            histograms={
+                key: HistState(
+                    hist.uppers,
+                    tuple(accumulate(hist.counts)),
+                    hist.count,
+                    hist.sum,
+                )
+                for key, hist in registry._histograms.items()
+            },
         )
         self._samples.append(taken)
         return taken
 
-    # ------------------------------------------------------------------
-    # Window access
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._samples)
 
@@ -212,7 +192,37 @@ class TimeSeriesRecorder:
     def latest(self) -> Optional[Sample]:
         return self._samples[-1] if self._samples else None
 
-    def window_bounds(
+    # ------------------------------------------------------------------
+    # Views
+    # ------------------------------------------------------------------
+    def series(
+        self, metric: Metric, kind: str, q: Optional[float] = None
+    ) -> SeriesWindow:
+        """``metric`` at every tick, as ``kind``:
+
+        - ``"rate"`` — per-second counter increase since the previous
+          tick (0.0 on the first);
+        - ``"total"`` — cumulative counter value;
+        - ``"gauge"`` — gauge value;
+        - ``"quantile"`` — the ``q``-quantile of the histogram.
+
+        A metric name sums its label sets (merges their buckets, for a
+        quantile); a ``(name, labels)`` key selects one instrument.
+        """
+        if kind not in ("rate", "total", "gauge", "quantile"):
+            raise ValueError(f"unknown series kind {kind!r}")
+        values: List[Optional[float]] = []
+        previous: Optional[Sample] = None
+        for sample in self._samples:
+            values.append(_view(sample, previous, metric, kind, q))
+            previous = sample
+        return SeriesWindow(
+            name=metric if isinstance(metric, str) else _flat_name(*metric),
+            times=tuple(sample.t for sample in self._samples),
+            values=tuple(values),
+        )
+
+    def window(
         self, window_s: Optional[float] = None
     ) -> Tuple[Optional[Sample], Optional[Sample]]:
         """``(base, last)`` samples spanning the trailing window.
@@ -225,72 +235,29 @@ class TimeSeriesRecorder:
         if not self._samples:
             return None, None
         last = self._samples[-1]
-        if window_s is None:
-            return self._samples[0], last
-        cutoff = last.t - window_s
         base = self._samples[0]
-        for candidate in self._samples:
-            if candidate.t <= cutoff:
+        if window_s is not None:
+            for candidate in self._samples:
+                if candidate.t > last.t - window_s:
+                    break
                 base = candidate
-            else:
-                break
         return base, last
 
-    def _extract(
-        self, field_name: str, key: str
-    ) -> SeriesWindow:
-        times = tuple(sample.t for sample in self._samples)
-        values = tuple(
-            getattr(sample, field_name).get(key) for sample in self._samples
-        )
-        return SeriesWindow(name=key, times=times, values=values)
-
-    def rate_series(self, metric: str) -> SeriesWindow:
-        """Per-second rate of a counter, summed across its label sets."""
-        return self._aggregate("rates", metric)
-
-    def total_series(self, metric: str) -> SeriesWindow:
-        """Cumulative counter values, summed across label sets."""
-        return self._aggregate("totals", metric)
-
-    def gauge_series(self, flat: str) -> SeriesWindow:
-        """Last-value series of one gauge (exact flat name)."""
-        return self._extract("gauges", flat)
-
-    def quantile_series(self, metric: str, q: float) -> SeriesWindow:
-        """One histogram quantile over time (exact flat name)."""
-        return self._extract("quantiles", f"{metric}:p{_q_label(q)}")
-
-    def _aggregate(self, field_name: str, metric: str) -> SeriesWindow:
-        times = tuple(sample.t for sample in self._samples)
-        values: List[Optional[float]] = []
-        for sample in self._samples:
-            mapping = getattr(sample, field_name)
-            matched = [
-                value
-                for flat, value in mapping.items()
-                if base_name(flat) == metric
-            ]
-            values.append(sum(matched) if matched else None)
-        return SeriesWindow(name=metric, times=times, values=tuple(values))
-
-    # ------------------------------------------------------------------
-    # Windowed aggregates (the SLO layer's inputs)
-    # ------------------------------------------------------------------
-    def delta(self, metric: str, window_s: Optional[float] = None) -> float:
+    def delta(
+        self, metric: Metric, window_s: Optional[float] = None
+    ) -> float:
         """Counter increase over the window, summed across label sets."""
-        base, last = self.window_bounds(window_s)
-        if base is None or last is None:
+        base, last = self.window(window_s)
+        if base is None:
             return 0.0
-        total = 0.0
-        for flat, value in last.totals.items():
-            if base_name(flat) == metric:
-                total += value - base.totals.get(flat, 0.0)
-        return total
+        return float(
+            sum(_select(last.counters, metric).values())
+            - sum(_select(base.counters, metric).values())
+        )
 
     def threshold_fraction(
         self,
-        metric: str,
+        metric: Metric,
         threshold: float,
         window_s: Optional[float] = None,
     ) -> Tuple[float, float]:
@@ -299,58 +266,56 @@ class TimeSeriesRecorder:
         summed across label sets.  ``good`` conservatively counts an
         observation as good only when its whole bucket is under the
         threshold."""
-        base, last = self.window_bounds(window_s)
-        if base is None or last is None:
-            return 0.0, 0.0
-        good = 0.0
-        total = 0.0
-        for flat, buckets in last.hist_buckets.items():
-            if base_name(flat) != metric:
-                continue
-            uppers = self._hist_uppers.get(flat, ())
-            base_buckets = base.hist_buckets.get(flat, (0,) * len(buckets))
-            count_now = last.hist_counts[flat][0]
-            count_before = (
-                base.hist_counts[flat][0] if flat in base.hist_counts else 0
-            )
-            total += count_now - count_before
-            # Cumulative count at the last bucket whose upper bound is
-            # within the threshold.
-            idx = bisect.bisect_right(uppers, threshold) - 1
+        base, last = self.window(window_s)
+        good = total = 0.0
+        if base is None:
+            return good, total
+        for key, state in _select(last.histograms, metric).items():
+            before = base.histograms.get(key)
+            total += state.count - (before.count if before else 0)
+            # The last bucket whose upper bound is within the threshold.
+            idx = bisect.bisect_right(state.uppers, threshold) - 1
             if idx >= 0:
-                good += buckets[idx] - base_buckets[idx]
+                good += state.buckets[idx] - (
+                    before.buckets[idx] if before else 0
+                )
         return good, total
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        """The whole ring as a JSON-safe dict of aligned arrays."""
-        times = [sample.t for sample in self._samples]
+        """The whole ring as a JSON-safe dict of aligned arrays: every
+        counter as a rate, every gauge, and every histogram at the
+        recorder's quantile points."""
         series: Dict[str, Dict[str, Any]] = {}
 
-        def put(kind: str, field_name: str) -> None:
-            keys: set = set()
-            for sample in self._samples:
-                keys.update(getattr(sample, field_name).keys())
-            for key in sorted(keys):
-                series[key] = {
-                    "kind": kind,
-                    "values": [
-                        _json_scalar(getattr(sample, field_name).get(key))
-                        for sample in self._samples
-                    ],
-                }
+        def put(name: str, kind: str, key: Key, view: str, q=None) -> None:
+            values = self.series(key, view, q).values
+            series[name] = {
+                "kind": kind,
+                "values": [_json_scalar(value) for value in values],
+            }
 
-        put("counter_rate", "rates")
-        put("gauge", "gauges")
-        put("histogram_quantile", "quantiles")
+        for key in self._keys("counters"):
+            put(_flat_name(*key), "counter_rate", key, "rate")
+        for key in self._keys("gauges"):
+            put(_flat_name(*key), "gauge", key, "gauge")
+        for key in self._keys("histograms"):
+            for q in self.quantiles:
+                name = f"{_flat_name(*key)}:p{_q_label(q)}"
+                put(name, "histogram_quantile", key, "quantile", q)
         return {
             "capacity": self.capacity,
             "samples": len(self._samples),
-            "times": times,
+            "times": [sample.t for sample in self._samples],
             "series": series,
         }
+
+    def _keys(self, family: str) -> List[Key]:
+        """Every key of one instrument family in the ring, by flat name."""
+        keys = {key for tick in self._samples for key in getattr(tick, family)}
+        return sorted(keys, key=lambda key: _flat_name(*key))
 
 
 def _q_label(q: float) -> str:

@@ -568,16 +568,14 @@ class TestStorageReports:
             MetricsRegistry,
             TimeSeriesRecorder,
             default_slos,
-            evaluate_slos,
             fleet_health,
         )
         from repro.obs.dashboard import render_dashboard
 
-        registry = MetricsRegistry()
-        recorder = TimeSeriesRecorder(registry)
+        recorder = TimeSeriesRecorder(MetricsRegistry())
         recorder.sample()
-        statuses = evaluate_slos(default_slos(), recorder)
-        health = fleet_health(registry)
+        statuses = [slo.evaluate(recorder) for slo in default_slos()]
+        health = fleet_health(recorder)
         storage = {
             "stores": [compressed.storage_report()],
             "total_bytes": compressed.storage_report()["total_bytes"],

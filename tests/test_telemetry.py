@@ -13,32 +13,36 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import BBox
 from repro.network import FaultConfig, FaultInjector
 from repro.obs import (
     AlertLog,
     AvailabilitySLO,
-    LatencySLO,
     MetricsRegistry,
     SLOStatus,
     SensorHealth,
+    ThresholdSLO,
     TimeSeriesRecorder,
     build_explain,
     default_slos,
-    evaluate_slos,
     fleet_health,
     use_registry,
 )
 from repro.obs.dashboard import render_dashboard
-from repro.obs.health import (
-    DEGRADED_THRESHOLD,
-    FAILED_MIN_ATTEMPTS,
-    collect_sensor_stats,
-)
+from repro.obs.health import DEGRADED_THRESHOLD, FAILED_MIN_ATTEMPTS
 from repro.query import QueryEngine, RangeQuery
+
+#: The ``repro monitor --json`` contract — ``(series key, kind)`` pairs,
+#: SLO fields and health keys of one seeded run — recorded when the
+#: recorder still stored rates and quantiles per tick, so views computed
+#: at read time are held to the same output.
+CONTRACT = Path(__file__).parent / "data" / "monitor_contract.json"
 
 
 class _ManualClock:
@@ -56,6 +60,11 @@ def clock() -> _ManualClock:
     return _ManualClock()
 
 
+#: Bucket bounds and quantile points of the generated-view property.
+_BOUNDS = (1.0, 5.0, 10.0, 50.0, 100.0)
+_QS = (0.0, 0.5, 0.95, 0.99, 1.0)
+
+
 # ----------------------------------------------------------------------
 # Time-series recorder
 # ----------------------------------------------------------------------
@@ -69,12 +78,10 @@ class TestTimeSeriesRecorder:
         clock.t = 2.0
         counter.inc(6)
         second = recorder.sample()
-        # First tick has no interval: rate 0, totals absolute.
-        assert first.rates["c_total"] == 0.0
-        assert first.totals["c_total"] == 4
-        assert second.dt == 2.0
-        assert second.rates["c_total"] == pytest.approx(3.0)
-        assert second.totals["c_total"] == 10
+        # A tick stores totals; the first tick has no interval: rate 0.
+        assert first.counters[("c_total", ())] == 4
+        assert second.counters[("c_total", ())] == 10
+        assert recorder.series("c_total", "rate").values == (0.0, 3.0)
 
     def test_gauges_and_quantiles_sampled(self, clock):
         registry = MetricsRegistry()
@@ -84,11 +91,15 @@ class TestTimeSeriesRecorder:
         for value in (0.5, 0.6, 5.0, 5.0):
             hist.observe(value)
         sample = recorder.sample()
-        assert sample.gauges["g"] == 7.5
-        assert set(sample.quantiles) == {"h:p50", "h:p95", "h:p99"}
-        assert sample.hist_counts["h"] == (4, pytest.approx(11.1))
+        assert sample.gauges[("g", ())] == 7.5
+        state = sample.histograms[("h", ())]
         # Cumulative buckets include the +Inf overflow slot.
-        assert sample.hist_buckets["h"] == (2, 4, 4)
+        assert state.buckets == (2, 4, 4)
+        assert (state.count, state.sum) == (4, pytest.approx(11.1))
+        for q in recorder.quantiles:
+            assert recorder.series("h", "quantile", q).values == (
+                hist.quantile(q),
+            )
 
     def test_metric_born_mid_run_reads_none_before_birth(self, clock):
         registry = MetricsRegistry()
@@ -97,9 +108,10 @@ class TestTimeSeriesRecorder:
         clock.t = 1.0
         registry.counter("late_total").inc()
         recorder.sample()
-        series = recorder.total_series("late_total")
+        series = recorder.series("late_total", "total")
         assert series.values == (None, 1.0)
         assert series.last == 1.0
+        assert recorder.series("late_total", "rate").values == (None, 1.0)
 
     def test_rate_series_sums_across_label_sets(self, clock):
         registry = MetricsRegistry()
@@ -110,10 +122,18 @@ class TestTimeSeriesRecorder:
         clock.t = 1.0
         registry.counter("c_total", kind="a").inc(5)
         recorder.sample()
-        assert recorder.total_series("c_total").values == (5.0, 10.0)
-        assert recorder.rate_series("c_total").values[-1] == pytest.approx(
-            5.0
-        )
+        assert recorder.series("c_total", "total").values == (5.0, 10.0)
+        assert recorder.series("c_total", "rate").values[-1] == 5.0
+        # A registry key selects one label set.
+        one = recorder.series(("c_total", (("kind", "b"),)), "total")
+        assert one.name == 'c_total{kind="b"}'
+        assert one.values == (3.0, 3.0)
+
+    def test_unknown_series_kind_is_rejected(self, clock):
+        with pytest.raises(ValueError):
+            TimeSeriesRecorder(MetricsRegistry(), clock=clock).series(
+                "c_total", "p95"
+            )
 
     def test_ring_buffer_wraps_at_capacity(self, clock):
         registry = MetricsRegistry()
@@ -175,48 +195,89 @@ class TestTimeSeriesRecorder:
     def test_tick_cost_is_the_instrument_count_not_the_traffic(
         self, clock, sampled_net, sampled_form, workload
     ):
-        """Queries that register no new instrument leave the cached
-        views in place, and a tick reads one entry per instrument."""
+        """A tick reads one entry per instrument, keyed by the
+        registry's own keys, however many queries ran since the last."""
         query = RangeQuery(BBox(2, 2, 8, 8), 0.0, 0.5 * workload.horizon)
 
-        def views(recorder):
-            return (
-                recorder._counter_view,
-                recorder._gauge_view,
-                recorder._hist_view,
-            )
+        def families(source):
+            return [
+                set(getattr(source, name))
+                for name in ("counters", "gauges", "histograms")
+            ]
 
         with use_registry() as registry:
-
-            def instruments():
-                return [
-                    len(list(family()))
-                    for family in (
-                        registry.iter_counters,
-                        registry.iter_gauges,
-                        registry.iter_histograms,
-                    )
-                ]
-
             engine = QueryEngine(sampled_net, sampled_form)
             recorder = TimeSeriesRecorder(registry, clock=clock)
             for _ in range(3):  # first touch, compile, hit: all series bound
                 engine.execute(query)
-            recorder.sample()
-            cached = views(recorder)
-            before = instruments()
+            quiet = recorder.sample()
             clock.t = 1.0
             for _ in range(50):
                 engine.execute(query)
-            taken = recorder.sample()
-            assert instruments() == before
+            busy = recorder.sample()
+            instruments = [
+                set(registry._counters),
+                set(registry._gauges),
+                set(registry._histograms),
+            ]
         assert recorder.delta("repro_queries_total") == 50
-        assert all(a is b for a, b in zip(views(recorder), cached))
-        assert [len(view) for view in cached] == before
-        assert [
-            len(taken.totals), len(taken.gauges), len(taken.hist_counts)
-        ] == before
-        assert len(taken.quantiles) == before[2] * len(recorder.quantiles)
+        assert families(busy) == families(quiet) == instruments
+
+    @settings(max_examples=60)
+    @given(
+        ticks=st.lists(
+            st.tuples(
+                st.integers(1, 5),  # seconds since the previous tick
+                st.integers(0, 40),  # increments of label set a
+                st.integers(0, 40),  # increments of label set b
+                st.lists(
+                    st.sampled_from(_BOUNDS)
+                    | st.floats(0.0, 150.0, allow_nan=False),
+                    max_size=12,
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_views_match_the_live_instruments(self, ticks):
+        """Rates are Δtotal/Δt, quantiles at every tick equal the live
+        ``Histogram.quantile``, and ``threshold_fraction`` at each bucket
+        bound equals a brute-force count of the window's observations."""
+        clock = _ManualClock()
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(registry, clock=clock)
+        a = registry.counter("c_total", kind="a")
+        b = registry.counter("c_total", kind="b")
+        hist = registry.histogram("h", buckets=_BOUNDS)
+        totals, live, observed = [], [], []
+        for dt, inc_a, inc_b, values in ticks:
+            clock.t += dt
+            a.inc(inc_a)
+            b.inc(inc_b)
+            for value in values:
+                hist.observe(value)
+            recorder.sample()
+            totals.append(a.value + b.value)
+            live.append([hist.quantile(q) for q in _QS])
+            observed.append(values)
+
+        times = [sample.t for sample in recorder.samples]
+        expected = [0.0] + [
+            (totals[i] - totals[i - 1]) / (times[i] - times[i - 1])
+            for i in range(1, len(times))
+        ]
+        assert list(recorder.series("c_total", "rate").values) == expected
+        for j, q in enumerate(_QS):
+            view = recorder.series("h", "quantile", q).values
+            for got, want in zip(view, (row[j] for row in live)):
+                assert got == want or (math.isnan(got) and math.isnan(want))
+        for i in range(len(times)):
+            window = [v for later in observed[i + 1:] for v in later]
+            for bound in _BOUNDS:
+                assert recorder.threshold_fraction(
+                    "h", bound, window_s=times[-1] - times[i]
+                ) == (sum(v <= bound for v in window), len(window))
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +352,7 @@ class TestSLOEvaluation:
         for value in (5e-4, 1.5e-3, 0.5):
             hist.observe(value)
         recorder.sample()
-        status = LatencySLO(
+        status = ThresholdSLO(
             name="latency", objective=0.95, threshold=2e-3
         ).evaluate(recorder)
         assert (status.good, status.total) == (2.0, 3.0)
@@ -299,7 +360,7 @@ class TestSLOEvaluation:
     def test_default_slos_evaluate_clean_on_idle_recorder(self, clock):
         _, recorder = self._recorder(clock)
         recorder.sample()
-        statuses = evaluate_slos(default_slos(), recorder)
+        statuses = [slo.evaluate(recorder) for slo in default_slos()]
         assert [s.name for s in statuses] == [
             "availability", "latency", "containment",
         ]
@@ -366,7 +427,10 @@ class TestSensorHealth:
         contact(3, 10, 10)
         contact(5, 10, 5)
         contact(9, 4, 0)
-        fleet = fleet_health(registry, known_sensors=[3, 5, 9, 12])
+        recorder = TimeSeriesRecorder(registry)
+        assert fleet_health(recorder).sensors == ()  # no tick yet
+        recorder.sample()
+        fleet = fleet_health(recorder, known_sensors=[3, 5, 9, 12])
         assert fleet.counts == {
             "healthy": 1, "degraded": 1, "failed": 1, "idle": 1,
         }
@@ -382,12 +446,21 @@ class TestSensorHealth:
         registry.counter("repro_sensor_attempts_total", sensor="7").inc()
         registry.counter("repro_sensor_attempts_total", sensor="bogus").inc()
         registry.counter("repro_sensor_attempts_total").inc()
-        assert set(collect_sensor_stats(registry)) == {7}
+        recorder = TimeSeriesRecorder(registry)
+        recorder.sample()
+        assert [s.sensor for s in fleet_health(recorder).sensors] == [7]
 
 
 # ----------------------------------------------------------------------
 # Simulator telemetry: labeled counters and probe sweeps
 # ----------------------------------------------------------------------
+def _health(registry, known_sensors=None):
+    """Fleet health of one fresh tick of ``registry``."""
+    recorder = TimeSeriesRecorder(registry)
+    recorder.sample()
+    return fleet_health(recorder, known_sensors=known_sensors)
+
+
 class TestSimulatorTelemetry:
     def _query(self, workload) -> RangeQuery:
         return RangeQuery(BBox(2, 2, 8, 8), 0.0, 0.5 * workload.horizon)
@@ -401,10 +474,10 @@ class TestSimulatorTelemetry:
         with use_registry() as registry:
             engine = QueryEngine(sampled_net, sampled_form, faults=injector)
             result = engine.execute(self._query(workload))
-            stats = collect_sensor_stats(registry)
+            fleet = _health(registry)
         assert not result.missed
-        assert stats, "faulty dispatch must emit per-sensor telemetry"
-        assert sum(s.get("attempts", 0) for s in stats.values()) > 0
+        assert fleet.sensors, "faulty dispatch must emit per-sensor telemetry"
+        assert sum(s.attempts for s in fleet.sensors) > 0
 
     def test_fault_free_engine_emits_no_sensor_counters(
         self, sampled_net, sampled_form, workload
@@ -412,7 +485,7 @@ class TestSimulatorTelemetry:
         with use_registry() as registry:
             engine = QueryEngine(sampled_net, sampled_form)
             engine.execute(self._query(workload))
-            assert collect_sensor_stats(registry) == {}
+            assert _health(registry).sensors == ()
 
     def test_probe_fleet_identifies_crashed_sensors(
         self, sampled_net, sampled_form
@@ -424,9 +497,7 @@ class TestSimulatorTelemetry:
         with use_registry() as registry:
             engine = QueryEngine(sampled_net, sampled_form, faults=injector)
             reachable = engine.simulator.probe_fleet()
-            fleet = fleet_health(
-                registry, known_sensors=sampled_net.sensors
-            )
+            fleet = _health(registry, known_sensors=sampled_net.sensors)
             sweeps = registry.value("repro_probe_sweeps_total")
             unreachable = registry.value("repro_probe_unreachable_total")
         assert set(reachable) == set(sampled_net.sensors)
@@ -554,7 +625,7 @@ class TestDashboard:
                 "repro_sensor_acks_total", sensor="4"
             ).inc(6)
             recorder.sample()
-        statuses = evaluate_slos(default_slos(), recorder)
+        statuses = [slo.evaluate(recorder) for slo in default_slos()]
         log = AlertLog()
         if with_data:
             log.observe(
@@ -568,7 +639,7 @@ class TestDashboard:
             recorder=recorder,
             statuses=statuses,
             alerts=log.alerts,
-            health=fleet_health(registry, known_sensors=[4, 7]),
+            health=fleet_health(recorder, known_sensors=[4, 7]),
             explain_text="QUERY PLAN  static/lower" if with_data else None,
         )
 
@@ -607,16 +678,8 @@ class TestMonitorCLI:
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             status = main(
-                [
-                    "monitor",
-                    "--blocks", "80",
-                    "--trips", "400",
-                    "--queries", "40",
-                    "--seed", "3",
-                    "--smoke",
-                    "--html", str(html_path),
-                    "--json", str(json_path),
-                ]
+                json.loads(CONTRACT.read_text())["argv"]
+                + ["--html", str(html_path), "--json", str(json_path)]
             )
         assert status == 0
         return buffer.getvalue(), html_path, json_path
@@ -643,6 +706,25 @@ class TestMonitorCLI:
         assert names == {"availability", "latency", "containment"}
         assert doc["health"]["counts"]["failed"] >= 0
         assert math.isfinite(doc["explain"]["elapsed_s"])
+
+    def test_json_keeps_the_pinned_contract(self, monitor_run):
+        _, _, json_path = monitor_run
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        doc = json.loads(json_path.read_text(), parse_constant=reject)
+        contract = json.loads(CONTRACT.read_text())
+        series = doc["timeseries"]["series"]
+        assert sorted(doc) == contract["keys"]
+        assert sorted(doc["timeseries"]) == contract["timeseries"]
+        assert sorted(
+            [key, entry["kind"]] for key, entry in series.items()
+        ) == contract["series"]
+        assert [sorted(slo) for slo in doc["slos"]] == [
+            contract["slo_fields"]
+        ] * 3
+        assert sorted(doc["health"]) == contract["health"]
 
     def test_alert_times_are_seconds_into_the_run(self, tmp_path):
         """An alert's ``t`` counts from the monitor's first tick, not
