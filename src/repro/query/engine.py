@@ -21,14 +21,16 @@ models) through the one pipeline of :mod:`repro.query.pipeline`:
 
 A query *misses* when no region approximation exists (§5.5).
 
-:meth:`QueryEngine.execute` runs the pipeline cold for one query.
+:meth:`QueryEngine.execute` runs the pipeline for one query.
 :meth:`QueryEngine.execute_batch` runs each stage *once for the whole
 batch*: one columnar plan over the distinct ``(box, bound)`` pairs
 (:meth:`~repro.query.pipeline.PlanStage.plan_batch`), one integration
 in which every first-touch chain × time is a lane of a single
 rank-kernel call, and a per-query ``finish``.  Neither is implemented
 through the other; their results are field-identical apart from the
-timing fields.
+timing fields.  Both plan through the engine's one plan table: a
+``(box, bound)`` pair any earlier call planned — single or batched —
+is read from it, not planned again.
 
 Planners: the engine holds one planner, chosen at construction — the
 reference :class:`~repro.query.PythonQueryPlanner` (sets/dicts,
@@ -208,7 +210,10 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def execute(self, query: RangeQuery) -> QueryResult:
-        """Execute one query; never raises on misses (reports them)."""
+        """Execute one query; never raises on misses (reports them).  A
+        ``(box, bound)`` pair the engine planned before is planned from
+        its plan table (``cache_hits`` set, no plan stage in
+        ``stage_s``)."""
         return self._cold(query)
 
     def execute_many(
@@ -251,11 +256,11 @@ class QueryEngine:
 
         Timing attribution: plan work is metered *separately* from
         per-query work.  The first query of the batch to use a box, a
-        ``(box, bound)`` pair or a chain *fills* that row and is
-        charged the step's seconds per row — in
+        ``(box, bound)`` pair or a chain the engine's plan table lacks
+        *fills* that row and is charged the step's seconds per row — in
         ``repro_query_batch_fill_seconds_total``, under the
         ``batch.fill.*`` spans and in its ``shared_fill_s``; every
-        later user *hits*
+        later user, and every user of a row the table held, *hits*
         (``repro_query_batch_cache_total{cache,outcome}``), and a
         result all of whose rows were hits is flagged
         ``cache_served``.  ``elapsed`` never contains plan seconds: it
@@ -423,8 +428,8 @@ class QueryEngine:
         )
         t_answered = pc()
         approximate = degradation is not None
-        stage.sensors(plan, approximate)
-        nodes = accounted = len(plan.sensors)
+        stage.sensors(plan, approximate, self._simulator is not None)
+        nodes = accounted = plan.nodes
         if self._simulator is not None and nodes:
             value, degradation, nodes = self._dispatch(plan, query, value)
             stage_s["account_sensors"] = pc() - t_answered

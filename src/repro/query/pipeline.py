@@ -8,17 +8,22 @@ depend on where the events live:
 **plan** (:class:`PlanStage`)
     rectangle → junction set ``R`` → region approximation (R1/R2) →
     boundary chain → sensors, written once over whichever planner the
-    engine holds.  A cold query runs each step under its
-    ``query.<phase>`` span (:meth:`PlanStage.plan`).  A batch is
-    planned as a whole (:meth:`PlanStage.plan_batch`): its distinct
-    boxes, ``(box, bound)`` pairs and region tuples are each resolved
-    once through the planner's batch surface — four steps for the
-    whole batch, each under one ``batch.fill.<table>`` span — into a
-    :class:`BatchPlan`, which hands every query its
-    :class:`QueryPlan` and applies the attribution rule (first use of
-    a row in the batch = fill, later ones = hit; plan seconds metered
-    out of every ``elapsed``).  The sharded router plans the same way,
-    silently, and stops after the regions.
+    engine holds.  A plan depends on the box, the bound and the
+    deployed network only — never on the events — so every engine
+    keeps one bounded LRU **plan table** keyed by ``(box, bound)``,
+    and every plan step reads it first: a pair any earlier call
+    planned plans nothing.  A pair the table lacks runs each step
+    cold, under its ``query.<phase>`` span (:meth:`PlanStage.plan`).
+    A batch is planned as a whole (:meth:`PlanStage.plan_batch`): the
+    distinct boxes, ``(box, bound)`` pairs and region tuples the table
+    lacks are each resolved once through the planner's batch surface —
+    four steps for the whole batch, each under one
+    ``batch.fill.<table>`` span — into a :class:`BatchPlan`, which
+    hands every query its :class:`QueryPlan` and applies the
+    attribution rule (a row's first use since the engine was built =
+    fill, every later one = hit; plan seconds metered out of every
+    ``elapsed``).  The sharded router plans the same way, silently,
+    stops after the regions and writes no row.
 
 **finish** (:meth:`QueryAccounting.finish`)
     turns a planned, answered query into its metrics and its one
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.simulator import DEGRADATION_BUCKETS
@@ -48,7 +54,7 @@ from ..obs import (
 )
 from .result import QueryDegradation, QueryResult, RangeQuery
 
-#: Plan steps in order: memo table → cold span / phase name.
+#: Plan steps in order: plan table → cold span / phase name.
 PLAN_PHASES = {
     "junctions": "resolve_junctions",
     "regions": "approximate_region",
@@ -56,16 +62,32 @@ PLAN_PHASES = {
     "sensors": "account_sensors",
 }
 
+#: Rows an engine's plan table keeps, the least recently used leaving
+#: first — on the boundary LRU's reasoning, 2.5× the few hundred
+#: ``(box, bound)`` pairs a dashboard replays.  A row a batch planned
+#: holds a view of that batch's chains, so those stay alive as long as
+#: any of its rows does.
+PLAN_TABLE_ROWS = 1024
+
+_TABLES = tuple(PLAN_PHASES)
 _ROUTING = ("junctions", "regions")
 _NO_ATTRS: Dict[str, object] = {}
+
+
+def _tables(plan: "QueryPlan", served: bool) -> Tuple[str, ...]:
+    """The plan tables a query uses: the junctions always, the regions
+    when its box holds a junction, the chain when it is answered and
+    the sensors unless the sketch served it."""
+    answered = plan.regions is not None
+    return _TABLES[: 1 + bool(plan.junction_count) + answered * (2 - served)]
 
 
 class QueryPlan:
     """What one query resolved to, and what resolving it cost."""
 
     __slots__ = (
-        "junction_count", "regions", "chain", "edges", "sensors",
-        "hits", "shared", "stage_s",
+        "junction_count", "regions", "chain", "edges", "sensors", "nodes",
+        "row", "hits", "shared", "stage_s",
     )
 
     def __init__(self) -> None:
@@ -73,13 +95,17 @@ class QueryPlan:
         #: Sorted region tuple; ``None`` when no approximation exists
         #: (§5.5: the query is a miss).
         self.regions: Optional[Tuple[int, ...]] = None
-        #: The boundary chain (cold plans only; a batch keeps its
-        #: chains in one :class:`BatchPlan` table) and its length.
+        #: The boundary chain (single queries only; a batch keeps its
+        #: chains in one :class:`BatchPlan` container) and its length.
         self.chain = None
         self.edges = 0
-        #: Planner-native sensor collection (empty until resolved).
+        #: Planner-native sensor ids (resolved only when counted or
+        #: dispatched to) and how many a dispatch contacts.
         self.sensors = ()
-        #: Per-table hit flags (empty outside an accounted batch).
+        self.nodes = 0
+        #: The plan-table row behind a single query's plan.
+        self.row: Optional[list] = None
+        #: Per-table hit flags (empty on a single query's first plan).
         self.hits: Dict[str, bool] = {}
         #: Shared fill seconds this query triggered in its batch.
         self.shared = 0.0
@@ -87,34 +113,33 @@ class QueryPlan:
 
 
 class BatchPlan:
-    """The plan of a whole batch, one row per distinct key: boxes,
-    ``(box, bound)`` pairs and boundary chains are each resolved once,
-    whichever queries share them.
+    """The plan of a whole batch, one row per distinct key: the boxes,
+    ``(box, bound)`` pairs and boundary chains the plan table lacks are
+    each resolved once, whichever queries share them.
 
     :meth:`query_plan` hands a query its :class:`QueryPlan` and applies
-    the attribution rule: the first query of the batch to use a row
-    *fills* it and is charged that table's seconds per row
-    (``shared``); every later one *hits*.  ``counters`` (``(table, hit)
-    → Counter``) switches the accounting on; without it the plan only
-    resolves (the sharded router).
+    the attribution rule: the first user of a row the batch *filled* is
+    charged that table's seconds per row (``shared``); every later
+    user, and every user of a row the plan table held already, *hits*.
+    ``counters`` (``(table, hit) → Counter``) switches the accounting
+    on; without it the plan only resolves (the sharded router).
     """
 
     def __init__(self, counters=None) -> None:
         self.counters = counters
-        #: Per query: its pair row.  Per pair: its box row, region
-        #: tuple (``None``: a miss) and chain row (-1 without one).
+        #: Per query: its pair.  Per pair: its plan-table row, its box
+        #: and pair rows among the batch's fills (``(None, None)``: the
+        #: table held the pair) and its chain row (-1 without one).
         self.pair_of: List[int] = []
-        self.pair_box: List[int] = []
-        self.regions: List[Optional[Tuple[int, ...]]] = []
+        self.rows: List[list] = []
+        self.fills: List[Tuple[Optional[int], Optional[int]]] = []
         self.chain_of: List[int] = []
-        #: Per box: junctions inside.  Per chain: walls, and sensors a
+        #: Per chain: the planner's batch container, and sensors a
         #: dispatch over it contacts.
-        self.junction_counts: List[int] = []
         self.chains = ()
-        self.edges: List[int] = []
         self.nodes: List[int] = []
         #: Per table: seconds a fill of one row is charged, and the
-        #: rows some query of the batch has used already.
+        #: rows no longer to fill (used in the batch, or held before).
         self.share: Dict[str, float] = {}
         self.seen: Dict[str, set] = {name: set() for name in PLAN_PHASES}
         #: Plan seconds in all (metered out of every ``elapsed``).
@@ -124,25 +149,20 @@ class BatchPlan:
         """Query ``i``'s plan and chain row; ``served`` (from the
         sketch) skips the sensor table."""
         pair = self.pair_of[i]
-        box, row = self.pair_box[pair], self.chain_of[pair]
+        row = self.chain_of[pair]
         plan = QueryPlan()
-        count = plan.junction_count = self.junction_counts[box]
-        plan.regions = self.regions[pair]
-        if row >= 0 and self.edges:
-            plan.edges = self.edges[row]
+        plan.junction_count, plan.regions, chain, _ = self.rows[pair]
+        plan.edges = 0 if chain is None else len(chain)
         if self.counters is not None:
-            self._use(plan, "junctions", box)
-            if count:
-                self._use(plan, "regions", pair)
-            if row >= 0:
-                self._use(plan, "boundary", row)
-                if not served:
-                    self._use(plan, "sensors", row)
+            keys = (*self.fills[pair], row, row)
+            for table, key in zip(_tables(plan, served), keys):
+                self._use(plan, table, key)
         return plan, row
 
-    def _use(self, plan: QueryPlan, table: str, row: int) -> None:
+    def _use(self, plan: QueryPlan, table: str, row: Optional[int]) -> None:
+        """Account one use of ``row`` (``None``: the plan table's)."""
         seen = self.seen[table]
-        hit = row in seen
+        hit = row is None or row in seen
         fill = 0.0
         if not hit:
             seen.add(row)
@@ -150,29 +170,55 @@ class BatchPlan:
         plan.hits[table] = hit
         self.counters[table, hit].inc()
         plan.shared += fill
-        if table in _ROUTING:
-            # A batched query reports only its two routing phases;
-            # chain and sensor fills count towards ``shared`` alone.
+        if table in _ROUTING and row is not None:
+            # A query the batch planned reports its two routing phases
+            # (0.0 on a hit); chain and sensor fills count towards
+            # ``shared`` alone.
             plan.stage_s[PLAN_PHASES[table]] = fill
 
 
 class PlanStage:
-    """junctions → regions → chain → sensors, over one planner: one
-    query at a time (:meth:`plan`, :meth:`sensors`) or every distinct
-    key of a batch at once (:meth:`plan_batch`)."""
+    """junctions → regions → chain → sensors, over one planner and the
+    engine's plan table: one query at a time (:meth:`plan`,
+    :meth:`sensors`) or every distinct key of a batch at once
+    (:meth:`plan_batch`)."""
 
     def __init__(self, planner, access_mode: str, tracer) -> None:
         self.planner = planner
         self.tracer = tracer
         self._flood = access_mode == "flood"
         self._mode = {"mode": access_mode}
+        #: ``(box, bound)`` → ``[junction count, region tuple (None: a
+        #: miss), chain, sensors (None until counted)]``, the least
+        #: recently used first.
+        self.table: "OrderedDict[tuple, list]" = OrderedDict()
+
+    def _keep(self, key, row: Optional[list] = None) -> Optional[list]:
+        """``key``'s row, made the most recently used: ``row`` entered
+        (the least recently used one leaving past the cap), else the
+        one the table holds — ``None`` if it holds none."""
+        row = self.table.get(key) if row is None else row
+        if row is not None:
+            self.table[key] = row
+            self.table.move_to_end(key)
+            if len(self.table) > PLAN_TABLE_ROWS:
+                self.table.popitem(last=False)
+        return row
 
     def plan(self, query: RangeQuery) -> QueryPlan:
-        """Steps 1-3 of a cold query: the junction set, its region
-        approximation and their boundary chain.  Stops at the first
-        step that proves the query a miss."""
-        planner, bound = self.planner, query.bound
+        """Steps 1-3 of one query: its plan-table row, else — cold —
+        the junction set, its region approximation and their boundary
+        chain, stopping at the first step that proves the query a miss,
+        and the row they make."""
+        key = (query.box, query.bound)
         plan = QueryPlan()
+        row = plan.row = self._keep(key)
+        if row is not None:
+            plan.junction_count, plan.regions, plan.chain, _ = row
+            plan.edges = 0 if plan.chain is None else len(plan.chain)
+            plan.hits = dict.fromkeys(_tables(plan, True), True)
+            return plan
+        planner, bound = self.planner, query.bound
         junctions = self._resolve(
             plan, "junctions", _NO_ATTRS, planner.junction_ids, query.box
         )
@@ -188,12 +234,22 @@ class PlanStage:
                     planner.boundary, regions,
                 )
                 plan.edges = len(plan.chain)
+        row = [plan.junction_count, plan.regions, plan.chain, None]
+        plan.row = self._keep(key, row)
         return plan
 
-    def sensors(self, plan: QueryPlan, served: bool = False) -> None:
-        """Step 4: the sensors a dispatch over the chain contacts.  A
-        query ``served`` from the server-side sketch contacts none and
-        reports its — empty — accounting phase."""
+    def sensors(self, plan: QueryPlan, served: bool = False, ids=False) -> None:
+        """Step 4: the sensors a dispatch over the chain contacts — their
+        count from the plan table when it holds one and the ids are not
+        needed (``ids``: a fault-injecting engine dispatches to them).
+        A query ``served`` from the server-side sketch contacts none; a
+        cold one reports its — empty — accounting phase."""
+        row, hits = plan.row, plan.hits
+        if hits and not served:  # planned from the table
+            hits["sensors"] = row[3] is not None and not ids
+        if hits and (served or hits["sensors"]):
+            plan.nodes = 0 if served else row[3]
+            return
         planner = self.planner
         if served:
             compute, args = tuple, ()
@@ -204,6 +260,8 @@ class PlanStage:
         plan.sensors = self._resolve(
             plan, "sensors", self._mode, compute, *args
         )
+        plan.nodes = len(plan.sensors)
+        row[3] = row[3] if served else plan.nodes
 
     def _resolve(self, plan, table, attrs, compute, *args):
         """One cold plan step under its ``query.<phase>`` span."""
@@ -230,54 +288,86 @@ class PlanStage:
     def plan_batch(
         self, queries: Sequence[RangeQuery], counters=None, chain: bool = True
     ) -> BatchPlan:
-        """Plan a batch: dedupe to distinct boxes and ``(box, bound)``
-        pairs, resolve each once through the planner's batch surface
-        (each step under one ``batch.fill.<table>`` span), dedupe the
-        region tuples to distinct chains and — unless the caller only
-        routes (``chain=False``) — build those and account their
-        sensors."""
+        """Plan a batch: dedupe to distinct ``(box, bound)`` pairs, read
+        each from the plan table, resolve the others — each distinct box
+        and pair once, through the planner's batch surface, each step
+        under one ``batch.fill.<table>`` span — and dedupe the region
+        tuples to distinct chains.  Unless the caller only routes
+        (``chain=False``), build the chains and count the sensors no row
+        holds yet, and write the planned pairs to the table."""
         planner, batch = self.planner, BatchPlan(counters)
         # Rows are numbered by first use: a dict keeps insertion order.
-        pairs: Dict[object, int] = {}
-        boxes: Dict[object, int] = {}
+        pairs: Dict[tuple, int] = {}
         batch.pair_of = [
             pairs.setdefault((query.box, query.bound), len(pairs))
             for query in queries
         ]
-        pair_box = batch.pair_box = [
-            boxes.setdefault(box, len(boxes)) for box, _ in pairs
-        ]
-
-        def fill(table, rows, compute, *args):
-            value, seconds = self.timed(
-                "batch.fill." + table, {"rows": rows}, compute, *args
+        rows = batch.rows = [self._keep(key) for key in pairs]
+        new = [(p, key) for p, key in enumerate(pairs) if rows[p] is None]
+        boxes: Dict[object, int] = {}
+        fills = batch.fills = [(None, None)] * len(rows)
+        for p, (box, _) in new:
+            fills[p] = boxes.setdefault(box, len(boxes)), p
+        if new:
+            found, counts = self._fill(
+                batch, "junctions", len(boxes), planner.batch_junctions, list(boxes)
             )
-            batch.share[table] = seconds / max(rows, 1)
-            batch.fill_s += seconds
-            return value
-
-        found, batch.junction_counts = fill(
-            "junctions", len(boxes), planner.batch_junctions, list(boxes)
-        )
-        regions = batch.regions = fill(
-            "regions", len(pairs), planner.batch_regions, found,
-            pair_box, [bound for _, bound in pairs],
-        )
-        rows: Dict[Tuple[int, ...], int] = {}
+            regions = self._fill(
+                batch, "regions", len(new), planner.batch_regions, found,
+                [fills[p][0] for p, _ in new], [bound for _, (_, bound) in new],
+            )
+            for (p, _), selected in zip(new, regions):
+                rows[p] = [counts[fills[p][0]], selected, None, None]
+        distinct: Dict[Tuple[int, ...], int] = {}
         batch.chain_of = [
-            -1 if selected is None else rows.setdefault(selected, len(rows))
-            for selected in regions
+            -1 if row[1] is None else distinct.setdefault(row[1], len(distinct))
+            for row in rows
         ]
         if chain:
-            distinct = list(rows)
-            batch.chains, batch.edges = fill(
-                "boundary", len(rows), planner.batch_chains, distinct
-            )
-            batch.nodes = fill(
-                "sensors", len(rows), self._batch_sensors,
-                batch.chains, distinct,
-            )
+            self._chains(batch, list(distinct))
+            for p, key in new:
+                self._keep(key, rows[p])
         return batch
+
+    def _chains(self, batch: BatchPlan, distinct: list) -> None:
+        """Steps 3-4 over the batch's distinct region tuples: chain and
+        sensor count from a row that holds them, the others filled —
+        after which every row of the batch is complete."""
+        planner, n = self.planner, len(distinct)
+        chains, nodes = [None] * n, [None] * n
+        for row, c in zip(batch.rows, batch.chain_of):
+            if c >= 0 and row[2] is not None:
+                chains[c], nodes[c] = row[2], row[3]
+        todo = [c for c in range(n) if chains[c] is None]
+        batch.seen["boundary"].update(set(range(n)) - set(todo))
+        batch.seen["sensors"].update(c for c in range(n) if nodes[c] is not None)
+        if todo:
+            built = self._fill(
+                batch, "boundary", len(todo), planner.batch_chains,
+                [distinct[c] for c in todo],
+            )
+            for k, c in enumerate(todo):
+                chains[c] = built[k]
+        # With no chain held, the fill's own container is the batch's.
+        fresh = todo and len(todo) == n
+        batch.chains = built if fresh else planner.join_chains(chains)
+        if None in nodes:  # one count per chain of the batch
+            nodes = self._fill(
+                batch, "sensors", n, self._batch_sensors, batch.chains, distinct
+            )
+        batch.nodes = nodes
+        for row, c in zip(batch.rows, batch.chain_of):
+            if c >= 0:
+                row[2:] = chains[c], nodes[c]
+
+    def _fill(self, batch: BatchPlan, table: str, rows: int, compute, *args):
+        """One batch step over ``rows`` rows of ``table``, timed."""
+        value, seconds = self.timed(
+            "batch.fill." + table, {"rows": rows}, compute, *args
+        )
+        batch.share[table] = seconds / max(rows, 1)
+        batch.fill_s += seconds
+        return value
 
     def _batch_sensors(self, chains, regions) -> List[int]:
         if self._flood:

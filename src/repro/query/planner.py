@@ -206,12 +206,14 @@ class PythonQueryPlanner:
     def batch_regions(self, found, boxes, bounds) -> List[Optional[Tuple]]:
         return [self.region_ids(found[b], bd) for b, bd in zip(boxes, bounds)]
 
-    def batch_chains(self, regions: Sequence[Tuple[int, ...]]):
-        chains = [self.boundary(selected) for selected in regions]
-        return chains, [len(chain) for chain in chains]
+    def batch_chains(self, regions: Sequence[Tuple[int, ...]]) -> List:
+        return [self.boundary(selected) for selected in regions]
 
     def batch_sensors(self, chains) -> List[int]:
         return [len(self.chain_sensors(chain)) for chain in chains]
+
+    def join_chains(self, chains) -> List:
+        return list(chains)
 
 
 class CompiledQueryPlanner:
@@ -334,7 +336,9 @@ class CompiledQueryPlanner:
     # ``row * universe + id`` that one ``np.bincount`` answers for all
     # rows together, and chain cancellation is one gather from the
     # rows' membership table.  Rows are cut into slices
-    # (:func:`_row_slices`) wherever a step allocates per row.
+    # (:func:`_row_slices`) wherever a step allocates per row.  A plan
+    # table row keeps its chain as a view of its batch's ChainBatch;
+    # ``join_chains`` joins held chains into a new one.
     # ------------------------------------------------------------------
     def batch_junctions(
         self, boxes: Sequence
@@ -420,7 +424,7 @@ class CompiledQueryPlanner:
 
     def batch_chains(
         self, regions: Sequence[Tuple[int, ...]]
-    ) -> Tuple[ChainBatch, List[int]]:
+    ) -> ChainBatch:
         """:meth:`boundary` of every region tuple, without a wall
         universe per row: of the selected regions' wall slices, the
         entries whose far side (:meth:`_across`) is not selected in
@@ -447,12 +451,19 @@ class CompiledQueryPlanner:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         lens = np.bincount(keys // n, minlength=len(regions))
-        chains = ChainBatch(
+        return ChainBatch(
             np.concatenate(([0], np.cumsum(lens))),
             (keys % n).astype(np.int32),
             np.concatenate(signs)[order],
         )
-        return chains, lens.tolist()
+
+    def join_chains(self, chains: Sequence[BoundaryChain]) -> ChainBatch:
+        """The chains, in order, as one :class:`ChainBatch`."""
+        return ChainBatch(
+            np.cumsum([0] + [len(link) for link in chains]),
+            np.concatenate([c.wall_ids for c in chains] or [_EMPTY_I32]),
+            np.concatenate([c.signs for c in chains] or [_EMPTY_I8]),
+        )
 
     def batch_sensors(self, chains: ChainBatch) -> List[int]:
         """``len(chain_sensors(chain))`` of every chain: one gather

@@ -140,7 +140,8 @@ class QueryResult:
     #: Wall-clock evaluation time in seconds.  Under batched execution
     #: (:meth:`~repro.query.QueryEngine.execute_batch`) this excludes
     #: shared plan work, which is metered separately — see
-    #: ``shared_fill_s`` and ``cache_hits``.
+    #: ``shared_fill_s`` and ``cache_hits``; a single query's includes
+    #: whatever its engine's plan table did not serve.
     elapsed: float = 0.0
     #: True when the value is a partial aggregate: fault injection
     #: skipped perimeter sensors, so part of the boundary integral is
@@ -154,14 +155,18 @@ class QueryResult:
     planner: str = field(default="", compare=False)
     #: Junctions the query rectangle resolved to (|R|, §5.1.5).
     junction_count: int = field(default=0, compare=False)
-    #: Wall seconds per stage: the plan phases and ``integrate`` of a
-    #: single-process query (a batched one reports its two routing
-    #: phases — the fill it triggered, 0.0 on a hit — and its share of
-    #: the one integration); route / scatter / worker_wait / merge of
-    #: the whole batch for a scattered one.
+    #: Wall seconds per stage that ran: the plan phases and
+    #: ``integrate`` of a single-process query (none of the plan phases
+    #: when its engine's plan table served them; a batched query
+    #: reports the two routing phases of a pair the batch planned — the
+    #: fill it triggered, 0.0 on a hit — and its share of the one
+    #: integration); route / scatter / worker_wait / merge of the whole
+    #: batch for a scattered one.
     stage_s: Dict[str, float] = field(default_factory=dict, compare=False)
-    #: Per-table hit flags under batched execution (``junctions`` /
-    #: ``regions`` / ``boundary`` / ``sensors``); empty otherwise.
+    #: Per-table hit flags (``junctions`` / ``regions`` / ``boundary`` /
+    #: ``sensors``) of a batched query, or of a single one its engine's
+    #: plan table served; empty on a single query's first plan and on
+    #: a scattered one.
     cache_hits: Dict[str, bool] = field(default_factory=dict, compare=False)
     #: Shared plan seconds this query *triggered* in its batch
     #: (excluded from ``elapsed`` so per-query times are comparable).
@@ -194,9 +199,9 @@ class QueryResult:
 
     @property
     def cache_served(self) -> bool:
-        """True when the batched path served every shared structure
-        this query needed (regions/boundary/sensors) from rows an
-        earlier query of the batch had filled."""
+        """True when every plan table this query used served it from a
+        row an earlier use had filled — earlier in its batch, or in any
+        earlier call on its engine."""
         hits = self.cache_hits
         return bool(hits) and all(hits.values())
 

@@ -20,7 +20,8 @@ Pipeline:
    workers attach zero-copy views instead of unpickling megabytes.
 2. **Route** (per query): the parent runs the first two steps of the
    shared plan stage (:class:`~repro.query.pipeline.PlanStage`: bbox →
-   junctions → region approximation, memoised per batch) over its own
+   junctions → region approximation, read from its plan table or
+   resolved once per batch — routing writes no row) over its own
    :class:`~repro.query.CompiledQueryPlanner`, then consults a
    precomputed region×shard reachability table (shard *s* can reach
    region *r* iff *s* holds at least one event on a wall adjacent to
@@ -756,8 +757,8 @@ class ShardedQueryEngine:
         adjacent to its regions, so the integral is exactly 0; the
         structural accounting still has to match the single-process
         engine, so the parent plans the query through to its chain and
-        sensors itself.
+        sensors itself (once a pair: the plan table keeps the row).
         """
         plan = self._stage.plan(query)
         self._stage.sensors(plan)
-        return plan.edges, len(plan.sensors)
+        return plan.edges, plan.nodes

@@ -32,7 +32,9 @@ from test_query_planner import _deployment
 
 import repro.forms.compiled as compiled_module
 import repro.forms.succinct as succinct_module
+import repro.query.pipeline as pipeline_module
 import repro.query.planner as planner_module
+from repro import FrameworkConfig, InNetworkFramework
 from repro.forms import (
     CompiledTrackingForm,
     CompressedTrackingForm,
@@ -41,6 +43,7 @@ from repro.forms import (
 from repro.forms.rank import segmented_rank
 from repro.forms.succinct import _DECODE_LANES, DEFAULT_BLOCK
 from repro.geometry import BBox
+from repro.network import FaultConfig, FaultInjector
 from repro.obs import FlightRecorder, use_registry
 from repro.query import (
     LOWER,
@@ -144,6 +147,14 @@ class World:
 
     def engine(self, store: str, planner: str, static_eval: str, **extra):
         """A fresh store of the named kind under a fresh engine."""
+        form, sketch = self.store(store)
+        return QueryEngine(
+            self.network, form, planner=planner, static_eval=static_eval,
+            sketch=sketch, **extra,
+        )
+
+    def store(self, store: str):
+        """A fresh store of the named kind, and its sketch (or None)."""
         network, columns, sketch = self.network, self.columns, None
         if store == "plain":
             form = network.build_form(columns)
@@ -166,10 +177,7 @@ class World:
                 _EarlierInterner(columns.interner, n),
                 early.edge_id, early.direction, early.t,
             )
-        return QueryEngine(
-            network, form, planner=planner, static_eval=static_eval,
-            sketch=sketch, **extra,
-        )
+        return form, sketch
 
 
 @pytest.fixture(scope="module")
@@ -259,8 +267,8 @@ class TestBatchEqualsLoop:
         """One record a query, whichever executor built it: the loop's
         and the batch's agree in every non-timing field, their shape
         fields (``cache_hits``, ``stage_s``) hold exactly the tables
-        and stages the query's outcome implies, and
-        ``dataclasses.replace`` carries all of it over."""
+        and stages the query's outcome and the engine's plan table
+        imply, and ``dataclasses.replace`` carries all of it over."""
         queries = [world.query(p) for p in picks]
         flight = FlightRecorder(capacity=len(queries))
         batched = world.engine(
@@ -269,6 +277,7 @@ class TestBatchEqualsLoop:
         looped = world.engine(store, "auto", static_eval).execute_many(queries)
         assert all(kept is b for kept, b in zip(flight.records, batched))
         cold = list(PLAN_PHASES.values())
+        planned, counted = set(), set()  # pairs in the loop's table
         for b, m in zip(batched, looped):
             assert _fields(b) == _fields(m)
             assert b.junction_count == m.junction_count  # spelled out
@@ -278,11 +287,25 @@ class TestBatchEqualsLoop:
             if not b.missed:
                 tables += ["boundary"] + ["sensors"] * (not served)
                 ran = cold[:3] + ["integrate", cold[3]]
-            assert m.cache_hits == {} and not m.cache_served
+            pair = (m.query.box, m.query.bound)
+            if pair not in planned:  # the loop plans it cold
+                assert m.cache_hits == {} and not m.cache_served
+                assert sorted(m.stage_s) == sorted(ran)
+            else:  # ... and from then on serves it from the table
+                assert m.cache_hits == {
+                    table: table != "sensors" or pair in counted
+                    for table in tables
+                }
+                recount = "sensors" in tables and pair not in counted
+                assert sorted(m.stage_s) == (
+                    [cold[3]] * recount + ["integrate"] * (not m.missed)
+                )
+            planned.add(pair)
+            if "sensors" in tables:
+                counted.add(pair)
             assert sorted(b.cache_hits) == sorted(tables)
             assert b.cache_served == all(b.cache_hits.values())
             assert (b.shared_fill_s > 0) == (not b.cache_served)
-            assert sorted(m.stage_s) == sorted(ran)
             assert sorted(b.stage_s) == sorted(
                 cold[: min(len(tables), 2)] + ["integrate"] * (not b.missed)
             )
@@ -474,8 +497,10 @@ class TestCountedGuard:
         assert sum(not r.missed for r in results) > 100
         assert 1 <= calls.pop("segmented_rank") <= 4
         assert calls == dict.fromkeys(calls, 0)
-        # The same engine one query at a time takes every step.
-        engine.execute(queries[0])
+        # The same engine, one query at a time, takes every step for a
+        # pair the batch did not plan.
+        flipped = LOWER if queries[0].bound == UPPER else UPPER
+        engine.execute(replace(queries[0], bound=flipped))
         assert calls["junction_ids"] == 1
 
     def test_compressed_batch_decodes_each_straddled_block_once(
@@ -566,3 +591,155 @@ class TestCountedGuard:
         grown = ours() - before
         assert grown == {QueryResult: 1000}, grown
         assert all(a is b for a, b in zip(flight.records[-1000:], kept))
+
+
+_STEPS = ("execute", "execute_batch", "faulty", "append")
+#: Plan phases a query served from the plan table never runs.
+_ROUTE_AND_CHAIN = set(list(PLAN_PHASES.values())[:3])
+
+
+class TestPlanTable:
+    @pytest.mark.parametrize("planner", ["auto", "python"])
+    @pytest.mark.parametrize("store", STORES)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        static_eval=st.sampled_from(("end", "min")),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(_STEPS), st.lists(_pick, min_size=1, max_size=8)
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_long_lived_engine_equals_fresh_ones(
+        self, world, store, planner, static_eval, steps
+    ):
+        """One engine answers a generated sequence of single, batched
+        and fault-injecting calls — and, on the streaming store,
+        appends in between; a fresh engine answers each call.  Answers
+        and plan internals agree, and the long-lived engine's records
+        carry hits exactly for the pairs it planned before (the pool
+        repeats pairs, and holds misses and EXT-touching upper bounds)."""
+        windows = []
+        if store == "stream":  # half the events now, the rest appended
+            columns, sketch = world.columns, None
+            form = StreamingEventStore(world.network, compact_every=211)
+            windows = [
+                np.arange(start, min(start + 300, len(columns)))
+                for start in range(0, len(columns), 300)
+            ]
+            cut = len(windows) // 2
+            form.append_events(columns.select(np.concatenate(windows[:cut])))
+            windows = windows[cut:]
+        else:
+            form, sketch = world.store(store)
+        sensors = world.network.sensors
+
+        def engine(faulty=False):
+            # Crashes only: a deterministic dispatch, whoever runs it.
+            faults = FaultInjector(FaultConfig(), sensors, crashed=sensors[::2])
+            return QueryEngine(
+                world.network, form, planner=planner, static_eval=static_eval,
+                sketch=sketch, faults=faults if faulty else None,
+            )
+
+        engines = {False: engine(), True: engine(faulty=True)}
+        planned = {False: set(), True: set()}
+        for step, picks in steps:
+            if step == "append":
+                if windows:
+                    form.append_events(world.columns.select(windows.pop(0)))
+                continue
+            queries = [world.query(p) for p in picks]
+            faulty = step == "faulty"
+            if step == "execute_batch":
+                got = engines[False].execute_batch(queries)
+                want = engine().execute_batch(queries)
+            else:
+                got = [engines[faulty].execute(q) for q in queries]
+                want = [engine(faulty).execute(q) for q in queries]
+            seen = planned[faulty]
+            before = set(seen)
+            for g, w in zip(got, want):
+                assert _fields(g) == _fields(w)
+                pair = (g.query.box, g.query.bound)
+                if pair in seen:
+                    assert g.cache_hits and all(
+                        hit for table, hit in g.cache_hits.items()
+                        if table != "sensors"
+                    )
+                    # Served from the table: no plan phase ran for it.
+                    assert pair not in before or not (
+                        _ROUTE_AND_CHAIN & set(g.stage_s)
+                    )
+                elif step == "execute_batch":
+                    assert not g.cache_hits.get("regions", False)
+                else:
+                    assert g.cache_hits == {}
+                seen.add(pair)
+
+    def test_warm_pairs_plan_nothing(self, world, monkeypatch):
+        """Pairs an engine planned before — one at a time or batched —
+        take none of the one-query planner steps on ``execute`` and
+        none of the batch steps on ``execute_batch``: counted, not
+        timed."""
+        queries = _distinct_boxes(world, 60)
+        engine = world.engine("plain", "auto", "end")
+        engine.execute_batch(queries[:30])
+        engine.execute_many(queries[30:])
+        steps = (
+            "junction_ids", "region_ids", "boundary", "chain_sensors",
+            "batch_junctions", "batch_regions", "batch_chains", "batch_sensors",
+        )
+        calls = dict.fromkeys(steps, 0)
+        for step in steps:
+
+            def counting_step(self, *args, _step=step, _inner=getattr(
+                CompiledQueryPlanner, step
+            )):
+                calls[_step] += 1
+                return _inner(self, *args)
+
+            monkeypatch.setattr(CompiledQueryPlanner, step, counting_step)
+        assert all(r.cache_served for r in engine.execute_many(queries))
+        assert all(r.cache_served for r in engine.execute_batch(queries[::-1]))
+        assert calls == dict.fromkeys(steps, 0)
+        flipped = LOWER if queries[0].bound == UPPER else UPPER
+        engine.execute(replace(queries[0], bound=flipped))
+        assert calls["junction_ids"] == 1
+
+    def test_cap_evicts_the_least_recently_used_pair(self, world, monkeypatch):
+        assert pipeline_module.PLAN_TABLE_ROWS == 1024
+        monkeypatch.setattr(pipeline_module, "PLAN_TABLE_ROWS", 3)
+        a, b, c, d, e = (
+            RangeQuery(box, 0.0, world.horizon) for box in world.pool[:5]
+        )
+        engine = world.engine("plain", "auto", "end")
+        table = engine._stage.table
+        for query in (a, b, c, a, d):  # a is used again: b leaves first
+            engine.execute(query)
+            assert len(table) <= 3
+        assert engine.execute(a).cache_served  # recently used: kept
+        assert engine.execute(b).cache_hits == {}  # evicted: planned again
+        results = engine.execute_batch([a, b, c, d, e])
+        assert [r.cache_served for r in results] == [
+            True, True, False, True, False
+        ]
+        assert len(table) == 3
+
+    def test_a_redeployed_framework_plans_afresh(
+        self, organic_domain, workload
+    ):
+        fw = InNetworkFramework(organic_domain)
+        config = FrameworkConfig(selector="quadtree", budget=20, seed=3)
+        fw.deploy(config)
+        fw.ingest_trips(workload.trips)
+        bounds = organic_domain.bounds
+        box = BBox.from_center(
+            bounds.center, 0.5 * bounds.width, 0.5 * bounds.height
+        )
+        first, again = (fw.query(box, 0.0, workload.horizon) for _ in "ab")
+        assert first.cache_hits == {} and again.cache_served
+        fw.deploy(config)
+        assert fw.query(box, 0.0, workload.horizon).cache_hits == {}
+        fw.close()

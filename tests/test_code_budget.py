@@ -27,7 +27,10 @@ TOP_LEVEL = "*.py"
 
 #: package → code-line ceiling: the current size rounded up to 10 for
 #: every row a PR touched (``test_ceilings_are_tight`` keeps the rest
-#: within 50).  Last moved when the fleet monitor became one recorder
+#: within 50).  Last moved when every engine gained its plan table (one
+#: bounded LRU of (box, bound) plans behind ``execute``,
+#: ``execute_batch`` and ``fw.query``): ``query`` 1810 → 1870, +58.
+#: Before that, when the fleet monitor became one recorder
 #: of cumulative snapshots with views over it: ``obs`` 1860 → 1760
 #: (no stored rates/quantiles, flat-name view caches or ``base_name``;
 #: one ``series`` view, one quantile rule, one threshold SLO class,
@@ -38,7 +41,7 @@ TOP_LEVEL = "*.py"
 #: ``execute_batch([q])`` measures 324 µs against ``execute(q)``'s 141
 #: (CHANGES.md).
 CEILINGS = {
-    "query": 1810,
+    "query": 1870,
     "obs": 1760,
     "forms": 1200,
     "evaluation": 750,
