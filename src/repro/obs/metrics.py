@@ -104,10 +104,11 @@ class Histogram:
         self.sum: float = 0.0
         self.count: int = 0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.uppers, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times."""
+        self.counts[bisect.bisect_left(self.uppers, value)] += count
+        self.sum += value * count
+        self.count += count
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at +Inf."""

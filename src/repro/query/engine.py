@@ -26,7 +26,8 @@ A query *misses* when no region approximation exists (§5.5).
 batch*: one columnar plan over the distinct ``(box, bound)`` pairs
 (:meth:`~repro.query.pipeline.PlanStage.plan_batch`), one integration
 in which every first-touch chain × time is a lane of a single
-rank-kernel call, and a per-query ``finish``.  Neither is implemented
+rank-kernel call, and one accounting pass — only the records are
+built per query.  Neither is implemented
 through the other; their results are field-identical apart from the
 timing fields.  Both plan through the engine's one plan table: a
 ``(box, bound)`` pair any earlier call planned — single or batched —
@@ -238,7 +239,12 @@ class QueryEngine:
         points with one ``searchsorted`` each, and every first-touch
         chain × time of the batch is a lane of **one** rank-kernel
         call (tolerant queries try the sketch the same way first).
-        **Finish** stays per query.  Results are identical to
+        **Finish**: records per query, accounting per batch — the
+        attribution rule runs once over the whole batch
+        (:meth:`~repro.query.pipeline.BatchPlan.attribute`) and every
+        counter moves once per label set with the batch's totals
+        (:meth:`~repro.query.pipeline.QueryAccounting.finish_batch`);
+        only the records are built one by one.  Results are identical to
         :meth:`execute_many` in every field but the timing ones, and
         a compiled store's boundary cache ends up as the loop would
         leave it (a streaming store is handed each chain once per
@@ -286,38 +292,43 @@ class QueryEngine:
 
     def _run_batch(self, queries: Sequence[RangeQuery]) -> List[QueryResult]:
         """The batch core: plan → answer → finish, the first two once
-        for the whole batch; only ``finish`` is per query."""
-        acct = self._acct
+        for the whole batch, accounting once per table and per series;
+        only the records are per query."""
+        acct, n = self._acct, len(queries)
         pc = time.perf_counter
         start = pc()
-        batch = self._stage.plan_batch(queries, acct.batch_cache)
-        #: Per query, its row among the batch's chains (-1: a miss).
-        chain = np.array(
-            [batch.chain_of[pair] for pair in batch.pair_of], dtype=np.int64
-        )
+        batch = self._stage.plan_batch(queries)
+        chain = np.array([batch.chain_of[p] for p in batch.pair_of], dtype=np.int64)
         # Shared work is split evenly: every query its share of the
         # dedupe, every answered one its share of the one integration.
-        lookup = (pc() - start - batch.fill_s) / max(len(queries), 1)
+        lookup = (pc() - start - batch.fill_s) / max(n, 1)
         (values, bounds), integrate = self._stage.timed(
-            "query.integrate", {"queries": len(queries)},
-            self._answer_batch, batch, queries, chain,
+            "query.integrate", {"queries": n}, self._answer_batch, batch, queries, chain
         )
-        integrate /= max(int((chain >= 0).sum()), 1)
-        results = []
-        for i, (query, value, bound) in enumerate(zip(queries, values, bounds)):
-            acct.count_query(query)
-            served = bound is not None
-            plan, row = batch.query_plan(i, served)
-            stage_s = plan.stage_s
-            if row < 0:
-                results.append(acct.finish(query, plan, 0.0, lookup, stage_s))
-                continue
-            stage_s["integrate"] = integrate
-            results.append(acct.finish(
-                query, plan, value, lookup + integrate, stage_s,
-                plan.edges, 0 if served else batch.nodes[row],
-                self._sketched(plan.edges, bound) if served else None, served,
+        answered = int(np.count_nonzero(chain >= 0))
+        integrate /= max(answered, 1)
+        uses, attributed = batch.attribute([bound is not None for bound in bounds])
+        # Per chain row (-1: none), its length and the sensors it contacts.
+        rows, lengths, sensors = batch.rows, batch.edges + [0], batch.nodes + [0]
+        elapsed, results, walls, contacted, filled = lookup + integrate, [], 0, 0, 0.0
+        for query, p, value, bound, (h, f, s) in zip(
+            queries, batch.pair_of, values, bounds, attributed
+        ):
+            junction_count, regions, c = rows[p][0], rows[p][1], batch.chain_of[p]
+            if regions is not None:
+                s["integrate"] = integrate
+            # A query the sketch served contacts no sensor.
+            sketched = None if bound is None else self._sketched(lengths[c], bound)
+            nodes = sensors[c] if sketched is None else 0
+            walls, contacted, filled = walls + lengths[c], contacted + nodes, filled + f
+            results.append(acct.record(
+                query, value, regions, lengths[c], nodes, lookup if regions is None else elapsed,
+                s, junction_count, h, f, sketched, sketched is not None,
             ))
+        acct.finish_batch(
+            queries, [result.missed for result in results],
+            ((lookup, n - answered), (elapsed, answered)), walls, contacted, filled, uses,
+        )
         return results
 
     def _answer_batch(
@@ -415,7 +426,6 @@ class QueryEngine:
         """The per-query core: plan → answer → finish, every step
         under its own span inside ``span``."""
         acct, stage = self._acct, self._stage
-        acct.count_query(query)
         pc = time.perf_counter
         start = pc()
         plan = stage.plan(query)

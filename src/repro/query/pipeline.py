@@ -14,25 +14,28 @@ depend on where the events live:
     and every plan step reads it first: a pair any earlier call
     planned plans nothing.  A pair the table lacks runs each step
     cold, under its ``query.<phase>`` span (:meth:`PlanStage.plan`).
-    A batch is planned as a whole (:meth:`PlanStage.plan_batch`): the
-    distinct boxes, ``(box, bound)`` pairs and region tuples the table
-    lacks are each resolved once through the planner's batch surface —
-    four steps for the whole batch, each under one
-    ``batch.fill.<table>`` span — into a :class:`BatchPlan`, which
-    hands every query its :class:`QueryPlan` and applies the
-    attribution rule (a row's first use since the engine was built =
-    fill, every later one = hit; plan seconds metered out of every
-    ``elapsed``).  The sharded router plans the same way, silently,
-    stops after the regions and writes no row.
+    The table is keyed by a plain tuple (:func:`plan_key`: the box's
+    four floats and the bound), which hashes in C.  A batch is planned
+    as a whole (:meth:`PlanStage.plan_batch`): the distinct boxes,
+    ``(box, bound)`` pairs and region tuples the table lacks are each
+    resolved once through the planner's batch surface — four steps
+    for the whole batch, each under one ``batch.fill.<table>`` span —
+    into a :class:`BatchPlan`, which applies the attribution rule to
+    the whole batch at once (:meth:`BatchPlan.attribute`: a row's
+    first use since the engine was built = fill, every later one =
+    hit; plan seconds metered out of every ``elapsed``).  The sharded
+    router plans the same way, silently.
 
-**finish** (:meth:`QueryAccounting.finish`)
-    turns a planned, answered query into its metrics and its one
-    record — the :class:`~repro.query.QueryResult`, which carries the
-    answer, the measured internals and the stage times, and which the
-    flight recorder keeps as it is — for answered, missed,
-    sketch-served, degraded and gathered queries alike.
-    :class:`QueryAccounting` binds the canonical series once at
-    construction; both engines hold one.
+**finish** (:class:`QueryAccounting`)
+    records per query, accounting per batch.  :meth:`~QueryAccounting.record`
+    builds a query's one record — the :class:`~repro.query.QueryResult`,
+    which carries the answer, the measured internals and the stage
+    times, and which the flight recorder keeps as it is — for
+    answered, missed, sketch-served, degraded and gathered queries
+    alike; :meth:`~QueryAccounting.finish` accounts one query and
+    :meth:`~QueryAccounting.finish_batch` a whole batch, once per
+    series and label set.  :class:`QueryAccounting` binds the
+    canonical series once at construction; both engines hold one.
 
 The **answer** stage (sketch tier or store integration, plus the
 fault dispatch) lives with the store, in :mod:`repro.query.engine`.
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.simulator import DEGRADATION_BUCKETS
@@ -71,23 +75,25 @@ PLAN_TABLE_ROWS = 1024
 
 _TABLES = tuple(PLAN_PHASES)
 _ROUTING = ("junctions", "regions")
+#: Hit flags of a query whose first ``k`` tables all hit, per ``k``.
+_ALL_HIT = [dict.fromkeys(_TABLES[:k], True) for k in range(5)]
 _NO_ATTRS: Dict[str, object] = {}
 
 
-def _tables(plan: "QueryPlan", served: bool) -> Tuple[str, ...]:
-    """The plan tables a query uses: the junctions always, the regions
-    when its box holds a junction, the chain when it is answered and
-    the sensors unless the sketch served it."""
-    answered = plan.regions is not None
-    return _TABLES[: 1 + bool(plan.junction_count) + answered * (2 - served)]
+def plan_key(query: RangeQuery) -> tuple:
+    """A query's plan-table key: its box's four floats and its bound
+    (a tuple hashes in C, the frozen ``BBox`` in Python)."""
+    box = query.box
+    return box.min_x, box.min_y, box.max_x, box.max_y, query.bound
 
 
 class QueryPlan:
-    """What one query resolved to, and what resolving it cost."""
+    """What one query outside a batch resolved to, and what resolving
+    it cost."""
 
     __slots__ = (
         "junction_count", "regions", "chain", "edges", "sensors", "nodes",
-        "row", "hits", "shared", "stage_s",
+        "row", "hits", "stage_s",
     )
 
     def __init__(self) -> None:
@@ -95,86 +101,83 @@ class QueryPlan:
         #: Sorted region tuple; ``None`` when no approximation exists
         #: (§5.5: the query is a miss).
         self.regions: Optional[Tuple[int, ...]] = None
-        #: The boundary chain (single queries only; a batch keeps its
-        #: chains in one :class:`BatchPlan` container) and its length.
+        #: The boundary chain and its length.
         self.chain = None
         self.edges = 0
         #: Planner-native sensor ids (resolved only when counted or
         #: dispatched to) and how many a dispatch contacts.
         self.sensors = ()
         self.nodes = 0
-        #: The plan-table row behind a single query's plan.
+        #: The plan-table row behind the plan.
         self.row: Optional[list] = None
-        #: Per-table hit flags (empty on a single query's first plan).
+        #: Per-table hit flags (empty on a first plan).
         self.hits: Dict[str, bool] = {}
-        #: Shared fill seconds this query triggered in its batch.
-        self.shared = 0.0
         self.stage_s: Dict[str, float] = {}
 
 
 class BatchPlan:
     """The plan of a whole batch, one row per distinct key: the boxes,
     ``(box, bound)`` pairs and boundary chains the plan table lacks are
-    each resolved once, whichever queries share them.
+    each resolved once, whichever queries share them."""
 
-    :meth:`query_plan` hands a query its :class:`QueryPlan` and applies
-    the attribution rule: the first user of a row the batch *filled* is
-    charged that table's seconds per row (``shared``); every later
-    user, and every user of a row the plan table held already, *hits*.
-    ``counters`` (``(table, hit) → Counter``) switches the accounting
-    on; without it the plan only resolves (the sharded router).
-    """
-
-    def __init__(self, counters=None) -> None:
-        self.counters = counters
-        #: Per query: its pair.  Per pair: its plan-table row, its box
-        #: and pair rows among the batch's fills (``(None, None)``: the
-        #: table held the pair) and its chain row (-1 without one).
+    def __init__(self) -> None:
+        #: Per query: its pair.  Per pair: its plan-table row and its
+        #: chain row (-1 without one).
         self.pair_of: List[int] = []
         self.rows: List[list] = []
-        self.fills: List[Tuple[Optional[int], Optional[int]]] = []
         self.chain_of: List[int] = []
-        #: Per chain: the planner's batch container, and sensors a
-        #: dispatch over it contacts.
+        #: Per table, per pair: the row of the table's fill it reads
+        #: (its box, itself, its chain), -1 if the plan table held it.
+        self.fills: Dict[str, List[int]] = {}
+        #: Per chain: the planner's batch container, its length and the
+        #: sensors a dispatch over it contacts.
         self.chains = ()
+        self.edges: List[int] = []
         self.nodes: List[int] = []
-        #: Per table: seconds a fill of one row is charged, and the
-        #: rows no longer to fill (used in the batch, or held before).
+        #: Per table: seconds a fill of one row is charged.
         self.share: Dict[str, float] = {}
-        self.seen: Dict[str, set] = {name: set() for name in PLAN_PHASES}
         #: Plan seconds in all (metered out of every ``elapsed``).
         self.fill_s = 0.0
 
-    def query_plan(self, i: int, served: bool = False) -> Tuple[QueryPlan, int]:
-        """Query ``i``'s plan and chain row; ``served`` (from the
-        sketch) skips the sensor table."""
-        pair = self.pair_of[i]
-        row = self.chain_of[pair]
-        plan = QueryPlan()
-        plan.junction_count, plan.regions, chain, _ = self.rows[pair]
-        plan.edges = 0 if chain is None else len(chain)
-        if self.counters is not None:
-            keys = (*self.fills[pair], row, row)
-            for table, key in zip(_tables(plan, served), keys):
-                self._use(plan, table, key)
-        return plan, row
+    def attribute(self, served: Sequence[bool]) -> tuple:
+        """The attribution rule over the whole batch: the first user of
+        a row the batch *filled* is charged that table's seconds per
+        row; every later user, and every user of a row the plan table
+        held already, *hits*.  A query uses the junctions always, the
+        regions when its box holds a junction, the chain when it is
+        answered and the sensors unless the sketch ``served`` it, so
+        the tables it uses are a prefix of the four.  Only the queries
+        of a pair that reads a filled row can fill one.
 
-    def _use(self, plan: QueryPlan, table: str, row: Optional[int]) -> None:
-        """Account one use of ``row`` (``None``: the plan table's)."""
-        seen = self.seen[table]
-        hit = row is None or row in seen
-        fill = 0.0
-        if not hit:
-            seen.add(row)
-            fill = self.share[table]
-        plan.hits[table] = hit
-        self.counters[table, hit].inc()
-        plan.shared += fill
-        if table in _ROUTING and row is not None:
-            # A query the batch planned reports its two routing phases
-            # (0.0 on a hit); chain and sensor fills count towards
-            # ``shared`` alone.
-            plan.stage_s[PLAN_PHASES[table]] = fill
+        Returns the uses per ``(table, hit)`` and, per query, its hit
+        flags, its shared fill seconds and its ``stage_s`` — the two
+        routing phases of a pair the batch planned (the fill it
+        triggered, 0.0 on a hit; chain and sensor fills count towards
+        the shared seconds alone)."""
+        fills, share = self.fills, self.share
+        span = [1 + (row[0] > 0) + 2 * (row[1] is not None) for row in self.rows]
+        cold = [max(rows) >= 0 for rows in zip(*fills.values())]
+        seen: Dict[str, set] = {table: set() for table in _TABLES}
+        spans, per_query = [0] * 5, []
+        for p, skip in zip(self.pair_of, served):
+            used = span[p] - skip
+            spans[used] += 1
+            flags, charged, stages = dict(_ALL_HIT[used]), 0.0, {}
+            for table in _TABLES[:used] if cold[p] else ():
+                row = fills[table][p]
+                if row >= 0 and row not in seen[table]:
+                    seen[table].add(row)
+                    flags[table] = False
+                    charged += share[table]
+                if table in _ROUTING and row >= 0:
+                    stages[PLAN_PHASES[table]] = 0.0 if flags[table] else share[table]
+            per_query.append((flags, charged, stages))
+        uses, users = {}, len(self.pair_of)
+        for b, table in enumerate(_TABLES):
+            users -= spans[b]  # the queries that use more than b tables
+            uses[table, False] = len(seen[table])
+            uses[table, True] = users - len(seen[table])
+        return uses, per_query
 
 
 class PlanStage:
@@ -193,30 +196,33 @@ class PlanStage:
         #: recently used first.
         self.table: "OrderedDict[tuple, list]" = OrderedDict()
 
-    def _keep(self, key, row: Optional[list] = None) -> Optional[list]:
-        """``key``'s row, made the most recently used: ``row`` entered
-        (the least recently used one leaving past the cap), else the
-        one the table holds — ``None`` if it holds none."""
-        row = self.table.get(key) if row is None else row
-        if row is not None:
-            self.table[key] = row
+    def _read(self, keys) -> List[Optional[list]]:
+        """The rows the table holds for ``keys`` (``None`` where it
+        holds none), each made the most recently used."""
+        rows = [self.table.get(key) for key in keys]
+        for key in compress(keys, rows):
             self.table.move_to_end(key)
-            if len(self.table) > PLAN_TABLE_ROWS:
-                self.table.popitem(last=False)
-        return row
+        return rows
+
+    def _write(self, items) -> None:
+        """Enter new ``(key, row)`` items as the most recently used, the
+        least recently used leaving past the cap."""
+        self.table.update(items)
+        while len(self.table) > PLAN_TABLE_ROWS:
+            self.table.popitem(last=False)
 
     def plan(self, query: RangeQuery) -> QueryPlan:
         """Steps 1-3 of one query: its plan-table row, else — cold —
         the junction set, its region approximation and their boundary
         chain, stopping at the first step that proves the query a miss,
         and the row they make."""
-        key = (query.box, query.bound)
+        key = plan_key(query)
         plan = QueryPlan()
-        row = plan.row = self._keep(key)
+        row = plan.row = self._read((key,))[0]
         if row is not None:
             plan.junction_count, plan.regions, plan.chain, _ = row
             plan.edges = 0 if plan.chain is None else len(plan.chain)
-            plan.hits = dict.fromkeys(_tables(plan, True), True)
+            plan.hits = dict(_ALL_HIT[1 + bool(plan.junction_count) + (plan.regions is not None)])
             return plan
         planner, bound = self.planner, query.bound
         junctions = self._resolve(
@@ -234,8 +240,8 @@ class PlanStage:
                     planner.boundary, regions,
                 )
                 plan.edges = len(plan.chain)
-        row = [plan.junction_count, plan.regions, plan.chain, None]
-        plan.row = self._keep(key, row)
+        plan.row = [plan.junction_count, plan.regions, plan.chain, None]
+        self._write(((key, plan.row),))
         return plan
 
     def sensors(self, plan: QueryPlan, served: bool = False, ids=False) -> None:
@@ -285,48 +291,44 @@ class PlanStage:
             value = compute(*args)
         return value, pc() - t0
 
-    def plan_batch(
-        self, queries: Sequence[RangeQuery], counters=None, chain: bool = True
-    ) -> BatchPlan:
+    def plan_batch(self, queries: Sequence[RangeQuery]) -> BatchPlan:
         """Plan a batch: dedupe to distinct ``(box, bound)`` pairs, read
         each from the plan table, resolve the others — each distinct box
         and pair once, through the planner's batch surface, each step
         under one ``batch.fill.<table>`` span — and dedupe the region
-        tuples to distinct chains.  Unless the caller only routes
-        (``chain=False``), build the chains and count the sensors no row
-        holds yet, and write the planned pairs to the table."""
-        planner, batch = self.planner, BatchPlan(counters)
+        tuples to distinct chains; build the chains and count the
+        sensors no row holds yet, and write the planned pairs to the
+        table."""
+        planner, batch = self.planner, BatchPlan()
         # Rows are numbered by first use: a dict keeps insertion order.
-        pairs: Dict[tuple, int] = {}
-        batch.pair_of = [
-            pairs.setdefault((query.box, query.bound), len(pairs))
-            for query in queries
-        ]
-        rows = batch.rows = [self._keep(key) for key in pairs]
-        new = [(p, key) for p, key in enumerate(pairs) if rows[p] is None]
-        boxes: Dict[object, int] = {}
-        fills = batch.fills = [(None, None)] * len(rows)
-        for p, (box, _) in new:
-            fills[p] = boxes.setdefault(box, len(boxes)), p
+        first: Dict[tuple, int] = {}
+        batch.pair_of = [first.setdefault(plan_key(query), len(first)) for query in queries]
+        pairs = list(first)
+        rows = batch.rows = self._read(pairs)
+        new = [p for p, row in enumerate(rows) if row is None]
+        box_of = [-1] * len(rows)
         if new:
+            boxes: Dict[tuple, int] = {}  # a box's four floats → its fill
+            for p in new:
+                box_of[p] = boxes.setdefault(pairs[p][:4], len(boxes))
             found, counts = self._fill(
                 batch, "junctions", len(boxes), planner.batch_junctions, list(boxes)
             )
             regions = self._fill(
                 batch, "regions", len(new), planner.batch_regions, found,
-                [fills[p][0] for p, _ in new], [bound for _, (_, bound) in new],
+                [box_of[p] for p in new], [pairs[p][4] for p in new],
             )
-            for (p, _), selected in zip(new, regions):
-                rows[p] = [counts[fills[p][0]], selected, None, None]
+            for p, selected in zip(new, regions):
+                rows[p] = [counts[box_of[p]], selected, None, None]
+        pair_fills = [p if box >= 0 else -1 for p, box in enumerate(box_of)]
+        batch.fills = {"junctions": box_of, "regions": pair_fills}
         distinct: Dict[Tuple[int, ...], int] = {}
         batch.chain_of = [
             -1 if row[1] is None else distinct.setdefault(row[1], len(distinct))
             for row in rows
         ]
-        if chain:
-            self._chains(batch, list(distinct))
-            for p, key in new:
-                self._keep(key, rows[p])
+        self._chains(batch, list(distinct))
+        self._write((pairs[p], rows[p]) for p in new)
         return batch
 
     def _chains(self, batch: BatchPlan, distinct: list) -> None:
@@ -338,16 +340,16 @@ class PlanStage:
         for row, c in zip(batch.rows, batch.chain_of):
             if c >= 0 and row[2] is not None:
                 chains[c], nodes[c] = row[2], row[3]
-        todo = [c for c in range(n) if chains[c] is None]
-        batch.seen["boundary"].update(set(range(n)) - set(todo))
-        batch.seen["sensors"].update(c for c in range(n) if nodes[c] is not None)
+        for table, held in (("boundary", chains), ("sensors", nodes)):
+            batch.fills[table] = [c if c >= 0 and held[c] is None else -1 for c in batch.chain_of]
+        todo = [c for c, held in enumerate(chains) if held is None]
         if todo:
             built = self._fill(
                 batch, "boundary", len(todo), planner.batch_chains,
                 [distinct[c] for c in todo],
             )
-            for k, c in enumerate(todo):
-                chains[c] = built[k]
+            for c, view in zip(todo, built):
+                chains[c] = view
         # With no chain held, the fill's own container is the batch's.
         fresh = todo and len(todo) == n
         batch.chains = built if fresh else planner.join_chains(chains)
@@ -356,6 +358,7 @@ class PlanStage:
                 batch, "sensors", n, self._batch_sensors, batch.chains, distinct
             )
         batch.nodes = nodes
+        batch.edges = [len(held) for held in chains]
         for row, c in zip(batch.rows, batch.chain_of):
             if c >= 0:
                 row[2:] = chains[c], nodes[c]
@@ -378,9 +381,10 @@ class PlanStage:
 
 class QueryAccounting:
     """The canonical per-query series and the flight recorder, bound
-    once per engine; :meth:`finish` is the only place a
-    :class:`~repro.query.QueryResult` — the one record of a query — is
-    built."""
+    once per engine: :meth:`finish` accounts one query,
+    :meth:`finish_batch` a whole batch, and :meth:`record` is the only
+    place a :class:`~repro.query.QueryResult` — the one record of a
+    query — is built."""
 
     def __init__(
         self, flight: Optional[FlightRecorder], planner: str, source: object
@@ -439,29 +443,26 @@ class QueryAccounting:
         self._by_class: Dict[Tuple[str, str], tuple] = {}
         self._by_strategy: Dict[str, tuple] = {}
 
-    def _class_counters(self, query: RangeQuery) -> tuple:
-        pair = self._by_class.get((query.kind, query.bound))
+    def _class_counters(self, kind: str, bound: str) -> tuple:
+        pair = self._by_class.get((kind, bound))
         if pair is None:
             counter = self.registry.counter
-            pair = self._by_class[query.kind, query.bound] = (
+            pair = self._by_class[kind, bound] = (
                 counter(
                     "repro_queries_total",
                     help="Queries executed, by kind and bound",
-                    kind=query.kind,
-                    bound=query.bound,
+                    kind=kind,
+                    bound=bound,
                 ),
                 counter(
                     "repro_query_misses_total",
                     help="Queries with no region approximation, by kind "
                     "and bound",
-                    kind=query.kind,
-                    bound=query.bound,
+                    kind=kind,
+                    bound=bound,
                 ),
             )
         return pair
-
-    def count_query(self, query: RangeQuery) -> None:
-        self._class_counters(query)[0].inc()
 
     def _record_degradation(self, degradation: QueryDegradation) -> None:
         strategy = degradation.strategy
@@ -496,61 +497,76 @@ class QueryAccounting:
             error_bound.observe(degradation.error_bound)
 
     def finish(
-        self,
-        query: RangeQuery,
-        plan: QueryPlan,
-        value: float,
-        elapsed: float,
-        stage_s: Dict[str, float],
-        edges: int = 0,
-        nodes: int = 0,
-        degradation: Optional[QueryDegradation] = None,
-        approximate: bool = False,
-        fanout: int = 0,
-        detail: Optional[Dict[str, object]] = None,
+        self, query: RangeQuery, plan: QueryPlan, value: float, elapsed: float,
+        stage_s: Dict[str, float], edges: int = 0, nodes: int = 0,
+        degradation: Optional[QueryDegradation] = None, approximate: bool = False,
     ) -> QueryResult:
         """Account one executed query and build its record.
 
         ``plan.regions is None`` marks a miss.  Missed queries consume
         wall time too and are charged into the same seconds/latency
         series as answered ones, so the per-query mean the figures
-        report covers the whole battery.  ``stage_s`` goes onto the
-        record by reference: a scattered batch shares one table and
-        writes its ``merge`` entry after the last finish.  ``detail``
-        is the executor's extra payload for a slow-query promotion.
+        report covers the whole battery.
         """
-        regions = plan.regions
-        missed = regions is None
-        if missed:
-            regions = ()
-            self._class_counters(query)[1].inc()
-        else:
-            self.sensors.inc(nodes)
-            self.edges.inc(edges)
-            if degradation is not None:
-                self._record_degradation(degradation)
-        if plan.shared:
-            self.fill_seconds.inc(plan.shared)
+        total, missing = self._class_counters(query.kind, query.bound)
+        total.inc()
+        missing.inc(plan.regions is None)
+        self.sensors.inc(nodes)
+        self.edges.inc(edges)
         self.seconds.inc(elapsed)
         self.latency.observe(elapsed)
+        return self.record(
+            query, value, plan.regions, edges, nodes, elapsed, stage_s, plan.junction_count,
+            plan.hits, 0.0, degradation, approximate,
+        )
+
+    def finish_batch(
+        self, queries: Sequence[RangeQuery], missed: Sequence[bool],
+        latencies: Sequence[Tuple[float, int]], edges: int, nodes: int, shared: float = 0.0,
+        uses: Optional[Dict[tuple, int]] = None,
+    ) -> None:
+        """Account a batch — the series :meth:`finish` moves per query
+        — once per label set, with the batch's totals: its queries and
+        the ``missed`` ones per (kind, bound), the answered ones'
+        ``edges`` and ``nodes``, the ``shared`` fill seconds, the plan
+        table ``uses`` per ``(table, hit)`` and one counted latency
+        observation per ``(elapsed, queries)`` of ``latencies``."""
+        labels = [(query.kind, query.bound) for query in queries]
+        misses = list(compress(labels, missed))
+        for label in dict.fromkeys(labels):  # a few labels: counted in C
+            total, missing = self._class_counters(*label)
+            total.inc(labels.count(label))
+            missing.inc(misses.count(label))
+        self.sensors.inc(nodes)
+        self.edges.inc(edges)
+        if shared:
+            self.fill_seconds.inc(shared)
+        for table_hit, count in (uses or {}).items():
+            self.batch_cache[table_hit].inc(count)
+        self.seconds.inc(sum([elapsed * count for elapsed, count in latencies]))
+        for elapsed, count in latencies:
+            self.latency.observe(elapsed, count)
+
+    def record(
+        self, query: RangeQuery, value: float, regions, edges: int, nodes: int, elapsed: float,
+        stage_s: Dict[str, float], junction_count: int, hits: Dict[str, bool],
+        shared: float = 0.0, degradation: Optional[QueryDegradation] = None,
+        approximate: bool = False, fanout: int = 0, detail=None,
+    ) -> QueryResult:
+        """A query's one record (``regions is None``: a miss), kept by
+        the flight recorder and, when slow, promoted with ``detail``
+        (the executor's extra payload).  ``stage_s`` goes onto the
+        record by reference: a scattered batch shares one table and
+        writes its ``merge`` entry after the last record.  The
+        degradation series stay per query (their bounds differ)."""
+        if degradation is not None:
+            self._record_degradation(degradation)
+        missed = regions is None
+        # Positional, in field order: a keyword call costs twice as much.
         result = QueryResult(
-            query=query,
-            value=value,
-            missed=missed,
-            regions=regions,
-            edges_accessed=edges,
-            nodes_accessed=nodes,
-            hops=edges,
-            elapsed=elapsed,
-            approximate=approximate,
-            degradation=degradation,
-            planner=self.planner,
-            junction_count=plan.junction_count,
-            stage_s=stage_s,
-            cache_hits=plan.hits,
-            shared_fill_s=plan.shared,
-            fanout=fanout,
-            generation=getattr(self.source, "generation", None),
+            query, value, missed, () if missed else regions, edges, nodes, edges, elapsed,
+            approximate, degradation, self.planner, junction_count, stage_s, hits, shared,
+            fanout, getattr(self.source, "generation", None),
         )
         if self.flight is not None and self.flight.keep(result):
             self._promote(result, detail)

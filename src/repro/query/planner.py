@@ -51,12 +51,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain as flatten
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import QueryError
 from ..forms.rank import csr_take
+from ..geometry import BBox
 from ..sampling import SensorNetwork
 from .result import LOWER, RangeQuery, TRANSIENT
 
@@ -93,7 +94,7 @@ def _csr_rows(
     return csr_take(starts, lens), lens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryChain:
     """An id-native boundary chain: interned wall ids + orientation.
 
@@ -129,6 +130,15 @@ class ChainBatch:
     def __getitem__(self, c: int) -> BoundaryChain:
         link = slice(self.offsets[c], self.offsets[c + 1])
         return BoundaryChain(self.wall_ids[link], self.signs[link])
+
+    def __iter__(self) -> Iterator[BoundaryChain]:
+        """Every chain's view at once: the offsets are read as one list,
+        not as two numpy scalars a chain."""
+        offsets, wall_ids, signs = self.offsets.tolist(), self.wall_ids, self.signs
+        return iter([
+            BoundaryChain(wall_ids[start:stop], signs[start:stop])
+            for start, stop in zip(offsets, offsets[1:])
+        ])
 
 
 def integrate_edges(store, edges, query: RangeQuery, static_eval: str):
@@ -200,7 +210,7 @@ class PythonQueryPlanner:
 
     # The batch surface, as the reference: a loop over distinct keys.
     def batch_junctions(self, boxes: Sequence) -> Tuple[List[Set], List[int]]:
-        found = [self.junction_ids(box) for box in boxes]
+        found = [self.junction_ids(BBox(*box)) for box in boxes]
         return found, [len(junctions) for junctions in found]
 
     def batch_regions(self, found, boxes, bounds) -> List[Optional[Tuple]]:
@@ -343,16 +353,15 @@ class CompiledQueryPlanner:
     def batch_junctions(
         self, boxes: Sequence
     ) -> Tuple[Tuple[np.ndarray, np.ndarray], List[int]]:
-        """The junctions inside each box, as one CSR over the boxes of
-        their **region ids** (all the region step reads of them), and
-        the junction count per box.  Both x-bounds of every box are two
-        ``searchsorted`` calls on the sorted-coordinate index; the
-        y-filter runs over the x-slabs (a slab is at most every
-        junction: that is a row's scratch)."""
+        """The junctions inside each box (``(min_x, min_y, max_x,
+        max_y)``), as one CSR over the boxes of their **region ids**
+        (all the region step reads of them), and the junction count per
+        box.  Both x-bounds of every box are two ``searchsorted`` calls
+        on the sorted-coordinate index; the y-filter runs over the
+        x-slabs (a slab is at most every junction: that is a row's
+        scratch)."""
         xs, ys, order = self.domain.bbox_index()
-        x0, y0, x1, y1 = np.array(
-            [(b.min_x, b.min_y, b.max_x, b.max_y) for b in boxes]
-        ).reshape(-1, 4).T
+        x0, y0, x1, y1 = np.array(boxes).reshape(-1, 4).T
         lo = np.searchsorted(xs, x0, side="left")
         slab = np.maximum(np.searchsorted(xs, x1, side="right") - lo, 0)
         counts = np.zeros(len(boxes), dtype=np.int64)

@@ -116,7 +116,7 @@ class QueryResult:
     """The one record of one executed query: the answer, what producing
     it touched and cost, and — once a
     :class:`~repro.obs.FlightRecorder` has kept it — its place in the
-    flight log.  :meth:`~repro.query.pipeline.QueryAccounting.finish`
+    flight log.  :meth:`~repro.query.pipeline.QueryAccounting.record`
     is the only place one is built for an engine; the flight ring, the
     slow-query promotion, EXPLAIN and the figure scripts all read this
     object, none keeps a copy.

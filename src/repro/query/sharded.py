@@ -18,31 +18,33 @@ Pipeline:
    :class:`~repro.forms.CompiledTrackingForm` and packed into a
    :mod:`multiprocessing.shared_memory` segment (:mod:`repro.shm`), so
    workers attach zero-copy views instead of unpickling megabytes.
-2. **Route** (per query): the parent runs the first two steps of the
-   shared plan stage (:class:`~repro.query.pipeline.PlanStage`: bbox →
-   junctions → region approximation, read from its plan table or
-   resolved once per batch — routing writes no row) over its own
+2. **Route** (per query): the parent runs the shared batch plan
+   (:class:`~repro.query.pipeline.PlanStage`: bbox → junctions →
+   region approximation → chain → sensors, read from its plan table or
+   resolved once per batch) over its own
    :class:`~repro.query.CompiledQueryPlanner`, then consults a
    precomputed region×shard reachability table (shard *s* can reach
    region *r* iff *s* holds at least one event on a wall adjacent to
    *r*).  Misses are answered locally; queries no shard can affect are
-   answered locally with value 0, the parent resuming the same plan
-   (chain → sensors) for the exact structural accounting.
+   answered locally with value 0 and the exact structural accounting
+   their plan row holds.
 3. **Scatter/gather**: per-shard sub-batches run a stock
    :class:`~repro.query.QueryEngine` ``execute_batch`` over the
    shard's attached form; the parent sums per-shard values (elementwise
    then ``min`` for ``static_eval="min"``, which is *not* linear and
-   must be folded over the summed endpoint totals) and passes every
-   query — gathered, unreachable or missed — through the shared
-   :meth:`~repro.query.pipeline.QueryAccounting.finish`, **in input
-   order**: results are field-identical to the single-process compiled
+   must be folded over the summed endpoint totals), builds every
+   query's record — gathered, unreachable or missed — through the shared
+   :meth:`~repro.query.pipeline.QueryAccounting.record`, **in input
+   order**, and accounts the batch once through
+   :meth:`~repro.query.pipeline.QueryAccounting.finish_batch`: results
+   are field-identical to the single-process compiled
    planner (same values, misses, region ids and edge/sensor/hop
    accounting).  Only the timing fields (``elapsed``, ``stage_s``,
    ``cache_hits``) differ, as they describe a different execution shape.
 
 Metrics: the parent accounts the canonical per-query series
 (``repro_queries_total``, misses, sensors/edges, latency) exactly once
-per query, through the same
+per batch, with its totals, through the same
 :class:`~repro.query.pipeline.QueryAccounting` the single-process
 engine binds; worker registries ship per-call deltas
 (:func:`repro.obs.metrics.diff_dumps`) that the parent absorbs with
@@ -615,7 +617,6 @@ class ShardedQueryEngine:
         pc = time.perf_counter
         start = pc()
 
-        plans: list = []
         fanouts: List[int] = [0] * n
         #: Per scattered slot: [summed partial values, edges, nodes].
         merged: Dict[int, list] = {}
@@ -625,19 +626,16 @@ class ShardedQueryEngine:
             "query.execute_sharded", queries=n, shards=self.shards
         ):
             with tracer.span("sharded.route", queries=n):
-                # The single-process batch plan, stopped after the
-                # regions: one resolution per distinct (box, bound).
-                routed = stage.plan_batch(queries, chain=False)
+                # The single-process batch plan: one resolution per
+                # distinct (box, bound), read from the router's table.
+                routed = stage.plan_batch(queries)
+                rows = [routed.rows[p] for p in routed.pair_of]
                 for i, query in enumerate(queries):
-                    acct.count_query(query)
-                    plan = routed.query_plan(i)[0]
-                    plans.append(plan)
-                    if plan.regions is None:
+                    regions = rows[i][1]
+                    if regions is None:
                         continue
                     touched = np.flatnonzero(
-                        self._region_shards[np.asarray(plan.regions)].any(
-                            axis=0
-                        )
+                        self._region_shards[np.asarray(regions)].any(axis=0)
                     )
                     self._metric_fanout.observe(len(touched))
                     fanouts[i] = len(touched)
@@ -698,19 +696,21 @@ class ShardedQueryEngine:
                 detail["spans"] = batch_spans
             results: List[QueryResult] = []
             for i, query in enumerate(queries):
-                plan = plans[i]
-                value, edges, nodes = 0.0, 0, 0
+                # A query no shard can affect is answered 0, with the
+                # structural accounting of its plan.
+                junction_count, regions, chain, nodes = rows[i]
+                value, edges, nodes = 0.0, 0 if chain is None else len(chain), nodes or 0
                 if i in merged:
                     acc, edges, nodes = merged[i]
                     value = float(min(acc))
-                elif plan.regions is not None:
-                    edges, nodes = self._zero_accounting(query)
-                results.append(
-                    acct.finish(
-                        query, plan, value, share, stage_s,
-                        edges, nodes, fanout=fanouts[i], detail=detail,
-                    )
-                )
+                results.append(acct.record(
+                    query, value, regions, edges, nodes, share, stage_s,
+                    junction_count, {}, fanout=fanouts[i], detail=detail,
+                ))
+            acct.finish_batch(
+                queries, [result.missed for result in results], ((share, n),),
+                sum(r.edges_accessed for r in results), sum(r.nodes_accessed for r in results),
+            )
             stage_s["merge"] = pc() - t_gathered
             for name, seconds in stage_s.items():
                 self._metric_stage[name].observe(seconds)
@@ -749,16 +749,3 @@ class ShardedQueryEngine:
         return QueryError(
             f"sharded worker pool died while executing shard {shard}"
         )
-
-    def _zero_accounting(self, query: RangeQuery) -> Tuple[int, int]:
-        """Edge/sensor accounting for a query no shard can affect.
-
-        The approximation exists but no shard holds events on any wall
-        adjacent to its regions, so the integral is exactly 0; the
-        structural accounting still has to match the single-process
-        engine, so the parent plans the query through to its chain and
-        sensors itself (once a pair: the plan table keeps the row).
-        """
-        plan = self._stage.plan(query)
-        self._stage.sensors(plan)
-        return plan.edges, plan.nodes

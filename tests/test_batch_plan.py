@@ -32,6 +32,7 @@ from test_query_planner import _deployment
 
 import repro.forms.compiled as compiled_module
 import repro.forms.succinct as succinct_module
+import repro.obs.metrics as metrics_module
 import repro.query.pipeline as pipeline_module
 import repro.query.planner as planner_module
 from repro import FrameworkConfig, InNetworkFramework
@@ -62,15 +63,13 @@ from repro.trajectories import EventColumns
 
 TICK_BITS = 2
 STORES = ("plain", "tiered", "stream", "late")
-#: Counters a query moves, whichever way it was executed.
-COUNTED = (
-    "repro_queries_total",
-    "repro_query_misses_total",
-    "repro_query_sensors_accessed_total",
-    "repro_query_edges_accessed_total",
-    "repro_sketch_queries_total",
-    "repro_csr_boundary_cache_total",
-)
+#: Counters a query moves, whichever way it was executed: every
+#: per-query series but the clock readings (``*seconds_total``) and the
+#: plan-table outcomes only a batch accounts (checked against the
+#: batch's records instead), plus the boundary cache where its touches
+#: are the loop's (not on a streaming store, see above).
+COUNTED = ("repro_query", "repro_queries_total", "repro_sketch_queries_total")
+BATCH_ONLY = "repro_query_batch_cache_total"
 
 
 class _EarlierInterner:
@@ -215,12 +214,20 @@ def _fields(result):
     )
 
 
-def _counted(registry):
+def _counted(registry, boundary_cache: bool):
     return sorted(
         (name, sorted(labels.items()), counter.value)
         for name, labels, counter in registry.iter_counters()
-        if name in COUNTED and counter.value
+        if counter.value and (
+            name.startswith(COUNTED) and name != BATCH_ONLY
+            and not name.endswith("seconds_total")
+            or boundary_cache and name == "repro_csr_boundary_cache_total"
+        )
     )
+
+
+def _latency_count(registry) -> int:
+    return registry.histogram("repro_query_latency_seconds").count
 
 
 def _promoted(store):
@@ -254,8 +261,22 @@ class TestBatchEqualsLoop:
                 _fields(r) for r in expected
             ]
         assert _promoted(engine.store) == _promoted(twin.store)
-        if _promoted(engine.store) is not None:
-            assert _counted(batched) == _counted(looped)
+        promotes = _promoted(engine.store) is not None
+        assert _counted(batched, promotes) == _counted(looped, promotes)
+        queries = sum(map(len, batteries))
+        assert _latency_count(batched) == _latency_count(looped) == queries
+        # The batch accounts its plan-table outcomes once per batch:
+        # they add up to the records' per-query hit flags.
+        outcomes = Counter(
+            (table, "hit" if hit else "fill")
+            for results in got for r in results
+            for table, hit in r.cache_hits.items()
+        )
+        assert {
+            (labels["cache"], labels["outcome"]): counter.value
+            for name, labels, counter in batched.iter_counters()
+            if name == BATCH_ONLY and counter.value
+        } == outcomes
 
     @pytest.mark.parametrize("store", STORES)
     @settings(max_examples=10, deadline=None)
@@ -445,6 +466,18 @@ class TestKernelAtBatchSize:
         assert segmented_rank(values, lo, hi, t).tolist() == expected
 
 
+def _hot(world, n: int = 1000):
+    """``n`` queries replaying the pool's boxes — misses among them —
+    over every kind and bound."""
+    return [
+        RangeQuery(
+            world.pool[i % len(world.pool)], 0.0, 0.5 * world.horizon,
+            kind=(STATIC, TRANSIENT)[i % 2], bound=(LOWER, UPPER)[i // 2 % 2],
+        )
+        for i in range(n)
+    ]
+
+
 def _distinct_boxes(world, n: int = 500):
     """``n`` cold queries on distinct random boxes, every kind and
     bound."""
@@ -591,6 +624,60 @@ class TestCountedGuard:
         grown = ours() - before
         assert grown == {QueryResult: 1000}, grown
         assert all(a is b for a, b in zip(flight.records[-1000:], kept))
+
+    def test_one_record_object_per_batched_query(self, world):
+        """The same for a warm 1 000-query ``execute_batch``: its plan,
+        attribution and accounting leave nothing behind but the
+        records the flight ring holds."""
+        flight = FlightRecorder(capacity=4000)
+        engine = world.engine("plain", "auto", "end", flight=flight)
+        queries = _hot(world)
+        engine.execute_batch(queries)
+        engine.execute_batch(queries)  # second touch: chains promoted
+
+        def ours():
+            gc.collect()
+            return Counter(
+                type(o) for o in gc.get_objects()
+                if str(type(o).__module__).startswith("repro")
+            )
+
+        before = ours()
+        kept = engine.execute_batch(queries)
+        grown = ours() - before
+        assert grown == {QueryResult: 1000}, grown
+        assert all(a is b for a, b in zip(flight.records[-1000:], kept))
+
+    def test_warm_batch_accounts_each_series_once(self, world, monkeypatch):
+        """A warm 1 000-query batch moves every instrument its engine's
+        accounting binds at most once per label set, and the latency
+        histogram at most twice (answered and missed share one
+        ``elapsed`` each) — counted, not timed."""
+        engine = world.engine("plain", "auto", "end")
+        queries = _hot(world)
+        engine.execute_batch(queries)
+        engine.execute_batch(queries)
+        touched = Counter()
+        for kind, method in (("Counter", "inc"), ("Histogram", "observe")):
+            inner = getattr(getattr(metrics_module, kind), method)
+
+            def counting(self, *args, _inner=inner):
+                touched[id(self)] += 1
+                return _inner(self, *args)
+
+            monkeypatch.setattr(getattr(metrics_module, kind), method, counting)
+        results = engine.execute_batch(queries)
+        acct = engine._acct
+        bound = [
+            acct.sensors, acct.edges, acct.seconds, acct.fill_seconds,
+            *acct.batch_cache.values(), *acct.sketch.values(),
+            *(c for pair in acct._by_class.values() for c in pair),
+            *(s for series in acct._by_strategy.values() for s in series),
+        ]
+        assert len(acct._by_class) == 4  # every kind × bound in the batch
+        assert {r.missed for r in results} == {True, False}
+        assert max(touched[id(instrument)] for instrument in bound) == 1
+        assert touched[id(acct.latency)] == 2
 
 
 _STEPS = ("execute", "execute_batch", "faulty", "append")

@@ -281,6 +281,23 @@ class TestMetricsRegistry:
             (float("inf"), 4),
         ]
 
+    def test_counted_observe_equals_repeated_observes(self):
+        """``observe(v, n)`` — one call for a batch's shared latency —
+        leaves the histogram as ``n`` single observations would: same
+        buckets, count and quantiles; the sum up to float rounding."""
+        registry = MetricsRegistry()
+        counted = registry.histogram("counted", buckets=(1e-5, 1e-4, 1e-3))
+        single = registry.histogram("single", buckets=(1e-5, 1e-4, 1e-3))
+        for value, n in ((3.3e-6, 997), (4.1e-5, 3), (0.25, 11), (7e-4, 0)):
+            counted.observe(value, n)
+            for _ in range(n):
+                single.observe(value)
+        assert counted.counts == single.counts
+        assert counted.count == single.count == 1011
+        assert counted.sum == pytest.approx(single.sum, rel=1e-12)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            assert counted.quantile(q) == single.quantile(q)
+
     def test_histogram_quantile_interpolates(self):
         registry = MetricsRegistry()
         h = registry.histogram("h", buckets=(10.0,))
