@@ -7,12 +7,17 @@ array pairs (sorted ``values`` + per-edge ``offsets``, one pair per
 direction) addressed by interned edge ids.  Counting is a single
 ``np.searchsorted`` over one contiguous segment instead of a dict hit +
 ``bisect`` per call.  Boundary integration is **rank-first**: a chain's
-first touch ranks every boundary segment at once with
-:func:`~repro.forms.rank.segmented_rank` — cost proportional to the
-boundary length, as Theorems 4.2/4.3 promise — and only its second
+first touch ranks every boundary segment at once, and only its second
 touch promotes it to a merged, sign-weighted, prefix-summed timestamp
 series (LRU-cached), after which the whole boundary is **one** binary
-search per query.
+search per query.  The rank has two regimes (:mod:`~repro.forms.rank`),
+chosen from the lane count: a single chain's few hundred (edge,
+direction, time) lanes search the form's
+:class:`~repro.forms.rank.RankIndex` twice, built at construction from
+the permutation that builds the column (8 bytes of sorted time plus a
+4- or 8-byte key per event, in memory only); a batch's lanes, from
+1024 on, run :func:`~repro.forms.rank.segmented_rank`'s halving, whose
+cost follows the boundary length as Theorems 4.2/4.3 promise.
 
 Counts are bit-identical to ``TrackingForm``: both stores resolve the
 direction through the same canonicalisation and count with
@@ -28,7 +33,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..obs import get_registry
-from .rank import chain_lanes, csr_take, segmented_rank, time_lanes
+from .rank import RankIndex, chain_lanes, csr_take, time_lanes
 from .snapshot import DirectedEdge, _canonical
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,7 +87,9 @@ class CompiledTrackingForm:
         convention: 0 = along the canonical edge orientation (γ⁺ of the
         canonical direction), 1 = against it.  ``boundary_cache_size``
         caps the compiled-boundary LRU cache (least recently integrated
-        chains are evicted first; 0 disables caching entirely).
+        chains are evicted first; 0 disables caching entirely).  A
+        float64 ``t`` is kept, not copied, as the rank index's sorted
+        column: leave it unmodified.
         """
         self._interner = interner
         # Number of ids frozen at compile time; the shared interner may
@@ -92,32 +99,40 @@ class CompiledTrackingForm:
 
         edge_id = np.asarray(edge_id, dtype=np.int64)
         direction = np.asarray(direction)
-        t = np.asarray(t, dtype=np.float64)
+        t = np.ascontiguousarray(t, dtype=np.float64)
 
         csr = []
         for d in (0, 1):
-            mask = direction == d
-            ids_d = edge_id[mask]
+            src = np.flatnonzero(direction == d)
+            ids_d = edge_id[src]
             # Stable sort by edge id keeps each edge's segment in the
             # original (global time) order, i.e. sorted ascending.
-            order = np.argsort(ids_d, kind="stable")
+            src = src[np.argsort(ids_d, kind="stable")]
             counts = np.bincount(ids_d, minlength=n_ids)
             offsets = np.concatenate(([0], np.cumsum(counts)))
-            csr.append((t[mask][order], offsets.astype(np.int64)))
-        self._set_csr(*zip(*csr))
+            csr.append((t[src], offsets.astype(np.int64), src))
+        self._set_csr(*zip(*csr), t)
         self._init_runtime_state(boundary_cache_size)
 
-    def _set_csr(self, values, offsets) -> None:
+    def _set_csr(self, values, offsets, sources, t) -> None:
         """Install freshly built per-direction CSR columns.
 
         Both directions share one contiguous column (direction 1 after
         direction 0) under one joint offsets array, ``_rows``: row
         ``d * n_ids + eid`` is the segment of ``(eid, d)``, so a
         chain's lanes of both directions rank in a single kernel pass.
+        ``sources`` are the positions in ``t`` the column was gathered
+        from: with ``t`` ascending, an element's source is its place in
+        a stable sort of the column, and the rank index needs no sort.
         """
         self._column = np.concatenate(values)
         self._offsets = (offsets[0], offsets[1])
         self._rows = _joint_rows(offsets)
+        if t.size and not (t[:-1] <= t[1:]).all():
+            sources, t = None, None  # not time-sorted: the index sorts
+        else:
+            sources = np.concatenate(sources)
+        self._index = RankIndex(self._column, self._rows, sources, t)
 
     def to_columns(self, interner: "EdgeInterner" = None):
         """Reconstruct the stored events as time-sorted
@@ -173,7 +188,8 @@ class CompiledTrackingForm:
         registry = get_registry()
         self._metric_searchsorted = registry.counter(
             "repro_csr_searchsorted_total",
-            help="np.searchsorted calls answered by compiled forms",
+            help="Evaluations by compiled forms: a chain's, a batch's "
+            "first-touch chains together, or one edge's",
         )
         self._metric_boundary_compiles = registry.counter(
             "repro_csr_boundary_cache_total",
@@ -244,6 +260,7 @@ class CompiledTrackingForm:
         form._column = views["values"]
         form._offsets = (views["offsets0"], views["offsets1"])
         form._rows = _joint_rows(form._offsets)
+        form._index = RankIndex(form._column, form._rows)
         form._init_runtime_state(boundary_cache_size)
         # Pin the mapping for the lifetime of the form.
         form._shm_handle = handle
@@ -287,11 +304,13 @@ class CompiledTrackingForm:
 
     def _rank_lanes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Per lane, the rank of time ``t`` in joint-column row
-        ``rows`` — the storage hook under every first-touch read, a
-        single chain's and a whole batch's alike."""
-        return segmented_rank(
-            self._column, self._rows[rows], self._rows[rows + 1], t
-        )
+        ``rows`` (the two broadcast: flat lanes, or a chain's rows as a
+        column against its times) — the storage hook under every
+        first-touch read, a single chain's and a whole batch's alike:
+        a chain's few hundred lanes search the rank index twice, a
+        batch's from ``_ORDER_FROM`` (1024) lanes on halve
+        (:mod:`~repro.forms.rank`)."""
+        return self._index.rank(rows, t)
 
     def _rank_chain(
         self, wall_ids: np.ndarray, signs: np.ndarray, times: np.ndarray
@@ -633,7 +652,7 @@ class CompiledTrackingForm:
         }
 
     def _derived_bytes(self) -> int:
-        return int(self._rows.nbytes)
+        return int(self._rows.nbytes) + self._index.nbytes
 
     def __repr__(self) -> str:
         return (

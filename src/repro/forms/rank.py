@@ -1,20 +1,31 @@
-"""The one rank kernel: a vectorised segmented binary search.
+"""The rank kernels: one index search for a query, a segmented binary
+search for a batch.
 
 Theorems 4.2/4.3 ask, per boundary edge and direction, for a *rank* —
 how many of that edge's sorted crossing times are ``<= t`` — and every
-store in this package keeps its per-edge series as segments of one
-contiguous column.  :func:`segmented_rank` answers all of a chain's —
-or a whole batch of chains' — ranks together: each **lane** is one
-``[lo, hi)`` segment with its own threshold, every lane advances one
-halving per numpy step, and a lane stops being carried once its own
-segment is exhausted.  Cost follows ``sum(log2(segment))`` over the
-lanes (the boundary length), not the events on them, and nothing
-per-event is allocated.
+store in this package keeps its per-edge series as segments (rows) of
+one contiguous column.  Each **lane** is one row with its own
+threshold, and a chain's — or a whole batch of chains' — lanes rank
+together, by one of two strategies chosen from the lane count alone:
+
+- below :data:`_ORDER_FROM` lanes (a single query's chain, a few
+  hundred), :class:`RankIndex` answers from an ordering computed once
+  per column: two C searches for any number of lanes, where a halving
+  would spend ~9 steps of numpy call overhead;
+- from :data:`_ORDER_FROM` lanes on (a batch), :func:`segmented_rank`
+  halves every lane at once, lanes ordered by segment length, at a
+  cost that follows ``sum(log2(segment))`` over the lanes and nothing
+  per event.
+
+The two meet near 1500 lanes on the e2e ``adhoc_cold`` world, in the
+order a batch builds its lanes (sooner for lanes in random order);
+both return what ``np.searchsorted(row, t, side="right")`` does, ties
+included, for any threshold that is not NaN.
 
 Callers: the plain CSR form (timestamp column), the compressed form
 (per-block first-tick directory), the count sketch (touched-bin
 column) and, through its blocks, the streaming store.  The lane
-builders beside the kernel — :func:`time_lanes` for one chain,
+builders beside the kernels — :func:`time_lanes` for one chain,
 :func:`chain_lanes` for a batch of them — and :func:`csr_take` are
 shared by those stores and the query planner.
 """
@@ -25,10 +36,13 @@ from typing import Tuple
 
 import numpy as np
 
-#: Lanes from which the kernel orders them by segment length, so that a
-#: step touches only the lanes still searching.  Below it a step is
-#: numpy call overhead, not element work, and ordering would only add
-#: calls (a single query's chain is a few hundred lanes).
+#: Lanes from which a rank halves (:func:`segmented_rank`, lanes
+#: ordered by segment length so that a step touches only the lanes
+#: still searching) instead of searching the index (:class:`RankIndex`).
+#: Measured on the e2e ``adhoc_cold`` world (2-vCPU guest), on a cold
+#: 500-query batch's lanes in the order :func:`chain_lanes` builds
+#: them: 1024 lanes rank in 0.15 ms by index and 0.20 ms by halving,
+#: 2048 in 0.33 and 0.29 ms, all 73k in 9.0 and 5.9 ms.
 _ORDER_FROM = 1024
 
 
@@ -48,40 +62,86 @@ def segmented_rank(
     if not longest:
         return n
     steps = (longest - 1).bit_length()
-    order = None
-    if n.size >= _ORDER_FROM and steps > 1:
-        # A segment of length L is down to one candidate after
-        # bit_length(L - 1) halvings: longest first, step s then works
-        # on the prefix of lanes that need more than s of them.
-        need = np.frexp(np.maximum(n - 1, 0))[1].astype(np.uint8)
-        order = np.argsort(need, kind="stable")[::-1]
-        live = n.size - np.cumsum(np.bincount(need, minlength=steps + 1))
-        lo, n, t = lo[order], n[order], np.broadcast_to(t, n.shape)[order]
+    # A segment of length L is down to one candidate after
+    # bit_length(L - 1) halvings: longest first, step s then works on
+    # the prefix of lanes that need more than s of them.
+    need = np.frexp(np.maximum(n - 1, 0))[1].astype(np.uint8)
+    order = np.argsort(need, kind="stable")[::-1]
+    live = n.size - np.cumsum(np.bincount(need, minlength=steps + 1))
+    lo, n, t = lo[order], n[order], np.broadcast_to(t, n.shape)[order]
     base = lo.copy()
-
-    def halve(b, k, t):
-        # Invariant: everything before ``b`` is <= t, everything from
-        # ``b + k`` on is > t.  A lane already down to k <= 1 halves by
-        # zero and stands still (its probe reads a neighbour, times
-        # zero).
+    for m in live[:steps].tolist():
+        # Invariant: everything before ``base`` is <= t, everything
+        # from ``base + n`` on is > t.  A lane already down to n <= 1
+        # halves by zero and stands still (its probe reads a
+        # neighbour, times zero).
+        b, k = base[:m], n[:m]
         half = k >> 1
         k -= half
-        half *= values[b + half - 1] <= t
+        half *= values[b + half - 1] <= t[:m]
         b += half
-
-    if order is None:
-        for _ in range(steps):
-            halve(base, n, t)
-    else:
-        for m in live[:steps].tolist():
-            halve(base[:m], n[:m], t[:m])
     # One candidate left per non-empty lane; empty lanes may sit past
     # the column's end, hence the clip.
     base += (values[np.minimum(base, len(values) - 1)] <= t) & (n > 0)
     base -= lo
-    if order is not None:
-        base[order] = base.copy()  # back into the caller's lane order
+    base[order] = base.copy()  # back into the caller's lane order
     return base
+
+
+class RankIndex:
+    """Rank in any row of a column with two searches.
+
+    ``values[offsets[r]:offsets[r + 1]]`` (row ``r``) ascends.  Element
+    ``i`` of row ``r`` gets the key ``r * M + g``, ``g`` its place in a
+    stable sort of the whole column (``M`` elements); the keys ascend
+    over the column.  The values ``<= t`` are exactly the first
+    ``s = searchsorted(sorted, t, "right")`` of that sort, so row
+    ``r``'s rank of ``t`` is ``searchsorted(keys, r * M + s) -
+    offsets[r]``.  Memory: the sorted column plus 4-byte keys while
+    ``rows * M < 2**32``, else 8-byte ones — in-memory only, reported
+    as ``derived_bytes``.
+
+    ``position`` (each element's ``g``) and ``ordered`` (the sorted
+    values) come from the caller when it already holds them — the plain
+    form's constructor does — and from one argsort otherwise.
+    """
+
+    __slots__ = ("values", "offsets", "sorted", "keys")
+
+    def __init__(self, values, offsets, position=None, ordered=None):
+        m = values.size
+        if position is None:
+            order = np.argsort(values, kind="stable")
+            ordered, position = values[order], np.empty_like(order)
+            position[order] = np.arange(m)
+        rows = offsets.size - 1
+        dtype = np.uint32 if rows * m < 2 ** 32 else np.int64
+        self.keys = np.repeat(np.arange(rows, dtype=dtype), np.diff(offsets))
+        self.keys *= dtype(m)
+        np.add(self.keys, position, out=self.keys, casting="unsafe")
+        self.values, self.offsets, self.sorted = values, offsets, ordered
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.keys.nbytes + self.sorted.nbytes)
+
+    def rank(self, rows: np.ndarray, t) -> np.ndarray:
+        """Per lane, ``#{values in row rows[i] <= t}``: the lanes are
+        ``rows`` and ``t`` broadcast against each other (one threshold
+        per lane, one for all, or a column of rows against a row of
+        times — :func:`time_lanes`).  Searched below
+        :data:`_ORDER_FROM` lanes, halved from there on."""
+        offsets, lanes = self.offsets, np.broadcast(rows, t)
+        if lanes.size >= _ORDER_FROM:
+            rows, t = (a.ravel() for a in np.broadcast_arrays(rows, t))
+            return segmented_rank(
+                self.values, offsets[rows], offsets[rows + 1], t
+            ).reshape(lanes.shape)
+        probe = rows * np.int64(self.values.size) + np.searchsorted(
+            self.sorted, t, side="right"
+        )
+        probe = probe.astype(self.keys.dtype, copy=False)
+        return np.searchsorted(self.keys, probe) - offsets[rows]
 
 
 def csr_take(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -95,11 +155,10 @@ def csr_take(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 def time_lanes(
     rows: np.ndarray, times: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One chain against every time: ``(row, t)`` lanes in row-major
-    order, so a rank reshapes to ``(rows, times)``."""
-    if times.size == 1:
-        return rows, np.full(rows.shape, times.ravel()[0])
-    return np.repeat(rows, times.size), np.tile(times.ravel(), rows.size)
+    """One chain against every time: the rows as a column and the
+    times as a row, lanes that broadcast to ``(rows, times)`` (a rank
+    searches each time once, not once per row)."""
+    return rows[:, None], times.ravel()
 
 
 def chain_lanes(chains, chain: np.ndarray, times: np.ndarray, n_ids: int):

@@ -23,7 +23,9 @@ metrics, flight records) needs no new plumbing.
 
 Storage is a CSR over *touched* ``(edge, bin)`` pairs only — about
 ten bytes per pair — so coarse bins make the sketch hundreds of times
-smaller than even the compressed exact tier.
+smaller than even the compressed exact tier.  The rank index over the
+bins (:class:`~repro.forms.rank.RankIndex`) is built at construction,
+kept in memory only and reported as ``derived_bytes``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .rank import chain_lanes, segmented_rank, time_lanes
+from .rank import RankIndex, chain_lanes, time_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..trajectories import EventColumns
@@ -60,6 +62,7 @@ class EdgeCountSketch:
         self._activity = activity          # int32 events inside bin
         self._bin_width = float(bin_width)
         self._n_ids = int(n_ids)
+        self._index = RankIndex(bins, edge_offsets)  # in memory only
 
     # ------------------------------------------------------------------
     # Construction
@@ -143,14 +146,16 @@ class EdgeCountSketch:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per (edge, time) lane, the edge's net through the last bin
         wholly before the time's bin and the activity of that partial
-        bin: one rank over the touched-bin column, then two gathers."""
+        bin: one rank over the touched-bin column — two searches of
+        the bins' rank index for a single chain, the halving kernel
+        from 1024 lanes on (a batch) — then two gathers."""
         q = np.floor(times / self._bin_width).astype(np.int64)
         if not walls.size or not self._bins.size:  # nothing to gather from
-            zeros = np.zeros(walls.size, dtype=np.int64)
+            zeros = np.zeros(np.broadcast(walls, q).shape, dtype=np.int64)
             return zeros, zeros
         lo, hi = self._edge_offsets[walls], self._edge_offsets[walls + 1]
         # Bins are integers: "before bin q" is "<= q - 1".
-        at = lo + segmented_rank(self._bins, lo, hi, q - 1)
+        at = lo + self._index.rank(walls, q - 1)
         net = np.where(at > lo, self._cum_net[at - 1], 0)
         partial = np.minimum(at, len(self._bins) - 1)
         inside = (at < hi) & (self._bins[partial] == q)
@@ -236,7 +241,7 @@ class EdgeCountSketch:
             "store": type(self).__name__,
             "events": int(self._activity.sum()) if len(self._activity) else 0,
             "total_bytes": int(sum(components.values())),
-            "derived_bytes": 0,
+            "derived_bytes": self._index.nbytes,
             "components": components,
         }
 

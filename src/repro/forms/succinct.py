@@ -11,10 +11,12 @@ width of its largest delta.  A block of identical timestamps packs to
 **zero** payload bits (width 0), so heavy-duplicate edges are nearly
 free.
 
-Reads never inflate a column.  A chain's first touch *ranks*: the rank
-kernel (:func:`~repro.forms.rank.segmented_rank`) finds, per (edge,
-time) lane, the last block whose first tick is ``<= t`` in a per-block
-**first-tick directory**, and exactly that one block is bit-unpacked —
+Reads never inflate a column.  A chain's first touch *ranks*: per
+(edge, time) lane, the last block whose first tick is ``<= t`` in a
+per-block **first-tick directory** — found by the directory's own
+:class:`~repro.forms.rank.RankIndex` below 1024 lanes, by
+:func:`~repro.forms.rank.segmented_rank` from there on — and exactly
+that one block is bit-unpacked —
 all lanes together, one 8-byte window + shift + mask per delta; a
 batch's lanes decode each block they straddle once.  Chain
 compilation (second touch), per-edge reads and the full decode behind
@@ -26,9 +28,10 @@ the same quantized columns.
 
 Wire format vs derived index: offsets, heads, widths and payload are
 the stored (and shm-shipped) format, ``storage_report()["total_bytes"]``.
-The directory and the other decode indexes are rebuilt from them (or,
-at construction, taken from the ticks the encoder already holds) and
-are reported beside it as ``derived_bytes``.
+The directory, its rank index and the other decode indexes are
+rebuilt from them (or, at construction, taken from the ticks the
+encoder already holds) and are reported beside it as
+``derived_bytes``.
 
 Exactness contract: timestamps must be quantized **once at the ingest
 boundary** (``EventColumns.quantized`` / ``quantize_times``).  A
@@ -48,7 +51,7 @@ from .compiled import (
     CompiledTrackingForm,
     _joint_rows,
 )
-from .rank import csr_take, segmented_rank
+from .rank import RankIndex, csr_take, segmented_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planar import EdgeInterner
@@ -151,7 +154,7 @@ class _Blocks:
 
     __slots__ = (
         "heads", "widths", "payload", "block", "seg_rank", "block_starts",
-        "byte_starts", "block_len", "directory", "windows",
+        "byte_starts", "block_len", "directory", "windows", "index",
     )
 
     def __init__(self, heads, widths, payload) -> None:
@@ -164,7 +167,7 @@ class _Blocks:
         return int(
             self.seg_rank.nbytes + self.block_starts.nbytes
             + self.byte_starts.nbytes + self.block_len.nbytes
-            + self.directory.nbytes
+            + self.directory.nbytes + self.index.nbytes
         )
 
     def derive(
@@ -176,7 +179,8 @@ class _Blocks:
         Per row the rank of its nonempty segment (-1 if empty); per
         segment its first block; per block its delta count, its byte
         offset into the payload and — the **directory** — the tick its
-        deltas accumulate from (the segment's value at index ``32 b``).
+        deltas accumulate from (the segment's value at index ``32 b``),
+        and the directory's rank index (segments as its rows).
         ``ticks`` is the joint tick column when the caller (the
         encoder) still holds it; otherwise the directory is summed out
         of the decoded deltas.
@@ -206,6 +210,7 @@ class _Blocks:
             sums = (self.deltas(every) * self.valid(every)).sum(axis=1)
             before = np.cumsum(sums) - sums
             self.directory = self.heads[segment] + before - before[first]
+        self.index = RankIndex(self.directory, self.block_starts)
         return self
 
     def deltas(self, take: np.ndarray) -> np.ndarray:
@@ -300,8 +305,9 @@ class CompressedTrackingForm(CompiledTrackingForm):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _set_csr(self, values, offsets) -> None:
-        """Keep the freshly built CSR columns as compressed blocks."""
+    def _set_csr(self, values, offsets, sources, t) -> None:
+        """Keep the freshly built CSR columns as compressed blocks (the
+        directory's rank index is the blocks' own)."""
         self._offsets = tuple(o.astype(np.int32) for o in offsets)
         self._rows = _joint_rows(offsets)
         self._blocks = _encode(
@@ -341,15 +347,18 @@ class CompressedTrackingForm(CompiledTrackingForm):
     def _rank_lanes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Rank over the directory, then inside one block per lane.
 
-        Per (row, time) lane the kernel counts the blocks whose first
-        tick is ``<= t``; the last of them is the only block that can
-        straddle ``t``, so it alone is decoded — per lane for a single
-        chain, once per distinct block for a batch (from
-        :data:`_DECODE_LANES` lanes).  A timestamp is
+        Lanes broadcast as in the plain form and are flattened first.
+        Per (row, time) lane the directory's rank (its index below
+        ``_ORDER_FROM`` = 1024 lanes, the halving kernel from there on)
+        counts the blocks whose first tick is ``<= t``; the last of
+        them is the only block that can straddle ``t``, so it alone is
+        decoded — per lane for a single chain, once per distinct block
+        for a batch (from :data:`_DECODE_LANES` lanes).  A timestamp is
         ``tick * 2**-tick_bits`` exactly, hence ``value <= t`` iff
         ``tick <= floor(t * 2**tick_bits)``.
         """
         blocks = self._blocks
+        rows, t = (a.ravel() for a in np.broadcast_arrays(rows, t))
         limit = float(2 ** 62)
         quantum = np.floor(t * float(2.0 ** self._tick_bits))
         quantum = np.clip(quantum, -limit, limit).astype(np.int64)
@@ -357,9 +366,7 @@ class CompressedTrackingForm(CompiledTrackingForm):
         present = np.flatnonzero(segments >= 0)
         segments, q = segments[present], quantum[present]
         lo = blocks.block_starts[segments]
-        before = segmented_rank(
-            blocks.directory, lo, blocks.block_starts[segments + 1], q
-        )
+        before = blocks.index.rank(segments, q)
         # The head, then 32 values per block wholly before the
         # straddling one, then that block's share: its ticks keep
         # ascending past its length, so the count caps there.
@@ -463,7 +470,7 @@ class CompressedTrackingForm(CompiledTrackingForm):
         }
 
     def _derived_bytes(self) -> int:
-        return super()._derived_bytes() + self._blocks.derived_bytes
+        return int(self._rows.nbytes) + self._blocks.derived_bytes
 
     def __repr__(self) -> str:
         report = self.storage_report()

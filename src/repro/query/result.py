@@ -43,14 +43,14 @@ class RangeQuery:
     max_error: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.t2 < self.t1:
-            raise QueryError(f"inverted time interval [{self.t1}, {self.t2}]")
+        if not self.t1 <= self.t2:  # False for NaN too
+            raise QueryError(f"inverted or NaN interval [{self.t1}, {self.t2}]")
         if self.kind not in (STATIC, TRANSIENT):
             raise QueryError(f"unknown query kind {self.kind!r}")
         if self.bound not in (LOWER, UPPER):
             raise QueryError(f"unknown bound {self.bound!r}")
-        if self.max_error is not None and self.max_error < 0:
-            raise QueryError("max_error must be >= 0")
+        if self.max_error is not None and not self.max_error >= 0:
+            raise QueryError(f"max_error must be >= 0, not {self.max_error}")
 
     def with_bound(self, bound: str) -> "RangeQuery":
         return replace(self, bound=bound)

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from test_query_planner import _deployment
 
-import repro.forms.compiled as compiled_module
+import repro.forms.rank as rank_module
 import repro.forms.succinct as succinct_module
 import repro.obs.metrics as metrics_module
 import repro.query.pipeline as pipeline_module
@@ -515,7 +515,7 @@ class TestCountedGuard:
             calls["segmented_rank"] += 1
             return segmented_rank(*args)
 
-        monkeypatch.setattr(compiled_module, "segmented_rank", counting_rank)
+        monkeypatch.setattr(rank_module, "segmented_rank", counting_rank)
         for step in ("junction_ids", "region_ids", "boundary", "chain_sensors"):
             calls[step] = 0
 
@@ -535,6 +535,27 @@ class TestCountedGuard:
         flipped = LOWER if queries[0].bound == UPPER else UPPER
         engine.execute(replace(queries[0], bound=flipped))
         assert calls["junction_ids"] == 1
+
+    @pytest.mark.parametrize("store", ["plain", "stream"])
+    def test_cold_single_query_searches_the_rank_index(
+        self, world, store, monkeypatch
+    ):
+        """A single cold query's chain is a few hundred lanes: they
+        rank through the index's two searches, never the halving."""
+        calls, searched = [], []
+        monkeypatch.setattr(
+            rank_module, "segmented_rank",
+            lambda *args: calls.append(args) or segmented_rank(*args),
+        )
+        rank = rank_module.RankIndex.rank
+        monkeypatch.setattr(
+            rank_module.RankIndex, "rank",
+            lambda index, *args: searched.append(args) or rank(index, *args),
+        )
+        engine = world.engine(store, "auto", "end")
+        results = [engine.execute(q) for q in _distinct_boxes(world, 40)]
+        assert sum(not r.missed for r in results) > 10
+        assert len(searched) > 5 and calls == []
 
     def test_compressed_batch_decodes_each_straddled_block_once(
         self, world, monkeypatch

@@ -27,8 +27,10 @@ TOP_LEVEL = "*.py"
 
 #: package → code-line ceiling: the current size rounded up to 10 for
 #: every row a PR touched (``test_ceilings_are_tight`` keeps the rest
-#: within 50).  Last moved when every engine gained its plan table (one
-#: bounded LRU of (box, bound) plans behind ``execute``,
+#: within 50).  Last moved when every store gained a rank index (a
+#: cold chain ranks in two searches, ``forms/rank.py``): ``forms``
+#: 1200 → 1220, +24.  Before that, when every engine gained its plan
+#: table (one bounded LRU of (box, bound) plans behind ``execute``,
 #: ``execute_batch`` and ``fw.query``): ``query`` 1810 → 1870, +58.
 #: Before that, when the fleet monitor became one recorder
 #: of cumulative snapshots with views over it: ``obs`` 1860 → 1760
@@ -43,7 +45,7 @@ TOP_LEVEL = "*.py"
 CEILINGS = {
     "query": 1870,
     "obs": 1760,
-    "forms": 1200,
+    "forms": 1220,
     "evaluation": 750,
     "planar": 800,
     "network": 750,

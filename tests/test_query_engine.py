@@ -1,5 +1,7 @@
 """Unit tests for RangeQuery, QueryResult and QueryEngine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ class TestRangeQuery:
     def test_inverted_interval_rejected(self):
         with pytest.raises(QueryError):
             RangeQuery(BBox(0, 0, 1, 1), 10.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "t1, t2, max_error",
+        [(math.nan, 5.0, None), (0.0, math.nan, None), (0.0, 5.0, math.nan)],
+    )
+    def test_nan_rejected(self, t1, t2, max_error):
+        with pytest.raises(QueryError):
+            RangeQuery(BBox(0, 0, 1, 1), t1, t2, max_error=max_error)
+
+    def test_infinite_times_accepted(self):
+        query = RangeQuery(BBox(0, 0, 1, 1), -math.inf, math.inf)
+        assert query.t2 == math.inf
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(QueryError):

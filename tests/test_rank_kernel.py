@@ -1,11 +1,14 @@
-"""The segmented-rank kernel and the four stores that answer through it.
+"""The rank kernels and the four stores that answer through them.
 
 Generated (``hypothesis``) and enumerated corner cases for
 
-- :func:`repro.forms.rank.segmented_rank` against per-segment
+- :func:`repro.forms.rank.segmented_rank` and
+  :class:`repro.forms.rank.RankIndex` against per-segment
   ``np.searchsorted(side="right")``: empty segments, ties with the
   threshold, duplicates, thresholds before the first / after the last
-  value;
+  value and ±inf, lane sets on both sides of ``_ORDER_FROM``, and the
+  plain form's constructor-built index against the argsort-built one
+  of its ``shm_attach``;
 - the plain form's rank path against its merged prefix-sum path and a
   brute-force count, including chain ids interned after compile time;
 - the compressed form's directory rank + one-block decode against the
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 from test_query_planner import _battery, _deployment, _key
 
 from repro.forms import CompiledTrackingForm, CompressedTrackingForm
-from repro.forms.rank import segmented_rank
+from repro.forms.rank import _ORDER_FROM, RankIndex, segmented_rank
 from repro.forms import succinct
 from repro.forms.sketch import EdgeCountSketch
 from repro.forms.succinct import _DECODE_LANES
@@ -184,6 +187,97 @@ def _probe_times(t):
     return np.concatenate(
         (distinct, distinct - 0.5, [distinct[-1] + 1.0, -1.0, np.inf, -np.inf])
     )
+
+
+class TestRankIndex:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        segments=_segments,
+        as_float=st.booleans(),
+        many=st.booleans(),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_index_equals_kernel_and_searchsorted(
+        self, segments, as_float, many, seed
+    ):
+        """Below ``_ORDER_FROM`` lanes the index searches, from there
+        on it halves, whether the lanes come flat or as a broadcast
+        grid; every way equals the per-row searchsorted, and so does
+        the kernel called directly."""
+        dtype = np.float64 if as_float else np.int64
+        values = np.array([v for s in segments for v in s], dtype=dtype)
+        offsets = np.cumsum([0] + [len(s) for s in segments])
+        rng = np.random.default_rng(seed)
+        size = _ORDER_FROM + int(rng.integers(0, 40)) if many else int(
+            rng.integers(0, _ORDER_FROM)
+        )
+        rows = rng.integers(0, len(segments), size=size)
+        edge = (-np.inf, np.inf) if as_float else (
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        )
+        pool = np.concatenate((np.arange(-1, 14), edge)).astype(dtype)
+        t = rng.choice(pool, size=size)
+        expected = [
+            np.searchsorted(values[offsets[r]:offsets[r + 1]], x, side="right")
+            for r, x in zip(rows, t)
+        ]
+        index = RankIndex(values, offsets)
+        assert index.rank(rows, t).tolist() == expected
+        assert segmented_rank(
+            values, offsets[rows], offsets[rows + 1], t
+        ).tolist() == expected
+        # One shared scalar threshold.
+        assert index.rank(rows, t[:1][0]).tolist() == [
+            np.searchsorted(values[offsets[r]:offsets[r + 1]], t[0], "right")
+            for r in rows
+        ]
+        # A column of rows against a row of times (a chain's lanes,
+        # ``time_lanes``): 70 × 17 lanes halve, 50 × 17 search.
+        column = rows[: 70 if many else 50, None]
+        assert (column.size * pool.size >= _ORDER_FROM) == (
+            many and column.size == 70
+        )
+        assert index.rank(column, pool).tolist() == [
+            [
+                np.searchsorted(values[offsets[r]:offsets[r + 1]], x, "right")
+                for x in pool
+            ]
+            for r in column.ravel()
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(events=_events, by_edge=st.booleans())
+    def test_constructor_index_equals_argsort_index(self, events, by_edge):
+        """The constructor derives the index from the permutation it
+        builds the column with (``t`` ascending), ``shm_attach`` by one
+        argsort: equal ranks on every (row, time) lane.  Events handed
+        over in edge order (each segment ascending, ``t`` not) take the
+        argsort too."""
+        events = sorted(events, key=lambda e: (e[0], e[2]) if by_edge else e[2])
+        edge_id = np.array([e[0] for e in events], dtype=np.int64)
+        direction = np.array([e[1] for e in events], dtype=np.int8)
+        t = np.array([e[2] for e in events], dtype=np.float64)
+        form = CompiledTrackingForm(_interner(6), edge_id, direction, t)
+        when = _probe_times(t) if t.size else np.array([0.0, np.inf])
+        rows = np.repeat(np.arange(12), when.size)
+        lanes = (rows, np.tile(when, 12))
+        assert rows.size < _ORDER_FROM
+        expected = [
+            np.searchsorted(form._column[a:b], x, side="right")
+            for a, b, x in zip(
+                form._rows[rows], form._rows[rows + 1], lanes[1]
+            )
+        ]
+        handle, descriptor = form.shm_pack(hint="rank-index")
+        try:
+            attached = CompiledTrackingForm.shm_attach(
+                descriptor, form._interner
+            )
+            assert form._rank_lanes(*lanes).tolist() == expected
+            assert attached._rank_lanes(*lanes).tolist() == expected
+            del attached
+        finally:
+            destroy_segment(handle)
 
 
 class TestCompressedRank:

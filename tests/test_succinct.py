@@ -523,17 +523,26 @@ class TestStorageReports:
         self._check(modeled.storage_report())
         sketch = EdgeCountSketch.from_columns(columns, bins=16)
         self._check(sketch.storage_report())
-        # Only the forms keep derived indexes: the joint row offsets,
-        # and on the succinct tier the decode directory on top.
-        for store in (full_form, modeled, sketch):
+        # Derived indexes: the joint row offsets and the rank index
+        # on the plain form, the decode directory and its rank index
+        # on the succinct tier, the sketch's rank index over its bins.
+        for store in (full_form, modeled):
             assert store.storage_report()["derived_bytes"] == 0
+
+        def index_bytes(index):
+            return index.keys.nbytes + index.sorted.nbytes
+
+        assert sketch.storage_report()["derived_bytes"] == index_bytes(
+            sketch._index
+        ) > 0
         plain_derived = plain.storage_report()["derived_bytes"]
-        assert plain_derived == plain._rows.nbytes
+        assert plain_derived == plain._rows.nbytes + index_bytes(plain._index)
         blocks = compressed._blocks
         assert compressed.storage_report()["derived_bytes"] == (
-            plain_derived + blocks.directory.nbytes + blocks.seg_rank.nbytes
-            + blocks.block_starts.nbytes + blocks.byte_starts.nbytes
-            + blocks.block_len.nbytes
+            compressed._rows.nbytes + blocks.directory.nbytes
+            + blocks.seg_rank.nbytes + blocks.block_starts.nbytes
+            + blocks.byte_starts.nbytes + blocks.block_len.nbytes
+            + index_bytes(blocks.index)
         )
         streaming.append_events(workload_events(network, columns, 1000))
         assert streaming.block_count >= 1
