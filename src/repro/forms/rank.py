@@ -23,11 +23,12 @@ both return what ``np.searchsorted(row, t, side="right")`` does, ties
 included, for any threshold that is not NaN.
 
 Callers: the plain CSR form (timestamp column), the compressed form
-(per-block first-tick directory), the count sketch (touched-bin
+(per-row unit directory), the count sketch (touched-bin
 column) and, through its blocks, the streaming store.  The lane
 builders beside the kernels — :func:`time_lanes` for one chain,
 :func:`chain_lanes` for a batch of them — and :func:`csr_take` are
-shared by those stores and the query planner.
+shared by those stores and the query planner; :func:`grid_floor` puts
+a time on the compressed store's and the sketch's integer grids.
 """
 
 from __future__ import annotations
@@ -142,6 +143,16 @@ class RankIndex:
         )
         probe = probe.astype(self.keys.dtype, copy=False)
         return np.searchsorted(self.keys, probe) - offsets[rows]
+
+
+def grid_floor(t, width: float) -> np.ndarray:
+    """``floor(t / width)`` as int64: times on an integer grid (the
+    compressed store's ticks, the sketch's bins), clipped to ``±2**62``
+    so that ±inf lands beyond every real grid value and ``q ± 1``
+    cannot wrap."""
+    limit = float(2 ** 62)
+    q = np.floor(np.divide(t, width))
+    return np.clip(q, -limit, limit).astype(np.int64)
 
 
 def csr_take(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .rank import RankIndex, chain_lanes, time_lanes
+from .rank import RankIndex, chain_lanes, grid_floor, time_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..trajectories import EventColumns
@@ -149,7 +149,7 @@ class EdgeCountSketch:
         bin: one rank over the touched-bin column — two searches of
         the bins' rank index for a single chain, the halving kernel
         from 1024 lanes on (a batch) — then two gathers."""
-        q = np.floor(times / self._bin_width).astype(np.int64)
+        q = grid_floor(times, self._bin_width)
         if not walls.size or not self._bins.size:  # nothing to gather from
             zeros = np.zeros(np.broadcast(walls, q).shape, dtype=np.int64)
             return zeros, zeros

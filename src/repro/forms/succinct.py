@@ -11,16 +11,17 @@ width of its largest delta.  A block of identical timestamps packs to
 **zero** payload bits (width 0), so heavy-duplicate edges are nearly
 free.
 
-Reads never inflate a column.  A chain's first touch *ranks*: per
-(edge, time) lane, the last block whose first tick is ``<= t`` in a
-per-block **first-tick directory** — found by the directory's own
-:class:`~repro.forms.rank.RankIndex` below 1024 lanes, by
-:func:`~repro.forms.rank.segmented_rank` from there on — and exactly
-that one block is bit-unpacked —
-all lanes together, one 8-byte window + shift + mask per delta; a
-batch's lanes decode each block they straddle once.  Chain
-compilation (second touch), per-edge reads and the full decode behind
-``to_columns`` run the same vectorised block decode over more blocks.
+Reads never inflate a column.  Every row owns one **unit** per block
+(an empty one for a one-event segment), and a per-row **directory**
+holds each unit's first value.  A chain's first touch *ranks*: per
+(row, time) lane, the row's last unit whose directory value is
+``<= t`` — found by the directory's own
+:class:`~repro.forms.rank.RankIndex`, keyed by rows — and exactly that
+one unit is bit-unpacked, all lanes together, one 8-byte window +
+shift + mask per delta; a batch's lanes decode each unit they
+straddle once.  Chain compilation (second touch), per-edge reads and
+the full decode behind ``to_columns`` run the same vectorised unit
+decode over more units.
 Everything above the storage hooks (the boundary LRU, promotion,
 metrics) is inherited from the compiled form unchanged, which is what
 makes compressed answers byte-identical to uncompressed ones built from
@@ -28,8 +29,8 @@ the same quantized columns.
 
 Wire format vs derived index: offsets, heads, widths and payload are
 the stored (and shm-shipped) format, ``storage_report()["total_bytes"]``.
-The directory, its rank index and the other decode indexes are
-rebuilt from them (or, at construction, taken from the ticks the
+The unit index — directory, its rank index, per-unit lengths, widths
+and payload bits — is rebuilt from them (or, at construction, taken from the ticks the
 encoder already holds) and are reported beside it as
 ``derived_bytes``.
 
@@ -42,7 +43,7 @@ and the compressed form is a lossless store of the quantized multiset.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .compiled import (
     CompiledTrackingForm,
     _joint_rows,
 )
-from .rank import RankIndex, csr_take, segmented_rank
+from .rank import RankIndex, csr_take, grid_floor, segmented_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planar import EdgeInterner
@@ -61,10 +62,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: crossing precision is below GPS noise) and clears the 4× floor.
 DEFAULT_TICK_BITS = 0
 
-#: Deltas per bit-packed block.  32 measured best at DEFAULT scale:
-#: small enough that one large gap only inflates 32 deltas' width,
-#: large enough that the per-block width byte stays amortised.
-DEFAULT_BLOCK = 32
+#: Deltas per bit-packed block.  A single query bit-unpacks one block
+#: per lane, so the block is as short as the width bytes allow: on the
+#: e2e ``tiered_tolerant`` store (195 950 events) 8 stores 456 183
+#: bytes, 4 476 215, 16 460 233 and 32 470 141 — a large gap inflates
+#: fewer deltas' width, which pays for the extra width bytes.
+DEFAULT_BLOCK = 8
 
 #: Widest delta the decoder extracts: a field starts up to 7 bits into
 #: its first byte and has to end inside one 8-byte window.  2**57 ticks
@@ -72,17 +75,17 @@ DEFAULT_BLOCK = 32
 MAX_WIDTH = 57
 
 #: Lane count from which :meth:`CompressedTrackingForm._rank_lanes`
-#: decodes each distinct straddled block once instead of one block per
-#: lane, and the most blocks it decodes in one go (32 slots each).
-#: Measured on the e2e ``tiered_tolerant`` store (seed 13): a single
-#: query's chain (≈ 140 lanes) ranks in 150 µs a lane at a time and in
-#: 195 µs deduplicated; the two meet between 512 and 1024 lanes, and a
-#: 500-query batch's 61k lanes take 36 ms per lane against 10 ms per
-#: block.
+#: decodes each distinct straddled unit once instead of one unit per
+#: lane, and the most units it decodes in one go (8 slots each).
+#: Measured on the e2e ``tiered_tolerant`` store (seed 13, 2-vCPU
+#: guest), on runs of a cold 500-query batch's lanes, per lane against
+#: per unit: 256 lanes 0.17 / 0.40 ms, 512 0.22 / 0.51, 1024 0.53 /
+#: 0.68, 2048 0.86 / 0.99, 4096 1.37 / 1.56, 8192 2.6 / 2.2, all 61.5k
+#: 24 / 9 ms.  A single query's chain (≈ 160 lanes) stays far below;
+#: from 1024 on, where the directory's rank halves as well, a lane set
+#: is a batch's, and per unit costs it at most 0.2 ms until the two
+#: meet (between 4096 and 8192 lanes).
 _DECODE_LANES = 1024
-
-_EMPTY = np.empty(0, dtype=np.float64)
-_EMPTY_U8 = np.empty(0, dtype=np.uint8)
 
 
 def quantize_times(t: np.ndarray, tick_bits: int = DEFAULT_TICK_BITS):
@@ -94,15 +97,6 @@ def quantize_times(t: np.ndarray, tick_bits: int = DEFAULT_TICK_BITS):
     """
     scale = float(2.0 ** tick_bits)
     return np.round(np.asarray(t, dtype=np.float64) * scale) / scale
-
-
-def _pack_deltas(deltas: np.ndarray, width: int) -> np.ndarray:
-    """Bit-pack non-negative int64 deltas at ``width`` bits, MSB first."""
-    if width == 0:
-        return _EMPTY_U8
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((deltas[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel())
 
 
 def _windows(payload: np.ndarray) -> np.ndarray:
@@ -137,9 +131,22 @@ def _unpack_bits(windows: np.ndarray, bit, width) -> np.ndarray:
 
 
 def _unpack_deltas(buf: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_deltas` for ``n`` deltas."""
+    """The first ``n`` ``width``-bit fields of ``buf`` (MSB first)."""
     bit = np.arange(n, dtype=np.int64) * width
     return _unpack_bits(_windows(buf), bit, np.int64(width))
+
+
+def _units(rows: np.ndarray, block: int):
+    """``(unit_offsets, row, first, len)``: per row its units' offsets
+    (see :meth:`_Blocks.derive`), per unit its row, the index in the
+    row of its directory value and its delta count."""
+    counts = np.diff(rows)
+    n_deltas = np.maximum(counts - 1, 0)
+    units = np.where(counts > 0, np.maximum(-(-n_deltas // block), 1), 0)
+    offsets = np.concatenate(([0], np.cumsum(units)))
+    row = np.repeat(np.arange(counts.size), units)
+    first = (np.arange(row.size) - offsets[row]) * block
+    return offsets, row, first, np.minimum(n_deltas[row] - first, block)
 
 
 class _Blocks:
@@ -153,8 +160,8 @@ class _Blocks:
     """
 
     __slots__ = (
-        "heads", "widths", "payload", "block", "seg_rank", "block_starts",
-        "byte_starts", "block_len", "directory", "windows", "index",
+        "heads", "widths", "payload", "block", "unit_offsets", "unit_len",
+        "unit_width", "bit_starts", "directory", "windows", "index",
     )
 
     def __init__(self, heads, widths, payload) -> None:
@@ -165,106 +172,124 @@ class _Blocks:
     @property
     def derived_bytes(self) -> int:
         return int(
-            self.seg_rank.nbytes + self.block_starts.nbytes
-            + self.byte_starts.nbytes + self.block_len.nbytes
+            self.unit_offsets.nbytes + self.unit_len.nbytes
+            + self.unit_width.nbytes + self.bit_starts.nbytes
             + self.directory.nbytes + self.index.nbytes
         )
 
     def derive(
         self, rows: np.ndarray, block: int,
-        ticks: Optional[np.ndarray] = None,
+        directory: Optional[np.ndarray] = None,
     ) -> "_Blocks":
-        """Build the decode index.
+        """Build the decode index over **units**.
 
-        Per row the rank of its nonempty segment (-1 if empty); per
-        segment its first block; per block its delta count, its byte
-        offset into the payload and — the **directory** — the tick its
-        deltas accumulate from (the segment's value at index ``32 b``),
-        and the directory's rank index (segments as its rows).
-        ``ticks`` is the joint tick column when the caller (the
-        encoder) still holds it; otherwise the directory is summed out
-        of the decoded deltas.
+        Every nonempty row owns units ``unit_offsets[r]:unit_offsets[r
+        + 1]``, one per block of its segment; a one-event segment owns
+        one empty unit instead.  Unit ``k`` of a row holds the deltas
+        up to values ``block * k + 1 .. block * k + len`` and its
+        **directory** value is the value at index ``block * k`` (for
+        ``k = 0`` the head).  Per unit: its delta count, width, first
+        payload bit and directory value, and the directory's rank index
+        with rows as its rows.  The encoder hands the directory in,
+        taken from the ticks it holds; otherwise it is summed out of
+        the decoded deltas.
         """
-        counts = np.diff(rows)
-        nonempty = counts > 0
         self.block = block
-        self.seg_rank = np.cumsum(nonempty, dtype=np.int64) - 1
-        self.seg_rank[~nonempty] = -1
-        # Delta stream of a segment of length L has L-1 entries.
-        n_deltas = counts[nonempty] - 1
-        n_blocks = -(-n_deltas // block)
-        self.block_starts = np.concatenate(([0], np.cumsum(n_blocks)))
-        segment = np.repeat(np.arange(len(n_blocks)), n_blocks)
-        first = self.block_starts[segment]
-        within = np.arange(len(segment)) - first
-        block_len = np.minimum(n_deltas[segment] - within * block, block)
-        self.block_len = block_len.astype(np.min_scalar_type(block))
-        nbytes = (block_len * self.widths + 7) // 8
-        self.byte_starts = np.concatenate(([0], np.cumsum(nbytes)))
+        self.unit_offsets, row, first, unit_len = _units(rows, block)
+        self.unit_len = unit_len.astype(np.min_scalar_type(block))
+        self.unit_width = np.zeros(row.size, dtype=np.uint8)
+        self.unit_width[unit_len > 0] = self.widths
+        nbytes = (unit_len * self.unit_width + 7) // 8
+        self.bit_starts = (np.cumsum(nbytes) - nbytes) << 3
         self.windows = _windows(self.payload)
-        if ticks is not None:
-            starts = rows[:-1][nonempty]
-            self.directory = ticks[starts[segment] + within * block]
-        else:
-            every = np.arange(len(segment))
+        self.directory = directory
+        if directory is None:
+            every = np.arange(row.size)
             sums = (self.deltas(every) * self.valid(every)).sum(axis=1)
             before = np.cumsum(sums) - sums
-            self.directory = self.heads[segment] + before - before[first]
-        self.index = RankIndex(self.directory, self.block_starts)
+            units = np.diff(self.unit_offsets)
+            head = np.repeat(self.heads, units[units > 0])
+            self.directory = head + before - before[self.unit_offsets[row]]
+        self.index = RankIndex(self.directory, self.unit_offsets)
         return self
 
     def deltas(self, take: np.ndarray) -> np.ndarray:
-        """Bit-unpack blocks ``take``: one row of ``block`` slots per
-        block.  Slots past a block's length (:meth:`valid`) hold its
-        neighbours' bits — some non-negative number."""
-        width = self.widths[take].astype(np.int64)[:, None]
+        """Bit-unpack units ``take`` (any shape): ``block`` slots per
+        unit on a new last axis.  Slots past a unit's length
+        (:meth:`valid`) hold its neighbours' bits — some non-negative
+        number."""
+        width = self.unit_width[take].astype(np.int64)[..., None]
         bit = np.arange(self.block) * width
-        bit += (self.byte_starts[take] << 3)[:, None]
+        bit += self.bit_starts[take][..., None]
         return _unpack_bits(self.windows, bit, width)
 
     def valid(self, take: np.ndarray) -> np.ndarray:
-        return np.arange(self.block) < self.block_len[take][:, None]
+        return np.arange(self.block) < self.unit_len[take][..., None]
 
     def decode(self, take: np.ndarray) -> np.ndarray:
-        """Ticks of blocks ``take`` (rows as in :meth:`deltas`; past a
-        block's length they keep ascending, on junk)."""
-        ticks = np.cumsum(self.deltas(take), axis=1)
-        ticks += self.directory[take][:, None]
+        """Ticks of units ``take`` (slots as in :meth:`deltas`; past a
+        unit's length they keep ascending, on junk)."""
+        ticks = np.cumsum(self.deltas(take), axis=-1)
+        ticks += self.directory[take][..., None]
         return ticks
 
 
 def _encode(
     values: np.ndarray, rows: np.ndarray, tick_bits: int, block: int
 ) -> _Blocks:
-    """Compress a joint CSR column into delta blocks."""
+    """Compress a joint CSR column into delta blocks: per nonempty row
+    its head tick, per ``block`` deltas of a row one width (that of the
+    block's largest delta) and the deltas bit-packed MSB first from
+    the block's first byte."""
     scale = float(2.0 ** tick_bits)
-    ticks = np.rint(np.asarray(values, dtype=np.float64) * scale).astype(
-        np.int64
-    )
-    nonempty = np.flatnonzero(np.diff(rows))
-    heads = np.empty(len(nonempty), dtype=np.int64)
-    widths: List[int] = []
-    chunks: List[np.ndarray] = []
-    for rank, row in enumerate(nonempty):
-        lo = int(rows[row])
-        hi = int(rows[row + 1])
-        heads[rank] = ticks[lo]
-        deltas = np.diff(ticks[lo:hi])
-        for start in range(0, len(deltas), block):
-            chunk = deltas[start:start + block]
-            width = int(chunk.max()).bit_length()
-            widths.append(width)
-            if width:
-                chunks.append(_pack_deltas(chunk, width))
-    if widths and max(widths) > MAX_WIDTH:
+    ticks = np.rint(np.asarray(values, dtype=np.float64) * scale)
+    ticks = ticks.astype(np.int64)
+    starts = rows[:-1][np.diff(rows) > 0]
+    _, row, first, lens = _units(rows, block)
+    directory = ticks[rows[row] + first]
+    # The deltas inside rows, rows after each other.
+    deltas = np.delete(np.diff(ticks), starts[1:] - 1)
+    heads = ticks[starts]
+    del ticks
+    lens = lens[lens > 0]
+    first = np.cumsum(lens) - lens
+    widest = np.maximum.reduceat(deltas, first) if first.size else first
+    # Exact integer bit lengths: past 2**53 a float exponent can round
+    # up to the next power of two.
+    widths = sum((widest >> bit) > 0 for bit in range(63))
+    if widths.size and widths.max() > MAX_WIDTH:
         raise ValueError(
-            f"timestamp gap of {max(widths)} bits exceeds the "
+            f"timestamp gap of {widths.max()} bits exceeds the "
             f"{MAX_WIDTH}-bit block width; lower tick_bits"
         )
-    payload = np.concatenate(chunks) if chunks else _EMPTY_U8
-    encoded = _Blocks(heads, np.asarray(widths, dtype=np.uint8), payload)
+    nbytes = (lens * widths + 7) // 8
+    # Field by field at its absolute bit offset, into big-endian 64-bit
+    # words: its top part into the word it starts in (fields starting
+    # in one word share no bit, so OR-ing them fills it) and, if it
+    # runs past that word, its low ``spill`` bits into the next one
+    # (one field at most crosses a word's end).  In place where it can
+    # be: one int64 per delta is what the column itself weighs.
+    spill = np.repeat(widths, lens)
+    word = np.arange(deltas.size) * spill
+    base = ((np.cumsum(nbytes) - nbytes) << 3) - first * widths
+    word += np.repeat(base, lens)
+    spill += (word & 63) - 64
+    word >>= 6
+    u64 = deltas.view(np.uint64)
+    cross = np.flatnonzero(spill > 0)
+    low = u64[cross] << (64 - spill[cross]).view(np.uint64)
+    u64 >>= np.maximum(spill, 0).view(np.uint64)
+    u64 <<= np.clip(-spill, 0, 63, out=spill).view(np.uint64)
+    # A width-0 field may start just past the last byte: one spare word.
+    words = np.zeros(int(nbytes.sum()) // 8 + 1, dtype=np.uint64)
+    if word.size:
+        at = np.flatnonzero(np.diff(word, prepend=-1))
+        words[word[at]] = np.bitwise_or.reduceat(u64, at)
+    words[word[cross] + 1] |= low
+    payload = words.astype(">u8").view(np.uint8)[:int(nbytes.sum())]
+    encoded = _Blocks(heads, widths.astype(np.uint8), payload)
     # The directory comes from the ticks in hand, not from a decode.
-    return encoded.derive(rows, block, ticks)
+    return encoded.derive(rows, block, directory)
 
 
 class CompressedTrackingForm(CompiledTrackingForm):
@@ -319,16 +344,15 @@ class CompressedTrackingForm(CompiledTrackingForm):
     # ------------------------------------------------------------------
     def _decode_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(timestamps, lens)`` of joint-column rows, concatenated:
-        each nonempty segment's head, then its blocks' ticks."""
+        each nonempty row's head, then its units' ticks."""
         blocks = self._blocks
         lens = self._rows[rows + 1] - self._rows[rows]
-        segments = blocks.seg_rank[rows[lens > 0]]
-        starts = blocks.block_starts[segments]
-        take = csr_take(starts, blocks.block_starts[segments + 1] - starts)
+        lo = blocks.unit_offsets[rows]
+        take = csr_take(lo, blocks.unit_offsets[rows + 1] - lo)
         out = np.empty(int(lens.sum()), dtype=np.int64)
         is_head = np.zeros(len(out), dtype=bool)
         is_head[(np.cumsum(lens) - lens)[lens > 0]] = True
-        out[is_head] = blocks.heads[segments]
+        out[is_head] = blocks.directory[lo[lens > 0]]
         out[~is_head] = blocks.decode(take)[blocks.valid(take)]
         return out * float(2.0 ** -self._tick_bits), lens
 
@@ -345,46 +369,41 @@ class CompressedTrackingForm(CompiledTrackingForm):
         return self._decode_rows(np.arange(d * n, (d + 1) * n))[0]
 
     def _rank_lanes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Rank over the directory, then inside one block per lane.
+        """Rank over the unit directory, then inside one unit per lane.
 
-        Lanes broadcast as in the plain form and are flattened first.
-        Per (row, time) lane the directory's rank (its index below
-        ``_ORDER_FROM`` = 1024 lanes, the halving kernel from there on)
-        counts the blocks whose first tick is ``<= t``; the last of
-        them is the only block that can straddle ``t``, so it alone is
-        decoded — per lane for a single chain, once per distinct block
-        for a batch (from :data:`_DECODE_LANES` lanes).  A timestamp is
-        ``tick * 2**-tick_bits`` exactly, hence ``value <= t`` iff
-        ``tick <= floor(t * 2**tick_bits)``.
+        Lanes broadcast as in the plain form.  Per (row, time) lane the
+        directory's rank index counts the row's units whose directory
+        value is ``<= t``; the last of them is the only unit that can
+        straddle ``t``, so it alone is decoded — per lane for a single
+        chain, once per distinct unit for a batch (from
+        :data:`_DECODE_LANES` lanes).  The rank is 0 if no unit
+        counts, else ``block`` values per unit wholly before the
+        straddling one, its directory value, and its deltas' share.  A
+        timestamp is ``tick * 2**-tick_bits`` exactly, hence ``value
+        <= t`` iff ``tick <= floor(t * 2**tick_bits)``.
         """
         blocks = self._blocks
-        rows, t = (a.ravel() for a in np.broadcast_arrays(rows, t))
-        limit = float(2 ** 62)
-        quantum = np.floor(t * float(2.0 ** self._tick_bits))
-        quantum = np.clip(quantum, -limit, limit).astype(np.int64)
-        segments = blocks.seg_rank[rows]
-        present = np.flatnonzero(segments >= 0)
-        segments, q = segments[present], quantum[present]
-        lo = blocks.block_starts[segments]
-        before = blocks.index.rank(segments, q)
-        # The head, then 32 values per block wholly before the
-        # straddling one, then that block's share: its ticks keep
-        # ascending past its length, so the count caps there.
-        rank = (blocks.heads[segments] <= q) + (
-            np.maximum(before - 1, 0) * self._block
-        )
-        inside = np.flatnonzero(before)
-        straddling = lo[inside] + before[inside] - 1
-        lens = blocks.block_len[straddling]
-        if inside.size < _DECODE_LANES:
-            within = (blocks.decode(straddling) <= q[inside, None]).sum(axis=1)
-            rank[inside] += np.minimum(within, lens)
+        q = grid_floor(t, 2.0 ** -self._tick_bits)
+        before = blocks.index.rank(rows, q)
+        if not blocks.directory.size:
+            return before
+        # A lane with ``before == 0`` reads unit -1 or its row's
+        # neighbour's: junk, and masked out below.
+        unit = blocks.unit_offsets[rows] + before - 1
+        lens = blocks.unit_len[unit]
+        if before.size < _DECODE_LANES:
+            # The unit's ticks keep ascending past its length, so the
+            # count caps there.
+            below = q - blocks.directory[unit]
+            within = np.cumsum(blocks.deltas(unit), axis=-1)
+            within = np.count_nonzero(within <= below[..., None], axis=-1)
         else:
-            # A batch's lanes straddle far fewer blocks than there are
-            # lanes (61k lanes, 6.4k blocks for 500 cold queries): each
-            # block is decoded once, into one row of ``ticks``, and
-            # every lane ranks inside its own block's row.
-            marked = np.zeros(len(blocks.block_len), dtype=bool)
+            # A batch's lanes straddle far fewer units than there are
+            # lanes: each unit is decoded once, into one row of
+            # ``ticks``, and every lane ranks inside its own unit's row.
+            at = np.flatnonzero((before > 0) & (lens > 0))
+            straddling = unit.ravel()[at]
+            marked = np.zeros(blocks.directory.size, dtype=bool)
             marked[straddling] = True
             distinct = np.flatnonzero(marked)
             row = np.cumsum(marked)[straddling] - 1
@@ -393,12 +412,13 @@ class CompressedTrackingForm(CompiledTrackingForm):
                 take = distinct[start:start + _DECODE_LANES]
                 ticks[start:start + take.size] = blocks.decode(take)
             row *= self._block
-            rank[inside] += segmented_rank(
-                ticks.ravel(), row, row + lens, q[inside]
+            within = np.zeros(before.shape, dtype=np.int64)
+            within.flat[at] = segmented_rank(
+                ticks.ravel(), row, row + lens.ravel()[at],
+                np.broadcast_to(q, before.shape).ravel()[at],
             )
-        ranks = np.zeros(rows.size, dtype=np.int64)
-        ranks[present] = rank
-        return ranks
+        rank = np.minimum(within, lens) + self._block * (before - 1) + 1
+        return np.where(before > 0, rank, 0)
 
     # ------------------------------------------------------------------
     # Shared-memory interop

@@ -26,6 +26,7 @@ Generated (``hypothesis``) and enumerated corner cases for
 from __future__ import annotations
 
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -439,6 +440,88 @@ class TestCompressedRank:
         finally:
             destroy_segment(handle)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        segments=st.lists(
+            # Per row: none (empty), or a head tick and runs of equal
+            # deltas — no run is a one-event segment, zero runs are
+            # width-0 units.
+            st.none() | st.tuples(
+                st.integers(-20, 50),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([0, 0, 1, 2, 7, 300]),
+                        st.integers(1, 20),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            max_size=8,
+        ),
+        block=st.sampled_from([1, 3, 8, 32]),
+        tick_bits=st.integers(0, 2),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_rank_equals_searchsorted_of_the_decoded_row(
+        self, segments, block, tick_bits, seed
+    ):
+        """Per lane, the unit directory's rank plus one unit's decode
+        equals ``np.searchsorted(row, t, "right")`` on the row as
+        written, at every unit size, below and from ``_DECODE_LANES``
+        lanes, as a chain's ``(rows, times)`` grid and as flat lanes,
+        on the encoding form and on an ``shm_attach``ed one (its
+        directory summed out of a decode)."""
+        n_ids, scale = 4, 2.0 ** -tick_bits
+        values = [np.empty(0)] * (2 * n_ids)
+        for row, segment in enumerate(segments):
+            if segment is not None:
+                head, runs = segment
+                deltas = [d for d, n in runs for _ in range(n)]
+                values[row] = (head + np.cumsum([0] + deltas)) * scale
+        rows = np.repeat(np.arange(2 * n_ids), [v.size for v in values])
+        form = CompressedTrackingForm(
+            _interner(n_ids), rows % n_ids, (rows // n_ids).astype(np.int8),
+            np.concatenate(values), boundary_cache_size=0,
+            tick_bits=tick_bits, block=block,
+        )
+        # Ties with directory values and every value, the gaps between
+        # them, below every head, past every last value, ±inf.
+        ticks = np.concatenate([v / scale for v in values] + [[0.0]])
+        ticks = np.unique(np.concatenate((form._blocks.directory, ticks)))
+        when = np.concatenate((
+            ticks, ticks + 0.5, [ticks[0] - 1, ticks[-1] + 1]
+        )) * scale
+        when = np.concatenate((when, [np.inf, -np.inf]))
+        grid = np.arange(2 * n_ids)[:, None]
+        expected = np.array([
+            [np.searchsorted(row, x, side="right") for x in when]
+            for row in values
+        ])
+        rng = np.random.default_rng(seed)
+        lane_row = rng.integers(0, 2 * n_ids, size=_DECODE_LANES + 50)
+        lane_t = rng.choice(when, size=lane_row.size)
+        handle, descriptor = form.shm_pack(hint="rank-twin")
+        try:
+            attached = CompressedTrackingForm.shm_attach(
+                descriptor, form._interner, boundary_cache_size=0
+            )
+            assert np.array_equal(
+                attached._blocks.directory, form._blocks.directory
+            )
+            for each in (form, attached):
+                assert np.array_equal(each._rank_lanes(grid, when), expected)
+                for size in (_DECODE_LANES - 1, lane_row.size):
+                    assert np.array_equal(
+                        each._rank_lanes(lane_row[:size], lane_t[:size]),
+                        [
+                            np.searchsorted(values[r], x, side="right")
+                            for r, x in zip(lane_row[:size], lane_t[:size])
+                        ],
+                    )
+            del attached
+        finally:
+            destroy_segment(handle)
+
     def test_gap_wider_than_one_window_is_refused(self):
         t = np.array([0.0, 2.0 ** 58])
         with pytest.raises(ValueError, match="block width"):
@@ -501,6 +584,28 @@ class TestSketchEstimate:
         )
         (e1, b1), (e2, b2) = brute(float(t1)), brute(t2)
         assert (estimate, bound) == (e2 - e1, b1 + b2)
+
+    def test_infinite_times_clip_to_the_grid(self):
+        """±inf lands beyond every bin, not on a wrapped int64: with
+        a non-zero total net, ``-inf`` counts nothing and ``+inf``
+        everything, both at bound 0, without a cast warning."""
+        sketch = EdgeCountSketch(
+            edge_offsets=np.array([0, 3]), bins=np.array([0, 1, 2]),
+            cum_net=np.array([1, 2, 3], dtype=np.int32),
+            activity=np.ones(3, dtype=np.int32), bin_width=1.0, n_ids=1,
+        )
+        wall_ids, signs = np.array([0]), np.array([1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            until = sketch.estimate_until_ids
+            assert until(wall_ids, signs, -np.inf) == (0, 0)
+            assert until(wall_ids, signs, np.inf) == (3, 0)
+            assert sketch.estimate_between_ids(
+                wall_ids, signs, -np.inf, 10.0
+            ) == (3, 0)
+            assert sketch.estimate_between_ids(
+                wall_ids, signs, -np.inf, np.inf
+            ) == (3, 0)
 
     def test_stores_without_events_answer_zero(self):
         interner = _interner(3)

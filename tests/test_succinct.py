@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_query_planner import _battery, _deployment, _key
 
@@ -23,12 +25,14 @@ from repro.errors import ConfigurationError
 from repro.forms import CompiledTrackingForm, CompressedTrackingForm
 from repro.forms.sketch import EdgeCountSketch
 from repro.forms.succinct import (
-    _pack_deltas,
+    MAX_WIDTH,
+    _encode,
     _unpack_deltas,
     quantize_times,
 )
 from repro.obs import use_registry
 from repro.query import QueryEngine, RangeQuery, ShardedQueryEngine
+from repro.query import TRANSIENT
 from repro.shm import destroy_segment
 from repro.stream import StreamingEventStore
 from repro.trajectories import (
@@ -45,6 +49,42 @@ TICK_BITS = 10
 # ----------------------------------------------------------------------
 # Codec unit round trips
 # ----------------------------------------------------------------------
+def _pack_deltas(deltas, width):
+    """Bit-pack non-negative int64 deltas at ``width`` bits, MSB first."""
+    if width == 0:
+        return np.empty(0, dtype=np.uint8)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    bits = ((deltas[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bits.ravel())
+
+
+def _encode_by_loop(values, rows, tick_bits, block):
+    """The encoder one segment and one block at a time: the oracle of
+    the vectorised :func:`~repro.forms.succinct._encode`.  Returns
+    ``(heads, widths, payload)``."""
+    scale = float(2.0 ** tick_bits)
+    ticks = np.rint(np.asarray(values, dtype=np.float64) * scale).astype(
+        np.int64
+    )
+    nonempty = np.flatnonzero(np.diff(rows))
+    heads = np.empty(len(nonempty), dtype=np.int64)
+    widths, chunks = [], []
+    for rank, row in enumerate(nonempty):
+        lo, hi = int(rows[row]), int(rows[row + 1])
+        heads[rank] = ticks[lo]
+        deltas = np.diff(ticks[lo:hi])
+        for start in range(0, len(deltas), block):
+            chunk = deltas[start:start + block]
+            width = int(chunk.max()).bit_length()
+            widths.append(width)
+            if width:
+                chunks.append(_pack_deltas(chunk, width))
+    if widths and max(widths) > MAX_WIDTH:
+        raise ValueError("block width")
+    payload = np.concatenate(chunks) if chunks else np.empty(0, np.uint8)
+    return heads, np.asarray(widths, dtype=np.uint8), payload
+
+
 class TestCodec:
     @pytest.mark.parametrize("width", [1, 3, 8, 17, 33])
     def test_pack_unpack_round_trip(self, width):
@@ -69,6 +109,68 @@ class TestCodec:
         scale = float(2.0 ** TICK_BITS)
         ticks = np.rint(q * scale)
         assert np.array_equal(ticks / scale, q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        segments=st.lists(
+            # Per row: empty, or deltas of up to 20 bits — zeros give
+            # width-0 blocks — shifted up by 0 or 37 bits (fields up to
+            # the 57 the decoder reads, every tick exact in float64).
+            st.none() | st.tuples(
+                st.sampled_from([0, 37]),
+                st.lists(
+                    st.just(0) | st.integers(0, 3)
+                    | st.integers(0, 2 ** 20 - 1),
+                    max_size=40,
+                ),
+            ),
+            max_size=9,
+        ),
+        block=st.sampled_from([1, 3, 8, 32]),
+        tick_bits=st.integers(0, 2),
+    )
+    def test_vectorised_encoder_equals_loop(self, segments, block, tick_bits):
+        """Heads, widths and payload byte-identical to the loop
+        encoder's, and the decode index's directory is each unit's
+        first value."""
+        ticks, lens = [], []
+        for segment in segments:
+            if segment is None:
+                lens.append(0)
+                continue
+            shift, deltas = segment
+            head = -(2 ** 62) if shift else 0
+            row = head + (np.cumsum([0] + deltas, dtype=np.int64) << shift)
+            ticks.append(row)
+            lens.append(row.size)
+        ticks = np.concatenate(ticks or [np.empty(0, np.int64)])
+        rows = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+        values = ticks * 2.0 ** -tick_bits
+        encoded = _encode(values, rows, tick_bits, block)
+        heads, widths, payload = _encode_by_loop(
+            values, rows, tick_bits, block
+        )
+        assert np.array_equal(encoded.heads, heads)
+        assert encoded.widths.dtype == np.uint8
+        assert np.array_equal(encoded.widths, widths)
+        assert encoded.payload.dtype == np.uint8
+        assert np.array_equal(encoded.payload, payload)
+        assert encoded.directory.tolist() == [
+            ticks[lo + k]
+            for lo, n in zip(rows[:-1], lens) if n
+            for k in range(0, max(n - 1, 1), block)
+        ]
+
+    @pytest.mark.parametrize("block", [1, 8, 32])
+    def test_58_bit_delta_is_refused(self, block):
+        values = np.array([0.0, 5.0, 5.0 + 2.0 ** 58, 2.0 ** 59])
+        rows = np.array([0, 1, 4])
+        with pytest.raises(ValueError, match="block width"):
+            _encode_by_loop(values, rows, 0, block)
+        with pytest.raises(ValueError, match="block width"):
+            _encode(values, rows, 0, block)
+        # Two one-event rows: nothing to pack.
+        assert _encode(values[:2], np.arange(3), 0, block).widths.size == 0
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +566,50 @@ class TestSketch:
                 assert g.approximate
                 assert abs(g.value - w.value) <= g.degradation.error_bound
 
+    def test_unbounded_start_on_a_chain_with_net_crossings(
+        self, sketch_deployment
+    ):
+        """A tolerant transient query from ``t1 = -inf``: its sketch
+        answer stays within its bound of the exact count.  The stores
+        hold the first half of the day only, so objects are still
+        inside the boxes at its end and chains have a non-zero total
+        net (which a wrapped ``-inf`` bin counted before ``t1``)."""
+        network, _, _ = sketch_deployment
+        _, _, workload = _deployment("organic", 12, seed=37)
+        events = [
+            e for e in workload.events(network.domain) if e.t < HORIZON / 2
+        ]
+        columns = EventColumns.from_events(network.domain, events)
+        form = network.build_form(columns)
+        sketch = EdgeCountSketch.from_columns(
+            network.observed_columns(columns), bins=64
+        )
+        engine = QueryEngine(network, form, planner="auto", sketch=sketch)
+        exact = QueryEngine(network, form, planner="compiled")
+        netted = 0
+        for query in _battery(network.domain, HORIZON, seed=97, n_boxes=12):
+            for t2 in (query.t2, np.inf):
+                want = exact.execute(
+                    RangeQuery(
+                        query.box, -np.inf, t2, kind=TRANSIENT,
+                        bound=query.bound,
+                    )
+                )
+                if want.missed:
+                    continue
+                got = engine.execute(
+                    RangeQuery(
+                        query.box, -np.inf, t2, kind=TRANSIENT,
+                        bound=query.bound, max_error=float("inf"),
+                    )
+                )
+                assert got.degradation.strategy == "sketch"
+                assert abs(got.value - want.value) <= (
+                    got.degradation.error_bound
+                )
+                netted += t2 == np.inf and want.value != 0
+        assert netted > 0
+
     def test_max_error_validation(self):
         from repro.geometry import BBox
 
@@ -524,7 +670,7 @@ class TestStorageReports:
         sketch = EdgeCountSketch.from_columns(columns, bins=16)
         self._check(sketch.storage_report())
         # Derived indexes: the joint row offsets and the rank index
-        # on the plain form, the decode directory and its rank index
+        # on the plain form, the per-row unit index and its rank index
         # on the succinct tier, the sketch's rank index over its bins.
         for store in (full_form, modeled):
             assert store.storage_report()["derived_bytes"] == 0
@@ -540,8 +686,8 @@ class TestStorageReports:
         blocks = compressed._blocks
         assert compressed.storage_report()["derived_bytes"] == (
             compressed._rows.nbytes + blocks.directory.nbytes
-            + blocks.seg_rank.nbytes + blocks.block_starts.nbytes
-            + blocks.byte_starts.nbytes + blocks.block_len.nbytes
+            + blocks.unit_offsets.nbytes + blocks.unit_len.nbytes
+            + blocks.unit_width.nbytes + blocks.bit_starts.nbytes
             + index_bytes(blocks.index)
         )
         streaming.append_events(workload_events(network, columns, 1000))
