@@ -9,7 +9,7 @@ subpackages expose every substrate individually:
 - :mod:`repro.geometry` - planar computational geometry
 - :mod:`repro.planar` - planar graphs, faces, chains, duals
 - :mod:`repro.forms` - discrete differential 1-forms and tracking forms
-- :mod:`repro.mobility` - road networks, strata, map matching
+- :mod:`repro.mobility` - road networks, strata, mobility domain
 - :mod:`repro.trajectories` - moving-object workloads and crossing events
 - :mod:`repro.selection` - sensor sampling and submodular placement
 - :mod:`repro.sampling` - sampled-graph (G~) construction
@@ -30,7 +30,6 @@ from .errors import (
     ModelError,
     PlanarityError,
     QueryError,
-    QueryMiss,
     ReproError,
     SelectionError,
     WorkloadError,
@@ -45,7 +44,6 @@ __all__ = [
     "ModelError",
     "PlanarityError",
     "QueryError",
-    "QueryMiss",
     "ReproError",
     "SelectionError",
     "WorkloadError",

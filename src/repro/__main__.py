@@ -20,9 +20,6 @@ Commands
 ``info``
     Print the library version and the available selectors, stores and
     city generators.
-``city``
-    Generate a synthetic road network and save it in the JSON map
-    interchange format (loadable with ``repro.mobility.load_road_network``).
 
 All output is routed through :mod:`repro.obs.logging`; ``--verbose``
 adds ``key=value`` debug records, ``--quiet`` suppresses everything
@@ -138,20 +135,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                               regions=network.region_count))
 
     if args.stream:
-        from repro.errors import QueryError
-        from repro.geometry import BBox as _BBox
         from repro.trajectories import all_events
 
         events = sorted(all_events(domain, workload.trips),
                         key=lambda event: event.t)
-        monitor = framework.monitor()
-        watch = _BBox.from_center(domain.bounds.center,
-                                  domain.bounds.width * 0.45,
-                                  domain.bounds.height * 0.45)
-        try:
-            monitor.add_region("center", watch)
-        except QueryError:
-            monitor = None
         batch = max(args.compact_every // 2, 1)
         n_events = 0
         windows = 0
@@ -169,11 +156,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                  f"{store.observed_total} = "
                  f"{store.rewritten_events / max(store.observed_total, 1):.2f}, "
                  f"generation {store.generation}")
-        if monitor is not None:
-            live = monitor.count("center")
-            exact_live = store.resync(monitor, events[-1].t)["center"]
-            log.info(f"standing query 'center': live count {live:.0f} "
-                     f"(exact resync {exact_live:.0f})")
     else:
         n_events = framework.ingest_trips(workload.trips)
         log.info(f"ingested: {n_events} crossing events")
@@ -457,30 +439,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_city(args: argparse.Namespace) -> int:
-    from repro.mobility import (
-        grid_city,
-        organic_city,
-        radial_city,
-        save_road_network,
-    )
-
-    rng = np.random.default_rng(args.seed)
-    if args.kind == "grid":
-        side = max(int(round(np.sqrt(args.blocks))) + 1, 3)
-        graph = grid_city(rows=side, cols=side, rng=rng)
-    elif args.kind == "radial":
-        spokes = max(int(np.sqrt(args.blocks * 2)), 4)
-        graph = radial_city(rings=max(args.blocks // spokes, 2),
-                            spokes=spokes, rng=rng)
-    else:
-        graph = organic_city(blocks=args.blocks, rng=rng)
-    save_road_network(graph, args.output)
-    log.info(f"wrote {args.kind} city ({graph.node_count} nodes, "
-             f"{graph.edge_count} edges) to {args.output}")
-    return 0
-
-
 def _world_flags(faults: float) -> argparse.ArgumentParser:
     """The parent parser of ``demo`` and ``monitor``: one world, one
     argument set — what :func:`_world` and its callers read.  Only the
@@ -561,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--stream", action="store_true",
                       help="streaming ingestion: feed events in arrival "
                            "windows through the LSM-style store "
-                           "(incremental index maintenance + a standing "
-                           "count monitor) instead of one batch build")
+                           "(incremental index maintenance) instead of "
+                           "one batch build")
     demo.add_argument("--compact-every", type=int, default=1024,
                       help="streaming tail size that triggers a "
                            "compaction (with --stream)")
@@ -605,14 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "faults, EXPLAIN consistency) and exit "
                               "non-zero on failure")
     monitor.set_defaults(handler=_cmd_monitor)
-
-    city = commands.add_parser("city", help="generate a synthetic city map")
-    city.add_argument("output", help="output JSON path")
-    city.add_argument("--kind", default="organic",
-                      choices=["grid", "radial", "organic"])
-    city.add_argument("--blocks", type=int, default=150)
-    city.add_argument("--seed", type=int, default=0)
-    city.set_defaults(handler=_cmd_city)
     return parser
 
 

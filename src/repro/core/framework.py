@@ -48,7 +48,6 @@ from ..query import (
     RangeQuery,
     ShardedQueryEngine,
 )
-from ..query.continuous import ContinuousCountMonitor
 from ..sampling import SensorNetwork, full_network, sampled_network, wall_network
 from ..stream import StreamingEventStore
 from ..selection import (
@@ -578,31 +577,6 @@ class InNetworkFramework:
         """The live streaming store (``None`` unless deployed with
         ``streaming=True``)."""
         return self._streaming
-
-    def monitor(self, keep_history: bool = False) -> ContinuousCountMonitor:
-        """A standing-query monitor folded on every streamed arrival.
-
-        Requires a streaming deployment: the monitor is attached to
-        the :class:`~repro.stream.StreamingEventStore`, so each
-        ``ingest_events`` updates its regional counts in the same pass
-        that appends to the tail, and
-        :meth:`~repro.stream.StreamingEventStore.resync` recovers
-        exact counts from the store whenever the fold may have
-        drifted (duplicate deliveries, replays).
-        """
-        self._guard_open()
-        if self._streaming is None:
-            raise QueryError(
-                "monitor() needs a streaming deployment "
-                "(FrameworkConfig(streaming=True))"
-            )
-        if self.network is None:
-            raise QueryError("deploy() first")
-        monitor = ContinuousCountMonitor(
-            self.network, keep_history=keep_history
-        )
-        self._streaming.attach_monitor(monitor)
-        return monitor
 
     # ------------------------------------------------------------------
     # Introspection

@@ -35,14 +35,6 @@ class QueryError(ReproError):
     approximation mode, ...)."""
 
 
-class QueryMiss(QueryError):
-    """The query region does not intersect the sampled graph at all.
-
-    Raised only when the caller asked for strict behaviour; the query
-    engine normally reports misses in the result object instead.
-    """
-
-
 class ModelError(ReproError):
     """Learned count-model failure (fitting on empty data, inference
     before fit, ...)."""

@@ -13,7 +13,7 @@ from .harness import (
 )
 from .figplot import LineChart
 from .metrics import Summary, ratio, relative_error
-from .tables import format_table, print_series
+from .tables import format_table
 from .workloads import QueryWorkloadConfig, generate_queries, queries_to_regions
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "format_table",
     "generate_queries",
     "get_pipeline",
-    "print_series",
     "queries_to_regions",
     "ratio",
     "relative_error",

@@ -1,16 +1,12 @@
 """Plain-text table rendering for benchmark output.
 
-The benchmarks print the same rows/series the paper's figures plot;
-these helpers keep that output aligned and consistent.  Output goes
-through :mod:`repro.obs.logging` (INFO level renders bare messages, so
-the default output is unchanged; ``--quiet`` silences it).
+The benchmarks print the same rows the paper's figures plot; this
+helper keeps that output aligned and consistent.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
-
-from ..obs import get_logger
 
 
 def format_table(
@@ -42,11 +38,3 @@ def _cell(value: object) -> str:
             return f"{value:.0f}"
         return f"{value:.4f}"
     return str(value)
-
-
-def print_series(title: str, xs: Sequence[object], ys: Sequence[object]) -> None:
-    """Print one figure series as x/y rows."""
-    log = get_logger("evaluation.tables")
-    log.info(f"\n{title}")
-    for x, y in zip(xs, ys):
-        log.info(f"  {x}: {y}")

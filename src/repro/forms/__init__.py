@@ -1,41 +1,25 @@
 """Discrete differential forms for distinct counting (system S3).
 
 Implements §4.7 of the paper: snapshot forms (Eq. 7 / Theorem 4.1),
-timestamped tracking forms (Eq. 8 / Theorems 4.2-4.3), the count
-function interface shared with the learned models, and an optional
-differential-privacy wrapper.
+timestamped tracking forms (Eq. 8 / Theorems 4.2-4.3) and the count
+function interface shared with the learned models.
 """
 
-from .calculus import (
-    circulation,
-    coboundary,
-    face_divergence,
-    integrate_potential,
-    is_exact,
-)
 from .compiled import CompiledTrackingForm
 from .countfn import DirectedEdge, EdgeCountStore, static_count, transient_count
-from .privacy import LaplaceNoisyStore
 from .sketch import EdgeCountSketch
-from .snapshot import DifferentialForm, SnapshotForm
+from .snapshot import SnapshotForm
 from .succinct import CompressedTrackingForm, quantize_times
 from .tracking import TrackingForm
 
 __all__ = [
     "CompiledTrackingForm",
     "CompressedTrackingForm",
-    "DifferentialForm",
     "DirectedEdge",
     "EdgeCountSketch",
     "EdgeCountStore",
-    "LaplaceNoisyStore",
     "SnapshotForm",
     "TrackingForm",
-    "circulation",
-    "coboundary",
-    "face_divergence",
-    "integrate_potential",
-    "is_exact",
     "quantize_times",
     "static_count",
     "transient_count",

@@ -18,7 +18,7 @@ the sensing face around junction ``v``".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
 from ..errors import QueryError
 
@@ -34,41 +34,6 @@ def _canonical(edge: DirectedEdge) -> Tuple[DirectedEdge, bool]:
     if ku <= kv:
         return ((u, v), True)
     return ((v, u), False)
-
-
-@dataclass
-class DifferentialForm:
-    """A plain antisymmetric 1-form: ``ξ(-e) = -ξ(e)``.
-
-    Stores one signed value per undirected edge, exposed with the sign
-    resolved by query direction.  Useful on its own for flow-style
-    quantities; the counting machinery uses :class:`SnapshotForm`.
-    """
-
-    _values: Dict[DirectedEdge, float] = field(default_factory=dict)
-
-    def set(self, edge: DirectedEdge, value: float) -> None:
-        key, forward = _canonical(edge)
-        self._values[key] = value if forward else -value
-
-    def add(self, edge: DirectedEdge, value: float) -> None:
-        key, forward = _canonical(edge)
-        self._values[key] = self._values.get(key, 0.0) + (
-            value if forward else -value
-        )
-
-    def __call__(self, edge: DirectedEdge) -> float:
-        key, forward = _canonical(edge)
-        value = self._values.get(key, 0.0)
-        return value if forward else -value
-
-    def integrate(self, chain: Iterable[Tuple[DirectedEdge, int]]) -> float:
-        """Integrate along a 1-chain of ``(directed edge, weight)``."""
-        return sum(weight * self(edge) for edge, weight in chain)
-
-    def support(self) -> Iterator[DirectedEdge]:
-        """Canonical edges carrying a non-zero value."""
-        return (edge for edge, value in self._values.items() if value != 0.0)
 
 
 @dataclass

@@ -23,9 +23,10 @@ class BBox:
     max_y: float
 
     def __post_init__(self) -> None:
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        # Written so that a NaN coordinate fails the test too.
+        if not (self.min_x <= self.max_x and self.min_y <= self.max_y):
             raise GeometryError(
-                f"inverted bbox: ({self.min_x}, {self.min_y}, "
+                f"inverted or NaN bbox: ({self.min_x}, {self.min_y}, "
                 f"{self.max_x}, {self.max_y})"
             )
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..errors import GeometryError
-from .bbox import BBox
 from .primitives import EPSILON, Point, Segment, points_equal
-from .predicates import on_segment, orientation
+from .predicates import on_segment
 
 
 def signed_area(vertices: Sequence[Point]) -> float:
@@ -35,19 +34,6 @@ def signed_area(vertices: Sequence[Point]) -> float:
 def area(vertices: Sequence[Point]) -> float:
     """Absolute area of a polygon."""
     return abs(signed_area(vertices))
-
-
-def is_counter_clockwise(vertices: Sequence[Point]) -> bool:
-    """True when the vertices wind counter-clockwise."""
-    return signed_area(vertices) > 0.0
-
-
-def ensure_counter_clockwise(vertices: Sequence[Point]) -> List[Point]:
-    """Return the vertices in counter-clockwise order (paper convention)."""
-    points = list(vertices)
-    if signed_area(points) < 0:
-        points.reverse()
-    return points
 
 
 def centroid(vertices: Sequence[Point]) -> Point:
@@ -105,58 +91,6 @@ def point_in_polygon(
                 inside = not inside
         j = i
     return inside
-
-
-def polygon_in_bbox(vertices: Sequence[Point], box: BBox) -> bool:
-    """True when every vertex of the polygon lies inside the bbox.
-
-    For convex query rectangles vertex containment implies full polygon
-    containment.
-    """
-    return all(box.contains_point(v) for v in vertices)
-
-
-def polygon_intersects_bbox(vertices: Sequence[Point], box: BBox) -> bool:
-    """True when the polygon and the bbox share any point.
-
-    Checks vertex containment both ways and edge crossings; sufficient
-    for simple polygons against rectangles.
-    """
-    if any(box.contains_point(v) for v in vertices):
-        return True
-    if point_in_polygon(box.center, vertices):
-        return True
-    corners = box.corners()
-    from .predicates import segments_intersect
-
-    n = len(vertices)
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        if points_equal(a, b):
-            continue
-        edge = Segment(a, b)
-        for j in range(4):
-            side = Segment(corners[j], corners[(j + 1) % 4])
-            if segments_intersect(edge, side):
-                return True
-    return False
-
-
-def is_convex(vertices: Sequence[Point]) -> bool:
-    """True when the polygon is convex (collinear runs allowed)."""
-    n = len(vertices)
-    if n < 3:
-        return False
-    sign = 0
-    for i in range(n):
-        o = orientation(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n])
-        if o == 0:
-            continue
-        if sign == 0:
-            sign = o
-        elif o != sign:
-            return False
-    return True
 
 
 def representative_point(vertices: Sequence[Point]) -> Point:

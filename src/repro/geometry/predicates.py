@@ -9,8 +9,7 @@ normalised unit-scale domain.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Tuple
+from typing import Optional
 
 from .primitives import EPSILON, Point, Segment, points_equal
 
@@ -55,28 +54,6 @@ def on_segment(p: Point, segment: Segment, eps: float = EPSILON) -> bool:
         min_x - eps <= p[0] <= max_x + eps
         and min_y - eps <= p[1] <= max_y + eps
     )
-
-
-def segments_intersect(
-    s1: Segment, s2: Segment, eps: float = EPSILON
-) -> bool:
-    """True when the two closed segments share at least one point."""
-    o1 = orientation(s1.start, s1.end, s2.start, eps)
-    o2 = orientation(s1.start, s1.end, s2.end, eps)
-    o3 = orientation(s2.start, s2.end, s1.start, eps)
-    o4 = orientation(s2.start, s2.end, s1.end, eps)
-
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(s2.start, s1, eps):
-        return True
-    if o2 == 0 and on_segment(s2.end, s1, eps):
-        return True
-    if o3 == 0 and on_segment(s1.start, s2, eps):
-        return True
-    if o4 == 0 and on_segment(s1.end, s2, eps):
-        return True
-    return False
 
 
 def segment_intersection(
@@ -133,41 +110,3 @@ def proper_intersection(
     return point
 
 
-def crossing_parameter(
-    path: Segment, barrier: Segment, eps: float = EPSILON
-) -> Optional[Tuple[float, int]]:
-    """Where and with what sign a moving object crosses a barrier edge.
-
-    ``path`` is one step of the object's motion; ``barrier`` is a
-    directed edge of the sensing graph.  Returns ``(t, sign)`` where
-    ``t`` in [0, 1] parametrises the crossing along ``path`` and ``sign``
-    is ``+1`` when the object crosses from the left of ``barrier`` to its
-    right and ``-1`` for right-to-left.  Returns None when there is no
-    proper crossing (grazing along the barrier does not count).
-    """
-    p, r_end = path.start, path.end
-    q, s_end = barrier.start, barrier.end
-    r = (r_end[0] - p[0], r_end[1] - p[1])
-    s = (s_end[0] - q[0], s_end[1] - q[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) <= eps:
-        return None
-    qp = (q[0] - p[0], q[1] - p[1])
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-    if not (-eps < t < 1 + eps and -eps < u < 1 + eps):
-        return None
-    # denom = r x s > 0 means the motion direction r has the barrier
-    # direction s counter-clockwise from it, i.e. the object moves from
-    # the barrier's left half-plane into its right half-plane.
-    sign = 1 if denom > 0 else -1
-    return (min(max(t, 0.0), 1.0), sign)
-
-
-def angle_ccw(base: float, target: float) -> float:
-    """Counter-clockwise angular distance from ``base`` to ``target``.
-
-    Both angles are radians; result lies in ``[0, 2*pi)``.
-    """
-    delta = (target - base) % (2.0 * math.pi)
-    return delta

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from ..errors import GeometryError
 
@@ -20,11 +20,6 @@ Point = Tuple[float, float]
 #: this library are normalised to roughly unit scale, so an absolute
 #: epsilon is appropriate.
 EPSILON = 1e-9
-
-
-def almost_equal(a: float, b: float, eps: float = EPSILON) -> bool:
-    """Return True when two scalars differ by less than ``eps``."""
-    return abs(a - b) < eps
 
 
 def points_equal(p: Point, q: Point, eps: float = EPSILON) -> bool:
@@ -37,13 +32,6 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def squared_distance(p: Point, q: Point) -> float:
-    """Squared Euclidean distance (cheaper when only comparing)."""
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
-
-
 def midpoint(p: Point, q: Point) -> Point:
     """Midpoint of the segment ``pq``."""
     return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
@@ -52,11 +40,6 @@ def midpoint(p: Point, q: Point) -> Point:
 def lerp(p: Point, q: Point, t: float) -> Point:
     """Linear interpolation between ``p`` (t=0) and ``q`` (t=1)."""
     return (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t)
-
-
-def angle_of(origin: Point, target: Point) -> float:
-    """Angle of the vector ``origin -> target`` in ``(-pi, pi]``."""
-    return math.atan2(target[1] - origin[1], target[0] - origin[0])
 
 
 @dataclass(frozen=True)
@@ -99,14 +82,3 @@ class Segment:
         """``(min_x, min_y, max_x, max_y)`` of the segment."""
         (x1, y1), (x2, y2) = self.start, self.end
         return (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-
-
-def polyline_length(points: Iterable[Point]) -> float:
-    """Total length of a polyline given as an iterable of points."""
-    total = 0.0
-    previous = None
-    for point in points:
-        if previous is not None:
-            total += distance(previous, point)
-        previous = point
-    return total

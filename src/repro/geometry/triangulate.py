@@ -55,20 +55,6 @@ def delaunay_edges(points: Sequence[Point]) -> List[Tuple[int, int]]:
     return _bowyer_watson_edges(points)  # pragma: no cover
 
 
-def delaunay_triangles(points: Sequence[Point]) -> List[Tuple[int, int, int]]:
-    """Triangles of the Delaunay triangulation as sorted index triples."""
-    n = len(points)
-    if n < 3:
-        raise GeometryError("triangulation into faces requires >= 3 points")
-    if _SciPyDelaunay is not None:
-        try:
-            tri = _SciPyDelaunay(np.asarray(points, dtype=float))
-        except (_QhullError, ValueError):
-            raise GeometryError("degenerate (collinear) point set")
-        return [tuple(sorted(int(v) for v in s)) for s in tri.simplices]
-    raise GeometryError("scipy is required for triangle enumeration")
-
-
 def _collinear_path_edges(points: Sequence[Point]) -> List[Tuple[int, int]]:
     """Chain edges along a (numerically) collinear point set."""
     order = sorted(range(len(points)), key=lambda i: (points[i][0], points[i][1]))

@@ -1,29 +1,17 @@
-"""Mobility domain substrate (system S4): road networks, strata,
-map matching and the :class:`MobilityDomain` pipeline bundle."""
+"""Mobility domain substrate (system S4): road networks, strata and
+the :class:`MobilityDomain` pipeline bundle."""
 
 from .domain import EXT, MobilityDomain
-from .mapio import (
-    VEHICLE_CLASSES,
-    load_road_network,
-    road_network_from_dict,
-    save_road_network,
-)
-from .mapmatch import MapMatcher
 from .roadnet import grid_city, organic_city, radial_city
 from .strata import Strata, grid_strata, voronoi_strata
 
 __all__ = [
     "EXT",
-    "MapMatcher",
     "MobilityDomain",
     "Strata",
-    "VEHICLE_CLASSES",
     "grid_city",
     "grid_strata",
-    "load_road_network",
     "organic_city",
     "radial_city",
-    "road_network_from_dict",
-    "save_road_network",
     "voronoi_strata",
 ]

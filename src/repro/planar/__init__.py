@@ -6,7 +6,7 @@ chains with the discrete boundary operator, dual-graph construction
 planarization of drawn graphs.
 """
 
-from .chains import Chain, face_boundary, region_boundary, region_perimeter_nodes
+from .chains import Chain, region_boundary
 from .dual import DualGraph, build_dual
 from .faces import Face, FaceSet, euler_characteristic, trace_faces
 from .graph import Edge, EdgeInterner, NodeId, PlanarGraph, canonical_edge
@@ -24,11 +24,9 @@ __all__ = [
     "build_dual",
     "canonical_edge",
     "euler_characteristic",
-    "face_boundary",
     "largest_component",
     "planarize",
     "prune_degree_one",
     "region_boundary",
-    "region_perimeter_nodes",
     "trace_faces",
 ]

@@ -100,15 +100,6 @@ class Chain:
         return all(value == 0 for value in balance.values())
 
 
-def face_boundary(faces: FaceSet, face_id: int) -> Chain:
-    """∂ of a single face: its oriented perimeter walk as a 1-chain."""
-    try:
-        face = faces.faces[face_id]
-    except IndexError:
-        raise PlanarityError(f"unknown face id {face_id}") from None
-    return Chain.from_edges(face.boundary_edges())
-
-
 def region_boundary(faces: FaceSet, face_ids: Iterable[int]) -> Chain:
     """∂ of a union of faces.
 
@@ -123,12 +114,3 @@ def region_boundary(faces: FaceSet, face_ids: Iterable[int]) -> Chain:
         for edge in faces.faces[face_id].boundary_edges():
             chain.add(edge)
     return chain
-
-
-def region_perimeter_nodes(faces: FaceSet, face_ids: Iterable[int]) -> Set[NodeId]:
-    """Nodes on the perimeter of a union of faces.
-
-    These are the sensors that must be contacted to answer a query on
-    the region (the paper's communication-cost proxy, §4.9).
-    """
-    return region_boundary(faces, face_ids).nodes()

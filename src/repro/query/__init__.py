@@ -1,6 +1,5 @@
 """Query regions, the query engine and results (system S9)."""
 
-from .continuous import ContinuousCountMonitor, RegionState
 from .engine import (
     DISPATCH_STRATEGIES,
     PLANNER_MODES,
@@ -26,7 +25,6 @@ from .result import (
 __all__ = [
     "BoundaryChain",
     "CompiledQueryPlanner",
-    "ContinuousCountMonitor",
     "DISPATCH_STRATEGIES",
     "LOWER",
     "PLANNER_MODES",
@@ -35,7 +33,6 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "RangeQuery",
-    "RegionState",
     "SHARDED_STAGES",
     "STATIC",
     "ShardedQueryEngine",

@@ -1,7 +1,6 @@
 """Sensor selection: query-oblivious sampling (§4.3) and
 query-adaptive submodular maximization (§4.4)."""
 
-from .adaptive import query_frequency_weights, weighted_candidates
 from .base import Selector, SensorCandidates
 from .hierarchical import KDTreeSelector, QuadTreeSelector
 from .regions import Atom, overlap_atoms
@@ -21,6 +20,4 @@ __all__ = [
     "UniformSelector",
     "lazy_greedy_select",
     "overlap_atoms",
-    "query_frequency_weights",
-    "weighted_candidates",
 ]

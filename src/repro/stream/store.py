@@ -42,8 +42,8 @@ lost or counted twice, and the next compaction merges what is due.
 Consistency rules:
 
 - the store's :attr:`generation` bumps on every accepted append and
-  every compaction/merge, so flight-recorder digests and memoised
-  standing counts keyed on it can never serve a stale answer;
+  every compaction/merge, so flight-recorder digests keyed on it can
+  never serve a stale answer;
 - blocks are never mutated, so a block's compiled-boundary LRU cannot
   go stale; a merged block starts with an empty one;
 - a closed store raises a structured
@@ -76,7 +76,6 @@ from ..obs import get_registry
 from ..trajectories import CrossingEvent, EventColumns, columnarize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..query.continuous import ContinuousCountMonitor
     from ..sampling import SensorNetwork
 
 #: Tail size that triggers an automatic compaction on append.
@@ -150,7 +149,6 @@ class StreamingEventStore:
         self.block_events = 0
         self.rewritten_events = 0
         self._compact_listeners: List[Callable] = []
-        self._monitors: List["ContinuousCountMonitor"] = []
 
         registry = get_registry()
         self._metric_events = registry.counter(
@@ -267,8 +265,6 @@ class StreamingEventStore:
             self._generation += 1
             self.observed_total += n
             self._metric_events.inc(n)
-            for monitor in self._monitors:
-                monitor.observe_stream(observed)
         if self._tail_len >= self.compact_every:
             self.compact()
         else:
@@ -365,25 +361,6 @@ class StreamingEventStore:
     def _fire_compact(self, phase: str) -> None:
         for listener in self._compact_listeners:
             listener(self, phase)
-
-    def attach_monitor(self, monitor: "ContinuousCountMonitor") -> None:
-        """Subscribe a standing-query monitor: every accepted arrival
-        window is folded into it, and :meth:`resync` can recover its
-        exact counts from this store at any time.
-
-        A window reaches the monitor time-sorted, whatever order its
-        events arrived in, so a ``keep_history=True`` monitor accepts
-        disorder *inside* a window; a window that starts before the
-        previous one ended still raises its out-of-order
-        :class:`~repro.errors.QueryError`."""
-        self._monitors.append(monitor)
-
-    def resync(
-        self, monitor: "ContinuousCountMonitor", t: float
-    ) -> Dict[str, float]:
-        """Recompute the monitor's standing counts from this store at
-        time ``t`` (generation-memoised inside the monitor)."""
-        return monitor.reevaluate(self, t)
 
     def _update_gauges(self) -> None:
         self._gauge_tail.set(self._tail_len)
@@ -484,8 +461,7 @@ class StreamingEventStore:
     def generation(self) -> int:
         """Monotonic content version: bumps on every accepted append,
         compaction and block merge.  Everything memoised on this
-        store's answers (flight digests, standing-count caches) keys
-        on it."""
+        store's answers (flight digests) keys on it."""
         return self._generation
 
     @property

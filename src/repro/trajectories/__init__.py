@@ -11,12 +11,6 @@ from .events import (
     trip_events,
 )
 from .generator import Trip, plan_trip, plan_trip_along
-from .gpsio import (
-    export_trips_as_gps,
-    load_gps_trips,
-    read_gps_csv,
-    trips_from_fixes,
-)
 from .workload import DAY, Workload, WorkloadConfig, generate_workload
 
 __all__ = [
@@ -29,12 +23,8 @@ __all__ = [
     "all_events",
     "columnarize",
     "distinct_visitors",
-    "export_trips_as_gps",
     "generate_workload",
     "ingest",
-    "load_gps_trips",
-    "read_gps_csv",
-    "trips_from_fixes",
     "net_change",
     "occupancy_count",
     "plan_trip",

@@ -1,6 +1,5 @@
 """Unit tests for the command-line interface."""
 
-import json
 import math
 import re
 
@@ -28,10 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--selector", "psychic"])
 
-    def test_city_requires_output(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["city"])
-
 
 class TestExecution:
     def test_info_runs(self, capsys):
@@ -39,25 +34,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "repro" in out
         assert "selectors" in out
-
-    def test_city_generates_loadable_map(self, tmp_path, capsys):
-        path = tmp_path / "city.json"
-        assert main(["city", str(path), "--kind", "grid",
-                     "--blocks", "25"]) == 0
-        raw = json.loads(path.read_text())
-        assert raw["nodes"] and raw["edges"]
-
-        from repro.mobility import load_road_network
-
-        graph = load_road_network(path, prune_dead_ends=False)
-        assert graph.node_count == len(raw["nodes"])
-
-    @pytest.mark.parametrize("kind", ["grid", "radial", "organic"])
-    def test_city_kinds(self, tmp_path, kind):
-        path = tmp_path / f"{kind}.json"
-        assert main(["city", str(path), "--kind", kind,
-                     "--blocks", "30"]) == 0
-        assert path.exists()
 
     def test_demo_small_run(self, capsys):
         assert main(["demo", "--blocks", "60", "--trips", "200",

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.evaluation import (
-    PipelineConfig,
-    get_pipeline,
-    print_series,
-)
+from repro.evaluation import PipelineConfig, get_pipeline
 from repro.forms import EdgeCountStore, TrackingForm
 from repro.geometry import BBox
 from repro.models import LinearModel, ModeledCountStore
@@ -33,13 +29,6 @@ class TestProtocolConformance:
         from repro.models import BufferedEdgeStore
 
         assert isinstance(BufferedEdgeStore(LinearModel), EdgeCountStore)
-
-    def test_noisy_store_is_edge_count_store(self):
-        from repro.forms import LaplaceNoisyStore
-
-        assert isinstance(
-            LaplaceNoisyStore(TrackingForm(), epsilon=1.0), EdgeCountStore
-        )
 
 
 class TestFailureInjection:
@@ -143,12 +132,6 @@ class TestSubmodularDeterminism:
 
 
 class TestTablesAndSeries:
-    def test_print_series(self, capsys):
-        print_series("title", [1, 2], ["a", "b"])
-        out = capsys.readouterr().out
-        assert "title" in out
-        assert "1: a" in out
-
     def test_summary_str_formats(self):
         from repro.evaluation import Summary
 

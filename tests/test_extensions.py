@@ -1,66 +1,9 @@
-"""Unit tests for adaptive weights, energy model and map I/O."""
+"""Unit tests for the energy model."""
 
-import json
-
-import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SelectionError, WorkloadError
-from repro.geometry import BBox
-from repro.mobility import (
-    load_road_network,
-    road_network_from_dict,
-    save_road_network,
-)
+from repro.errors import ConfigurationError
 from repro.network import EnergyModel, RadioParameters
-from repro.selection import (
-    UniformSelector,
-    query_frequency_weights,
-    weighted_candidates,
-)
-
-
-# ----------------------------------------------------------------------
-# Query-adaptive weights (§4.3)
-# ----------------------------------------------------------------------
-class TestAdaptiveWeights:
-    def test_hot_blocks_weighted_higher(self, grid_domain):
-        hot = grid_domain.junctions_in_bbox(BBox(0, 0, 5, 5))
-        weights = query_frequency_weights(grid_domain, [hot, hot, hot])
-        order = grid_domain.dual.interior_nodes
-        hot_weights, cold_weights = [], []
-        for block, weight in zip(order, weights):
-            x, y = grid_domain.dual.position(block)
-            (hot_weights if (x < 5 and y < 5) else cold_weights).append(weight)
-        assert np.mean(hot_weights) > np.mean(cold_weights)
-
-    def test_smoothing_keeps_cold_blocks_selectable(self, grid_domain):
-        hot = grid_domain.junctions_in_bbox(BBox(0, 0, 3, 3))
-        weights = query_frequency_weights(grid_domain, [hot], smoothing=0.5)
-        assert np.all(weights > 0)
-
-    def test_empty_history_rejected(self, grid_domain):
-        with pytest.raises(SelectionError):
-            query_frequency_weights(grid_domain, [])
-
-    def test_negative_smoothing_rejected(self, grid_domain):
-        hot = grid_domain.junctions_in_bbox(BBox(0, 0, 3, 3))
-        with pytest.raises(SelectionError):
-            query_frequency_weights(grid_domain, [hot], smoothing=-1.0)
-
-    def test_weighted_candidates_bias_selection(self, grid_domain):
-        hot = grid_domain.junctions_in_bbox(BBox(0, 0, 5, 5))
-        candidates = weighted_candidates(
-            grid_domain, [hot] * 5, smoothing=0.1
-        )
-        chosen = UniformSelector().select(
-            candidates, 10, np.random.default_rng(0)
-        )
-        weight_of = dict(zip(candidates.ids, candidates.weights))
-        chosen_mean = np.mean([weight_of[block] for block in chosen])
-        overall_mean = float(candidates.weights.mean())
-        # Picks concentrate on historically queried (heavy) blocks.
-        assert chosen_mean > 1.5 * overall_mean
 
 
 # ----------------------------------------------------------------------
@@ -104,76 +47,3 @@ class TestEnergyModel:
 
     def test_query_energy_empty(self, sampled_net):
         assert EnergyModel(sampled_net).query_energy([]) == 0.0
-
-
-# ----------------------------------------------------------------------
-# Map I/O (§4.2)
-# ----------------------------------------------------------------------
-def sample_map() -> dict:
-    """A 3x3 grid with one footpath and one crossing flyover."""
-    nodes = {
-        f"n{i}{j}": [float(i), float(j)] for i in range(3) for j in range(3)
-    }
-    edges = []
-    for i in range(3):
-        for j in range(3):
-            if i < 2:
-                edges.append([f"n{i}{j}", f"n{i + 1}{j}", {"class": "primary"}])
-            if j < 2:
-                edges.append([f"n{i}{j}", f"n{i}{j + 1}", {"class": "primary"}])
-    edges.append(["n00", "n22", {"class": "footway"}])  # filtered out
-    # A flyover crossing the grid diagonally (no shared nodes).
-    nodes["f1"] = [-0.5, 0.5]
-    nodes["f2"] = [2.5, 1.5]
-    edges.append(["f1", "f2", {"class": "motorway"}])
-    return {"nodes": nodes, "edges": edges}
-
-
-class TestMapIO:
-    def test_vehicle_filter_drops_footways(self):
-        graph = road_network_from_dict(
-            sample_map(), planarize_crossings=False, prune_dead_ends=False
-        )
-        # No edge between the footway endpoints.
-        assert not graph.has_edge("n00", "n22")
-
-    def test_planarization_inserts_flyover_junctions(self):
-        graph = road_network_from_dict(sample_map(), prune_dead_ends=False)
-        # The flyover crosses two vertical grid streets: 2 new nodes.
-        inserted = [n for n in graph.nodes() if isinstance(n, tuple)]
-        assert len(inserted) >= 2
-
-    def test_prune_removes_flyover_stubs(self):
-        graph = road_network_from_dict(sample_map(), prune_dead_ends=True)
-        assert all(graph.degree(n) >= 2 for n in graph.nodes())
-
-    def test_round_trip(self, tmp_path, grid_domain):
-        path = tmp_path / "city.json"
-        save_road_network(grid_domain.graph, path)
-        loaded = load_road_network(path, prune_dead_ends=False)
-        assert loaded.node_count == grid_domain.graph.node_count
-        assert loaded.edge_count == grid_domain.graph.edge_count
-
-    def test_malformed_structure_rejected(self):
-        with pytest.raises(WorkloadError):
-            road_network_from_dict({"edges": []})
-        with pytest.raises(WorkloadError):
-            road_network_from_dict({"nodes": {"a": [0]}, "edges": []})
-        with pytest.raises(WorkloadError):
-            road_network_from_dict(
-                {"nodes": {"a": [0, 0]}, "edges": [["a", "ghost"]]}
-            )
-
-    def test_degenerate_after_filtering_rejected(self):
-        raw = {
-            "nodes": {"a": [0, 0], "b": [1, 0]},
-            "edges": [["a", "b", {"class": "footway"}]],
-        }
-        with pytest.raises(WorkloadError):
-            road_network_from_dict(raw)
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "map.json"
-        path.write_text(json.dumps(sample_map()))
-        graph = load_road_network(path)
-        assert graph.node_count >= 9

@@ -3,42 +3,7 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.forms import DifferentialForm, SnapshotForm
-
-
-class TestDifferentialForm:
-    def test_antisymmetry(self):
-        form = DifferentialForm()
-        form.set(("a", "b"), 3.0)
-        assert form(("a", "b")) == 3.0
-        assert form(("b", "a")) == -3.0
-
-    def test_set_via_reverse_direction(self):
-        form = DifferentialForm()
-        form.set(("b", "a"), 2.0)
-        assert form(("a", "b")) == -2.0
-
-    def test_add_accumulates(self):
-        form = DifferentialForm()
-        form.add(("a", "b"), 1.0)
-        form.add(("b", "a"), 1.0)
-        assert form(("a", "b")) == 0.0
-
-    def test_unknown_edge_zero(self):
-        assert DifferentialForm()(("x", "y")) == 0.0
-
-    def test_integrate(self):
-        form = DifferentialForm()
-        form.set(("a", "b"), 2.0)
-        form.set(("b", "c"), 3.0)
-        chain = [(("a", "b"), 1), (("b", "c"), 1), (("c", "a"), 1)]
-        assert form.integrate(chain) == 5.0
-
-    def test_support(self):
-        form = DifferentialForm()
-        form.set(("a", "b"), 1.0)
-        form.set(("c", "d"), 0.0)
-        assert len(list(form.support())) == 1
+from repro.forms import SnapshotForm
 
 
 class TestSnapshotForm:

@@ -1,5 +1,7 @@
 """Unit tests for repro.geometry.bbox."""
 
+import math
+
 import pytest
 
 from repro.errors import GeometryError
@@ -10,6 +12,12 @@ class TestConstruction:
     def test_inverted_rejected(self):
         with pytest.raises(GeometryError):
             BBox(2, 0, 1, 1)
+        for corner in range(4):
+            coords = [0.0, 0.0, 1.0, 1.0]
+            coords[corner] = math.nan
+            with pytest.raises(GeometryError, match="NaN"):
+                BBox(*coords)
+        BBox(-math.inf, -math.inf, math.inf, math.inf)  # still a box
 
     def test_from_points(self):
         box = BBox.from_points([(1, 5), (3, 2), (0, 4)])

@@ -8,7 +8,6 @@ from repro.geometry import (
     BBox,
     SpatialGrid,
     delaunay_edges,
-    delaunay_triangles,
 )
 
 
@@ -39,14 +38,6 @@ class TestDelaunay:
         pts = [tuple(p) for p in rng.uniform(0, 10, size=(50, 2))]
         edges = delaunay_edges(pts)
         assert len(edges) <= 3 * 50 - 6
-
-    def test_triangles(self):
-        tris = delaunay_triangles([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert len(tris) == 2
-
-    def test_triangles_too_few_points(self):
-        with pytest.raises(GeometryError):
-            delaunay_triangles([(0, 0), (1, 1)])
 
 
 class TestSpatialGrid:

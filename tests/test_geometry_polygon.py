@@ -4,16 +4,10 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import (
-    BBox,
     area,
     centroid,
-    ensure_counter_clockwise,
-    is_convex,
-    is_counter_clockwise,
     perimeter,
     point_in_polygon,
-    polygon_in_bbox,
-    polygon_intersects_bbox,
     representative_point,
     signed_area,
 )
@@ -38,14 +32,6 @@ class TestArea:
 
     def test_degenerate(self):
         assert signed_area([(0, 0), (1, 1)]) == 0.0
-
-    def test_orientation_helpers(self):
-        assert is_counter_clockwise(UNIT_SQUARE)
-        assert not is_counter_clockwise(list(reversed(UNIT_SQUARE)))
-
-    def test_ensure_counter_clockwise(self):
-        fixed = ensure_counter_clockwise(list(reversed(UNIT_SQUARE)))
-        assert is_counter_clockwise(fixed)
 
 
 class TestCentroid:
@@ -78,39 +64,6 @@ class TestPointInPolygon:
 
     def test_concave_arm_included(self):
         assert point_in_polygon((0.5, 3.5), U_SHAPE)
-
-
-class TestBBoxRelations:
-    def test_polygon_in_bbox(self):
-        assert polygon_in_bbox(UNIT_SQUARE, BBox(-1, -1, 2, 2))
-        assert not polygon_in_bbox(UNIT_SQUARE, BBox(0.5, 0, 2, 2))
-
-    def test_polygon_intersects_bbox_by_vertex(self):
-        assert polygon_intersects_bbox(UNIT_SQUARE, BBox(0.5, 0.5, 3, 3))
-
-    def test_polygon_intersects_bbox_box_inside(self):
-        assert polygon_intersects_bbox(
-            [(0, 0), (10, 0), (10, 10), (0, 10)], BBox(4, 4, 5, 5)
-        )
-
-    def test_polygon_disjoint_bbox(self):
-        assert not polygon_intersects_bbox(UNIT_SQUARE, BBox(5, 5, 6, 6))
-
-    def test_edge_crossing_counts(self):
-        # Polygon edge slices through the box without any vertex inside.
-        sliver = [(-1, 0.4), (2, 0.4), (2, 0.6), (-1, 0.6)]
-        assert polygon_intersects_bbox(sliver, BBox(0, 0, 1, 1))
-
-
-class TestConvexity:
-    def test_square_convex(self):
-        assert is_convex(UNIT_SQUARE)
-
-    def test_l_shape_not_convex(self):
-        assert not is_convex(L_SHAPE)
-
-    def test_degenerate_not_convex(self):
-        assert not is_convex([(0, 0), (1, 1)])
 
 
 class TestRepresentativePoint:

@@ -6,12 +6,10 @@ from repro.geometry import (
     Segment,
     collinear,
     cross,
-    crossing_parameter,
     on_segment,
     orientation,
     proper_intersection,
     segment_intersection,
-    segments_intersect,
 )
 
 
@@ -51,38 +49,6 @@ class TestOnSegment:
 
     def test_off_line(self):
         assert not on_segment((1, 0), Segment((0, 0), (2, 2)))
-
-
-class TestSegmentsIntersect:
-    def test_proper_crossing(self):
-        assert segments_intersect(
-            Segment((0, 0), (2, 2)), Segment((0, 2), (2, 0))
-        )
-
-    def test_disjoint(self):
-        assert not segments_intersect(
-            Segment((0, 0), (1, 0)), Segment((0, 1), (1, 1))
-        )
-
-    def test_shared_endpoint(self):
-        assert segments_intersect(
-            Segment((0, 0), (1, 1)), Segment((1, 1), (2, 0))
-        )
-
-    def test_collinear_overlap(self):
-        assert segments_intersect(
-            Segment((0, 0), (2, 0)), Segment((1, 0), (3, 0))
-        )
-
-    def test_collinear_disjoint(self):
-        assert not segments_intersect(
-            Segment((0, 0), (1, 0)), Segment((2, 0), (3, 0))
-        )
-
-    def test_t_touch(self):
-        assert segments_intersect(
-            Segment((0, 0), (2, 0)), Segment((1, 0), (1, 1))
-        )
 
 
 class TestSegmentIntersection:
@@ -138,34 +104,3 @@ class TestProperIntersection:
             )
             is None
         )
-
-
-class TestCrossingParameter:
-    def test_left_to_right_positive_sign(self):
-        # Barrier points north; path moves west->east crosses from the
-        # barrier's left half-plane to its right.
-        barrier = Segment((0, -1), (0, 1))
-        path = Segment((-1, 0), (1, 0))
-        result = crossing_parameter(path, barrier)
-        assert result is not None
-        t, sign = result
-        assert t == pytest.approx(0.5)
-        assert sign == 1
-
-    def test_right_to_left_negative_sign(self):
-        barrier = Segment((0, -1), (0, 1))
-        path = Segment((1, 0), (-1, 0))
-        result = crossing_parameter(path, barrier)
-        assert result is not None
-        _, sign = result
-        assert sign == -1
-
-    def test_no_crossing(self):
-        barrier = Segment((0, -1), (0, 1))
-        path = Segment((1, 0), (2, 0))
-        assert crossing_parameter(path, barrier) is None
-
-    def test_parallel_returns_none(self):
-        barrier = Segment((0, 0), (0, 1))
-        path = Segment((1, 0), (1, 1))
-        assert crossing_parameter(path, barrier) is None

@@ -1,30 +1,18 @@
 """Unit tests for repro.geometry.primitives."""
 
-import math
-
 import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import (
     Segment,
-    almost_equal,
-    angle_of,
     distance,
     lerp,
     midpoint,
     points_equal,
-    polyline_length,
-    squared_distance,
 )
 
 
 class TestScalarHelpers:
-    def test_almost_equal_within_epsilon(self):
-        assert almost_equal(1.0, 1.0 + 1e-12)
-
-    def test_almost_equal_outside_epsilon(self):
-        assert not almost_equal(1.0, 1.001)
-
     def test_points_equal(self):
         assert points_equal((1.0, 2.0), (1.0 + 1e-12, 2.0))
         assert not points_equal((1.0, 2.0), (1.1, 2.0))
@@ -33,9 +21,6 @@ class TestScalarHelpers:
 class TestDistances:
     def test_distance_pythagorean(self):
         assert distance((0, 0), (3, 4)) == pytest.approx(5.0)
-
-    def test_squared_distance(self):
-        assert squared_distance((0, 0), (3, 4)) == pytest.approx(25.0)
 
     def test_distance_zero(self):
         assert distance((2, 2), (2, 2)) == 0.0
@@ -51,11 +36,6 @@ class TestInterpolation:
 
     def test_lerp_middle(self):
         assert lerp((0, 0), (10, 20), 0.5) == (5.0, 10.0)
-
-    def test_angle_of_cardinal_directions(self):
-        assert angle_of((0, 0), (1, 0)) == pytest.approx(0.0)
-        assert angle_of((0, 0), (0, 1)) == pytest.approx(math.pi / 2)
-        assert angle_of((0, 0), (-1, 0)) == pytest.approx(math.pi)
 
 
 class TestSegment:
@@ -80,14 +60,3 @@ class TestSegment:
     def test_bounding_box_ordering(self):
         seg = Segment((5, 1), (2, 7))
         assert seg.bounding_box() == (2, 1, 5, 7)
-
-
-class TestPolyline:
-    def test_polyline_length(self):
-        assert polyline_length([(0, 0), (3, 4), (3, 10)]) == pytest.approx(11.0)
-
-    def test_polyline_single_point(self):
-        assert polyline_length([(5, 5)]) == 0.0
-
-    def test_polyline_empty(self):
-        assert polyline_length([]) == 0.0

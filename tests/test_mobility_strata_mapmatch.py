@@ -1,11 +1,11 @@
-"""Unit tests for strata and map matching."""
+"""Unit tests for strata."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SelectionError, WorkloadError
+from repro.errors import SelectionError
 from repro.geometry import BBox
-from repro.mobility import MapMatcher, grid_strata, voronoi_strata
+from repro.mobility import grid_strata, voronoi_strata
 
 
 class TestVoronoiStrata:
@@ -56,54 +56,3 @@ class TestGridStrata:
     def test_invalid_shape(self):
         with pytest.raises(SelectionError):
             grid_strata(BBox(0, 0, 1, 1), rows=0)
-
-
-class TestMapMatcher:
-    def test_nearest_node(self, grid_domain):
-        matcher = MapMatcher(grid_domain.graph)
-        node = matcher.nearest_node((0.05, 0.05))
-        assert grid_domain.graph.position(node) == (0.0, 0.0)
-
-    def test_match_fills_path_gaps(self, grid_domain):
-        matcher = MapMatcher(grid_domain.graph)
-        # Two distant raw points: result must be a connected junction walk.
-        sequence = matcher.match([(0.0, 0.0), (10.0, 10.0)])
-        assert len(sequence) >= 2
-        for a, b in zip(sequence, sequence[1:]):
-            assert grid_domain.graph.has_edge(a, b)
-
-    def test_match_collapses_duplicates(self, grid_domain):
-        matcher = MapMatcher(grid_domain.graph)
-        sequence = matcher.match([(0.0, 0.0), (0.1, 0.1), (0.05, 0.0)])
-        assert len(sequence) == 1
-
-    def test_match_empty(self, grid_domain):
-        assert MapMatcher(grid_domain.graph).match([]) == []
-
-    def test_match_timed_interpolates(self, grid_domain):
-        matcher = MapMatcher(grid_domain.graph)
-        timed = matcher.match_timed([((0.0, 0.0), 0.0), ((10.0, 0.0), 60.0)])
-        times = [t for _, t in timed]
-        assert times[0] == 0.0
-        assert times[-1] == pytest.approx(60.0)
-        assert all(b >= a for a, b in zip(times, times[1:]))
-        # 7 junctions along the bottom row of the 7x7 grid.
-        assert len(timed) == 7
-
-    def test_match_timed_rejects_decreasing_times(self, grid_domain):
-        matcher = MapMatcher(grid_domain.graph)
-        with pytest.raises(WorkloadError):
-            matcher.match_timed([((0, 0), 5.0), ((1, 0), 1.0)])
-
-    def test_match_timed_dwell_preserves_arrival_and_departure(
-        self, grid_domain
-    ):
-        matcher = MapMatcher(grid_domain.graph)
-        timed = matcher.match_timed(
-            [((0, 0), 0.0), ((0.05, 0), 4.0), ((0.0, 0.05), 9.0)]
-        )
-        # One junction, dwelling 0.0 -> 9.0, encoded as two visits.
-        assert len(timed) == 2
-        assert timed[0][0] == timed[1][0]
-        assert timed[0][1] == 0.0
-        assert timed[1][1] == 9.0

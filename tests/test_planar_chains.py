@@ -6,9 +6,7 @@ from repro.errors import PlanarityError
 from repro.planar import (
     Chain,
     PlanarGraph,
-    face_boundary,
     region_boundary,
-    region_perimeter_nodes,
     trace_faces,
 )
 
@@ -84,14 +82,9 @@ class TestChain:
 class TestFaceBoundary:
     def test_single_face_boundary_is_cycle(self):
         _, faces = grid_faces()
-        chain = face_boundary(faces, faces.interior_faces[0].id)
+        chain = region_boundary(faces, [faces.interior_faces[0].id])
         assert chain.is_cycle()
         assert len(chain) == 4
-
-    def test_unknown_face_raises(self):
-        _, faces = grid_faces()
-        with pytest.raises(PlanarityError):
-            face_boundary(faces, 999)
 
 
 class TestRegionBoundary:
@@ -127,6 +120,6 @@ class TestRegionBoundary:
     def test_perimeter_nodes(self):
         _, faces = grid_faces()
         ids = [f.id for f in faces.interior_faces]
-        nodes = region_perimeter_nodes(faces, ids)
+        nodes = region_boundary(faces, ids).nodes()
         # All 12 rim nodes of the 4x4 grid.
         assert len(nodes) == 12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import GeometryError, QueryError
 from repro.geometry import BBox
 from repro.query import (
     LOWER,
@@ -31,6 +31,17 @@ class TestRangeQuery:
     def test_nan_rejected(self, t1, t2, max_error):
         with pytest.raises(QueryError):
             RangeQuery(BBox(0, 0, 1, 1), t1, t2, max_error=max_error)
+
+    def test_nan_box_rejected(self, sampled_net, sampled_form):
+        """A NaN corner fails at the box, before any engine sees it;
+        it used to plan as an empty region and answer as a silent
+        miss."""
+        engine = QueryEngine(sampled_net, sampled_form)
+        for corner in range(4):
+            coords = [0.0, 0.0, 10.0, 10.0]
+            coords[corner] = math.nan
+            with pytest.raises(GeometryError, match="NaN"):
+                engine.execute(RangeQuery(BBox(*coords), 0.0, 1.0))
 
     def test_infinite_times_accepted(self):
         query = RangeQuery(BBox(0, 0, 1, 1), -math.inf, math.inf)

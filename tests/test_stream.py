@@ -15,10 +15,7 @@ Covers:
   compaction cadence × planner (python / compiled / sharded) must be
   field-identical, including a query issued *mid-compaction*;
 - terminal ``close()`` semantics (structured QueryError, never a bare
-  AttributeError from a released resource);
-- :class:`repro.query.ContinuousCountMonitor` drift under duplicate /
-  out-of-order delivery, the ordering contract with history on, and
-  generation-memoised exact recovery via ``reevaluate``.
+  AttributeError from a released resource).
 """
 
 from __future__ import annotations
@@ -34,19 +31,16 @@ from test_query_planner import _battery, _key
 from repro.core import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError, QueryError
 from repro.forms import CompiledTrackingForm
-from repro.geometry import BBox
 from repro.mobility import MobilityDomain, grid_city
 from repro.obs import Instrumentation, Tracer, record_dict
 from repro.planar import EdgeInterner
 from repro.query import (
-    ContinuousCountMonitor,
     QueryEngine,
     RangeQuery,
     ShardedQueryEngine,
 )
 from repro.stream import StreamingEventStore, replay
 from repro.trajectories import (
-    CrossingEvent,
     EventColumns,
     WorkloadConfig,
     generate_workload,
@@ -501,8 +495,6 @@ class TestClosedFramework:
             framework.query_exact(framework.domain.bounds, 0.0, HORIZON)
         with pytest.raises(QueryError, match="closed"):
             framework.deploy(FrameworkConfig(budget=8))
-        with pytest.raises(QueryError, match="closed"):
-            framework.monitor()
         framework.close()  # idempotent
 
     def test_close_leaves_no_thread_behind(self, grid_road, grid_events):
@@ -527,106 +519,3 @@ class TestClosedFramework:
             FrameworkConfig(streaming=True, store="linear")
         with pytest.raises(ConfigurationError, match="compact_every"):
             FrameworkConfig(compact_every=0)
-
-    def test_monitor_requires_streaming(self, grid_road):
-        framework = _deploy(grid_road, streaming=False)
-        with pytest.raises(QueryError, match="streaming"):
-            framework.monitor()
-        framework.close()
-
-
-# ----------------------------------------------------------------------
-# Monitor consistency: drift, ordering contract, exact recovery
-# ----------------------------------------------------------------------
-class TestMonitorConsistency:
-    WATCH = BBox(1.5, 1.5, 8.5, 8.5)
-
-    def test_out_of_order_counts_match_oracle(self, sampled_net, events):
-        """The count fold is commutative: shuffled delivery must land on
-        the same counts as sorted delivery, and ``last_event_time``
-        must be the max (pre-PR it was last-seen and regressed)."""
-        sorted_events = sorted(events[:2000], key=lambda e: e.t)
-        shuffled = list(sorted_events)
-        random.Random(3).shuffle(shuffled)
-
-        oracle = ContinuousCountMonitor(sampled_net)
-        oracle_state = oracle.add_region("centre", self.WATCH)
-        oracle.observe_stream(sorted_events)
-
-        monitor = ContinuousCountMonitor(sampled_net)
-        state = monitor.add_region("centre", self.WATCH)
-        monitor.observe_stream(shuffled)
-
-        assert state.count == oracle_state.count
-        assert state.entries == oracle_state.entries
-        assert state.exits == oracle_state.exits
-        assert state.last_event_time == oracle_state.last_event_time
-
-    def test_history_enforces_ordering_contract(self, sampled_net):
-        monitor = ContinuousCountMonitor(sampled_net, keep_history=True)
-        state = monitor.add_region("centre", self.WATCH)
-        tail, head = state.boundary[0]
-        monitor.observe(CrossingEvent(tail, head, 100.0))
-        count_before = state.count
-        with pytest.raises(QueryError, match="out-of-order"):
-            monitor.observe(CrossingEvent(tail, head, 50.0))
-        # The rejected event mutated nothing.
-        assert state.count == count_before
-        assert state.last_event_time == 100.0
-        times = [t for t, _ in state.history]
-        assert times == sorted(times)
-
-    def test_without_history_out_of_order_is_fine(self, sampled_net):
-        monitor = ContinuousCountMonitor(sampled_net)
-        state = monitor.add_region("centre", self.WATCH)
-        tail, head = state.boundary[0]
-        monitor.observe(CrossingEvent(tail, head, 100.0))
-        monitor.observe(CrossingEvent(tail, head, 50.0))
-        assert state.last_event_time == 100.0
-
-    def test_duplicate_drift_repaired_by_reevaluate(
-        self, grid_road, grid_events
-    ):
-        framework = _deploy(grid_road, streaming=True, compact_every=512)
-        monitor = framework.monitor()
-        bounds = framework.domain.bounds
-        watch = BBox.from_center(
-            bounds.center, bounds.width * 0.6, bounds.height * 0.6
-        )
-        state = monitor.add_region("centre", watch)
-        framework.ingest_events(grid_events)
-        store = framework.streaming_store
-        exact = store.integrate_until(state.boundary, HORIZON * 2)
-        assert state.count == exact  # exactly-once fold via the store
-
-        # Simulate at-least-once delivery: the same window folded again
-        # directly.  The store holds each event once; the monitor now
-        # drifts (anonymous events cannot be deduplicated).
-        relevant = monitor.observe_stream(grid_events[:400])
-        if relevant:
-            assert state.count != exact
-        repaired = store.resync(monitor, HORIZON * 2)
-        assert repaired["centre"] == exact
-        assert state.count == exact
-        framework.close()
-
-    def test_reevaluate_is_generation_memoised(self, grid_road, grid_events):
-        framework = _deploy(grid_road, streaming=True)
-        monitor = framework.monitor()
-        bounds = framework.domain.bounds
-        monitor.add_region(
-            "centre",
-            BBox.from_center(
-                bounds.center, bounds.width * 0.6, bounds.height * 0.6
-            ),
-        )
-        framework.ingest_events(grid_events[:500])
-        store = framework.streaming_store
-        first = store.resync(monitor, HORIZON)
-        assert store.resync(monitor, HORIZON) == first  # memo hit
-        framework.ingest_events(grid_events[500:600])
-        second = store.resync(monitor, HORIZON)  # new generation, fresh
-        assert second["centre"] == store.integrate_until(
-            monitor.state("centre").boundary, HORIZON
-        )
-        framework.close()
