@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..obs import get_registry
-from .rank import RankIndex, chain_lanes, csr_take, time_lanes
+from .rank import RankIndex, chain_lanes, csr_take, narrowest, time_lanes
 from .snapshot import DirectedEdge, _canonical
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,9 +65,10 @@ def edge_ids(
 
 
 def _joint_rows(offsets) -> np.ndarray:
-    """Offsets of the two directions' segments in one joint column."""
-    plus, minus = offsets
-    return np.concatenate((plus[:-1], minus + plus[-1])).astype(np.int64)
+    """Offsets of the two directions' segments in one joint column
+    (int64, whatever width the stored offsets have)."""
+    plus, minus = (o.astype(np.int64) for o in offsets)
+    return np.concatenate((plus[:-1], minus + plus[-1]))
 
 
 class CompiledTrackingForm:
@@ -110,7 +111,7 @@ class CompiledTrackingForm:
             src = src[np.argsort(ids_d, kind="stable")]
             counts = np.bincount(ids_d, minlength=n_ids)
             offsets = np.concatenate(([0], np.cumsum(counts)))
-            csr.append((t[src], offsets.astype(np.int64), src))
+            csr.append((t[src], narrowest(offsets), src))
         self._set_csr(*zip(*csr), t)
         self._init_runtime_state(boundary_cache_size)
 
@@ -121,6 +122,9 @@ class CompiledTrackingForm:
         direction 0) under one joint offsets array, ``_rows``: row
         ``d * n_ids + eid`` is the segment of ``(eid, d)``, so a
         chain's lanes of both directions rank in a single kernel pass.
+        The stored offsets come narrow
+        (:func:`~repro.forms.rank.narrowest`); arithmetic runs on the
+        int64 ``_rows``.
         ``sources`` are the positions in ``t`` the column was gathered
         from: with ``t`` ascending, an element's source is its place in
         a stable sort of the column, and the rank index needs no sort.
@@ -561,9 +565,9 @@ class CompiledTrackingForm:
         """The chain's net over *every* stored event (``t`` past the
         last one), straight from the offsets: no search."""
         wall_ids, signs = self._known(np.asarray(wall_ids), np.asarray(signs))
-        plus, minus = self._offsets
-        lens = (plus[wall_ids + 1] - plus[wall_ids]) - (
-            minus[wall_ids + 1] - minus[wall_ids]
+        rows, leaving = self._rows, wall_ids + self._n_ids
+        lens = (rows[wall_ids + 1] - rows[wall_ids]) - (
+            rows[leaving + 1] - rows[leaving]
         )
         return int(signs @ lens)
 
@@ -585,9 +589,8 @@ class CompiledTrackingForm:
     # Introspection / storage accounting (TrackingForm drop-in surface)
     # ------------------------------------------------------------------
     def _per_edge_counts(self) -> np.ndarray:
-        plus = np.diff(self._offsets[0])
-        minus = np.diff(self._offsets[1])
-        return plus + minus
+        counts = np.diff(self._rows)
+        return counts[:self._n_ids] + counts[self._n_ids:]
 
     def edges(self) -> Iterator[DirectedEdge]:
         """Canonical undirected edges that have recorded crossings."""
@@ -610,9 +613,9 @@ class CompiledTrackingForm:
 
     @property
     def total_events(self) -> int:
-        # Offsets-based so subclasses without materialised values
+        # Row-based so subclasses without materialised values
         # (the succinct tier) inherit it unchanged.
-        return int(self._offsets[0][-1] + self._offsets[1][-1])
+        return int(self._rows[-1])
 
     @property
     def edge_count(self) -> int:

@@ -28,7 +28,8 @@ column) and, through its blocks, the streaming store.  The lane
 builders beside the kernels — :func:`time_lanes` for one chain,
 :func:`chain_lanes` for a batch of them — and :func:`csr_take` are
 shared by those stores and the query planner; :func:`grid_floor` puts
-a time on the compressed store's and the sketch's integer grids.
+a time on the compressed store's and the sketch's integer grids, and
+:func:`narrowest` picks the width of every stored integer column.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def segmented_rank(
     are equal-length 1-D integer arrays (``lo == hi`` is an empty
     segment) and ``t`` is a scalar or one threshold per lane.
     """
+    lo = lo.astype(np.int64, copy=False)  # a narrow CSR's offsets
     n = hi - lo
     longest = int(n.max()) if n.size else 0
     if not longest:
@@ -104,7 +106,10 @@ class RankIndex:
 
     ``position`` (each element's ``g``) and ``ordered`` (the sorted
     values) come from the caller when it already holds them — the plain
-    form's constructor does — and from one argsort otherwise.
+    form's constructor does — and from one argsort otherwise.  A
+    narrow integer column is sorted into int64, the probes' dtype:
+    ``searchsorted`` on a uint8 column with int64 probes copies the
+    whole column per call (17.5 µs against 3.3 µs on 41.5k bins).
     """
 
     __slots__ = ("values", "offsets", "sorted", "keys")
@@ -114,6 +119,8 @@ class RankIndex:
         if position is None:
             order = np.argsort(values, kind="stable")
             ordered, position = values[order], np.empty_like(order)
+            if ordered.dtype.kind in "iu":
+                ordered = ordered.astype(np.int64, copy=False)
             position[order] = np.arange(m)
         rows = offsets.size - 1
         dtype = np.uint32 if rows * m < 2 ** 32 else np.int64
@@ -153,6 +160,21 @@ def grid_floor(t, width: float) -> np.ndarray:
     limit = float(2 ** 62)
     q = np.floor(np.divide(t, width))
     return np.clip(q, -limit, limit).astype(np.int64)
+
+
+#: The integer widths a stored column may take, narrowest first.  No
+#: ``uint64``: mixed with an int64 operand it promotes to float64.
+_WIDTHS = [np.iinfo(dtype) for dtype in "u1 i1 u2 i2 u4 i4".split()]
+
+
+def narrowest(values) -> np.ndarray:
+    """``values`` (integers) as the narrowest integer dtype that holds
+    their min and max — what every store keeps its stored integer
+    columns at — or as int64 when nothing narrower does."""
+    values = np.asarray(values)
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    fits = [info.dtype for info in _WIDTHS if info.min <= lo <= hi <= info.max]
+    return values.astype(fits[0] if fits else np.int64, copy=False)
 
 
 def csr_take(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -21,11 +21,14 @@ Sketch answers ride the existing :class:`~repro.query.QueryDegradation`
 machinery with ``strategy="sketch"`` so observability (degradation
 metrics, flight records) needs no new plumbing.
 
-Storage is a CSR over *touched* ``(edge, bin)`` pairs only — about
-ten bytes per pair — so coarse bins make the sketch hundreds of times
-smaller than even the compressed exact tier.  The rank index over the
-bins (:class:`~repro.forms.rank.RankIndex`) is built at construction,
-kept in memory only and reported as ``derived_bytes``.
+Storage is a CSR over *touched* ``(edge, bin)`` pairs only, each
+column at the narrowest integer width its values need
+(:func:`~repro.forms.rank.narrowest`): a bin, a cumulative net and an
+activity of one byte each while bins, per-edge nets and per-pair
+activity stay within a byte, so 3 B a pair plus the per-edge offsets.
+The rank index over the bins (:class:`~repro.forms.rank.RankIndex`) is
+built at construction, kept in memory only and reported as
+``derived_bytes``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .rank import RankIndex, chain_lanes, grid_floor, time_lanes
+from .rank import RankIndex, chain_lanes, grid_floor, narrowest, time_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..trajectories import EventColumns
@@ -56,13 +59,15 @@ class EdgeCountSketch:
         bin_width: float,
         n_ids: int,
     ) -> None:
-        self._edge_offsets = edge_offsets  # int64, n_ids + 1
-        self._bins = bins                  # int64 bin index, asc per edge
-        self._cum_net = cum_net            # int32 net count through bin
-        self._activity = activity          # int32 events inside bin
+        # Stored narrow: n_ids + 1 offsets; per pair its bin (ascending
+        # per edge), the edge's net through it, the events inside it.
+        self._edge_offsets = narrowest(edge_offsets)
+        self._bins = narrowest(bins)
+        self._cum_net = narrowest(cum_net)
+        self._activity = narrowest(activity)
         self._bin_width = float(bin_width)
         self._n_ids = int(n_ids)
-        self._index = RankIndex(bins, edge_offsets)  # in memory only
+        self._index = RankIndex(self._bins, self._edge_offsets)  # in memory
 
     # ------------------------------------------------------------------
     # Construction
@@ -82,13 +87,11 @@ class EdgeCountSketch:
         n_ids = len(columns.interner)
         t = np.asarray(columns.t, dtype=np.float64)
         if len(t) == 0:
+            empty = np.empty(0, dtype=np.int64)
             return cls(
                 edge_offsets=np.zeros(n_ids + 1, dtype=np.int64),
-                bins=np.empty(0, dtype=np.int64),
-                cum_net=np.empty(0, dtype=np.int32),
-                activity=np.empty(0, dtype=np.int32),
-                bin_width=1.0,
-                n_ids=n_ids,
+                bins=empty, cum_net=empty, activity=empty,
+                bin_width=1.0, n_ids=n_ids,
             )
         t_max = float(t.max())
         width = (t_max / bins) if t_max > 0 else 1.0
@@ -112,7 +115,7 @@ class EdgeCountSketch:
         net = np.bincount(
             pair_idx, weights=sign_s, minlength=n_pairs
         ).astype(np.int64)
-        activity = np.bincount(pair_idx, minlength=n_pairs).astype(np.int32)
+        activity = np.bincount(pair_idx, minlength=n_pairs)
         pair_eid = eid_s[new_pair]
         pair_bin = bin_s[new_pair]
 
@@ -120,19 +123,16 @@ class EdgeCountSketch:
         # the running total at each edge's first pair.
         running = np.cumsum(net)
         edge_counts = np.bincount(pair_eid, minlength=n_ids)
-        edge_offsets = np.concatenate(
-            ([0], np.cumsum(edge_counts))
-        ).astype(np.int64)
+        edge_offsets = np.concatenate(([0], np.cumsum(edge_counts)))
         base = np.repeat(
             running[edge_offsets[:-1][edge_counts > 0]] -
             net[edge_offsets[:-1][edge_counts > 0]],
             edge_counts[edge_counts > 0],
         )
-        cum_net = (running - base).astype(np.int32)
         return cls(
             edge_offsets=edge_offsets,
             bins=pair_bin,
-            cum_net=cum_net,
+            cum_net=running - base,
             activity=activity,
             bin_width=width,
             n_ids=n_ids,
@@ -156,10 +156,13 @@ class EdgeCountSketch:
         lo, hi = self._edge_offsets[walls], self._edge_offsets[walls + 1]
         # Bins are integers: "before bin q" is "<= q - 1".
         at = lo + self._index.rank(walls, q - 1)
-        net = np.where(at > lo, self._cum_net[at - 1], 0)
+        # Gathers from the narrow columns widen to int64: sums and sign
+        # flips of them cannot wrap.
+        net = np.where(at > lo, self._cum_net[at - 1].astype(np.int64), 0)
         partial = np.minimum(at, len(self._bins) - 1)
         inside = (at < hi) & (self._bins[partial] == q)
-        return net, np.where(inside, self._activity[partial], 0)
+        activity = self._activity[partial].astype(np.int64)
+        return net, np.where(inside, activity, 0)
 
     def _estimate(
         self, wall_ids: np.ndarray, signs: np.ndarray, times

@@ -4,10 +4,11 @@
 timestamp multisets as :class:`~repro.forms.compiled.CompiledTrackingForm`
 but roughly 4× smaller: per (edge, direction) segment the first
 timestamp's **tick** (a dyadic fixed-point integer, see
-:func:`quantize_times`) is kept as a 64-bit frame-of-reference head and
-the remaining values as consecutive non-negative deltas, chunked into
-blocks of :data:`DEFAULT_BLOCK` deltas, each block bit-packed at the
-width of its largest delta.  A block of identical timestamps packs to
+:func:`quantize_times`) is kept as a frame-of-reference head (the
+column at the narrowest width its ticks need) and the remaining values
+as consecutive non-negative deltas, chunked into blocks of
+:data:`DEFAULT_BLOCK` deltas, each block bit-packed at the width of its
+largest delta.  A block of identical timestamps packs to
 **zero** payload bits (width 0), so heavy-duplicate edges are nearly
 free.
 
@@ -52,7 +53,7 @@ from .compiled import (
     CompiledTrackingForm,
     _joint_rows,
 )
-from .rank import RankIndex, csr_take, grid_floor, segmented_rank
+from .rank import RankIndex, csr_take, grid_floor, narrowest, segmented_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planar import EdgeInterner
@@ -64,9 +65,10 @@ DEFAULT_TICK_BITS = 0
 
 #: Deltas per bit-packed block.  A single query bit-unpacks one block
 #: per lane, so the block is as short as the width bytes allow: on the
-#: e2e ``tiered_tolerant`` store (195 950 events) 8 stores 456 183
-#: bytes, 4 476 215, 16 460 233 and 32 470 141 — a large gap inflates
-#: fewer deltas' width, which pays for the extra width bytes.
+#: e2e ``tiered_tolerant`` store (195 950 events, int64 heads) 8
+#: stores 456 183 bytes, 4 476 215, 16 460 233 and 32 470 141 — a large
+#: gap inflates fewer deltas' width, which pays for the extra width
+#: bytes.
 DEFAULT_BLOCK = 8
 
 #: Widest delta the decoder extracts: a field starts up to 7 bits into
@@ -165,7 +167,7 @@ class _Blocks:
     )
 
     def __init__(self, heads, widths, payload) -> None:
-        self.heads = heads    # int64, one per nonempty segment
+        self.heads = heads    # narrowest ints, one per nonempty segment
         self.widths = widths  # uint8, one per block
         self.payload = payload  # uint8 packed delta bits
 
@@ -249,7 +251,7 @@ def _encode(
     directory = ticks[rows[row] + first]
     # The deltas inside rows, rows after each other.
     deltas = np.delete(np.diff(ticks), starts[1:] - 1)
-    heads = ticks[starts]
+    heads = narrowest(ticks[starts])
     del ticks
     lens = lens[lens > 0]
     first = np.cumsum(lens) - lens
@@ -333,7 +335,7 @@ class CompressedTrackingForm(CompiledTrackingForm):
     def _set_csr(self, values, offsets, sources, t) -> None:
         """Keep the freshly built CSR columns as compressed blocks (the
         directory's rank index is the blocks' own)."""
-        self._offsets = tuple(o.astype(np.int32) for o in offsets)
+        self._offsets = offsets
         self._rows = _joint_rows(offsets)
         self._blocks = _encode(
             np.concatenate(values), self._rows, self._tick_bits, self._block

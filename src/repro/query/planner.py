@@ -237,10 +237,6 @@ class CompiledQueryPlanner:
         self.index = network.compiled_index()
         #: Dense-id universe size for the bincount scatter tables.
         self._n_walls = len(self.index.wo_offsets) - 1
-        #: Decoded directed-edge lists per chain digest (for stores
-        #: without an id-native integration path, and for the rare
-        #: degraded-dispatch bookkeeping).
-        self._decoded: Dict[bytes, List[DirectedEdge]] = {}
         self._other: Optional[np.ndarray] = None
 
     def describe(self) -> Dict[str, int]:
@@ -558,16 +554,12 @@ class CompiledQueryPlanner:
         return int(min(store.integrate_at_ids(wall_ids, signs, times)))
 
     def decode_edges(self, chain: BoundaryChain) -> List[DirectedEdge]:
-        """The chain as inward-directed ``(u, v)`` edges (cached)."""
-        key = chain.wall_ids.tobytes() + chain.signs.tobytes()
-        edges = self._decoded.get(key)
-        if edges is None:
-            edge_of = self.domain.edge_interner.edge
-            edges = []
-            for eid, sign in zip(
-                chain.wall_ids.tolist(), chain.signs.tolist()
-            ):
-                u, v = edge_of(eid)
-                edges.append((u, v) if sign > 0 else (v, u))
-            self._decoded[key] = edges
+        """The chain as inward-directed ``(u, v)`` edges, decoded per
+        call: its callers (a store without an id-native integration
+        path, a degraded dispatch) walk the edges in Python anyway."""
+        edge_of = self.domain.edge_interner.edge
+        edges = []
+        for eid, sign in zip(chain.wall_ids.tolist(), chain.signs.tolist()):
+            u, v = edge_of(eid)
+            edges.append((u, v) if sign > 0 else (v, u))
         return edges

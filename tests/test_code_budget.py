@@ -33,7 +33,9 @@ TOP_LEVEL = "*.py"
 
 #: package → code-line ceiling: the current size rounded up to 10 for
 #: every row a PR touched (``test_ceilings_are_tight`` keeps the rest
-#: within 50).  Last moved when the unread periphery went (map and GPS
+#: within 50).  Last moved when the planner's unbounded decode memo
+#: went (``decode_edges`` decodes per call): ``query`` 1730 → 1723.
+#: Before that, when the unread periphery went (map and GPS
 #: loaders, standing-query monitor, DP wrapper, exterior calculus,
 #: adaptive weights, the ``city`` command and 17 public helpers only
 #: their own tests read; ``test_every_public_name_is_read`` keeps it
@@ -57,7 +59,7 @@ TOP_LEVEL = "*.py"
 #: ``execute_batch([q])`` measures 324 µs against ``execute(q)``'s 141
 #: (CHANGES.md).
 CEILINGS = {
-    "query": 1730,
+    "query": 1723,
     "obs": 1760,
     "forms": 1090,
     "evaluation": 740,

@@ -112,23 +112,21 @@ class TestFig11cdShape:
             )
 
     def test_sampled_queries_faster(self, p, queries):
-        """Like for like: both sides through ``execute`` on warmed
-        stores.  Two untimed passes take every chain past its first
-        touch and its compile whatever earlier tests did to the shared
-        pipeline's forms; the best of three more is compared."""
+        """Fig. 11d's speedup by its mechanism, not by the clock: over
+        the answered queries the sampled engine integrates fewer
+        boundary walls and contacts fewer sensors than the exact one.
+        Timing the two is no test: a warmed query is one cached
+        ``searchsorted`` on either side."""
         m = p.budget_for_fraction(0.25)
         sampled = p.engine(p.network("quadtree", m, seed=2))
-        answered = [q for q in queries if not sampled.execute(q).missed]
-
-        def warmed_s(engine):
-            passes = [
-                [engine.execute(q).elapsed for q in answered]
-                for _ in range(5)
-            ]
-            return sum(min(per_query) for per_query in zip(*passes[2:]))
-
-        if answered:
-            assert warmed_s(p.exact_engine) > warmed_s(sampled)
+        results = [(q, sampled.execute(q)) for q in queries]
+        answered = [(r, p.exact_engine.execute(q))
+                    for q, r in results if not r.missed]
+        assert answered
+        for work in ("boundary_length", "nodes_accessed"):
+            ours = sum(getattr(r, work) for r, _ in answered)
+            exact = sum(getattr(e, work) for _, e in answered)
+            assert ours < exact, work
 
 
 class TestStorageShape:

@@ -18,6 +18,9 @@ Generated (``hypothesis``) and enumerated corner cases for
   share blocks on both sides of the per-lane / per-block decode switch;
 - the vectorised sketch estimate against a brute-force count from the
   raw events, its bound always containing the exact answer;
+- the narrow stored columns of the sketch and the compressed form
+  against the same stores built at int64, on events whose nets,
+  activities and ticks need the wider widths;
 - the streaming store's zone maps under out-of-order arrivals
   (overlapping block ranges) and at times exactly on a block's
   ``t_min`` / ``t_max``, against the batch-built form.
@@ -25,13 +28,14 @@ Generated (``hypothesis``) and enumerated corner cases for
 
 from __future__ import annotations
 
+import contextlib
 import random
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_query_planner import _battery, _deployment, _key
@@ -620,6 +624,115 @@ class TestSketchEstimate:
             empty = form(interner, *none)
             assert empty.integrate_between_ids(wall_ids, signs, 1.0, 2.0) == 0
             assert empty.integrate_until_ids(wall_ids, signs, 1.0) == 0  # compiles
+
+
+# ----------------------------------------------------------------------
+# Narrow stored columns
+# ----------------------------------------------------------------------
+def _smallest_itemsize(column):
+    lo, hi = (int(column.min()), int(column.max())) if column.size else (0, 0)
+    return min(
+        np.dtype(dtype).itemsize
+        for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.uint32,
+                      np.int32, np.int64)
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max
+    )
+
+
+class TestNarrowColumns:
+    """Each stored integer column is kept at the narrowest width its
+    values need; answers equal those of the same stores built with
+    every column at int64."""
+
+    #: (edge, events, direction: 0 / 1 / 2 = mixed, time spread).
+    _burst = st.tuples(
+        st.integers(0, 4), st.integers(1, 400), st.integers(0, 2),
+        st.sampled_from([0, 7, 5000]),
+    )
+
+    @staticmethod
+    def _build(columns, bins):
+        sketch = EdgeCountSketch.from_columns(columns, bins=bins)
+        form = CompressedTrackingForm(
+            columns.interner, columns.edge_id, columns.direction,
+            columns.t, boundary_cache_size=0,
+        )
+        return sketch, form
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bursts=st.lists(_burst, min_size=1, max_size=4),
+        base=st.sampled_from([0, 2 ** 33, -(2 ** 33)]),
+        bins=st.sampled_from([1, 4, 64]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    # One-way bursts of 300 in one bin on ticks past 2**32: a net past
+    # ±127, an activity past 255 and heads past uint32.
+    @example(bursts=[(0, 300, 0, 0), (1, 300, 1, 7)], base=2 ** 33, bins=4,
+             seed=0)
+    def test_columns_widen_when_the_data_needs_it(
+        self, bursts, base, bins, seed
+    ):
+        rng = np.random.default_rng(seed)
+        parts = []
+        for edge, n, direction, spread in bursts:
+            start = base + int(rng.integers(0, 2 ** 20))
+            parts.append((
+                np.full(n, edge),
+                rng.integers(0, 2, n) if direction == 2
+                else np.full(n, direction),
+                start + rng.integers(0, spread + 1, n),
+            ))
+        edge_id, direction, ticks = map(np.concatenate, zip(*parts))
+        order = np.argsort(ticks, kind="stable")
+        columns = EventColumns(
+            interner=_interner(5), edge_id=edge_id[order].astype(np.int32),
+            direction=direction[order].astype(np.int8),
+            t=ticks[order].astype(np.float64),
+        )
+        sketch, form = self._build(columns, bins)
+        with contextlib.ExitStack() as stack:
+            for module in ("sketch", "compiled", "succinct"):
+                stack.enter_context(mock.patch(
+                    f"repro.forms.{module}.narrowest",
+                    lambda v: np.asarray(v).astype(np.int64),
+                ))
+            wide_sketch, wide_form = self._build(columns, bins)
+        assert wide_sketch._bins.dtype == np.int64
+        assert wide_form._blocks.heads.dtype == np.int64
+
+        stored = {
+            sketch: [sketch._edge_offsets, sketch._bins, sketch._cum_net,
+                     sketch._activity],
+            form: [*form._offsets, form._blocks.heads, form._blocks.widths,
+                   form._blocks.payload],
+        }
+        for store, arrays in stored.items():
+            for array in arrays:
+                assert array.dtype.itemsize == _smallest_itemsize(array)
+            assert store.storage_report()["total_bytes"] == sum(
+                a.dtype.itemsize * a.size for a in arrays
+            )
+
+        wall_ids = np.array([0, 1, 2, 3, 4, 5])  # 5: an unknown id
+        signs = rng.choice([-1, 1], size=wall_ids.size)
+        probes = _probe_times(columns.t)
+        # A few times rank by index, all of them by halving.
+        for times in (probes[-4:], np.tile(probes, 1 + 1024 // probes.size)):
+            (e1, b1), (e2, b2) = (
+                store._estimate(wall_ids, signs, times)
+                for store in (sketch, wide_sketch)
+            )
+            assert np.array_equal(e1, e2) and np.array_equal(b1, b2)
+            assert np.array_equal(
+                form.integrate_at_ids(wall_ids, signs, times),
+                wide_form.integrate_at_ids(wall_ids, signs, times),
+            )
+        assert form.net_total_ids(wall_ids, signs) == (
+            wide_form.net_total_ids(wall_ids, signs)
+        )
+        assert form.total_events == columns.t.size
+        assert form.storage_profile() == wide_form.storage_profile()
 
 
 # ----------------------------------------------------------------------
