@@ -10,13 +10,8 @@ Commands
     swimlane per shard-worker pid, grafted from the workers);
     ``--metrics out.prom`` dumps the metrics registry in Prometheus
     text format; ``--flight out.json`` dumps the always-on query
-    flight recorder.
-``monitor``
-    Run a query workload while sampling fleet telemetry (time series,
-    SLO burn, sensor health, EXPLAIN).  ``--shards N`` monitors the
-    scatter-gather engine with per-stage latency breakdown;
-    ``--flight out.json`` dumps the flight recorder's recent and
-    slow-query records (promotion threshold ``--slow-ms``).
+    flight recorder's recent and slow-query records (promotion
+    threshold ``--slow-ms``).
 ``info``
     Print the library version and the available selectors, stores and
     city generators.
@@ -53,11 +48,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _world(args: argparse.Namespace, obs, flight, **config):
-    """The world ``demo`` and ``monitor`` share: a seeded organic city,
-    a framework over it (bundle and flight recorder go to its
-    constructor) deployed from the common flags plus ``config``, and
-    the trip workload, not yet ingested.  Returns ``(framework,
-    network, workload)``."""
+    """The world of ``demo``: a seeded organic city, a framework over
+    it (bundle and flight recorder go to its constructor) deployed
+    from the flags plus ``config``, and the trip workload, not yet
+    ingested.  Returns ``(framework, network, workload)``."""
     from repro import FrameworkConfig, InNetworkFramework
     from repro.mobility import organic_city
     from repro.trajectories import WorkloadConfig, generate_workload
@@ -82,23 +76,6 @@ def _world(args: argparse.Namespace, obs, flight, **config):
                        mean_dwell=3600.0, seed=args.seed),
     )
     return framework, network, workload
-
-
-def _faults(args: argparse.Namespace, framework):
-    """The seeded fault injector of ``--faults P``."""
-    from repro.network import FaultConfig
-
-    return framework.fault_injector(
-        FaultConfig(seed=args.seed, sensor_failure_rate=args.faults,
-                    drop_rate=args.faults / 2)
-    )
-
-
-def _dump_flight(args: argparse.Namespace, flight) -> None:
-    if args.flight:
-        flight.dump(args.flight)
-        log.info(f"flight: wrote {args.flight} ({flight.total} records, "
-                 f"{flight.slow_total} slow)")
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -162,7 +139,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     injector = None
     if args.faults > 0:
-        injector = _faults(args, framework)
+        from repro.network import FaultConfig
+
+        injector = framework.fault_injector(
+            FaultConfig(seed=args.seed, sensor_failure_rate=args.faults,
+                        drop_rate=args.faults / 2)
+        )
         log.info(f"faults: {args.faults:.0%} sensor failure, "
                  f"{args.faults / 2:.0%} message drop "
                  f"({len(injector.crashed)} sensors down)")
@@ -232,260 +214,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         with open(args.metrics, "w") as handle:
             handle.write(get_registry().to_prometheus())
         log.info(f"metrics: wrote {args.metrics}")
-    _dump_flight(args, framework.flight_log())
+    if args.flight:
+        flight = framework.flight_log()
+        flight.dump(args.flight)
+        log.info(f"flight: wrote {args.flight} ({flight.total} records, "
+                 f"{flight.slow_total} slow)")
     framework.close()
     return 0
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.evaluation.workloads import (
-        QueryWorkloadConfig,
-        generate_queries,
-    )
-    from repro.obs import (
-        AlertLog,
-        FlightRecorder,
-        MetricsRegistry,
-        NULL_INSTRUMENTATION,
-        TimeSeriesRecorder,
-        default_slos,
-        fleet_health,
-        set_registry,
-    )
-    from repro.obs.dashboard import render_dashboard
-
-    # A fresh registry so the telemetry reflects this run only; the
-    # null bundle keeps the hot path span-free (the recorder samples
-    # counters, it does not need spans).
-    registry = MetricsRegistry()
-    set_registry(registry)
-    framework, network, workload = _world(
-        args, NULL_INSTRUMENTATION,
-        FlightRecorder(slow_threshold_s=args.slow_ms / 1e3),
-    )
-    domain = framework.domain
-    n_events = framework.ingest_trips(workload.trips)
-    log.info(f"fleet: {len(network.sensors)} sensors "
-             f"({network.size_fraction:.1%}), {n_events} events ingested")
-
-    injector = None
-    if args.faults > 0 and args.shards == 1:
-        injector = _faults(args, framework)
-        log.info(f"faults: {args.faults:.0%} sensor crash, "
-                 f"{args.faults / 2:.0%} message drop "
-                 f"({len(injector.crashed)} sensors down)")
-    elif args.shards > 1:
-        log.info(f"sharded: monitoring the {args.shards}-district "
-                 "scatter-gather engine (fault injection disabled)")
-    engine = framework.engine(
-        faults=injector, dispatch_strategy=args.strategy
-    )
-
-    queries = generate_queries(
-        domain,
-        workload.horizon,
-        QueryWorkloadConfig(n_queries=args.queries,
-                            area_fraction=args.area, seed=args.seed),
-    )
-    recorder = TimeSeriesRecorder(registry)
-    slos = default_slos()
-    alert_log = AlertLog()
-    live = sys.stderr.isatty()
-
-    first = recorder.sample()
-    if engine.simulator is not None:
-        engine.simulator.probe_fleet()
-    sample_round = 0
-    for i, query in enumerate(queries, 1):
-        engine.execute(query)
-        if i % max(args.sample_every, 1) and i != len(queries):
-            continue
-        sample_round += 1
-        if (
-            engine.simulator is not None
-            and sample_round % max(args.probe_every, 1) == 0
-        ):
-            engine.simulator.probe_fleet()
-        sample = recorder.sample()
-        statuses = [slo.evaluate(recorder) for slo in slos]
-        # Alert times are seconds into the run, not the raw clock.
-        for alert in alert_log.observe(sample.t - first.t, statuses):
-            if live:
-                print(file=sys.stderr)
-            log.warning(alert.format())
-        availability = statuses[0]
-        p95 = recorder.series(
-            "repro_query_latency_seconds", "quantile", 0.95
-        ).values[-1]
-        p95_txt = f"{p95 * 1e3:.2f}ms" if p95 and p95 == p95 else "-"
-        line = (
-            f"[{i}/{len(queries)}] availability "
-            f"{availability.compliance:.1%} (burn "
-            f"{availability.burn_rate:.1f}x)  p95 {p95_txt}  "
-            f"alerts {len(alert_log)}"
-        )
-        if live:
-            print(f"\r\x1b[2K{line}", end="", file=sys.stderr, flush=True)
-        else:
-            log.info(line)
-    if live:
-        print(file=sys.stderr)
-
-    # Health, SLO status and sparklines all read the last loop tick.
-    health = fleet_health(recorder, known_sensors=network.sensors)
-    explain = engine.explain(queries[0])
-    flight = framework.flight_log()
-
-    log.info(health.format_report())
-    for status in statuses:
-        state = "OK" if status.ok else "VIOLATED"
-        log.info(f"slo {status.name}: {status.compliance:.2%} vs "
-                 f"{status.objective:.0%} ({state}, burn "
-                 f"{status.burn_rate:.1f}x)")
-    log.info(alert_log.format())
-    log.info(f"sample plan:\n{explain.format()}")
-    if flight.slow_total:
-        slow_lines = "\n".join(f"  {line}" for line in flight.format_slow())
-        log.info(f"slow queries (> {flight.slow_threshold_s * 1e3:g}ms):\n"
-                 f"{slow_lines}")
-
-    if args.html:
-        meta = {
-            "city blocks": domain.block_count,
-            "sensors": len(network.sensors),
-            "events": n_events,
-            "queries": len(queries),
-            "fault rate": f"{args.faults:.0%}",
-            "dispatch": args.strategy,
-            "planner": engine.planner_in_use,
-            "samples": len(recorder),
-        }
-        page = render_dashboard(
-            title="repro fleet monitor",
-            meta=meta,
-            recorder=recorder,
-            statuses=statuses,
-            alerts=alert_log.alerts,
-            health=health,
-            explain_text=explain.format(),
-            flight=flight,
-            storage=framework.storage_report(),
-        )
-        with open(args.html, "w") as handle:
-            handle.write(page)
-        log.info(f"dashboard: wrote {args.html}")
-    if args.json:
-        payload = {
-            "timeseries": recorder.to_json(),
-            "slos": [status.as_dict() for status in statuses],
-            "alerts": [alert.__dict__ for alert in alert_log.alerts],
-            "health": health.as_dict(),
-            "explain": explain.as_dict(),
-            "flight": flight.as_dict(),
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=1)
-        log.info(f"telemetry: wrote {args.json}")
-    _dump_flight(args, flight)
-
-    if not args.smoke:
-        return 0
-
-    # --smoke: assert the acceptance invariants of the telemetry stack.
-    failures = []
-    if injector is not None:
-        crashed = set(injector.crashed)
-        failed = set(health.failed_sensors)
-        if not crashed <= failed:
-            failures.append(
-                f"health missed crashed sensors: {sorted(crashed - failed)}"
-            )
-        availability = statuses[0]
-        if availability.budget_used <= 0:
-            failures.append(
-                "availability SLO burned no budget under faults"
-            )
-    if flight.total == 0:
-        failures.append("flight recorder saw no queries")
-    if len(flight) > flight.capacity:
-        failures.append(
-            f"flight ring overflowed: {len(flight)} > {flight.capacity}"
-        )
-    reference_engine = framework.engine(sharded=False)
-    reference = reference_engine.execute(queries[0])
-    plan = reference_engine.explain(queries[0]).record
-    mismatches = [
-        name
-        for name, field in (
-            ("regions", "regions"),
-            ("boundary", "boundary_length"),
-            ("sensors", "nodes_accessed"),
-            ("edges", "edges_accessed"),
-            ("value", "value"),
-        )
-        if getattr(plan, field) != getattr(reference, field)
-    ]
-    if mismatches:
-        failures.append(
-            f"explain disagrees with execute on: {', '.join(mismatches)}"
-        )
-    for failure in failures:
-        log.error(f"smoke: {failure}")
-    if failures:
-        return 1
-    log.info("smoke: health, SLO burn and EXPLAIN invariants hold")
-    return 0
-
-
-def _world_flags(faults: float) -> argparse.ArgumentParser:
-    """The parent parser of ``demo`` and ``monitor``: one world, one
-    argument set — what :func:`_world` and its callers read.  Only the
-    ``--faults`` default differs between the two (argparse shares a
-    parent's actions, hence one instance each)."""
-    world = argparse.ArgumentParser(add_help=False)
-    world.add_argument("--blocks", type=int, default=200)
-    world.add_argument("--trips", type=int, default=3000)
-    world.add_argument("--fraction", type=float, default=0.25,
-                       help="sensor budget as a fraction of blocks")
-    world.add_argument("--selector", default="quadtree",
-                       choices=["uniform", "systematic", "kdtree",
-                                "quadtree", "stratified"])
-    world.add_argument("--store", default="exact",
-                       choices=["exact", "linear", "polynomial",
-                                "piecewise", "histogram"])
-    world.add_argument("--planner", default="auto",
-                       choices=["auto", "compiled", "python"],
-                       help="query resolution pipeline: compiled CSR "
-                            "indexes or the reference python path "
-                            "(auto compiles when the store supports it)")
-    world.add_argument("--shards", type=int, default=1,
-                       help="district shards for scatter-gather querying "
-                            "(>1 enables the sharded engine; `monitor` "
-                            "then runs without fault injection)")
-    world.add_argument("--seed", type=int, default=7)
-    world.add_argument("--faults", type=float, default=faults, metavar="P",
-                       help="inject faults: P is the sensor crash rate "
-                            "(P/2 becomes the per-message drop rate); "
-                            "queries then run fault-tolerantly and "
-                            "report their degradation bound; 0 disables "
-                            "fault injection")
-    world.add_argument("--flight", metavar="PATH", default=None,
-                       help="dump the always-on query flight recorder "
-                            "(recent and slow-query records) as JSON")
-    world.add_argument("--slow-ms", type=float, default=100.0,
-                       help="flight-recorder slow-query promotion "
-                            "threshold in milliseconds")
-    world.add_argument("--compress", action="store_true",
-                       help="succinct storage tier: delta-encoded, "
-                            "bit-packed timestamp columns (~4x smaller, "
-                            "byte-identical answers); the monitor "
-                            "dashboard gains a storage panel")
-    world.add_argument("--tick-bits", type=int, default=10,
-                       help="timestamp quantization for --compress: "
-                            "2**tick_bits ticks per second (0-20)")
-    return world
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,8 +244,45 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_info
     )
 
-    demo = commands.add_parser("demo", parents=[_world_flags(faults=0.0)],
-                               help="end-to-end demo pipeline")
+    demo = commands.add_parser("demo", help="end-to-end demo pipeline")
+    demo.add_argument("--blocks", type=int, default=200)
+    demo.add_argument("--trips", type=int, default=3000)
+    demo.add_argument("--fraction", type=float, default=0.25,
+                      help="sensor budget as a fraction of blocks")
+    demo.add_argument("--selector", default="quadtree",
+                      choices=["uniform", "systematic", "kdtree",
+                               "quadtree", "stratified"])
+    demo.add_argument("--store", default="exact",
+                      choices=["exact", "linear", "polynomial",
+                               "piecewise", "histogram"])
+    demo.add_argument("--planner", default="auto",
+                      choices=["auto", "compiled", "python"],
+                      help="query resolution pipeline: compiled CSR "
+                           "indexes or the reference python path "
+                           "(auto compiles when the store supports it)")
+    demo.add_argument("--shards", type=int, default=1,
+                      help="district shards for scatter-gather querying "
+                           "(>1 enables the sharded engine)")
+    demo.add_argument("--seed", type=int, default=7)
+    demo.add_argument("--faults", type=float, default=0.0, metavar="P",
+                      help="inject faults: P is the sensor crash rate "
+                           "(P/2 becomes the per-message drop rate); "
+                           "queries then run fault-tolerantly and "
+                           "report their degradation bound; 0 disables "
+                           "fault injection")
+    demo.add_argument("--flight", metavar="PATH", default=None,
+                      help="dump the always-on query flight recorder "
+                           "(recent and slow-query records) as JSON")
+    demo.add_argument("--slow-ms", type=float, default=100.0,
+                      help="flight-recorder slow-query promotion "
+                           "threshold in milliseconds")
+    demo.add_argument("--compress", action="store_true",
+                      help="succinct storage tier: delta-encoded, "
+                           "bit-packed timestamp columns (~4x smaller, "
+                           "byte-identical answers)")
+    demo.add_argument("--tick-bits", type=int, default=10,
+                      help="timestamp quantization for --compress: "
+                           "2**tick_bits ticks per second (0-20)")
     demo.add_argument("--trace", metavar="PATH", default=None,
                       help="write Chrome trace-viewer JSON of the run")
     demo.add_argument("--metrics", metavar="PATH", default=None,
@@ -537,32 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "of the deployed store(s)")
     demo.set_defaults(handler=_cmd_demo)
 
-    monitor = commands.add_parser(
-        "monitor", parents=[_world_flags(faults=0.1)],
-        help="run a query workload while sampling fleet telemetry: "
-             "time series, SLO burn, per-sensor health, query EXPLAIN",
-    )
-    monitor.add_argument("--strategy", default="perimeter_walk",
-                         choices=["perimeter_walk", "server_fanout"])
-    monitor.add_argument("--queries", type=int, default=120,
-                         help="queries in the monitored workload")
-    monitor.add_argument("--area", type=float, default=0.15,
-                         help="query area as a fraction of the domain")
-    monitor.add_argument("--sample-every", type=int, default=10,
-                         help="recorder tick every N queries")
-    monitor.add_argument("--probe-every", type=int, default=5,
-                         help="fleet health-probe sweep every N ticks")
-    monitor.add_argument("--html", metavar="PATH", default=None,
-                         help="write the self-contained HTML dashboard")
-    monitor.add_argument("--json", metavar="PATH", default=None,
-                         help="write the telemetry (series, SLOs, "
-                              "health, EXPLAIN, flight log) as JSON")
-    monitor.add_argument("--smoke", action="store_true",
-                         help="assert the telemetry invariants (crashed "
-                              "sensors identified, SLO burn under "
-                              "faults, EXPLAIN consistency) and exit "
-                              "non-zero on failure")
-    monitor.set_defaults(handler=_cmd_monitor)
     return parser
 
 

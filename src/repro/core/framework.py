@@ -402,9 +402,9 @@ class InNetworkFramework:
         """A query engine over the deployed network and current store.
 
         ``query()`` keeps one for its default dispatch and builds one
-        per call that injects faults; monitoring loops and EXPLAIN want
-        a persistent engine so the dispatcher (and its fault telemetry)
-        survives across queries.
+        per call that injects faults; a query loop under faults wants
+        a persistent engine so the dispatcher (and its injector's
+        attempt stream) survives across queries.
 
         With a sharded config (``shards=N`` or ``planner="sharded"``)
         and no fault injector this returns the framework's cached
@@ -617,8 +617,7 @@ class InNetworkFramework:
         plus, when present, the sketch tier.  ``total_bytes`` is the
         stored format; ``derived_bytes`` what in-memory-only indexes
         rebuilt from it add to the resident cost.
-        Surfaced by ``repro demo --storage`` and the dashboard storage
-        panel.
+        Surfaced by ``repro demo --storage``.
         """
         reports = []
         store = self._store

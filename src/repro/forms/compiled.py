@@ -639,8 +639,8 @@ class CompiledTrackingForm:
 
         Every store exposes the same shape — ``{"store", "events",
         "total_bytes", "derived_bytes", "components": {name: bytes}}``
-        — so the CLI ``--storage`` flag and the dashboard storage panel
-        render any deployment without per-class cases.  ``total_bytes``
+        — so the CLI ``--storage`` flag renders any deployment without
+        per-class cases.  ``total_bytes``
         is the stored (wire) format; ``derived_bytes``, beside it, is
         what in-memory-only indexes rebuilt from that format cost (the
         succinct tier's decode directory; 0 for stores without one).

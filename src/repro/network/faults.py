@@ -157,8 +157,9 @@ class FaultInjector:
     def record_schedule(self, registry=None) -> None:
         """Export the materialised failure schedule as gauges.
 
-        Called by the simulator at construction so dashboards can put
-        the *observed* failed-sensor count next to the *scheduled* one.
+        Called by the simulator at construction, so a metrics dump
+        carries the *scheduled* failed-sensor count beside the
+        dispatch counters it shaped.
         """
         if registry is None:
             registry = get_registry()

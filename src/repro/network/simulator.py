@@ -73,18 +73,6 @@ class CommunicationReport:
 
 
 @dataclass
-class SensorContactStats:
-    """Per-sensor contact telemetry of one dispatch (or probe sweep)."""
-
-    attempts: int = 0
-    acks: int = 0
-    drops: int = 0
-    retries: int = 0
-    detours: int = 0
-    latency: float = 0.0
-
-
-@dataclass
 class DegradedReport(CommunicationReport):
     """Dispatch accounting under fault injection.
 
@@ -111,8 +99,6 @@ class DegradedReport(CommunicationReport):
     latency: float = 0.0
     #: Fraction of the perimeter chain aggregated into the answer.
     coverage: float = 1.0
-    #: Per-sensor contact telemetry (feeds :mod:`repro.obs.health`).
-    per_sensor: Dict[int, SensorContactStats] = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:
@@ -127,47 +113,10 @@ class DegradedReport(CommunicationReport):
         return 1.0 - self.coverage
 
 
-#: Per-sensor telemetry counters flushed after each faulty dispatch
-#: (and every probe sweep): ``SensorContactStats`` field -> metric.
-_SENSOR_COUNTERS = (
-    ("attempts", "repro_sensor_attempts_total",
-     "Contact attempts per sensor"),
-    ("acks", "repro_sensor_acks_total",
-     "Acknowledged contacts per sensor"),
-    ("drops", "repro_sensor_drops_total",
-     "Messages lost in flight per sensor"),
-    ("retries", "repro_sensor_retries_total",
-     "Contact attempts beyond the first per sensor"),
-    ("detours", "repro_sensor_detours_total",
-     "Walk detours charged to an unreachable sensor"),
-    ("latency", "repro_sensor_latency_total",
-     "Simulated contact latency accumulated per sensor"),
-)
-
-
-def _flush_sensor_stats(per_sensor, registry) -> None:
-    """Fold one dispatch's per-sensor tallies into labelled counters.
-
-    One registry hit per (sensor, nonzero field) rather than per
-    message attempt, keeping the dispatch hot path off the registry.
-    """
-    for sensor, stats in per_sensor.items():
-        label = str(sensor)
-        for attr, metric, help_text in _SENSOR_COUNTERS:
-            value = getattr(stats, attr)
-            if value:
-                registry.counter(
-                    metric, help=help_text, sensor=label
-                ).inc(value)
-
-
 class _Accounting:
     """Mutable per-dispatch message bookkeeping."""
 
-    __slots__ = (
-        "messages", "hops", "latency", "retries", "drops", "load",
-        "per_sensor",
-    )
+    __slots__ = ("messages", "hops", "latency", "retries", "drops", "load")
 
     def __init__(self, sensors: Sequence[int]) -> None:
         self.messages = 0
@@ -176,13 +125,6 @@ class _Accounting:
         self.retries = 0
         self.drops = 0
         self.load: Dict[int, int] = {sensor: 0 for sensor in sensors}
-        self.per_sensor: Dict[int, SensorContactStats] = {}
-
-    def stats(self, sensor: int) -> SensorContactStats:
-        entry = self.per_sensor.get(sensor)
-        if entry is None:
-            entry = self.per_sensor[sensor] = SensorContactStats()
-        return entry
 
 
 class NetworkSimulator:
@@ -318,49 +260,6 @@ class NetworkSimulator:
             help="Simulated dispatch latency, by strategy",
             strategy=strategy,
         ).observe(report.latency)
-        _flush_sensor_stats(report.per_sensor, registry)
-
-    # ------------------------------------------------------------------
-    def probe_fleet(
-        self, sensors: Optional[Sequence[int]] = None
-    ) -> Dict[int, bool]:
-        """Active health sweep: one direct server ping per sensor.
-
-        Production-style health checking — sensors a query perimeter
-        never touches still earn per-sensor telemetry, so crashed
-        sensors are identifiable from counters alone.  Probe traffic is
-        flushed into the ``repro_sensor_*`` counters (always, probes
-        being health traffic by definition) but stays out of the
-        dispatch metrics (``repro_sim_*``).  Returns reachability per
-        sensor.
-        """
-        targets = (
-            list(sensors)
-            if sensors is not None
-            else sorted(self.network.sensors)
-        )
-        registry = get_registry()
-        registry.counter(
-            "repro_probe_sweeps_total",
-            help="Active fleet health-probe sweeps",
-        ).inc()
-        state = _Accounting(targets)
-        reachable: Dict[int, bool] = {}
-        unreachable = 0
-        with self.obs.tracer.span("simulator.probe_fleet",
-                                  sensors=len(targets)):
-            for sensor in targets:
-                ok = self._attempt(state, sensor, self.uplink_hops(sensor))
-                reachable[sensor] = ok
-                if not ok:
-                    unreachable += 1
-        if unreachable:
-            registry.counter(
-                "repro_probe_unreachable_total",
-                help="Sensors that failed an entire probe round",
-            ).inc(unreachable)
-        _flush_sensor_stats(state.per_sensor, registry)
-        return reachable
 
     # ------------------------------------------------------------------
     def _attempt(
@@ -376,39 +275,25 @@ class NetworkSimulator:
         the message was acknowledged."""
         faults = self.faults
         attempts = 1 + (self.retry.max_retries if faults is not None else 0)
-        stats = state.stats(target) if target is not None else None
         for attempt in range(attempts):
             state.messages += 1
             state.hops += hop_count
-            if stats is not None:
-                stats.attempts += 1
             if attempt:
                 state.retries += 1
-                if stats is not None:
-                    stats.retries += 1
             if faults is None:
                 delivered = acked = True
             else:
-                leg_latency = faults.message_latency(hop_count)
-                state.latency += leg_latency
-                if stats is not None:
-                    stats.latency += leg_latency
+                state.latency += faults.message_latency(hop_count)
                 delivered = faults.delivered()
                 if not delivered:
                     state.drops += 1
-                    if stats is not None:
-                        stats.drops += 1
                 acked = delivered and faults.responds(target)
             if acked:
                 if target is not None:
                     state.load[target] += 1
-                    stats.acks += 1
                 return True
             if faults is not None:
-                wait = self.retry.wait(attempt)
-                state.latency += wait
-                if stats is not None:
-                    stats.latency += wait
+                state.latency += self.retry.wait(attempt)
         return False
 
     def _server_fanout(self, sensors: List[int]) -> DegradedReport:
@@ -420,48 +305,36 @@ class NetworkSimulator:
         for sensor in sensors:
             chain = 0.0
             success = False
-            stats = state.stats(sensor)
             for attempt in range(attempts):
                 state.messages += 1
                 state.hops += 1  # request: direct long-range link
-                stats.attempts += 1
                 if attempt:
                     state.retries += 1
-                    stats.retries += 1
                 if faults is None:
                     request_ok = acked = True
                 else:
-                    leg = faults.message_latency(1)
-                    chain += leg
-                    stats.latency += leg
+                    chain += faults.message_latency(1)
                     request_ok = faults.delivered()
                     if not request_ok:
                         state.drops += 1
-                        stats.drops += 1
                     acked = request_ok and faults.responds(sensor)
                 reply_ok = False
                 if acked:
                     state.load[sensor] += 2  # request received + reply sent
-                    stats.acks += 1
                     state.messages += 1
                     state.hops += 1  # reply: direct long-range link
                     if faults is None:
                         reply_ok = True
                     else:
-                        leg = faults.message_latency(1)
-                        chain += leg
-                        stats.latency += leg
+                        chain += faults.message_latency(1)
                         reply_ok = faults.delivered()
                         if not reply_ok:
                             state.drops += 1
-                            stats.drops += 1
                 if reply_ok:
                     success = True
                     break
                 if faults is not None:
-                    wait = self.retry.wait(attempt)
-                    chain += wait
-                    stats.latency += wait
+                    chain += self.retry.wait(attempt)
             if not success:
                 skipped.append(sensor)
             latency = max(latency, chain)  # fan-out runs in parallel
@@ -477,7 +350,6 @@ class NetworkSimulator:
             drops=state.drops,
             latency=latency,
             coverage=reached / len(sensors),
-            per_sensor=state.per_sensor,
         )
 
     def _perimeter_walk(self, sensors: List[int]) -> DegradedReport:
@@ -510,8 +382,7 @@ class NetworkSimulator:
                 drops=state.drops,
                 latency=state.latency,
                 coverage=0.0,
-                per_sensor=state.per_sensor,
-            )
+                )
 
         # Sensor-to-sensor walk with detours and server stitching.
         visited = [current]
@@ -534,7 +405,6 @@ class NetworkSimulator:
             else:
                 skipped.append(target)
                 detours += 1
-                state.stats(target).detours += 1
                 run += 1
 
         # Last sensor -> server (the send is charged to the sender).
@@ -560,7 +430,6 @@ class NetworkSimulator:
             server_stitches=stitches,
             latency=state.latency,
             coverage=coverage,
-            per_sensor=state.per_sensor,
         )
 
     def _angular_order(self, sensors: List[int]) -> List[int]:

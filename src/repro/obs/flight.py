@@ -218,34 +218,25 @@ class FlightRecorder:
         with open(path, "w") as handle:
             json.dump(self.as_dict(), handle, indent=1)
 
-    def slow_rows(self, limit: int = 10) -> List[Tuple[Any, str, str, str]]:
-        """The newest slow records, newest first, each with the text
-        views the CLI summary and the dashboard table share: ``(record,
-        digest, stages, degraded)``."""
-        return [
-            (
-                record,
-                query_digest(record.query, record.generation),
-                " ".join(
-                    f"{name}={seconds * 1e3:.2f}ms"
-                    for name, seconds in record.stage_s.items()
-                ),
-                _degraded(record) or "",
-            )
-            for record in list(self._slow)[-limit:][::-1]
-        ]
-
     def format_slow(self, limit: int = 10) -> List[str]:
-        """Human-readable lines for the newest slow queries."""
+        """Human-readable lines for the newest slow queries, newest
+        first."""
         lines: List[str] = []
-        for record, digest, stages, degraded in self.slow_rows(limit):
+        for record in list(self._slow)[-limit:][::-1]:
+            stages = " ".join(
+                f"{name}={seconds * 1e3:.2f}ms"
+                for name, seconds in record.stage_s.items()
+            )
+            degraded = _degraded(record)
             memory = ""
             if record.peak_rss_bytes is not None:
                 memory = f" rss={record.peak_rss_bytes / 1e6:.1f}MB"
             if record.alloc_peak_bytes is not None:
                 memory += f" alloc={record.alloc_peak_bytes / 1e6:.2f}MB"
             lines.append(
-                f"#{record.seq} {digest} {record.planner} "
+                f"#{record.seq} "
+                f"{query_digest(record.query, record.generation)} "
+                f"{record.planner} "
                 f"{record.elapsed * 1e3:.3f}ms fanout={record.fanout}"
                 + (f" [{stages}]" if stages else "")
                 + (f" degraded={degraded}" if degraded else "")

@@ -115,38 +115,29 @@ class Histogram:
         return list(zip(self.uppers + (math.inf,), accumulate(self.counts)))
 
     def quantile(self, q: float) -> float:
-        """The ``q``-quantile of the observations (:func:`bucket_quantile`)."""
-        return bucket_quantile(q, self.uppers, tuple(accumulate(self.counts)))
+        """The ``q``-quantile of the observations, by linear
+        interpolation within the bucket it falls in (the
+        ``histogram_quantile`` convention).
 
-
-def bucket_quantile(
-    q: float, uppers: Sequence[float], cumulative: Sequence[int]
-) -> float:
-    """The ``q``-quantile of a histogram given as cumulative bucket
-    counts (one per upper bound, then the +Inf overflow slot), by linear
-    interpolation within the bucket it falls in (the
-    ``histogram_quantile`` convention).
-
-    Observations landing in the overflow bucket clamp to the top finite
-    bound — the histogram does not know how far past it they went.
-    Returns NaN for an empty histogram.  The one interpolation rule:
-    :meth:`Histogram.quantile` and the recorder's quantile view both
-    call it.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    if not uppers or not cumulative[-1]:
-        return math.nan
-    target = q * cumulative[-1]
-    running = 0
-    for i, upper in enumerate(uppers):
-        reached = cumulative[i]
-        if reached > running and reached >= target:
-            lower = uppers[i - 1] if i else min(0.0, upper)
-            fraction = (target - running) / (reached - running)
-            return lower + (upper - lower) * fraction
-        running = reached
-    return uppers[-1]
+        Observations landing in the overflow bucket clamp to the top
+        finite bound — the histogram does not know how far past it they
+        went.  Returns NaN for an empty histogram.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
+        uppers, cumulative = self.uppers, list(accumulate(self.counts))
+        if not uppers or not cumulative[-1]:
+            return math.nan
+        target = q * cumulative[-1]
+        running = 0
+        for i, upper in enumerate(uppers):
+            reached = cumulative[i]
+            if reached > running and reached >= target:
+                lower = uppers[i - 1] if i else min(0.0, upper)
+                fraction = (target - running) / (reached - running)
+                return lower + (upper - lower) * fraction
+            running = reached
+        return uppers[-1]
 
 
 class MetricsRegistry:

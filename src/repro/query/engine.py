@@ -194,11 +194,6 @@ class QueryEngine:
         """The resolved pipeline: "compiled" or "python"."""
         return self._planner.name
 
-    @property
-    def simulator(self) -> Optional[NetworkSimulator]:
-        """The fault-tolerant dispatcher (``None`` without faults)."""
-        return self._simulator
-
     def explain(self, query: RangeQuery):
         """Execute ``query`` and return its record as a
         :class:`~repro.obs.QueryExplain`.

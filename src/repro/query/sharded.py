@@ -534,14 +534,6 @@ class ShardedQueryEngine:
             return self._delegate.planner_in_use
         return "sharded"
 
-    @property
-    def simulator(self):
-        """Fault-tolerant dispatcher of the delegate engine (``None``
-        on the scatter path, which never runs fault injection)."""
-        if self._delegate is not None:
-            return self._delegate.simulator
-        return None
-
     def describe(self) -> Dict[str, object]:
         """Shard layout summary (CLI and docs)."""
         if self._delegate is not None:

@@ -7,7 +7,10 @@ the memory watermarks a promoted record carries, engine and framework
 threading, survival of a re-deploy — and the
 distributed-tracing acceptance path: a
 multi-shard batch whose worker spans are grafted into the parent trace
-and exported as Chrome trace-viewer lanes keyed by worker pid.
+and exported as Chrome trace-viewer lanes keyed by worker pid.  A
+seeded faulty run past the ring's capacity holds EXPLAIN against a
+plain execute, the ring bound, and strict JSON for the flight dump and
+EXPLAIN's dict.
 """
 
 from __future__ import annotations
@@ -452,3 +455,107 @@ class TestFrameworkFlight:
             assert "scatter_gather" in plan.format()
         finally:
             fw.close()
+
+
+# ----------------------------------------------------------------------
+# A faulty run end to end: EXPLAIN, the ring bound, strict JSON
+# ----------------------------------------------------------------------
+def _reject(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+class TestFaultyRun:
+    """A seeded world queried under faults through a flight ring that
+    promotes every query (slow threshold 0), as ``repro demo --faults P
+    --flight PATH --slow-ms 0`` does, over more queries than the ring
+    holds."""
+
+    CAPACITY = 16
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.mobility import organic_city
+        from repro.network import FaultConfig
+        from repro.trajectories import WorkloadConfig, generate_workload
+
+        fw = InNetworkFramework.from_road_graph(
+            organic_city(blocks=40, rng=np.random.default_rng(1)),
+            flight=FlightRecorder(
+                capacity=self.CAPACITY, slow_threshold_s=0.0
+            ),
+        )
+        fw.deploy(FrameworkConfig(selector="quadtree", budget=16, seed=1))
+        workload = generate_workload(
+            fw.domain,
+            WorkloadConfig(n_trips=150, horizon_days=1.0,
+                           mean_dwell=3600.0, seed=1),
+        )
+        fw.ingest_trips(workload.trips)
+        injector = fw.fault_injector(
+            FaultConfig(seed=1, sensor_failure_rate=0.1, drop_rate=0.05)
+        )
+        bounds = fw.domain.bounds
+        rng = np.random.default_rng(1)
+        queries = [
+            RangeQuery(
+                BBox.from_center(
+                    (bounds.min_x + bounds.width * x,
+                     bounds.min_y + bounds.height * y),
+                    bounds.width * w, bounds.height * w,
+                ),
+                0.0, workload.horizon * t,
+            )
+            for x, y, w, t in rng.uniform(
+                (0.2, 0.2, 0.2, 0.2), (0.8, 0.8, 0.6, 1.0),
+                (3 * self.CAPACITY, 4),
+            )
+        ]
+        # A box between the junctions: it resolves to no region.
+        corner = (bounds.min_x + 1e-6, bounds.min_y + 1e-6)
+        queries.append(
+            RangeQuery(BBox.from_center(corner, 1e-6, 1e-6), 0.0, 1.0)
+        )
+        engine = fw.engine(faults=injector)
+        results = [engine.execute(query) for query in queries]
+        flight = fw.flight_log()
+        ring = (len(flight), flight.total, flight.records)
+        yield fw, injector, queries, results, ring
+        fw.close()
+
+    def test_ring_holds_the_newest_queries_within_its_bound(self, run):
+        _, _, queries, results, (held, total, records) = run
+        assert held <= self.CAPACITY
+        assert total == len(queries)
+        assert all(
+            kept is result
+            for kept, result in zip(records, results[-self.CAPACITY:])
+        )
+
+    def test_explain_agrees_with_execute(self, run):
+        fw, _, queries, _, _ = run
+        engine = fw.engine(sharded=False)
+        for query in queries:
+            reference = engine.execute(query)
+            plan = engine.explain(query).record
+            for field in ("regions", "boundary_length", "nodes_accessed",
+                          "edges_accessed", "value"):
+                assert getattr(plan, field) == getattr(reference, field), (
+                    field
+                )
+
+    def test_flight_dump_is_strict_json(self, run, tmp_path):
+        fw, _, _, results, _ = run
+        assert any(result.degradation is not None for result in results)
+        path = tmp_path / "flight.json"
+        fw.flight_log().dump(path)
+        doc = json.loads(path.read_text(), parse_constant=_reject)
+        assert doc["records"] and doc["slow"]
+        assert any(record["missed"] for record in doc["records"])
+        assert any(record["missed"] for record in doc["slow"])
+
+    def test_explain_dict_is_strict_json(self, run):
+        fw, injector, queries, _, _ = run
+        for query in (queries[0], queries[-1]):
+            plan = fw.explain(query.box, query.t1, query.t2,
+                              faults=injector)
+            json.loads(json.dumps(plan.as_dict()), parse_constant=_reject)

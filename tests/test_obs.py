@@ -3,8 +3,9 @@
 Covers the tracer (nesting, Chrome export, tree rendering), the metrics
 registry (instruments, exports, global swap), logging (byte-identical
 default output), provenance-carrying query execution, the batched
-elapsed-time attribution fix, and the CLI's ``--trace``/``--metrics``
-acceptance path.
+elapsed-time attribution fix, query EXPLAIN against the engine's own
+accounting, the fault schedule's gauges, and the CLI's
+``--trace``/``--metrics`` acceptance path.
 """
 
 from __future__ import annotations
@@ -12,16 +13,19 @@ from __future__ import annotations
 import json
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.geometry import BBox
+from repro.network import FaultConfig, FaultInjector
 from repro.obs import (
     Instrumentation,
     MetricsRegistry,
     NULL_INSTRUMENTATION,
     NULL_TRACER,
     Tracer,
+    build_explain,
     configure_logging,
     get_logger,
     get_registry,
@@ -591,6 +595,107 @@ class TestBatchAttribution:
         result = engine.execute(RangeQuery(BBox(2, 2, 8, 8), 0.0, t2))
         self._check_cold_record(engine, result)
         assert not hasattr(result, "provenance")
+
+
+# ----------------------------------------------------------------------
+# Query EXPLAIN
+# ----------------------------------------------------------------------
+class TestExplain:
+    def _query(self, workload) -> RangeQuery:
+        return RangeQuery(BBox(2, 2, 8, 8), 0.0, 0.5 * workload.horizon)
+
+    def test_explain_matches_engine_accounting(
+        self, sampled_net, sampled_form, workload
+    ):
+        query = self._query(workload)
+        engine = QueryEngine(sampled_net, sampled_form)
+        plan = engine.explain(query)
+        reference = QueryEngine(sampled_net, sampled_form).execute(query)
+        record = plan.record
+        # The plan *is* an execution's record: equal to a plain
+        # execute() in every answer field but the clock's.
+        assert replace(record, elapsed=reference.elapsed) == reference
+        assert record.boundary_length == reference.boundary_length
+        assert record.junction_count == reference.junction_count
+        assert set(record.stage_s) == set(reference.stage_s)
+        doc = plan.as_dict()
+        assert doc["region_ids"] == list(reference.regions)
+        assert doc["sensors_accessed"] == reference.nodes_accessed
+        assert doc["boundary_length"] == reference.boundary_length
+        assert set(doc["stage_s"]) == set(reference.stage_s)
+
+    def test_explain_leaves_instrumentation_unchanged(
+        self, sampled_net, sampled_form, workload
+    ):
+        engine = QueryEngine(sampled_net, sampled_form)
+        obs_before = engine.obs
+        engine.explain(self._query(workload))
+        assert engine.obs is obs_before
+        assert not engine.obs.tracer.enabled
+
+    def test_explain_includes_compiled_planner_stats(
+        self, sampled_net, sampled_form, workload
+    ):
+        engine = QueryEngine(sampled_net, sampled_form, planner="compiled")
+        plan = engine.explain(self._query(workload))
+        assert plan.record.planner == "compiled"
+        stats = plan.engine["planner_stats"]
+        assert stats["sensors"] == len(sampled_net.sensors)
+        assert stats["regions"] > 0 and stats["walls"] > 0
+        assert "index:" in plan.format()
+
+    def test_explain_formats_miss(self, sampled_net, sampled_form, workload):
+        engine = QueryEngine(sampled_net, sampled_form)
+        plan = engine.explain(
+            RangeQuery(BBox(0.001, 0.001, 0.002, 0.002), 0.0, 1.0)
+        )
+        assert plan.record.missed
+        assert "MISS" in plan.format()
+
+    def test_explain_reports_fault_dispatch(
+        self, sampled_net, sampled_form, workload
+    ):
+        crashed = sorted(sampled_net.sensors)[:4]
+        injector = FaultInjector(
+            FaultConfig(seed=3), sampled_net.sensors, crashed=crashed
+        )
+        with use_registry():
+            engine = QueryEngine(sampled_net, sampled_form, faults=injector)
+            plan = engine.explain(self._query(workload))
+        assert plan.engine["dispatch_strategy"] == "perimeter_walk"
+        assert "dispatch" in plan.format()
+        doc = plan.as_dict()
+        assert doc["dispatch_strategy"] == "perimeter_walk"
+        json.dumps(doc)  # JSON-safe
+
+    def test_build_explain_takes_any_result(
+        self, sampled_net, sampled_form, workload
+    ):
+        """Any result an engine returned explains itself — batched and
+        default-bundle ones included: the plan holds that very record."""
+        engine = QueryEngine(sampled_net, sampled_form)
+        query = self._query(workload)
+        cold = engine.execute(query)
+        plan = build_explain(engine, cold)
+        assert plan.record is cold
+        assert "batch caches" not in plan.format()
+        _, hit = engine.execute_batch([query, query])
+        text = build_explain(engine, hit).format()
+        assert "batch caches: hit[boundary,junctions,regions,sensors]" in text
+
+
+# ----------------------------------------------------------------------
+# Fault schedule gauges
+# ----------------------------------------------------------------------
+class TestFaultSchedule:
+    def test_crash_schedule_exported_as_gauges(self, sampled_net):
+        crashed = sorted(sampled_net.sensors)[:2]
+        with use_registry() as registry:
+            FaultInjector(
+                FaultConfig(seed=2), sampled_net.sensors, crashed=crashed
+            ).record_schedule()
+            assert registry.value("repro_fault_crashed_sensors") == 2
+            assert registry.value("repro_fault_flaky_sensors") == 0
 
 
 # ----------------------------------------------------------------------

@@ -657,6 +657,9 @@ class TestStorageReports:
         network, columns, plain, compressed = forms_pair
         self._check(plain.storage_report())
         self._check(compressed.storage_report())
+        assert {"heads", "payload"} <= set(
+            compressed.storage_report()["components"]
+        )
         self._check(full_form.storage_report())
         streaming = StreamingEventStore(
             network, compact_every=100,
@@ -715,29 +718,3 @@ class TestStorageReports:
         for key in ("total_bytes", "derived_bytes"):
             assert report[key] == sum(r[key] for r in report["stores"])
         assert report["derived_bytes"] > 0
-
-    def test_dashboard_storage_panel(self, forms_pair):
-        _, _, _, compressed = forms_pair
-        from repro.obs import (
-            AlertLog,
-            MetricsRegistry,
-            TimeSeriesRecorder,
-            default_slos,
-            fleet_health,
-        )
-        from repro.obs.dashboard import render_dashboard
-
-        recorder = TimeSeriesRecorder(MetricsRegistry())
-        recorder.sample()
-        statuses = [slo.evaluate(recorder) for slo in default_slos()]
-        health = fleet_health(recorder)
-        storage = {
-            "stores": [compressed.storage_report()],
-            "total_bytes": compressed.storage_report()["total_bytes"],
-        }
-        page = render_dashboard(
-            title="t", meta={}, recorder=recorder, statuses=statuses,
-            alerts=AlertLog().alerts, health=health, storage=storage,
-        )
-        assert "Storage" in page
-        assert "payload" in page
