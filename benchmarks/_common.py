@@ -21,20 +21,16 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.evaluation import (
-    DEFAULT_CONFIG,
+from lib.figplot import LineChart
+from lib.harness import (
+    STANDARD_SIZE_FRACTIONS,
     EvalReport,
     Pipeline,
-    PipelineConfig,
     evaluate,
-    format_table,
     get_pipeline,
 )
-from repro.evaluation.harness import (
-    FIXED_QUERY_AREA,
-    STANDARD_AREA_FRACTIONS,
-    STANDARD_SIZE_FRACTIONS,
-)
+from repro.core import FrameworkConfig
+from repro.evaluation import DEFAULT_CONFIG, PipelineConfig
 from repro.obs import get_registry
 from repro.query import RangeQuery
 
@@ -43,15 +39,9 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 #: Schema version of the per-figure machine-readable records.
 RESULT_SCHEMA = 1
 
-#: Selectors compared in the multi-method figures.
-METHODS = (
-    "uniform",
-    "systematic",
-    "stratified",
-    "kdtree",
-    "quadtree",
-    "submodular",
-)
+#: Selectors compared in the multi-method figures: every selector a
+#: deployment accepts, in its order.
+METHODS = FrameworkConfig._SELECTORS
 
 #: Seeds used to repeat randomised selections (the paper repeats 50x;
 #: two seeds keep the offline run tractable while still averaging out
@@ -184,8 +174,6 @@ def emit_chart(name: str, title: str, series: dict,
                x_label: str = "sampled graph size",
                y_label: str = "relative error (median)") -> None:
     """Render sweep series as an SVG line chart under results/."""
-    from repro.evaluation import LineChart
-
     chart = LineChart(title=title, x_label=x_label, y_label=y_label,
                       x_log=True)
     for method, points in series.items():

@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
+from lib.harness import FIXED_QUERY_AREA
+from lib.tables import format_table
 from repro.models import (
     BufferedEdgeStore,
     IncrementalEdgeStore,

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
-from repro.network import EnergyModel, NetworkSimulator
+from lib.energy import EnergyModel
+from lib.harness import FIXED_QUERY_AREA
+from lib.tables import format_table
+from repro.network import NetworkSimulator
 
 SIZES = (0.064, 0.256)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
+from lib.harness import FIXED_QUERY_AREA, evaluate
+from lib.tables import format_table
 from repro.query import QueryEngine
 from repro.selection import SensorCandidates, SystematicSelector
 from repro.sampling import sampled_network

@@ -12,13 +12,13 @@ error, misses and communication per query.
 from __future__ import annotations
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
-from repro.sampling import (
+from lib.axis_aligned import (
     calibrate_grid_to_walls,
     grid_decomposition_network,
     kd_decomposition_network,
 )
+from lib.harness import FIXED_QUERY_AREA, evaluate
+from lib.tables import format_table
 
 SIZES = (0.064, 0.256)
 

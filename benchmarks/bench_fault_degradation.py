@@ -9,7 +9,9 @@ reported :class:`~repro.query.QueryDegradation` error bounds contain
 the true error, and the message/hop inflation caused by retries,
 detours and server stitching.
 
-Runs two ways:
+Runs two ways, both writing the one ``SMALL_CONFIG`` sweep to
+``benchmarks/results/fault_degradation.txt`` (so the committed table
+depends only on the code, not on which command ran last):
 
 - under pytest-benchmark with the other figure benches
   (``pytest benchmarks/bench_fault_degradation.py``);
@@ -32,8 +34,9 @@ try:  # standalone invocation without PYTHONPATH=src
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.evaluation import SMALL_CONFIG, format_table, get_pipeline
-from repro.evaluation.harness import FIXED_QUERY_AREA, Pipeline
+from lib.harness import FIXED_QUERY_AREA, Pipeline, get_pipeline
+from lib.tables import format_table
+from repro.evaluation import SMALL_CONFIG
 from repro.network import FaultConfig, FaultInjector
 from repro.obs import use_registry
 from repro.query import QueryEngine
@@ -244,6 +247,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         return smoke()
+    emit_sweep()
+    return 0
+
+
+def emit_sweep() -> Pipeline:
+    """Run the ``SMALL_CONFIG`` sweep and persist its table."""
     from _common import emit
 
     p = get_pipeline(SMALL_CONFIG)
@@ -255,23 +264,14 @@ def main(argv=None) -> int:
         series=series,
         config=SMALL_CONFIG,
     )
-    return 0
+    return p
 
 
 # ----------------------------------------------------------------------
 # pytest-benchmark entry point
 # ----------------------------------------------------------------------
 def bench_fault_degradation(benchmark):
-    from _common import emit, pipeline
-
-    p = pipeline()
-    rows, series = sweep(p)
-    emit(
-        "fault_degradation",
-        "Fault degradation: accuracy and messages vs failure rate (§4.6)",
-        format_table(HEADERS, rows),
-        series=series,
-    )
+    p = emit_sweep()
     network = p.network(
         "quadtree", p.budget_for_fraction(SIZE_FRACTION), seed=1
     )

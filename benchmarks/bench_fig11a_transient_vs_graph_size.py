@@ -15,8 +15,8 @@ from _common import (
     pipeline,
     sweep_methods_over_sizes,
 )
-from repro.evaluation import format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
+from lib.harness import FIXED_QUERY_AREA
+from lib.tables import format_table
 from repro.query import TRANSIENT
 
 

@@ -7,9 +7,9 @@ query sizes.
 from __future__ import annotations
 
 from _common import ERROR_HEADERS, N_QUERIES, emit, pipeline
+from lib.harness import STANDARD_AREA_FRACTIONS
+from lib.tables import format_table
 from bench_fig12b_static_vs_query_size import GRAPH_SIZE, _sweep
-from repro.evaluation import format_table
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
 from repro.query import TRANSIENT
 
 

@@ -14,8 +14,8 @@ not re-derived from the region geometry.
 from __future__ import annotations
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
+from lib.harness import STANDARD_AREA_FRACTIONS, evaluate
+from lib.tables import format_table
 from repro.query import QueryEngine
 
 SAMPLED_SIZES = (0.064, 0.512)

@@ -21,8 +21,8 @@ the unsampled graph is pure resolution overhead.
 from __future__ import annotations
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import format_table
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
+from lib.harness import STANDARD_AREA_FRACTIONS
+from lib.tables import format_table
 from repro.query import QueryEngine
 
 SAMPLED_SIZE = 0.064

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from _common import dense_pipeline, emit
-from repro.evaluation import format_table
+from lib.tables import format_table
 from repro.forms import CompiledTrackingForm, CompressedTrackingForm
 from repro.forms.sketch import EdgeCountSketch
 from repro.models import ModeledCountStore, PiecewiseLinearModel

@@ -16,8 +16,8 @@ from _common import (
     pipeline,
     sweep_methods_over_sizes,
 )
-from repro.evaluation import format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
+from lib.harness import FIXED_QUERY_AREA
+from lib.tables import format_table
 
 
 def bench_fig12a_static_error_vs_graph_size(benchmark):

@@ -16,8 +16,8 @@ from _common import (
     emit,
     pipeline,
 )
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
+from lib.harness import STANDARD_AREA_FRACTIONS, evaluate
+from lib.tables import format_table
 
 GRAPH_SIZE = 0.064
 

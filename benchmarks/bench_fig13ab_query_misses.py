@@ -9,12 +9,13 @@ regions.
 from __future__ import annotations
 
 from _common import METHODS, N_QUERIES, emit, pipeline
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import (
+from lib.harness import (
     FIXED_QUERY_AREA,
     STANDARD_AREA_FRACTIONS,
     STANDARD_SIZE_FRACTIONS,
+    evaluate,
 )
+from lib.tables import format_table
 
 HEADERS_A = ("graph size", *METHODS, "baseline")
 HEADERS_B = ("query area", *METHODS, "baseline")

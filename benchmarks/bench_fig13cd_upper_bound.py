@@ -8,12 +8,13 @@ approaches 1 as either the sampled graph or the query region grows.
 from __future__ import annotations
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import (
+from lib.harness import (
     FIXED_QUERY_AREA,
     STANDARD_AREA_FRACTIONS,
     STANDARD_SIZE_FRACTIONS,
+    evaluate,
 )
+from lib.tables import format_table
 from repro.query import UPPER
 
 METHODS = ("uniform", "quadtree", "submodular")

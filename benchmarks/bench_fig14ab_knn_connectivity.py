@@ -9,8 +9,8 @@ both error and edge accesses for small queries.
 from __future__ import annotations
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
+from lib.harness import STANDARD_AREA_FRACTIONS, evaluate
+from lib.tables import format_table
 
 GRAPH_SIZE = 0.064
 K_VALUES = (2, 3, 5, 8)

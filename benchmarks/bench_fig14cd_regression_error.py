@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from _common import N_QUERIES, dense_pipeline, emit
-from repro.evaluation import format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
+from lib.harness import FIXED_QUERY_AREA
+from lib.tables import format_table
 from repro.models import default_model_factories, ModeledCountStore
 from repro.query import QueryEngine, TRANSIENT
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from _common import emit, pipeline
-from repro.baseline import SketchBaseline
-from repro.evaluation import format_table
-from repro.evaluation.harness import FIXED_QUERY_AREA
+from lib.harness import FIXED_QUERY_AREA
+from lib.sketches import SketchBaseline
+from lib.tables import format_table
 from repro.trajectories import distinct_visitors
 
 N_TRIPS = 3000

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from _common import N_QUERIES, emit, pipeline
-from repro.evaluation import evaluate, format_table
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
+from lib.harness import STANDARD_AREA_FRACTIONS, evaluate
+from lib.tables import format_table
 
 HEADERS = (
     "query area",

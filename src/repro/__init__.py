@@ -16,8 +16,12 @@ subpackages expose every substrate individually:
 - :mod:`repro.query` - query regions and the query engine
 - :mod:`repro.models` - learned (regression) count models
 - :mod:`repro.network` - in-network communication simulator
-- :mod:`repro.baseline` - Euler-histogram + face-sampling baseline
-- :mod:`repro.evaluation` - metrics, workloads and experiment harness
+- :mod:`repro.evaluation` - experiment scale, query workloads, error metric
+
+The figure harness and the systems the paper compares against (the
+Euler-histogram baseline, the FM sketch, the dead-space decompositions,
+the energy model) are experiments, not the system: they live under
+``benchmarks/lib/``.
 """
 
 __version__ = "1.0.0"

@@ -635,12 +635,6 @@ class InNetworkFramework:
             ),
         }
 
-    @property
-    def deployed_fraction(self) -> float:
-        if self.network is None:
-            return 0.0
-        return self.network.size_fraction
-
     def __repr__(self) -> str:
         deployed = self.network.name if self.network else "undeployed"
         return (

@@ -1,36 +1,22 @@
-"""Evaluation harness (system S14): metrics, query workloads, the
-shared experiment pipeline and table rendering."""
+"""Experiment definitions the benchmarks share (system S14): the
+experiment scale, the random query workloads and the relative-error
+metric.  The figure harness that runs on them lives under
+``benchmarks/lib/``."""
 
-from .harness import (
+from .metrics import relative_error
+from .workloads import (
     DEFAULT_CONFIG,
-    SELECTOR_NAMES,
     SMALL_CONFIG,
-    EvalReport,
-    Pipeline,
     PipelineConfig,
-    evaluate,
-    get_pipeline,
+    QueryWorkloadConfig,
+    generate_queries,
 )
-from .figplot import LineChart
-from .metrics import Summary, ratio, relative_error
-from .tables import format_table
-from .workloads import QueryWorkloadConfig, generate_queries, queries_to_regions
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "EvalReport",
-    "LineChart",
-    "Pipeline",
     "PipelineConfig",
     "QueryWorkloadConfig",
-    "SELECTOR_NAMES",
     "SMALL_CONFIG",
-    "Summary",
-    "evaluate",
-    "format_table",
     "generate_queries",
-    "get_pipeline",
-    "queries_to_regions",
-    "ratio",
     "relative_error",
 ]

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
-
-from ..errors import QueryError
+from typing import Optional
 
 
 def relative_error(actual: float, estimate: float) -> Optional[float]:
@@ -21,48 +16,3 @@ def relative_error(actual: float, estimate: float) -> Optional[float]:
         return None
     return abs(actual - estimate) / abs(actual)
 
-
-def ratio(actual: float, estimate: float) -> Optional[float]:
-    """``η̂ / η`` — the Fig. 13c/d upper-bound metric (>= 1 expected)."""
-    if actual == 0:
-        return None
-    return estimate / actual
-
-
-@dataclass
-class Summary:
-    """Percentile summary of a metric over a query batch.
-
-    The paper reports medians with 25th-75th percentile bands; this
-    mirrors that exactly.
-    """
-
-    median: float
-    p25: float
-    p75: float
-    mean: float
-    count: int
-
-    @classmethod
-    def of(cls, values: Sequence[float]) -> "Summary":
-        if len(values) == 0:
-            return cls(
-                median=float("nan"),
-                p25=float("nan"),
-                p75=float("nan"),
-                mean=float("nan"),
-                count=0,
-            )
-        array = np.asarray(values, dtype=float)
-        return cls(
-            median=float(np.median(array)),
-            p25=float(np.percentile(array, 25)),
-            p75=float(np.percentile(array, 75)),
-            mean=float(array.mean()),
-            count=len(array),
-        )
-
-    def __str__(self) -> str:
-        if self.count == 0:
-            return "n/a"
-        return f"{self.median:.4f} [{self.p25:.4f}, {self.p75:.4f}]"

@@ -1,4 +1,8 @@
-"""Query workload generation (§5.1.5).
+"""Experiment scale and query workload generation (§5.1.5).
+
+:class:`PipelineConfig` fixes the scale and seeds of one experiment
+world (city, trips, query battery); the figure harness under
+``benchmarks/lib/`` and the end-to-end benchmark both build from it.
 
 Rectangular spatial regions of a target area (expressed as a fraction
 of the total sensing area, matching the paper's x-axes), random aspect
@@ -10,16 +14,47 @@ they can never resolve to a region of the sensing graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Set
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from ..errors import WorkloadError
+from ..errors import ConfigurationError, WorkloadError
 from ..geometry import BBox
 from ..mobility import MobilityDomain
-from ..planar import NodeId
 from ..query import LOWER, STATIC, RangeQuery
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Scale and seeds for one experiment pipeline."""
+
+    city: str = "organic"
+    blocks: int = 1000
+    road_seed: int = 3
+    n_trips: int = 8000
+    horizon_days: float = 2.0
+    mean_dwell: float = 7200.0
+    trip_seed: int = 5
+    #: Historical queries per standard area fraction of the figure
+    #: harness; their union is the submodular history (the paper's
+    #: "100 query regions ... as the historical data").
+    history_per_fraction: int = 20
+    query_seed: int = 13
+    districts: int = 8
+
+    def __post_init__(self) -> None:
+        if self.city not in ("organic", "grid", "radial"):
+            raise ConfigurationError(f"unknown city kind {self.city!r}")
+
+
+#: The default scale used by the figure benchmarks.
+DEFAULT_CONFIG = PipelineConfig()
+
+#: A small configuration for fast tests.
+SMALL_CONFIG = PipelineConfig(
+    blocks=80, n_trips=600, history_per_fraction=5
+)
 
 
 @dataclass(frozen=True)
@@ -105,10 +140,3 @@ def generate_queries(
         )
     return queries
 
-
-def queries_to_regions(
-    domain: MobilityDomain, queries: Sequence[RangeQuery]
-) -> List[Set[NodeId]]:
-    """Resolve queries to junction regions (submodular history input)."""
-    regions = [domain.junctions_in_bbox(q.box) for q in queries]
-    return [region for region in regions if region]

@@ -393,16 +393,6 @@ class CompiledTrackingForm:
             seen[mark] = None
         return False
 
-    @property
-    def boundary_cache_size(self) -> int:
-        """Configured LRU cap of the compiled-boundary cache."""
-        return self._boundary_cache_size
-
-    @property
-    def boundary_cache_len(self) -> int:
-        """Compiled chains currently cached."""
-        return len(self._boundaries)
-
     @staticmethod
     def _chain_key(wall_ids, signs):
         """Canonical chain arrays and their byte digest.

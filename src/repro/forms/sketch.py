@@ -217,11 +217,6 @@ class EdgeCountSketch:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def bin_width(self) -> float:
-        """Seconds per time bin."""
-        return self._bin_width
-
-    @property
     def pair_count(self) -> int:
         """Touched ``(edge, bin)`` pairs stored."""
         return len(self._bins)

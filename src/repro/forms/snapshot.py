@@ -91,7 +91,3 @@ class SnapshotForm:
     def edge_count(self) -> int:
         """Number of undirected edges that have seen any crossing."""
         return len(self._counts)
-
-    @property
-    def total_crossings(self) -> int:
-        return sum(f + b for f, b in self._counts.values())

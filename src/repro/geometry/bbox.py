@@ -7,7 +7,7 @@ and as a cheap filter before exact polygon tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator
 
 from ..errors import GeometryError
 from .primitives import Point
@@ -70,61 +70,6 @@ class BBox:
     @property
     def center(self) -> Point:
         return ((self.min_x + self.max_x) / 2, (self.min_y + self.max_y) / 2)
-
-    def contains_point(self, point: Point, eps: float = 0.0) -> bool:
-        """True when the point lies inside (boundary inclusive)."""
-        x, y = point
-        return (
-            self.min_x - eps <= x <= self.max_x + eps
-            and self.min_y - eps <= y <= self.max_y + eps
-        )
-
-    def contains_bbox(self, other: "BBox") -> bool:
-        """True when ``other`` lies entirely inside this bbox."""
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
-
-    def intersects(self, other: "BBox") -> bool:
-        """True when the two boxes share at least a boundary point."""
-        return not (
-            self.max_x < other.min_x
-            or other.max_x < self.min_x
-            or self.max_y < other.min_y
-            or other.max_y < self.min_y
-        )
-
-    def intersection(self, other: "BBox") -> "BBox | None":
-        """The overlapping box, or None when disjoint."""
-        if not self.intersects(other):
-            return None
-        return BBox(
-            max(self.min_x, other.min_x),
-            max(self.min_y, other.min_y),
-            min(self.max_x, other.max_x),
-            min(self.max_y, other.max_y),
-        )
-
-    def expanded(self, margin: float) -> "BBox":
-        """A copy grown by ``margin`` on every side."""
-        return BBox(
-            self.min_x - margin,
-            self.min_y - margin,
-            self.max_x + margin,
-            self.max_y + margin,
-        )
-
-    def corners(self) -> Tuple[Point, Point, Point, Point]:
-        """Corners in counter-clockwise order starting at (min_x, min_y)."""
-        return (
-            (self.min_x, self.min_y),
-            (self.max_x, self.min_y),
-            (self.max_x, self.max_y),
-            (self.min_x, self.max_y),
-        )
 
     def __iter__(self) -> Iterator[float]:
         yield self.min_x

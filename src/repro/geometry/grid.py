@@ -1,10 +1,10 @@
 """Uniform spatial hash grid for bbox-indexed items.
 
-A tiny, dependency-free spatial index.  The library indexes two kinds of
-payloads with it: graph edges (for segment-crossing candidate lookup
-during trajectory ingestion) and face polygons (for point location).
-Items are registered with a bounding box and retrieved by probe bbox or
-point; exact geometry tests are the caller's responsibility.
+A tiny, dependency-free spatial index.  The library indexes road
+segments with it (segment-crossing candidate lookup while a road
+network is planarized).  Items are registered with a bounding box and
+retrieved by probe bbox; exact geometry tests are the caller's
+responsibility.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ class SpatialGrid(Generic[T]):
     def __len__(self) -> int:
         return self._count
 
-    def _cell_of(self, point: Point) -> Tuple[int, int]:
-        return (
-            int(math.floor(point[0] / self.cell_size)),
-            int(math.floor(point[1] / self.cell_size)),
-        )
-
     def _cells_for_bbox(self, box: BBox) -> Iterable[Tuple[int, int]]:
         cx0 = int(math.floor(box.min_x / self.cell_size))
         cy0 = int(math.floor(box.min_y / self.cell_size))
@@ -85,8 +79,3 @@ class SpatialGrid(Generic[T]):
             if cell:
                 found.update(cell)
         return found
-
-    def query_point(self, point: Point) -> Set[T]:
-        """All items registered in the cell containing ``point``."""
-        cell = self._cells.get(self._cell_of(point))
-        return set(cell) if cell else set()

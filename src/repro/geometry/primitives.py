@@ -61,22 +61,9 @@ class Segment:
             )
 
     @property
-    def length(self) -> float:
-        """Euclidean length of the segment."""
-        return distance(self.start, self.end)
-
-    @property
     def midpoint(self) -> Point:
         """Midpoint of the segment."""
         return midpoint(self.start, self.end)
-
-    def reversed(self) -> "Segment":
-        """The same segment with opposite direction."""
-        return Segment(self.end, self.start)
-
-    def point_at(self, t: float) -> Point:
-        """Point at parameter ``t`` (0 = start, 1 = end)."""
-        return lerp(self.start, self.end, t)
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """``(min_x, min_y, max_x, max_y)`` of the segment."""

@@ -45,9 +45,6 @@ class Strata:
         _, labels = cKDTree(self.seeds).query(np.asarray(points, dtype=float))
         return labels.astype(int)
 
-    def assign_one(self, point: Point) -> int:
-        return int(self.assign([point])[0])
-
     def groups(self, points: Sequence[Point]) -> Dict[int, List[int]]:
         """Indices of ``points`` grouped by stratum."""
         labels = self.assign(points)

@@ -15,7 +15,7 @@ event, which also keeps the derived range counts sensible.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class RegressionModel(abc.ABC):
         if t >= self._t_max:
             return float(self._n)
         return float(np.clip(self._predict(t), 0.0, self._n))
-
-    def predict_range(self, t1: float, t2: float) -> float:
-        """Approximate count of events in ``(t1, t2]``."""
-        if t2 < t1:
-            raise ModelError(f"inverted interval [{t1}, {t2}]")
-        return self.predict(t2) - self.predict(t1)
 
     # ------------------------------------------------------------------
     @property

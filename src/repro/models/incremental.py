@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -134,7 +134,3 @@ class IncrementalEdgeStore:
                 total += stream.model.storage_bytes
             total += len(stream.buffer) * BYTES_PER_PARAMETER
         return total
-
-    @property
-    def stream_count(self) -> int:
-        return len(self._streams)

@@ -73,10 +73,6 @@ class ModeledCountStore:
 
     # ------------------------------------------------------------------
     @property
-    def stream_count(self) -> int:
-        return len(self._models)
-
-    @property
     def storage_bytes(self) -> int:
         """Total model storage across every stream."""
         return sum(model.storage_bytes for model in self._models.values())
@@ -197,7 +193,3 @@ class BufferedEdgeStore:
                 total += stream.model.storage_bytes
             total += len(stream.buffer) * BYTES_PER_PARAMETER
         return total
-
-    @property
-    def stream_count(self) -> int:
-        return len(self._streams)

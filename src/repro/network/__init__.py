@@ -1,7 +1,5 @@
-"""In-network communication simulation, fault injection and energy
-accounting (S11)."""
+"""In-network communication simulation and fault injection (S11)."""
 
-from .energy import EnergyModel, EnergyReport, RadioParameters
 from .faults import FaultConfig, FaultInjector, RetryPolicy
 from .simulator import (
     CommunicationReport,
@@ -15,12 +13,9 @@ __all__ = [
     "CommunicationReport",
     "DEGRADATION_BUCKETS",
     "DegradedReport",
-    "EnergyModel",
-    "EnergyReport",
     "FaultConfig",
     "FaultInjector",
     "NetworkSimulator",
-    "RadioParameters",
     "RetryPolicy",
     "default_server_position",
 ]

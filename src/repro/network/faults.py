@@ -69,15 +69,6 @@ class FaultConfig:
         if min(self.base_latency, self.hop_latency) < 0:
             raise ConfigurationError("latencies must be non-negative")
 
-    @property
-    def active(self) -> bool:
-        """True when any failure mode can actually fire."""
-        return (
-            self.sensor_failure_rate > 0
-            or self.intermittent_rate > 0
-            or self.drop_rate > 0
-        )
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -180,9 +171,6 @@ class FaultInjector:
         return cls(config, network.sensors)
 
     # ------------------------------------------------------------------
-    def is_crashed(self, sensor: int) -> bool:
-        return sensor in self.crashed
-
     def responds(self, sensor: Optional[int]) -> bool:
         """One contact attempt: does the target acknowledge?
 

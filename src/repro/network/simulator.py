@@ -18,8 +18,9 @@ graph, estimated as Euclidean distance over the mean dual edge length
 qualitatively; the estimate is documented as such).  The two server
 legs of a walk (server -> first sensor, last sensor -> server) use the
 same distance-over-mean-hop estimate against the shared server
-position, so hop accounting and :class:`~repro.network.EnergyModel`'s
-distance-based energy accounting agree on the same geometry.
+position, so hop accounting and the distance-based energy accounting
+of the §3.1 ablation (``benchmarks/lib/energy.py``) agree on the same
+geometry.
 
 With a :class:`~repro.network.FaultInjector` attached the dispatcher
 becomes fault tolerant: contact attempts are retried per the

@@ -33,7 +33,7 @@ import sys
 import time
 import tracemalloc
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 #: Default ring capacity: enough recent traffic for post-hoc debugging,
 #: small enough that an always-on recorder is memory-trivial.
@@ -196,11 +196,6 @@ class FlightRecorder:
         """Current ring contents, oldest first."""
         return tuple(self._ring)
 
-    @property
-    def slow_records(self) -> Tuple[Any, ...]:
-        """Promoted slow-query records, oldest first."""
-        return tuple(self._slow)
-
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe dump of both rings plus recorder configuration."""
@@ -217,29 +212,3 @@ class FlightRecorder:
         """Write the JSON dump to ``path``."""
         with open(path, "w") as handle:
             json.dump(self.as_dict(), handle, indent=1)
-
-    def format_slow(self, limit: int = 10) -> List[str]:
-        """Human-readable lines for the newest slow queries, newest
-        first."""
-        lines: List[str] = []
-        for record in list(self._slow)[-limit:][::-1]:
-            stages = " ".join(
-                f"{name}={seconds * 1e3:.2f}ms"
-                for name, seconds in record.stage_s.items()
-            )
-            degraded = _degraded(record)
-            memory = ""
-            if record.peak_rss_bytes is not None:
-                memory = f" rss={record.peak_rss_bytes / 1e6:.1f}MB"
-            if record.alloc_peak_bytes is not None:
-                memory += f" alloc={record.alloc_peak_bytes / 1e6:.2f}MB"
-            lines.append(
-                f"#{record.seq} "
-                f"{query_digest(record.query, record.generation)} "
-                f"{record.planner} "
-                f"{record.elapsed * 1e3:.3f}ms fanout={record.fanout}"
-                + (f" [{stages}]" if stages else "")
-                + (f" degraded={degraded}" if degraded else "")
-                + memory
-            )
-        return lines

@@ -1,7 +1,7 @@
 """The per-pipeline instrumentation bundle.
 
 :class:`Instrumentation` is what :class:`repro.core.InNetworkFramework`,
-:class:`repro.evaluation.Pipeline`, :class:`repro.query.QueryEngine` and
+:class:`repro.query.QueryEngine` and
 :class:`repro.network.NetworkSimulator` accept: a tracer.  The default
 (:data:`NULL_INSTRUMENTATION`) is a no-op recorder — the shared null
 tracer.  It is the bundle every untraced run of the end-to-end

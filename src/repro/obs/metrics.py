@@ -114,31 +114,6 @@ class Histogram:
         """``(upper_bound, cumulative_count)`` pairs ending at +Inf."""
         return list(zip(self.uppers + (math.inf,), accumulate(self.counts)))
 
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile of the observations, by linear
-        interpolation within the bucket it falls in (the
-        ``histogram_quantile`` convention).
-
-        Observations landing in the overflow bucket clamp to the top
-        finite bound — the histogram does not know how far past it they
-        went.  Returns NaN for an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        uppers, cumulative = self.uppers, list(accumulate(self.counts))
-        if not uppers or not cumulative[-1]:
-            return math.nan
-        target = q * cumulative[-1]
-        running = 0
-        for i, upper in enumerate(uppers):
-            reached = cumulative[i]
-            if reached > running and reached >= target:
-                lower = uppers[i - 1] if i else min(0.0, upper)
-                fraction = (target - running) / (reached - running)
-                return lower + (upper - lower) * fraction
-            running = reached
-        return uppers[-1]
-
 
 class MetricsRegistry:
     """Memoised instrument store with JSON/Prometheus exports."""
@@ -193,17 +168,6 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         instrument = self._counters.get(key) or self._gauges.get(key)
         return instrument.value if instrument is not None else 0
-
-    def sum_values(self, name: str) -> float:
-        """Sum of a counter's value across every label combination."""
-        return sum(
-            c.value for (n, _), c in self._counters.items() if n == name
-        )
-
-    def iter_counters(self) -> Iterator[Tuple[str, Dict[str, str], Counter]]:
-        """``(name, labels, instrument)`` for every counter, sorted."""
-        for (name, labels), counter in sorted(self._counters.items()):
-            yield name, dict(labels), counter
 
     # ------------------------------------------------------------------
     # Structured dumps and cross-process merging
@@ -309,9 +273,6 @@ class MetricsRegistry:
                 ],
             }
         return out
-
-    def to_json(self) -> Dict[str, Any]:
-        return self.snapshot()
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""

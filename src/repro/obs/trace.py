@@ -240,10 +240,6 @@ class Tracer:
         for root in self.roots:
             yield from root.walk()
 
-    def find(self, name: str) -> List[Span]:
-        """All spans with the given name."""
-        return [span for span in self.walk() if span.name == name]
-
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
@@ -364,9 +360,6 @@ class NullTracer:
 
     def walk(self) -> Iterator[Span]:
         return iter(())
-
-    def find(self, name: str) -> List[Span]:
-        return []
 
     def to_chrome_trace(self) -> Dict[str, Any]:
         return {"traceEvents": [], "displayTimeUnit": "ms"}

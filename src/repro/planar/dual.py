@@ -70,11 +70,6 @@ class DualGraph:
         except KeyError:
             raise GraphStructureError(f"unknown primal edge {edge!r}") from None
 
-    def is_bridge(self, u: NodeId, v: NodeId) -> bool:
-        """True when the primal edge has the same face on both sides."""
-        a, b = self.faces_of_primal_edge(u, v)
-        return a == b
-
     def neighbors(self, node: int) -> Set[int]:
         return set(self._adjacency.get(node, ()))
 
@@ -82,8 +77,9 @@ class DualGraph:
         """Mean Euclidean length of interior dual edges (cached).
 
         The shared hop-length statistic of the communication modules:
-        both :class:`repro.network.NetworkSimulator` and
-        :class:`repro.network.EnergyModel` convert Euclidean distances
+        both :class:`repro.network.NetworkSimulator` and the energy
+        model of the §3.1 ablation (``benchmarks/lib/energy.py``)
+        convert Euclidean distances
         into hop counts / per-hop energies using this value, so the two
         accountings cannot drift.  Bridges (same face on both sides)
         and edges touching the infinity node are excluded; degenerate
@@ -102,15 +98,6 @@ class DualGraph:
             cached = (total / count) if count else 1.0
             self._mean_interior_edge_length = cached
         return cached
-
-    def crossing_edge(self, a: int, b: int) -> Edge:
-        """Representative primal edge crossed when moving face a -> b."""
-        try:
-            return self._adjacency[a][b][1]
-        except KeyError:
-            raise GraphStructureError(
-                f"dual nodes {a!r} and {b!r} are not adjacent"
-            ) from None
 
     # ------------------------------------------------------------------
     def shortest_path(

@@ -11,18 +11,11 @@ infinity node's region (``*v_ext`` in Fig. 8a of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PlanarityError
-from ..geometry import (
-    BBox,
-    Point,
-    SpatialGrid,
-    point_in_polygon,
-    representative_point,
-    signed_area,
-)
+from ..geometry import Point, representative_point, signed_area
 from .graph import NodeId, PlanarGraph
 
 DirectedEdge = Tuple[NodeId, NodeId]
@@ -72,7 +65,6 @@ class FaceSet:
     faces: List[Face]
     edge_face: Dict[DirectedEdge, int]
     outer_face_id: Optional[int]
-    _locator: Optional[SpatialGrid] = field(default=None, repr=False)
 
     @property
     def interior_faces(self) -> List[Face]:
@@ -84,44 +76,6 @@ class FaceSet:
             return self.faces[self.edge_face[(u, v)]]
         except KeyError:
             raise PlanarityError(f"directed edge ({u!r}, {v!r}) unknown") from None
-
-    def adjacent_faces(self, u: NodeId, v: NodeId) -> Tuple[Face, Face]:
-        """The two faces separated by undirected edge ``{u, v}``.
-
-        Returned as ``(left-of-(u,v), left-of-(v,u))``; they coincide for
-        bridge edges.
-        """
-        return (self.face_of_edge(u, v), self.face_of_edge(v, u))
-
-    def locate(self, point: Point) -> Optional[Face]:
-        """The interior face containing ``point``, or None (outer face).
-
-        Uses a spatial-grid prefilter over face bounding boxes and an
-        exact point-in-polygon test.
-        """
-        if self._locator is None:
-            self._build_locator()
-        assert self._locator is not None
-        for face_id in self._locator.query_point(point):
-            face = self.faces[face_id]
-            if point_in_polygon(point, face.polygon):
-                return face
-        return None
-
-    def _build_locator(self) -> None:
-        interior = self.interior_faces
-        if not interior:
-            raise PlanarityError("graph has no interior faces to locate in")
-        all_points = [p for f in interior for p in f.polygon]
-        grid: SpatialGrid = SpatialGrid.for_items(
-            BBox.from_points(all_points), len(interior)
-        )
-        for face in interior:
-            grid.insert(face.id, BBox.from_points(face.polygon))
-        self._locator = grid
-
-    def total_interior_area(self) -> float:
-        return sum(f.area for f in self.interior_faces)
 
 
 def trace_faces(graph: PlanarGraph) -> FaceSet:

@@ -127,7 +127,6 @@ class PlanarGraph:
         self._positions: Dict[NodeId, Point] = {}
         self._adjacency: Dict[NodeId, Set[NodeId]] = {}
         self._rotation_cache: Optional[Dict[NodeId, List[NodeId]]] = None
-        self._version = 0
 
     # ------------------------------------------------------------------
     # Construction / mutation
@@ -149,12 +148,6 @@ class PlanarGraph:
         self._adjacency[v].add(u)
         self._invalidate()
 
-    def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        """Remove the undirected edge ``{u, v}`` if present."""
-        self._adjacency.get(u, set()).discard(v)
-        self._adjacency.get(v, set()).discard(u)
-        self._invalidate()
-
     def remove_node(self, node: NodeId) -> None:
         """Remove a node and all incident edges."""
         if node not in self._positions:
@@ -167,12 +160,6 @@ class PlanarGraph:
 
     def _invalidate(self) -> None:
         self._rotation_cache = None
-        self._version += 1
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every mutation (cache keying)."""
-        return self._version
 
     # ------------------------------------------------------------------
     # Inspection
@@ -202,9 +189,6 @@ class PlanarGraph:
                     seen.add(edge)
                     yield edge
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return v in self._adjacency.get(u, ())
-
     def position(self, node: NodeId) -> Point:
         try:
             return self._positions[node]
@@ -233,16 +217,9 @@ class PlanarGraph:
             raise GraphStructureError("bounds of an empty graph")
         return BBox.from_points(self._positions.values())
 
-    def total_edge_length(self) -> float:
-        return sum(self.edge_length(u, v) for u, v in self.edges())
-
     # ------------------------------------------------------------------
     # Rotation system
     # ------------------------------------------------------------------
-    def rotation(self, node: NodeId) -> List[NodeId]:
-        """Neighbours of ``node`` in counter-clockwise angular order."""
-        return self.rotation_system()[node]
-
     def rotation_system(self) -> Dict[NodeId, List[NodeId]]:
         """The full rotation system, cached until the next mutation."""
         if self._rotation_cache is None:
@@ -387,18 +364,6 @@ class PlanarGraph:
             path.append(predecessor[path[-1]])
         path.reverse()
         return path
-
-    def to_networkx(self):
-        """Export as a ``networkx.Graph`` with ``pos`` node attributes
-        and ``length`` edge attributes."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for node, pos in self._positions.items():
-            graph.add_node(node, pos=pos)
-        for u, v in self.edges():
-            graph.add_edge(u, v, length=self.edge_length(u, v))
-        return graph
 
     @classmethod
     def from_edges(

@@ -55,9 +55,6 @@ class RangeQuery:
     def with_bound(self, bound: str) -> "RangeQuery":
         return replace(self, bound=bound)
 
-    def with_kind(self, kind: str) -> "RangeQuery":
-        return replace(self, kind=kind)
-
     def static_times(self, static_eval: str) -> Tuple[float, ...]:
         """The snapshot times a static count over the interval reads
         (Theorem 4.2 gives N(t) for any t): its end, its start, or

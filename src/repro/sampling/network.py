@@ -346,11 +346,6 @@ class SensorNetwork:
         """|sensors| / |blocks| — the x-axis of Figs. 11a/12a."""
         return len(self.sensors) / max(self.domain.block_count, 1)
 
-    @property
-    def wall_fraction(self) -> float:
-        """|walls| / |sensing edges| — edge-level size of the network."""
-        return len(self.walls) / max(self.domain.sensing_edge_count, 1)
-
     def __repr__(self) -> str:
         return (
             f"SensorNetwork({self.name!r}, sensors={len(self.sensors)}, "

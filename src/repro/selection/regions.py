@@ -38,11 +38,6 @@ class Atom:
         """``ω(σ)``: the number of cells (junction faces) in the atom."""
         return len(self.junctions)
 
-    @property
-    def cost(self) -> int:
-        """``c(σ) = |∂σ|`` (Eq. 5)."""
-        return len(self.boundary)
-
     def utility(self, query_weights: Sequence[int]) -> float:
         """Eq. 6: ``f(σ) = Σ_{Q ⊇ σ} ω(σ) / ω(Q)``."""
         return sum(

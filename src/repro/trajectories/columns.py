@@ -218,10 +218,6 @@ class EventColumns:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def n_events(self) -> int:
-        return len(self.t)
-
     def __iter__(self) -> Iterator[CrossingEvent]:
         """Iterate as :class:`CrossingEvent` (slow path; interop only)."""
         edge = self.interner.edge

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baseline import EulerHistogramBaseline
+from lib.euler import EulerHistogramBaseline
 from repro.errors import QueryError, SelectionError
 from repro.geometry import BBox
 from repro.network import NetworkSimulator
@@ -95,18 +95,6 @@ class TestBaselineQueries:
         small = baseline.execute(RangeQuery(BBox(4, 4, 6, 6), 0, t2))
         large = baseline.execute(RangeQuery(BBox(1, 1, 9, 9), 0, t2))
         assert large.nodes_accessed > small.nodes_accessed
-
-    def test_binning_reduces_storage(self, organic_domain, events):
-        binned = EulerHistogramBaseline(
-            organic_domain, m=50, time_bins=16, rng=np.random.default_rng(1)
-        )
-        binned.ingest(events)
-        exact = EulerHistogramBaseline(
-            organic_domain, m=50, time_bins=None, rng=np.random.default_rng(1)
-        )
-        exact.ingest(events)
-        assert binned.storage_events <= exact.storage_events
-        assert binned.storage_events == 50 * 17  # bins + 1 edges
 
 
 class TestNetworkSimulator:

@@ -216,9 +216,9 @@ def _fields(result):
 
 def _counted(registry, boundary_cache: bool):
     return sorted(
-        (name, sorted(labels.items()), counter.value)
-        for name, labels, counter in registry.iter_counters()
-        if counter.value and (
+        (name, sorted(map(tuple, labels)), value)
+        for name, labels, value in registry.dump()["counters"]
+        if value and (
             name.startswith(COUNTED) and name != BATCH_ONLY
             and not name.endswith("seconds_total")
             or boundary_cache and name == "repro_csr_boundary_cache_total"
@@ -273,9 +273,9 @@ class TestBatchEqualsLoop:
             for table, hit in r.cache_hits.items()
         )
         assert {
-            (labels["cache"], labels["outcome"]): counter.value
-            for name, labels, counter in batched.iter_counters()
-            if name == BATCH_ONLY and counter.value
+            (dict(labels)["cache"], dict(labels)["outcome"]): value
+            for name, labels, value in batched.dump()["counters"]
+            if name == BATCH_ONLY and value
         } == outcomes
 
     @pytest.mark.parametrize("store", STORES)
@@ -365,7 +365,7 @@ class TestBatchEqualsLoop:
                 results = [getattr(engine, execute)(queries) for _ in range(2)]
             runs.append([[_fields(r) for r in batch] for batch in results])
             assert len({r.regions for r in results[0] if not r.missed}) > 2 * cap
-            assert form.boundary_cache_len <= cap and len(form._seen) <= cap
+            assert len(form._boundaries) <= cap and len(form._seen) <= cap
             compiles.append(registry.value(
                 "repro_csr_boundary_cache_total", outcome="compile"
             ))

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lib.harness import STANDARD_AREA_FRACTIONS, get_pipeline
 from repro.errors import QueryError
-from repro.evaluation import SMALL_CONFIG, get_pipeline
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
+from repro.evaluation import SMALL_CONFIG
 from repro.forms import CompiledTrackingForm, TrackingForm
 from repro.planar import EdgeInterner
 from repro.query import QueryEngine
@@ -253,7 +254,7 @@ def standard_battery(p):
         for query in base:
             for kind in ("static", "transient"):
                 for bound in ("lower", "upper"):
-                    queries.append(query.with_kind(kind).with_bound(bound))
+                    queries.append(replace(query, kind=kind, bound=bound))
     return queries
 
 

@@ -106,7 +106,7 @@ class TestQuerying:
         assert result is not None
 
     def test_deployed_fraction(self, framework):
-        assert 0.0 < framework.deployed_fraction <= 1.0
+        assert 0.0 < framework.network.size_fraction <= 1.0
 
     def test_storage_reporting(self, framework):
         assert framework.storage_bytes > 0
@@ -176,7 +176,10 @@ class TestFacadeEngine:
         assert before.query == after.query
         with use_registry() as registry:
             fw.query(self.BOX, 0.0, t2)
-            assert registry.sum_values("repro_queries_total") == 1
+            assert sum(
+                value for name, _, value in registry.dump()["counters"]
+                if name == "repro_queries_total"
+            ) == 1
         assert len(built) == 4  # one for the registry, one for the check
         fw.deploy(FrameworkConfig(selector="quadtree", budget=12, seed=3))
         redeployed = fw.query(self.BOX, 0.0, t2)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.evaluation import PipelineConfig, get_pipeline
+from lib.harness import get_pipeline
+from repro.evaluation import PipelineConfig
 from repro.forms import EdgeCountStore, TrackingForm
 from repro.geometry import BBox
 from repro.models import LinearModel, ModeledCountStore
@@ -133,7 +134,7 @@ class TestSubmodularDeterminism:
 
 class TestTablesAndSeries:
     def test_summary_str_formats(self):
-        from repro.evaluation import Summary
+        from lib.harness import Summary
 
         summary = Summary.of([0.1, 0.2, 0.3])
         text = str(summary)

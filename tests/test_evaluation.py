@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
+from lib.harness import (
+    STANDARD_AREA_FRACTIONS,
+    Summary,
+    evaluate,
+    get_pipeline,
+    queries_to_regions,
+    ratio,
+)
+from lib.tables import format_table
 from repro.errors import WorkloadError
 from repro.evaluation import (
     QueryWorkloadConfig,
     SMALL_CONFIG,
-    Summary,
-    evaluate,
-    format_table,
     generate_queries,
-    get_pipeline,
-    queries_to_regions,
-    ratio,
     relative_error,
 )
-from repro.evaluation.harness import STANDARD_AREA_FRACTIONS
 from repro.query import TRANSIENT, UPPER
 
 

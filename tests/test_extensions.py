@@ -2,8 +2,8 @@
 
 import pytest
 
+from lib.energy import EnergyModel, RadioParameters
 from repro.errors import ConfigurationError
-from repro.network import EnergyModel, RadioParameters
 
 
 # ----------------------------------------------------------------------

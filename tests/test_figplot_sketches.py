@@ -5,9 +5,9 @@ import xml.etree.ElementTree as ElementTree
 import numpy as np
 import pytest
 
-from repro.baseline import FMSketch, SketchBaseline
+from lib.figplot import LineChart
+from lib.sketches import FMSketch, SketchBaseline
 from repro.errors import ConfigurationError, QueryError
-from repro.evaluation import LineChart
 from repro.geometry import BBox
 from repro.trajectories import distinct_visitors, plan_trip
 

@@ -9,7 +9,8 @@ orderings and monotonicity, not absolute numbers.
 import numpy as np
 import pytest
 
-from repro.evaluation import SMALL_CONFIG, evaluate, get_pipeline
+from lib.harness import evaluate, get_pipeline
+from repro.evaluation import SMALL_CONFIG
 from repro.query import UPPER
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from lib.energy import RadioParameters
 from repro.forms import static_count, transient_count
 from repro.models import LinearModel, ModeledCountStore
-from repro.network import NetworkSimulator, RadioParameters
+from repro.network import NetworkSimulator
 
 
 class TestCountFnWithModeledStores:
@@ -75,7 +76,8 @@ class TestSimulatorDeterminism:
 
 class TestHarnessStoreOverride:
     def test_engine_accepts_custom_store(self):
-        from repro.evaluation import SMALL_CONFIG, get_pipeline
+        from lib.harness import get_pipeline
+        from repro.evaluation import SMALL_CONFIG
 
         pipeline = get_pipeline(SMALL_CONFIG)
         network = pipeline.network("uniform", 8, seed=0)
@@ -86,7 +88,8 @@ class TestHarnessStoreOverride:
         assert result is not None
 
     def test_knn_network_via_harness(self):
-        from repro.evaluation import SMALL_CONFIG, get_pipeline
+        from lib.harness import get_pipeline
+        from repro.evaluation import SMALL_CONFIG
 
         pipeline = get_pipeline(SMALL_CONFIG)
         tri = pipeline.network("quadtree", 10, seed=0)
@@ -125,7 +128,7 @@ class TestQueryWindows:
 
 class TestChartFormatting:
     def test_fmt_ranges(self):
-        from repro.evaluation.figplot import _fmt
+        from lib.figplot import _fmt
 
         assert _fmt(0) == "0"
         assert "e" in _fmt(12345.0)

@@ -124,7 +124,7 @@ class TestPromotion:
         assert not at.slow and not below.slow
         assert above.slow
         assert flight.slow_total == 1
-        assert flight.slow_records == (above,)
+        assert flight.as_dict()["slow"] == [record_dict(above)]
 
     def test_slow_records_survive_fast_traffic(self):
         flight = FlightRecorder(capacity=8, slow_threshold_s=0.01)
@@ -133,22 +133,14 @@ class TestPromotion:
         for i in range(50):  # cycle the main ring many times over
             flight.keep(_record(i))
         assert not any(kept is slow for kept in flight.records)
-        assert any(kept is slow for kept in flight.slow_records)
+        assert flight.as_dict()["slow"] == [record_dict(slow)]
 
     def test_detail_attached_by_caller(self):
         flight = FlightRecorder(slow_threshold_s=1e-6)
         entry = _record(planner="sharded", elapsed=0.2)
         assert flight.keep(entry) and entry.slow
         entry.detail = {"shards": 4}
-        assert record_dict(flight.slow_records[0])["detail"] == {"shards": 4}
-
-    def test_format_slow_newest_first(self):
-        flight = FlightRecorder(slow_threshold_s=1e-6)
-        flight.keep(_record(0, elapsed=0.2))
-        flight.keep(_record(1, elapsed=0.3))
-        lines = flight.format_slow()
-        assert lines[0].startswith("#2 ")
-        assert lines[1].startswith("#1 ")
+        assert flight.as_dict()["slow"][0]["detail"] == {"shards": 4}
 
     def test_digest_stable_and_distinct(self):
         assert query_digest(_query(0)) == query_digest(_query(0))
@@ -230,10 +222,10 @@ class TestEngineRecording:
         for entry in answered:
             assert entry.planner == "sharded"
             assert set(entry.stage_s) == set(SHARDED_STAGES)
-        slow = flight.slow_records[-1]
-        assert slow.detail is not None
-        assert slow.detail["shards"] == 4
-        assert slow.detail["provenance"]["planner"] == "sharded"
+        slow = flight.as_dict()["slow"][-1]
+        assert slow["detail"] is not None
+        assert slow["detail"]["shards"] == 4
+        assert slow["detail"]["provenance"]["planner"] == "sharded"
 
 
 # ----------------------------------------------------------------------
@@ -392,14 +384,14 @@ class TestFrameworkFlight:
         assert flight.slow_total >= 1  # threshold is one nanosecond
 
     def test_slow_record_carries_memory(self, framework, workload):
-        """A promoted record carries the process's peak RSS, and both
-        the flight-log view and the slow-query lines show it."""
+        """A promoted record carries the process's peak RSS, and the
+        flight log's slow ring shows it."""
         result = framework.query(BBox(1, 1, 9, 9), 0.0, workload.horizon / 2)
         flight = framework.flight_log()
-        assert result.slow and flight.slow_records[-1] is result
+        assert result.slow
+        assert flight.as_dict()["slow"][-1] == record_dict(result)
         assert result.peak_rss_bytes is not None and result.peak_rss_bytes > 0
         assert record_dict(result)["peak_rss_bytes"] == result.peak_rss_bytes
-        assert "rss=" in flight.format_slow(1)[0]
 
     def test_injected_recorder_survives_deploy(self, organic_domain):
         mine = FlightRecorder(capacity=7)

@@ -65,4 +65,3 @@ class TestSnapshotForm:
         form.record("b", "a")
         form.record("c", "d", 5)
         assert form.edge_count == 2
-        assert form.total_crossings == 7

@@ -47,46 +47,3 @@ class TestProperties:
     def test_iter_unpacking(self):
         min_x, min_y, max_x, max_y = BBox(1, 2, 3, 4)
         assert (min_x, min_y, max_x, max_y) == (1, 2, 3, 4)
-
-    def test_corners_ccw(self):
-        corners = BBox(0, 0, 1, 1).corners()
-        assert corners == ((0, 0), (1, 0), (1, 1), (0, 1))
-
-
-class TestContainment:
-    def test_contains_interior_point(self):
-        assert BBox(0, 0, 2, 2).contains_point((1, 1))
-
-    def test_contains_boundary_point(self):
-        assert BBox(0, 0, 2, 2).contains_point((0, 2))
-
-    def test_excludes_outside_point(self):
-        assert not BBox(0, 0, 2, 2).contains_point((3, 1))
-
-    def test_contains_point_with_eps(self):
-        assert BBox(0, 0, 2, 2).contains_point((2.0005, 1), eps=1e-3)
-
-    def test_contains_bbox(self):
-        assert BBox(0, 0, 4, 4).contains_bbox(BBox(1, 1, 2, 2))
-        assert not BBox(0, 0, 4, 4).contains_bbox(BBox(3, 3, 5, 5))
-
-
-class TestIntersection:
-    def test_overlapping(self):
-        assert BBox(0, 0, 2, 2).intersects(BBox(1, 1, 3, 3))
-
-    def test_touching_edge_counts(self):
-        assert BBox(0, 0, 1, 1).intersects(BBox(1, 0, 2, 1))
-
-    def test_disjoint(self):
-        assert not BBox(0, 0, 1, 1).intersects(BBox(2, 2, 3, 3))
-
-    def test_intersection_box(self):
-        overlap = BBox(0, 0, 2, 2).intersection(BBox(1, 1, 3, 3))
-        assert overlap == BBox(1, 1, 2, 2)
-
-    def test_intersection_none(self):
-        assert BBox(0, 0, 1, 1).intersection(BBox(5, 5, 6, 6)) is None
-
-    def test_expanded(self):
-        assert BBox(1, 1, 2, 2).expanded(1) == BBox(0, 0, 3, 3)

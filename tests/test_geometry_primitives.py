@@ -39,23 +39,12 @@ class TestInterpolation:
 
 
 class TestSegment:
-    def test_length(self):
-        assert Segment((0, 0), (0, 5)).length == pytest.approx(5.0)
-
     def test_degenerate_segment_rejected(self):
         with pytest.raises(GeometryError):
             Segment((1, 1), (1, 1))
 
-    def test_reversed(self):
-        seg = Segment((0, 0), (1, 2))
-        assert seg.reversed() == Segment((1, 2), (0, 0))
-
     def test_midpoint_property(self):
         assert Segment((0, 0), (4, 6)).midpoint == (2.0, 3.0)
-
-    def test_point_at(self):
-        seg = Segment((0, 0), (10, 0))
-        assert seg.point_at(0.3) == (3.0, 0.0)
 
     def test_bounding_box_ordering(self):
         seg = Segment((5, 1), (2, 7))

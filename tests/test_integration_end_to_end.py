@@ -13,8 +13,8 @@ fresh (non-fixture) domain:
 import numpy as np
 import pytest
 
-from repro.evaluation import SMALL_CONFIG, evaluate, get_pipeline
-from repro.evaluation.harness import FIXED_QUERY_AREA
+from lib.harness import FIXED_QUERY_AREA, evaluate, get_pipeline
+from repro.evaluation import SMALL_CONFIG
 from repro.models import ModeledCountStore, PiecewiseLinearModel
 from repro.query import QueryEngine, RangeQuery, TRANSIENT, UPPER
 from repro.trajectories import net_change, occupancy_count

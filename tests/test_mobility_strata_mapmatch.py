@@ -49,7 +49,7 @@ class TestGridStrata:
     def test_assignment_respects_cells(self):
         strata = grid_strata(BBox(0, 0, 10, 10), rows=2, cols=2)
         # Point in the lower-left quadrant maps to the lower-left seed.
-        label = strata.assign_one((1, 1))
+        (label,) = strata.assign([(1, 1)])
         sx, sy = strata.seeds[label]
         assert sx < 5 and sy < 5
 

@@ -90,7 +90,6 @@ class TestCounting:
     def test_empty_edge(self):
         store = IncrementalEdgeStore(PiecewiseLinearModel)
         assert store.count_entering(("x", "y"), 10.0) == 0.0
-        assert store.stream_count == 0
 
     def test_drift_bounded_over_many_flushes(self):
         """Compounded refits drift, but stay within a usable envelope."""

@@ -57,10 +57,6 @@ class TestModeledCountStore:
         with pytest.raises(ModelError):
             store.net_between(("a", "b"), 10.0, 5.0)
 
-    def test_stream_count(self, busy_form):
-        store = ModeledCountStore.fit(busy_form, LinearModel)
-        assert store.stream_count == 3  # a->b, b->a, c->d
-
     def test_storage_independent_of_events(self):
         small_form = TrackingForm()
         large_form = TrackingForm()

@@ -11,15 +11,14 @@ import math
 
 import pytest
 
+from lib.energy import EnergyModel, RadioParameters
 from repro import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import BBox, distance
 from repro.network import (
-    EnergyModel,
     FaultConfig,
     FaultInjector,
     NetworkSimulator,
-    RadioParameters,
     RetryPolicy,
     default_server_position,
 )
@@ -46,13 +45,6 @@ class TestFaultConfig:
             FaultConfig(base_latency=-1.0)
         with pytest.raises(ConfigurationError):
             FaultConfig(hop_latency=-0.1)
-
-    def test_active(self):
-        assert not FaultConfig().active
-        assert not FaultConfig(seed=5, availability=0.1).active
-        assert FaultConfig(sensor_failure_rate=0.1).active
-        assert FaultConfig(intermittent_rate=0.1).active
-        assert FaultConfig(drop_rate=0.1).active
 
 
 class TestRetryPolicy:
@@ -113,7 +105,6 @@ class TestFaultInjector:
         assert injector.crashed == frozenset({1, 2})
         # Flaky is kept disjoint from crashed.
         assert injector.flaky == frozenset({3})
-        assert injector.is_crashed(1)
         assert not injector.responds(1)
         assert injector.responds(7)
 

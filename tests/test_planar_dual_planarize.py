@@ -57,10 +57,6 @@ class TestDual:
         with pytest.raises(GraphStructureError):
             dual.faces_of_primal_edge((0, 0), (5, 5))
 
-    def test_is_bridge_false_on_grid(self):
-        dual = build_dual(grid_graph())
-        assert not dual.is_bridge((0, 0), (1, 0))
-
     def test_dual_positions_inside_faces(self):
         graph = grid_graph()
         faces = trace_faces(graph)
@@ -105,15 +101,6 @@ class TestDual:
         dual = build_dual(grid_graph())
         node = dual.interior_nodes[0]
         assert dual.shortest_path(node, node) == ([node], [])
-
-    def test_crossing_edge_consistency(self):
-        graph = grid_graph()
-        dual = build_dual(graph)
-        a = dual.interior_nodes[0]
-        for b in dual.neighbors(a):
-            edge = dual.crossing_edge(a, b)
-            sides = dual.faces_of_primal_edge(*edge)
-            assert {a, b} <= set(sides) or a in sides
 
 
 class TestPlanarize:

@@ -1,6 +1,5 @@
 """Unit tests for face tracing (repro.planar.faces)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PlanarityError
@@ -51,7 +50,8 @@ class TestGridFaces:
         # Interior areas sum to |outer area|.
         faces = trace_faces(make_grid(6))
         outer = faces.faces[faces.outer_face_id]
-        assert faces.total_interior_area() == pytest.approx(-outer.signed_area)
+        interior = sum(face.area for face in faces.interior_faces)
+        assert interior == pytest.approx(-outer.signed_area)
 
     def test_every_directed_edge_has_a_face(self):
         graph = make_grid(4)
@@ -63,7 +63,8 @@ class TestGridFaces:
     def test_adjacent_faces_differ_for_interior_edge(self):
         graph = make_grid(4)
         faces = trace_faces(graph)
-        left, right = faces.adjacent_faces((1, 1), (2, 1))
+        left = faces.face_of_edge((1, 1), (2, 1))
+        right = faces.face_of_edge((2, 1), (1, 1))
         assert left.id != right.id
 
     def test_unknown_edge_raises(self):
@@ -95,30 +96,6 @@ class TestBoundaryWalk:
             faces.faces[faces.outer_face_id].interior_point()
 
 
-class TestLocate:
-    def test_locate_interior(self):
-        faces = trace_faces(make_grid(4))
-        face = faces.locate((1.5, 2.5))
-        assert face is not None
-        assert face.polygon is not None
-        xs = [p[0] for p in face.polygon]
-        ys = [p[1] for p in face.polygon]
-        assert min(xs) <= 1.5 <= max(xs)
-        assert min(ys) <= 2.5 <= max(ys)
-
-    def test_locate_outside_returns_none(self):
-        faces = trace_faces(make_grid(4))
-        assert faces.locate((50.0, 50.0)) is None
-
-    def test_locate_random_points(self):
-        faces = trace_faces(make_grid(5))
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = tuple(rng.uniform(0.05, 3.95, 2))
-            face = faces.locate(p)
-            assert face is not None
-
-
 class TestBridges:
     def test_bridge_edge_same_face_both_sides(self):
         # A triangle with a dangling edge (bridge).
@@ -127,6 +104,6 @@ class TestBridges:
             [(0, 1), (1, 2), (2, 0), (1, 3)],
         )
         faces = trace_faces(graph)
-        left, right = faces.adjacent_faces(1, 3)
+        left, right = faces.face_of_edge(1, 3), faces.face_of_edge(3, 1)
         assert left.id == right.id  # bridge borders the outer face twice
         assert euler_characteristic(graph, faces) == 2

@@ -48,7 +48,7 @@ class TestConstruction:
         graph = PlanarGraph.from_edges(
             {1: (0, 0), 2: (1, 0)}, [(1, 2)]
         )
-        assert graph.has_edge(1, 2)
+        assert 2 in graph.neighbors(1)
 
     def test_copy_is_independent(self, square):
         clone = square.copy()
@@ -58,25 +58,15 @@ class TestConstruction:
 
 
 class TestMutation:
-    def test_remove_edge(self, square):
-        square.remove_edge("a", "b")
-        assert not square.has_edge("a", "b")
-        assert square.edge_count == 3
-
     def test_remove_node_cleans_adjacency(self, square):
         square.remove_node("a")
         assert square.node_count == 3
-        assert not square.has_edge("b", "a")
+        assert "a" not in square.neighbors("b")
         assert square.degree("b") == 1
 
     def test_remove_missing_node_is_noop(self, square):
         square.remove_node("zz")
         assert square.node_count == 4
-
-    def test_version_bumps_on_mutation(self, square):
-        before = square.version
-        square.add_node("e", (2, 2))
-        assert square.version > before
 
 
 class TestGeometry:
@@ -98,9 +88,6 @@ class TestGeometry:
         with pytest.raises(GraphStructureError):
             PlanarGraph().bounds()
 
-    def test_total_edge_length(self, square):
-        assert square.total_edge_length() == pytest.approx(4.0)
-
 
 class TestRotationSystem:
     def test_rotation_ccw_order(self):
@@ -112,15 +99,15 @@ class TestRotationSystem:
         graph.add_node("s", (0, -1))
         for nb in "enws":
             graph.add_edge("o", nb)
-        rotation = graph.rotation("o")
+        rotation = graph.rotation_system()["o"]
         # Sorted by atan2: south (-pi/2), east (0), north (pi/2), west (pi).
         assert rotation == ["s", "e", "n", "w"]
 
     def test_rotation_cache_invalidation(self, square):
-        rotation_before = square.rotation("a")
+        rotation_before = square.rotation_system()["a"]
         square.add_node("e", (0.5, -1))
         square.add_edge("a", "e")
-        assert square.rotation("a") != rotation_before
+        assert square.rotation_system()["a"] != rotation_before
 
     def test_next_face_edge_cycles_triangle(self):
         graph = PlanarGraph.from_edges(
@@ -171,12 +158,6 @@ class TestAlgorithms:
         square.add_node("island", (5, 5))
         _, pred = square.dijkstra_tree("a")
         assert square.path_from_tree("a", "island", pred) is None
-
-    def test_to_networkx(self, square):
-        nx_graph = square.to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 4
-        assert nx_graph.nodes["a"]["pos"] == (0.0, 0.0)
 
 
 class TestCanonicalEdge:

@@ -196,7 +196,10 @@ class TestGeometryProperties:
     )
     def test_bbox_contains_inputs(self, points):
         box = BBox.from_points(points)
-        assert all(box.contains_point(p, eps=1e-9) for p in points)
+        assert all(
+            box.min_x <= x <= box.max_x and box.min_y <= y <= box.max_y
+            for x, y in points
+        )
 
 
 timestamp_lists = st.lists(
@@ -214,18 +217,6 @@ class TestModelProperties:
             model = factory().fit(times)
             value = model.predict(probe)
             assert 0.0 <= value <= len(times)
-
-    @settings(max_examples=60, deadline=None)
-    @given(times=timestamp_lists)
-    def test_range_additivity(self, times):
-        model = PiecewiseLinearModel().fit(times)
-        lo, hi = min(times), max(times)
-        mid = (lo + hi) / 2
-        total = model.predict_range(lo - 1, hi + 1)
-        split = model.predict_range(lo - 1, mid) + model.predict_range(
-            mid, hi + 1
-        )
-        assert abs(total - split) < 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(times=timestamp_lists)

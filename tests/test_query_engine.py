@@ -60,10 +60,6 @@ class TestRangeQuery:
         assert query.with_bound(UPPER).bound == UPPER
         assert query.bound == LOWER  # original unchanged
 
-    def test_with_kind(self):
-        query = RangeQuery(BBox(0, 0, 1, 1), 0, 1)
-        assert query.with_kind(TRANSIENT).kind == TRANSIENT
-
     def test_hashable(self):
         q1 = RangeQuery(BBox(0, 0, 1, 1), 0, 1)
         q2 = RangeQuery(BBox(0, 0, 1, 1), 0, 1)

@@ -358,7 +358,7 @@ class TestBoundaryCacheLRU:
                 columns.interner, observed.edge_id, observed.direction,
                 observed.t, boundary_cache_size=2,
             )
-            assert form.boundary_cache_size == 2
+            assert form._boundary_cache_size == 2
             planner = CompiledQueryPlanner(network)
             chains = self._chains(planner, network, 3)
             if len(chains) < 3:
@@ -367,7 +367,7 @@ class TestBoundaryCacheLRU:
             for chain in chains:
                 for _ in range(2):
                     form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
-            assert form.boundary_cache_len == 2
+            assert len(form._boundaries) == 2
             assert registry.value(
                 "repro_csr_boundary_cache_total", outcome="evict"
             ) == 1
@@ -446,10 +446,10 @@ class TestBoundaryCacheLRU:
             ids, signs = chain.wall_ids, chain.signs
             t = workload.horizon / 2
             first = form.integrate_until_ids(ids, signs, t)  # ranked
-            assert form.boundary_cache_len == 0
+            assert len(form._boundaries) == 0
             assert self._compiles(registry) == 0
             second = form.integrate_until_ids(ids, signs, t)  # promoted
-            assert form.boundary_cache_len == 1
+            assert len(form._boundaries) == 1
             assert self._compiles(registry) == 1
             third = form.integrate_between_ids(ids, signs, 0.0, t)  # hit
             assert self._compiles(registry) == 1
@@ -467,7 +467,7 @@ class TestBoundaryCacheLRU:
                 chain.wall_ids, chain.signs
             )
             assert len(prefix) == len(times) + 1
-            assert form.boundary_cache_len == 1
+            assert len(form._boundaries) == 1
             assert self._compiles(registry) == 1
             # The very first integration is then already a hit.
             form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
@@ -498,7 +498,7 @@ class TestBoundaryCacheLRU:
                 form._seen.clear()  # every query meets a cold chain
                 assert _key(engine.execute(query)) == _key(want)
             assert self._compiles(registry) == 0
-            assert form.boundary_cache_len == 0
+            assert len(form._boundaries) == 0
 
     def test_zero_cap_disables_caching(self, deployment):
         network, _, workload = deployment
@@ -515,7 +515,7 @@ class TestBoundaryCacheLRU:
         v1 = form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
         v2 = form.integrate_until_ids(chain.wall_ids, chain.signs, 1.0)
         assert v1 == v2
-        assert form.boundary_cache_len == 0
+        assert len(form._boundaries) == 0
 
 
 # ----------------------------------------------------------------------

@@ -159,9 +159,9 @@ class TestPlainFormRank:
             _brute(edge_id, direction, t, wall_ids, signs, x) for x in when
         ]
         first = form.integrate_at_ids(wall_ids, signs, when)  # ranks
-        assert form.boundary_cache_len == 0
+        assert len(form._boundaries) == 0
         second = form.integrate_at_ids(wall_ids, signs, when)  # promotes
-        assert form.boundary_cache_len == 1
+        assert len(form._boundaries) == 1
         third = form.integrate_at_ids(wall_ids, signs, when)  # hits
         assert first.tolist() == second.tolist() == third.tolist() == expected
         assert form.integrate_until_ids(wall_ids, signs, when[0]) == expected[0]
@@ -565,11 +565,11 @@ class TestSketchEstimate:
         sketch = EdgeCountSketch.from_columns(columns, bins=bins)
         wall_ids = np.array([c[0] for c in chain])  # 5, 6: unknown ids
         signs = np.array([c[1] for c in chain])
-        bin_of = np.floor(t / sketch.bin_width)
+        bin_of = np.floor(t / sketch._bin_width)
         weight = np.where(direction == 0, 1, -1)
 
         def brute(when):
-            q = np.floor(when / sketch.bin_width)
+            q = np.floor(when / sketch._bin_width)
             estimate = bound = 0
             for eid, sign in zip(wall_ids, signs):
                 on_edge = edge_id == eid

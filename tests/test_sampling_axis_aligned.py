@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import SelectionError
-from repro.geometry import BBox
-from repro.mobility import EXT
-from repro.sampling import (
+from lib.axis_aligned import (
     calibrate_grid_to_walls,
     grid_decomposition_network,
     kd_decomposition_network,
 )
+from repro.errors import SelectionError
+from repro.geometry import BBox
+from repro.mobility import EXT
 from repro.trajectories import occupancy_count
 
 
@@ -100,7 +100,6 @@ class TestDeadSpaceEffect:
         the placement-based planar graph needs fewer communication
         sensors per query than a grid decomposition."""
         from repro.query import QueryEngine, RangeQuery
-        from repro.sampling import calibrate_grid_to_walls
 
         shape = calibrate_grid_to_walls(
             organic_domain, len(sampled_net.walls)

@@ -153,7 +153,9 @@ class TestOverlapAtoms:
         region = grid_domain.junctions_in_bbox(BBox(3, 3, 7, 7))
         atoms = overlap_atoms(grid_domain, [region])
         atom = atoms[0]
-        assert atom.cost == len(grid_domain.inward_boundary_edges(region))
+        assert len(atom.boundary) == len(
+            grid_domain.inward_boundary_edges(region)
+        )
 
     def test_empty_history_rejected(self, grid_domain):
         with pytest.raises(SelectionError):

@@ -305,10 +305,10 @@ class TestCompressedEquivalence:
         wall32 = wall64.astype(np.int32)
         signs64 = np.array([1, -1, 1], dtype=np.int64)
         signs8 = signs64.astype(np.int8)
-        before = compressed.boundary_cache_len
+        before = len(compressed._boundaries)
         c1 = compressed.compile_boundary_ids(wall64, signs64)
         c2 = compressed.compile_boundary_ids(wall32, signs8)
-        assert compressed.boundary_cache_len == before + 1
+        assert len(compressed._boundaries) == before + 1
         assert np.array_equal(c1[0], c2[0])
         assert np.array_equal(c1[1], c2[1])
 
