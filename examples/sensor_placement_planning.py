@@ -93,11 +93,13 @@ def main() -> None:
 
     print(
         "\nReading the table: every strategy improves as the budget "
-        "grows (Figs. 11a/12a\nof the paper).  At an equal *sensor* "
-        "budget the submodular plan spends its\nsensors on the walls "
-        "of the historical regions only, so it monitors the\nfewest "
-        "walls; the figure benchmarks compare it at an equal wall "
-        "budget."
+        "grows (Figs. 11a/12a\nof the paper).  Every budget here is a "
+        "number of communication *sensors*\n(FrameworkConfig.budget, "
+        "shown as a share of the candidate blocks), the\nsubmodular "
+        "selector's too.  At an equal sensor budget the submodular\nplan spends its sensors on the walls of the "
+        "historical regions only, so it\nmonitors the fewest walls; "
+        "the figure benchmarks instead give it an *edge*\nbudget (as "
+        "many walls as the quadtree network of that sensor count)."
     )
 
 

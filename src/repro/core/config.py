@@ -17,7 +17,12 @@ class FrameworkConfig:
 
     ``selector`` is one of ``uniform``, ``systematic``, ``stratified``,
     ``kdtree``, ``quadtree`` or ``submodular`` (the latter requires a
-    query history).  ``budget`` is the number of communication sensors.
+    query history).  ``budget`` is the number of communication sensors
+    for every selector, ``submodular`` included (its plan's marginal
+    cost is then the new incident sensor blocks; the figure harness,
+    ``benchmarks/lib``, instead gives that selector an *edge* budget —
+    as many monitored walls as a quadtree network of the same sensor
+    count — which ``FrameworkConfig`` does not offer).
     ``connectivity`` is ``triangulation`` or ``knn`` (§4.5);
     ``store`` picks the count representation: ``exact`` timestamps or
     one of the learned models (``linear``, ``polynomial``,

@@ -60,11 +60,6 @@ class Segment:
                 f"degenerate segment: both endpoints are {self.start}"
             )
 
-    @property
-    def midpoint(self) -> Point:
-        """Midpoint of the segment."""
-        return midpoint(self.start, self.end)
-
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """``(min_x, min_y, max_x, max_y)`` of the segment."""
         (x1, y1), (x2, y2) = self.start, self.end

@@ -72,9 +72,8 @@ class MobilityDomain:
         # Sorted-coordinate bbox index: junction indices ordered by x,
         # with the matching x/y coordinate arrays.  Rectangle probes
         # binary-search the x range and mask the y coordinates of that
-        # slice only, returning int32 junction-index arrays — the
-        # array-native counterpart of :meth:`junctions_in_bbox` used by
-        # the compiled query planner.
+        # slice only; the compiled query planner probes it directly
+        # (:meth:`bbox_index`), keeping a box's junctions as that slab.
         order = np.argsort(self._positions[:, 0], kind="stable")
         self._bbox_order = order.astype(np.int32)
         self._bbox_x = np.ascontiguousarray(self._positions[order, 0])

@@ -218,26 +218,27 @@ class PlanStage:
         and the row they make."""
         key = plan_key(query)
         plan = QueryPlan()
-        row = plan.row = self._read((key,))[0]
+        row = plan.row = self.table.get(key)
         if row is not None:
+            self.table.move_to_end(key)
             plan.junction_count, plan.regions, plan.chain, _ = row
             plan.edges = 0 if plan.chain is None else len(plan.chain)
             plan.hits = dict(_ALL_HIT[1 + bool(plan.junction_count) + (plan.regions is not None)])
             return plan
-        planner, bound = self.planner, query.bound
-        junctions = self._resolve(
-            plan, "junctions", _NO_ATTRS, planner.junction_ids, query.box
+        planner, bound, timed, stage_s = self.planner, query.bound, self.timed, plan.stage_s
+        junctions, stage_s["resolve_junctions"] = timed(
+            "query.resolve_junctions", _NO_ATTRS, planner.junction_ids, query.box
         )
         plan.junction_count = len(junctions)
         if plan.junction_count:
-            regions = plan.regions = self._resolve(
-                plan, "regions", {"bound": bound},
+            plan.regions, stage_s["approximate_region"] = timed(
+                "query.approximate_region", {"bound": bound},
                 planner.region_ids, junctions, bound,
             )
-            if regions is not None:
-                plan.chain = self._resolve(
-                    plan, "boundary", {"regions": len(regions)},
-                    planner.boundary, regions,
+            if plan.regions is not None:
+                plan.chain, stage_s["build_boundary"] = timed(
+                    "query.build_boundary", {"regions": len(plan.regions)},
+                    planner.boundary, plan.regions,
                 )
                 plan.edges = len(plan.chain)
         plan.row = [plan.junction_count, plan.regions, plan.chain, None]
@@ -263,19 +264,11 @@ class PlanStage:
             compute, args = planner.flood_sensors, (plan.regions,)
         else:
             compute, args = planner.chain_sensors, (plan.chain,)
-        plan.sensors = self._resolve(
-            plan, "sensors", self._mode, compute, *args
+        plan.sensors, plan.stage_s["account_sensors"] = self.timed(
+            "query.account_sensors", self._mode, compute, *args
         )
         plan.nodes = len(plan.sensors)
         row[3] = row[3] if served else plan.nodes
-
-    def _resolve(self, plan, table, attrs, compute, *args):
-        """One cold plan step under its ``query.<phase>`` span."""
-        phase = PLAN_PHASES[table]
-        value, plan.stage_s[phase] = self.timed(
-            "query." + phase, attrs, compute, *args
-        )
-        return value
 
     def timed(self, span, attrs, compute, *args):
         """``(compute(*args), seconds)``.  Spans are opened only on a

@@ -3,7 +3,8 @@
 One planner surface, two implementations.  The engine holds exactly
 one planner and never asks which kind it is; both expose
 
-- ``junction_ids(box)`` — the junction set ``R`` of the rectangle;
+- ``junction_ids(box)`` — the junction set ``R`` of the rectangle
+  (``len()`` = |R|);
 - ``region_ids(junctions, bound)`` — the sorted region tuple of the
   R2 (lower) / R1 (upper) approximation, ``None`` on a miss;
 - ``boundary(regions)`` — the inward boundary chain (``len()`` = |∂R|);
@@ -21,20 +22,25 @@ it (``QueryEngine(..., planner="python")``) as the independent oracle.
 
 :class:`CompiledQueryPlanner` re-expresses the same pipeline over the
 int32/CSR indexes a network compiles on first use
-(:meth:`~repro.sampling.SensorNetwork.compiled_index`):
+(:meth:`~repro.sampling.SensorNetwork.compiled_index`), which also
+holds the three tables a plan reads: every region's junction extent,
+the region of every junction in the domain's bbox-index x order, and
+the *sides* table (the two regions listing each wall, with the inward
+sign of the first):
 
-1. rectangle → junction *index array* via the domain's
-   sorted-coordinate bbox index (no set materialisation);
-2. lower-bound region approximation by membership counting — a region
-   is fully enclosed iff its ``np.bincount`` of in-bbox junctions
-   equals its size; the upper bound is one ``np.unique`` over the
-   touched regions;
-3. boundary-chain cancellation by wall-id occurrence counting over the
-   selected regions' concatenated CSR wall slices — interior walls
-   appear exactly twice (once per adjacent selected region) and drop
-   out, mirroring the chain cancellation of the boundary operator;
-4. sensor accounting by one gather + ``np.bincount`` over the dense
-   wall→owner table (or the junction→block table in flood mode) —
+1. rectangle → junction set as its x-slab of the sorted-coordinate
+   bbox index and the y-mask over that slab (:class:`JunctionSlab`:
+   two ``searchsorted`` and one mask, no gather, no sort);
+2. lower bound (R2): a region is enclosed exactly when its extent lies
+   in the inclusive box — four vectorised comparisons, and the NaN
+   extents of EXT and of empty regions never do; upper bound (R1): one
+   ``bincount`` of the slab's region column, a miss when EXT is in it;
+3. boundary chain: a wall is on the chain of a union of regions
+   exactly when one of its two sides is selected, signed inward from
+   that side — a member mask, two gathers through the sides table and
+   one ``nonzero``, ids ascending with no sort;
+4. sensor accounting by one gather of the dense wall→owner table into
+   a per-sensor mask (or the junction→block table in flood mode) —
    both lazily cached on the network's index, so constructing a
    planner is O(1);
 5. integration through the count store's id-native fast path
@@ -94,13 +100,29 @@ def _csr_rows(
     return csr_take(starts, lens), lens
 
 
+class JunctionSlab:
+    """The junction set ``R`` of a box as the compiled planner holds
+    it: the x-slab ``[lo, hi)`` of the domain's sorted-coordinate
+    index and the mask of the slab entries whose y lies in the box too.
+    ``len()`` is |R|."""
+
+    __slots__ = ("box", "lo", "hi", "inside", "count")
+
+    def __init__(self, box, lo: int, hi: int, inside: np.ndarray) -> None:
+        self.box, self.lo, self.hi, self.inside = box, lo, hi, inside
+        self.count = int(np.count_nonzero(inside))
+
+    def __len__(self) -> int:
+        return self.count
+
+
 @dataclass(frozen=True, slots=True)
 class BoundaryChain:
     """An id-native boundary chain: interned wall ids + orientation.
 
-    ``wall_ids`` is ascending (a by-product of the ``np.unique``
-    cancellation), ``signs`` is +1 where the inward traversal follows
-    the canonical edge orientation and -1 against it.
+    ``wall_ids`` is ascending (the sides table is in wall order),
+    ``signs`` is +1 where the inward traversal follows the canonical
+    edge orientation and -1 against it.
     """
 
     wall_ids: np.ndarray
@@ -235,9 +257,11 @@ class CompiledQueryPlanner:
         self.network = network
         self.domain = network.domain
         self.index = network.compiled_index()
+        self._bbox = self.domain.bbox_index()
         #: Dense-id universe size for the bincount scatter tables.
         self._n_walls = len(self.index.wo_offsets) - 1
-        self._other: Optional[np.ndarray] = None
+        #: Slots of a per-sensor table indexed by a shifted owner.
+        self._sensor_slots = int(self.index.wo_sensors.max(initial=-1)) + 2
 
     def describe(self) -> Dict[str, int]:
         """Static index sizes (the EXPLAIN header's ``index:`` line)."""
@@ -252,44 +276,53 @@ class CompiledQueryPlanner:
     # ------------------------------------------------------------------
     # Resolution pipeline
     # ------------------------------------------------------------------
-    def junction_ids(self, box) -> np.ndarray:
-        """Junction indices inside the rectangle (ascending int32)."""
-        return self.domain.junction_ids_in_bbox(box)
+    def junction_ids(self, box) -> JunctionSlab:
+        """The junctions inside the rectangle, as its x-slab of the
+        sorted-coordinate index and the y-mask over that slab."""
+        xs, ys, _ = self._bbox
+        lo = xs.searchsorted(box.min_x, "left")
+        hi = xs.searchsorted(box.max_x, "right")
+        y = ys[lo:hi]
+        return JunctionSlab(box, lo, hi, (y >= box.min_y) & (y <= box.max_y))
 
     def region_ids(
-        self, junction_ids: np.ndarray, bound: str
+        self, junctions: JunctionSlab, bound: str
     ) -> Optional[Tuple[int, ...]]:
         """Region approximation as a sorted tuple; ``None`` on a miss.
 
         Mirrors :meth:`SensorNetwork.lower_regions` /
         :meth:`~repro.sampling.SensorNetwork.upper_regions`: the lower
-        bound keeps regions whose in-bbox membership count equals their
-        size; the upper bound keeps every touched region and misses
-        when the EXT region is touched (no bounded superset exists).
+        bound keeps the regions whose junction extent lies in the
+        (inclusive) box; the upper bound keeps every region the box's
+        junctions fall in and misses when the EXT region is one of them
+        (no bounded superset exists).
         """
-        index = self.index
-        touched = index.region_of_junction[junction_ids]
-        counts = np.bincount(touched, minlength=index.n_regions)
         if bound == LOWER:
-            counts = (counts > 0) & (counts == index.region_size)
-            counts[index.ext_region] = False
-        elif counts[index.ext_region]:
-            return None
-        regions = np.flatnonzero(counts)
+            box = junctions.box
+            min_x, min_y, max_x, max_y = self.index.region_extent
+            selected = (
+                (min_x >= box.min_x) & (max_x <= box.max_x)
+                & (min_y >= box.min_y) & (max_y <= box.max_y)
+            )
+        else:
+            index = self.index
+            selected = np.bincount(
+                index.region_by_x[junctions.lo:junctions.hi][junctions.inside],
+                minlength=index.n_regions,
+            )
+            if selected[index.ext_region]:
+                return None
+        regions = selected.nonzero()[0]
         return tuple(regions.tolist()) if len(regions) else None
 
     def boundary(self, regions: Tuple[int, ...]) -> BoundaryChain:
-        """Boundary chain of a union of regions, by occurrence counting.
-
-        Each selected region contributes its inward wall slice; a wall
-        shared by two selected regions occurs twice (with opposite
-        signs) and cancels, exactly like the Python path's
-        ``region_of[u] not in selected`` test.
-        """
+        """Boundary chain of a union of regions: the walls exactly one
+        side of which is selected, each signed inward from that side —
+        a wall between two selected regions is interior and cancels,
+        exactly like the Python path's ``region_of[u] not in selected``
+        test."""
         index = self.index
-        if index.ext_region in regions:
-            raise QueryError("query regions cannot include the EXT region")
-        if len(regions) == 1:
+        if len(regions) == 1 and regions[0] != index.ext_region:
             # One region has no interior walls to cancel; its slice is
             # stored ascending, so it already is the canonical chain.
             lo = index.rw_offsets[regions[0]]
@@ -297,31 +330,25 @@ class CompiledQueryPlanner:
             return BoundaryChain(
                 index.rw_wall_ids[lo:hi], index.rw_signs[lo:hi]
             )
-        rows = np.asarray(regions, dtype=np.int64)
-        take, _ = _csr_rows(index.rw_offsets, rows)
-        if len(take) == 0:
-            return BoundaryChain(_EMPTY_I32, _EMPTY_I8)
-        ids = index.rw_wall_ids[take]
-        signs = index.rw_signs[take]
-        # Signed scatter-sum over the wall universe: a wall appears at
-        # most twice (once per adjacent region, opposite signs), so the
-        # net weight is ±1 on the boundary and 0 on cancelled interior
-        # walls.  No sort — unlike np.unique — and ids come out
-        # ascending from flatnonzero.
-        net = np.bincount(ids, weights=signs, minlength=self._n_walls)
-        wall_ids = np.flatnonzero(net)
-        return BoundaryChain(
-            wall_ids.astype(np.int32),
-            net[wall_ids].astype(np.int8),
-        )
+        member = np.zeros(index.n_regions, dtype=np.int8)
+        member[np.fromiter(regions, np.intp, len(regions))] = 1
+        if member[index.ext_region]:
+            raise QueryError("query regions cannot include the EXT region")
+        first, second = index.side_regions
+        # +1 where only the first side is selected, -1 where only the
+        # second is, 0 where both or neither are.
+        side = member[first] - member[second]
+        on = side.view(bool).nonzero()[0]
+        return BoundaryChain(index.side_walls[on], side[on] * index.side_signs[on])
 
     def chain_sensors(self, chain: BoundaryChain) -> np.ndarray:
-        """Unique owning sensors of a chain (ascending), one gather."""
-        if chain.size == 0:
-            return _EMPTY_I32
-        owners = self.index.wall_owners_dense()[chain.wall_ids].ravel()
-        # Shift by one so the -1 padding lands in slot 0, then drop it.
-        return np.flatnonzero(np.bincount(owners + 1)[1:])
+        """Unique owning sensors of a chain (ascending): one gather of
+        the shifted owner table into a per-sensor mask."""
+        owners = self.index.wall_owners_dense()
+        seen = np.zeros(self._sensor_slots, dtype=bool)
+        seen[owners[chain.wall_ids]] = True
+        seen[0] = False  # the padding's slot
+        return seen.nonzero()[0] - 1
 
     def flood_sensors(self, regions: Tuple[int, ...]) -> np.ndarray:
         """Unique blocks incident to any junction of the regions."""
@@ -337,27 +364,29 @@ class CompiledQueryPlanner:
 
     # ------------------------------------------------------------------
     # The batch surface: the same four steps, every distinct key of a
-    # batch at once.  Once a box is a set of region ids, membership and
-    # sensor accounting are counts over integer pair keys
+    # batch at once, by the same rules: R2 from the region extents,
+    # R1 from the boxes' region columns, a wall on a chain when its far
+    # side is not selected — one gather from the rows' membership
+    # table — and sensors counted over integer pair keys
     # ``row * universe + id`` that one ``np.bincount`` answers for all
-    # rows together, and chain cancellation is one gather from the
-    # rows' membership table.  Rows are cut into slices
+    # rows together.  Rows are cut into slices
     # (:func:`_row_slices`) wherever a step allocates per row.  A plan
     # table row keeps its chain as a view of its batch's ChainBatch;
     # ``join_chains`` joins held chains into a new one.
     # ------------------------------------------------------------------
     def batch_junctions(
         self, boxes: Sequence
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray], List[int]]:
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[int]]:
         """The junctions inside each box (``(min_x, min_y, max_x,
         max_y)``), as one CSR over the boxes of their **region ids**
-        (all the region step reads of them), and the junction count per
-        box.  Both x-bounds of every box are two ``searchsorted`` calls
-        on the sorted-coordinate index; the y-filter runs over the
-        x-slabs (a slab is at most every junction: that is a row's
-        scratch)."""
-        xs, ys, order = self.domain.bbox_index()
-        x0, y0, x1, y1 = np.array(boxes).reshape(-1, 4).T
+        plus the boxes' corners (all the region step reads of them),
+        and the junction count per box.  Both x-bounds of every box are
+        two ``searchsorted`` calls on the sorted-coordinate index; the
+        y-filter runs over the x-slabs (a slab is at most every
+        junction: that is a row's scratch)."""
+        xs, ys, _ = self._bbox
+        corners = np.array(boxes).reshape(-1, 4)
+        x0, y0, x1, y1 = corners.T
         lo = np.searchsorted(xs, x0, side="left")
         slab = np.maximum(np.searchsorted(xs, x1, side="right") - lo, 0)
         counts = np.zeros(len(boxes), dtype=np.int64)
@@ -372,36 +401,39 @@ class CompiledQueryPlanner:
             )
             row = np.repeat(np.arange(start, stop), width)
             counts += np.bincount(row[keep], minlength=len(boxes))
-            inside.append(order[take[keep]])
-        touched = self.index.region_of_junction[np.concatenate(inside)]
+            inside.append(self.index.region_by_x[take[keep]])
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        return (offsets, touched), counts.tolist()
+        return (offsets, np.concatenate(inside), corners), counts.tolist()
 
     def batch_regions(
         self, found, boxes: Sequence[int], bounds: Sequence[str]
     ) -> List[Optional[Tuple[int, ...]]]:
         """:meth:`region_ids` of every (box row of ``found``, bound)
-        pair: one membership count over ``pair * n_regions + region``
-        keys per slice of pairs."""
+        pair, by the same two rules over a slice of pairs at once: a
+        lower bound's regions from its box's four comparisons against
+        every extent, an upper bound's from scattering its junctions'
+        regions into the slice's membership table."""
         index = self.index
-        offsets, touched = found
+        offsets, touched, corners = found
         boxes = np.asarray(boxes, dtype=np.int64)
         lower = np.array([bound == LOWER for bound in bounds], dtype=bool)
         n, ext = index.n_regions, index.ext_region
+        min_x, min_y, max_x, max_y = index.region_extent
         out: List[Optional[Tuple[int, ...]]] = []
         for start, stop in _row_slices(len(boxes), n):
             rows = stop - start
-            take, lens = _csr_rows(offsets, boxes[start:stop])
-            keys = np.repeat(np.arange(rows) * n, lens) + touched[take]
-            counts = np.bincount(keys, minlength=rows * n).reshape(rows, n)
-            member = counts > 0
-            enclosed = lower[start:stop]
-            member[enclosed] &= counts[enclosed] == index.region_size
-            # A lower bound drops the EXT region; an upper bound that
-            # touches it has no bounded superset and misses.
-            open_ended = member[:, ext] & ~enclosed
-            member[:, ext] = False
-            member[open_ended] = False
+            member = np.zeros((rows, n), dtype=bool)
+            enclosed = np.flatnonzero(lower[start:stop])
+            x0, y0, x1, y1 = corners[boxes[start + enclosed]].T[..., None]
+            member[enclosed] = (
+                (min_x >= x0) & (max_x <= x1) & (min_y >= y0) & (max_y <= y1)
+            )
+            covering = np.flatnonzero(~lower[start:stop])
+            take, lens = _csr_rows(offsets, boxes[start + covering])
+            member[np.repeat(covering, lens), touched[take]] = True
+            # An upper bound that touches the EXT region has no bounded
+            # superset and misses (no extent puts EXT in a lower one).
+            member[member[:, ext]] = False
             pair, region = np.nonzero(member)
             ends = np.cumsum(np.bincount(pair, minlength=rows)).tolist()
             region = region.tolist()
@@ -409,34 +441,17 @@ class CompiledQueryPlanner:
                 out.append(tuple(region[begin:end]) if end > begin else None)
         return out
 
-    def _across(self) -> np.ndarray:
-        """Per entry of the region → wall CSR, the region listing the
-        same wall from its other side (``n_regions`` where none does):
-        a wall is on the boundary of a union of regions exactly when
-        one side of it is selected and the other is not."""
-        if self._other is None:
-            index = self.index
-            walls = index.rw_wall_ids
-            own = np.repeat(
-                np.arange(index.n_regions), np.diff(index.rw_offsets)
-            )
-            both = np.bincount(walls, weights=own, minlength=self._n_walls)
-            paired = np.bincount(walls, minlength=self._n_walls) == 2
-            self._other = np.where(
-                paired[walls], both[walls] - own, index.n_regions
-            ).astype(np.int64)
-        return self._other
-
     def batch_chains(
         self, regions: Sequence[Tuple[int, ...]]
     ) -> ChainBatch:
         """:meth:`boundary` of every region tuple, without a wall
         universe per row: of the selected regions' wall slices, the
-        entries whose far side (:meth:`_across`) is not selected in
-        the same row — one gather from the rows' membership table —
-        sorted by ``row * n_walls + wall`` into ascending chains."""
+        entries whose far side (the index's ``rw_across``) is not
+        selected in the same row — one gather from the rows'
+        membership table — sorted by ``row * n_walls + wall`` into
+        ascending chains."""
         index, n = self.index, self._n_walls
-        across, width = self._across(), index.n_regions + 1
+        across, width = index.rw_across, index.n_regions
         sizes = np.fromiter(map(len, regions), np.int64, len(regions))
         flat = np.fromiter(flatten.from_iterable(regions), np.int64)
         ends = np.cumsum(sizes)
@@ -474,16 +489,15 @@ class CompiledQueryPlanner:
         """``len(chain_sensors(chain))`` of every chain: one gather
         over the dense owner table, owners counted once per chain over
         ``chain * sensors + owner`` keys."""
-        owners = self.index.wall_owners_dense()
-        n = int(owners.max()) + 2 if owners.size else 1
+        owners, n = self.index.wall_owners_dense(), self._sensor_slots
         sizes = np.diff(chains.offsets)
         out = []
         for start, stop in _row_slices(len(sizes), n):
             rows = stop - start
             link = slice(chains.offsets[start], chains.offsets[stop])
             row = np.repeat(np.arange(rows), sizes[start:stop])
-            # Shift by one so the -1 padding lands in column 0.
-            keys = owners[chains.wall_ids[link]] + (row * n + 1)[:, None]
+            # The padding lands in column 0.
+            keys = owners[chains.wall_ids[link]] + (row * n)[:, None]
             seen = np.bincount(keys.ravel(), minlength=rows * n)
             out += np.count_nonzero(
                 seen.reshape(rows, n)[:, 1:], axis=1

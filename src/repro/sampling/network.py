@@ -382,9 +382,13 @@ class CompiledNetworkIndex:
     n_regions: int
     #: Region id of each junction (indexed by junction index).
     region_of_junction: np.ndarray
-    #: Number of junctions in each region (indexed by region id; the
-    #: EXT region counts its junctions, not the EXT node itself).
-    region_size: np.ndarray
+    #: Region id of each entry of the domain's sorted-coordinate bbox
+    #: index (:meth:`MobilityDomain.bbox_index`, x order).
+    region_by_x: np.ndarray
+    #: ``(4, n_regions)`` junction extent of each region — rows min x,
+    #: min y, max x, max y; NaN for the EXT region and for empty ones,
+    #: so no box encloses either.
+    region_extent: np.ndarray
     #: CSR region → junction indices (sorted within each region).
     rj_offsets: np.ndarray
     rj_junctions: np.ndarray
@@ -392,6 +396,16 @@ class CompiledNetworkIndex:
     rw_offsets: np.ndarray
     rw_wall_ids: np.ndarray
     rw_signs: np.ndarray
+    #: Per CSR entry, the region listing the same wall from its other
+    #: side.
+    rw_across: np.ndarray
+    #: The sides table: every wall two regions list (ascending id), the
+    #: ``(2, walls)`` regions listing it and the inward sign of the
+    #: first (the second's is its negation).  A dangling wall — both
+    #: sides in one region — is listed by no region, hence not here.
+    side_walls: np.ndarray
+    side_regions: np.ndarray
+    side_signs: np.ndarray
     #: CSR wall id → owning communication sensors (sorted per wall).
     wo_offsets: np.ndarray
     wo_sensors: np.ndarray
@@ -406,65 +420,60 @@ class CompiledNetworkIndex:
         domain = network.domain
         interner = domain.edge_interner
         junction_index = domain.junction_index
-        n_junctions = domain.junction_count
         n_regions = len(network._regions)
 
-        region_of_junction = np.empty(n_junctions, dtype=np.int32)
+        region_of_junction = np.empty(domain.junction_count, dtype=np.int32)
         for node, region in network._region_of.items():
-            if node == EXT:
-                continue
-            region_of_junction[junction_index[node]] = region
-        region_size = np.zeros(n_regions, dtype=np.int64)
-        for region, members in network._regions.items():
-            region_size[region] = len(members)
+            if node != EXT:
+                region_of_junction[junction_index[node]] = region
 
         # CSR region → junctions: a stable argsort groups junction
         # indices by region, ascending within each region.
         counts = np.bincount(region_of_junction, minlength=n_regions)
-        rj_offsets = np.concatenate(
-            ([0], np.cumsum(counts))
-        ).astype(np.int64)
-        rj_junctions = np.argsort(
-            region_of_junction, kind="stable"
-        ).astype(np.int32)
+        rj_offsets = np.concatenate(([0], np.cumsum(counts)))
+        rj_junctions = np.argsort(region_of_junction, kind="stable").astype(np.int32)
 
-        # CSR region → inward walls with orientation signs.
-        wall_counts = np.zeros(n_regions, dtype=np.int64)
-        for region, inward in network._region_walls.items():
-            wall_counts[region] = len(inward)
-        rw_offsets = np.concatenate(
-            ([0], np.cumsum(wall_counts))
-        ).astype(np.int64)
-        rw_wall_ids = np.empty(int(rw_offsets[-1]), dtype=np.int32)
-        rw_signs = np.empty(int(rw_offsets[-1]), dtype=np.int8)
+        # CSR region → inward walls with orientation signs, by wall id
+        # within a region: a single region's slice is already a
+        # canonical ascending chain (the planner's fast path).
         intern = interner.intern
-        for region, inward in network._region_walls.items():
-            # Sorted by wall id so a single region's slice is already a
-            # canonical ascending chain (the planner's fast path).
-            interned = sorted(intern(u, v) for u, v in inward)
-            cursor = int(rw_offsets[region])
-            for eid, forward in interned:
-                rw_wall_ids[cursor] = eid
-                rw_signs[cursor] = 1 if forward else -1
-                cursor += 1
+        region, eid, forward = np.array([
+            (region, *intern(u, v))
+            for region, inward in network._region_walls.items() for u, v in inward
+        ], dtype=np.int64).reshape(-1, 3).T
+        by_region = np.lexsort((eid, region))
+        own = region[by_region]
+        rw_offsets = np.concatenate(([0], np.cumsum(np.bincount(own, minlength=n_regions))))
+        rw_wall_ids = eid[by_region].astype(np.int32)
+        rw_signs = np.where(forward[by_region] > 0, 1, -1).astype(np.int8)
+
+        # Extents, from the coordinates of the bbox index.
+        xs, ys, order = domain.bbox_index()
+        region_by_x = region_of_junction[order]
+        corners = np.stack((xs, ys))[:, np.argsort(region_by_x, kind="stable")]
+        full = counts > 0
+        region_extent = np.full((4, n_regions), np.nan)
+        region_extent[:2, full] = np.minimum.reduceat(corners, rj_offsets[:-1][full], axis=1)
+        region_extent[2:, full] = np.maximum.reduceat(corners, rj_offsets[:-1][full], axis=1)
+        region_extent[:, network.ext_region] = np.nan
+
+        # Sides: a wall between two regions is listed once by each, so
+        # its two entries are adjacent in wall order.
+        by_wall = np.argsort(rw_wall_ids, kind="stable")
+        first, second = by_wall[0::2], by_wall[1::2]
+        assert np.array_equal(rw_wall_ids[first], rw_wall_ids[second])
+        rw_across = np.empty_like(own)
+        rw_across[first], rw_across[second] = own[second], own[first]
 
         # CSR wall id → owners, over the interner's full id space so
         # chain gathers can index it directly.  Walls are interned
         # first: dangling walls of ad-hoc networks may lie outside the
         # pre-seeded sensing-edge table.
         wall_ids = {wall: intern(*wall)[0] for wall in network.walls}
-        n_ids = len(interner)
-        owner_lists: List[Sequence[int]] = [()] * n_ids
-        for wall, eid in wall_ids.items():
-            owner_lists[eid] = sorted(network.wall_sensors(*wall))
-        owner_counts = np.fromiter(
-            (len(owners) for owners in owner_lists),
-            dtype=np.int64,
-            count=n_ids,
-        )
-        wo_offsets = np.concatenate(
-            ([0], np.cumsum(owner_counts))
-        ).astype(np.int64)
+        owner_lists: List[Sequence[int]] = [()] * len(interner)
+        for wall, wall_id in wall_ids.items():
+            owner_lists[wall_id] = sorted(network.wall_sensors(*wall))
+        wo_offsets = np.concatenate(([0], np.cumsum([len(o) for o in owner_lists], dtype=np.int64)))
         wo_sensors = np.array(
             [s for owners in owner_lists for s in owners], dtype=np.int32
         )
@@ -473,18 +482,25 @@ class CompiledNetworkIndex:
             ext_region=network.ext_region,
             n_regions=n_regions,
             region_of_junction=region_of_junction,
-            region_size=region_size,
+            region_by_x=region_by_x,
+            region_extent=region_extent,
             rj_offsets=rj_offsets,
             rj_junctions=rj_junctions,
             rw_offsets=rw_offsets,
             rw_wall_ids=rw_wall_ids,
             rw_signs=rw_signs,
+            rw_across=rw_across,
+            side_walls=rw_wall_ids[first],
+            side_regions=np.stack((own[first], own[second])),
+            side_signs=rw_signs[first],
             wo_offsets=wo_offsets,
             wo_sensors=wo_sensors,
         )
 
     def wall_owners_dense(self) -> np.ndarray:
-        """Dense wall id → owners matrix, padded with -1 (lazy).
+        """Dense wall id → owners matrix (lazy), each owner stored as
+        its sensor id **plus one** and padded with 0: a gather indexes
+        a per-sensor table directly, the padding landing in slot 0.
 
         Owner lists are tiny (one or two sensors per wall), so a matrix
         row gather beats a CSR gather on the hot perimeter path.
@@ -492,12 +508,12 @@ class CompiledNetworkIndex:
         if self.wo_dense is None:
             counts = np.diff(self.wo_offsets)
             width = int(counts.max()) if len(counts) else 0
-            dense = np.full((len(counts), max(width, 1)), -1, dtype=np.int32)
+            dense = np.zeros((len(counts), max(width, 1)), dtype=np.intp)
             for column in range(width):
                 rows = np.flatnonzero(counts > column)
                 dense[rows, column] = self.wo_sensors[
                     self.wo_offsets[rows] + column
-                ]
+                ] + 1
             self.wo_dense = dense
         return self.wo_dense
 

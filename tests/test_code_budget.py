@@ -43,7 +43,14 @@ LIB_ROW = "benchmarks/lib"
 
 #: package → code-line ceiling: the current size rounded up to 10 for
 #: every row a PR touched (``test_ceilings_are_tight`` keeps the rest
-#: within 50).  Last moved when the experiment-only code left
+#: within 50).  Last moved when the compiled planner came to plan a
+#: cold query from region extents and wall sides (the signed wall
+#: scatter, ``_across`` and the per-step ``_resolve`` went) and the
+#: method read-guard stopped counting ``__all__`` entries as reads
+#: (``Segment.midpoint`` went): ``query`` 1720 → 1710, ``geometry``
+#: 430 → 420; ``sampling`` stays 470 (469: the extent and sides
+#: tables fit into a shorter index build).
+#: Before that, when the experiment-only code left
 #: ``src/``: the figure harness (``Pipeline``, ``evaluate``, the
 #: ``Summary`` metric, tables, SVG charts), the Euler-histogram and
 #: FM-sketch comparison systems, the dead-space decompositions and the
@@ -84,7 +91,7 @@ LIB_ROW = "benchmarks/lib"
 #: ``execute_batch([q])`` measures 324 µs against ``execute(q)``'s 141
 #: (CHANGES.md).
 CEILINGS = {
-    "query": 1720,
+    "query": 1710,
     "obs": 880,
     "forms": 1080,
     "evaluation": 120,
@@ -93,7 +100,7 @@ CEILINGS = {
     TOP_LEVEL: 380,
     "sampling": 470,
     "core": 560,
-    "geometry": 430,
+    "geometry": 420,
     "mobility": 410,
     "selection": 520,
     "trajectories": 430,
@@ -203,6 +210,23 @@ def _readers() -> dict:
     return {path: path.read_text() for path in sorted(set(paths))}
 
 
+def _without_all(source: str) -> str:
+    """``source`` with its ``__all__`` assignments blanked: an export
+    list names a module-level name, never reads a method."""
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+            else []
+        )
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (
+                node.end_lineno - node.lineno + 1
+            )
+    return "\n".join(lines)
+
+
 def _checked_in_tests(kept: dict, defined: set, key) -> None:
     tests = [
         path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))
@@ -250,9 +274,11 @@ def test_every_public_method_is_read():
     ``src/repro`` and ``benchmarks/lib`` is read as ``.name`` by its
     own module or by another reader (program, benchmark, example), or
     named as a quoted string by one (``getattr`` dispatch, the e2e
-    layer wrappers that patch methods by name) — or it is in
-    :data:`METHODS_KEPT_FOR_TESTS`, and a test reads it."""
+    layer wrappers that patch methods by name; an ``__all__`` entry is
+    not a read) — or it is in :data:`METHODS_KEPT_FOR_TESTS`, and a
+    test reads it."""
     modules, readers = _program_modules(), _readers()
+    unexported = {path: _without_all(text) for path, text in readers.items()}
     defined, unread = set(), []
     for path, source in modules.items():
         for node in ast.parse(source).body:
@@ -268,9 +294,8 @@ def test_every_public_method_is_read():
                 attribute = _attribute(member.name)
                 quoted = re.compile(rf"[\"']{re.escape(member.name)}[\"']")
                 if qualified in METHODS_KEPT_FOR_TESTS or any(
-                    attribute.search(text) or quoted.search(text)
-                    for text in (source, *readers.values())
-                ):
+                    attribute.search(text) for text in (source, *readers.values())
+                ) or any(quoted.search(text) for text in unexported.values()):
                     continue
                 unread.append(f"{path.relative_to(ROOT)}: {qualified}")
     assert not unread, (

@@ -43,9 +43,6 @@ class TestSegment:
         with pytest.raises(GeometryError):
             Segment((1, 1), (1, 1))
 
-    def test_midpoint_property(self):
-        assert Segment((0, 0), (4, 6)).midpoint == (2.0, 3.0)
-
     def test_bounding_box_ordering(self):
         seg = Segment((5, 1), (2, 7))
         assert seg.bounding_box() == (2, 1, 5, 7)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.forms import CompiledTrackingForm
@@ -19,16 +21,23 @@ from repro.geometry import BBox
 from repro.mobility import MobilityDomain, grid_city, organic_city
 from repro.network import FaultConfig, FaultInjector
 from repro.obs import use_registry
+from repro.planar import canonical_edge
 from repro.query import (
     LOWER,
     STATIC,
     TRANSIENT,
     UPPER,
     CompiledQueryPlanner,
+    PythonQueryPlanner,
     QueryEngine,
     RangeQuery,
 )
-from repro.sampling import CompiledNetworkIndex, sampled_network
+from repro.sampling import (
+    CompiledNetworkIndex,
+    SensorNetwork,
+    full_network,
+    sampled_network,
+)
 from repro.selection import QuadTreeSelector, SensorCandidates
 from repro.trajectories import EventColumns, WorkloadConfig, generate_workload
 
@@ -110,10 +119,16 @@ class TestCompiledNetworkIndex:
             assert junction in network.region_junctions(region)
         for region in range(index.n_regions):
             members = network.region_junctions(region)
-            assert int(index.region_size[region]) == len(members)
             lo, hi = index.rj_offsets[region], index.rj_offsets[region + 1]
+            assert hi - lo == len(members)
             csr = {junctions[j] for j in index.rj_junctions[lo:hi]}
             assert csr == set(members)
+            extent = index.region_extent[:, region]
+            if region == index.ext_region or not members:
+                assert np.isnan(extent).all()
+                continue
+            points = np.array([network.domain.position(j) for j in members])
+            assert extent.tolist() == [*points.min(axis=0), *points.max(axis=0)]
 
     def test_region_walls_roundtrip(self, deployment):
         network, _, _ = deployment
@@ -292,6 +307,144 @@ class TestPlannerEdgeCases:
         planner = CompiledQueryPlanner(network)
         with pytest.raises(QueryError):
             planner.boundary((network.ext_region,))
+
+
+# ----------------------------------------------------------------------
+# The extent/side resolve against the junction resolve, generated
+# ----------------------------------------------------------------------
+def _with_dangling_wall(network):
+    """``network`` plus one wall both of whose sides lie in one region
+    (a road inside a region that stays connected without it)."""
+    for u, v in network.domain.graph.edges():
+        wall = canonical_edge(u, v)
+        if wall in network.walls:
+            continue
+        candidate = SensorNetwork(
+            network.domain, network.sensors, network.walls | {wall},
+            wall_owners=network.wall_owners,
+        )
+        if candidate.region_of(u) == candidate.region_of(v):
+            return candidate
+    raise AssertionError("no road closes a cycle inside a region")
+
+
+@pytest.fixture(scope="module")
+def resolve_worlds():
+    """Name → (network, junction coordinates): a sampled network, the
+    full one and a sampled one with a dangling wall, on one domain."""
+    domain = MobilityDomain(organic_city(blocks=50, rng=np.random.default_rng(11)))
+    chosen = QuadTreeSelector().select(
+        SensorCandidates.from_domain(domain), 10, np.random.default_rng(12)
+    )
+    sampled = sampled_network(domain, chosen)
+    dangling = _with_dangling_wall(sampled)
+    points = np.array([domain.position(j) for j in domain.junctions])
+    return {
+        name: (network, points)
+        for name, network in (
+            ("sampled", sampled), ("full", full_network(domain)), ("dangling", dangling),
+        )
+    }
+
+
+@st.composite
+def _probe_box(draw, network, points):
+    """A box of one of the shapes the extent rule must get right."""
+    xs, bounds = np.unique(points[:, 0]), network.domain.bounds
+    shape = draw(st.sampled_from(
+        ["corners", "zero_width", "no_junction", "region", "whole", "random"]
+    ))
+    if shape == "whole":  # touches EXT: the upper bound misses
+        return BBox(bounds.min_x - 1, bounds.min_y - 1, bounds.max_x + 1, bounds.max_y + 1)
+    if shape == "region":  # one region's extent, edges on its junctions
+        regions = [r for r in network.region_ids if network.region_junctions(r)]
+        members = network.region_junctions(draw(st.sampled_from(regions)))
+        at = points[[network.domain.junction_index[j] for j in members]]
+        return BBox(*at.min(axis=0), *at.max(axis=0))
+    if shape == "no_junction":  # a sliver between two junction columns
+        k = draw(st.integers(0, len(xs) - 2))
+        x = (xs[k] + xs[k + 1]) / 2
+        return BBox(x, bounds.min_y, x, bounds.max_y)
+    i, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2))
+    (x0, y0), (x1, y1) = np.sort(points[[i, j]], axis=0)
+    if shape == "zero_width":  # both x edges on one junction
+        return BBox(points[i, 0], y0, points[i, 0], y1)
+    if shape == "random":
+        unit = st.floats(0.0, 1.0)
+        x0, x1 = sorted(bounds.min_x + draw(unit) * bounds.width for _ in range(2))
+        y0, y1 = sorted(bounds.min_y + draw(unit) * bounds.height for _ in range(2))
+    return BBox(x0, y0, x1, y1)
+
+
+def _expected_chain(network, edges):
+    """The reference chain's directed edges as ascending wall ids and
+    inward signs."""
+    interned = sorted(network.domain.edge_interner.intern(u, v) for u, v in edges)
+    return (
+        np.array([eid for eid, _ in interned], dtype=np.int32),
+        np.array([1 if forward else -1 for _, forward in interned], dtype=np.int8),
+    )
+
+
+def _assert_same_chain(network, chain, edges):
+    ids, signs = _expected_chain(network, edges)
+    assert chain.wall_ids.dtype == np.int32 and chain.signs.dtype == np.int8
+    assert np.array_equal(chain.wall_ids, ids)
+    assert np.array_equal(chain.signs, signs)
+
+
+class TestExtentSideResolve:
+    """The compiled planner's rules — R2 from region extents, R1 from
+    the x-slab's region column, ∂R from the sides table — against the
+    reference junction resolve of :class:`PythonQueryPlanner`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_junction_resolve(self, resolve_worlds, data):
+        network, points = resolve_worlds[data.draw(st.sampled_from(sorted(resolve_worlds)))]
+        box = data.draw(_probe_box(network, points))
+        compiled, python = CompiledQueryPlanner(network), PythonQueryPlanner(network)
+        slab, junctions = compiled.junction_ids(box), python.junction_ids(box)
+        assert len(slab) == len(junctions)
+        for bound in (LOWER, UPPER):
+            regions = compiled.region_ids(slab, bound)
+            assert regions == python.region_ids(junctions, bound)
+            if regions is not None:
+                _assert_same_chain(network, compiled.boundary(regions), python.boundary(regions))
+
+    def test_shapes_resolve_as_named(self, resolve_worlds):
+        """Each box shape of the generated test does what it is named
+        for: the whole domain misses its upper bound through EXT, a
+        sliver holds no junction, a region's own extent encloses it."""
+        network, points = resolve_worlds["sampled"]
+        planner, bounds = CompiledQueryPlanner(network), network.domain.bounds
+        whole = planner.junction_ids(BBox(
+            bounds.min_x - 1, bounds.min_y - 1, bounds.max_x + 1, bounds.max_y + 1
+        ))
+        assert len(whole) == len(points) and planner.region_ids(whole, UPPER) is None
+        xs = np.unique(points[:, 0])
+        sliver = (xs[0] + xs[1]) / 2
+        empty = planner.junction_ids(BBox(sliver, bounds.min_y, sliver, bounds.max_y))
+        assert len(empty) == 0 and planner.region_ids(empty, LOWER) is None
+        for region in network.region_ids:
+            at = points[[network.domain.junction_index[j]
+                         for j in network.region_junctions(region)]]
+            own = planner.junction_ids(BBox(*at.min(axis=0), *at.max(axis=0)))
+            assert region in planner.region_ids(own, LOWER)
+
+    def test_dangling_wall_cancels(self, resolve_worlds):
+        """A wall both of whose sides are one region is on no chain:
+        not on that region's, nor on any union holding it."""
+        network, _ = resolve_worlds["dangling"]
+        (wall,) = network.walls - resolve_worlds["sampled"][0].walls
+        wall_id = network.domain.edge_interner.intern(*wall)[0]
+        region = network.region_of(wall[0])
+        compiled, python = CompiledQueryPlanner(network), PythonQueryPlanner(network)
+        others = [r for r in network.region_ids if r != region]
+        for regions in ((region,), tuple(sorted([region, *others[:1]])), tuple(network.region_ids)):
+            chain = compiled.boundary(regions)
+            assert wall_id not in chain.wall_ids.tolist()
+            _assert_same_chain(network, chain, python.boundary(regions))
 
 
 # ----------------------------------------------------------------------
