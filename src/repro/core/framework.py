@@ -9,9 +9,11 @@ pipeline with a small surface:
 >>> result = framework.query(box, t1, t2)          # lower-bound static
 >>> result.value, result.nodes_accessed
 
-The framework keeps both the deployed (sampled) configuration and the
-full reference network, so callers can ask for the exact answer too
-(``query_exact``) and measure the approximation themselves.
+The framework keeps the deployed (sampled) configuration and the raw
+event log.  The exact answer (``query_exact``) is the evaluation's
+ground truth: its full reference network and form are built from the
+log when it is first asked for, never on ingest, so callers can still
+measure the approximation themselves.
 """
 
 from __future__ import annotations
@@ -108,9 +110,13 @@ class InNetworkFramework:
         #: wants the whole log.
         self._log: List[EventColumns] = [columnarize(domain, ())]
         self._form: Optional[TrackingForm] = None
-        #: The exact reference form; ``None`` also after a streaming
-        #: append left it stale (``query_exact`` rebuilds it).
+        #: The full reference network and its form, built by the first
+        #: ``query_exact``; every ingest and re-deploy drops the form.
+        self._full: Optional[SensorNetwork] = None
         self._full_form: Optional[TrackingForm] = None
+        #: Whether anything was ingested: ``query_exact`` answers from
+        #: then on (a streaming deployment answers from the start).
+        self._ingested = False
         self._store: Optional[EdgeCountStore] = None
         self._sharded: Optional[ShardedQueryEngine] = None
         #: :meth:`query`'s default-dispatch engine with the key it was
@@ -121,8 +127,6 @@ class InNetworkFramework:
         self._streaming: Optional[StreamingEventStore] = None
         self._sketch = None
         self._closed = False
-        with self.obs.tracer.span("deploy.full_reference_network"):
-            self._full = full_network(domain)
         self._query_history: List[Set[NodeId]] = []
 
     @classmethod
@@ -273,9 +277,10 @@ class InNetworkFramework:
         stores from the whole log; with ``streaming=True`` the same
         columns are appended to the live
         :class:`~repro.stream.StreamingEventStore` — the query indexes
-        update incrementally (tail append, periodic compaction), the
-        cached sharded engine is invalidated, and the full reference
-        form is left stale (rebuilt lazily by :meth:`query_exact`).
+        update incrementally (tail append, periodic compaction) and
+        the cached sharded engine is invalidated.  Either way the full
+        reference form is dropped, not built: :meth:`query_exact`
+        builds it from the log when next asked.
         """
         self._guard_open()
         tracer = self.obs.tracer
@@ -284,6 +289,7 @@ class InNetworkFramework:
                 window = columnarize(self.domain, events)
             span.set(events=len(window))
             self._log.append(window)
+            self._ingested = True
             if self._streaming is not None:
                 with tracer.span("ingest.stream_append", events=len(window)):
                     self._streaming.append_events(window)
@@ -336,10 +342,8 @@ class InNetworkFramework:
     def _rebuild_stores(self) -> None:
         tracer = self.obs.tracer
         self._drop_sharded()
-        self._engine = None
+        self._engine = self._full_form = self._exact_engine = None
         columns = self._log_columns()
-        with tracer.span("ingest.build_form", network="full"):
-            self._full_form = self._full.build_form(columns)
         if self.network is None:
             return
         config = self.config
@@ -550,13 +554,22 @@ class InNetworkFramework:
         t2: float,
         kind: str = STATIC,
     ) -> QueryResult:
-        """Exact answer from the full (unsampled) sensing graph."""
+        """Exact answer from the full (unsampled) sensing graph.
+
+        The evaluation's ground truth, not part of the deployment: the
+        first call after an ingest or a re-deploy builds the reference
+        form over the whole (quantized, with ``compress=True``) log,
+        and the full network too on the first call ever.  That build
+        happens outside the engine, so ``result.elapsed`` times the
+        exact query alone.
+        """
         self._guard_open()
         if self._full_form is None:
-            # Never built, unless streaming appends left it stale.
-            if self._streaming is None:
+            if not self._ingested and self._streaming is None:
                 raise QueryError("ingest trips or events first")
             with self.obs.tracer.span("ingest.build_form", network="full"):
+                if self._full is None:
+                    self._full = full_network(self.domain)
                 self._full_form = self._full.build_form(self._log_columns())
         # One engine until the reference form or the registry changes;
         # like ``query``'s, it keeps the form alive, so no id is reused.
@@ -595,17 +608,14 @@ class InNetworkFramework:
         report the actual compressed footprint from
         :meth:`storage_report`.
         """
-        if isinstance(self._store, ModeledCountStore):
-            return self._store.storage_bytes
-        if self.config is not None and self.config.compress:
-            store = self._streaming if self._streaming is not None else self._form
-            if store is not None:
-                return int(store.storage_report()["total_bytes"])
-        if self._streaming is not None:
-            return self._streaming.total_events * 8
-        if self._form is not None:
-            return self._form.total_events * 8
-        return 0
+        store = self._store
+        if store is None:
+            return 0
+        if isinstance(store, ModeledCountStore):
+            return store.storage_bytes
+        if self.config.compress:
+            return int(store.storage_report()["total_bytes"])
+        return store.total_events * 8
 
     def storage_report(self) -> dict:
         """Unified bytes-per-component accounting of every live tier.

@@ -98,7 +98,9 @@ class CompiledTrackingForm:
         self._n_ids = len(interner)
         n_ids = self._n_ids
 
-        edge_id = np.asarray(edge_id, dtype=np.int64)
+        # Ids as the narrowest unsigned key that holds them: at 16 bits
+        # or fewer numpy's stable argsort is a radix sort.
+        edge_id = np.asarray(edge_id).astype(np.min_scalar_type(n_ids))
         direction = np.asarray(direction)
         t = np.ascontiguousarray(t, dtype=np.float64)
 

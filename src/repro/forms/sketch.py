@@ -95,15 +95,18 @@ class EdgeCountSketch:
             )
         t_max = float(t.max())
         width = (t_max / bins) if t_max > 0 else 1.0
-        edge_id = np.asarray(columns.edge_id, dtype=np.int64)
+        # Ids as the narrowest unsigned key that holds them: at 16 bits
+        # or fewer numpy's stable argsort is a radix sort.
+        edge_id = np.asarray(columns.edge_id).astype(np.min_scalar_type(n_ids))
         sign = np.where(
             np.asarray(columns.direction) == 0, 1, -1
         ).astype(np.int64)
         bin_of = np.floor(t / width).astype(np.int64)
 
         # Collapse to unique (edge, bin) pairs, summing signs and
-        # counting activity per pair.
-        order = np.lexsort((bin_of, edge_id))
+        # counting activity per pair.  The columns are time-sorted, so
+        # a stable sort by edge id leaves each edge's bins ascending.
+        order = np.argsort(edge_id, kind="stable")
         eid_s = edge_id[order]
         bin_s = bin_of[order]
         sign_s = sign[order]

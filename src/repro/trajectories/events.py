@@ -20,9 +20,14 @@ from ..planar import NodeId
 from .generator import Trip
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingEvent:
-    """An anonymous directed crossing: toward ``head`` at time ``t``."""
+    """An anonymous directed crossing: toward ``head`` at time ``t``.
+
+    Slotted: no per-event ``__dict__``, so an event list is smaller
+    and the attribute reads of
+    :meth:`~repro.trajectories.EventColumns.from_events` are faster.
+    """
 
     tail: NodeId
     head: NodeId

@@ -15,9 +15,10 @@ Covers the vectorised ingestion substrate end to end:
 
 from __future__ import annotations
 
+import pickle
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ class TestEventColumns:
         whole = EventColumns.from_events(organic_domain, shuffled)
         assert merged.to_events() == whole.to_events()
 
+    def test_from_events_is_per_event_interning(self, organic_domain, events):
+        """The columns of a shuffled window are those of one
+        ``interner.intern`` call an event, stably sorted by time."""
+        window = random.Random(7).sample(events, len(events))
+        columns = EventColumns.from_events(organic_domain, window)
+        interner = organic_domain.edge_interner
+        interned = [interner.intern(e.tail, e.head) for e in window]
+        t = np.array([e.t for e in window])
+        order = np.argsort(t, kind="stable")
+        assert np.array_equal(
+            columns.edge_id, np.array([i for i, _ in interned])[order]
+        )
+        assert np.array_equal(
+            columns.direction, np.array([0 if f else 1 for _, f in interned])[order]
+        )
+        assert np.array_equal(columns.t, t[order])
+        assert columns.edge_id.dtype == np.int32
+        assert columns.direction.dtype == np.int8
+
     @pytest.mark.parametrize("order", ["sorted", "unsorted"])
     def test_from_events_peak_memory(self, organic_domain, events, order):
         """At most 40 bytes an event at the peak (13 are the columns
@@ -140,6 +160,24 @@ class TestEventColumns:
             tracemalloc.stop()
         assert len(columns) == n
         assert peak <= 40 * n
+
+
+class TestCrossingEvent:
+    """Events are slotted: no per-event ``__dict__``, and a value
+    object as before."""
+
+    def test_slotted_value_object(self):
+        event = CrossingEvent(3, 7, 1.5)
+        assert not hasattr(event, "__dict__")
+        assert event == CrossingEvent(3, 7, 1.5)
+        assert event != CrossingEvent(7, 3, 1.5)
+        assert hash(event) == hash(CrossingEvent(3, 7, 1.5))
+        assert len({event, CrossingEvent(3, 7, 1.5)}) == 1
+        assert pickle.loads(pickle.dumps(event)) == event
+        moved = replace(event, t=2.0)
+        assert moved == CrossingEvent(3, 7, 2.0) and event.t == 1.5
+        with pytest.raises(FrozenInstanceError):
+            event.t = 2.0
 
 
 # ----------------------------------------------------------------------

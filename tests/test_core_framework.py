@@ -1,6 +1,9 @@
 """Unit tests for the public InNetworkFramework facade."""
 
+import gc
 import random
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +13,18 @@ from test_query_planner import _battery, _key
 
 from repro import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError, QueryError
+from repro.evaluation import SMALL_CONFIG
 from repro.geometry import BBox
-from repro.mobility import organic_city
+from repro.mobility import MobilityDomain, organic_city
 from repro.obs import use_registry
 from repro.query import STATIC, TRANSIENT, UPPER, QueryEngine, RangeQuery
-from repro.trajectories import CrossingEvent, EventColumns
+from repro.sampling import full_network
+from repro.trajectories import (
+    CrossingEvent,
+    EventColumns,
+    WorkloadConfig,
+    generate_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -405,4 +415,137 @@ class TestOneIngestPath:
         for i in range(k):
             fw.ingest_events(arrivals[i * n:(i + 1) * n])
         assert sum(converted) == k * n
+        fw.close()
+
+
+class TestReferenceOnDemand:
+    """The exact reference form is the evaluation's ground truth, not
+    part of the deployment: no ingest builds it, the first
+    ``query_exact`` after an ingest or a re-deploy does."""
+
+    CONFIGS = {
+        "batch": TestOneIngestPath.BASE,
+        "compress": TestOneIngestPath.CONFIGS["compress"],
+        "streaming": TestOneIngestPath.CONFIGS["streaming"],
+    }
+
+    @staticmethod
+    def _oracle(domain, config, events, battery):
+        """``query_exact``'s answers from a reference form built afresh
+        from ``full_network(domain)`` over the (quantized) events."""
+        columns = EventColumns.from_events(domain, events)
+        if config.compress:
+            columns = columns.quantized(config.tick_bits)
+        full = full_network(domain)
+        engine = QueryEngine(
+            full, full.build_form(columns), access_mode="flood"
+        )
+        return [_key(engine.execute(replace(q, bound="lower")))
+                for q in battery]
+
+    @staticmethod
+    def _exact(fw, battery):
+        return [_key(fw.query_exact(q.box, q.t1, q.t2, q.kind))
+                for q in battery]
+
+    @pytest.fixture(scope="class")
+    def battery(self, organic_domain, workload, events):
+        """Random boxes, plus a probe that tells raw from quantized
+        times (as in :class:`TestOneIngestPath`): an arrival at a
+        junction that no other event shares the time of (an entry or
+        exit walk would leave the junction at once)."""
+        battery = _battery(organic_domain, workload.horizon, seed=43, n_boxes=4)
+        shared = Counter(e.t for e in events)
+        event = max(
+            (e for e in events
+             if e.head in organic_domain.junction_index and shared[e.t] == 1),
+            key=lambda e: abs(e.t - round(e.t * 16) / 16),
+        )
+        box = BBox.from_center(organic_domain.position(event.head), 1e-6, 1e-6)
+        snapped = round(event.t * 16) / 16
+        battery.append(RangeQuery(box, 0.0, (event.t + snapped) / 2))
+        return battery
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_built_when_first_read_and_dropped_by_every_ingest(
+        self, organic_domain, events, battery, name
+    ):
+        config = self.CONFIGS[name]
+        half = len(events) // 2
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(config)
+        fw.ingest_events(events[:half])
+        assert fw._full is None and fw._full_form is None
+        assert self._exact(fw, battery) == self._oracle(
+            organic_domain, config, events[:half], battery
+        )
+        assert fw._full_form is not None
+        fw.ingest_events(events[half:])
+        assert fw._full_form is None and fw._exact_engine is None
+        assert self._exact(fw, battery) == self._oracle(
+            organic_domain, config, events, battery
+        )
+        fw.close()
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_redeploy_flipping_compress_drops_it(
+        self, organic_domain, events, battery, name
+    ):
+        config = self.CONFIGS[name]
+        flipped = replace(
+            config, compress=not config.compress, tick_bits=4
+        )
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(config)
+        fw.ingest_events(events)
+        before = self._exact(fw, battery)
+        fw.deploy(flipped)
+        assert fw._full_form is None and fw._exact_engine is None
+        after = self._exact(fw, battery)
+        assert after == self._oracle(
+            organic_domain, flipped, events, battery
+        )
+        # Quantization is visible: the flip is not vacuous.
+        assert after != before
+        fw.close()
+
+    def test_exact_before_ingest_on_a_deployment_rejected(
+        self, organic_domain, events
+    ):
+        fw = InNetworkFramework(organic_domain)
+        fw.deploy(self.CONFIGS["batch"])
+        with pytest.raises(QueryError):
+            fw.query_exact(organic_domain.bounds, 0.0, 1.0)
+        fw.ingest_events(events[:10])
+        fw.query_exact(organic_domain.bounds, 0.0, 1.0)
+
+    def test_ingest_retains_few_bytes_an_event(self):
+        """What ``ingest_events`` keeps at ``SMALL_CONFIG``: the log
+        window (13 B an event) and the deployed form, about 24 B an
+        event, under 30.  Building the reference form on ingest as
+        well kept about 44."""
+        cfg = SMALL_CONFIG
+        domain = MobilityDomain(
+            organic_city(blocks=cfg.blocks, rng=np.random.default_rng(13))
+        )
+        events = generate_workload(domain, WorkloadConfig(
+            n_trips=cfg.n_trips, horizon_days=cfg.horizon_days,
+            mean_dwell=cfg.mean_dwell, seed=13,
+        )).events(domain)
+        fw = InNetworkFramework(domain)
+        fw.deploy(FrameworkConfig(
+            selector="quadtree", budget=round(0.256 * domain.block_count),
+            seed=3,
+        ))
+        fw.ingest_events(events[:10])  # builds the network's indexes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fw.ingest_events(events)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained <= 30 * len(events)
         fw.close()

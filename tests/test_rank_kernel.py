@@ -29,6 +29,7 @@ Generated (``hypothesis``) and enumerated corner cases for
 from __future__ import annotations
 
 import contextlib
+import functools
 import random
 import warnings
 from unittest import mock
@@ -733,6 +734,94 @@ class TestNarrowColumns:
         )
         assert form.total_events == columns.t.size
         assert form.storage_profile() == wide_form.storage_profile()
+
+
+# ----------------------------------------------------------------------
+# Edge-id sorts on a narrow key
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _sort_interner(n_ids):
+    """One interner per size for the edge-id sort tests: 200 ids fit
+    16 bits (a radix-sorted key), 70 000 do not (the wider key)."""
+    return _interner(n_ids)
+
+
+def _sort_columns(n_ids, seed, n=600):
+    """Time-sorted columns over ``n_ids`` ids with many tied times on
+    an integer grid; past 16 bits, ids ``k`` and ``k + 65536`` both
+    occur, so a key that wrapped would merge their rows."""
+    rng = np.random.default_rng(seed)
+    edge_id = rng.integers(0, min(n_ids, 40), n)
+    if n_ids > 2 ** 16:
+        edge_id[::3] += 2 ** 16
+    edge_id[-1] = n_ids - 1
+    t = np.sort(rng.integers(0, 64, n)).astype(np.float64)
+    t[-1] = 64.0
+    return EventColumns(
+        interner=_sort_interner(n_ids), edge_id=edge_id.astype(np.int32),
+        direction=rng.integers(0, 2, n).astype(np.int8), t=t,
+    )
+
+
+class TestEdgeIdSort:
+    """The plain form's CSR and the sketch's pairs, built with a stable
+    edge-id sort on the narrowest key, equal an oracle that sorts by
+    every key at int64 with ``np.lexsort``."""
+
+    @pytest.mark.parametrize("n_ids", [200, 70_000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compiled_csr(self, n_ids, seed):
+        columns = _sort_columns(n_ids, seed)
+        edge_id = columns.edge_id.astype(np.int64)
+        direction, t = columns.direction.astype(np.int64), columns.t
+        form = CompiledTrackingForm(
+            columns.interner, columns.edge_id, columns.direction, t
+        )
+        position = np.arange(t.size)
+        order = np.lexsort((position, edge_id, direction))
+        rows = np.bincount(direction * n_ids + edge_id, minlength=2 * n_ids)
+        offsets = np.concatenate(([0], np.cumsum(rows)))
+        assert np.array_equal(form._column, t[order])
+        assert np.array_equal(form._rows, offsets)
+        for d in (0, 1):
+            assert np.array_equal(
+                form._offsets[d], offsets[d * n_ids:(d + 1) * n_ids + 1]
+                - offsets[d * n_ids]
+            )
+        keys = np.repeat(np.arange(2 * n_ids), rows) * t.size + order
+        assert np.array_equal(form._index.keys, keys)
+
+    @pytest.mark.parametrize("n_ids", [200, 70_000])
+    @pytest.mark.parametrize("bins", [1, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sketch_pairs(self, n_ids, bins, seed):
+        """Times on an integer grid up to 64: with 8 or 64 bins many
+        events sit on bin edges, and ties are everywhere."""
+        columns = _sort_columns(n_ids, seed)
+        sketch = EdgeCountSketch.from_columns(columns, bins=bins)
+        edge_id = columns.edge_id.astype(np.int64)
+        bin_of = np.floor(columns.t / (64.0 / bins)).astype(np.int64)
+        sign = np.where(columns.direction == 0, 1, -1)
+        order = np.lexsort((bin_of, edge_id))
+        pairs, net, activity = [], [], []
+        for e, b, s in zip(edge_id[order], bin_of[order], sign[order]):
+            if not pairs or pairs[-1] != (e, b):
+                pairs.append((e, b))
+                net.append(0)
+                activity.append(0)
+            net[-1] += s
+            activity[-1] += 1
+        cum_net, running = [], {}
+        for (e, _), n in zip(pairs, net):
+            running[e] = running.get(e, 0) + n
+            cum_net.append(running[e])
+        per_edge = np.bincount([e for e, _ in pairs], minlength=n_ids)
+        assert np.array_equal(
+            sketch._edge_offsets, np.concatenate(([0], np.cumsum(per_edge)))
+        )
+        assert np.array_equal(sketch._bins, [b for _, b in pairs])
+        assert np.array_equal(sketch._cum_net, cum_net)
+        assert np.array_equal(sketch._activity, activity)
 
 
 # ----------------------------------------------------------------------
