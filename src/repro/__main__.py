@@ -6,8 +6,7 @@ Commands
     Run the quickstart pipeline end to end on a small synthetic city
     and print the results (deploy -> ingest -> query vs exact).
     ``--trace out.json`` exports the run's span tree as Chrome
-    trace-viewer JSON (with ``--shards N`` the trace carries one
-    swimlane per shard-worker pid, grafted from the workers);
+    trace-viewer JSON;
     ``--metrics out.prom`` dumps the metrics registry in Prometheus
     text format; ``--flight out.json`` dumps the always-on query
     flight recorder's recent and slow-query records (promotion
@@ -66,8 +65,8 @@ def _world(args: argparse.Namespace, obs, flight, **config):
     network = framework.deploy(FrameworkConfig(
         selector=args.selector,
         budget=max(int(domain.block_count * args.fraction), 2),
-        store=args.store, planner=args.planner, shards=args.shards,
-        seed=args.seed, compress=args.compress, tick_bits=args.tick_bits,
+        store=args.store, seed=args.seed, compress=args.compress,
+        tick_bits=args.tick_bits,
         **config,
     ))
     workload = generate_workload(
@@ -148,13 +147,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         log.info(f"faults: {args.faults:.0%} sensor failure, "
                  f"{args.faults / 2:.0%} message drop "
                  f"({len(injector.crashed)} sensors down)")
-
-    if args.shards > 1 and injector is None:
-        sharded = framework.engine()
-        layout = sharded.describe()
-        log.info(f"sharded: {layout['shards']} districts over "
-                 f"{layout['workers']} workers, events/shard "
-                 f"{layout.get('events_per_shard')}")
 
     box = BBox.from_center(domain.bounds.center,
                            domain.bounds.width * 0.45,
@@ -255,14 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--store", default="exact",
                       choices=["exact", "linear", "polynomial",
                                "piecewise", "histogram"])
-    demo.add_argument("--planner", default="auto",
-                      choices=["auto", "compiled", "python"],
-                      help="query resolution pipeline: compiled CSR "
-                           "indexes or the reference python path "
-                           "(auto compiles when the store supports it)")
-    demo.add_argument("--shards", type=int, default=1,
-                      help="district shards for scatter-gather querying "
-                           "(>1 enables the sharded engine)")
     demo.add_argument("--seed", type=int, default=7)
     demo.add_argument("--faults", type=float, default=0.0, metavar="P",
                       help="inject faults: P is the sensor crash rate "

@@ -6,10 +6,6 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
-#: Districts used by ``planner="sharded"`` when ``shards`` is left at
-#: its default of 1.
-DEFAULT_SHARDS = 4
-
 
 @dataclass(frozen=True)
 class FrameworkConfig:
@@ -26,16 +22,10 @@ class FrameworkConfig:
     ``connectivity`` is ``triangulation`` or ``knn`` (§4.5);
     ``store`` picks the count representation: ``exact`` timestamps or
     one of the learned models (``linear``, ``polynomial``,
-    ``piecewise``, ``histogram``) from §4.8.  ``planner`` picks the
-    query resolution pipeline: ``auto`` (compiled whenever the store
-    supports id-native integration), ``compiled``, ``python`` or
-    ``sharded`` (scatter-gather over district shards,
-    :class:`~repro.query.ShardedQueryEngine`).  ``shards`` sets the
-    district count for the sharded engine; any value > 1 turns
-    sharding on regardless of ``planner`` (and ``planner="sharded"``
-    with the default ``shards`` uses :data:`DEFAULT_SHARDS`
-    districts).  Sharding requires the exact store — learned models
-    are not sharded.
+    ``piecewise``, ``histogram``) from §4.8.  Queries always run
+    through :class:`~repro.query.QueryEngine` with ``planner="auto"``:
+    the compiled planner on an id-native store, the reference python
+    path on any other.
 
     ``streaming`` switches ingestion to the append-only
     :class:`~repro.stream.StreamingEventStore` (LSM-style mutable tail
@@ -47,8 +37,7 @@ class FrameworkConfig:
     ``compress`` switches the exact store to the succinct tier
     (:class:`~repro.forms.CompressedTrackingForm`): timestamps are
     quantized once at ingest to ``2**tick_bits`` ticks per second and
-    stored delta-encoded + bit-packed (~4× smaller), with sharded
-    workers attaching the compressed shared-memory form directly.
+    stored delta-encoded + bit-packed (~4× smaller).
     Query results are byte-identical to the uncompressed store built
     from the same quantized events.  ``sketch_bins`` > 0 additionally
     builds an error-bounded :class:`~repro.forms.EdgeCountSketch` with
@@ -67,8 +56,6 @@ class FrameworkConfig:
     connectivity: str = "triangulation"
     knn_k: int = 5
     store: str = "exact"
-    planner: str = "auto"
-    shards: int = 1
     seed: int = 0
     streaming: bool = False
     compact_every: int = 4096
@@ -107,22 +94,10 @@ class FrameworkConfig:
             raise ConfigurationError(
                 f"unknown store {self.store!r}; choose from {self._STORES}"
             )
-        if self.planner not in ("auto", "compiled", "python", "sharded"):
-            raise ConfigurationError(
-                f"unknown planner {self.planner!r}; "
-                "choose from ('auto', 'compiled', 'python', 'sharded')"
-            )
         if self.budget < 2:
             raise ConfigurationError("budget must be at least 2 sensors")
         if self.knn_k < 1:
             raise ConfigurationError("knn_k must be >= 1")
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
-        if self.sharded and self.store != "exact":
-            raise ConfigurationError(
-                "sharded querying requires store='exact' (learned "
-                "models are not sharded)"
-            )
         if self.compact_every < 1:
             raise ConfigurationError("compact_every must be >= 1")
         if self.streaming and self.store != "exact":
@@ -153,15 +128,3 @@ class FrameworkConfig:
                 "sketch is built at ingest and would go stale under "
                 "incremental appends)"
             )
-
-    @property
-    def sharded(self) -> bool:
-        """Whether queries run through the sharded engine."""
-        return self.planner == "sharded" or self.shards > 1
-
-    @property
-    def effective_shards(self) -> int:
-        """District count the sharded engine will use."""
-        if self.shards > 1:
-            return self.shards
-        return DEFAULT_SHARDS if self.planner == "sharded" else 1

@@ -48,7 +48,6 @@ from ..query import (
     QueryEngine,
     QueryResult,
     RangeQuery,
-    ShardedQueryEngine,
 )
 from ..sampling import SensorNetwork, full_network, sampled_network, wall_network
 from ..stream import StreamingEventStore
@@ -118,7 +117,6 @@ class InNetworkFramework:
         #: then on (a streaming deployment answers from the start).
         self._ingested = False
         self._store: Optional[EdgeCountStore] = None
-        self._sharded: Optional[ShardedQueryEngine] = None
         #: :meth:`query`'s default-dispatch engine with the key it was
         #: built under; dropped wherever ``_store`` is rebound.
         self._engine = None
@@ -247,7 +245,6 @@ class InNetworkFramework:
             self._store = self._engine = None
             self._streaming = None
             self._sketch = None
-            self._drop_sharded()
             if config.streaming or self._logged_events():
                 self._rebuild_stores()
         return network
@@ -277,10 +274,9 @@ class InNetworkFramework:
         stores from the whole log; with ``streaming=True`` the same
         columns are appended to the live
         :class:`~repro.stream.StreamingEventStore` — the query indexes
-        update incrementally (tail append, periodic compaction) and
-        the cached sharded engine is invalidated.  Either way the full
-        reference form is dropped, not built: :meth:`query_exact`
-        builds it from the log when next asked.
+        update incrementally (tail append, periodic compaction).
+        Either way the full reference form is dropped, not built:
+        :meth:`query_exact` builds it from the log when next asked.
         """
         self._guard_open()
         tracer = self.obs.tracer
@@ -293,7 +289,6 @@ class InNetworkFramework:
             if self._streaming is not None:
                 with tracer.span("ingest.stream_append", events=len(window)):
                     self._streaming.append_events(window)
-                self._drop_sharded()
                 # The stale reference form goes with the engine on it.
                 self._full_form = self._exact_engine = None
             else:
@@ -303,13 +298,6 @@ class InNetworkFramework:
             help="Crossing events ingested by the framework",
         ).inc(len(window))
         return len(window)
-
-    def _drop_sharded(self) -> None:
-        """Invalidate the cached sharded engine (its shards no longer
-        reflect the deployed network or ingested events)."""
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None
 
     def _guard_open(self) -> None:
         if self._closed:
@@ -328,9 +316,8 @@ class InNetworkFramework:
 
         Quantizing *here* — on read, before any store is built, never
         in the log — is what makes compressed and uncompressed paths
-        byte-identical: the sampled form, the full reference form, the
-        sharded partitions and ``query_exact`` all see the same
-        (quantized) multiset, and a re-deploy may flip ``compress``.
+        byte-identical: the sampled form, the full reference form and
+        ``query_exact`` all see the same (quantized) multiset, and a re-deploy may flip ``compress``.
         """
         if len(self._log) > 1:
             self._log = [EventColumns.concat(self._log)]
@@ -341,7 +328,6 @@ class InNetworkFramework:
 
     def _rebuild_stores(self) -> None:
         tracer = self.obs.tracer
-        self._drop_sharded()
         self._engine = self._full_form = self._exact_engine = None
         columns = self._log_columns()
         if self.network is None:
@@ -401,50 +387,20 @@ class InNetworkFramework:
         faults: Optional[FaultInjector] = None,
         dispatch_strategy: str = "perimeter_walk",
         retry_policy: Optional[RetryPolicy] = None,
-        sharded: Optional[bool] = None,
-    ):
+    ) -> QueryEngine:
         """A query engine over the deployed network and current store.
 
         ``query()`` keeps one for its default dispatch and builds one
         per call that injects faults; a query loop under faults wants
         a persistent engine so the dispatcher (and its injector's
         attempt stream) survives across queries.
-
-        With a sharded config (``shards=N`` or ``planner="sharded"``)
-        and no fault injector this returns the framework's cached
-        :class:`~repro.query.ShardedQueryEngine` — one partition and
-        worker pool shared across calls, invalidated on re-deploy or
-        re-ingest, released by :meth:`close`.  Fault injection always
-        runs the single-process engine: degraded dispatch consumes the
-        injector's per-query attempt stream, which does not decompose
-        over shards.  Pass ``sharded=False`` to force the
-        single-process engine.
         """
         self._guard_open()
         if self.network is None or self._store is None:
             raise QueryError("deploy() and ingest first")
-        config = self.config
-        if sharded is None:
-            sharded = config is not None and config.sharded
-        if sharded and faults is None:
-            if self._sharded is None or self._sharded.closed:
-                self._sharded = ShardedQueryEngine(
-                    self.network,
-                    self._log_columns(),
-                    shards=config.effective_shards,
-                    instrumentation=self.obs,
-                    store=self._store,
-                    seed=config.seed,
-                    flight=self.flight,
-                    compress=config.compress,
-                    tick_bits=config.tick_bits,
-                )
-            return self._sharded
-        planner = config.planner if config is not None else "auto"
         return QueryEngine(
             self.network,
             self._store,
-            planner="auto" if planner == "sharded" else planner,
             instrumentation=self.obs,
             faults=faults,
             dispatch_strategy=dispatch_strategy,
@@ -454,13 +410,11 @@ class InNetworkFramework:
         )
 
     def close(self) -> None:
-        """Shut the framework down: release the cached sharded
-        engine's worker processes and shared-memory segments, close
-        the streaming store, and mark the framework terminal.  Further
+        """Shut the framework down: close the streaming store and mark
+        the framework terminal.  Further
         ``deploy``/``ingest_events``/``engine``/``query`` calls raise a
         structured :class:`~repro.errors.QueryError` instead of
         failing deep inside a released resource.  Idempotent."""
-        self._drop_sharded()
         self._engine = self._exact_engine = None
         if self._streaming is not None:
             self._streaming.close()
@@ -503,16 +457,15 @@ class InNetworkFramework:
             box, t1, t2, kind=kind, bound=bound, max_error=max_error
         )
         dispatch = (faults, dispatch_strategy, retry_policy)
-        config, plain = self.config, faults is None and retry_policy is None
-        if plain and config is not None and not config.sharded:
+        if faults is None and retry_policy is None:
             # Default dispatch: one engine serves every call until what
             # it was built from changes (the store, the sketch, the
-            # planner mode, the strategy, the metrics registry current
-            # at the call).  The engine keeps store and sketch alive and
-            # the key keeps the registry, so no identity can be reused.
+            # strategy, the metrics registry current at the call).  The
+            # engine keeps store and sketch alive and the key keeps the
+            # registry, so no identity can be reused.
             key = (
-                id(self._store), id(self._sketch), config.planner,
-                dispatch_strategy, get_registry(),
+                id(self._store), id(self._sketch), dispatch_strategy,
+                get_registry(),
             )
             if self._engine is None or self._engine[0] != key:
                 self._engine = (key, self.engine(*dispatch))
@@ -533,10 +486,7 @@ class InNetworkFramework:
         """EXPLAIN one query: execute it and return the measured
         :class:`~repro.obs.QueryExplain` plan.
 
-        Runs on whichever engine the deployed config selects: the
-        single-process engine's record carries per-phase times; the
-        sharded engine's the scatter-gather plan (shard fan-out and
-        route/scatter/worker_wait/merge stage times).
+        The plan is the query's record, with its per-phase times.
         """
         engine = self.engine(
             faults=faults,

@@ -143,8 +143,8 @@ class CompiledTrackingForm:
     def to_columns(self, interner: "EdgeInterner" = None):
         """Reconstruct the stored events as time-sorted
         :class:`~repro.trajectories.EventColumns` (streaming snapshot
-        and shard-rebuild interop; the per-event order of simultaneous
-        crossings is not preserved)."""
+        interop; the per-event order of simultaneous crossings is not
+        preserved)."""
         from ..trajectories import EventColumns
 
         ids_parts: List[np.ndarray] = []

@@ -29,7 +29,7 @@ makes compressed answers byte-identical to uncompressed ones built from
 the same quantized columns.
 
 Wire format vs derived index: offsets, heads, widths and payload are
-the stored (and shm-shipped) format, ``storage_report()["total_bytes"]``.
+the stored format, ``storage_report()["total_bytes"]``.
 The unit index — directory, its rank index, per-unit lengths, widths
 and payload bits — is rebuilt from them (or, at construction, taken from the ticks the
 encoder already holds) and are reported beside it as
@@ -44,7 +44,7 @@ and the compressed form is a lossless store of the quantized multiset.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -157,8 +157,8 @@ class _Blocks:
 
     ``heads`` / ``widths`` / ``payload`` are the stored format.  The
     rest is the decode index :meth:`derive` rebuilds from them and the
-    row offsets — at construction, shm attach and after an append —
-    and that is never stored or shipped.
+    row offsets — at construction and after an append — and that is
+    never stored.
     """
 
     __slots__ = (
@@ -180,8 +180,7 @@ class _Blocks:
         )
 
     def derive(
-        self, rows: np.ndarray, block: int,
-        directory: Optional[np.ndarray] = None,
+        self, rows: np.ndarray, block: int, directory: np.ndarray
     ) -> "_Blocks":
         """Build the decode index over **units**.
 
@@ -193,8 +192,7 @@ class _Blocks:
         ``k = 0`` the head).  Per unit: its delta count, width, first
         payload bit and directory value, and the directory's rank index
         with rows as its rows.  The encoder hands the directory in,
-        taken from the ticks it holds; otherwise it is summed out of
-        the decoded deltas.
+        taken from the ticks it holds.
         """
         self.block = block
         self.unit_offsets, row, first, unit_len = _units(rows, block)
@@ -205,13 +203,6 @@ class _Blocks:
         self.bit_starts = (np.cumsum(nbytes) - nbytes) << 3
         self.windows = _windows(self.payload)
         self.directory = directory
-        if directory is None:
-            every = np.arange(row.size)
-            sums = (self.deltas(every) * self.valid(every)).sum(axis=1)
-            before = np.cumsum(sums) - sums
-            units = np.diff(self.unit_offsets)
-            head = np.repeat(self.heads, units[units > 0])
-            self.directory = head + before - before[self.unit_offsets[row]]
         self.index = RankIndex(self.directory, self.unit_offsets)
         return self
 
@@ -298,11 +289,10 @@ class CompressedTrackingForm(CompiledTrackingForm):
     """Delta-encoded, bit-packed drop-in for the compiled form.
 
     The public query surface (``count_*``, ``net_*``,
-    ``integrate_*``, ``compile_boundary_ids``, shm interop) is the
-    parent's; only the raw-storage hooks (:meth:`_set_csr`,
-    :meth:`_segment_ids`, :meth:`_direction_values`,
-    :meth:`_direction_slices`, :meth:`_rank_lanes`) and the shm layout
-    differ.
+    ``integrate_*``, ``compile_boundary_ids``) is the parent's; only
+    the raw-storage hooks (:meth:`_set_csr`, :meth:`_segment_ids`,
+    :meth:`_direction_values`, :meth:`_direction_slices`,
+    :meth:`_rank_lanes`) differ.
     """
 
     def __init__(
@@ -421,56 +411,6 @@ class CompressedTrackingForm(CompiledTrackingForm):
             )
         rank = np.minimum(within, lens) + self._block * (before - 1) + 1
         return np.where(before > 0, rank, 0)
-
-    # ------------------------------------------------------------------
-    # Shared-memory interop
-    # ------------------------------------------------------------------
-    def shm_pack(self, hint: str = "form"):
-        """Pack the *compressed* arrays — the whole reason sharded
-        workers can attach a ~4× smaller segment zero-copy."""
-        from .. import shm as shm_mod
-
-        blocks = self._blocks
-        handle, descriptor = shm_mod.pack_arrays(
-            {
-                "offsets0": self._offsets[0],
-                "offsets1": self._offsets[1],
-                "heads": blocks.heads,
-                "widths": blocks.widths,
-                "payload": blocks.payload,
-            },
-            hint=hint,
-        )
-        descriptor["n_ids"] = int(self._n_ids)
-        descriptor["form"] = "compressed"
-        descriptor["tick_bits"] = self._tick_bits
-        descriptor["block"] = self._block
-        return handle, descriptor
-
-    @classmethod
-    def shm_attach(
-        cls,
-        descriptor,
-        interner: "EdgeInterner",
-        boundary_cache_size: int = DEFAULT_BOUNDARY_CACHE_SIZE,
-    ) -> "CompressedTrackingForm":
-        """Zero-copy compressed form over a :meth:`shm_pack` segment."""
-        from .. import shm as shm_mod
-
-        handle, views = shm_mod.attach_arrays(descriptor)
-        form = cls.__new__(cls)
-        form._interner = interner
-        form._n_ids = int(descriptor["n_ids"])
-        form._tick_bits = int(descriptor["tick_bits"])
-        form._block = int(descriptor["block"])
-        form._offsets = (views["offsets0"], views["offsets1"])
-        form._rows = _joint_rows(form._offsets)
-        form._blocks = _Blocks(
-            views["heads"], views["widths"], views["payload"]
-        ).derive(form._rows, form._block)
-        form._init_runtime_state(boundary_cache_size)
-        form._shm_handle = handle
-        return form
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,8 +1,8 @@
 """Query EXPLAIN: a compact text plan of what one execution did.
 
-``EXPLAIN`` for the in-network engines: which resolution pipeline ran
-(compiled CSR planner, reference python path or the scatter-gather
-router), what the rectangle resolved to (|R| junctions), which regions
+``EXPLAIN`` for the in-network engine: which resolution pipeline ran
+(compiled CSR planner or reference python path), what the rectangle
+resolved to (|R| junctions), which regions
 approximated it, how long the boundary chain was (|∂R|), which batch
 caches served it, how many sensors the dispatch touched, per-stage wall
 times, and — under fault injection — the degradation outcome and error
@@ -28,9 +28,6 @@ from typing import Any, Dict, Mapping, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from ..query.result import QueryResult
 
-#: Stage order of the scatter-gather line (``record.stage_s`` keys).
-_SCATTER_STAGES = ("route", "scatter", "worker_wait", "merge")
-
 
 @dataclass(frozen=True)
 class QueryExplain:
@@ -39,9 +36,8 @@ class QueryExplain:
     #: What ran: answer, accounting, internals and stage times.
     record: "QueryResult"
     #: What ran it: ``access_mode``, ``static_eval``, ``store``,
-    #: ``network``, ``planner_stats`` (the planner's index sizes),
-    #: ``dispatch_strategy`` (``None`` without fault injection) and
-    #: ``shards`` (0 on a single-process engine).
+    #: ``network``, ``planner_stats`` (the planner's index sizes) and
+    #: ``dispatch_strategy`` (``None`` without fault injection).
     engine: Mapping[str, Any]
 
     def format(self) -> str:
@@ -89,17 +85,6 @@ class QueryExplain:
                 cache for cache, hit in sorted(record.cache_hits.items()) if hit
             )
             lines.append(f"  batch caches: hit[{served or '-'}]")
-        if engine["shards"]:
-            stages = " ".join(
-                f"{stage}={record.stage_s[stage] * 1e3:.3f}ms"
-                for stage in _SCATTER_STAGES
-                if stage in record.stage_s
-            )
-            row(
-                "scatter_gather",
-                f"shards={engine['shards']} fanout={record.fanout}"
-                + (f"  [{stages}]" if stages else ""),
-            )
         if engine["dispatch_strategy"] is not None:
             lost = record.degradation
             bound = 0.0 if lost is None else lost.error_bound
@@ -144,24 +129,17 @@ class QueryExplain:
 
 
 def build_explain(engine, result: "QueryResult") -> QueryExplain:
-    """The plan of ``result``, a query ``engine`` — a
-    :class:`~repro.query.QueryEngine` or a scattering
-    :class:`~repro.query.ShardedQueryEngine` — executed."""
-    shards = getattr(engine, "shards", 0)
-    faulty = getattr(engine, "faults", None) is not None
+    """The plan of ``result``, which a
+    :class:`~repro.query.QueryEngine` ``engine`` executed."""
+    faulty = engine.faults is not None
     return QueryExplain(
         record=result,
         engine={
             "access_mode": engine.access_mode,
             "static_eval": engine.static_eval,
-            "store": (
-                f"{shards}xCompiledTrackingForm(shm)"
-                if shards
-                else type(engine.store).__name__
-            ),
+            "store": type(engine.store).__name__,
             "network": engine.network.name,
             "planner_stats": engine._planner.describe(),
             "dispatch_strategy": engine.dispatch_strategy if faulty else None,
-            "shards": shards,
         },
     )

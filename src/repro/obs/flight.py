@@ -13,14 +13,13 @@ is a view computed at dump time (:func:`record_dict`).
 A record whose ``elapsed`` exceeds ``slow_threshold_s`` (strictly
 greater) is *promoted*: flagged ``slow`` and kept in a second ring that
 slow traffic cannot be flushed out of by fast traffic; :meth:`keep`
-says so, and the caller attaches a ``detail`` payload (executor extras,
-grafted worker spans) and the :func:`memory_snapshot` watermarks while
-the evidence is still at hand.
+says so, and the caller attaches a ``detail`` payload (stage times and
+internals) and the :func:`memory_snapshot` watermarks while the
+evidence is still at hand.
 
 The recorder reads attributes and imports nothing from
-:mod:`repro.query`: a single-process record carries the plan phases in
-``stage_s``, a scattered one the batch's route / scatter / worker_wait
-/ merge times and its shard ``fanout``.  The framework exposes its ring
+:mod:`repro.query`: a record carries its plan phases in ``stage_s``.
+The framework exposes its ring
 via ``flight_log()``; hand it a sized recorder through the constructor
 (``InNetworkFramework(..., flight=FlightRecorder(...))``).
 """

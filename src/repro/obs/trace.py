@@ -34,7 +34,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from .flight import DEFAULT_CAPACITY
 
@@ -45,16 +45,9 @@ SIBLING_RING = DEFAULT_CAPACITY
 
 
 class Span:
-    """One named interval on the monotonic clock, with attributes.
+    """One named interval on the monotonic clock, with attributes."""
 
-    ``pid``/``tid`` are ``None`` for spans recorded in the current
-    process; spans grafted from another process carry the recording
-    worker's ids so exports can lay them out in their own lanes.
-    """
-
-    __slots__ = (
-        "name", "start", "end", "attributes", "children", "pid", "tid", "seen",
-    )
+    __slots__ = ("name", "start", "end", "attributes", "children", "seen")
 
     def __init__(self, name: str, start: float, **attributes: Any) -> None:
         self.name = name
@@ -62,8 +55,6 @@ class Span:
         self.end: Optional[float] = None
         self.attributes: Dict[str, Any] = dict(attributes)
         self.children: List["Span"] = []
-        self.pid: Optional[int] = None
-        self.tid: Optional[int] = None
         #: Child name → children of that name, while the span is open
         #: (the tracer's sibling ring counts in it).
         self.seen: Optional[Dict[str, int]] = None
@@ -85,42 +76,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    # ------------------------------------------------------------------
-    # Cross-process serialization
-    # ------------------------------------------------------------------
-    def to_dict(self, pid: Optional[int] = None, tid: Optional[int] = None) -> Dict[str, Any]:
-        """Plain-dict form that survives pickling across processes.
-
-        ``pid``/``tid`` stamp the whole subtree with the recording
-        process; children inherit them on :meth:`from_dict` unless they
-        carry their own.
-        """
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "attributes": _jsonable(self.attributes),
-        }
-        own_pid = self.pid if self.pid is not None else pid
-        own_tid = self.tid if self.tid is not None else tid
-        if own_pid is not None:
-            out["pid"] = own_pid
-        if own_tid is not None:
-            out["tid"] = own_tid
-        if self.children:
-            out["children"] = [child.to_dict(own_pid, own_tid) for child in self.children]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        """Rebuild a span subtree produced by :meth:`to_dict`."""
-        span = cls(data["name"], data["start"], **data.get("attributes", {}))
-        span.end = data.get("end")
-        span.pid = data.get("pid")
-        span.tid = data.get("tid")
-        span.children = [cls.from_dict(child) for child in data.get("children", ())]
-        return span
 
     def __repr__(self) -> str:
         return (
@@ -192,9 +147,6 @@ class Tracer:
                 seen[name] -= 1
                 self.dropped += sum(1 for _ in old.walk())
                 return
-        # Nothing to evict: the list was edited from outside (a shard
-        # worker ships its roots home and prunes them) — recount.
-        seen[name] = sum(1 for old in siblings if old.name == name)
 
     def _close(self, span: Span) -> None:
         stack = self._stacks.get(threading.get_ident(), [])
@@ -213,28 +165,6 @@ class Tracer:
         span.seen = None
 
     # ------------------------------------------------------------------
-    def graft(
-        self,
-        span_dicts: List[Dict[str, Any]],
-        under: Optional[Span] = None,
-    ) -> List[Span]:
-        """Attach serialized foreign spans (:meth:`Span.to_dict`) to this
-        tracer's forest.
-
-        ``under`` nests them beneath an existing span (typically the
-        parent's ``scatter`` interval); otherwise they become roots.
-        Timestamps are kept verbatim: ``perf_counter`` reads the shared
-        ``CLOCK_MONOTONIC`` on Linux, so spans recorded by forked
-        workers land on the same axis as the parent's.
-        """
-        grafted = [Span.from_dict(data) for data in span_dicts]
-        if under is not None:
-            under.children.extend(grafted)
-        else:
-            self.roots.extend(grafted)
-        return grafted
-
-    # ------------------------------------------------------------------
     def walk(self) -> Iterator[Span]:
         """Every recorded span, depth first across roots."""
         for root in self.roots:
@@ -245,20 +175,11 @@ class Tracer:
     # ------------------------------------------------------------------
     def to_chrome_trace(self) -> Dict[str, Any]:
         """Chrome trace-viewer JSON object (``traceEvents`` complete
-        events, microsecond timestamps).
-
-        Spans recorded in this process land in the local pid's lane;
-        grafted worker spans keep their recording pid so Perfetto draws
-        one swimlane per shard worker.  ``process_name`` metadata events
-        label the lanes whenever more than one pid is present.
-        """
-        local_pid = os.getpid()
+        events, microsecond timestamps, one lane: this process)."""
+        pid = os.getpid()
         events: List[Dict[str, Any]] = []
-        seen_pids: Dict[int, bool] = {}
         for span in self.walk():
             end = span.end if span.end is not None else span.start
-            pid = span.pid if span.pid is not None else local_pid
-            seen_pids.setdefault(pid, span.pid is not None)
             events.append(
                 {
                     "name": span.name,
@@ -266,23 +187,11 @@ class Tracer:
                     "ts": (span.start - self._origin) * 1e6,
                     "dur": (end - span.start) * 1e6,
                     "pid": pid,
-                    "tid": span.tid if span.tid is not None else 1,
+                    "tid": 1,
                     "cat": "repro",
                     "args": _jsonable(span.attributes),
                 }
             )
-        if len(seen_pids) > 1:
-            for pid, foreign in sorted(seen_pids.items()):
-                name = f"shard-worker {pid}" if foreign else f"parent {pid}"
-                events.append(
-                    {
-                        "name": "process_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": 0,
-                        "args": {"name": name},
-                    }
-                )
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
@@ -341,22 +250,8 @@ class NullTracer:
 
     enabled = False
 
-    @property
-    def roots(self) -> Tuple[Span, ...]:
-        """Always empty, and immutable: a class-level list here would be
-        shared global state that any accidental append leaks across
-        every tracer."""
-        return ()
-
     def span(self, name: str, **attributes: Any) -> _NullSpanContext:
         return _NULL_SPAN
-
-    def graft(
-        self,
-        span_dicts: List[Dict[str, Any]],
-        under: Optional[Span] = None,
-    ) -> List[Span]:
-        return []
 
     def walk(self) -> Iterator[Span]:
         return iter(())

@@ -33,14 +33,15 @@ timing fields.  Both plan through the engine's one plan table: a
 ``(box, bound)`` pair any earlier call planned — single or batched —
 is read from it, not planned again.
 
-Planners: the engine holds one planner, chosen at construction — the
-reference :class:`~repro.query.PythonQueryPlanner` (sets/dicts,
-``planner="python"``) or the
-:class:`~repro.query.CompiledQueryPlanner` (``planner="compiled"``;
-int32/CSR network indexes, id-native integration).  The default
-(``planner="auto"``) compiles whenever the store supports id-native
-integration.  Both produce exactly equal results — same values,
-misses, region ids, edge/sensor/hop accounting, metrics and internals.
+Planners: the engine holds one planner, chosen at construction.  The
+default (``planner="auto"``) runs the
+:class:`~repro.query.CompiledQueryPlanner` (int32/CSR network indexes,
+id-native integration) whenever the store supports id-native
+integration, and the reference
+:class:`~repro.query.PythonQueryPlanner` (sets/dicts) on any other
+store; ``planner="python"`` forces the reference.  Both produce exactly
+equal results — same values, misses, region ids, edge/sensor/hop
+accounting, metrics and internals.
 
 Instrumentation: the engine accepts an
 :class:`~repro.obs.Instrumentation` bundle.  Every cold execution
@@ -89,8 +90,8 @@ DISPATCH_STRATEGIES = ("perimeter_walk", "server_fanout")
 STATIC_EVAL_MODES = ("end", "start", "min")
 
 #: Resolution pipelines: "auto" compiles when the store supports
-#: id-native integration, "compiled"/"python" force one path.
-PLANNER_MODES = ("auto", "compiled", "python")
+#: id-native integration, "python" forces the reference path.
+PLANNER_MODES = ("auto", "python")
 
 
 @dataclass
@@ -106,7 +107,7 @@ class QueryEngine:
     access_mode: str = "perimeter"
     static_eval: str = "end"
     #: Resolution pipeline: "auto" (compiled when the store supports
-    #: it), "compiled" or "python".  See :data:`PLANNER_MODES`.
+    #: it) or "python".  See :data:`PLANNER_MODES`.
     planner: str = "auto"
     #: Tracer bundle; ``None`` means the shared no-op recorder.
     instrumentation: Optional[Instrumentation] = None
@@ -124,11 +125,12 @@ class QueryEngine:
     #: ones promoted to full detail.  ``None`` disables.
     flight: Optional[FlightRecorder] = None
     #: Error-bounded count sketch
-    #: (:class:`~repro.forms.EdgeCountSketch`).  With ``planner="auto"``
-    #: a query carrying ``max_error`` is answered from the sketch
-    #: whenever its worst-case bound fits the tolerance — no chain
-    #: compilation, no sensor contact — and falls back to the exact
-    #: path otherwise.  ``None`` disables the fast tier.
+    #: (:class:`~repro.forms.EdgeCountSketch`).  On an id-native store
+    #: under ``planner="auto"`` a query carrying ``max_error`` is
+    #: answered from the sketch whenever its worst-case bound fits the
+    #: tolerance — no chain compilation, no sensor contact — and falls
+    #: back to the exact path otherwise.  ``None`` disables the fast
+    #: tier.
     sketch: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -147,17 +149,16 @@ class QueryEngine:
             if self.instrumentation is not None
             else NULL_INSTRUMENTATION
         )
-        #: Whether the store answers id-native chain integration.
-        id_native = hasattr(self.store, "integrate_until_ids")
-        compiled = self.planner == "compiled" or (
-            self.planner == "auto" and id_native
+        #: Whether chains reach the store as wall ids (the compiled
+        #: planner on a store that answers id-native chain integration;
+        #: batches then integrate as evaluation points, not query by
+        #: query).
+        self._id_native = self.planner == "auto" and hasattr(
+            self.store, "integrate_until_ids"
         )
         self._planner = (
-            CompiledQueryPlanner if compiled else PythonQueryPlanner
+            CompiledQueryPlanner if self._id_native else PythonQueryPlanner
         )(self.network)
-        #: Whether chains reach the store as wall ids (batches then
-        #: integrate as evaluation points, not query by query).
-        self._id_native = id_native and compiled
         self._stage = PlanStage(
             self._planner, self.access_mode, self.obs.tracer
         )
@@ -174,25 +175,18 @@ class QueryEngine:
                 if self.retry_policy is not None
                 else RetryPolicy(),
             )
-        #: The sketch tier serves only id-native chains under
-        #: ``planner="auto"`` (forcing "compiled" or "python" pins the
-        #: exact pipeline) and never under fault simulation (degraded
-        #: dispatch must sample the live sensor set).
+        #: The sketch tier serves only id-native chains and never under
+        #: fault simulation (degraded dispatch must sample the live
+        #: sensor set).
         self._sketch_tier = (
             self.sketch is not None
-            and self.planner == "auto"
-            and id_native
+            and self._id_native
             and self._simulator is None
         )
 
     @property
     def domain(self) -> MobilityDomain:
         return self.network.domain
-
-    @property
-    def planner_in_use(self) -> str:
-        """The resolved pipeline: "compiled" or "python"."""
-        return self._planner.name
 
     def explain(self, query: RangeQuery):
         """Execute ``query`` and return its record as a
@@ -252,8 +246,7 @@ class QueryEngine:
         relies on this when it scatters sub-batches — workers may
         complete in any interleaving, but each sub-batch comes back in
         its own input order and the parent re-slots by input index.
-        The contract is asserted on exit here and in the sharded
-        gather.
+        The contract is asserted on exit.
 
         Timing attribution: plan work is metered *separately* from
         per-query work.  The first query of the batch to use a box, a

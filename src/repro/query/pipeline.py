@@ -544,14 +544,14 @@ class QueryAccounting:
         self, query: RangeQuery, value: float, regions, edges: int, nodes: int, elapsed: float,
         stage_s: Dict[str, float], junction_count: int, hits: Dict[str, bool],
         shared: float = 0.0, degradation: Optional[QueryDegradation] = None,
-        approximate: bool = False, fanout: int = 0, detail=None,
+        approximate: bool = False, fanout: int = 0,
     ) -> QueryResult:
         """A query's one record (``regions is None``: a miss), kept by
-        the flight recorder and, when slow, promoted with ``detail``
-        (the executor's extra payload).  ``stage_s`` goes onto the
-        record by reference: a scattered batch shares one table and
-        writes its ``merge`` entry after the last record.  The
-        degradation series stay per query (their bounds differ)."""
+        the flight recorder and, when slow, promoted.  ``stage_s``
+        goes onto the record by reference: a scattered batch shares
+        one table and writes its ``merge`` entry after the last
+        record.  The degradation series stay per query (their bounds
+        differ)."""
         if degradation is not None:
             self._record_degradation(degradation)
         missed = regions is None
@@ -562,17 +562,16 @@ class QueryAccounting:
             fanout, getattr(self.source, "generation", None),
         )
         if self.flight is not None and self.flight.keep(result):
-            self._promote(result, detail)
+            self._promote(result)
         return result
 
-    def _promote(self, result: QueryResult, detail) -> None:
+    def _promote(self, result: QueryResult) -> None:
         """Attach to a slow record the evidence at hand (never
-        recomputed): the executor's ``detail``, the internals under
-        the keys flight-log readers know, and the memory watermarks —
-        two O(1) reads, never taken for fast traffic."""
+        recomputed): its stage times, the internals under the keys
+        flight-log readers know, and the memory watermarks — two O(1)
+        reads, never taken for fast traffic."""
         promoted: Dict[str, object] = {
             "stage_s": result.stage_s,
-            **(detail or {}),
             "provenance": {
                 "planner": result.planner,
                 "junction_count": result.junction_count,

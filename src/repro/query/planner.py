@@ -549,13 +549,9 @@ class CompiledQueryPlanner:
         (``integrate_until_ids`` / ``integrate_between_ids`` /
         ``integrate_at_ids``, e.g.
         :class:`~repro.forms.CompiledTrackingForm`) — one touch of the
-        chain per query; a store without one gets the decoded directed
-        edges instead.
+        chain per query.  The engine runs this planner only on stores
+        that have that path.
         """
-        if not hasattr(store, "integrate_until_ids"):
-            return integrate_edges(
-                store, self.decode_edges(chain), query, static_eval
-            )
         wall_ids, signs = chain.wall_ids, chain.signs
         if query.kind == TRANSIENT:
             return store.integrate_between_ids(
@@ -569,8 +565,8 @@ class CompiledQueryPlanner:
 
     def decode_edges(self, chain: BoundaryChain) -> List[DirectedEdge]:
         """The chain as inward-directed ``(u, v)`` edges, decoded per
-        call: its callers (a store without an id-native integration
-        path, a degraded dispatch) walk the edges in Python anyway."""
+        call: its caller (a degraded dispatch) walks the edges in
+        Python anyway."""
         edge_of = self.domain.edge_interner.edge
         edges = []
         for eid, sign in zip(chain.wall_ids.tolist(), chain.signs.tolist()):

@@ -179,9 +179,9 @@ class QueryResult:
     wall_time: float = field(default=0.0, compare=False)
     #: ``elapsed`` strictly exceeded the recorder's slow threshold.
     slow: bool = field(default=False, compare=False)
-    #: Slow-query promotion payload (executor extras, grafted worker
-    #: spans) and the memory watermarks read on that strict slow path
-    #: only (:func:`repro.obs.memory_snapshot`).
+    #: Slow-query promotion payload (stage times and internals) and
+    #: the memory watermarks read on that strict slow path only
+    #: (:func:`repro.obs.memory_snapshot`).
     detail: Optional[Dict[str, Any]] = field(default=None, compare=False)
     peak_rss_bytes: Optional[int] = field(default=None, compare=False)
     alloc_peak_bytes: Optional[int] = field(default=None, compare=False)

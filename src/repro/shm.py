@@ -15,8 +15,9 @@ views and close their local mapping when done.  Attached views keep
 the mapping alive through the ``base`` chain, but holders should keep
 the returned handle anyway — see :func:`attach_arrays`.
 
-Nothing here knows about forms or columns; those classes layer their
-own ``shm_pack`` / ``shm_attach`` on top of this module.
+Nothing here knows about forms;
+:class:`~repro.forms.CompiledTrackingForm` layers its ``shm_pack`` /
+``shm_attach`` on top of this module.
 """
 
 from __future__ import annotations

@@ -165,54 +165,6 @@ class EventColumns:
         return self.select(np.flatnonzero(mask))
 
     # ------------------------------------------------------------------
-    # Shared-memory interop (the sharded engine's zero-copy transport)
-    # ------------------------------------------------------------------
-    def shm_pack(self, hint: str = "columns"):
-        """Copy the three columns into one shared-memory segment.
-
-        Returns ``(handle, descriptor)``: the owning
-        :class:`multiprocessing.shared_memory.SharedMemory` handle
-        (close **and** unlink it when the consumers are gone, e.g. via
-        :func:`repro.shm.destroy_segment`) and the JSON-safe
-        ``(dtype, shape, buffer-name)`` descriptor another process
-        resolves with :meth:`shm_attach`.  The interner is *not*
-        packed — it is shared structure the attaching side must already
-        hold (inherited over fork, or pickled once per worker).
-        """
-        from .. import shm as shm_mod
-
-        return shm_mod.pack_arrays(
-            {
-                "edge_id": self.edge_id,
-                "direction": self.direction,
-                "t": self.t,
-            },
-            hint=hint,
-        )
-
-    @classmethod
-    def shm_attach(
-        cls, descriptor, interner: "EdgeInterner"
-    ) -> "EventColumns":
-        """Zero-copy columns over a :meth:`shm_pack` descriptor.
-
-        The columns are numpy views straight into the shared segment —
-        no bytes are copied.  The segment handle is pinned on the
-        instance so the mapping outlives the attach call.
-        """
-        from .. import shm as shm_mod
-
-        handle, views = shm_mod.attach_arrays(descriptor)
-        columns = cls(
-            interner=interner,
-            edge_id=views["edge_id"],
-            direction=views["direction"],
-            t=views["t"],
-        )
-        object.__setattr__(columns, "_shm_handle", handle)
-        return columns
-
-    # ------------------------------------------------------------------
     # Introspection / interop
     # ------------------------------------------------------------------
     def __len__(self) -> int:

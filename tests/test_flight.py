@@ -1,23 +1,18 @@
-"""Flight recorder and cross-process trace lanes.
+"""Flight recorder.
 
 Covers the always-on query flight recorder — a ring of the per-query
 records (:class:`~repro.query.QueryResult`) themselves: bounded,
 oldest-first eviction, strict slow-query promotion, slow-ring survival,
 the memory watermarks a promoted record carries, engine and framework
-threading, survival of a re-deploy — and the
-distributed-tracing acceptance path: a
-multi-shard batch whose worker spans are grafted into the parent trace
-and exported as Chrome trace-viewer lanes keyed by worker pid.  A
-seeded faulty run past the ring's capacity holds EXPLAIN against a
-plain execute, the ring bound, and strict JSON for the flight dump and
-EXPLAIN's dict.
+threading, survival of a re-deploy — and the sharded engine's records
+(the batch's stage table, no recorder).  A seeded faulty run past the
+ring's capacity holds EXPLAIN against a plain execute, the ring bound,
+and strict JSON for the flight dump and EXPLAIN's dict.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +23,7 @@ from repro.core import FrameworkConfig, InNetworkFramework
 from repro.geometry import BBox
 from repro.obs import (
     FlightRecorder,
-    Instrumentation,
     NULL_INSTRUMENTATION,
-    Tracer,
     memory_snapshot,
     query_digest,
     record_dict,
@@ -156,7 +149,7 @@ class TestPromotion:
 
 
 # ----------------------------------------------------------------------
-# Engine threading (single-process and sharded)
+# Engine threading (single-process) and the sharded engine's records
 # ----------------------------------------------------------------------
 class TestEngineRecording:
     def test_query_engine_records_each_query(self, deployment):
@@ -174,7 +167,7 @@ class TestEngineRecording:
         missed = [e for e in flight.records if e.missed]
         assert answered
         for entry in answered:
-            assert entry.planner == engine.planner_in_use
+            assert entry.planner == engine._planner.name
             assert entry.elapsed > 0
             assert "integrate" in entry.stage_s
         for entry in missed:  # misses record the phases that did run
@@ -195,7 +188,7 @@ class TestEngineRecording:
         assert result.slow
         assert result.detail["stage_s"] is result.stage_s
         assert result.detail["provenance"] == {
-            "planner": engine.planner_in_use,
+            "planner": engine._planner.name,
             "junction_count": result.junction_count,
             "region_ids": list(result.regions),
             "boundary_length": result.edges_accessed,
@@ -207,144 +200,19 @@ class TestEngineRecording:
         assert result.junction_count > 0
 
     def test_sharded_engine_records_stage_breakdown(self, deployment):
+        """A scattered batch's records share its one route / scatter /
+        worker_wait / merge table; no recorder stamps or promotes
+        them."""
         network, _, columns, battery = deployment
-        flight = FlightRecorder(slow_threshold_s=1e-9)
-        with ShardedQueryEngine(
-            network, columns, shards=4, flight=flight
-        ) as engine:
-            results = engine.execute_batch(battery[:6])
-        assert flight.total == len(results)
-        assert all(
-            kept is result for kept, result in zip(flight.records, results)
-        )
-        answered = [e for e in flight.records if not e.missed]
-        assert answered, "battery produced no answered queries"
-        for entry in answered:
-            assert entry.planner == "sharded"
-            assert set(entry.stage_s) == set(SHARDED_STAGES)
-        slow = flight.as_dict()["slow"][-1]
-        assert slow["detail"] is not None
-        assert slow["detail"]["shards"] == 4
-        assert slow["detail"]["provenance"]["planner"] == "sharded"
-
-
-# ----------------------------------------------------------------------
-# Cross-process trace lanes (the acceptance trace)
-# ----------------------------------------------------------------------
-class TestTraceLanes:
-    def test_worker_spans_graft_into_pid_lanes(self, deployment, tmp_path):
-        network, _, columns, battery = deployment
-        tracer = Tracer()
-        obs = Instrumentation(tracer=tracer)
-        with ShardedQueryEngine(
-            network, columns, shards=4, workers=2, instrumentation=obs
-        ) as engine:
-            engine.execute_batch(battery[:12])
-
-        path = tmp_path / "trace.json"
-        tracer.export_chrome(path)
-        events = json.loads(path.read_text())["traceEvents"]
-        spans = [e for e in events if e["ph"] == "X"]
-        local = os.getpid()
-        foreign = {e["pid"] for e in spans if e["pid"] != local}
-        assert foreign, "no worker lanes in the merged trace"
-
-        # Every foreign lane is a real worker process carrying the
-        # worker-side span vocabulary.
-        by_pid = {}
-        for event in spans:
-            by_pid.setdefault(event["pid"], []).append(event)
-        for pid in foreign:
-            names = {e["name"] for e in by_pid[pid]}
-            assert "worker.run" in names
-            assert "worker.attach" in names
-            assert "query.integrate" in names
-
-        # Lanes are labelled: one process_name metadata event per pid.
-        meta = {
-            e["pid"]: e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert meta[local].startswith("parent")
-        for pid in foreign:
-            assert meta[pid] == f"shard-worker {pid}"
-
-        # Grafted worker spans sit inside their parent scatter span:
-        # perf_counter is shared across fork, so the intervals are
-        # directly comparable and worker time must be covered by the
-        # scatter interval that awaited it.
-        scatters = [e for e in by_pid[local] if e["name"] == "sharded.scatter"]
-        runs = [
-            e
-            for pid in foreign
-            for e in by_pid[pid]
-            if e["name"] == "worker.run"
-        ]
-        assert runs
-        for run in runs:
-            assert any(
-                s["ts"] <= run["ts"]
-                and run["ts"] + run["dur"] <= s["ts"] + s["dur"]
-                for s in scatters
-            ), "worker.run outside every parent scatter interval"
-
-    def test_worker_tid_is_shard_lane(self, deployment):
-        network, _, columns, battery = deployment
-        tracer = Tracer()
-        obs = Instrumentation(tracer=tracer)
-        with ShardedQueryEngine(
-            network, columns, shards=3, workers=1, instrumentation=obs
-        ) as engine:
-            engine.execute_batch(battery[:12])
-        grafted = [
-            child
-            for root in tracer.roots
-            for child in _walk(root)
-            if child.name == "worker.run"
-        ]
-        assert grafted
-        for span in grafted:
-            assert span.pid is not None and span.pid != os.getpid()
-            assert span.tid == span.attributes["shard"] + 1
-
-
-def _walk(span):
-    yield span
-    for child in span.children:
-        yield from _walk(child)
-
-
-# ----------------------------------------------------------------------
-# Sharded EXPLAIN parity
-# ----------------------------------------------------------------------
-class TestShardedExplain:
-    def test_parity_with_single_process(self, deployment):
-        network, form, columns, battery = deployment
-        query = battery[0]
-        reference = QueryEngine(network, form).execute(query)
         with ShardedQueryEngine(network, columns, shards=4) as engine:
-            plan = engine.explain(query)
-        record = plan.record
-        assert record.planner == "sharded"
-        # Everything region-determined equals the single-process record.
-        assert record == replace(reference, elapsed=record.elapsed)
-        assert record.junction_count == reference.junction_count
-        assert record.boundary_length == reference.boundary_length
-        assert plan.engine["shards"] == 4
-        assert record.fanout >= 1
-        assert set(record.stage_s) == set(SHARDED_STAGES)
-        text = plan.format()
-        assert "scatter_gather" in text
-        assert "shards=4" in text
-
-    def test_collapsed_engine_delegates(self, deployment):
-        network, form, columns, battery = deployment
-        with ShardedQueryEngine(network, columns, shards=1) as engine:
-            assert engine.planner_in_use != "sharded"
-            plan = engine.explain(battery[0])
-        assert plan.engine["shards"] == 0  # single-process plan
-        assert "scatter_gather" not in plan.format()
+            results = engine.execute_batch(battery[:6])
+        answered = [r for r in results if not r.missed]
+        assert answered, "battery produced no answered queries"
+        for result in answered:
+            assert result.planner == "sharded"
+            assert result.stage_s is answered[0].stage_s
+            assert set(result.stage_s) == set(SHARDED_STAGES)
+            assert result.seq == 0 and result.detail is None
 
 
 # ----------------------------------------------------------------------
@@ -420,33 +288,6 @@ class TestFrameworkFlight:
             for kept, result in zip(flight.records, (first, second, third))
         )
         fw.close()
-
-    def test_sharded_framework_explain(self):
-        # A fresh domain: the shared session fixture's edge interner
-        # accumulates synthetic edges from other tests, which the
-        # sharded partition would then try to locate.
-        from repro.mobility import organic_city
-        from repro.trajectories import WorkloadConfig, generate_workload
-
-        road = organic_city(blocks=40, rng=np.random.default_rng(0))
-        fw = InNetworkFramework.from_road_graph(road)
-        fw.deploy(
-            FrameworkConfig(selector="quadtree", budget=20, seed=3,
-                            planner="sharded", shards=2)
-        )
-        workload = generate_workload(
-            fw.domain,
-            WorkloadConfig(n_trips=150, horizon_days=1.0,
-                           mean_dwell=3600.0, seed=5),
-        )
-        fw.ingest_trips(workload.trips)
-        try:
-            plan = fw.explain(BBox(1, 1, 9, 9), 0.0, workload.horizon / 2)
-            assert plan.record.planner == "sharded"
-            assert plan.engine["shards"] == 2
-            assert "scatter_gather" in plan.format()
-        finally:
-            fw.close()
 
 
 # ----------------------------------------------------------------------
@@ -525,7 +366,7 @@ class TestFaultyRun:
 
     def test_explain_agrees_with_execute(self, run):
         fw, _, queries, _, _ = run
-        engine = fw.engine(sharded=False)
+        engine = fw.engine()
         for query in queries:
             reference = engine.execute(query)
             plan = engine.explain(query).record

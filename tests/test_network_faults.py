@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from lib.energy import EnergyModel, RadioParameters
+from lib.energy import EnergyModel
 from repro import FrameworkConfig, InNetworkFramework
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import BBox, distance
@@ -373,55 +373,6 @@ class TestHopEnergyAgreement:
         expected += simulator.uplink_hops(order[-1])
         report = simulator.dispatch(sensors, strategy="perimeter_walk")
         assert report.hops == expected
-
-
-# ----------------------------------------------------------------------
-# Satellite 2: endpoint receive costs in query_energy
-# ----------------------------------------------------------------------
-class TestQueryEnergyReceives:
-    def test_hand_computed_three_sensor_perimeter(self, sampled_net):
-        # amplifier=0 makes every transmit cost exactly tx_electronics,
-        # so the whole dispatch is hand-countable in (tx + rx) units.
-        radio = RadioParameters(
-            tx_electronics=7.0, rx_electronics=3.0, amplifier=0.0
-        )
-        model = EnergyModel(sampled_net, radio)
-        dual = sampled_net.domain.dual
-        mean = dual.mean_interior_edge_length()
-        s0, s1, s2 = sampled_net.sensors[:3]
-
-        def steps(a, b):
-            d = distance(dual.position(a), dual.position(b))
-            return max(int(round(d / mean)), 1)
-
-        # server->s0 (tx+rx), each relay hop (tx+rx), s2->server (tx+rx)
-        legs = 2 + steps(s0, s1) + steps(s1, s2)
-        assert model.query_energy([s0, s1, s2]) == pytest.approx(
-            legs * (7.0 + 3.0)
-        )
-
-    def test_single_sensor_pays_both_endpoint_receives(self, sampled_net):
-        radio = RadioParameters(
-            tx_electronics=7.0, rx_electronics=3.0, amplifier=0.0
-        )
-        model = EnergyModel(sampled_net, radio)
-        sensor = sampled_net.sensors[0]
-        # Request down + reply up, each with its receive.
-        assert model.query_energy([sensor]) == pytest.approx(20.0)
-        assert model.query_energy([sensor, sensor]) == pytest.approx(20.0)
-
-    def test_empty_perimeter_costs_nothing(self, sampled_net):
-        assert EnergyModel(sampled_net).query_energy([]) == 0.0
-
-    def test_receives_scale_with_rx_cost(self, sampled_net):
-        sensors = list(sampled_net.sensors[:4])
-        cheap = EnergyModel(
-            sampled_net, RadioParameters(rx_electronics=0.0)
-        ).query_energy(sensors)
-        costly = EnergyModel(
-            sampled_net, RadioParameters(rx_electronics=50.0)
-        ).query_energy(sensors)
-        assert costly > cheap
 
 
 # ----------------------------------------------------------------------

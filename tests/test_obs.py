@@ -34,6 +34,7 @@ from repro.obs import (
     use_registry,
 )
 from repro.query import LOWER, QueryEngine, RangeQuery, TRANSIENT, UPPER
+from repro.trajectories import EventColumns
 
 
 def _named(tracer, name):
@@ -204,17 +205,6 @@ class TestTracer:
             (root.name, [child.name for child in root.children])
             for root in tracer.roots
         ) == [("t1", ["t1.child"]), ("t2", ["t2.child"])]
-
-    def test_null_tracer_roots_is_immutable(self):
-        from repro.obs.trace import NullTracer
-
-        # A class-level list here would be shared mutable state: one
-        # accidental append would leak into every tracer.
-        assert NULL_TRACER.roots == ()
-        assert isinstance(NULL_TRACER.roots, tuple)
-        assert NullTracer().roots == ()
-        with pytest.raises((AttributeError, TypeError)):
-            NULL_TRACER.roots.append("leak")
 
     def test_double_close_does_not_unwind_open_spans(self):
         tracer = Tracer()
@@ -540,7 +530,7 @@ class TestBatchAttribution:
 
     def _check_cold_record(self, engine, result):
         assert not result.missed
-        assert result.planner == engine.planner_in_use
+        assert result.planner == engine._planner.name
         assert not result.cache_served and result.cache_hits == {}
         assert result.shared_fill_s == 0.0
         assert result.junction_count > 0
@@ -603,9 +593,11 @@ class TestExplain:
         assert not engine.obs.tracer.enabled
 
     def test_explain_includes_compiled_planner_stats(
-        self, sampled_net, sampled_form, workload
+        self, sampled_net, events, workload
     ):
-        engine = QueryEngine(sampled_net, sampled_form, planner="compiled")
+        # Columnar events build an id-native form: the compiled planner.
+        columns = EventColumns.from_events(sampled_net.domain, events)
+        engine = QueryEngine(sampled_net, sampled_net.build_form(columns))
         plan = engine.explain(self._query(workload))
         assert plan.record.planner == "compiled"
         stats = plan.engine["planner_stats"]

@@ -196,13 +196,11 @@ class TestPlannerEquivalence:
     def test_execute_matches_python(self, deployment, static_eval):
         network, form, workload = deployment
         compiled = QueryEngine(
-            network, form, planner="compiled", static_eval=static_eval
+            network, form, static_eval=static_eval
         )
         python = QueryEngine(
             network, form, planner="python", static_eval=static_eval
         )
-        assert compiled.planner_in_use == "compiled"
-        assert python.planner_in_use == "python"
         queries = _battery(network.domain, workload.horizon, seed=23)
         answered = 0
         missed = 0
@@ -214,10 +212,11 @@ class TestPlannerEquivalence:
             missed += a.missed
         # The battery must actually exercise both outcomes.
         assert answered > 0 and missed > 0
+        assert (a.planner, b.planner) == ("compiled", "python")
 
     def test_execute_batch_matches_python_and_single(self, deployment):
         network, form, workload = deployment
-        compiled = QueryEngine(network, form, planner="compiled")
+        compiled = QueryEngine(network, form)
         python = QueryEngine(network, form, planner="python")
         queries = _battery(network.domain, workload.horizon, seed=29)
         batch_c = compiled.execute_batch(queries)
@@ -228,7 +227,7 @@ class TestPlannerEquivalence:
 
     def test_auto_resolution(self, deployment):
         network, form, _ = deployment
-        assert QueryEngine(network, form).planner_in_use == "compiled"
+        assert QueryEngine(network, form)._planner.name == "compiled"
 
         class NotIdNative:
             def net_until(self, edge, t):
@@ -238,21 +237,8 @@ class TestPlannerEquivalence:
                 return 0
 
         assert (
-            QueryEngine(network, NotIdNative()).planner_in_use == "python"
+            QueryEngine(network, NotIdNative())._planner.name == "python"
         )
-
-    def test_compiled_planner_on_legacy_store(self, deployment):
-        """Forcing the compiled planner on a non-id-native store decodes
-        the chain and still matches the python path exactly."""
-        network, form, workload = deployment
-        legacy = network.build_form_loop(
-            workload.events(network.domain)
-        )
-        compiled = QueryEngine(network, legacy, planner="compiled")
-        python = QueryEngine(network, legacy, planner="python")
-        for query in _battery(network.domain, workload.horizon, seed=31,
-                              n_boxes=8):
-            assert _key(compiled.execute(query)) == _key(python.execute(query))
 
     def test_unknown_planner_rejected(self, deployment):
         network, form, _ = deployment
@@ -269,7 +255,7 @@ class TestPlannerEdgeCases:
         far = BBox(1e6, 1e6, 1e6 + 1, 1e6 + 1)
         for bound in (LOWER, UPPER):
             query = RangeQuery(far, 0.0, 1.0, bound=bound)
-            a = QueryEngine(network, form, planner="compiled").execute(query)
+            a = QueryEngine(network, form).execute(query)
             b = QueryEngine(network, form, planner="python").execute(query)
             assert a.missed and b.missed
             assert _key(a) == _key(b)
@@ -282,7 +268,7 @@ class TestPlannerEdgeCases:
         bounds = network.domain.bounds
         whole = BBox(bounds.min_x - 1, bounds.min_y - 1,
                      bounds.max_x + 1, bounds.max_y + 1)
-        compiled = QueryEngine(network, form, planner="compiled")
+        compiled = QueryEngine(network, form)
         python = QueryEngine(network, form, planner="python")
         upper = RangeQuery(whole, 0.0, 1.0, bound=UPPER)
         a, b = compiled.execute(upper), python.execute(upper)
@@ -296,7 +282,7 @@ class TestPlannerEdgeCases:
     def test_single_region_network(self):
         """The minimum deployment (one logical region besides EXT)."""
         network, form, workload = _deployment("grid", 2, seed=51)
-        compiled = QueryEngine(network, form, planner="compiled")
+        compiled = QueryEngine(network, form)
         python = QueryEngine(network, form, planner="python")
         for query in _battery(network.domain, workload.horizon, seed=3,
                               n_boxes=10):
@@ -645,7 +631,7 @@ class TestBoundaryCacheLRU:
         with use_registry() as registry:
             form = self._fresh_form(network, workload)
             engine = QueryEngine(
-                network, form, planner="compiled", static_eval="min"
+                network, form, static_eval="min"
             )
             for query, want in zip(battery, expected):
                 form._seen.clear()  # every query meets a cold chain
@@ -702,6 +688,11 @@ class TestMissMetering:
             )
 
 
+#: Both pipelines by the planner that runs: the default ("auto") runs
+#: the compiled one on the deployments' id-native forms.
+PIPELINES = [pytest.param("auto", id="compiled"), "python"]
+
+
 class TestDegradedAccounting:
     @pytest.fixture()
     def answered_query(self, deployment):
@@ -718,7 +709,7 @@ class TestDegradedAccounting:
                 return query, result
         pytest.skip("no answered multi-sensor query at this deployment")
 
-    @pytest.mark.parametrize("planner", ["compiled", "python"])
+    @pytest.mark.parametrize("planner", PIPELINES)
     def test_lost_walls_not_charged(self, deployment, answered_query,
                                     planner):
         network, form, _ = deployment
@@ -742,7 +733,7 @@ class TestDegradedAccounting:
             ) == reached
         assert plain.edges_accessed == d.boundary_walls
 
-    @pytest.mark.parametrize("planner", ["compiled", "python"])
+    @pytest.mark.parametrize("planner", PIPELINES)
     def test_degraded_results_planner_equivalent(self, deployment,
                                                  answered_query, planner):
         """Both planners produce the same degraded value, bound and
@@ -750,7 +741,7 @@ class TestDegradedAccounting:
         network, form, _ = deployment
         query, _ = answered_query
         results = {}
-        for mode in ("compiled", "python"):
+        for mode in ("auto", "python"):
             injector = FaultInjector(
                 FaultConfig(), network.sensors,
                 crashed=network.sensors[::2],
@@ -758,7 +749,7 @@ class TestDegradedAccounting:
             results[mode] = QueryEngine(
                 network, form, planner=mode, faults=injector
             ).execute(query)
-        a, b = results["compiled"], results["python"]
+        a, b = results["auto"], results["python"]
         assert _key(a) == _key(b)
         if a.degradation is not None:
             assert b.degradation is not None

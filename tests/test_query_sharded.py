@@ -1,15 +1,16 @@
 """Sharded scatter-gather engine: merge equivalence, ordering, shm.
 
 Covers the randomized shard-merge equivalence grid (shards x
-deployments x query kinds x static_eval x faults) against both
-single-process planners, the input-order result contract under
-interleaved shard completion, shared-memory pack/attach round trips,
-leak-proof segment cleanup (close, GC and worker-crash paths), worker
-metric merging and the FrameworkConfig/framework threading.
+deployments x query kinds) against both single-process planners, the
+input-order result contract under interleaved shard completion,
+shared-memory pack/attach round trips, leak-proof segment cleanup
+(close, GC, worker-crash and failed-construction paths) and worker
+metric merging.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
 import glob
 import os
@@ -21,22 +22,16 @@ import pytest
 
 from test_query_planner import _battery, _deployment, _key
 
-from repro.core import FrameworkConfig, InNetworkFramework
-from repro.errors import ConfigurationError, QueryError
+import repro.shm
+from repro.core import FrameworkConfig
+from repro.errors import QueryError
 from repro.forms import CompiledTrackingForm
-from repro.mobility import grid_city, grid_strata
-from repro.network import FaultConfig, FaultInjector
+from repro.mobility import grid_strata
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.metrics import diff_dumps
-from repro.query import (
-    STATIC,
-    QueryEngine,
-    RangeQuery,
-    ShardedQueryEngine,
-    shard_of_edges,
-)
+from repro.query import QueryEngine, ShardedQueryEngine, shard_of_edges
 from repro.shm import attach_arrays, destroy_segment, pack_arrays
-from repro.trajectories import EventColumns, WorkloadConfig, generate_workload
+from repro.trajectories import EventColumns
 
 
 def _summed(registry, name: str) -> float:
@@ -67,11 +62,11 @@ def _segments():
 # Randomized shard-merge equivalence grid
 # ----------------------------------------------------------------------
 class TestShardMergeEquivalence:
-    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
+    @pytest.mark.parametrize("shards", [2, 4, 7])
     def test_field_identical_to_both_planners(self, deployment, shards):
         network, form, columns, battery = deployment
         compiled = QueryEngine(
-            network, form, planner="compiled"
+            network, form
         ).execute_batch(battery)
         python = QueryEngine(
             network, form, planner="python"
@@ -81,74 +76,20 @@ class TestShardMergeEquivalence:
             results = engine.execute_batch(battery)
         assert [_key(r) for r in results] == [_key(r) for r in compiled]
 
-    @pytest.mark.parametrize("static_eval", ["start", "min"])
-    def test_static_eval_modes(self, deployment, static_eval):
-        network, form, columns, battery = deployment
-        reference = QueryEngine(
-            network, form, planner="compiled", static_eval=static_eval
-        ).execute_batch(battery)
-        with ShardedQueryEngine(
-            network, columns, shards=3, static_eval=static_eval
-        ) as engine:
-            results = engine.execute_batch(battery)
-        assert [_key(r) for r in results] == [_key(r) for r in reference]
-
-    def test_caller_strata_partition(self, deployment):
-        network, form, columns, battery = deployment
-        strata = grid_strata(network.domain.bounds, rows=2, cols=3)
-        reference = QueryEngine(
-            network, form, planner="compiled"
-        ).execute_batch(battery)
-        with ShardedQueryEngine(
-            network, columns, strata=strata
-        ) as engine:
-            assert engine.shards == strata.count == 6
-            results = engine.execute_batch(battery)
-        assert [_key(r) for r in results] == [_key(r) for r in reference]
-
-    def test_faults_delegate_to_single_process(self, deployment):
-        network, form, columns, battery = deployment
-        config = FaultConfig(
-            seed=5, sensor_failure_rate=0.2, drop_rate=0.05
-        )
-        reference = QueryEngine(
-            network, form,
-            faults=FaultInjector.for_network(network, config),
-        ).execute_many(battery[:40])
-        with ShardedQueryEngine(
-            network, columns, shards=4,
-            faults=FaultInjector.for_network(network, config),
-        ) as engine:
-            assert engine.planner_in_use != "sharded"
-            results = engine.execute_batch(battery[:40])
-        assert [_key(r) for r in results] == [_key(r) for r in reference]
-        assert [r.approximate for r in results] == [
-            r.approximate for r in reference
-        ]
-
-    def test_single_shard_and_zero_workers_delegate(self, deployment):
-        network, form, columns, battery = deployment
+    def test_one_shard_or_no_worker_is_rejected(self, deployment):
+        network, _, columns, _ = deployment
         for kwargs in ({"shards": 1}, {"shards": 4, "workers": 0}):
-            with ShardedQueryEngine(network, columns, **kwargs) as engine:
-                assert engine.planner_in_use == "compiled"
-                results = engine.execute_batch(battery[:12])
-            reference = QueryEngine(
-                network, form, planner="compiled"
-            ).execute_batch(battery[:12])
-            assert [_key(r) for r in results] == [
-                _key(r) for r in reference
-            ]
+            with pytest.raises(QueryError, match="shards >= 2"):
+                ShardedQueryEngine(network, columns, **kwargs)
 
     def test_empty_batch_and_single_query(self, deployment):
         network, form, columns, battery = deployment
         with ShardedQueryEngine(network, columns, shards=2) as engine:
             assert engine.execute_batch([]) == []
-            single = engine.execute(battery[0])
-            many = engine.execute_many(battery[:8])
-        reference = QueryEngine(
-            network, form, planner="compiled"
-        ).execute_batch(battery[:8])
-        assert _key(single) == _key(reference[0])
+            single = engine.execute_batch(battery[:1])
+            many = engine.execute_batch(battery[:8])
+        reference = QueryEngine(network, form).execute_batch(battery[:8])
+        assert [_key(r) for r in single] == [_key(reference[0])]
         assert [_key(r) for r in many] == [_key(r) for r in reference]
 
 
@@ -179,7 +120,7 @@ class TestOrderingContract:
         rng = np.random.default_rng(11)
         shuffled = [battery[i] for i in rng.permutation(len(battery))]
         results = QueryEngine(
-            network, form, planner="compiled"
+            network, form
         ).execute_batch(shuffled)
         for result, query in zip(results, shuffled):
             assert result.query is query
@@ -208,23 +149,6 @@ class TestShmRoundTrip:
             os.path.basename(p) for p in _segments()
         }
 
-    def test_event_columns_round_trip(self, deployment):
-        network, _, columns, _ = deployment
-        handle, descriptor = columns.shm_pack()
-        try:
-            attached = EventColumns.shm_attach(
-                descriptor, columns.interner
-            )
-            np.testing.assert_array_equal(attached.edge_id, columns.edge_id)
-            np.testing.assert_array_equal(
-                attached.direction, columns.direction
-            )
-            np.testing.assert_array_equal(attached.t, columns.t)
-            # Zero-copy: the views live on the shared buffer.
-            assert attached.t.base is not None
-        finally:
-            destroy_segment(handle)
-
     def test_compiled_form_round_trip(self, deployment):
         network, form, columns, battery = deployment
         handle, descriptor = form.shm_pack()
@@ -236,8 +160,8 @@ class TestShmRoundTrip:
             assert attached.edge_count == form.edge_count
             for edge in list(form.edges())[:10]:
                 assert attached.timestamps(edge) == form.timestamps(edge)
-            engine_a = QueryEngine(network, form, planner="compiled")
-            engine_b = QueryEngine(network, attached, planner="compiled")
+            engine_a = QueryEngine(network, form)
+            engine_b = QueryEngine(network, attached)
             keys_a = [_key(r) for r in engine_a.execute_batch(battery[:20])]
             keys_b = [_key(r) for r in engine_b.execute_batch(battery[:20])]
             assert keys_a == keys_b
@@ -350,6 +274,26 @@ class TestShmLifecycle:
             assert isinstance(info.value.__cause__, BrokenProcessPool)
             assert registry.value("repro_shard_worker_crash_total") == 1
 
+    def test_failed_build_leaves_no_segment(self, deployment, monkeypatch):
+        """Packing fails on the second shard: the error surfaces, and
+        the first shard's segment is unlinked at once — not left in
+        /dev/shm until the interpreter exits."""
+        network, _, columns, _ = deployment
+        pack, hints = repro.shm.pack_arrays, []
+
+        def pack_then_fail(arrays, hint=""):
+            hints.append(hint)
+            if len(hints) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return pack(arrays, hint=hint)
+
+        monkeypatch.setattr(repro.shm, "pack_arrays", pack_then_fail)
+        before = _segments()
+        with pytest.raises((QueryError, OSError)):
+            ShardedQueryEngine(network, columns, shards=3, workers=1)
+        assert hints == ["shard0", "shard1"]
+        assert _segments() == before
+
     def test_context_manager_unlinks(self, deployment):
         network, _, columns, battery = deployment
         before = _segments()
@@ -414,7 +358,7 @@ class TestMetricsMerge:
         network, form, columns, battery = deployment
         with use_registry() as single_registry:
             QueryEngine(
-                network, form, planner="compiled"
+                network, form
             ).execute_batch(battery)
         with use_registry() as sharded_registry:
             with ShardedQueryEngine(
@@ -437,35 +381,6 @@ class TestMetricsMerge:
         assert _summed(sharded_registry, "repro_sharded_batches_total") == 1
         assert _summed(sharded_registry, "repro_sharded_subqueries_total") > 0
 
-    def test_min_mode_touches_each_chain_once_per_query(self, deployment):
-        """Under ``static_eval="min"`` a worker takes a static query's
-        (start, end) partial sums from one integration call: distinct
-        cold chains are ranked, none compiled."""
-        network, form, columns, battery = deployment
-        single = QueryEngine(
-            network, form, planner="compiled", static_eval="min"
-        )
-        # One static query per distinct region set, i.e. per chain.
-        by_chain = {}
-        for query in battery:
-            if query.kind == STATIC:
-                result = single.execute(query)
-                if not result.missed:
-                    by_chain.setdefault(result.regions, query)
-        static = list(by_chain.values())
-        assert len(static) > 3
-        reference = single.execute_batch(static)
-        with use_registry() as registry:
-            with ShardedQueryEngine(
-                network, columns, shards=3, static_eval="min"
-            ) as engine:
-                results = engine.execute_batch(static)
-        assert [_key(r) for r in results] == [_key(r) for r in reference]
-        assert _summed(registry, "repro_csr_searchsorted_total") > 0
-        assert registry.value(
-            "repro_csr_boundary_cache_total", outcome="compile"
-        ) == 0
-
 
 # ----------------------------------------------------------------------
 # Partitioning
@@ -484,70 +399,19 @@ class TestPartition:
             observed = network.observed_columns(columns)
             assert sum(engine.shard_events) == len(observed)
             layout = engine.describe()
-            assert layout["mode"] == "sharded"
             assert layout["shards"] == 5
+            assert layout["events_per_shard"] == engine.shard_events
+
 
 
 # ----------------------------------------------------------------------
-# Config / framework threading
+# Framework threading: there is none
 # ----------------------------------------------------------------------
 class TestFrameworkThreading:
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            FrameworkConfig(shards=0)
-        with pytest.raises(ConfigurationError):
-            FrameworkConfig(shards=3, store="linear")
-        assert FrameworkConfig(planner="sharded").effective_shards == 4
-        assert FrameworkConfig(shards=3).sharded
-        assert not FrameworkConfig().sharded
-        assert FrameworkConfig().effective_shards == 1
-
-    def test_framework_caches_and_closes_sharded_engine(self):
-        road = grid_city(rows=5, cols=5, jitter=0.0, drop_fraction=0.0)
-        framework = InNetworkFramework.from_road_graph(road)
-        framework.deploy(FrameworkConfig(budget=8, shards=2, seed=3))
-        workload = generate_workload(
-            framework.domain,
-            WorkloadConfig(n_trips=120, horizon_days=1.0, seed=4),
-        )
-        framework.ingest_trips(workload.trips)
-        engine = framework.engine()
-        assert isinstance(engine, ShardedQueryEngine)
-        assert framework.engine() is engine  # cached
-        assert isinstance(
-            framework.engine(sharded=False), QueryEngine
-        )
-        box = framework.domain.bounds
-        sharded_result = framework.query(box, 0.0, HORIZON)
-        single = framework.engine(sharded=False).execute(
-            RangeQuery(box, 0.0, HORIZON)
-        )
-        assert _key(sharded_result) == _key(single)
-        framework.close()
-        assert engine.closed
-        assert framework.closed
-        # close() is terminal: the framework raises a structured
-        # QueryError instead of failing deep inside released pools.
-        with pytest.raises(QueryError, match="closed"):
-            framework.engine()
-        with pytest.raises(QueryError, match="closed"):
-            framework.query(box, 0.0, HORIZON)
-        with pytest.raises(QueryError, match="closed"):
-            framework.ingest_trips(workload.trips[:1])
-        framework.close()  # idempotent
-
-    def test_reingest_invalidates_sharded_engine(self):
-        road = grid_city(rows=4, cols=4, jitter=0.0, drop_fraction=0.0)
-        framework = InNetworkFramework.from_road_graph(road)
-        framework.deploy(FrameworkConfig(budget=6, shards=2, seed=3))
-        workload = generate_workload(
-            framework.domain,
-            WorkloadConfig(n_trips=60, horizon_days=1.0, seed=4),
-        )
-        framework.ingest_trips(workload.trips)
-        first = framework.engine()
-        framework.ingest_trips(workload.trips[:10])
-        second = framework.engine()
-        assert first.closed
-        assert second is not first
-        framework.close()
+        """The framework threads no sharded engine: its config takes no
+        planner and no shard count."""
+        for option in ({"planner": "sharded"}, {"shards": 2}):
+            with pytest.raises(TypeError):
+                FrameworkConfig(**option)
+        assert not hasattr(FrameworkConfig(), "sharded")

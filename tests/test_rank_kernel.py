@@ -14,8 +14,8 @@ Generated (``hypothesis``) and enumerated corner cases for
 - the compressed form's directory rank + one-block decode against the
   plain form on the same quantized columns: segment lengths around the
   block size, every delta width 0..33, all-duplicate (zero-payload)
-  blocks, shm attach (directory rebuilt by decode), and lanes that
-  share blocks on both sides of the per-lane / per-block decode switch;
+  blocks, and lanes that share blocks on both sides of the per-lane /
+  per-block decode switch;
 - the vectorised sketch estimate against a brute-force count from the
   raw events, its bound always containing the exact answer;
 - the narrow stored columns of the sketch and the compressed form
@@ -328,7 +328,7 @@ class TestCompressedRank:
         ),
         tick_bits=st.integers(0, 3),
     )
-    def test_random_columns_incl_shm_attach(self, events, tick_bits):
+    def test_random_columns(self, events, tick_bits):
         scale = 2.0 ** tick_bits
         edge_id = np.array([e[0] for e in events], dtype=np.int64)
         direction = np.array([e[1] for e in events], dtype=np.int8)
@@ -341,22 +341,6 @@ class TestCompressedRank:
         assert compressed.integrate_at_ids(
             wall_ids, signs, when
         ).tolist() == expected
-        # A worker's attach has no ticks in hand: its directory is
-        # summed out of the decoded deltas.
-        handle, descriptor = compressed.shm_pack(hint="rank-test")
-        try:
-            attached = CompressedTrackingForm.shm_attach(
-                descriptor, compressed._interner, boundary_cache_size=0
-            )
-            assert np.array_equal(
-                attached._blocks.directory, compressed._blocks.directory
-            )
-            assert attached.integrate_at_ids(
-                wall_ids, signs, when
-            ).tolist() == expected
-            del attached
-        finally:
-            destroy_segment(handle)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -384,8 +368,7 @@ class TestCompressedRank:
     ):
         """``_rank_lanes`` decodes per lane below ``_DECODE_LANES``
         lanes and once per distinct straddled block from there on;
-        either way every lane's rank is the plain form's, on the
-        encoding form and on an ``shm_attach``ed one."""
+        either way every lane's rank is the plain form's."""
         n_ids = 4
         rows, ticks = [], []
         for row, segment in enumerate(segments):
@@ -423,27 +406,18 @@ class TestCompressedRank:
             many = rng.permutation(
                 np.concatenate((many, np.tile(inside, repeat)))
             )
-        handle, descriptor = compressed.shm_pack(hint="rank-switch")
-        try:
-            attached = CompressedTrackingForm.shm_attach(
-                descriptor, compressed._interner, boundary_cache_size=0
+        for pick in (few, many):
+            expected = plain._rank_lanes(lane_row[pick], lane_t[pick])
+            assert np.array_equal(
+                compressed._rank_lanes(lane_row[pick], lane_t[pick]),
+                expected,
             )
-            for pick in (few, many):
-                expected = plain._rank_lanes(lane_row[pick], lane_t[pick])
-                for form in (compressed, attached):
-                    assert np.array_equal(
-                        form._rank_lanes(lane_row[pick], lane_t[pick]),
-                        expected,
-                    )
-                # A switch of 3 lanes: many decode slices of 3 blocks.
-                with mock.patch.object(succinct, "_DECODE_LANES", 3):
-                    assert np.array_equal(
-                        compressed._rank_lanes(lane_row[pick], lane_t[pick]),
-                        expected,
-                    )
-            del attached
-        finally:
-            destroy_segment(handle)
+            # A switch of 3 lanes: many decode slices of 3 blocks.
+            with mock.patch.object(succinct, "_DECODE_LANES", 3):
+                assert np.array_equal(
+                    compressed._rank_lanes(lane_row[pick], lane_t[pick]),
+                    expected,
+                )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -473,9 +447,8 @@ class TestCompressedRank:
         """Per lane, the unit directory's rank plus one unit's decode
         equals ``np.searchsorted(row, t, "right")`` on the row as
         written, at every unit size, below and from ``_DECODE_LANES``
-        lanes, as a chain's ``(rows, times)`` grid and as flat lanes,
-        on the encoding form and on an ``shm_attach``ed one (its
-        directory summed out of a decode)."""
+        lanes, as a chain's ``(rows, times)`` grid and as flat
+        lanes."""
         n_ids, scale = 4, 2.0 ** -tick_bits
         values = [np.empty(0)] * (2 * n_ids)
         for row, segment in enumerate(segments):
@@ -505,27 +478,15 @@ class TestCompressedRank:
         rng = np.random.default_rng(seed)
         lane_row = rng.integers(0, 2 * n_ids, size=_DECODE_LANES + 50)
         lane_t = rng.choice(when, size=lane_row.size)
-        handle, descriptor = form.shm_pack(hint="rank-twin")
-        try:
-            attached = CompressedTrackingForm.shm_attach(
-                descriptor, form._interner, boundary_cache_size=0
-            )
+        assert np.array_equal(form._rank_lanes(grid, when), expected)
+        for size in (_DECODE_LANES - 1, lane_row.size):
             assert np.array_equal(
-                attached._blocks.directory, form._blocks.directory
+                form._rank_lanes(lane_row[:size], lane_t[:size]),
+                [
+                    np.searchsorted(values[r], x, side="right")
+                    for r, x in zip(lane_row[:size], lane_t[:size])
+                ],
             )
-            for each in (form, attached):
-                assert np.array_equal(each._rank_lanes(grid, when), expected)
-                for size in (_DECODE_LANES - 1, lane_row.size):
-                    assert np.array_equal(
-                        each._rank_lanes(lane_row[:size], lane_t[:size]),
-                        [
-                            np.searchsorted(values[r], x, side="right")
-                            for r, x in zip(lane_row[:size], lane_t[:size])
-                        ],
-                    )
-            del attached
-        finally:
-            destroy_segment(handle)
 
     def test_gap_wider_than_one_window_is_refused(self):
         t = np.array([0.0, 2.0 ** 58])

@@ -66,14 +66,12 @@ def grid_events(grid_road):
     return sorted(workload.events(domain), key=lambda e: e.t)
 
 
-def _deploy(road, *, streaming, planner="auto", shards=1, compact_every=256):
+def _deploy(road, *, streaming, compact_every=256):
     framework = InNetworkFramework.from_road_graph(road)
     framework.deploy(
         FrameworkConfig(
             budget=10,
             seed=3,
-            planner=planner,
-            shards=shards,
             streaming=streaming,
             compact_every=compact_every,
         )
@@ -376,9 +374,9 @@ class TestStreamingBatchEquivalence:
 
         queries = _battery(streamed.domain, HORIZON, seed=23, n_boxes=8)
         reference = [
-            _key(batch.engine(sharded=False).execute(q)) for q in queries
+            _key(batch.engine().execute(q)) for q in queries
         ]
-        for planner in ("python", "compiled"):
+        for planner in ("python", "auto"):
             engine = QueryEngine(
                 streamed.network, store, planner=planner
             )
@@ -390,31 +388,21 @@ class TestStreamingBatchEquivalence:
     def test_sharded_streaming_equivalence(self, grid_road, grid_events):
         batch = _deploy(grid_road, streaming=False)
         batch.ingest_events(grid_events)
-        streamed = _deploy(
-            grid_road, streaming=True, shards=2, compact_every=128
-        )
+        streamed = _deploy(grid_road, streaming=True, compact_every=128)
         for window in _chunks(_arrange(grid_events, "shuffled"), 173):
             streamed.ingest_events(window)
-        engine = streamed.engine()
-        assert isinstance(engine, ShardedQueryEngine)
         queries = _battery(streamed.domain, HORIZON, seed=29, n_boxes=6)
-        got = [_key(r) for r in engine.execute_batch(queries)]
-        want = [
-            _key(batch.engine(sharded=False).execute(q)) for q in queries
-        ]
+        # Shards partitioned from the streamed store's live events.
+        with ShardedQueryEngine(
+            streamed.network,
+            streamed.streaming_store.snapshot_columns(),
+            shards=2,
+        ) as engine:
+            got = [_key(r) for r in engine.execute_batch(queries)]
+        want = [_key(batch.engine().execute(q)) for q in queries]
         assert got == want
         batch.close()
         streamed.close()
-
-    def test_append_invalidates_sharded_engine(self, grid_road, grid_events):
-        framework = _deploy(grid_road, streaming=True, shards=2)
-        framework.ingest_events(grid_events[:400])
-        first = framework.engine()
-        framework.ingest_events(grid_events[400:500])
-        second = framework.engine()
-        assert first.closed
-        assert second is not first
-        framework.close()
 
     def test_query_during_compaction(self, grid_road, grid_events):
         """A query fired from the ``built`` compaction phase — the new
@@ -425,7 +413,7 @@ class TestStreamingBatchEquivalence:
         )
         framework.ingest_events(grid_events)
         store = framework.streaming_store
-        engine = QueryEngine(framework.network, store, planner="compiled")
+        engine = QueryEngine(framework.network, store)
         query = RangeQuery(framework.domain.bounds, 0.0, HORIZON * 0.6)
         before = engine.execute(query).value
 

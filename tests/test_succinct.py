@@ -5,8 +5,8 @@ edges, duplicate timestamps, width-0 blocks), the exactness contract
 (compressed answers byte-identical to an uncompressed compiled form
 built from the same quantized columns, through the direct integration
 API, the sharded scatter path and streaming compaction points),
-append-merge re-encoding with generation/digest stability, compressed
-shared-memory round trips, the error-bounded sketch fast path
+append-merge re-encoding with generation/digest stability, the
+error-bounded sketch fast path
 (containment, engine gating, fallback, metrics) and the unified
 storage-report schema across every store.
 """
@@ -33,7 +33,6 @@ from repro.forms.succinct import (
 from repro.obs import use_registry
 from repro.query import QueryEngine, RangeQuery, ShardedQueryEngine
 from repro.query import TRANSIENT
-from repro.shm import destroy_segment
 from repro.stream import StreamingEventStore
 from repro.trajectories import (
     CrossingEvent,
@@ -312,29 +311,6 @@ class TestCompressedEquivalence:
         assert np.array_equal(c1[0], c2[0])
         assert np.array_equal(c1[1], c2[1])
 
-    def test_shm_round_trip(self, forms_pair):
-        _, _, plain, compressed = forms_pair
-        handle, descriptor = compressed.shm_pack(hint="succinct-test")
-        try:
-            assert descriptor["form"] == "compressed"
-            attached = CompressedTrackingForm.shm_attach(
-                descriptor, compressed._interner
-            )
-            assert attached.tick_bits == TICK_BITS
-            assert attached.total_events == compressed.total_events
-            rng = np.random.default_rng(13)
-            n_ids = len(plain._offsets[0]) - 1
-            for _ in range(20):
-                wall_ids = rng.integers(0, n_ids, size=6).astype(np.int64)
-                signs = rng.choice([-1, 1], size=6).astype(np.int64)
-                t = float(rng.uniform(0.0, HORIZON))
-                assert attached.integrate_until_ids(
-                    wall_ids, signs, t
-                ) == plain.integrate_until_ids(wall_ids, signs, t)
-            del attached
-        finally:
-            destroy_segment(handle)
-
     def test_compression_beats_plain_storage(self, forms_pair):
         _, _, plain, compressed = forms_pair
         plain_bytes = plain.storage_report()["total_bytes"]
@@ -355,24 +331,21 @@ class TestPlannerEquivalence:
         network, _, plain, compressed = forms_pair
         battery = _battery(network.domain, HORIZON, seed=61)
         reference = QueryEngine(
-            network, plain, planner="compiled", static_eval=static_eval
+            network, plain, static_eval=static_eval
         ).execute_batch(battery)
         got = QueryEngine(
-            network, compressed, planner="compiled", static_eval=static_eval
+            network, compressed, static_eval=static_eval
         ).execute_batch(battery)
         assert [_key(r) for r in got] == [_key(r) for r in reference]
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_sharded_planner_field_identical(self, forms_pair, shards):
-        network, columns, plain, _ = forms_pair
+        """Shards over the quantized columns answer what the compressed
+        form answers in one process."""
+        network, columns, _, compressed = forms_pair
         battery = _battery(network.domain, HORIZON, seed=61)
-        reference = QueryEngine(
-            network, plain, planner="compiled"
-        ).execute_batch(battery)
-        with ShardedQueryEngine(
-            network, columns, shards=shards,
-            compress=True, tick_bits=TICK_BITS,
-        ) as engine:
+        reference = QueryEngine(network, compressed).execute_batch(battery)
+        with ShardedQueryEngine(network, columns, shards=shards) as engine:
             results = engine.execute_batch(battery)
         assert [_key(r) for r in results] == [_key(r) for r in reference]
 
@@ -467,7 +440,7 @@ def sketch_deployment():
 class TestSketch:
     def test_bound_contains_exact(self, sketch_deployment):
         network, form, sketch = sketch_deployment
-        exact_engine = QueryEngine(network, form, planner="compiled")
+        exact_engine = QueryEngine(network, form)
         sketch_engine = QueryEngine(
             network, form, planner="auto", sketch=sketch
         )
@@ -507,7 +480,7 @@ class TestSketch:
                 network, form, planner="auto", sketch=sketch
             )
             battery = _battery(network.domain, HORIZON, seed=73, n_boxes=5)
-            exact = QueryEngine(network, form, planner="compiled")
+            exact = QueryEngine(network, form)
             for query in battery:
                 tight = RangeQuery(
                     query.box, query.t1, query.t2, kind=query.kind,
@@ -529,7 +502,7 @@ class TestSketch:
     def test_no_max_error_means_exact(self, sketch_deployment):
         network, form, sketch = sketch_deployment
         engine = QueryEngine(network, form, planner="auto", sketch=sketch)
-        exact = QueryEngine(network, form, planner="compiled")
+        exact = QueryEngine(network, form)
         query = _battery(network.domain, HORIZON, seed=79, n_boxes=1)[0]
         assert engine.execute(query).value == exact.execute(query).value
         assert not engine.execute(query).approximate
@@ -537,7 +510,7 @@ class TestSketch:
     def test_non_auto_planner_ignores_sketch(self, sketch_deployment):
         network, form, sketch = sketch_deployment
         engine = QueryEngine(
-            network, form, planner="compiled", sketch=sketch
+            network, form, planner="python", sketch=sketch
         )
         query = _battery(network.domain, HORIZON, seed=83, n_boxes=1)[0]
         loose = RangeQuery(
@@ -557,7 +530,7 @@ class TestSketch:
             )
             for q in base
         ]
-        exact = QueryEngine(network, form, planner="compiled")
+        exact = QueryEngine(network, form)
         got = engine.execute_batch(loose)
         want = exact.execute_batch(base)
         for g, w in zip(got, want):
@@ -585,7 +558,7 @@ class TestSketch:
             network.observed_columns(columns), bins=64
         )
         engine = QueryEngine(network, form, planner="auto", sketch=sketch)
-        exact = QueryEngine(network, form, planner="compiled")
+        exact = QueryEngine(network, form)
         netted = 0
         for query in _battery(network.domain, HORIZON, seed=97, n_boxes=12):
             for t2 in (query.t2, np.inf):
