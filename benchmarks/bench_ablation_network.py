@@ -51,9 +51,9 @@ def bench_ablation_network_regimes(benchmark):
             [
                 f"{size:.1%}",
                 len(observed),
-                central.total,
-                local.total,
-                f"{1 - local.total / central.total:.1%}",
+                central.update_energy,
+                local.update_energy,
+                f"{1 - local.update_energy / central.update_energy:.1%}",
             ]
         )
 

@@ -62,7 +62,7 @@ def bench_fig11d_query_time(benchmark):
         return QueryEngine(sampled_network, sampled_form, planner="python")
 
     def compiled_engine():
-        return QueryEngine(sampled_network, sampled_form, planner="compiled")
+        return QueryEngine(sampled_network, sampled_form)
 
     # The unsampled reference keeps the python planner so the python
     # rows reproduce the paper-faithful comparison; the compiled row's
